@@ -1,32 +1,43 @@
-"""Prepare-once/execute-many vs. parse-per-call (ISSUE 2 acceptance).
+"""What ``Session.prepare`` buys on operations that change state.
 
-The Session API's claim: ``session.prepare(op)`` pays parsing once and
-caches the translated SQL against the database state version, so repeated
-``execute()`` replays statements through the engine's plan cache instead
-of re-running the whole parse → translate pipeline.  The facade
-(``OntoAccess.update``) re-parses and re-translates per call.
+A prepared update amortizes the *parse*: ``session.prepare(template)``
+parses once, and every ``execute(bindings)`` substitutes the bindings and
+then runs the same translate-and-execute routine as the facade
+(``OntoAccess.update``), which parses the request text on every call.
+Translation reads row data, so it happens per execution on both sides.
 
-Measured on the publication workload:
+Both sides therefore run operations that really change the database:
 
-* ``test_facade_update_per_call``     — 100x ``OntoAccess.update(op)``
-* ``test_prepared_execute``           — ``prepare(op)`` once, 100x ``execute()``
-* ``test_prepared_execute_bindings``  — placeholder template, alternating
-  bindings per execute (amortizes the parse, re-translates on change)
-* ``test_prepared_speedup_floor``     — asserts the ≥5x acceptance floor
-  and prints the measured ratio
+* ``test_facade_insert_fresh_key`` / ``test_prepared_insert_fresh_key`` —
+  INSERT DATA of a team whose key was never used before (one SQL INSERT
+  per call);
+* ``test_facade_modify_alternating`` / ``test_prepared_modify_alternating``
+  — a MODIFY that flips one author's mailbox between two values (one SQL
+  UPDATE per call);
+* ``test_prepared_gain_report`` — prints the measured per-call times and
+  ratios.  It asserts no floor: the gain is the parse, whatever share of
+  the call that is on the machine at hand.
+
+(Until ISSUE 12 this module re-inserted a row that was already there and
+asserted a ≥5x floor; that measured a no-op translation replay which no
+state-changing traffic can hit, and the replay cache is gone.  Its MODIFY
+named an author the generator never produces, so it matched nothing; the
+runs below assert that every call changes exactly one row.)
 
 Artifacts land in ``BENCH_prepared.json`` via the conftest writer.
 """
 
+import itertools
 import time
 
 from repro import OntoAccess
+from repro.rdf.terms import URIRef
 from repro.workloads.generator import (
     WorkloadConfig,
     generate_dataset,
     populate_database,
 )
-from repro.workloads.publication import build_database, build_mapping
+from repro.workloads.publication import URI_PREFIX, build_database, build_mapping
 
 from conftest import report
 
@@ -36,12 +47,17 @@ PREFIX ont:  <http://example.org/ontology#>
 PREFIX ex:   <http://example.org/db/>
 """
 
-#: The repeated operation: idempotent after the first execution (set
-#: semantics), so both sides measure the steady state of repeat traffic.
-INSERT_TEAM = PREFIXES + """
+INSERT_TEMPLATE = PREFIXES + """
 INSERT DATA {
-    ex:team9999 foaf:name "Database Technology" ;
-                ont:teamCode "DBTG" .
+    ?team foaf:name ?name ;
+          ont:teamCode ?code .
+}
+"""
+
+INSERT_TEXT = PREFIXES + """
+INSERT DATA {
+    ex:team%d foaf:name "Database Technology" ;
+              ont:teamCode "DBTG" .
 }
 """
 
@@ -50,6 +66,13 @@ MODIFY
 DELETE { ?x foaf:mbox ?m . }
 INSERT { ?x foaf:mbox ?new . }
 WHERE  { ?x foaf:family_name ?who ; foaf:mbox ?m . }
+"""
+
+MODIFY_TEXT = PREFIXES + """
+MODIFY
+DELETE { ?x foaf:mbox ?m . }
+INSERT { ?x foaf:mbox <mailto:%s@example.org> . }
+WHERE  { ?x foaf:family_name "Reif2" ; foaf:mbox ?m . }
 """
 
 EXECUTIONS = 100
@@ -64,39 +87,66 @@ def _mediator(authors: int = 100) -> OntoAccess:
     return OntoAccess(db, build_mapping(db), validate=False)
 
 
-def test_facade_update_per_call(benchmark):
-    """Parse + translate every call: the legacy per-request cost."""
+def _facade_insert():
     mediator = _mediator()
-    mediator.update(INSERT_TEAM)  # warm: later calls are state no-ops
-    benchmark(lambda: mediator.update(INSERT_TEAM))
+    keys = itertools.count(10_000)
+    return lambda: mediator.update(INSERT_TEXT % next(keys))
 
 
-def test_prepared_execute(benchmark):
-    """Parse once, translate once per state change, replay afterwards."""
-    session = _mediator().session()
-    prepared = session.prepare(INSERT_TEAM)
-    prepared.execute()  # warm: reach the replay steady state
-    prepared.execute()
-    benchmark(prepared.execute)
+def _prepared_insert():
+    prepared = _mediator().session().prepare(INSERT_TEMPLATE)
+    keys = itertools.count(10_000)
+    return lambda: prepared.execute(
+        bindings={
+            "team": URIRef(f"{URI_PREFIX}team{next(keys)}"),
+            "name": "Database Technology",
+            "code": "DBTG",
+        }
+    )
 
 
-def test_prepared_execute_bindings(benchmark):
-    """Prepared MODIFY with bindings: the parse is amortized; each
-    execute re-translates because it changes the database."""
-    session = _mediator().session()
-    prepared = session.prepare(MODIFY_TEMPLATE)
-    state = {"flip": False}
+def _facade_modify():
+    mediator = _mediator()
+    names = itertools.cycle("ab")
+    return lambda: mediator.update(MODIFY_TEXT % next(names))
 
-    def run():
-        state["flip"] = not state["flip"]
-        prepared.execute(
-            bindings={
-                "who": "Generated7",
-                "new": f"mailto:{'a' if state['flip'] else 'b'}@example.org",
-            }
-        )
 
-    run()
+def _prepared_modify():
+    prepared = _mediator().session().prepare(MODIFY_TEMPLATE)
+    names = itertools.cycle("ab")
+    return lambda: prepared.execute(
+        bindings={
+            "who": "Reif2",
+            "new": URIRef(f"mailto:{next(names)}@example.org"),
+        }
+    )
+
+
+def test_facade_insert_fresh_key(benchmark):
+    """Parse + translate + one SQL INSERT per call."""
+    run = _facade_insert()
+    assert run().rows_affected() == 1
+    benchmark(run)
+
+
+def test_prepared_insert_fresh_key(benchmark):
+    """Substitute bindings + translate + one SQL INSERT per call."""
+    run = _prepared_insert()
+    assert run().rows_affected() == 1
+    benchmark(run)
+
+
+def test_facade_modify_alternating(benchmark):
+    """Parse + WHERE + per-binding translation + one SQL UPDATE per call."""
+    run = _facade_modify()
+    assert run().rows_affected() == 1
+    benchmark(run)
+
+
+def test_prepared_modify_alternating(benchmark):
+    """The same MODIFY with the parse amortized."""
+    run = _prepared_modify()
+    assert run().rows_affected() == 1
     benchmark(run)
 
 
@@ -112,29 +162,22 @@ def _best_of(rounds: int, fn) -> float:
     return best
 
 
-def test_prepared_speedup_floor():
-    """ISSUE 2 acceptance: prepared execution is ≥5x cheaper per call."""
-    facade = _mediator()
-    facade.update(INSERT_TEAM)  # warm: later calls are state no-ops
-    facade_us = _best_of(3, lambda: facade.update(INSERT_TEAM))
-
-    session = _mediator().session()
-    prepared = session.prepare(INSERT_TEAM)
-    prepared.execute()
-    prepared.execute()
-    prepared_us = _best_of(3, prepared.execute)
-
-    ratio = facade_us / prepared_us
+def test_prepared_gain_report():
+    """Report (not gate) what amortizing the parse is worth."""
+    lines = []
+    for label, facade, prepared in (
+        ("INSERT DATA, fresh key", _facade_insert(), _prepared_insert()),
+        ("MODIFY, alternating binding", _facade_modify(), _prepared_modify()),
+    ):
+        facade_us = _best_of(3, facade)
+        prepared_us = _best_of(3, prepared)
+        lines.append(
+            f"{label:28s} facade {facade_us:7.1f} us/op   "
+            f"prepared {prepared_us:7.1f} us/op   "
+            f"ratio {facade_us / prepared_us:4.2f}x"
+        )
     report(
-        "prepare-once/execute-many vs parse-per-call "
+        "prepared vs parse-per-call on state-changing updates "
         f"({EXECUTIONS} executions, publication workload)",
-        [
-            f"facade update():     {facade_us:8.1f} us/op",
-            f"prepared execute():  {prepared_us:8.1f} us/op",
-            f"speedup:             {ratio:8.1f}x (acceptance floor: 5x)",
-        ],
-    )
-    assert ratio >= 5.0, (
-        f"prepared execution is only {ratio:.1f}x faster "
-        f"({prepared_us:.1f} vs {facade_us:.1f} us)"
+        lines,
     )

@@ -17,6 +17,14 @@ Because both speak the same interface, equivalence tests and benchmarks
 drive both through one :class:`Session`, and per-operation transaction
 scope lives in exactly one place (the session), never in the backend.
 
+Each job has one seam.  Updates: every entry point (facade, session,
+prepared update, HTTP) ends in :meth:`Backend.execute_operation`, which
+translates against the current state and runs the SQL — nothing about an
+update is cached here, because translation reads row data.  Queries:
+:meth:`Backend.query_outcome`, or :meth:`Backend.prepare_query` for a
+handle that keeps what does not depend on row data (on the relational
+backend, the pattern translation per mapping/schema version).
+
 Backends do NOT begin/commit transactions around operations themselves —
 ``execute_operation`` always runs inside a transaction the caller opened.
 """
@@ -56,7 +64,12 @@ from .dump import dump_database
 from .feedback import confirmation_graph
 from .insert_data import translate_insert_data
 from .modify import bindings_for_pattern, plan_binding, plan_modify
-from .query import QueryOutcome, execute_query, outcome_from_solutions
+from .query import (
+    QueryOutcome,
+    execute_query,
+    outcome_from_solutions,
+    solve_pattern,
+)
 
 __all__ = [
     "Backend",
@@ -162,10 +175,6 @@ class Backend(abc.ABC):
         """Dry-run translation (backends without SQL return nothing)."""
         return []
 
-    def prepare_operation(self, operation: UpdateOperation) -> "PreparedOp":
-        """A reusable handle for repeated execution of one operation."""
-        return PreparedOp(self, operation)
-
     # -- transactions ---------------------------------------------------
 
     @abc.abstractmethod
@@ -208,27 +217,9 @@ class Backend(abc.ABC):
 
     # -- bookkeeping -----------------------------------------------------
 
-    def state_version(self) -> Any:
-        """Opaque token that changes whenever visible state may have
-        changed; prepared operations key their caches on it."""
-        return object()  # never equal: no caching by default
-
     def wrap_error(self, exc: Exception) -> Exception:
         """Map an engine-level error to the client-facing exception."""
         return exc
-
-
-class PreparedOp:
-    """Default prepared handle: re-executes the operation each time."""
-
-    __slots__ = ("backend", "operation")
-
-    def __init__(self, backend: Backend, operation: UpdateOperation) -> None:
-        self.backend = backend
-        self.operation = operation
-
-    def execute(self) -> OperationResult:
-        return self.backend.execute_operation(self.operation)
 
 
 class PreparedQueryPlan:
@@ -263,10 +254,10 @@ class RelationalBackend(Backend):
         super().__init__()
         self.db = db
         self._mapping = mapping
-        #: Bumped when the mapping object is replaced, so prepared
-        #: translations keyed on the state version invalidate.  In-place
-        #: mutation of a DatabaseMapping is not tracked — replace the
-        #: mapping (or build a new mediator) to change it safely.
+        #: Bumped when the mapping object is replaced, so prepared query
+        #: translations (keyed on :meth:`query_state_version`) invalidate.
+        #: In-place mutation of a DatabaseMapping is not tracked — replace
+        #: the mapping (or build a new mediator) to change it safely.
         self._mapping_generation = 0
         self.optimize_modify = optimize_modify
         self.force_query_fallback = force_query_fallback
@@ -311,19 +302,12 @@ class RelationalBackend(Backend):
     def execute_operation(self, operation: UpdateOperation) -> OperationResult:
         if isinstance(operation, Modify):
             return self._execute_modify(operation)
-        statements = self.translate_operation(operation)
-        return self.run_statements(operation_kind(operation), statements)
-
-    def run_statements(
-        self, kind: str, statements: List[ast.Statement]
-    ) -> OperationResult:
-        """Execute already-translated statements (translation replay)."""
-        # Copy: callers may mutate result.statements, and the prepared-op
-        # replay cache holds the original list.
-        result = OperationResult(kind=kind, statements=list(statements))
-        for statement in statements:
-            outcome = self.db.execute(statement)
-            result.rows_affected += outcome.rowcount
+        result = OperationResult(
+            kind=operation_kind(operation),
+            statements=self.translate_operation(operation),
+        )
+        for statement in result.statements:
+            result.rows_affected += self.db.execute(statement).rowcount
         return result
 
     def _execute_modify(self, operation: Modify) -> OperationResult:
@@ -353,9 +337,6 @@ class RelationalBackend(Backend):
                 result.rows_affected += outcome.rowcount
                 result.statements.append(statement)
         return result
-
-    def prepare_operation(self, operation: UpdateOperation) -> PreparedOp:
-        return _PreparedRdbOp(self, operation)
 
     # -- transactions ---------------------------------------------------
 
@@ -402,13 +383,6 @@ class RelationalBackend(Backend):
 
     # -- bookkeeping -----------------------------------------------------
 
-    def state_version(self) -> Tuple[int, int, int]:
-        return (
-            self._mapping_generation,
-            self.db.schema_version,
-            self.db.data_version,
-        )
-
     def query_state_version(self) -> Tuple[int, int]:
         """What prepared query translations depend on: mapping + schema
         (pattern translation never reads row data)."""
@@ -438,49 +412,13 @@ class RelationalBackend(Backend):
         return exc
 
 
-class _PreparedRdbOp(PreparedOp):
-    """Prepared relational operation with a translation-replay cache.
-
-    Translation is a pure function of (mapping, database state); the
-    database state is identified by :meth:`Database.state_version`.  As
-    long as the version is unchanged since the last translation, the
-    cached SQL statements are replayed without re-running Algorithm 1 —
-    the steady state for repeated idempotent operations.  Any change
-    (including the replay itself affecting rows) bumps the version and
-    forces a fresh translation, so semantics never drift from the
-    unprepared path.
-
-    MODIFY interleaves translation and execution per binding (Algorithm
-    2), so it is never replayed from cache — only its parse is amortized.
-    """
-
-    __slots__ = ("_cached",)
-
-    def __init__(self, backend: RelationalBackend, operation: UpdateOperation) -> None:
-        super().__init__(backend, operation)
-        #: (state version at translation, translated statements) or None
-        self._cached: Optional[Tuple[Any, List[ast.Statement]]] = None
-
-    def execute(self) -> OperationResult:
-        backend = self.backend
-        if isinstance(self.operation, Modify):
-            return backend.execute_operation(self.operation)
-        kind = operation_kind(self.operation)
-        version = backend.state_version()
-        if self._cached is not None and self._cached[0] == version:
-            return backend.run_statements(kind, self._cached[1])
-        statements = backend.translate_operation(self.operation)
-        self._cached = (version, statements)
-        return backend.run_statements(kind, statements)
-
-
 class _PreparedRdbQuery(PreparedQueryPlan):
     """Prepared relational query: the SPARQL→SQL pattern translation is
-    computed once per (mapping, schema) version (it never depends on row
-    data) and re-executed against current data on every call; executions
-    share the planner's compiled plan for the translated SELECT.
+    kept per (mapping, schema) version (it never depends on row data) and
+    handed back to :func:`~repro.core.query.solve_pattern` on every call;
+    executions share the planner's compiled plan for the translated SELECT.
 
-    Thread-safe without a lock: the cached translation lives in one
+    Thread-safe without a lock: the kept translation lives in one
     atomically swapped tuple, so concurrent readers either reuse it or
     redundantly recompute the identical translation (benign), and never
     observe a half-updated pair of fields.
@@ -490,56 +428,29 @@ class _PreparedRdbQuery(PreparedQueryPlan):
 
     def __init__(self, backend: RelationalBackend, query: Query) -> None:
         super().__init__(backend, query)
-        #: (version, translated, rendered sql, unsupported) — replaced
-        #: wholesale, never mutated in place.
-        self._state: Tuple[Any, Any, Optional[str], bool] = (
-            None, None, None, False
-        )
+        #: (version, translation — None when the pattern is known to be
+        #: untranslatable for that version); replaced wholesale.
+        self._state: Tuple[Any, Any] = (None, None)
 
     def outcome(self) -> QueryOutcome:
         backend = self.backend
-        if backend.force_query_fallback:
-            return backend.query_outcome(self.query)
-        version = backend.query_state_version()
-        state = self._state
-        if state[0] != version:
-            from ..errors import UnsupportedPatternError
-            from .select_translate import translate_pattern
-
-            try:
-                # Under the planner lock: DDL holds it across its catalog
-                # mutation, so the (otherwise lock-free) translation can
-                # never observe a half-applied schema change.
-                with backend.db.planner.lock:
-                    translated = translate_pattern(
-                        backend.mapping, backend.db, self.query.where
-                    )
-                # render once, not per call
-                state = (version, translated, translated.sql(), False)
-            except UnsupportedPatternError:
-                state = (version, None, None, True)
-            self._state = state
-        _, translated, sql, unsupported = state
-        if unsupported:
-            # Known-untranslatable for this schema: go straight to the
-            # dump evaluation instead of re-attempting translation.
-            from ..sparql.algebra import evaluate_pattern
-            from .dump import dump_database
-
-            graph = dump_database(backend.mapping, backend.db)
-            annotate(backend=backend.name, used_sql=False)
-            return outcome_from_solutions(
-                self.query,
-                evaluate_pattern(graph, self.query.where),
-                used_sql=False,
-            )
-        annotate(backend=backend.name, used_sql=True)
-        return outcome_from_solutions(
-            self.query,
-            translated.execute(),
-            used_sql=True,
-            select_sql=sql,
+        current = backend.query_state_version()
+        version, kept = self._state
+        known = version == current
+        solutions, translated = solve_pattern(
+            backend.mapping,
+            backend.db,
+            self.query.where,
+            # Known-untranslatable: go straight to the dump evaluation
+            # instead of re-attempting translation.
+            force_fallback=backend.force_query_fallback
+            or (known and kept is None),
+            translated=kept if known else None,
         )
+        if not known and not backend.force_query_fallback:
+            self._state = (current, translated)
+        annotate(backend=backend.name, used_sql=translated is not None)
+        return outcome_from_solutions(self.query, solutions, translated)
 
 
 # ---------------------------------------------------------------------------
@@ -693,11 +604,6 @@ class TripleStoreBackend(Backend):
         ):
             return self.store.graph.copy()
         return self._committed_graph().copy()
-
-    # -- bookkeeping -----------------------------------------------------
-
-    def state_version(self) -> int:
-        return self._version
 
 
 # ---------------------------------------------------------------------------

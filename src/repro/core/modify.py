@@ -5,7 +5,8 @@ Steps, mirroring the paper exactly:
 1. split the MODIFY into DELETE template, INSERT template, WHERE pattern;
 2. build a SELECT from the WHERE pattern and translate it to SQL
    (:mod:`repro.core.select_translate`); when the pattern falls outside
-   the translatable fragment, evaluate it against the RDB dump instead;
+   the translatable fragment, evaluate it against the RDB dump instead
+   (the one place that decides is :func:`repro.core.query.solve_pattern`);
 3. for each result binding, instantiate one DELETE DATA and one INSERT
    DATA operation from the templates;
 4. translate and execute them via Algorithm 1, interleaved per binding in
@@ -24,17 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..errors import UnsupportedPatternError
 from ..rdb.engine import Database
 from ..rdf.namespace import RDF
 from ..rdf.terms import Triple, URIRef
 from ..r3m.model import DatabaseMapping
-from ..sparql.algebra import Solution, evaluate_pattern, instantiate
+from ..sparql.algebra import Solution, instantiate
 from ..sparql.update_ast import Modify
 from ..sql import ast
 from .delete_data import translate_delete_data
 from .insert_data import translate_insert_data
-from .select_translate import translate_pattern
+from .query import solve_pattern
 
 __all__ = ["ModifyPlan", "BindingStep", "plan_modify", "bindings_for_pattern"]
 
@@ -73,19 +73,15 @@ def bindings_for_pattern(
 ) -> Tuple[List[Solution], bool, Optional[str]]:
     """Evaluate a WHERE pattern on the RDB.
 
-    Returns (solutions, used_sql_translation, select_sql).  The fallback
-    materializes the database as RDF and evaluates natively.
+    Returns (solutions, used_sql_translation, select_sql); how the pattern
+    is evaluated is :func:`repro.core.query.solve_pattern`'s decision.
     """
-    if not force_fallback:
-        try:
-            translated = translate_pattern(mapping, db, pattern)
-            return translated.execute(), True, translated.sql()
-        except UnsupportedPatternError:
-            pass
-    from .dump import dump_database
-
-    graph = dump_database(mapping, db)
-    return evaluate_pattern(graph, pattern), False, None
+    solutions, translated = solve_pattern(
+        mapping, db, pattern, force_fallback=force_fallback
+    )
+    if translated is None:
+        return solutions, False, None
+    return solutions, True, translated.sql()
 
 
 def plan_modify(

@@ -69,11 +69,16 @@ class TranslatedSelect:
     #: per-variable (index, decoder) pairs, built once on first execute so
     #: row decoding does no catalog lookups in the per-row loop
     _decoders: Optional[List[Tuple[Variable, int, Any]]] = None
+    #: rendered once: a translation kept by a prepared query is asked for
+    #: its SQL text on every execution
+    _sql: Optional[str] = None
 
     def sql(self) -> str:
-        from ..sql.render import render
+        if self._sql is None:
+            from ..sql.render import render
 
-        return render(self.select)
+            self._sql = render(self.select)
+        return self._sql
 
     def execute(self) -> List[Solution]:
         """Run the SQL and decode rows into SPARQL solutions."""

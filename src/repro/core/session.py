@@ -9,10 +9,12 @@ that cost across repeated operations:
 
 * :meth:`Session.prepare` parses once and returns a
   :class:`PreparedUpdate` / :class:`PreparedQuery` whose ``execute()`` can
-  run many times.  On the relational backend the translated SQL is cached
-  against the database's state version and *replayed* while the state is
-  unchanged, and translated query patterns are cached per schema version —
-  both on top of the engine's per-statement plan cache.
+  run many times.  What a prepared *update* amortizes is the parse:
+  translation reads row data, so every execution translates against the
+  current state — the same routine every other update entry point ends
+  in.  A prepared *query* additionally keeps, on the relational backend,
+  its translated pattern per schema version and one plan per recently
+  used binding set, on top of the engine's per-statement plan cache.
 * Prepared templates may contain SPARQL variables as placeholders;
   ``execute(bindings={"name": ...})`` substitutes concrete terms at
   execute time (the prepared-statement idiom).
@@ -29,10 +31,12 @@ that cost across repeated operations:
   one writer.  The prepared caches are guarded by a separate lock held
   only for dictionary access, never during execution.
 
-Semantics never drift from the unprepared path: translation replay is
-keyed on the backend's state version, so *any* state change — including
-the replayed statements themselves affecting rows — forces a fresh
-translation.
+Semantics cannot drift from the unprepared path, because for updates
+there is no other path: :meth:`Session.execute`, :meth:`Session.
+execute_all`, :meth:`PreparedUpdate.execute` and the HTTP endpoint's
+``/update`` and ``/batch`` all hand concrete operations to one routine
+that owns the lock, the transaction scope and the call to
+``backend.execute_operation``.
 """
 
 from __future__ import annotations
@@ -250,10 +254,9 @@ def _resolve_operation(
 class PreparedUpdate:
     """A parsed SPARQL/Update request, executable many times.
 
-    Parsing happened at :meth:`Session.prepare` time; per distinct binding
-    set the backend keeps a prepared handle whose translation is replayed
-    while the backend state is unchanged (see
-    :class:`repro.core.backend._PreparedRdbOp`).
+    Parsing happened at :meth:`Session.prepare` time; each execution
+    substitutes the bindings and runs the concrete operations exactly
+    like :meth:`Session.execute` does.
     """
 
     def __init__(
@@ -265,34 +268,15 @@ class PreparedUpdate:
         self.session = session
         self.request = request
         self.text = text
-        #: bindings-key -> one prepared handle per operation (LRU)
-        self._per_binding: "OrderedDict[Tuple, List]" = OrderedDict()
 
     def execute(self, bindings: Optional[Bindings] = None) -> UpdateResult:
         """Execute the request; placeholders are substituted from
         ``bindings`` (variable name → RDF term or plain Python value)."""
-        session = self.session
-        with session._lock:
-            prepared = self._prepared_for(_solution(bindings))
-            return session._run_runners(
-                [handle.execute for handle in prepared], atomic=False
-            )
-
-    def _prepared_for(self, solution: Solution) -> List:
-        key = _bindings_key(solution)
-        prepared = self._per_binding.get(key)
-        if prepared is None:
-            backend = self.session.backend
-            prepared = [
-                backend.prepare_operation(_resolve_operation(op, solution))
-                for op in self.request.operations
-            ]
-            self._per_binding[key] = prepared
-            if len(self._per_binding) > _BINDING_CACHE_SIZE:
-                self._per_binding.popitem(last=False)
-        else:
-            self._per_binding.move_to_end(key)
-        return prepared
+        solution = _solution(bindings)
+        return self.session._run(
+            [_resolve_operation(op, solution) for op in self.request.operations],
+            atomic=False,
+        )
 
 
 class PreparedQuery:
@@ -489,22 +473,17 @@ class Session:
     ) -> UpdateResult:
         """Execute a SPARQL/Update request.
 
-        This is the one-shot path: request strings are parsed and
-        translated per call (the legacy facade behaviour); use
-        :meth:`prepare` to amortize parse + translation over repeated
-        executions.  Outside an explicit transaction each operation runs
-        in its own database transaction (the paper's atomicity rule);
-        inside one, all operations join the open transaction.
+        This is the one-shot path: request strings are parsed per call
+        (the legacy facade behaviour); use :meth:`prepare` to parse once
+        for repeated executions.  Outside an explicit transaction each
+        operation runs in its own database transaction (the paper's
+        atomicity rule); inside one, all operations join the open
+        transaction.
         """
         _OPS_UPDATE.inc()
-        with self._lock:
-            if isinstance(request, str):
-                request = parse_update(request, prefixes=prefixes)
-            runners = [
-                (lambda op=op: self.backend.execute_operation(op))
-                for op in request.operations
-            ]
-            return self._run_runners(runners, atomic=False)
+        if isinstance(request, str):
+            request = parse_update(request, prefixes=prefixes)
+        return self._run(request.operations, atomic=False)
 
     def execute_all(
         self,
@@ -517,17 +496,12 @@ class Session:
         first error — everything rolls back and the error propagates.
         """
         _OPS_BATCH.inc()
-        with self._lock:
-            operations: List[UpdateOperation] = []
-            for request in requests:
-                if isinstance(request, str):
-                    request = parse_update(request, prefixes=prefixes)
-                operations.extend(request.operations)
-            runners = [
-                (lambda op=op: self.backend.execute_operation(op))
-                for op in operations
-            ]
-            return self._run_runners(runners, atomic=True)
+        operations: List[UpdateOperation] = []
+        for request in requests:
+            if isinstance(request, str):
+                request = parse_update(request, prefixes=prefixes)
+            operations.extend(request.operations)
+        return self._run(operations, atomic=True)
 
     # -- read path ------------------------------------------------------
 
@@ -662,40 +636,40 @@ class Session:
 
     # -- execution core -------------------------------------------------
 
-    def _run_runners(self, runners: Sequence, atomic: bool) -> UpdateResult:
-        """Run operation thunks with session-managed transaction scope.
+    def _run(
+        self, operations: Sequence[UpdateOperation], atomic: bool
+    ) -> UpdateResult:
+        """The one update routine: run concrete operations under the
+        write-tier lock with session-managed transaction scope.
 
-        ``atomic=True`` wraps the whole batch in one transaction;
-        otherwise each operation gets its own.  Inside an explicit
-        transaction (``session.begin()``/``transaction()``) operations
-        join it, and any error rolls the whole transaction back so no
-        transaction is ever left open.
+        Callers parse and substitute bindings *before* calling, so the
+        lock is held for translation and execution only.  ``atomic=True``
+        wraps the whole batch in one transaction; otherwise each
+        operation gets its own.  Inside an explicit transaction
+        (``session.begin()``/``transaction()``) operations join it, and
+        any error rolls the whole transaction back so no transaction is
+        ever left open.
         """
         result = UpdateResult()
         backend = self.backend
-        if backend.in_transaction():
-            try:
-                for run in runners:
-                    result.operations.append(run())
-            except Exception as exc:
-                self._fail(exc)
-            return result
-        if atomic:
-            backend.begin()
-            try:
-                for run in runners:
-                    result.operations.append(run())
-                backend.commit()
-            except Exception as exc:
-                self._fail(exc)
-            return result
-        for run in runners:
-            backend.begin()
-            try:
-                result.operations.append(run())
-                backend.commit()
-            except Exception as exc:
-                self._fail(exc)
+        with self._lock:
+            joined = backend.in_transaction()
+            if atomic or joined:
+                scopes = [operations]
+            else:
+                scopes = [[operation] for operation in operations]
+            for scope in scopes:
+                if not joined:
+                    backend.begin()
+                try:
+                    for operation in scope:
+                        result.operations.append(
+                            backend.execute_operation(operation)
+                        )
+                    if not joined:
+                        backend.commit()
+                except Exception as exc:
+                    self._fail(exc)
         return result
 
     def _fail(self, exc: Exception) -> None:

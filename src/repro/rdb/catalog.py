@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import CatalogError
 from ..sql import ast as sql_ast
+from .expressions import ScopeLayout, compile_expression
 from .types import SQLType
 
 __all__ = ["Column", "ForeignKey", "Index", "Table", "Schema"]
@@ -100,6 +101,12 @@ class Table:
         #: per-row form we support).
         self.checks = list(checks or [])
         self._validate_column_lists()
+        #: ``checks`` compiled once, here, against this table's row layout
+        #: (so a CHECK naming an unknown column fails the CREATE TABLE).
+        layout = ScopeLayout([(name, self.columns)])
+        self.compiled_checks = [
+            compile_expression(check, layout) for check in self.checks
+        ]
 
     def _validate_column_lists(self) -> None:
         for col in self.primary_key:

@@ -72,6 +72,7 @@ from ..sql.render import render
 from .catalog import Column, ForeignKey, Index, Schema, Table
 from .durability import SYNC_FSYNC, DurabilityManager
 from .executor import Executor, Result
+from .expressions import evaluate_constant
 from .planner import Planner, StaleSnapshotError
 from .storage import TableData
 from .transactions import DEFERRED, IMMEDIATE, Transaction
@@ -145,12 +146,14 @@ class Database:
         #: without locking; concurrent readers may lose increments — it is
         #: a diagnostic, never a correctness input.
         self.statements_executed = 0
-        #: Monotonic counters identifying the visible state.  Prepared
-        #: operations (:mod:`repro.core.session`) cache translated SQL
-        #: keyed by these: ``data_version`` bumps whenever row data may
-        #: have changed (DML that affected rows, rollback), and
+        #: Monotonic counters identifying the visible state: the snapshot
+        #: freshness test compares them, and prepared queries
+        #: (:mod:`repro.core.backend`) key their pattern translation on
+        #: ``schema_version``.  ``data_version`` bumps whenever row data
+        #: may have changed (DML that affected rows, rollback), and
         #: ``schema_version`` bumps on DDL.  Over-bumping is safe (it only
-        #: forces a re-translation); missing a bump would not be.
+        #: forces a republish or a re-translation); missing a bump would
+        #: not be.
         self.data_version = 0
         self.schema_version = 0
         #: Exclusive writer lock: held across an explicit transaction
@@ -659,7 +662,7 @@ class Database:
         try:
             txn.rollback()
             self._txn = None
-            self.data_version += 1  # state reverted: cached translations are stale
+            self.data_version += 1  # state reverted: anything keyed on it is stale
             token = self._log_changes(txn.ddl_changes())  # DDL survives
         finally:
             self._mark_committed()
@@ -1098,8 +1101,6 @@ class Database:
         for col_def in stmt.columns:
             default_value = None
             if col_def.default is not None:
-                from .expressions import evaluate_constant
-
                 default_value = evaluate_constant(col_def.default)
             column = Column(
                 name=col_def.name,

@@ -25,7 +25,7 @@ from ..observability.metrics import EXECUTOR_ROWS
 from ..sql import ast
 from ..sql.render import render_expression
 from .catalog import ForeignKey, Schema, Table
-from .expressions import RowScope, evaluate
+from .expressions import evaluate_constant
 from .planner import Planner
 from .storage import TableData
 from .transactions import DEFERRED, Transaction
@@ -118,9 +118,8 @@ class Executor:
                     f"INSERT into {stmt.table!r}: {len(columns)} columns but "
                     f"{len(row_exprs)} values"
                 )
-            scope = RowScope({}, parameters)
             values = {
-                col: evaluate(expr, scope)
+                col: evaluate_constant(expr, parameters)
                 for col, expr in zip(columns, row_exprs)
             }
             self.insert_row(table, table_data, values, txn)
@@ -264,10 +263,8 @@ class Executor:
     def _check_row_checks(self, table: Table, row: Row) -> None:
         """CHECK constraints: NULL results pass (SQL semantics), False
         fails."""
-        for expression in table.checks:
-            scope = RowScope({table.name: row})
-            result = evaluate(expression, scope)
-            if result is False:
+        for expression, check in zip(table.checks, table.compiled_checks):
+            if check((row,), ()) is False:
                 raise IntegrityError(
                     f"CHECK constraint violated on {table.name!r}: "
                     f"{render_expression(expression)}",

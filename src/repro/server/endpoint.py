@@ -95,7 +95,7 @@ from ..errors import (
 )
 from ..faults import INJECTOR
 from ..core.feedback import error_graph
-from ..core.mediator import OntoAccess
+from ..core.mediator import OntoAccess, UpdateResult
 from ..observability.metrics import (
     QUEUE_WAIT_SECONDS,
     REGISTRY,
@@ -731,18 +731,11 @@ class OntoAccessEndpoint:
     # protocol handlers (network-independent)
     # ------------------------------------------------------------------
 
-    def handle_update(self, body: str) -> Response:
-        """POST /update: translate + execute, answer with RDF feedback.
-
-        Placeholders are rejected at parse time (the wire protocol has no
-        bindings), preserving the submission's concreteness rule.
-        """
-        if self._serving_replica() is not None:
-            return self._refuse_write("updates")
+    def _write_response(self, run: Callable[[], UpdateResult]) -> Response:
+        """Run an update or a batch and shape the answer: RDF feedback on
+        success, or the status + body each failure class maps to."""
         try:
-            result = self.session.prepare_update(
-                body, allow_placeholders=False
-            ).execute()
+            result = run()
         except TranslationError as exc:
             self._count(error=True)
             return Response.turtle(error_graph(exc), status=400)
@@ -773,6 +766,20 @@ class OntoAccessEndpoint:
         self._count()
         return Response.turtle(result.feedback(), status=200)
 
+    def handle_update(self, body: str) -> Response:
+        """POST /update: translate + execute, answer with RDF feedback.
+
+        Placeholders are rejected at parse time (the wire protocol has no
+        bindings), preserving the submission's concreteness rule.
+        """
+        if self._serving_replica() is not None:
+            return self._refuse_write("updates")
+        return self._write_response(
+            lambda: self.session.prepare_update(
+                body, allow_placeholders=False
+            ).execute()
+        )
+
     def handle_batch(self, body: str, content_type: Optional[str] = None) -> Response:
         """POST /batch: all operations inside one database transaction.
 
@@ -782,53 +789,27 @@ class OntoAccessEndpoint:
         """
         if self._serving_replica() is not None:
             return self._refuse_write("batches")
-        try:
-            if (
-                content_type
-                and content_type.split(";")[0].strip().lower()
-                == protocol.CONTENT_JSON
-            ):
+        requests = [body]
+        if (
+            content_type
+            and content_type.split(";")[0].strip().lower()
+            == protocol.CONTENT_JSON
+        ):
+            try:
                 requests = json.loads(body)
-                if not isinstance(requests, list) or not all(
-                    isinstance(r, str) for r in requests
-                ):
-                    self._count(error=True)
-                    return Response.text(
-                        "batch body must be a JSON array of SPARQL/Update "
-                        "strings",
-                        status=400,
-                    )
-            else:
-                requests = [body]
-            result = self.session.execute_all(requests)
-        except json.JSONDecodeError as exc:
-            self._count(error=True)
-            return Response.text(f"invalid JSON body: {exc}", status=400)
-        except TranslationError as exc:
-            self._count(error=True)
-            return Response.turtle(error_graph(exc), status=400)
-        except SPARQLParseError as exc:
-            self._count(error=True)
-            return Response.turtle(error_graph(_parse_error(exc)), status=400)
-        except QueryTimeout as exc:
-            self._count(error=True)
-            return protocol.error_json(
-                "timeout", str(exc), 408, retry_after=self.retry_after
-            )
-        except ReadOnlyDatabaseError as exc:
-            self._count(error=True)
-            return protocol.error_json("read-only", str(exc), 403)
-        except ReplicationError as exc:
-            self._count(error=True)
-            return protocol.error_json(
-                "replication-degraded", str(exc), 503,
-                retry_after=self.retry_after,
-            )
-        except DurabilityError as exc:
-            self._count(error=True)
-            return protocol.error_json("storage-degraded", str(exc), 503)
-        self._count()
-        return Response.turtle(result.feedback(), status=200)
+            except json.JSONDecodeError as exc:
+                self._count(error=True)
+                return Response.text(f"invalid JSON body: {exc}", status=400)
+            if not isinstance(requests, list) or not all(
+                isinstance(r, str) for r in requests
+            ):
+                self._count(error=True)
+                return Response.text(
+                    "batch body must be a JSON array of SPARQL/Update "
+                    "strings",
+                    status=400,
+                )
+        return self._write_response(lambda: self.session.execute_all(requests))
 
     def handle_query(self, body: str, accept: Optional[str] = None) -> Response:
         """POST /query (or GET): SELECT/ASK/CONSTRUCT over the mediated

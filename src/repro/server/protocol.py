@@ -90,7 +90,6 @@ __all__ = [
     "iter_select_xml",
     "render_ask_json",
     "render_ask_xml",
-    "render_select_json",
     "render_select_result",
 ]
 
@@ -373,17 +372,6 @@ def _term_json(term: Term) -> dict:
             binding["datatype"] = term.datatype
         return binding
     raise TypeError(f"cannot serialize {type(term).__name__} to JSON")
-
-
-def render_select_json(result) -> dict:
-    """SELECT results as a SPARQL 1.1 Query Results JSON document."""
-    variables = [v.name for v in result.variables]
-    bindings = []
-    for solution in result.solutions:
-        bindings.append(
-            {v.name: _term_json(t) for v, t in solution.items() if t is not None}
-        )
-    return {"head": {"vars": variables}, "results": {"bindings": bindings}}
 
 
 def render_ask_json(value: bool) -> dict:

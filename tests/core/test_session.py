@@ -1,9 +1,10 @@
 """Tests for the Session / PreparedOperation API (ISSUE 2 tentpole).
 
-Covers: prepared updates (translation replay keyed on the database state
-version), placeholder bindings, prepared queries, atomic batches via
-``execute_all``, explicit transaction scope, the pluggable-backend
-contract, and the facade staying a thin shim over a default session.
+Covers: prepared updates (parsed once, translated against the current
+state on every execute), placeholder bindings, prepared queries, atomic
+batches via ``execute_all``, explicit transaction scope, the
+pluggable-backend contract, and the facade staying a thin shim over a
+default session.
 """
 
 import threading
@@ -125,16 +126,21 @@ class TestPrepare:
         assert mediator.db.get_row_by_pk("team", (4,)) is not None
         assert mediator.db.row_count("team") == 2  # seed team + team4
 
-    def test_replay_cache_sees_external_state_changes(self, session, mediator):
-        """The translation cache must invalidate when anyone else changes
-        the database between two executes of the same prepared op."""
+    def test_prepared_update_sees_external_state_changes(self, session, mediator):
+        """A prepared update executed after anyone else changed the
+        database produces the SQL and rows the one-shot path produces
+        against that same state."""
         prepared = session.prepare(INSERT_TEAM)
         prepared.execute()
-        prepared.execute()  # steady state: translation replayed
+        noop = prepared.execute()  # the row is there: nothing to do
+        assert (noop.sql(), noop.rows_affected()) == ([], 0)
         # an outside write deletes the row behind the prepared op's back
         mediator.db.execute("DELETE FROM team WHERE id = 4")
         assert mediator.db.get_row_by_pk("team", (4,)) is None
-        prepared.execute()  # must re-translate, not replay the no-op
+        oneshot = make_mediator().update(INSERT_TEAM)
+        again = prepared.execute()
+        assert again.sql() == oneshot.sql() != []
+        assert again.rows_affected() == oneshot.rows_affected() == 1
         assert mediator.db.get_row_by_pk("team", (4,)) is not None
 
     def test_prepared_translation_error_repeats(self, session):
@@ -409,15 +415,19 @@ class TestFacadeShim:
         assert mediator.db.get_row_by_pk("team", (4,)) is not None
         assert len(mediator.dump()) > 0
 
-    def test_mutated_result_does_not_poison_replay_cache(self, session, mediator):
-        """result.statements is the caller's to mutate; the prepared
-        replay cache must hold its own copy."""
+    def test_mutating_a_result_does_not_affect_the_next_execute(
+        self, session, mediator
+    ):
+        """result.statements is the caller's to mutate: nothing a later
+        execute of the same prepared update uses may alias it."""
         prepared = session.prepare(INSERT_TEAM)
-        prepared.execute()
-        steady = prepared.execute()  # replayed (no-op) result
-        steady.operations[0].statements.append("garbage")
+        first = prepared.execute()
+        expected = list(first.sql())
+        first.operations[0].statements.append("garbage")
+        mediator.db.execute("DELETE FROM team WHERE id = 4")
         again = prepared.execute()
         assert "garbage" not in again.operations[0].statements
+        assert again.sql() == expected
         assert mediator.db.get_row_by_pk("team", (4,)) is not None
 
     def test_mapping_reassignment_reaches_execution(self, mediator):
@@ -548,6 +558,50 @@ class TestSessionThreadSafety:
         assert not errors
         assert mediator.db.row_count("team") == 9  # seed + 8
         assert not mediator.db.in_transaction()
+
+
+    def test_parsing_a_batch_does_not_block_other_writers(
+        self, mediator, monkeypatch
+    ):
+        """Parsing happens before the write-tier lock is taken: a writer
+        commits while another thread is still parsing its batch."""
+        import repro.core.session as session_module
+
+        session = mediator.session()
+        parsing = threading.Event()
+        release = threading.Event()
+        real_parse = session_module.parse_update
+        slow_text = PREFIXES + 'INSERT DATA { ex:team21 foaf:name "Slow" . }'
+
+        def blocking_parse(text, *args, **kwargs):
+            if text == slow_text:
+                parsing.set()
+                assert release.wait(10)
+            return real_parse(text, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "parse_update", blocking_parse)
+        batch = threading.Thread(target=session.execute_all, args=([slow_text],))
+        batch.start()
+        try:
+            assert parsing.wait(10)
+            committed = threading.Event()
+
+            def write():
+                session.execute(
+                    PREFIXES + 'INSERT DATA { ex:team22 foaf:name "Fast" . }'
+                )
+                committed.set()
+
+            writer = threading.Thread(target=write)
+            writer.start()
+            assert committed.wait(5), "writer blocked behind a parse"
+            writer.join()
+            assert mediator.db.get_row_by_pk("team", (22,)) is not None
+            assert mediator.db.get_row_by_pk("team", (21,)) is None
+        finally:
+            release.set()
+            batch.join()
+        assert mediator.db.get_row_by_pk("team", (21,)) is not None
 
 
 class TestCrossThreadTransactions:

@@ -265,7 +265,7 @@ class TestSessionBackendEquivalence:
         for text in texts:
             rdb_prepared = rdb.prepare(text)
             native_prepared = native.prepare(text)
-            # repeated execution exercises the replay path on the RDB side
+            # repeated execution: the second and third are state no-ops
             for _ in range(3):
                 rdb_prepared.execute()
                 native_prepared.execute()

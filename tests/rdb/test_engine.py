@@ -338,8 +338,9 @@ class TestDirectAccess:
 
 
 class TestStateVersions:
-    """data_version/schema_version drive prepared-translation replay; a
-    missed bump replays SQL against a state that no longer exists."""
+    """data_version/schema_version identify the visible state (snapshot
+    freshness, prepared-query translations); a missed bump would serve a
+    state that no longer exists."""
 
     def test_dml_bumps_data_version(self):
         db = Database()

@@ -3,13 +3,25 @@
 import pytest
 
 from repro.errors import DatabaseError
-from repro.rdb.expressions import RowScope, evaluate, evaluate_constant, is_true
+from repro.rdb.expressions import (
+    ScopeLayout,
+    compile_expression,
+    evaluate_constant,
+    is_true,
+)
 from repro.sql import parse_expression
 
 
+def evaluate(text, bindings, parameters=()):
+    """Compile ``text`` against the shape of ``bindings`` (binding name ->
+    row dict), then evaluate it over those rows."""
+    layout = ScopeLayout([(name, list(row)) for name, row in bindings.items()])
+    compiled = compile_expression(parse_expression(text), layout)
+    return compiled(tuple(bindings.values()), parameters)
+
+
 def ev(text, row=None, table="t", parameters=()):
-    scope = RowScope({table: row or {}}, parameters)
-    return evaluate(parse_expression(text), scope)
+    return evaluate(text, {table: row or {}}, parameters)
 
 
 class TestNullPropagation:
@@ -48,8 +60,16 @@ class TestKleeneLogic:
         assert ev("a = 1 OR b = 2", {"a": 0, "b": 0}) is False
 
     def test_and_short_circuits_false(self):
-        # right side would error (unknown column) but left is False
-        assert ev("1 = 2 AND nosuch = 3", {"a": 1}) is False
+        # right side would error (int compared with str) but left is False
+        assert ev("1 = 2 AND a < 'x'", {"a": 1}) is False
+        with pytest.raises(DatabaseError, match="cannot compare"):
+            ev("1 = 1 AND a < 'x'", {"a": 1})
+
+    def test_unknown_column_fails_at_compile_time(self):
+        # names resolve once, when the expression is compiled — so not
+        # even a short-circuiting left side hides an unknown column
+        with pytest.raises(DatabaseError, match="unknown column"):
+            ev("1 = 2 AND nosuch = 3", {"a": 1})
 
 
 class TestArithmetic:
@@ -132,28 +152,29 @@ class TestFunctions:
 
 class TestScope:
     def test_qualified_resolution(self):
-        scope = RowScope({"x": {"id": 1}, "y": {"id": 2}})
-        assert evaluate(parse_expression("x.id"), scope) == 1
-        assert evaluate(parse_expression("y.id"), scope) == 2
+        bindings = {"x": {"id": 1}, "y": {"id": 2}}
+        assert evaluate("x.id", bindings) == 1
+        assert evaluate("y.id", bindings) == 2
 
     def test_ambiguous_unqualified(self):
-        scope = RowScope({"x": {"id": 1}, "y": {"id": 2}})
         with pytest.raises(DatabaseError, match="ambiguous"):
-            evaluate(parse_expression("id"), scope)
+            evaluate("id", {"x": {"id": 1}, "y": {"id": 2}})
 
     def test_unknown_binding(self):
-        scope = RowScope({"x": {"id": 1}})
         with pytest.raises(DatabaseError):
-            evaluate(parse_expression("z.id"), scope)
+            evaluate("z.id", {"x": {"id": 1}})
 
     def test_parameters(self):
-        scope = RowScope({"t": {"a": 5}}, parameters=[5])
-        assert evaluate(parse_expression("a = ?"), scope) is True
+        assert evaluate("a = ?", {"t": {"a": 5}}, parameters=[5]) is True
 
     def test_missing_parameter(self):
-        scope = RowScope({})
         with pytest.raises(DatabaseError):
-            evaluate(parse_expression("?"), scope)
+            evaluate("?", {})
 
     def test_constant_evaluation(self):
         assert evaluate_constant(parse_expression("1 + 2")) == 3
+
+    def test_constant_evaluation_takes_parameters_and_rejects_columns(self):
+        assert evaluate_constant(parse_expression("? + 1"), [2]) == 3
+        with pytest.raises(DatabaseError, match="unknown column"):
+            evaluate_constant(parse_expression("a + 1"))

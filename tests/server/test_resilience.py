@@ -252,6 +252,26 @@ class TestOverloadSoak:
                         (outcome[0], outcome[1], time.monotonic() - start)
                     )
 
+        tight_results = []
+
+        def tight_client():
+            # Whether one of the odd workers' three tries wins one of the
+            # two admission slots is a lottery, so the 408 is pinned by
+            # this client: it retries on 503 until it is admitted — at
+            # the latest once the overload has drained — and an admitted
+            # tight-deadline scan always times out (see worker()).
+            tight = f"/query?timeout={pins.tight_timeout_s:.3f}"
+            give_up = time.monotonic() + 60.0
+            while time.monotonic() < give_up:
+                start = time.monotonic()
+                status, headers, _ = _post(endpoint.port, tight, SCAN_QUERY)
+                tight_results.append(
+                    (status, headers, time.monotonic() - start)
+                )
+                if status != 503:
+                    return
+                time.sleep(0.01)
+
         baseline_threads = threading.active_count()
         with endpoint:
             sampler = threading.Thread(target=sample, daemon=True)
@@ -260,16 +280,19 @@ class TestOverloadSoak:
                 threading.Thread(target=worker, args=(i,), daemon=True)
                 for i in range(4 * max_connections)
             ]
-            for thread in workers:
+            retrier = threading.Thread(target=tight_client, daemon=True)
+            for thread in (*workers, retrier):
                 thread.start()
-            for thread in workers:
+            for thread in (*workers, retrier):
                 thread.join(timeout=60.0)
             stop_sampler.set()
             sampler.join(timeout=5.0)
             stats = endpoint.serving_stats()
 
-        statuses = [status for status, _, _ in results]
         assert len(results) == 4 * max_connections * 3
+        assert tight_results[-1][0] == 408, tight_results[-1]
+        results += tight_results
+        statuses = [status for status, _, _ in results]
         assert set(statuses) <= {200, 408, 503}, statuses
         assert statuses.count(200) > 0
         assert statuses.count(408) > 0
@@ -281,11 +304,11 @@ class TestOverloadSoak:
                 assert elapsed < pins.accepted_latency_bound_s, (
                     status, elapsed, pins,
                 )
-        # thread bound: our workers + sampler + the server's capped
+        # thread bound: our workers + sampler + retrier + the server's capped
         # handler threads + its accept/serve machinery, nothing unbounded
         assert samples["connections"] <= max_connections
         assert samples["threads"] <= (
-            baseline_threads + 4 * max_connections + 1 + max_connections + 4
+            baseline_threads + 4 * max_connections + 2 + max_connections + 4
         )
         assert stats["shed_total"] + stats["rejected_connections"] > 0
 
