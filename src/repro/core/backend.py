@@ -181,7 +181,15 @@ class Backend(abc.ABC):
     def begin(self) -> None: ...
 
     @abc.abstractmethod
-    def commit(self) -> None: ...
+    def commit(self) -> Optional[Any]:
+        """Commit the open transaction; the caller holds the write-tier
+        lock.  Returns a token for :meth:`wait_durable`, which the
+        caller runs *after* releasing that lock and before it
+        acknowledges the commit (None: nothing to wait for)."""
+
+    def wait_durable(self, token: Optional[Any]) -> None:
+        """Block until the commit behind ``token`` is as durable (and as
+        replicated) as the store promises.  In-memory stores: no-op."""
 
     @abc.abstractmethod
     def rollback(self) -> None: ...
@@ -343,8 +351,11 @@ class RelationalBackend(Backend):
     def begin(self) -> None:
         self.db.begin()
 
-    def commit(self) -> None:
-        self.db.commit()
+    def commit(self) -> Optional[Any]:
+        return self.db.commit(wait=False)
+
+    def wait_durable(self, token: Optional[Any]) -> None:
+        self.db.wait_durable(token)
 
     def rollback(self) -> None:
         self.db.rollback()

@@ -590,9 +590,13 @@ class Session:
     def commit(self) -> None:
         with self._lock:
             try:
-                self.backend.commit()
+                token = self.backend.commit()
             finally:
                 self._release_begin_hold()
+        # The durability (and replica-ack) wait runs with the write-tier
+        # lock released: the next writer executes and appends meanwhile,
+        # and both ride one flush (group commit).
+        self.backend.wait_durable(token)
 
     def rollback(self) -> None:
         with self._lock:
@@ -632,7 +636,8 @@ class Session:
                     self.backend.rollback()
                 raise
             else:
-                self.backend.commit()
+                token = self.backend.commit()
+        self.backend.wait_durable(token)  # lock released, as in commit()
 
     # -- execution core -------------------------------------------------
 
@@ -649,9 +654,17 @@ class Session:
         (``session.begin()``/``transaction()``) operations join it, and
         any error rolls the whole transaction back so no transaction is
         ever left open.
+
+        Commit is two steps: under the lock the transaction is published
+        and appended to the log; the wait for the flush (and, with
+        semi-sync replication, for a replica's ack) happens after the
+        lock is released, so concurrent writers share one flush instead
+        of queueing behind each other's.  The result is returned — the
+        write acknowledged — only after that wait.
         """
         result = UpdateResult()
         backend = self.backend
+        tokens = []
         with self._lock:
             joined = backend.in_transaction()
             if atomic or joined:
@@ -667,15 +680,25 @@ class Session:
                             backend.execute_operation(operation)
                         )
                     if not joined:
-                        backend.commit()
+                        token = backend.commit()
+                        if token is not None:
+                            tokens.append(token)
                 except Exception as exc:
                     self._fail(exc)
+        try:
+            for token in tokens:
+                backend.wait_durable(token)
+        except Exception as exc:
+            self._raise_wrapped(exc)
         return result
 
     def _fail(self, exc: Exception) -> None:
         """Roll back any open transaction, then raise the wrapped error."""
         if self.backend.in_transaction():
             self.backend.rollback()
+        self._raise_wrapped(exc)
+
+    def _raise_wrapped(self, exc: Exception) -> None:
         wrapped = self.backend.wrap_error(exc)
         if wrapped is exc:
             raise exc

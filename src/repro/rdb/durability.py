@@ -19,8 +19,11 @@ device flush instead of N.
 :class:`~repro.rdb.engine.DatabaseSnapshot` — the DDL history that
 rebuilds the schema catalog and index definitions, plus each table's row
 images and counters — to ``checkpoint-<gen>.db.tmp``, fsyncs it, and
-atomically renames it into place.  Index *structures* are not stored;
-they rebuild from the rows on load.  The WAL rotates to a new segment at
+atomically renames it into place.  The payload is encoded straight into
+the temp file, rows pulled one at a time (:class:`LazyList`), and the
+frame header written last, so checkpoint memory does not follow the row
+count.  Index *structures* are not stored; they rebuild from the rows on
+load.  The WAL rotates to a new segment at
 the moment the snapshot is captured (under the writer lock), so the old
 segment plus the checkpoint cover exactly the same prefix and the old
 segment can be deleted once the rename lands.
@@ -66,7 +69,7 @@ import struct
 import threading
 import time
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import DurabilityError
 
@@ -81,6 +84,7 @@ __all__ = [
     "SYNC_OS",
     "SYNC_NONE",
     "WAL_HEADER_SIZE",
+    "LazyList",
     "encode_payload",
     "decode_payload",
     "iter_wal_frames",
@@ -143,6 +147,20 @@ def _encode_value(value: Any, out: List[bytes]) -> None:
         for key, item in value.items():
             _encode_value(key, out)
             _encode_value(item, out)
+    elif isinstance(value, LazyList):
+        out.append(b"l" + _U32.pack(value.count))
+        spill = out.spill if isinstance(out, _SpillingPieces) else None
+        produced = 0
+        for item in value.items:
+            _encode_value(item, out)
+            produced += 1
+            if spill is not None and len(out) >= _SPILL_PIECES:
+                spill()
+        if produced != value.count:
+            raise DurabilityError(
+                f"lazy list announced {value.count} items but produced "
+                f"{produced}"
+            )
     else:
         raise DurabilityError(
             f"cannot serialize value of type {type(value).__name__} "
@@ -155,6 +173,47 @@ def encode_payload(value: Any) -> bytes:
     out: List[bytes] = []
     _encode_value(value, out)
     return b"".join(out)
+
+
+class LazyList:
+    """A list inside a payload whose items are produced on demand.
+
+    Encodes exactly like ``list(items)`` — the length prefix comes from
+    ``count``, so the list itself never has to exist.  A checkpoint body
+    holds each table's rows this way: the encoder pulls them one at a
+    time and spills what it has encoded to the file as it goes, instead
+    of building every row's pieces in memory first.
+    """
+
+    __slots__ = ("count", "items")
+
+    def __init__(self, count: int, items: Iterable[Any]) -> None:
+        self.count = count
+        self.items = items
+
+
+#: Encoded pieces (one per scalar, roughly) the checkpoint encoder lets
+#: pile up before writing them out: a few hundred KB per spill.
+_SPILL_PIECES = 16384
+
+
+class _SpillingPieces(list):
+    """Encoder output that empties itself into a file, keeping the
+    running length and CRC32 of everything that passed through.  Still a
+    ``list``: the encoder's per-value ``append`` stays the builtin."""
+
+    def __init__(self, handle) -> None:
+        super().__init__()
+        self._handle = handle
+        self.length = 0
+        self.crc = 0
+
+    def spill(self) -> None:
+        data = b"".join(self)
+        self.clear()
+        self.length += len(data)
+        self.crc = zlib.crc32(data, self.crc)
+        self._handle.write(data)
 
 
 def _decode_value(buf: bytes, pos: int) -> Tuple[Any, int]:
@@ -311,10 +370,14 @@ class _WalWriter:
                     break
                 self._cond.wait()
             self._flusher_active = True
-            target = self._appended
         try:
             if self._crash_hook is not None:
                 self._crash_hook("wal:pre-sync")
+            # Read the target as late as possible: the flush covers
+            # every record appended before it starts, so each one that
+            # arrived while this flusher was getting here rides along.
+            with self._cond:
+                target = self._appended
             try:
                 self._file.flush()
                 if self.sync_mode == SYNC_FSYNC:
@@ -751,14 +814,24 @@ class DurabilityManager:
         """Serialize ``body`` as checkpoint ``generation``: temp file,
         fsync, atomic rename, then delete the files it supersedes.  May
         run outside the writer lock — the body is built from frozen
-        snapshot state."""
-        payload = encode_payload(body)
+        snapshot state.
+
+        The payload is encoded straight into the temp file (any
+        :class:`LazyList` in ``body`` is pulled and spilled piecewise),
+        and the ``length | crc32`` frame header is written last, over
+        its placeholder: the file is byte-for-byte ``magic +
+        frame(encode_payload(body))`` without the payload ever being
+        one object in memory."""
         final = self._checkpoint_path(generation)
         tmp = final + ".tmp"
         with open(tmp, "wb") as handle:
             handle.write(_CKPT_MAGIC)
-            handle.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-            handle.write(payload)
+            handle.write(_FRAME.pack(0, 0))
+            pieces = _SpillingPieces(handle)
+            _encode_value(body, pieces)
+            pieces.spill()
+            handle.seek(len(_CKPT_MAGIC))
+            handle.write(_FRAME.pack(pieces.length, pieces.crc))
             handle.flush()
             _fsync_file(handle)
         if self._crash_hook is not None:

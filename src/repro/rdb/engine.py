@@ -70,7 +70,7 @@ from ..sql import ast
 from ..sql.parser import parse_statements
 from ..sql.render import render
 from .catalog import Column, ForeignKey, Index, Schema, Table
-from .durability import SYNC_FSYNC, DurabilityManager
+from .durability import SYNC_FSYNC, DurabilityManager, LazyList
 from .executor import Executor, Result
 from .expressions import evaluate_constant
 from .planner import Planner, StaleSnapshotError
@@ -79,6 +79,15 @@ from .transactions import DEFERRED, IMMEDIATE, Transaction
 from .types import type_from_name
 
 __all__ = ["Database", "DatabaseSnapshot"]
+
+
+def _checkpoint_rows(rows: Dict[int, Any]) -> LazyList:
+    """One frozen table's ``[rowid, row]`` pairs in row-id order, for a
+    checkpoint body — produced as the encoder asks for them, so the only
+    per-table allocation is the sorted id list."""
+    return LazyList(
+        len(rows), ([rowid, rows[rowid]] for rowid in sorted(rows))
+    )
 
 
 class DatabaseSnapshot:
@@ -301,17 +310,19 @@ class Database:
     def _log_changes(self, changes: List[Any]) -> Optional[Any]:
         """Append one commit batch to the WAL (writer lock held; before
         the snapshot is published).  Returns the durability token to pass
-        to :meth:`_wait_durable` after the lock is released."""
+        to :meth:`wait_durable` after the lock is released."""
         if self._durability is None or self._recovering or not changes:
             return None
         return self._durability.log_commit(changes)
 
-    def _wait_durable(self, token: Optional[Any]) -> None:
-        """Block until the batch behind ``token`` is durable.  Runs
-        WITHOUT the writer lock, so concurrent committers share one
-        fsync (group commit) instead of serializing device flushes.
-        Commit hooks run after the local wait, still outside the lock,
-        with the commit's ``(generation, offset)`` WAL position."""
+    def wait_durable(self, token: Optional[Any]) -> None:
+        """Block until the batch behind ``token`` (from
+        :meth:`_log_changes` / ``commit(wait=False)``; None is a no-op)
+        is durable.  Runs WITHOUT the writer lock, so concurrent
+        committers share one fsync (group commit) instead of serializing
+        device flushes.  Commit hooks run after the local wait, still
+        outside the lock, with the commit's ``(generation, offset)`` WAL
+        position."""
         if token is not None:
             assert self._durability is not None
             self._durability.wait_durable(token)
@@ -371,10 +382,7 @@ class Database:
                 name: {
                     "next_rowid": table_data._next_rowid,
                     "autoincrement": dict(table_data._autoincrement_next),
-                    "rows": [
-                        [rowid, row]
-                        for rowid, row in sorted(table_data.rows.items())
-                    ],
+                    "rows": _checkpoint_rows(table_data.rows),
                 }
                 for name, table_data in snap.tables.items()
             },
@@ -525,7 +533,7 @@ class Database:
                     token = self._durability.log_commit(record)
             self.data_version += 1
             self._mark_committed()
-        self._wait_durable(token)
+        self.wait_durable(token)
 
     def reset_for_snapshot(
         self,
@@ -627,10 +635,19 @@ class Database:
             mode=self.constraint_mode, log_changes=self._log_enabled()
         )
 
-    def commit(self) -> None:
+    def commit(self, wait: bool = True) -> Optional[Any]:
+        """Commit the open transaction: publish it, append it to the
+        WAL and release the writer lock, then wait until it is durable.
+
+        ``wait=False`` returns right after the lock is released, with
+        the token the caller must pass to :meth:`wait_durable` before
+        acknowledging the commit to anyone — for callers (the session)
+        that hold a lock of their own they want to drop first, so the
+        next writer appends while this one's flush is in flight."""
         txn = self._require_txn()
         self._require_owner(txn)
         token = None
+        committed = False
         try:
             try:
                 txn.run_deferred_checks()
@@ -648,12 +665,17 @@ class Database:
             # WAL append while still holding the writer lock (append
             # order == commit order), before the snapshot is published.
             token = self._log_changes(txn.changes)
+            committed = True
         finally:
             self._mark_committed()
             self._write_lock.release()
             # Durability wait outside the lock: concurrent committers
-            # gang up on one fsync (group commit).
-            self._wait_durable(token)
+            # gang up on one fsync (group commit).  A failed commit
+            # hands out no token, so its surviving DDL is waited for
+            # here whatever the caller asked.
+            if wait or not committed:
+                self.wait_durable(token)
+        return token
 
     def rollback(self) -> None:
         txn = self._require_txn()
@@ -667,7 +689,7 @@ class Database:
         finally:
             self._mark_committed()
             self._write_lock.release()
-            self._wait_durable(token)
+            self.wait_durable(token)
 
     def state_version(self) -> tuple:
         """Opaque token identifying the current visible state."""
@@ -1001,7 +1023,7 @@ class Database:
                 token = self._log_changes(txn.changes)
                 self._mark_committed()
             # ...but the fsync wait outside it (group commit).
-            self._wait_durable(token)
+            self.wait_durable(token)
             return result
         raise DatabaseError(f"cannot execute {type(stmt).__name__}")
 
@@ -1067,7 +1089,7 @@ class Database:
                 # since no schema of the old generation exists to plan
                 # against anymore.
                 self._mark_committed()
-        self._wait_durable(token)
+        self.wait_durable(token)
         return result
 
     def _run_dml(

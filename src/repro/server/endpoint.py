@@ -237,6 +237,43 @@ class _AdmissionGate:
             }
 
 
+class _ResponseWriter:
+    """The handler's ``wfile``: collects what a response writes and puts
+    it on the wire with one ``sendall`` per :meth:`flush`.
+
+    A keep-alive client in ping-pong mode delays its ACK by ~40 ms, and
+    Nagle's algorithm holds a second small segment until that ACK — so a
+    response written as "headers, then body" stalls every request by a
+    timer.  The handler sets ``TCP_NODELAY`` and writes through this
+    buffer instead: status line, headers and body (or one stream batch
+    with its chunk framing) leave as a single segment.
+
+    A failed send drops what was buffered: the handler closes the
+    connection, and nothing may be re-sent into a half-written response.
+    """
+
+    __slots__ = ("_sock", "_pending", "closed")
+
+    def __init__(self, sock) -> None:
+        self._sock = sock
+        self._pending: List[bytes] = []
+        self.closed = False
+
+    def write(self, data: bytes) -> int:
+        self._pending.append(data)
+        return len(data)
+
+    def flush(self) -> None:
+        if self._pending:
+            data = b"".join(self._pending)
+            self._pending.clear()
+            self._sock.sendall(data)
+
+    def close(self) -> None:
+        self._pending.clear()
+        self.closed = True
+
+
 class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer with a hard cap on live connections.
 
@@ -1040,6 +1077,21 @@ class OntoAccessEndpoint:
             # HTTP/1.1 so streamed responses can use chunked transfer
             # encoding (fixed-length responses still send Content-Length).
             protocol_version = "HTTP/1.1"
+            # With the buffered writer below every flush is a complete
+            # message, so there is nothing for Nagle to coalesce — only
+            # its wait for the peer's (delayed) ACK to lose.
+            disable_nagle_algorithm = True
+
+            def setup(self) -> None:
+                super().setup()
+                self.wfile = _ResponseWriter(self.connection)
+
+            def handle_expect_100(self) -> bool:
+                # The interim response must reach the client before it
+                # sends the body this handler is about to read.
+                proceed = super().handle_expect_100()
+                self.wfile.flush()
+                return proceed
 
             def log_message(self, *args) -> None:  # keep tests quiet
                 pass
@@ -1073,8 +1125,9 @@ class OntoAccessEndpoint:
                 self._request_headers(response)
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
+                self.wfile.write(payload)
                 try:
-                    self.wfile.write(payload)
+                    self.wfile.flush()  # headers + body: one segment
                 except OSError:
                     # Client went away mid-response: close our side; the
                     # shared session is untouched (it already returned).
@@ -1084,14 +1137,27 @@ class OntoAccessEndpoint:
             def _send_chunked(
                 self, response: Response, deadline: Optional[Deadline] = None
             ) -> None:
+                """Stream ``response.body_iter`` with chunked framing:
+                one write + flush per batch.  A framed batch is held
+                back until the next one has been pulled (or the stream
+                ended), so the headers ride the first flush and the
+                terminating 0-chunk the last — a one-batch answer is a
+                single segment.  The held batch is flushed *before* the
+                fault and deadline checks of its successor, so a stall
+                or expiry there never withholds rows already produced."""
                 self.send_response(response.status)
                 self.send_header("Content-Type", response.content_type)
                 self._request_headers(response)
                 self.send_header("Transfer-Encoding", "chunked")
                 self.end_headers()
-                write = self.wfile.write
+                write, flush = self.wfile.write, self.wfile.flush
+                held = b""
                 try:
                     for chunk in response.body_iter:
+                        if held:
+                            write(held)
+                            flush()
+                            held = b""
                         if INJECTOR.armed:
                             INJECTOR.fire("endpoint:stream")
                         if deadline is not None:
@@ -1099,14 +1165,15 @@ class OntoAccessEndpoint:
                         data = chunk.encode("utf-8")
                         if not data:
                             continue  # an empty chunk would end the body
-                        write(f"{len(data):X}\r\n".encode("ascii"))
-                        write(data)
-                        write(b"\r\n")
-                    write(b"0\r\n\r\n")
+                        held = b"%X\r\n%b\r\n" % (len(data), data)
+                    write(held + b"0\r\n\r\n")
+                    flush()
                 except (QueryTimeout, FaultError, OSError):
                     # Truncate without the terminating 0-chunk so the
                     # client sees an aborted body, and close the
                     # connection — never leave a desynced keep-alive.
+                    # (Headers still buffered go out when the handler
+                    # finishes: the peer sees a body that never ended.)
                     endpoint._note_stream_abort()
                     self.close_connection = True
 

@@ -26,13 +26,24 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
 import time
+import tracemalloc
+import zlib
 
 import pytest
 
-from repro.errors import DurabilityError, TransactionError
+from repro import OntoAccess
+from repro.errors import DurabilityError, ReplicationError, TransactionError
 from repro.rdb import Database
-from repro.rdb.durability import decode_payload, encode_payload
+from repro.rdb.durability import (
+    _CKPT_MAGIC,
+    _FRAME,
+    decode_payload,
+    encode_payload,
+)
+from repro.replication.shipper import LogShipper
+from repro.workloads.publication import PUBLICATION_DDL, build_mapping
 
 DDL = (
     "CREATE TABLE t (id INTEGER PRIMARY KEY, name VARCHAR(40), n INTEGER)"
@@ -619,6 +630,262 @@ class TestDifferentialRecovery:
         recovered = Database(data_dir=data_dir)
         assert _state(recovered) == _state(oracle)
         recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# the commit path through Session (ISSUE 13): commit under the write-tier
+# lock, durability wait after it
+# ---------------------------------------------------------------------------
+
+def _insert_author(key):
+    return (
+        "PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
+        "PREFIX ex: <http://example.org/db/> "
+        f'INSERT DATA {{ ex:author{key} foaf:firstName "F{key}" ; '
+        f'foaf:family_name "L{key}" . }}'
+    )
+
+
+def _author_ids(db):
+    return [row[0] for row in db.query("SELECT id FROM author ORDER BY id").rows]
+
+
+def _wait_for(condition, what, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+class TestSessionCommitPath:
+    @pytest.fixture
+    def durable(self, data_dir):
+        db = Database(data_dir=data_dir, sync_mode="fsync")
+        db.execute_script(PUBLICATION_DDL)
+        session = OntoAccess(db, build_mapping(db)).session()
+        yield db, session
+        if db._durability._lock_file is not None:
+            db.close()
+
+    @staticmethod
+    def _stall_first_sync(db):
+        """Park the first flusher at ``wal:pre-sync`` until released."""
+        entered, release = threading.Event(), threading.Event()
+
+        def hook(point):
+            if point == "wal:pre-sync" and not entered.is_set():
+                entered.set()
+                release.wait(30.0)
+
+        db._durability._crash_hook = hook
+        db._durability.wal._crash_hook = hook
+        return entered, release
+
+    @staticmethod
+    def _writer(session, key, outcomes):
+        def run():
+            try:
+                session.execute(_insert_author(key))
+                outcomes[key] = "ok"
+            except Exception as exc:
+                outcomes[key] = exc
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread
+
+    def test_two_session_writers_share_flushes(self, durable):
+        db, session = durable
+        wal = db._durability.wal
+
+        def slow_sync(point):
+            if point == "wal:pre-sync":
+                time.sleep(0.03)
+
+        db._durability._crash_hook = slow_sync
+        wal._crash_hook = slow_sync
+        commits, syncs = wal.commit_count, wal.sync_count
+        errors = []
+
+        def worker(base):
+            try:
+                for index in range(10):
+                    session.execute(_insert_author(base + index))
+            except Exception as exc:  # pragma: no cover - must not happen
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(base,), daemon=True)
+            for base in (100, 200)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert wal.commit_count - commits == 20
+        # held across the wait, the session lock made this 20 == 20
+        assert wal.sync_count - syncs < 20
+        assert len(_author_ids(db)) == 20
+
+    def test_second_writer_appends_while_the_first_waits_for_its_flush(
+        self, durable
+    ):
+        db, session = durable
+        wal = db._durability.wal
+        entered, release = self._stall_first_sync(db)
+        appends, syncs = wal.append_count, wal.sync_count
+        outcomes = {}
+        first = self._writer(session, 1, outcomes)
+        try:
+            assert entered.wait(5.0), "first writer never reached its flush"
+            second = self._writer(session, 2, outcomes)
+            # the second writer begins, executes and appends while the
+            # first is still inside its (stalled) flush...
+            _wait_for(
+                lambda: wal.append_count - appends == 2, "the second append"
+            )
+            assert _author_ids(db) == [1, 2]
+            # ...and neither is acknowledged before the flush happened
+            assert first.is_alive() and second.is_alive()
+            assert outcomes == {}
+        finally:
+            release.set()
+        first.join(10)
+        second.join(10)
+        assert outcomes == {1: "ok", 2: "ok"}
+        assert wal.sync_count - syncs == 1  # one flush carried both
+
+    def test_unacknowledged_commit_and_acknowledged_prefix(self, durable):
+        """Death inside the durability wait: that caller got no OK, and
+        recovery holds every acknowledged write (the unacknowledged one
+        may or may not have reached the OS)."""
+        db, session = durable
+        acknowledged = []
+        for key in (1, 2, 3):
+            session.execute(_insert_author(key))
+            acknowledged.append(key)
+        _crash_at(db, "wal:pre-sync")
+        with pytest.raises(_Killed):
+            session.execute(_insert_author(4))
+        assert not db.in_transaction()
+        _simulate_death(db)
+        recovered = Database(data_dir=db._durability.data_dir)
+        try:
+            assert _author_ids(recovered) in (acknowledged, acknowledged + [4])
+        finally:
+            recovered.close()
+
+    def test_writer_is_not_queued_behind_another_writers_replica_ack(
+        self, durable
+    ):
+        """Semi-sync with no replica connected: every commit's barrier
+        stalls until ``ack_timeout``.  The barrier runs after the
+        write-tier lock is released, so a second writer commits while
+        the first is still waiting for its ack."""
+        db, session = durable
+        shipper = LogShipper(db, min_sync_replicas=1, ack_timeout=1.5)
+        shipper.start()
+        outcomes = {}
+        try:
+            first = self._writer(session, 1, outcomes)
+            _wait_for(lambda: _author_ids(db) == [1], "the first commit")
+            second = self._writer(session, 2, outcomes)
+            _wait_for(lambda: _author_ids(db) == [1, 2], "the second commit")
+            assert first.is_alive(), "second writer waited out the barrier"
+            first.join(10)
+            second.join(10)
+        finally:
+            shipper.stop()
+        # locally durable, reported as unacknowledged — to both
+        assert all(
+            isinstance(outcomes[key], ReplicationError) for key in (1, 2)
+        ), outcomes
+        assert shipper.barrier_timeouts == 2
+
+
+# ---------------------------------------------------------------------------
+# the streamed checkpoint encoder (ISSUE 13)
+# ---------------------------------------------------------------------------
+
+class TestStreamedCheckpoint:
+    def test_file_is_byte_identical_to_the_one_shot_encoding(self, data_dir):
+        db = Database(data_dir=data_dir, sync_mode="none")
+        db.execute(DDL)
+        db.execute(
+            "CREATE TABLE log (seq INTEGER PRIMARY KEY AUTOINCREMENT, "
+            "msg VARCHAR(20), t_id INTEGER)"
+        )
+        db.execute("CREATE INDEX idx_t_n ON t (n)")
+        for key in range(1, 8):
+            db.execute(
+                f"INSERT INTO t (id, name, n) VALUES ({key}, "
+                f"{'NULL' if key % 3 == 0 else repr('r%d' % key)}, "
+                f"{'NULL' if key % 2 == 0 else key * 1000003})"
+            )
+            db.execute(f"INSERT INTO log (msg, t_id) VALUES ('m{key}', {key})")
+        db.execute("DELETE FROM log WHERE seq = 7")  # counter stays at 8
+        # an undo can leave a restored row at the END of the rows dict
+        # (TableData.restore); the checkpoint must still list rows by id
+        rows = db.table_data("t").rows
+        rows[2] = rows.pop(2)
+        assert list(rows)[-1] == 2
+
+        snap = db.snapshot()
+        body = {
+            "ddl": list(db._ddl_history),
+            "tables": {
+                name: {
+                    "next_rowid": table_data._next_rowid,
+                    "autoincrement": dict(table_data._autoincrement_next),
+                    "rows": [
+                        [rowid, row]
+                        for rowid, row in sorted(table_data.rows.items())
+                    ],
+                }
+                for name, table_data in snap.tables.items()
+            },
+        }
+        payload = encode_payload(body)
+        expected = (
+            _CKPT_MAGIC
+            + _FRAME.pack(len(payload), zlib.crc32(payload))
+            + payload
+        )
+        path = db.checkpoint()
+        with open(path, "rb") as handle:
+            assert handle.read() == expected
+        before = _state(db)
+        db.close()
+        recovered = Database(data_dir=data_dir)
+        try:
+            assert _state(recovered) == before
+            recovered.execute("INSERT INTO log (msg, t_id) VALUES ('n', 1)")
+            assert recovered.query("SELECT MAX(seq) FROM log").rows == [(8,)]
+        finally:
+            recovered.close()
+
+    def test_peak_memory_does_not_follow_the_row_count(self, tmp_path):
+        """The encoder spills as it goes: twice the rows is not twice
+        the memory (the one-shot encoder held every row's pieces)."""
+        def peak(rows):
+            db = Database(data_dir=str(tmp_path / f"d{rows}"), sync_mode="none")
+            db.execute(DDL)
+            with db.transaction():
+                for key in range(rows):
+                    db.execute(
+                        f"INSERT INTO t (id, name, n) "
+                        f"VALUES ({key}, 'name-{key}', {key})"
+                    )
+            tracemalloc.start()
+            try:
+                db.checkpoint()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                db.close()
+
+        small, large = peak(6000), peak(12000)
+        assert large < 1.3 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------
