@@ -617,12 +617,14 @@ class Session:
     def checkpoint(self) -> Optional[str]:
         """Force a durability checkpoint on the backend's store.
 
-        Serializes on the write-tier lock — the snapshot cut must not
-        interleave with an update or land inside an open transaction.
+        Takes no write-tier lock: the store makes the cut under its own
+        writer lock (waiting out another thread's open transaction,
+        refusing this thread's) and serializes the frozen snapshot after
+        releasing it, so updates commit and are acknowledged while the
+        checkpoint file is being written.
         Returns the checkpoint path, or None for in-memory backends.
         """
-        with self._lock:
-            return self.backend.checkpoint()
+        return self.backend.checkpoint()
 
     @contextmanager
     def transaction(self):

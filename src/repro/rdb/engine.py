@@ -29,15 +29,20 @@ Publication is eager but cheap — a shallow copy of the
 name→:class:`~repro.rdb.storage.TableData` map at every commit point and
 at ``begin()``, so a committed snapshot always exists (including the
 initial empty one).  The first write after a snapshot has been
-*consumed* by a reader clones the touched table (copy-on-write, sharing
-the immutable row dicts) so the snapshot stays frozen; from the first
-consumed snapshot on, readers never wait, even mid-transaction.
-Snapshots nobody ever read are discarded instead of cloned — write-only
-workloads publish but never clone, keeping writes O(changes) — which
-leaves one narrow wait: on a database *no reader has ever consumed
-from*, a reader arriving mid-transaction after that transaction's first
-write blocks until its commit (once; the consumed snapshot it then
-takes flips the database to the clone discipline for good).
+*consumed* by a reader clones the touched table so the snapshot stays
+frozen; from the first consumed snapshot on, readers never wait, even
+mid-transaction.  A clone copies page directories, not rows (O(rows /
+page size) pointers), and the write that follows copies only the pages
+it touches, so a write after a read costs O(changes) plus that
+directory copy — both versions share every other page (see
+:mod:`repro.rdb.storage`).  Snapshots nobody ever read are still
+discarded instead of cloned: a version nobody shares mutates its pages
+in place, so write-only workloads and bulk loads publish but never copy
+a page.  That leaves one narrow wait: on a database *no reader has ever
+consumed from*, a reader arriving mid-transaction after that
+transaction's first write blocks until its commit (once; the consumed
+snapshot it then takes flips the database to the clone discipline for
+good).
 
 Durability (opt-in)
 -------------------
@@ -81,12 +86,13 @@ from .types import type_from_name
 __all__ = ["Database", "DatabaseSnapshot"]
 
 
-def _checkpoint_rows(rows: Dict[int, Any]) -> LazyList:
-    """One frozen table's ``[rowid, row]`` pairs in row-id order, for a
-    checkpoint body — produced as the encoder asks for them, so the only
-    per-table allocation is the sorted id list."""
+def _checkpoint_rows(table_data: TableData) -> LazyList:
+    """One frozen table's ``[rowid, row]`` pairs in row-id order (the
+    order its pages are scanned in), for a checkpoint body — produced as
+    the encoder asks for them, so nothing is allocated per table."""
     return LazyList(
-        len(rows), ([rowid, rows[rowid]] for rowid in sorted(rows))
+        len(table_data),
+        ([rowid, row] for rowid, row in table_data.scan()),
     )
 
 
@@ -382,7 +388,7 @@ class Database:
                 name: {
                     "next_rowid": table_data._next_rowid,
                     "autoincrement": dict(table_data._autoincrement_next),
-                    "rows": _checkpoint_rows(table_data.rows),
+                    "rows": _checkpoint_rows(table_data),
                 }
                 for name, table_data in snap.tables.items()
             },
@@ -760,12 +766,8 @@ class Database:
 
     def _publish(self) -> DatabaseSnapshot:
         """Publish the current (committed) state; writer lock held."""
-        tables = dict(self.data)
-        for table_data in tables.values():
-            if table_data._scan_order_dirty:
-                table_data.scan()  # re-sort once, before the map freezes
         snap = DatabaseSnapshot(
-            tables, self._committed_version, self.planner.generation
+            dict(self.data), self._committed_version, self.planner.generation
         )
         self._snapshot = snap
         return snap
@@ -798,7 +800,9 @@ class Database:
         If the published snapshot still references the working object, it
         must not observe the coming mutation: a snapshot some reader
         consumed is preserved by cloning the table (the clone becomes the
-        working version); one nobody consumed is simply discarded.
+        working version and shares every page with the frozen one until
+        it writes it); one nobody consumed is simply discarded, and the
+        working version goes on mutating the pages it owns in place.
         """
         try:
             table_data = self.data[name]
@@ -828,8 +832,9 @@ class Database:
                 # object, and one arriving now re-checks ``retired``
                 # after consuming and falls to the slow path (waiting for
                 # this commit, which also flips the database to the
-                # clone discipline above), so discarding is cheaper than
-                # cloning.
+                # clone discipline above).  Discarding keeps the pages
+                # this version owns writable in place; a clone would make
+                # every write of a write-only loop copy its pages again.
                 self._snapshot = None
         elif table_data._cow_pinned:
             # No current snapshot references it (e.g. the latest was just

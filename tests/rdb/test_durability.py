@@ -803,6 +803,43 @@ class TestSessionCommitPath:
         assert shipper.barrier_timeouts == 2
 
 
+    def test_writer_commits_while_a_checkpoint_is_being_written(self, durable):
+        """``Session.checkpoint`` holds no write-tier lock while the
+        snapshot is serialized: with the checkpoint parked just before
+        its rename, another thread's update commits and is acknowledged."""
+        db, session = durable
+        session.execute(_insert_author(1))
+        parked, release = threading.Event(), threading.Event()
+
+        def hook(point):
+            if point == "checkpoint:pre-rename":
+                parked.set()
+                release.wait(30.0)
+
+        db._durability._crash_hook = hook
+        paths, outcomes = [], {}
+        checkpointer = threading.Thread(
+            target=lambda: paths.append(session.checkpoint()), daemon=True
+        )
+        checkpointer.start()
+        try:
+            assert parked.wait(5.0), "checkpoint never reached its rename"
+            writer = self._writer(session, 2, outcomes)
+            writer.join(5.0)
+            assert outcomes == {2: "ok"}, "the update waited for the checkpoint"
+            assert checkpointer.is_alive() and not paths
+        finally:
+            release.set()
+        checkpointer.join(10)
+        assert not checkpointer.is_alive() and paths[0]
+        _simulate_death(db)
+        recovered = Database(data_dir=db._durability.data_dir)
+        try:
+            assert _author_ids(recovered) == [1, 2]
+        finally:
+            recovered.close()
+
+
 # ---------------------------------------------------------------------------
 # the streamed checkpoint encoder (ISSUE 13)
 # ---------------------------------------------------------------------------
@@ -824,11 +861,11 @@ class TestStreamedCheckpoint:
             )
             db.execute(f"INSERT INTO log (msg, t_id) VALUES ('m{key}', {key})")
         db.execute("DELETE FROM log WHERE seq = 7")  # counter stays at 8
-        # an undo can leave a restored row at the END of the rows dict
+        # an undo reinstates a row below its page's last id
         # (TableData.restore); the checkpoint must still list rows by id
-        rows = db.table_data("t").rows
-        rows[2] = rows.pop(2)
-        assert list(rows)[-1] == 2
+        table_data = db.table_data("t")
+        table_data.restore(2, table_data.delete(2))
+        assert list(table_data.rows) == [1, 2, 3, 4, 5, 6, 7]
 
         snap = db.snapshot()
         body = {

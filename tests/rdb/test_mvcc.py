@@ -275,6 +275,31 @@ class TestCopyOnWrite:
         assert db.data["account"] is not frozen
         assert run_in_thread(lambda: balances(db)) == {1: 0, 3: 5}
 
+    def test_snapshot_and_working_table_share_every_untouched_page(self, db):
+        """The clone behind a write after a read copies page directories:
+        the frozen and the working version hold the very same page object
+        wherever the write did not land."""
+        db.execute("CREATE INDEX idx_balance ON account (balance)")
+        with db.transaction():
+            for key in range(3, 2001):
+                db.execute(
+                    "INSERT INTO account (id, owner, balance) "
+                    f"VALUES ({key}, 'o{key}', {key % 700})"
+                )
+        frozen = db.snapshot().tables["account"]
+        db.execute("UPDATE account SET owner = 'z' WHERE id = 1000")
+        working = db.data["account"]
+        assert working is not frozen
+        replaced = []
+        for old, new in zip(frozen.containers(), working.containers()):
+            assert len(old.dir) == len(new.dir) >= 4
+            replaced.append(sum(a is not b for a, b in zip(old.dir, new.dir)))
+        # rows, primary key, balance hash, balance keys + groups: the
+        # write replaced one row page and nothing else
+        assert replaced == [1, 0, 0, 0, 0]
+        assert frozen.rows[frozen.find_by_pk((1000,))]["owner"] == "o1000"
+        assert working.rows[working.find_by_pk((1000,))]["owner"] == "z"
+
     def test_unconsumed_snapshots_are_discarded_not_cloned(self, db):
         """Write-only phases mutate in place: publication alone (with no
         reader consuming it) must not force table clones."""
