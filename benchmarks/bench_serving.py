@@ -1,5 +1,4 @@
-"""Serving-tier benchmark (ISSUE 6): open-loop latency and shed rate,
-plus (ISSUE 13) the closed-loop round trip on one keep-alive connection.
+"""Serving-tier benchmark (ISSUE 6): open-loop latency and shed rate.
 
 Drives the HTTP endpoint with an **open-loop** arrival process — requests
 fire on a fixed schedule whether or not earlier ones finished, the way
@@ -27,15 +26,6 @@ Methodology notes:
   ``accepted_p99_overload2x`` across runs, calibrated by
   ``accepted_p99_load1x`` so machine speed cancels out.
 
-* The keep-alive case sends 200 point queries, then 200 single-row
-  updates, back to back on ONE ``OntoAccessClient`` connection with no
-  injected latency, and records the median round trip
-  (``keepalive_rtt_query`` / ``keepalive_rtt_update``) next to the same
-  query answered in process (``keepalive_inprocess_query``, the trend
-  gate's calibration: runner speed cancels).  This is the traffic shape
-  that used to wait ~40 ms per request for Nagle x delayed ACK; the
-  in-run floor fails anywhere near that.
-
 Run with::
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_serving.py -s
@@ -50,7 +40,7 @@ import time
 
 from repro import OntoAccess
 from repro.faults import INJECTOR
-from repro.server import OntoAccessClient, OntoAccessEndpoint
+from repro.server import OntoAccessEndpoint
 from repro.workloads.calibration import (
     derive_overload_pins,
     measure_service_time,
@@ -84,16 +74,6 @@ SENDER_THREADS = 32
 #: times means backlog latency leaked back in.  Scaled up with the
 #: calibrated service time on slow machines.
 MIN_P99_CEILING_2X = 1.0
-
-PREFIXES = (
-    "PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
-    "PREFIX ex: <http://example.org/db/> "
-)
-POINT_QUERY = PREFIXES + "SELECT ?n WHERE { ex:author6 foaf:family_name ?n . }"
-KEEPALIVE_REQUESTS = 200
-#: In-run ceiling on the keep-alive medians: an order of magnitude above
-#: a healthy round trip (~1 ms), well under the 40 ms timer stall.
-KEEPALIVE_RTT_CEILING = 0.020
 
 
 def _fire(port):
@@ -174,86 +154,8 @@ def _record(records, name, median_us, **extra):
 
 
 def _publish(records, **sections):
-    """Merge one test's records (by name) and sections into the
-    artifact; what the module's other test wrote stays."""
-    if ARTIFACT.exists():
-        document = json.loads(ARTIFACT.read_text())
-    else:
-        document = {"benchmarks": []}
-    names = {record["name"] for record in records}
-    document["benchmarks"] = [
-        record
-        for record in document["benchmarks"]
-        if record["name"] not in names
-    ] + records
-    document["module"] = "bench_serving"
-    document.update(sections)
+    document = {"benchmarks": records, "module": "bench_serving", **sections}
     ARTIFACT.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-
-def _median_seconds(call, count):
-    elapsed = []
-    for index in range(count):
-        start = time.perf_counter()
-        call(index)
-        elapsed.append(time.perf_counter() - start)
-    return statistics.median(elapsed)
-
-
-def test_keepalive_round_trip(capsys):
-    db = build_database()
-    seed_feasibility_data(db)
-    mediator = OntoAccess(db, build_mapping(db))
-    session = mediator.session()
-
-    def insert(index):
-        return (
-            PREFIXES
-            + f'INSERT DATA {{ ex:author{1000 + index} foaf:firstName "K" ; '
-            f'foaf:family_name "Alive{index}" . }}'
-        )
-
-    inprocess = _median_seconds(
-        lambda _: session.query(POINT_QUERY), KEEPALIVE_REQUESTS
-    )
-    with OntoAccessEndpoint(mediator) as endpoint:
-        client = OntoAccessClient(endpoint.url)
-        try:
-            client.query_json(POINT_QUERY)  # connect + warm the plan
-            rtt_query = _median_seconds(
-                lambda _: client.query_json(POINT_QUERY), KEEPALIVE_REQUESTS
-            )
-
-            def update(index):
-                assert client.update(insert(index)).ok
-
-            rtt_update = _median_seconds(update, KEEPALIVE_REQUESTS)
-        finally:
-            client.close()
-
-    records = []
-    for name, seconds in (
-        ("keepalive_inprocess_query", inprocess),
-        ("keepalive_rtt_query", rtt_query),
-        ("keepalive_rtt_update", rtt_update),
-    ):
-        _record(
-            records, name, seconds * 1e6,
-            requests=KEEPALIVE_REQUESTS, connections=1,
-        )
-    _publish(records)
-    with capsys.disabled():
-        print("\n### closed-loop round trip on one keep-alive connection")
-        print(
-            f"    point query {rtt_query * 1e3:6.2f} ms "
-            f"(in process {inprocess * 1e3:6.2f} ms), "
-            f"update {rtt_update * 1e3:6.2f} ms"
-        )
-    assert rtt_query < KEEPALIVE_RTT_CEILING, (
-        f"keep-alive point query takes {rtt_query * 1e3:.1f} ms per round "
-        "trip — responses are waiting for a timer again"
-    )
-    assert rtt_update < KEEPALIVE_RTT_CEILING, rtt_update
 
 
 def test_open_loop_serving(capsys):

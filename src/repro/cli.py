@@ -46,6 +46,10 @@ from .r3m.validator import validate_mapping
 
 __all__ = ["main", "build_parser"]
 
+#: Longest ``serve --replica-of`` waits for the bootstrap replay to catch
+#: up with the primary before giving up, in seconds.
+_BOOTSTRAP_TIMEOUT = 60.0
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -85,15 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-connections", type=int, default=128, metavar="N",
         help="hard cap on live connections (= handler threads); excess "
         "connections get an immediate 503 (default: 128)",
-    )
-    serve.add_argument(
-        "--max-body-bytes", type=int, default=8 * 1024 * 1024, metavar="N",
-        help="largest accepted request body; bigger ones get 413 "
-        "(default: 8 MiB)",
-    )
-    serve.add_argument(
-        "--retry-after", type=float, default=1.0, metavar="SECONDS",
-        help="Retry-After hint sent with 503/408 responses (default: 1)",
     )
     serve.add_argument(
         "--replication-port", type=int, default=None, metavar="PORT",
@@ -142,11 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-replica-lag", type=float, default=5.0, metavar="SECONDS",
         help="staleness bound on a replica: reads past this lag answer "
         "503 so clients fall back to the primary (default: 5)",
-    )
-    serve.add_argument(
-        "--bootstrap-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="longest to wait for a replica's bootstrap replay to catch "
-        "up before giving up (default: 60)",
     )
     serve.add_argument(
         "--slow-query-threshold", type=float, default=1.0, metavar="SECONDS",
@@ -374,11 +364,11 @@ def _cmd_serve(args, out) -> int:
             db=db,
             heartbeat_grace=args.heartbeat_grace,
         ).start()
-        if not replica.wait_ready(args.bootstrap_timeout):
+        if not replica.wait_ready(_BOOTSTRAP_TIMEOUT):
             replica.close()
             raise ReproError(
                 f"replica did not catch up to {args.replica_of} within "
-                f"{args.bootstrap_timeout:g}s"
+                f"{_BOOTSTRAP_TIMEOUT:g}s"
             )
         db = replica.db
         mediator = OntoAccess(db, _select_mapping(args, db))
@@ -467,8 +457,6 @@ def _cmd_serve(args, out) -> int:
         queue_timeout=args.queue_timeout,
         default_timeout=args.request_timeout or None,
         max_connections=args.max_connections,
-        max_body_bytes=args.max_body_bytes,
-        retry_after=args.retry_after,
         replica=replica,
         max_replica_lag=args.max_replica_lag if replica is not None else None,
         promoter=promoter,

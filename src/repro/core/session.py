@@ -28,8 +28,8 @@ that cost across repeated operations:
   points (:meth:`query`, :meth:`query_outcome`, prepared queries) do not
   take it — they run against the backend's committed snapshot, so N
   reader threads proceed concurrently with each other and with at most
-  one writer.  The prepared caches are guarded by a separate lock held
-  only for dictionary access, never during execution.
+  one writer.  The prepared-query cache is guarded by a separate lock
+  held only for dictionary access, never during execution.
 
 Semantics cannot drift from the unprepared path, because for updates
 there is no other path: :meth:`Session.execute`, :meth:`Session.
@@ -344,7 +344,7 @@ class PreparedQuery:
 # ---------------------------------------------------------------------------
 
 class Session:
-    """Owns transaction scope and a prepared-operation cache over a backend.
+    """Owns transaction scope and a prepared-query cache over a backend.
 
     Thread-safe with two lock tiers, both owned by the backend and shared
     by **all** sessions over it (transaction state lives in the backend,
@@ -354,8 +354,8 @@ class Session:
 
     * the reentrant **write-tier** lock serializes updates, batches, and
       transaction scope;
-    * the **cache lock** guards the prepared-operation dictionaries and
-      is held only for lookups/insertions, never across execution.
+    * the **cache lock** guards the prepared-query dictionaries and is
+      held only for lookups/insertions, never across execution.
 
     Queries take neither lock during execution: they run against the
     backend's committed snapshot, concurrent with each other and with at
@@ -368,9 +368,8 @@ class Session:
         # sessions over one backend serialize on the same instances.
         self._lock = backend._session_lock
         self._cache_lock = backend._cache_lock
-        self._prepared: "OrderedDict[Tuple, Union[PreparedUpdate, PreparedQuery]]" = (
-            OrderedDict()
-        )
+        #: query text -> prepared query, LRU
+        self._prepared: "OrderedDict[str, PreparedQuery]" = OrderedDict()
 
     # -- preparing ------------------------------------------------------
 
@@ -379,8 +378,9 @@ class Session:
     ) -> Union[PreparedUpdate, PreparedQuery]:
         """Parse once; returns a :class:`PreparedQuery` for SELECT / ASK /
         CONSTRUCT text and a :class:`PreparedUpdate` otherwise.  Prepared
-        objects are cached by text, so repeated ``prepare`` of the same
-        string is a dictionary hit.
+        queries are cached by text, so repeated ``prepare`` of the same
+        query string is a dictionary hit; an update is parsed per
+        ``prepare`` — keep the returned object to run it again.
 
         The keyword sniff only picks which parser to try first; a parse
         failure falls through to the other parser, so keyword-shaped
@@ -410,11 +410,11 @@ class Session:
         """
         if isinstance(request, UpdateRequest):
             return PreparedUpdate(self, request)
-        kind = "update" if allow_placeholders else "update-concrete"
-        cached = self._cached_prepared(kind, request, prefixes)
-        if cached is not None:
-            return cached
-        prepared = PreparedUpdate(
+        # Not cached by text: no workload sends the same update text
+        # twice (every /update body names new data), so a cache here
+        # only cost each write an LRU insert and eviction under the
+        # cache lock.  Keep the returned object to execute it again.
+        return PreparedUpdate(
             self,
             parse_update(
                 request,
@@ -423,7 +423,6 @@ class Session:
             ),
             text=request,
         )
-        return self._remember(kind, request, prefixes, prepared)
 
     def prepare_query(
         self,
@@ -432,37 +431,25 @@ class Session:
     ) -> PreparedQuery:
         if not isinstance(query, str):
             return PreparedQuery(self, query)
-        cached = self._cached_prepared("query", query, prefixes)
-        if cached is not None:
-            return cached
+        if prefixes is None:
+            with self._cache_lock:
+                cached = self._prepared.get(query)
+                if cached is not None:
+                    self._prepared.move_to_end(query)
+                    return cached
         prepared = PreparedQuery(
             self, parse_query(query, prefixes=prefixes), text=query
         )
-        return self._remember("query", query, prefixes, prepared)
-
-    def _cached_prepared(self, kind: str, text: str, prefixes):
-        if prefixes is not None:
-            return None
-        with self._cache_lock:
-            entry = self._prepared.get((kind, text))
-            if entry is not None:
-                self._prepared.move_to_end((kind, text))
-            return entry
-
-    def _remember(self, kind: str, text: str, prefixes, prepared):
-        """Insert under the cache lock; on a racing insert of the same
-        text, keep and return the first one (so all threads share one
-        prepared object and its caches)."""
-        if prefixes is not None:
+        if prefixes is not None:  # the text alone does not name the query
             return prepared
         with self._cache_lock:
-            existing = self._prepared.get((kind, text))
-            if existing is not None:
-                return existing
-            self._prepared[(kind, text)] = prepared
+            # On a racing insert of the same text keep and return the
+            # first one, so all threads share one prepared object and
+            # its caches.
+            existing = self._prepared.setdefault(query, prepared)
             if len(self._prepared) > _PREPARED_CACHE_SIZE:
                 self._prepared.popitem(last=False)
-            return prepared
+            return existing
 
     # -- write path -----------------------------------------------------
 

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from ..errors import (
     CatalogError,
@@ -238,7 +238,13 @@ class Database:
             if body is not None:
                 self._load_checkpoint_body(body)
             for changes in batches:
-                self._apply_wal_changes(changes)
+                note = self._apply_changes(changes, self.table_data)
+                if note is not None:
+                    # Durable replica: the shipped position this batch
+                    # brought the store up to.
+                    _, epoch, generation, offset = note
+                    self.replicated_epoch = max(self.replicated_epoch, epoch)
+                    self.replicated_position = (generation, offset)
         finally:
             self._recovering = False
         self._mark_committed()
@@ -275,19 +281,30 @@ class Database:
             self.replicated_position = (repl[1][0], repl[1][1])
         self.data_version += 1
 
-    def _apply_wal_changes(self, changes: List[Any]) -> None:
-        """Replay one committed batch (recovery).  Row changes apply
-        physically by row id — replay order equals commit order, so the
-        storage layer converges to exactly the pre-crash state."""
-        from ..errors import DurabilityError
+    def _apply_changes(
+        self, changes: List[Any], table_for: Callable[[str], TableData]
+    ) -> Optional[tuple]:
+        """Apply one committed batch physically, by row id — apply order
+        equals commit order, so the storage layer converges to exactly
+        the state that logged the batch.
 
+        ``table_for`` reaches the table to mutate: :meth:`table_data` at
+        recovery, which runs single-threaded; the :meth:`_writable`
+        copy-on-write gate on a replica, which applies while serving
+        snapshot reads.  Returns the batch's replication provenance note
+        ``("p", epoch, generation, offset)`` if it carries one — what it
+        means is the caller's business.
+        """
+        provenance = None
         for change in changes:
             kind = change[0]
             if kind == "x":
+                # Rendered DDL replays through the normal path (plan
+                # cache invalidation, publication).
                 self.execute(change[1])
             elif kind == "i":
                 _, name, rowid, row = change
-                table_data = self.table_data(name)
+                table_data = table_for(name)
                 table_data.restore(rowid, row)
                 if rowid >= table_data._next_rowid:
                     table_data._next_rowid = rowid + 1
@@ -298,20 +315,17 @@ class Database:
                             column.name, row[column.name]
                         )
             elif kind == "u":
-                self.table_data(change[1]).update(change[2], change[3])
+                table_for(change[1]).update(change[2], change[3])
             elif kind == "d":
-                self.table_data(change[1]).delete(change[2])
+                table_for(change[1]).delete(change[2])
             elif kind == "p":
-                # Replication provenance note (durable replica): the
-                # shipped position this batch brought the store up to.
-                _, epoch, generation, offset = change
-                self.replicated_epoch = max(self.replicated_epoch, epoch)
-                self.replicated_position = (generation, offset)
+                provenance = change
             else:
                 raise DurabilityError(
-                    f"corrupt WAL record: unknown change kind {kind!r}"
+                    f"corrupt commit batch: unknown change kind {kind!r}"
                 )
         self.data_version += 1
+        return provenance
 
     def _log_changes(self, changes: List[Any]) -> Optional[Any]:
         """Append one commit batch to the WAL (writer lock held; before
@@ -463,11 +477,11 @@ class Database:
     ) -> None:
         """Apply one shipped commit batch to this (replica) database.
 
-        Unlike :meth:`_apply_wal_changes` — which runs single-threaded at
-        recovery — a replica applies while serving concurrent snapshot
-        reads, so row changes go through the :meth:`_writable` COW gate
-        and the batch publishes like a local commit: readers either see
-        the whole batch or none of it.
+        Unlike recovery — which runs single-threaded — a replica applies
+        while serving concurrent snapshot reads, so row changes go
+        through the :meth:`_writable` COW gate and the batch publishes
+        like a local commit: readers either see the whole batch or none
+        of it.
 
         On a *durable* replica the whole batch is re-journaled to the
         local WAL with a ``("p", epoch, generation, offset)`` provenance
@@ -489,38 +503,10 @@ class Database:
             self._applying = True
             self._recovering = True
             try:
-                for change in changes:
-                    kind = change[0]
-                    if kind == "x":
-                        # Rendered DDL replays through the normal path
-                        # (plan cache invalidation, publication).
-                        self.execute(change[1])
-                    elif kind == "i":
-                        _, name, rowid, row = change
-                        table_data = self._writable(name)
-                        table_data.restore(rowid, row)
-                        if rowid >= table_data._next_rowid:
-                            table_data._next_rowid = rowid + 1
-                        table = self.schema.table(name)
-                        for column in table.columns.values():
-                            if column.autoincrement and row.get(column.name) is not None:
-                                table_data.note_autoincrement_value(
-                                    column.name, row[column.name]
-                                )
-                    elif kind == "u":
-                        self._writable(change[1]).update(change[2], change[3])
-                    elif kind == "d":
-                        self._writable(change[1]).delete(change[2])
-                    elif kind == "p":
-                        # Provenance note from an upstream replica's own
-                        # journal (chained replication): superseded by the
-                        # note this apply writes for itself.
-                        pass
-                    else:
-                        raise DurabilityError(
-                            f"corrupt replicated batch: unknown change "
-                            f"kind {kind!r}"
-                        )
+                # A provenance note from an upstream replica's own
+                # journal (chained replication) is superseded by the
+                # note this apply writes for itself below.
+                self._apply_changes(changes, self._writable)
             finally:
                 self._applying = was_applying
                 self._recovering = was_recovering
@@ -537,7 +523,6 @@ class Database:
                         "p", self.replicated_epoch, *self.replicated_position,
                     ))
                     token = self._durability.log_commit(record)
-            self.data_version += 1
             self._mark_committed()
         self.wait_durable(token)
 
@@ -920,12 +905,8 @@ class Database:
             if len(parsed) != 1:
                 raise DatabaseError("EXPLAIN takes exactly one statement")
             statement = parsed[0]
-        if isinstance(statement, ast.Select):
-            return self.planner.plan_select(statement).describe()
-        if isinstance(statement, ast.Update):
-            return self.planner.plan_update(statement).describe()
-        if isinstance(statement, ast.Delete):
-            return self.planner.plan_delete(statement).describe()
+        if isinstance(statement, (ast.Select, ast.Update, ast.Delete)):
+            return self.planner.plan(statement).describe()
         raise DatabaseError(
             f"cannot explain {type(statement).__name__}"
         )

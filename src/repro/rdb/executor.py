@@ -91,7 +91,7 @@ class Executor:
     # ==================================================================
 
     def select(self, stmt: ast.Select, parameters: Sequence[Any] = ()) -> Result:
-        plan = self.planner.plan_select(stmt)
+        plan = self.planner.plan(stmt)
         columns, rows = plan.execute(self.data, parameters)
         if rows:
             _ROWS_SELECT.inc(len(rows))
@@ -179,7 +179,7 @@ class Executor:
     ) -> Result:
         table = self.schema.table(stmt.table)
         table_data = self._for_write(stmt.table)
-        plan = self.planner.plan_update(stmt)
+        plan = self.planner.plan(stmt)
         targets = plan.matching_rowids(self.data, parameters)
         count = 0
         for rowid in targets:
@@ -228,7 +228,7 @@ class Executor:
     ) -> Result:
         table = self.schema.table(stmt.table)
         table_data = self._for_write(stmt.table)
-        plan = self.planner.plan_delete(stmt)
+        plan = self.planner.plan(stmt)
         targets = plan.matching_rowids(self.data, parameters)
         count = 0
         for rowid in targets:

@@ -3,30 +3,43 @@
 The planner turns ``ast.Select``/``ast.Update``/``ast.Delete`` into
 compiled, index-aware access paths so per-operation cost scales with the
 *request* rather than the database — the feasibility property the paper's
-Section 5/6 measurements rest on:
+Section 5/6 measurements rest on.  Every planning job has one
+implementation:
 
-* **Access-path selection** — equality conjuncts in WHERE are matched
-  against the table's primary-key/unique hash indexes (point lookup) and
-  single-column secondary indexes (index probe); range conjuncts (``<``,
-  ``<=``, ``>``, ``>=``, ``BETWEEN``) and prefix ``LIKE`` match ordered
-  indexes (range/prefix scan); only when nothing applies does the plan
-  fall back to a full scan.  Competing paths are ranked by estimated
-  cardinality from table statistics (row counts and per-column distinct
-  counts, both O(1) reads off incrementally maintained index structures).
+* **One equi-key matcher** (:func:`_column_eq_prior`): ``column of slot
+  k = expression over slots < k``.  At slot 0 "earlier slots" is "no
+  column at all", which is an index lookup key; at slot k it is a
+  hash-join key computed from the pipeline so far.
+* **One enumeration of a table's access paths**
+  (:func:`_access_candidates`): given a table's single-table conjuncts
+  it yields every index path as ``(estimated rows, priority, consumed
+  conjuncts, lazy builder)`` — covered unique index (point lookup),
+  equality on a hash-indexed column (index probe), bounds or a ``LIKE``
+  prefix on an ordered-indexed column (range/prefix scan).  Estimates
+  are O(1) reads off incrementally maintained statistics (``rows /
+  distinct`` for probes, ``rows / 3-4`` for ranges); the lowest wins, the
+  full scan is the fallback.  :func:`_choose_base_access` *builds* the
+  winner (only the winner is compiled); join ordering *reads* the
+  winner's estimate.  A new kind of path is one more candidate here.
+* **One join planner** (:meth:`CompiledSelect._plan_pipeline`).  What
+  decides the pipeline order: the written order, unless every join is
+  an INNER join with a condition — then the table with the lowest
+  estimate starts and the rest join greedily by estimate, equi-connected
+  tables first (the SPARQL translator's star-shaped joins are the main
+  beneficiary), and each hash join hashes the input estimated smaller.
+  Where a conjunct can land: WHERE conjuncts and the ON conjuncts of
+  INNER joins form one pool (for an inner join they filter the same
+  product), and each pooled conjunct runs at the earliest stage where
+  all its bindings are bound — in the base access (as an index key or a
+  scan filter), inside the hash-join build side when it reads only that
+  join's table, as a hash key when it is an equi key against earlier
+  tables, or right after its join.  A LEFT join's ON conjuncts decide
+  which rows match, so they stay with their join, and pooled conjuncts
+  of its stage run only after null extension.  A CROSS join takes build
+  filters and post filters but no keys.
 * **Index-ordered scans** — ``ORDER BY`` on an ordered-indexed column of
   the first pipeline table walks the index in key order instead of
   sorting, and ``LIMIT`` then stops after the first rows.
-* **Join reordering** — all-INNER joins are replanned from a shared
-  predicate pool: the most selective access path starts the pipeline and
-  remaining tables join greedily by estimated cardinality (the SPARQL
-  translator's star-shaped joins are the main beneficiary).  LEFT/CROSS
-  joins keep their written order, which their semantics require.
-* **Predicate pushdown** — WHERE is split into conjuncts and each runs at
-  the earliest pipeline stage where all referenced bindings are bound:
-  base-table filters during the scan, single-table filters of an INNER
-  join inside the hash-join build side, join-spanning filters right after
-  their join.  Filters on the right side of a LEFT JOIN run only after
-  null extension, preserving SQL semantics.
 * **Compiled expressions** — every expression is compiled once per
   statement into a closure over a tuple-based scope
   (:func:`repro.rdb.expressions.compile_expression`); per-row work is
@@ -40,11 +53,16 @@ DDL invalidates the cache through :meth:`Planner.invalidate`.  Statistics
 are read at plan time, so a cached plan keeps its shape until the next
 DDL — stale statistics can cost performance, never correctness.
 
-Setting :attr:`Planner.force_scan` disables every index path, join
-reordering, and hash joins: base tables are always scanned and joins run
-as naive nested loops.  The differential-testing harness uses this as the
+Setting :attr:`Planner.force_scan` replaces all of the above with
+:meth:`CompiledSelect._plan_oracle`: base tables are always scanned,
+joins run in written order as nested loops over their whole ON
+condition, and every WHERE conjunct is a filter after the join that
+binds its last table.  The differential-testing harness uses this as the
 semantic oracle every planner-chosen plan is compared against (toggle it
-before any plan is cached, or call :meth:`Planner.invalidate` after).
+before any plan is cached, or call :meth:`Planner.invalidate` after).  It
+is a separate, deliberately naive function: it must not share
+classification logic with the planner it checks, or a mistake there
+would show up on both sides of the comparison.
 """
 
 from __future__ import annotations
@@ -53,7 +71,10 @@ import heapq
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -65,6 +86,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..deadline import cooperative
@@ -118,36 +140,35 @@ def _split_conjuncts(expr: Optional[ast.Expression]) -> List[ast.Expression]:
     return [expr]
 
 
-def _referenced_slots(expr: ast.Expression, layout: ScopeLayout) -> Set[int]:
-    """All scope slots an expression reads (resolving names eagerly)."""
-    slots: Set[int] = set()
-
-    def walk(node: ast.Expression) -> None:
-        if isinstance(node, ast.ColumnRef):
-            slots.add(layout.resolve(node)[0])
-        elif isinstance(node, ast.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, ast.IsNull):
-            walk(node.operand)
-        elif isinstance(node, ast.InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, ast.Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, ast.Like):
-            walk(node.operand)
-            walk(node.pattern)
-        elif isinstance(node, ast.FunctionCall):
-            for arg in node.args:
-                walk(arg)
-
-    walk(expr)
+def _referenced_slots(
+    expr: ast.Expression, layout: ScopeLayout, slots: Optional[Set[int]] = None
+) -> Set[int]:
+    """All scope slots an expression reads (resolving names eagerly);
+    ``slots`` is the set being filled when the walk calls itself."""
+    if slots is None:
+        slots = set()
+    walk = _referenced_slots
+    if isinstance(expr, ast.ColumnRef):
+        slots.add(layout.resolve(expr)[0])
+    elif isinstance(expr, ast.BinaryOp):
+        walk(expr.left, layout, slots)
+        walk(expr.right, layout, slots)
+    elif isinstance(expr, (ast.UnaryOp, ast.IsNull)):
+        walk(expr.operand, layout, slots)
+    elif isinstance(expr, ast.InList):
+        walk(expr.operand, layout, slots)
+        for item in expr.items:
+            walk(item, layout, slots)
+    elif isinstance(expr, ast.Between):
+        walk(expr.operand, layout, slots)
+        walk(expr.low, layout, slots)
+        walk(expr.high, layout, slots)
+    elif isinstance(expr, ast.Like):
+        walk(expr.operand, layout, slots)
+        walk(expr.pattern, layout, slots)
+    elif isinstance(expr, ast.FunctionCall):
+        for arg in expr.args:
+            walk(arg, layout, slots)
     return slots
 
 
@@ -163,76 +184,90 @@ class _Conjunct:
         self.stage = max(self.slots) if self.slots else 0
 
 
-def _column_eq_const(
+def _column_vs_prior(
+    expr: ast.BinaryOp, slot: int, layout: ScopeLayout
+) -> Optional[Tuple[str, ast.Expression, bool]]:
+    """Match ``<slot's column> <op> <expression over earlier slots only>``
+    in either operand order: (column, other side, whether the column was
+    written on the right)."""
+    for flipped, (side, other) in enumerate(
+        ((expr.left, expr.right), (expr.right, expr.left))
+    ):
+        if (
+            isinstance(side, ast.ColumnRef)
+            and layout.resolve(side) == (slot, side.name)
+        ):
+            earlier = _referenced_slots(other, layout)
+            if not earlier or max(earlier) < slot:
+                return side.name, other, bool(flipped)
+    return None
+
+
+def _column_eq_prior(
     expr: ast.Expression, slot: int, layout: ScopeLayout
 ) -> Optional[Tuple[str, ast.Expression]]:
-    """Match ``<slot's column> = <expression over no bindings>``."""
-    if not (isinstance(expr, ast.BinaryOp) and expr.op == "="):
-        return None
-    sides = [expr.left, expr.right]
-    for i, side in enumerate(sides):
-        other = sides[1 - i]
-        if not isinstance(side, ast.ColumnRef):
-            continue
-        if layout.resolve(side) != (slot, side.name):
-            continue
-        if not _referenced_slots(other, layout):
-            return side.name, other
+    """Match ``<slot's column> = <expression over earlier slots only>``.
+
+    The one equi-key shape.  At slot 0 no slot is earlier, so the other
+    side reads no column at all: an index lookup key.  At slot k the
+    other side is computed from the pipeline so far: a hash-join key.
+    """
+    if isinstance(expr, ast.BinaryOp) and expr.op == "=":
+        match = _column_vs_prior(expr, slot, layout)
+        if match is not None:
+            return match[0], match[1]
     return None
 
 
 _FLIPPED_COMPARISON = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-class _RangeMatch:
-    """One conjunct recognized as a range or prefix bound on a column.
+@dataclass
+class _Bounds:
+    """Range bounds (or a LIKE prefix) on one column: what one conjunct
+    says, and — through :meth:`absorb` — what several say together.
 
     ``lo``/``hi`` are bound expressions over no bindings (or None);
-    ``prefix`` is the literal prefix of a ``LIKE 'abc%'`` conjunct.
+    ``prefix`` is the literal prefix of a ``LIKE 'abc%'`` conjunct;
+    ``consumed`` lists the positions of the conjuncts absorbed.
     """
 
-    __slots__ = ("column", "lo", "lo_inclusive", "hi", "hi_inclusive", "prefix")
+    column: str
+    lo: Optional[ast.Expression] = None
+    lo_inclusive: bool = True
+    hi: Optional[ast.Expression] = None
+    hi_inclusive: bool = True
+    prefix: Optional[str] = None
+    consumed: List[int] = field(default_factory=list)
 
-    def __init__(
-        self,
-        column: str,
-        lo: Optional[ast.Expression] = None,
-        lo_inclusive: bool = True,
-        hi: Optional[ast.Expression] = None,
-        hi_inclusive: bool = True,
-        prefix: Optional[str] = None,
-    ) -> None:
-        self.column = column
-        self.lo = lo
-        self.lo_inclusive = lo_inclusive
-        self.hi = hi
-        self.hi_inclusive = hi_inclusive
-        self.prefix = prefix
+    def absorb(self, other: "_Bounds", position: int) -> None:
+        """Take another conjunct's bounds unless a side is already set (a
+        second bound on the same side stays a residual filter)."""
+        if other.lo is not None and self.lo is not None:
+            return
+        if other.hi is not None and self.hi is not None:
+            return
+        if other.lo is not None:
+            self.lo, self.lo_inclusive = other.lo, other.lo_inclusive
+        if other.hi is not None:
+            self.hi, self.hi_inclusive = other.hi, other.hi_inclusive
+        self.consumed.append(position)
 
 
 def _match_range_conjunct(
     expr: ast.Expression, slot: int, layout: ScopeLayout
-) -> Optional[_RangeMatch]:
+) -> Optional[_Bounds]:
     """Match a conjunct shaped like ``<slot's column> (<|<=|>|>=) const``,
     ``column BETWEEN const AND const``, or ``column LIKE 'prefix%'``."""
     if isinstance(expr, ast.BinaryOp) and expr.op in _FLIPPED_COMPARISON:
-        sides = [expr.left, expr.right]
-        for i, side in enumerate(sides):
-            other = sides[1 - i]
-            if not isinstance(side, ast.ColumnRef):
-                continue
-            if layout.resolve(side) != (slot, side.name):
-                continue
-            if _referenced_slots(other, layout):
-                continue
-            op = expr.op if i == 0 else _FLIPPED_COMPARISON[expr.op]
-            if op == "<":
-                return _RangeMatch(side.name, hi=other, hi_inclusive=False)
-            if op == "<=":
-                return _RangeMatch(side.name, hi=other, hi_inclusive=True)
-            if op == ">":
-                return _RangeMatch(side.name, lo=other, lo_inclusive=False)
-            return _RangeMatch(side.name, lo=other, lo_inclusive=True)
+        match = _column_vs_prior(expr, slot, layout)
+        if match is not None:
+            column, other, flipped = match
+            op = _FLIPPED_COMPARISON[expr.op] if flipped else expr.op
+            inclusive = op.endswith("=")
+            if op.startswith("<"):
+                return _Bounds(column, hi=other, hi_inclusive=inclusive)
+            return _Bounds(column, lo=other, lo_inclusive=inclusive)
     if isinstance(expr, ast.Between) and not expr.negated:
         operand = expr.operand
         if (
@@ -241,7 +276,7 @@ def _match_range_conjunct(
             and not _referenced_slots(expr.low, layout)
             and not _referenced_slots(expr.high, layout)
         ):
-            return _RangeMatch(operand.name, lo=expr.low, hi=expr.high)
+            return _Bounds(operand.name, lo=expr.low, hi=expr.high)
     if isinstance(expr, ast.Like) and not expr.negated:
         operand = expr.operand
         pattern = expr.pattern
@@ -258,7 +293,7 @@ def _match_range_conjunct(
                 and "%" not in text[:-1]
                 and "_" not in text
             ):
-                return _RangeMatch(operand.name, prefix=text[:-1])
+                return _Bounds(operand.name, prefix=text[:-1])
     return None
 
 
@@ -282,98 +317,43 @@ def _filtered(
 class _BaseAccess:
     """How the first (or only) table of a statement is read.
 
-    ``kind`` is ``'point'`` (unique-index lookup), ``'probe'``
-    (secondary-index equality), ``'range'`` / ``'prefix'`` (ordered-index
-    walk), ``'ordered'`` (full ordered-index scan for ORDER BY), or
-    ``'scan'``.  Residual predicates are the stage-0 conjuncts not
-    consumed by the chosen index.
+    This class is the full scan; each index path is a subclass that
+    supplies its candidate rows (:meth:`pairs`) and its EXPLAIN wording
+    (:meth:`path`).  ``kind`` is ``'scan'``, ``'point'`` (unique-index
+    lookup), ``'probe'`` (secondary-index equality), ``'range'`` /
+    ``'prefix'`` (ordered-index walk) or ``'ordered'`` (full
+    ordered-index scan for ORDER BY).  Residual predicates are the
+    stage-0 conjuncts the path does not answer itself.
     """
 
     def __init__(
         self,
         table_name: str,
-        kind: str,
+        kind: str = "scan",
         *,
-        index_columns: Tuple[str, ...] = (),
-        index_label: str = "",
-        key_fns: Sequence[Compiled] = (),
-        probe_column: str = "",
-        probe_fn: Optional[Compiled] = None,
-        range_column: str = "",
-        lo_fn: Optional[Compiled] = None,
-        hi_fn: Optional[Compiled] = None,
-        lo_inclusive: bool = True,
-        hi_inclusive: bool = True,
-        prefix: str = "",
-        descending: bool = False,
         residual: Sequence[_Conjunct] = (),
     ) -> None:
         self.table_name = table_name
         self.kind = kind
-        self.index_columns = index_columns
-        self.index_label = index_label
-        self.key_fns = tuple(key_fns)
-        self.probe_column = probe_column
-        self.probe_fn = probe_fn
-        self.range_column = range_column
-        self.lo_fn = lo_fn
-        self.hi_fn = hi_fn
-        self.lo_inclusive = lo_inclusive
-        self.hi_inclusive = hi_inclusive
-        self.prefix = prefix
-        self.descending = descending
         self.residual = tuple(c.fn for c in residual)
+
+    def pairs(
+        self, table_data: TableData, parameters: Sequence[Any]
+    ) -> Iterable[Tuple[int, Row]]:
+        """The (rowid, row) pairs this path reads, before the residual."""
+        return table_data.scan()
+
+    def path(self) -> str:
+        return "full scan"
 
     def rowid_scopes(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
     ) -> Iterator[Tuple[int, Rows]]:
         """Yield (rowid, scope tuple) pairs for matching rows."""
-        table_data = data[self.table_name]
-        if self.kind == "point":
-            key = tuple(fn((), parameters) for fn in self.key_fns)
-            if any(v is None for v in key):
-                return  # `col = NULL` never matches
-            rowid = table_data.find_by_unique(self.index_columns, key)
-            if rowid is None:
-                return
-            pairs: Iterable[Tuple[int, Row]] = ((rowid, table_data.rows[rowid]),)
-        elif self.kind == "probe":
-            assert self.probe_fn is not None
-            value = self.probe_fn((), parameters)
-            if value is None:
-                return
-            pairs = table_data.rows_for_value(self.probe_column, value)
-        elif self.kind == "range":
-            index = table_data.ordered_indexes[self.range_column]
-            lo = self.lo_fn((), parameters) if self.lo_fn is not None else UNBOUNDED
-            hi = self.hi_fn((), parameters) if self.hi_fn is not None else UNBOUNDED
-            rows = table_data.rows
-            pairs = (
-                (rowid, rows[rowid])
-                for rowid in index.range_rowids(
-                    lo, hi, self.lo_inclusive, self.hi_inclusive, self.descending
-                )
-            )
-        elif self.kind == "prefix":
-            index = table_data.ordered_indexes[self.range_column]
-            rows = table_data.rows
-            pairs = (
-                (rowid, rows[rowid])
-                for rowid in index.prefix_rowids(self.prefix)
-            )
-        elif self.kind == "ordered":
-            index = table_data.ordered_indexes[self.range_column]
-            rows = table_data.rows
-            pairs = (
-                (rowid, rows[rowid])
-                for rowid in index.ordered_rowids(self.descending)
-            )
-        else:
-            pairs = table_data.scan()
         residual = self.residual
         scanned = 0
         try:
-            for rowid, row in pairs:
+            for rowid, row in self.pairs(data[self.table_name], parameters):
                 scanned += 1
                 scope = (row,)
                 for fn in residual:
@@ -389,68 +369,254 @@ class _BaseAccess:
 
     def describe(self) -> str:
         suffix = f" + {len(self.residual)} filter(s)" if self.residual else ""
-        if self.kind == "point":
-            return (
-                f"{self.table_name}: point lookup via {self.index_label} "
-                f"({', '.join(self.index_columns)})" + suffix
-            )
-        if self.kind == "probe":
-            return f"{self.table_name}: index probe on {self.probe_column}" + suffix
-        if self.kind == "range":
-            lo = "(" if self.lo_fn is None else ("[" if self.lo_inclusive else "(")
-            hi = ")" if self.hi_fn is None else ("]" if self.hi_inclusive else ")")
-            direction = " desc" if self.descending else ""
-            return (
-                f"{self.table_name}: range scan{direction} on "
-                f"{self.range_column} {lo}lo..hi{hi} via ordered index" + suffix
-            )
-        if self.kind == "prefix":
-            return (
-                f"{self.table_name}: prefix scan on {self.range_column} "
-                f"(LIKE {self.prefix!r}...) via ordered index" + suffix
-            )
-        if self.kind == "ordered":
-            direction = "desc" if self.descending else "asc"
-            return (
-                f"{self.table_name}: index-ordered scan on "
-                f"{self.range_column} {direction}" + suffix
-            )
-        return f"{self.table_name}: full scan" + suffix
+        return f"{self.table_name}: {self.path()}" + suffix
 
 
-class _RangeSpec:
-    """Range bounds on one column accumulated from several conjuncts."""
+class _PointLookup(_BaseAccess):
+    """Equality on every column of a primary key or unique index."""
 
-    __slots__ = ("column", "lo", "lo_inclusive", "hi", "hi_inclusive", "consumed")
+    def __init__(
+        self,
+        table_name: str,
+        layout: ScopeLayout,
+        label: str,
+        columns: Tuple[str, ...],
+        key_exprs: Sequence[ast.Expression],
+        residual: Sequence[_Conjunct],
+    ) -> None:
+        super().__init__(table_name, "point", residual=residual)
+        self.label = label
+        self.columns = columns
+        self.key_fns = tuple([compile_expression(e, layout) for e in key_exprs])
 
-    def __init__(self, column: str) -> None:
+    def pairs(self, table_data, parameters):
+        key = tuple(fn((), parameters) for fn in self.key_fns)
+        if any(v is None for v in key):
+            return ()  # `col = NULL` never matches
+        rowid = table_data.find_by_unique(self.columns, key)
+        if rowid is None:
+            return ()
+        return ((rowid, table_data.rows[rowid]),)
+
+    def path(self) -> str:
+        return f"point lookup via {self.label} ({', '.join(self.columns)})"
+
+
+class _IndexProbe(_BaseAccess):
+    """Equality on a column with a secondary (hash) index."""
+
+    def __init__(
+        self,
+        table_name: str,
+        layout: ScopeLayout,
+        column: str,
+        value_expr: ast.Expression,
+        residual: Sequence[_Conjunct],
+    ) -> None:
+        super().__init__(table_name, "probe", residual=residual)
         self.column = column
-        self.lo: Optional[ast.Expression] = None
-        self.lo_inclusive = True
-        self.hi: Optional[ast.Expression] = None
-        self.hi_inclusive = True
-        self.consumed: List[_Conjunct] = []
+        self.value_fn = compile_expression(value_expr, layout)
 
-    def absorb(self, match: _RangeMatch, conjunct: _Conjunct) -> None:
-        """Take this conjunct's bounds unless a side is already set (a
-        second bound on the same side stays a residual filter)."""
-        if match.lo is not None and self.lo is not None:
-            return
-        if match.hi is not None and self.hi is not None:
-            return
-        if match.lo is None and match.hi is None:
-            return
-        if match.lo is not None:
-            self.lo, self.lo_inclusive = match.lo, match.lo_inclusive
-        if match.hi is not None:
-            self.hi, self.hi_inclusive = match.hi, match.hi_inclusive
-        self.consumed.append(conjunct)
+    def pairs(self, table_data, parameters):
+        value = self.value_fn((), parameters)
+        if value is None:
+            return ()
+        return table_data.rows_for_value(self.column, value)
+
+    def path(self) -> str:
+        return f"index probe on {self.column}"
+
+
+class _RangeScan(_BaseAccess):
+    """Ordered-index walk between bounds; ``descending`` is set when
+    ORDER BY rides the same index."""
+
+    def __init__(
+        self,
+        table_name: str,
+        layout: ScopeLayout,
+        spec: _Bounds,
+        residual: Sequence[_Conjunct],
+    ) -> None:
+        super().__init__(table_name, "range", residual=residual)
+        self.column = spec.column
+        self.lo_fn = (
+            compile_expression(spec.lo, layout) if spec.lo is not None else None
+        )
+        self.hi_fn = (
+            compile_expression(spec.hi, layout) if spec.hi is not None else None
+        )
+        self.lo_inclusive = spec.lo_inclusive
+        self.hi_inclusive = spec.hi_inclusive
+        self.descending = False
+
+    def pairs(self, table_data, parameters):
+        lo = self.lo_fn((), parameters) if self.lo_fn is not None else UNBOUNDED
+        hi = self.hi_fn((), parameters) if self.hi_fn is not None else UNBOUNDED
+        rows = table_data.rows
+        return (
+            (rowid, rows[rowid])
+            for rowid in table_data.ordered_indexes[self.column].range_rowids(
+                lo, hi, self.lo_inclusive, self.hi_inclusive, self.descending
+            )
+        )
+
+    def path(self) -> str:
+        lo = "(" if self.lo_fn is None else ("[" if self.lo_inclusive else "(")
+        hi = ")" if self.hi_fn is None else ("]" if self.hi_inclusive else ")")
+        direction = " desc" if self.descending else ""
+        return (
+            f"range scan{direction} on {self.column} {lo}lo..hi{hi} "
+            "via ordered index"
+        )
+
+
+class _PrefixScan(_BaseAccess):
+    """Ordered-index walk over the keys that start with a LIKE prefix."""
+
+    def __init__(
+        self,
+        table_name: str,
+        column: str,
+        prefix: str,
+        residual: Sequence[_Conjunct],
+    ) -> None:
+        super().__init__(table_name, "prefix", residual=residual)
+        self.column = column
+        self.prefix = prefix
+
+    def pairs(self, table_data, parameters):
+        rows = table_data.rows
+        return (
+            (rowid, rows[rowid])
+            for rowid in table_data.ordered_indexes[self.column].prefix_rowids(
+                self.prefix
+            )
+        )
+
+    def path(self) -> str:
+        return (
+            f"prefix scan on {self.column} (LIKE {self.prefix!r}...) "
+            "via ordered index"
+        )
+
+
+class _OrderedScan(_BaseAccess):
+    """Whole-table walk in the key order of an ordered index (ORDER BY
+    without a sort)."""
+
+    def __init__(self, table_name: str, column: str, descending: bool) -> None:
+        super().__init__(table_name, "ordered")
+        self.column = column
+        self.descending = descending
+
+    def pairs(self, table_data, parameters):
+        rows = table_data.rows
+        return (
+            (rowid, rows[rowid])
+            for rowid in table_data.ordered_indexes[self.column].ordered_rowids(
+                self.descending
+            )
+        )
+
+    def path(self) -> str:
+        direction = "desc" if self.descending else "asc"
+        return f"index-ordered scan on {self.column} {direction}"
 
 
 def _prefix_capable(table, column: str) -> bool:
     """LIKE-prefix index scans are sound only when every stored value is
     a string (LIKE matches ``str(value)``, which diverges for numbers)."""
     return isinstance(table.column(column).sql_type, (StringType, DateType))
+
+
+#: One way to read a table: (estimated rows, tie-break priority,
+#: positions of the conjuncts the path answers, builder taking the
+#: residual conjuncts).  Only the chosen candidate's builder ever runs.
+_Candidate = Tuple[
+    int, int, Sequence[int], Callable[[Sequence[_Conjunct]], _BaseAccess]
+]
+
+#: Tie-break between candidates with equal estimates: an equality probe
+#: is never worse than a range over the same rows (and ``min`` keeps the
+#: first listed on a full tie).
+_POINT, _PROBE, _RANGE, _PREFIX = 0, 1, 2, 3
+_ESTIMATE_THEN_PRIORITY = itemgetter(0, 1)
+
+
+def _access_candidates(
+    schema: Schema,
+    data: Dict[str, TableData],
+    table_name: str,
+    slot: int,
+    layout: ScopeLayout,
+    exprs: Sequence[ast.Expression],
+) -> List[_Candidate]:
+    """Every index path that answers some of ``exprs``, the single-table
+    conjuncts of the table bound at ``slot`` — the one place the cost
+    rules live.
+
+    A covered unique index yields one row and ends the enumeration
+    (nothing beats it).  Otherwise equality probes cost ``rows /
+    distinct``, range scans ``rows / 3`` (``/ 4`` when bounded on both
+    sides) and prefix scans ``rows / 4``; all statistics are O(1) reads
+    off the index structures.  The full scan is not a candidate: it is
+    what the caller falls back to when the list is empty.
+    """
+    equalities: Dict[str, Tuple[int, ast.Expression]] = {}
+    for position, expr in enumerate(exprs):
+        match = _column_eq_prior(expr, slot, layout)
+        if match is not None and match[0] not in equalities:
+            equalities[match[0]] = (position, match[1])
+
+    table = schema.table(table_name)
+    if equalities:
+        unique_sets: List[Tuple[str, Tuple[str, ...]]] = []
+        if table.primary_key:
+            unique_sets.append(("primary key", tuple(table.primary_key)))
+        unique_sets.extend(("unique index", tuple(u)) for u in table.uniques)
+        for label, columns in unique_sets:
+            if columns and all(c in equalities for c in columns):
+                build = partial(
+                    _PointLookup, table_name, layout, label, columns,
+                    [equalities[c][1] for c in columns],
+                )
+                return [(1, _POINT, [equalities[c][0] for c in columns], build)]
+
+    candidates: List[_Candidate] = []
+    table_data = data[table_name]
+    rows = table_data.row_count()
+    for column, (position, value_expr) in equalities.items():
+        if column in table_data.secondary_indexes:
+            distinct = table_data.distinct_count(column) or 1
+            build = partial(_IndexProbe, table_name, layout, column, value_expr)
+            candidates.append(
+                (max(1, rows // max(1, distinct)), _PROBE, (position,), build)
+            )
+
+    specs: Dict[str, _Bounds] = {}
+    prefixes: Dict[str, Tuple[int, str]] = {}
+    for position, expr in enumerate(exprs):
+        match = _match_range_conjunct(expr, slot, layout)
+        if match is None or match.column not in table_data.ordered_indexes:
+            continue
+        if match.prefix is not None:
+            if match.column not in prefixes and _prefix_capable(table, match.column):
+                prefixes[match.column] = (position, match.prefix)
+        else:
+            specs.setdefault(match.column, _Bounds(match.column)).absorb(
+                match, position
+            )
+    for spec in specs.values():
+        bounded_both = spec.lo is not None and spec.hi is not None
+        build = partial(_RangeScan, table_name, layout, spec)
+        candidates.append(
+            (max(1, rows // (4 if bounded_both else 3)), _RANGE, spec.consumed, build)
+        )
+    for column, (position, prefix) in prefixes.items():
+        build = partial(_PrefixScan, table_name, column, prefix)
+        candidates.append((max(1, rows // 4), _PREFIX, (position,), build))
+    return candidates
 
 
 def _choose_base_access(
@@ -461,128 +627,15 @@ def _choose_base_access(
     layout: ScopeLayout,
     conjuncts: List[_Conjunct],
 ) -> _BaseAccess:
-    """Pick the access path with the lowest estimated cardinality.
-
-    Unique-index point lookups always win.  Otherwise equality probes,
-    range scans, and prefix scans compete on estimated rows produced —
-    ``rows / distinct`` for probes (statistics are O(1) reads off the
-    index structures), ``rows / 3-4`` for ranges — with the full scan as
-    the fallback.
-    """
-    candidates: Dict[str, Tuple[ast.Expression, _Conjunct]] = {}
-    for conjunct in conjuncts:
-        match = _column_eq_const(conjunct.expr, slot, layout)
-        if match is not None and match[0] not in candidates:
-            candidates[match[0]] = (match[1], conjunct)
-
-    table = schema.table(table_name)
-    if candidates:
-        unique_sets: List[Tuple[str, Tuple[str, ...]]] = []
-        if table.primary_key:
-            unique_sets.append(("primary key", tuple(table.primary_key)))
-        unique_sets.extend(("unique index", tuple(u)) for u in table.uniques)
-        for label, columns in unique_sets:
-            if columns and all(c in candidates for c in columns):
-                consumed = {id(candidates[c][1]) for c in columns}
-                return _BaseAccess(
-                    table_name,
-                    "point",
-                    index_columns=columns,
-                    index_label=label,
-                    key_fns=[
-                        compile_expression(candidates[c][0], layout)
-                        for c in columns
-                    ],
-                    residual=[c for c in conjuncts if id(c) not in consumed],
-                )
-
-    table_data = data.get(table_name)
-    if table_data is None:
+    """Build the cheapest access path over a table's stage conjuncts;
+    those the path does not answer stay behind as residual filters."""
+    candidates = _access_candidates(
+        schema, data, table_name, slot, layout, [c.expr for c in conjuncts]
+    )
+    if not candidates:
         return _BaseAccess(table_name, "scan", residual=conjuncts)
-    rows = table_data.row_count()
-
-    #: (estimated rows, priority, builder) — lowest estimate wins; the
-    #: priority breaks ties in favour of probes (never worse than ranges).
-    best: Optional[Tuple[int, int, Callable[[], _BaseAccess]]] = None
-
-    def consider(estimate: int, priority: int, builder) -> None:
-        nonlocal best
-        if best is None or (estimate, priority) < best[:2]:
-            best = (estimate, priority, builder)
-
-    for column, (value_expr, eq_conjunct) in candidates.items():
-        if column in table_data.secondary_indexes:
-            distinct = table_data.distinct_count(column) or 1
-            consider(
-                max(1, rows // max(1, distinct)),
-                0,
-                lambda column=column, value_expr=value_expr, eq_conjunct=eq_conjunct: _BaseAccess(
-                    table_name,
-                    "probe",
-                    probe_column=column,
-                    probe_fn=compile_expression(value_expr, layout),
-                    residual=[c for c in conjuncts if c is not eq_conjunct],
-                ),
-            )
-
-    specs: Dict[str, _RangeSpec] = {}
-    prefixes: Dict[str, Tuple[str, _Conjunct]] = {}
-    for conjunct in conjuncts:
-        match = _match_range_conjunct(conjunct.expr, slot, layout)
-        if match is None or match.column not in table_data.ordered_indexes:
-            continue
-        if match.prefix is not None:
-            if match.column not in prefixes and _prefix_capable(table, match.column):
-                prefixes[match.column] = (match.prefix, conjunct)
-        else:
-            specs.setdefault(match.column, _RangeSpec(match.column)).absorb(
-                match, conjunct
-            )
-
-    for spec in specs.values():
-        if not spec.consumed:
-            continue
-        bounded_both = spec.lo is not None and spec.hi is not None
-        estimate = max(1, rows // (4 if bounded_both else 3))
-        consider(
-            estimate,
-            1,
-            lambda spec=spec: _BaseAccess(
-                table_name,
-                "range",
-                range_column=spec.column,
-                lo_fn=(
-                    compile_expression(spec.lo, layout)
-                    if spec.lo is not None
-                    else None
-                ),
-                hi_fn=(
-                    compile_expression(spec.hi, layout)
-                    if spec.hi is not None
-                    else None
-                ),
-                lo_inclusive=spec.lo_inclusive,
-                hi_inclusive=spec.hi_inclusive,
-                residual=[c for c in conjuncts if c not in spec.consumed],
-            ),
-        )
-
-    for column, (prefix, like_conjunct) in prefixes.items():
-        consider(
-            max(1, rows // 4),
-            2,
-            lambda column=column, prefix=prefix, like_conjunct=like_conjunct: _BaseAccess(
-                table_name,
-                "prefix",
-                range_column=column,
-                prefix=prefix,
-                residual=[c for c in conjuncts if c is not like_conjunct],
-            ),
-        )
-
-    if best is not None:
-        return best[2]()
-    return _BaseAccess(table_name, "scan", residual=conjuncts)
+    _, _, consumed, build = min(candidates, key=_ESTIMATE_THEN_PRIORITY)
+    return build([c for i, c in enumerate(conjuncts) if i not in consumed])
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +645,14 @@ def _choose_base_access(
 class _JoinStep:
     """One join in the pipeline: hash, nested-loop, or cross product.
 
-    ``post`` predicates are WHERE conjuncts whose latest referenced slot
-    is this step's; they run on every emitted scope (after LEFT-join null
-    extension, so pushdown never changes semantics).
+    ``on_residual`` predicates decide, together with the hash keys,
+    whether a pair of rows matches: the non-key ON conjuncts of a LEFT
+    join (which null-extends a left row nothing matched) and the whole ON
+    condition of an oracle nested loop; an INNER join has none, its ON
+    conjuncts are pooled.  ``post`` predicates are pooled conjuncts whose
+    latest referenced slot is this step's; they run on every emitted
+    scope (after LEFT-join null extension, so pushdown never changes
+    semantics).
 
     ``build_left`` flips the hash-join build side: instead of always
     hashing this step's (right) table, the *incoming scopes* are hashed
@@ -616,7 +674,6 @@ class _JoinStep:
         left_key_fns: Sequence[Compiled] = (),
         right_columns: Sequence[str] = (),
         on_residual: Sequence[Compiled] = (),
-        condition_fn: Optional[Compiled] = None,
         build_filters: Sequence[Compiled] = (),
         post: Sequence[Compiled] = (),
         build_left: bool = False,
@@ -630,7 +687,6 @@ class _JoinStep:
         self.left_key_fns = tuple(left_key_fns)
         self.right_columns = tuple(right_columns)
         self.on_residual = tuple(on_residual)
-        self.condition_fn = condition_fn
         self.build_filters = tuple(build_filters)
         self.post = tuple(post)
         self.build_left = build_left
@@ -735,27 +791,14 @@ class _JoinStep:
         if not build:
             return
         columns = self.right_columns
-        residual = self.on_residual
         for _, row in table_data.scan():
             if not self._passes_build_filters(row, parameters):
                 continue
             key = tuple(row.get(c) for c in columns)
             if None in key:
                 continue
-            matches = build.get(key)
-            if not matches:
-                continue
-            for scope in matches:
-                candidate = scope + (row,)
-                if residual:
-                    ok = True
-                    for fn in residual:
-                        if fn(candidate, parameters) is not True:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                yield candidate
+            for scope in build.get(key, ()):
+                yield scope + (row,)
 
     def _nested_loop(
         self,
@@ -764,13 +807,16 @@ class _JoinStep:
         parameters: Sequence[Any],
     ) -> Iterator[Rows]:
         right_rows = [row for _, row in table_data.scan()]
-        condition = self.condition_fn
+        residual = self.on_residual
         left_join = self.kind == "LEFT"
         for scope in scopes:
             matched = False
             for row in right_rows:
                 candidate = scope + (row,)
-                if condition is None or condition(candidate, parameters) is True:
+                for fn in residual:
+                    if fn(candidate, parameters) is not True:
+                        break
+                else:
                     matched = True
                     yield candidate
             if left_join and not matched:
@@ -975,7 +1021,6 @@ class CompiledSelect:
         force_scan: bool = False,
     ) -> None:
         self.stmt = stmt
-        self.force_scan = force_scan
         self._bindings: List[Tuple[str, str]] = []  # (binding, table) as written
         refs: List[ast.TableRef] = []
         if stmt.table is not None:
@@ -988,22 +1033,23 @@ class CompiledSelect:
         #: Pipeline placement: permutation of ``_bindings`` after join
         #: reordering; identical to it when reordering does not apply.
         self._placement: List[Tuple[str, str]] = self._bindings
+        self.layout = ScopeLayout(
+            (binding, schema.table(table).column_names())
+            for binding, table in self._bindings
+        )
         self.base: Optional[_BaseAccess] = None
         self.constant_predicates: Tuple[Compiled, ...] = ()
         self.steps: List[_JoinStep] = []
-
-        reorderable = (
-            not force_scan
-            and stmt.table is not None
-            and stmt.joins
-            and all(
-                j.kind == "INNER" and j.condition is not None for j in stmt.joins
+        if stmt.table is None:
+            # SELECT without FROM: the WHERE conjuncts are constants.
+            self.constant_predicates = tuple(
+                compile_expression(e, self.layout)
+                for e in _split_conjuncts(stmt.where)
             )
-        )
-        if reorderable:
-            self._plan_reordered(schema, data, stmt)
+        elif force_scan:
+            self._plan_oracle(schema, stmt)
         else:
-            self._plan_in_written_order(schema, data, stmt)
+            self._plan_pipeline(schema, data, stmt)
 
         self._grouped = bool(stmt.group_by) or self._has_aggregate(stmt)
         items = self._expand_items(schema, stmt)
@@ -1025,112 +1071,185 @@ class CompiledSelect:
             self.item_fns: List[Compiled] = [
                 compile_expression(expr, self.layout) for expr, _ in items
             ]
-            self.order_keys: List[_OrderKey] = []
-            alias_positions = {name: i for i, name in enumerate(self.columns)}
-            for item in stmt.order_by:
-                expr = item.expression
-                if (
-                    isinstance(expr, ast.ColumnRef)
-                    and expr.table is None
-                    and expr.name in alias_positions
-                ):
-                    self.order_keys.append(
-                        _OrderKey(alias_positions[expr.name], None, item.descending)
+        alias_positions = {name: i for i, name in enumerate(self.columns)}
+        self.order_keys: List[_OrderKey] = []
+        for item in stmt.order_by:
+            expr = item.expression
+            names_output = (
+                isinstance(expr, ast.ColumnRef) and expr.name in alias_positions
+            )
+            if names_output and (self._grouped or expr.table is None):
+                self.order_keys.append(
+                    _OrderKey(alias_positions[expr.name], None, item.descending)
+                )
+            elif not self._grouped:
+                self.order_keys.append(
+                    _OrderKey(
+                        None,
+                        compile_expression(expr, self.layout),
+                        item.descending,
                     )
-                else:
-                    self.order_keys.append(
-                        _OrderKey(
-                            None,
-                            compile_expression(expr, self.layout),
-                            item.descending,
-                        )
-                    )
-            if not force_scan:
-                self._upgrade_to_index_order(data, stmt, items, alias_positions)
+                )
+            # else: a group has no single row to evaluate the expression
+            # on — grouped results order by output columns only.
+        if not self._grouped and not force_scan:
+            self._upgrade_to_index_order(data, stmt, items, alias_positions)
 
-    def _plan_in_written_order(
-        self, schema: Schema, data: Dict[str, TableData], stmt: ast.Select
+    # -- planning ---------------------------------------------------------
+
+    def _check_on_scope(
+        self, slot: int, footprints: Iterable[Iterable[int]]
     ) -> None:
-        """The non-reordered pipeline: FROM-clause order, per-join ON
-        handling (required for LEFT/CROSS semantics; also the forced-scan
-        oracle shape)."""
-        self.layout = ScopeLayout(
-            (binding, schema.table(table).column_names())
-            for binding, table in self._bindings
-        )
-        conjuncts = [_Conjunct(e, self.layout) for e in _split_conjuncts(stmt.where)]
-        by_stage: Dict[int, List[_Conjunct]] = {}
-        for conjunct in conjuncts:
-            by_stage.setdefault(conjunct.stage, []).append(conjunct)
+        """A join's ON condition may only read tables written before or
+        at the join (``footprints``: written-order slots per conjunct)."""
+        late = sorted({s for fp in footprints for s in fp if s > slot})
+        if late:
+            names = ", ".join(repr(self._bindings[s][0]) for s in late)
+            raise DatabaseError(
+                f"join condition for {self._bindings[slot][0]!r} references "
+                f"later binding(s) {names}"
+            )
 
-        if stmt.table is not None:
-            if self.force_scan:
-                self.base = _BaseAccess(
-                    stmt.table.name, "scan", residual=by_stage.get(0, [])
+    def _plan_oracle(self, schema: Schema, stmt: ast.Select) -> None:
+        """The ``force_scan`` reference plan: written order, full scans,
+        a nested loop over each join's whole ON condition, and every
+        WHERE conjunct as a filter after the join that binds its last
+        table (so after a LEFT join's null extension).
+
+        Deliberately naive and separate from :meth:`_plan_pipeline`: the
+        differential tests compare the two, so they must not share the
+        logic that decides where a conjunct lands.
+        """
+        by_stage: Dict[int, List[_Conjunct]] = {}
+        for expr in _split_conjuncts(stmt.where):
+            conjunct = _Conjunct(expr, self.layout)
+            by_stage.setdefault(conjunct.stage, []).append(conjunct)
+        self.base = _BaseAccess(
+            stmt.table.name, "scan", residual=by_stage.get(0, [])
+        )
+        for slot, join in enumerate(stmt.joins, start=1):
+            binding, table_name = self._bindings[slot]
+            null_row = dict.fromkeys(schema.table(table_name).column_names())
+            post = [c.fn for c in by_stage.get(slot, [])]
+            if join.kind == "CROSS" or join.condition is None:
+                step = _JoinStep(
+                    slot, table_name, binding, "CROSS", null_row,
+                    strategy="cross", post=post,
                 )
             else:
-                self.base = _choose_base_access(
-                    schema, data, stmt.table.name, 0, self.layout,
-                    by_stage.get(0, []),
+                self._check_on_scope(
+                    slot, [_referenced_slots(join.condition, self.layout)]
                 )
-        else:
-            # SELECT without FROM: stage-0 conjuncts are constants.
-            self.constant_predicates = tuple(
-                c.fn for c in by_stage.get(0, [])
-            )
+                step = _JoinStep(
+                    slot, table_name, binding, join.kind, null_row,
+                    strategy="loop",
+                    on_residual=[compile_expression(join.condition, self.layout)],
+                    post=post,
+                )
+            self.steps.append(step)
 
-        for slot, join in enumerate(stmt.joins, start=1):
-            self.steps.append(
-                self._plan_join(schema, slot, join, by_stage.get(slot, []))
-            )
-
-    def _plan_reordered(
+    def _plan_pipeline(
         self, schema: Schema, data: Dict[str, TableData], stmt: ast.Select
     ) -> None:
-        """All-INNER pipelines: pool WHERE and ON conjuncts, start from the
-        most selective access path, and join the rest greedily by estimated
-        cardinality (equi-connected tables first)."""
-        original = self._bindings
-        written_layout = ScopeLayout(
-            (binding, schema.table(table).column_names())
-            for binding, table in original
-        )
+        """The one join planner: pool the conjuncts, pick the pipeline
+        order, then plan the base access and one step per join."""
+        # One pool for WHERE and the ON conjuncts of INNER joins (they
+        # filter the same product); a LEFT join's ON stays with the join.
         pool: List[ast.Expression] = _split_conjuncts(stmt.where)
+        left_on: Dict[int, List[ast.Expression]] = {}
+        #: kind of the join at each pipeline slot (slot 0 is the FROM table)
+        kinds = [""]
         for slot, join in enumerate(stmt.joins, start=1):
-            for expr in _split_conjuncts(join.condition):
-                late = {
-                    s
-                    for s in _referenced_slots(expr, written_layout)
-                    if s > slot
-                }
-                if late:
-                    names = ", ".join(
-                        repr(original[s][0]) for s in sorted(late)
-                    )
-                    raise DatabaseError(
-                        f"join condition for {original[slot][0]!r} references "
-                        f"later binding(s) {names}"
-                    )
-                pool.append(expr)
-
-        footprints = [
-            frozenset(_referenced_slots(e, written_layout)) for e in pool
-        ]
-        estimates = [
-            _estimate_table_access(
-                schema,
-                data,
-                table,
-                binding,
-                [e for e, fp in zip(pool, footprints) if fp == frozenset({i})],
+            if join.kind == "CROSS" or join.condition is None:
+                kinds.append("CROSS")
+                continue
+            kinds.append(join.kind)
+            exprs = _split_conjuncts(join.condition)
+            self._check_on_scope(
+                slot, [_referenced_slots(e, self.layout) for e in exprs]
             )
-            for i, (binding, table) in enumerate(original)
-        ]
+            if join.kind == "LEFT":
+                left_on[slot] = exprs
+            else:
+                pool.extend(exprs)
 
-        order = [min(range(len(original)), key=lambda i: (estimates[i], i))]
-        placed = set(order)
-        remaining = [i for i in range(len(original)) if i not in placed]
+        # Order is the only thing that differs between pipelines: inner
+        # joins commute, so an all-INNER pipeline is ordered by estimate;
+        # anything else keeps the written order and carries no estimates
+        # (all 0), so every hash join there builds its right side.
+        order = list(range(len(self._bindings)))
+        estimates = [0] * len(order)
+        if stmt.joins and kinds.count("INNER") == len(stmt.joins):
+            order, estimates = self._order_by_estimate(schema, data, pool)
+            if order != sorted(order):
+                self._placement = [self._bindings[i] for i in order]
+                self.layout = ScopeLayout(
+                    (binding, schema.table(table).column_names())
+                    for binding, table in self._placement
+                )
+
+        by_stage: Dict[int, List[_Conjunct]] = {}
+        for expr in pool:
+            conjunct = _Conjunct(expr, self.layout)
+            by_stage.setdefault(conjunct.stage, []).append(conjunct)
+
+        self.base = _choose_base_access(
+            schema, data, self._placement[0][1], 0, self.layout,
+            by_stage.get(0, []),
+        )
+
+        # Running cardinality estimate of the pipeline so far: an FK-shaped
+        # equi join matches ~one parent row per input row, so a hash join
+        # keeps the estimate; a cross product multiplies it.  The estimate
+        # picks each hash join's build side (smaller input gets hashed).
+        running = estimates[order[0]]
+        for slot in range(1, len(order)):
+            right_estimate = estimates[order[slot]]
+            # Reordering only happens when every kind is INNER, so the
+            # kind at a slot is the same before and after it.
+            step = self._plan_step(
+                schema, slot, kinds[slot],
+                left_on.get(slot, ()),
+                by_stage.get(slot, ()),
+                build_left=running < right_estimate,
+            )
+            self.steps.append(step)
+            if step.strategy == "cross":
+                running = max(1, running) * max(1, right_estimate)
+            else:
+                running = max(running, 1)
+
+    def _order_by_estimate(
+        self,
+        schema: Schema,
+        data: Dict[str, TableData],
+        pool: List[ast.Expression],
+    ) -> Tuple[List[int], List[int]]:
+        """Greedy order for an all-INNER pipeline: start from the table
+        whose cheapest access path reads the fewest rows, then repeatedly
+        add the cheapest table that has an equi or other multi-table
+        conjunct against the tables already placed (any table when none
+        is connected).  Returns the order (written-order slots) and each
+        table's estimate."""
+        written = self.layout
+        footprints = [frozenset(_referenced_slots(e, written)) for e in pool]
+        estimates: List[int] = []
+        for i, (_, table) in enumerate(self._bindings):
+            own = [e for e, fp in zip(pool, footprints) if fp == {i}]
+            candidates = _access_candidates(schema, data, table, i, written, own)
+            # the full scan (every row) is the fallback candidate
+            estimates.append(
+                min([data[table].row_count()] + [c[0] for c in candidates])
+            )
+
+        def cost(i: int) -> Tuple[int, int]:
+            return estimates[i], i
+
+        remaining = list(range(len(estimates)))
+        order = [min(remaining, key=cost)]
+        remaining.remove(order[0])
         while remaining:
+            placed = set(order)
             connected = [
                 i
                 for i in remaining
@@ -1139,89 +1258,73 @@ class CompiledSelect:
                     for fp in footprints
                 )
             ]
-            pick = min(connected or remaining, key=lambda i: (estimates[i], i))
+            pick = min(connected or remaining, key=cost)
             order.append(pick)
-            placed.add(pick)
             remaining.remove(pick)
+        return order, estimates
 
-        self._placement = [original[i] for i in order]
-        self.layout = ScopeLayout(
-            (binding, schema.table(table).column_names())
-            for binding, table in self._placement
-        )
-        conjuncts = [_Conjunct(e, self.layout) for e in pool]
-        by_stage: Dict[int, List[_Conjunct]] = {}
-        for conjunct in conjuncts:
-            by_stage.setdefault(conjunct.stage, []).append(conjunct)
-
-        self.base = _choose_base_access(
-            schema, data, self._placement[0][1], 0, self.layout,
-            by_stage.get(0, []),
-        )
-        # Running cardinality estimate of the pipeline so far: an FK-shaped
-        # equi join matches ~one parent row per input row, so a hash join
-        # keeps the estimate; a cross product multiplies it.  The estimate
-        # picks each hash join's build side (smaller input gets hashed).
-        running = estimates[order[0]]
-        for slot in range(1, len(self._placement)):
-            right_estimate = estimates[order[slot]]
-            step = self._plan_pool_join(
-                schema, slot, by_stage.get(slot, []),
-                left_estimate=running,
-                right_estimate=right_estimate,
-            )
-            self.steps.append(step)
-            if step.strategy == "cross":
-                running = max(1, running) * max(1, right_estimate)
-            else:
-                running = max(running, 1)
-
-    def _plan_pool_join(
+    def _plan_step(
         self,
         schema: Schema,
         slot: int,
-        conjuncts: List[_Conjunct],
-        left_estimate: int = 0,
-        right_estimate: int = 0,
+        kind: str,
+        on: Sequence[ast.Expression],
+        pooled: Sequence[_Conjunct],
+        build_left: bool,
     ) -> _JoinStep:
-        """One INNER join planned from pooled conjuncts: equi conjuncts
-        against earlier slots become hash keys, single-table conjuncts
-        filter the build side, the rest run post-join.  The hash build
-        side is the input the statistics estimate as smaller."""
+        """The one join-step planner.  ``on`` are a LEFT join's own ON
+        conjuncts, ``pooled`` the pooled conjuncts whose stage is this
+        slot.
+
+        * INNER — pooled conjuncts that read only this table filter the
+          hash build side, equi conjuncts against earlier tables become
+          hash keys, the rest run after the join; without a key it is a
+          filtered cross product.
+        * LEFT — ON decides the match (equi conjuncts as hash keys, the
+          rest checked per candidate pair; a nested loop without keys);
+          pooled conjuncts must see the null-extended row, so all of them
+          run after the join and the build side is always the right one.
+        * CROSS — like INNER, but nothing becomes a key.
+        """
         binding, table_name = self._placement[slot]
-        null_row = {name: None for name in schema.table(table_name).column_names()}
+        null_row = dict.fromkeys(schema.table(table_name).column_names())
         left_key_fns: List[Compiled] = []
         right_columns: List[str] = []
+        on_residual: List[Compiled] = []
         build_filters: List[Compiled] = []
         post: List[Compiled] = []
-        for conjunct in conjuncts:
-            if conjunct.slots == frozenset({slot}):
-                build_filters.append(conjunct.fn)
-                continue
-            match = _column_eq_const_or_prior(conjunct.expr, slot, self.layout)
-            if match is not None:
-                column, other = match
-                right_columns.append(column)
-                left_key_fns.append(compile_expression(other, self.layout))
+
+        keyable: List[_Conjunct] = []
+        if kind == "LEFT":
+            keyable, rest = [_Conjunct(e, self.layout) for e in on], on_residual
+            post = [c.fn for c in pooled]
+            build_left = False
+        else:
+            rest = post
+            for conjunct in pooled:
+                if conjunct.slots == {slot}:
+                    build_filters.append(conjunct.fn)
+                elif kind == "INNER":
+                    keyable.append(conjunct)
+                else:
+                    post.append(conjunct.fn)
+        for conjunct in keyable:
+            match = _column_eq_prior(conjunct.expr, slot, self.layout)
+            if match is None:
+                rest.append(conjunct.fn)
             else:
-                post.append(conjunct.fn)
-        if right_columns:
-            return _JoinStep(
-                slot, table_name, binding, "INNER", null_row,
-                strategy="hash",
-                left_key_fns=left_key_fns,
-                right_columns=right_columns,
-                build_filters=build_filters,
-                post=post,
-                build_left=left_estimate < right_estimate,
-            )
-        # No equi connection to earlier tables: filtered cross product
-        # (post conjuncts make it an inner nested-loop join).
+                right_columns.append(match[0])
+                left_key_fns.append(compile_expression(match[1], self.layout))
+        fallback = "loop" if kind == "LEFT" else "cross"
         return _JoinStep(
-            slot, table_name, binding, "INNER", null_row,
-            strategy="cross",
+            slot, table_name, binding, kind, null_row,
+            strategy="hash" if right_columns else fallback,
+            left_key_fns=left_key_fns,
+            right_columns=right_columns,
+            on_residual=on_residual,
             build_filters=build_filters,
             post=post,
+            build_left=build_left and bool(right_columns),
         )
 
     def _upgrade_to_index_order(
@@ -1258,119 +1361,18 @@ class CompiledSelect:
         slot, column = self.layout.resolve(expr)
         if slot != 0:
             return
-        table_data = data.get(self.base.table_name)
-        if table_data is None or column not in table_data.ordered_indexes:
+        if column not in data[self.base.table_name].ordered_indexes:
             return
         if self.base.kind == "range":
-            if self.base.range_column != column:
+            if self.base.column != column:
                 return
             self.base.descending = item.descending
         else:
-            ordered = _BaseAccess(
-                self.base.table_name,
-                "ordered",
-                range_column=column,
-                descending=item.descending,
-            )
+            ordered = _OrderedScan(self.base.table_name, column, item.descending)
             # keep the compiled residual predicates of the replaced scan
             ordered.residual = self.base.residual
             self.base = ordered
         self._index_ordered = True
-
-    # -- planning helpers ----------------------------------------------
-
-    def _plan_join(
-        self,
-        schema: Schema,
-        slot: int,
-        join: ast.Join,
-        where_conjuncts: List[_Conjunct],
-    ) -> _JoinStep:
-        binding, table_name = self._bindings[slot]
-        null_row = {name: None for name in schema.table(table_name).column_names()}
-
-        post: List[Compiled] = []
-        build_filters: List[Compiled] = []
-        if join.kind == "LEFT":
-            # Predicates on a LEFT join's right side must see the
-            # null-extended row, so nothing is pushed into the build.
-            post = [c.fn for c in where_conjuncts]
-        else:
-            for conjunct in where_conjuncts:
-                if conjunct.slots == frozenset({slot}):
-                    build_filters.append(conjunct.fn)
-                else:
-                    post.append(conjunct.fn)
-
-        if join.kind == "CROSS" or join.condition is None:
-            if self.force_scan:
-                # Oracle shape: raw product, every predicate post-join.
-                return _JoinStep(
-                    slot, table_name, binding, "CROSS", null_row,
-                    strategy="cross",
-                    post=list(post) + list(build_filters),
-                )
-            return _JoinStep(
-                slot, table_name, binding, "CROSS", null_row,
-                strategy="cross",
-                build_filters=build_filters,  # filter right rows pre-product
-                post=post,
-            )
-
-        on_conjuncts = [
-            _Conjunct(e, self.layout) for e in _split_conjuncts(join.condition)
-        ]
-        for conjunct in on_conjuncts:
-            late = {s for s in conjunct.slots if s > slot}
-            if late:
-                names = ", ".join(
-                    repr(self._bindings[s][0]) for s in sorted(late)
-                )
-                raise DatabaseError(
-                    f"join condition for {binding!r} references "
-                    f"later binding(s) {names}"
-                )
-
-        if self.force_scan:
-            # Oracle shape: nested loop over the full ON condition, WHERE
-            # conjuncts post-join (after LEFT null extension).
-            return _JoinStep(
-                slot, table_name, binding, join.kind, null_row,
-                strategy="loop",
-                condition_fn=compile_expression(join.condition, self.layout),
-                post=list(post) + list(build_filters),
-            )
-
-        left_key_fns: List[Compiled] = []
-        right_columns: List[str] = []
-        on_residual: List[Compiled] = []
-        for conjunct in on_conjuncts:
-            match = _column_eq_const_or_prior(conjunct.expr, slot, self.layout)
-            if match is not None:
-                column, other = match
-                right_columns.append(column)
-                left_key_fns.append(compile_expression(other, self.layout))
-            else:
-                on_residual.append(conjunct.fn)
-
-        if right_columns:
-            return _JoinStep(
-                slot, table_name, binding, join.kind, null_row,
-                strategy="hash",
-                left_key_fns=left_key_fns,
-                right_columns=right_columns,
-                on_residual=on_residual,
-                build_filters=build_filters if join.kind == "INNER" else (),
-                post=post,
-            )
-        # No equi keys: nested loop on the whole (compiled) condition.
-        post = post + build_filters  # nothing to push without a build side
-        return _JoinStep(
-            slot, table_name, binding, join.kind, null_row,
-            strategy="loop",
-            condition_fn=compile_expression(join.condition, self.layout),
-            post=post,
-        )
 
     def _has_aggregate(self, stmt: ast.Select) -> bool:
         exprs: List[ast.Expression] = [i.expression for i in stmt.items]
@@ -1530,7 +1532,6 @@ class CompiledSelect:
     def _execute_grouped(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
-        stmt = self.stmt
         groups: Dict[Tuple[Any, ...], List[Rows]] = {}
         if self.group_fns:
             for scope in self.scopes(data, parameters):
@@ -1550,24 +1551,11 @@ class CompiledSelect:
             rows.append(
                 tuple(fn(members, parameters) for fn in self.item_fns_grouped)
             )
-        if stmt.order_by:
-            # For grouped queries, order by output columns only.
-            positions = {name: i for i, name in enumerate(self.columns)}
-            spec: List[Tuple[int, bool]] = []
-            for item in stmt.order_by:
-                expr = item.expression
-                if isinstance(expr, ast.ColumnRef) and expr.name in positions:
-                    spec.append((positions[expr.name], item.descending))
-            if spec:
-                def group_key(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
-                    return tuple(
-                        _Desc(_null_safe_key(row[pos]))
-                        if descending
-                        else _null_safe_key(row[pos])
-                        for pos, descending in spec
-                    )
-
-                rows.sort(key=group_key)
+        if self.order_keys:
+            order_keys = self.order_keys
+            rows.sort(
+                key=lambda row: tuple(k.key(row, (), parameters) for k in order_keys)
+            )
         return rows
 
     def describe(self) -> List[str]:
@@ -1606,77 +1594,6 @@ class CompiledSelect:
         return lines
 
 
-def _column_eq_const_or_prior(
-    expr: ast.Expression, slot: int, layout: ScopeLayout
-) -> Optional[Tuple[str, ast.Expression]]:
-    """Match ``<slot's column> = <expression over earlier slots only>``
-    (the hash-join key shape)."""
-    if not (isinstance(expr, ast.BinaryOp) and expr.op == "="):
-        return None
-    sides = [expr.left, expr.right]
-    for i, side in enumerate(sides):
-        other = sides[1 - i]
-        if not isinstance(side, ast.ColumnRef):
-            continue
-        if layout.resolve(side) != (slot, side.name):
-            continue
-        if all(s < slot for s in _referenced_slots(other, layout)):
-            return side.name, other
-    return None
-
-
-def _estimate_table_access(
-    schema: Schema,
-    data: Dict[str, TableData],
-    table_name: str,
-    binding: str,
-    exprs: List[ast.Expression],
-) -> int:
-    """Estimated rows a table contributes given its single-table
-    predicates — the costing signal join reordering ranks tables by.
-
-    Mirrors :func:`_choose_base_access` at the AST level (no compilation):
-    covered unique index -> 1, equality on an indexed column ->
-    rows/distinct, range/prefix on an ordered-indexed column -> rows/3.
-    """
-    table = schema.table(table_name)
-    table_data = data.get(table_name)
-    rows = table_data.row_count() if table_data is not None else 0
-    if table_data is None or not exprs:
-        return rows
-    layout = ScopeLayout([(binding, table.column_names())])
-    eq_columns: Set[str] = set()
-    range_columns: Set[str] = set()
-    for expr in exprs:
-        match = _column_eq_const(expr, 0, layout)
-        if match is not None:
-            eq_columns.add(match[0])
-            continue
-        range_match = _match_range_conjunct(expr, 0, layout)
-        if range_match is not None:
-            range_columns.add(range_match.column)
-
-    unique_sets: List[Tuple[str, ...]] = []
-    if table.primary_key:
-        unique_sets.append(tuple(table.primary_key))
-    unique_sets.extend(tuple(u) for u in table.uniques)
-    if any(
-        columns and all(c in eq_columns for c in columns)
-        for columns in unique_sets
-    ):
-        return 1
-
-    best = rows
-    for column in eq_columns:
-        if column in table_data.secondary_indexes:
-            distinct = table_data.distinct_count(column) or 1
-            best = min(best, max(1, rows // max(1, distinct)))
-    for column in range_columns:
-        if column in table_data.ordered_indexes:
-            best = min(best, max(1, rows // 3))
-    return best
-
-
 class CompiledMutation:
     """Compiled row selection for UPDATE/DELETE: index-aware WHERE over a
     single table, plus (for UPDATE) compiled assignment expressions."""
@@ -1685,17 +1602,18 @@ class CompiledMutation:
         self,
         schema: Schema,
         data: Dict[str, TableData],
-        table_name: str,
-        where: Optional[ast.Expression],
-        assignments: Tuple[ast.Assignment, ...] = (),
+        stmt: Union[ast.Update, ast.Delete],
         force_scan: bool = False,
     ) -> None:
-        schema.table(table_name)  # raises CatalogError for unknown tables
+        table_name = stmt.table
         self.table_name = table_name
         self.layout = ScopeLayout(
+            # raises CatalogError for unknown tables
             [(table_name, schema.table(table_name).column_names())]
         )
-        conjuncts = [_Conjunct(e, self.layout) for e in _split_conjuncts(where)]
+        conjuncts = [
+            _Conjunct(e, self.layout) for e in _split_conjuncts(stmt.where)
+        ]
         if force_scan:
             self.base = _BaseAccess(table_name, "scan", residual=conjuncts)
         else:
@@ -1704,7 +1622,7 @@ class CompiledMutation:
             )
         self.assignment_fns: List[Tuple[str, Compiled]] = [
             (a.column, compile_expression(a.value, self.layout))
-            for a in assignments
+            for a in getattr(stmt, "assignments", ())
         ]
 
     def matching_rowids(
@@ -1776,8 +1694,10 @@ class Planner:
             self.stats["invalidations"] += 1
 
     def _cached(
-        self, generation: int, stmt: ast.Statement, build: Callable[[], Any]
+        self, generation: int, stmt: ast.Statement, data: Dict[str, TableData]
     ) -> Any:
+        """The plan for ``stmt`` over the table map ``data``, which must
+        belong to ``generation``."""
         key = (generation, stmt)
         try:
             plan = self._cache[key]
@@ -1789,7 +1709,12 @@ class Planner:
                     raise StaleSnapshotError(
                         "schema changed since the snapshot was taken"
                     )
-                plan = build()
+                compiled = (
+                    CompiledSelect
+                    if isinstance(stmt, ast.Select)
+                    else CompiledMutation
+                )
+                plan = compiled(self.schema, data, stmt, self.force_scan)
                 try:
                     self._cache[key] = plan
                     if len(self._cache) > _PLAN_CACHE_SIZE:
@@ -1804,22 +1729,16 @@ class Planner:
             pass  # concurrently invalidated/evicted; recency is best-effort
         return plan
 
-    def _plan_current(self, stmt: ast.Statement, build: Callable[[], Any]) -> Any:
-        """Build/fetch a plan for the *working* store, retrying across a
+    def plan(
+        self, stmt: Union[ast.Select, ast.Update, ast.Delete]
+    ) -> Union[CompiledSelect, CompiledMutation]:
+        """Build/fetch the plan for the *working* store, retrying across a
         racing DDL (only possible for unlocked callers like explain())."""
         while True:
             try:
-                return self._cached(self.generation, stmt, build)
+                return self._cached(self.generation, stmt, self.data)
             except StaleSnapshotError:
                 continue
-
-    def plan_select(self, stmt: ast.Select) -> CompiledSelect:
-        return self._plan_current(
-            stmt,
-            lambda: CompiledSelect(
-                self.schema, self.data, stmt, force_scan=self.force_scan
-            ),
-        )
 
     def plan_select_at(self, stmt: ast.Select, snapshot) -> CompiledSelect:
         """The plan a snapshot reader executes: costed against the
@@ -1828,28 +1747,4 @@ class Planner:
         cache entry the working store uses, so readers share the
         amortization.  Raises :class:`StaleSnapshotError` when a DDL has
         run since the snapshot was published and no plan is cached."""
-        return self._cached(
-            snapshot.generation,
-            stmt,
-            lambda: CompiledSelect(
-                self.schema, snapshot.tables, stmt, force_scan=self.force_scan
-            ),
-        )
-
-    def plan_update(self, stmt: ast.Update) -> CompiledMutation:
-        return self._plan_current(
-            stmt,
-            lambda: CompiledMutation(
-                self.schema, self.data, stmt.table, stmt.where, stmt.assignments,
-                force_scan=self.force_scan,
-            ),
-        )
-
-    def plan_delete(self, stmt: ast.Delete) -> CompiledMutation:
-        return self._plan_current(
-            stmt,
-            lambda: CompiledMutation(
-                self.schema, self.data, stmt.table, stmt.where,
-                force_scan=self.force_scan,
-            ),
-        )
+        return self._cached(snapshot.generation, stmt, snapshot.tables)

@@ -102,6 +102,7 @@ from ..observability.metrics import (
     REQUEST_SECONDS,
     REQUESTS,
     MetricsRegistry,
+    _ShardedCells,
     render_exposition,
 )
 from ..observability.querylog import QueryLog
@@ -120,62 +121,6 @@ from . import protocol
 from .protocol import Response
 
 __all__ = ["OntoAccessEndpoint"]
-
-
-class _ThreadCounters:
-    """Contention-free request counters.
-
-    Each handler thread owns a private ``[served, errors]`` cell
-    (registered once per thread under a lock); the hot path is two plain
-    list increments with no shared lock, so concurrent readers are never
-    reserialized just to be counted.  Aggregation sums the cells on read
-    — increments are GIL-atomic, and a torn read can at worst miss an
-    in-flight request, which the old locked counter could too (the read
-    could land just before its increment).
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-        #: (owning thread, cell) pairs for live threads; dead threads'
-        #: counts are folded into _base at the next registration so the
-        #: list stays bounded by the number of *concurrent* threads, not
-        #: connections ever served.
-        self._cells: List[tuple] = []
-        self._base = [0, 0]
-        self._register = threading.Lock()
-
-    def count(self, error: bool = False) -> None:
-        cell = getattr(self._local, "cell", None)
-        if cell is None:
-            cell = [0, 0]
-            with self._register:
-                live = []
-                for thread, other in self._cells:
-                    if thread.is_alive():
-                        live.append((thread, other))
-                    else:  # its increments are done: fold and forget
-                        self._base[0] += other[0]
-                        self._base[1] += other[1]
-                live.append((threading.current_thread(), cell))
-                self._cells = live
-            self._local.cell = cell
-        cell[0] += 1
-        if error:
-            cell[1] += 1
-
-    def _total(self, index: int) -> int:
-        with self._register:
-            return self._base[index] + sum(
-                cell[index] for _, cell in self._cells
-            )
-
-    @property
-    def served(self) -> int:
-        return self._total(0)
-
-    @property
-    def errors(self) -> int:
-        return self._total(1)
 
 
 class _AdmissionGate:
@@ -364,7 +309,6 @@ class OntoAccessEndpoint:
         promoter: Optional[Callable[[], Dict[str, Any]]] = None,
         shipper: Optional[Any] = None,
         slow_query_threshold: Optional[float] = 1.0,
-        slow_query_capacity: int = 128,
         access_log: Optional[Any] = None,
     ) -> None:
         self.mediator = mediator
@@ -385,8 +329,10 @@ class OntoAccessEndpoint:
         self._requested_port = port
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
-        #: per-thread request counters for monitoring/benchmarks
-        self._stats = _ThreadCounters()
+        #: per-thread [served, errors] cells for monitoring/benchmarks:
+        #: the hot path is a plain list increment with no shared lock,
+        #: totals are summed on read
+        self._stats = _ShardedCells(2)
         # -- resilience knobs (ISSUE 6) --------------------------------
         self._gate = _AdmissionGate(max_in_flight, max_queue, queue_timeout)
         #: server-wide request budget; a client may only tighten it
@@ -405,23 +351,24 @@ class OntoAccessEndpoint:
         #: /metrics replication families follow the role change.
         self.shipper = shipper
         #: ring-buffered log of requests over the slow threshold
-        self.query_log = QueryLog(
-            capacity=slow_query_capacity, threshold=slow_query_threshold
-        )
+        self.query_log = QueryLog(threshold=slow_query_threshold)
         #: writable text stream for JSON access-log lines (None = off)
         self.access_log = access_log
         self._access_log_lock = threading.Lock()
 
     @property
     def requests_served(self) -> int:
-        return self._stats.served
+        return int(self._stats.total()[0])
 
     @property
     def errors_returned(self) -> int:
-        return self._stats.errors
+        return int(self._stats.total()[1])
 
     def _count(self, error: bool = False) -> None:
-        self._stats.count(error=error)
+        cell = self._stats.cell()
+        cell[0] += 1
+        if error:
+            cell[1] += 1
 
     def _note_stream_abort(self) -> None:
         with self._abort_lock:
@@ -571,17 +518,12 @@ class OntoAccessEndpoint:
         injected failure maps to a 503 here — a broken or slow scrape
         can degrade monitoring, never serving.
         """
-        try:
-            text = render_exposition([REGISTRY, self._scrape_registry()])
-        except FaultError as exc:
-            self._count(error=True)
-            return protocol.error_json("metrics-unavailable", str(exc), 503)
-        except ReproError as exc:
-            self._count(error=True)
-            return protocol.error_json("metrics-unavailable", str(exc), 503)
-        self._count()
-        return Response(
-            status=200, body=text, content_type=protocol.CONTENT_PROMETHEUS
+        return self._respond(
+            lambda: render_exposition([REGISTRY, self._scrape_registry()]),
+            lambda text: Response(
+                status=200, body=text, content_type=protocol.CONTENT_PROMETHEUS
+            ),
+            lambda exc: protocol.error_json("metrics-unavailable", str(exc), 503),
         )
 
     def handle_stats(self) -> Response:
@@ -613,25 +555,22 @@ class OntoAccessEndpoint:
         blocked = self._replica_gate()
         if blocked is not None:
             return blocked
-        try:
+
+        def run():
             with analyze_scope() as probe:
-                result = self.session.query(body)
-        except QueryTimeout as exc:
-            self._count(error=True)
-            return protocol.error_json(
-                "timeout", str(exc), 408, retry_after=self.retry_after
-            )
-        except ReproError as exc:
-            self._count(error=True)
-            return Response.text(f"error: {exc}", status=400)
-        self._count()
-        report = probe.report()
-        if isinstance(result, bool):
-            report["result"] = result
-        elif not isinstance(result, Graph):
-            report["result_rows"] = len(result.solutions)
-            annotate(rows=len(result.solutions))
-        return self._tag_replica(Response.json(report))
+                return probe, self.session.query(body)
+
+        def shape(outcome) -> Response:
+            probe, result = outcome
+            report = probe.report()
+            if isinstance(result, bool):
+                report["result"] = result
+            elif not isinstance(result, Graph):
+                report["result_rows"] = len(result.solutions)
+                annotate(rows=len(result.solutions))
+            return self._tag_replica(Response.json(report))
+
+        return self._respond(run, shape, _query_rejected)
 
     def _finish_request(
         self, op: str, status: int, trace: Dict[str, Any], total_s: float
@@ -768,40 +707,53 @@ class OntoAccessEndpoint:
     # protocol handlers (network-independent)
     # ------------------------------------------------------------------
 
-    def _write_response(self, run: Callable[[], UpdateResult]) -> Response:
-        """Run an update or a batch and shape the answer: RDF feedback on
-        success, or the status + body each failure class maps to."""
+    def _respond(
+        self,
+        run: Callable[[], Any],
+        shape: Callable[[Any], Response],
+        rejected: Callable[[ReproError], Response],
+    ) -> Response:
+        """Run one request's work and shape the answer: ``shape(result)``
+        on success, otherwise the status + body the failure's class maps
+        to.  The serving tier's own failures (deadline, fencing,
+        replication, durability) answer the same on every route;
+        ``rejected(exc)`` is the route's answer to a request the mediator
+        turned down."""
         try:
             result = run()
-        except TranslationError as exc:
-            self._count(error=True)
-            return Response.turtle(error_graph(exc), status=400)
-        except SPARQLParseError as exc:
-            self._count(error=True)
-            return Response.turtle(error_graph(_parse_error(exc)), status=400)
         except QueryTimeout as exc:
-            self._count(error=True)
-            return protocol.error_json(
+            response = protocol.error_json(
                 "timeout", str(exc), 408, retry_after=self.retry_after
             )
         except ReadOnlyDatabaseError as exc:
             # Fenced/deposed primary: the write provably did not execute,
             # so the client may safely re-route it (ISSUE 9).
-            self._count(error=True)
-            return protocol.error_json("read-only", str(exc), 403)
+            response = protocol.error_json("read-only", str(exc), 403)
         except ReplicationError as exc:
             # Semi-sync barrier timed out: durable here, unacknowledged
             # by the replica quorum.  NOT safe to blindly retry.
-            self._count(error=True)
-            return protocol.error_json(
+            response = protocol.error_json(
                 "replication-degraded", str(exc), 503,
                 retry_after=self.retry_after,
             )
         except DurabilityError as exc:
-            self._count(error=True)
-            return protocol.error_json("storage-degraded", str(exc), 503)
-        self._count()
-        return Response.turtle(result.feedback(), status=200)
+            response = protocol.error_json("storage-degraded", str(exc), 503)
+        except ReproError as exc:
+            response = rejected(exc)
+        else:
+            self._count()
+            return shape(result)
+        self._count(error=True)
+        return response
+
+    def _write_response(self, run: Callable[[], UpdateResult]) -> Response:
+        """Run an update or a batch; the answer is RDF feedback, also for
+        a request that does not parse or translate."""
+        return self._respond(
+            run,
+            lambda result: Response.turtle(result.feedback(), status=200),
+            _write_rejected,
+        )
 
     def handle_update(self, body: str) -> Response:
         """POST /update: translate + execute, answer with RDF feedback.
@@ -874,17 +826,15 @@ class OntoAccessEndpoint:
                 406,
                 supported=list(protocol.QUERY_RESULT_TYPES),
             )
-        try:
-            result = self.session.query(body)
-        except QueryTimeout as exc:
-            self._count(error=True)
-            return protocol.error_json(
-                "timeout", str(exc), 408, retry_after=self.retry_after
-            )
-        except (ReproError,) as exc:
-            self._count(error=True)
-            return Response.text(f"error: {exc}", status=400)
-        self._count()
+        return self._respond(
+            lambda: self.session.query(body),
+            lambda result: self._query_result(result, accept),
+            _query_rejected,
+        )
+
+    @staticmethod
+    def _query_result(result, accept: Optional[str]) -> Response:
+        """A query's answer in the best format ``accept`` allows."""
         if not isinstance(result, (bool, Graph)):
             annotate(rows=len(result.solutions))
         wants_json = protocol.accepts(accept, protocol.CONTENT_SPARQL_JSON)
@@ -1287,6 +1237,10 @@ class OntoAccessEndpoint:
                 try:
                     length = int(length_header)
                 except ValueError:
+                    length = -1
+                if length < 0:
+                    # Also a well-formed negative number: read(-1) would
+                    # park this thread until the peer hangs up.
                     self.close_connection = True
                     self._send(
                         protocol.error_json(
@@ -1438,8 +1392,17 @@ def _positive_seconds(text: str, what: str) -> float:
     return value
 
 
-def _parse_error(exc: SPARQLParseError) -> TranslationError:
-    return TranslationError(
-        f"cannot parse request: {exc}",
-        code=TranslationError.UNSUPPORTED,
-    )
+def _write_rejected(exc: ReproError) -> Response:
+    """A rejected write answers with RDF feedback (paper Section 6)."""
+    if isinstance(exc, SPARQLParseError):
+        exc = TranslationError(
+            f"cannot parse request: {exc}",
+            code=TranslationError.UNSUPPORTED,
+        )
+    if isinstance(exc, TranslationError):
+        return Response.turtle(error_graph(exc), status=400)
+    raise exc
+
+
+def _query_rejected(exc: ReproError) -> Response:
+    return Response.text(f"error: {exc}", status=400)

