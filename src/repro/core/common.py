@@ -9,7 +9,12 @@ drivers compose:
 * value conversion between RDF terms and SQL values according to the
   mapping and column types (used by steps 3 and 4);
 * classification of a subject group's triples into type / attribute /
-  link-table triples.
+  link-table triples;
+* the helpers both drivers need exactly once: the ``WHERE pk = ...``
+  condition addressing an entity's row (:meth:`EntityRef.pk_condition`),
+  object URI → key of the referenced table (:func:`object_uri_to_key`),
+  and a link triple's key pair and presence (:func:`link_keys`,
+  :func:`link_row_exists`).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from ..rdf.terms import (
     URIRef,
 )
 from ..r3m.model import AttributeMapping, DatabaseMapping, LinkTableMapping, TableMapping
+from ..sql import ast
 
 __all__ = [
     "EntityRef",
@@ -47,6 +53,9 @@ __all__ = [
     "term_to_sql_value",
     "sql_value_to_term",
     "coerce_pattern_values",
+    "object_uri_to_key",
+    "link_keys",
+    "link_row_exists",
 ]
 
 
@@ -77,6 +86,21 @@ class EntityRef:
 
     def current_row(self, db: Database) -> Optional[Dict[str, Any]]:
         return db.get_row_by_pk(self.table.table_name, self.pk_tuple(db))
+
+    def pk_condition(self, db: Database) -> ast.Expression:
+        """``pk1 = v1 AND pk2 = v2 ...`` addressing this entity's row."""
+        condition: Optional[ast.Expression] = None
+        for column in db.table(self.table.table_name).primary_key:
+            clause = ast.BinaryOp(
+                "=", ast.ColumnRef(column), ast.Literal(self.key_values[column])
+            )
+            condition = clause if condition is None else ast.BinaryOp("AND", condition, clause)
+        if condition is None:
+            raise TranslationError(
+                f"table {self.table.table_name!r} has no primary key; updates "
+                "cannot address rows"
+            )
+        return condition
 
 
 def identify_entity(
@@ -255,7 +279,10 @@ def term_to_sql_value(
                 "an object property without a foreign key",
                 code=TranslationError.UNSUPPORTED,
             )
-        return _object_uri_to_key(mapping, db, referenced, obj, table, attribute)
+        return object_uri_to_key(
+            mapping, db, referenced, obj, attribute.property,
+            {"table": table.table_name, "attribute": attribute.attribute_name},
+        )
 
     if isinstance(obj, URIRef):
         # Data attribute holding URI-valued terms (e.g. foaf:mbox →
@@ -317,23 +344,27 @@ def term_to_sql_value(
         ) from exc
 
 
-def _object_uri_to_key(
+def object_uri_to_key(
     mapping: DatabaseMapping,
     db: Database,
     referenced_table: str,
     obj: Object,
-    table: TableMapping,
-    attribute: AttributeMapping,
+    prop: URIRef,
+    referrer: Dict[str, str],
 ) -> Any:
+    """The primary-key value of the ``referenced_table`` row that the
+    object URI of an object-property or link triple names.
+
+    ``referrer`` identifies the referencing side in the error feedback
+    when ``obj`` is no URI at all: table and attribute for a foreign-key
+    attribute, the property for a link table.
+    """
     if not isinstance(obj, URIRef):
         raise TranslationError(
-            f"property {attribute.property} is an object property; expected "
-            f"an instance URI, got {obj.n3() if isinstance(obj, Term) else obj!r}",
+            f"property {prop} takes an instance URI as its object, got "
+            f"{obj.n3() if isinstance(obj, Term) else obj!r}",
             code=TranslationError.TYPE_MISMATCH,
-            details={
-                "table": table.table_name,
-                "attribute": attribute.attribute_name,
-            },
+            details=referrer,
         )
     target = mapping.table(referenced_table)
     values = target.uri_pattern.match(obj)
@@ -348,8 +379,7 @@ def _object_uri_to_key(
             },
         )
     coerced = coerce_pattern_values(db, target, values, obj)
-    schema_table = db.table(referenced_table)
-    pk = schema_table.primary_key
+    pk = db.table(referenced_table).primary_key
     if len(pk) != 1:
         raise TranslationError(
             f"referenced table {referenced_table!r} must have a single-column "
@@ -357,6 +387,36 @@ def _object_uri_to_key(
             code=TranslationError.UNSUPPORTED,
         )
     return coerced[pk[0]]
+
+
+def link_keys(
+    mapping: DatabaseMapping,
+    db: Database,
+    link: LinkTableMapping,
+    entity: EntityRef,
+    obj: Object,
+) -> Tuple[Any, Any]:
+    """(subject key, object key) of the link-table row a link triple of
+    ``entity`` stands for."""
+    object_key = object_uri_to_key(
+        mapping, db, link.object_table(), obj, link.property,
+        {"property": str(link.property)},
+    )
+    return entity.pk_tuple(db)[0], object_key
+
+
+def link_row_exists(
+    db: Database, link: LinkTableMapping, subject_key: Any, object_key: Any
+) -> bool:
+    """Does the link table hold the (subject key, object key) pair?"""
+    table_data = db.table_data(link.table_name)
+    object_attr = link.object_attribute.attribute_name
+    return any(
+        table_data.rows[rowid].get(object_attr) == object_key
+        for rowid in table_data.find_by_value(
+            link.subject_attribute.attribute_name, subject_key
+        )
+    )
 
 
 def sql_value_to_term(

@@ -22,19 +22,20 @@ the subject/object key pair.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..errors import TranslationError
 from ..rdb.engine import Database
-from ..rdf.terms import Object, Triple, URIRef
+from ..rdf.terms import Object, Triple
 from ..r3m.model import DatabaseMapping, LinkTableMapping
 from ..sql import ast
 from .common import (
     EntityRef,
     SubjectGroup,
     classify_group,
-    coerce_pattern_values,
     group_by_subject,
+    link_keys,
+    link_row_exists,
     term_to_sql_value,
 )
 from .sorting import sort_statements
@@ -85,7 +86,7 @@ def _translate_group(
         statements.append(
             ast.Delete(
                 table=entity.table.table_name,
-                where=_pk_condition(db, entity),
+                where=entity.pk_condition(db),
             )
         )
         return statements
@@ -119,7 +120,7 @@ def _translate_group(
             )
         assignments.append(ast.Assignment(name, ast.Null()))
     # WHERE pk AND attr = old-value, the guarded form of Listing 18.
-    condition = _pk_condition(db, entity)
+    condition = entity.pk_condition(db)
     for name, old_value in deleted_attrs.items():
         condition = ast.BinaryOp(
             "AND",
@@ -200,35 +201,10 @@ def _link_delete(
     entity: EntityRef,
     obj: Object,
 ) -> ast.Delete:
-    if not isinstance(obj, URIRef):
-        raise TranslationError(
-            f"link property {link.property} requires an instance URI object",
-            code=TranslationError.TYPE_MISMATCH,
-            details={"property": str(link.property)},
-        )
-    target = mapping.table(link.object_table())
-    raw = target.uri_pattern.match(obj)
-    if raw is None:
-        raise TranslationError(
-            f"object {obj.value} does not match the uriPattern of "
-            f"{link.object_table()!r}",
-            code=TranslationError.FK_TARGET_MISSING,
-            details={"object": obj.value},
-        )
-    coerced = coerce_pattern_values(db, target, raw, obj)
-    object_key = tuple(
-        coerced[c] for c in db.table(link.object_table()).primary_key
-    )[0]
-    subject_key = entity.pk_tuple(db)[0]
-
+    subject_key, object_key = link_keys(mapping, db, link, entity, obj)
     subject_attr = link.subject_attribute.attribute_name
     object_attr = link.object_attribute.attribute_name
-    table_data = db.table_data(link.table_name)
-    exists = any(
-        table_data.rows[rowid].get(object_attr) == object_key
-        for rowid in table_data.find_by_value(subject_attr, subject_key)
-    )
-    if not exists:
+    if not link_row_exists(db, link, subject_key, object_key):
         raise TranslationError(
             f"link triple to delete does not hold: no "
             f"{link.table_name} row with {subject_attr}={subject_key}, "
@@ -248,18 +224,3 @@ def _link_delete(
             ast.BinaryOp("=", ast.ColumnRef(object_attr), ast.Literal(object_key)),
         ),
     )
-
-
-def _pk_condition(db: Database, entity: EntityRef) -> ast.Expression:
-    schema_table = db.table(entity.table.table_name)
-    condition: Optional[ast.Expression] = None
-    for column in schema_table.primary_key:
-        clause = ast.BinaryOp(
-            "=", ast.ColumnRef(column), ast.Literal(entity.key_values[column])
-        )
-        condition = clause if condition is None else ast.BinaryOp("AND", condition, clause)
-    if condition is None:
-        raise TranslationError(
-            f"table {entity.table.table_name!r} has no primary key"
-        )
-    return condition

@@ -27,14 +27,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError
 from ..rdb.engine import Database
-from ..rdf.terms import Object, Triple
+from ..rdf.terms import Triple
 from ..r3m.model import DatabaseMapping, LinkTableMapping
 from ..sql import ast
 from .common import (
-    EntityRef,
     SubjectGroup,
     classify_group,
     group_by_subject,
+    link_keys,
+    link_row_exists,
     term_to_sql_value,
 )
 from .sorting import sort_statements
@@ -70,7 +71,7 @@ def translate_insert_data(
             if update is not None:
                 statements.append(update)
         for link, obj in group.link_values:
-            link_rows.append(_link_row(mapping, db, link, entity, obj))
+            link_rows.append((link, *link_keys(mapping, db, link, entity, obj)))
 
     # Referenced-row existence is checked only after every group has been
     # processed: Listing 15's pub12 group references author6, whose INSERT
@@ -179,42 +180,8 @@ def _update_statement(
     return ast.Update(
         table=entity.table.table_name,
         assignments=tuple(assignments),
-        where=_pk_condition(db, entity),
+        where=entity.pk_condition(db),
     )
-
-
-def _link_row(
-    mapping: DatabaseMapping,
-    db: Database,
-    link: LinkTableMapping,
-    entity: EntityRef,
-    obj: Object,
-) -> Tuple[LinkTableMapping, Any, Any]:
-    from ..rdf.terms import URIRef
-
-    subject_key = entity.pk_tuple(db)[0]
-    if not isinstance(obj, URIRef):
-        raise TranslationError(
-            f"link property {link.property} requires an instance URI object",
-            code=TranslationError.TYPE_MISMATCH,
-            details={"property": str(link.property)},
-        )
-    target = mapping.table(link.object_table())
-    raw = target.uri_pattern.match(obj)
-    if raw is None:
-        raise TranslationError(
-            f"object {obj.value} does not match the uriPattern of "
-            f"{link.object_table()!r}",
-            code=TranslationError.FK_TARGET_MISSING,
-            details={"object": obj.value, "referenced_table": link.object_table()},
-        )
-    from .common import coerce_pattern_values
-
-    coerced = coerce_pattern_values(db, target, raw, obj)
-    object_key = tuple(
-        coerced[c] for c in db.table(link.object_table()).primary_key
-    )[0]
-    return link, subject_key, object_key
 
 
 def _check_link_targets(
@@ -244,33 +211,16 @@ def _link_insert(
     db: Database, link: LinkTableMapping, subject_key: Any, object_key: Any
 ) -> Optional[ast.Insert]:
     """INSERT into the link table, skipping pairs that already exist."""
-    table_data = db.table_data(link.table_name)
-    subject_attr = link.subject_attribute.attribute_name
-    object_attr = link.object_attribute.attribute_name
-    for rowid in table_data.find_by_value(subject_attr, subject_key):
-        if table_data.rows[rowid].get(object_attr) == object_key:
-            return None  # triple already present: set semantics
+    if link_row_exists(db, link, subject_key, object_key):
+        return None  # triple already present: set semantics
     return ast.Insert(
         table=link.table_name,
-        columns=(subject_attr, object_attr),
+        columns=(
+            link.subject_attribute.attribute_name,
+            link.object_attribute.attribute_name,
+        ),
         rows=((_value_expr(subject_key), _value_expr(object_key)),),
     )
-
-
-def _pk_condition(db: Database, entity: EntityRef) -> ast.Expression:
-    schema_table = db.table(entity.table.table_name)
-    condition: Optional[ast.Expression] = None
-    for column in schema_table.primary_key:
-        clause = ast.BinaryOp(
-            "=", ast.ColumnRef(column), _value_expr(entity.key_values[column])
-        )
-        condition = clause if condition is None else ast.BinaryOp("AND", condition, clause)
-    if condition is None:
-        raise TranslationError(
-            f"table {entity.table.table_name!r} has no primary key; updates "
-            "cannot address rows"
-        )
-    return condition
 
 
 def _value_expr(value: Any) -> ast.Expression:

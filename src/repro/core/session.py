@@ -9,7 +9,12 @@ that cost across repeated operations:
 
 * :meth:`Session.prepare` parses once and returns a
   :class:`PreparedUpdate` / :class:`PreparedQuery` whose ``execute()`` can
-  run many times.  What a prepared *update* amortizes is the parse:
+  run many times.  Which of the two a text is follows from its grammar,
+  not from a guess: the prologue is read with the scanner both SPARQL
+  parsers are built on (:mod:`repro.rdf.scanner`) and the first keyword
+  behind it — SELECT / ASK / CONSTRUCT or INSERT / DELETE / MODIFY /
+  CLEAR — names the parser, which then parses the text once and reports
+  its own errors.  What a prepared *update* amortizes is the parse:
   translation reads row data, so every execution translates against the
   current state — the same routine every other update entry point ends
   in.  A prepared *query* additionally keeps, on the relational backend,
@@ -41,14 +46,13 @@ that owns the lock, the transaction scope and the call to
 
 from __future__ import annotations
 
-import re
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..deadline import deadline_scope
-from ..errors import SPARQLParseError, TranslationError
+from ..errors import TranslationError
 from ..observability.metrics import SESSION_OPS
 from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
@@ -68,7 +72,8 @@ from ..sparql.algebra_ast import (
 )
 from ..sparql.algebra_ast import Union as PatternUnion
 from ..sparql.query_ast import ConstructQuery, Query
-from ..sparql.query_parser import parse_query
+from ..sparql.parse_base import SPARQLParserBase
+from ..sparql.query_parser import QueryParser, parse_query
 from ..sparql.update_ast import (
     DeleteData,
     InsertData,
@@ -76,21 +81,13 @@ from ..sparql.update_ast import (
     UpdateOperation,
     UpdateRequest,
 )
-from ..sparql.update_parser import parse_update
+from ..sparql.update_parser import UpdateParser, parse_update
 from .backend import Backend, UpdateResult
 from .query import QueryOutcome
 
 __all__ = ["PreparedQuery", "PreparedUpdate", "Session"]
 
 Bindings = Dict[str, Any]
-
-_QUERY_KEYWORD = re.compile(r"\b(SELECT|ASK|CONSTRUCT|DESCRIBE)\b", re.I)
-_UPDATE_KEYWORD = re.compile(r"\b(INSERT|DELETE|MODIFY|CLEAR)\b", re.I)
-#: IRIs and string literals may contain keyword-shaped substrings
-#: (``<http://example.org/delete/>``); mask them before sniffing, then
-#: mask ``#`` comments (after IRIs, whose fragments also use ``#``).
-_OPAQUE_TOKEN = re.compile(r"<[^>]*>|\"[^\"]*\"|'[^']*'")
-_COMMENT = re.compile(r"#[^\n]*")
 
 _PREPARED_CACHE_SIZE = 128
 
@@ -100,15 +97,6 @@ _OPS_QUERY = SESSION_OPS.labels("query")
 _OPS_UPDATE = SESSION_OPS.labels("update")
 _OPS_BATCH = SESSION_OPS.labels("batch")
 _BINDING_CACHE_SIZE = 64
-
-
-def _looks_like_query(text: str) -> bool:
-    text = _COMMENT.sub(" ", _OPAQUE_TOKEN.sub(" ", text))
-    query = _QUERY_KEYWORD.search(text)
-    if query is None:
-        return False
-    update = _UPDATE_KEYWORD.search(text)
-    return update is None or query.start() < update.start()
 
 
 def _as_term(value: Any) -> Term:
@@ -377,24 +365,26 @@ class Session:
         self, sparql: str, prefixes: Optional[PrefixMap] = None
     ) -> Union[PreparedUpdate, PreparedQuery]:
         """Parse once; returns a :class:`PreparedQuery` for SELECT / ASK /
-        CONSTRUCT text and a :class:`PreparedUpdate` otherwise.  Prepared
-        queries are cached by text, so repeated ``prepare`` of the same
-        query string is a dictionary hit; an update is parsed per
-        ``prepare`` — keep the returned object to run it again.
+        CONSTRUCT text and a :class:`PreparedUpdate` for INSERT / DELETE /
+        MODIFY / CLEAR.  Prepared queries are cached by text, so repeated
+        ``prepare`` of the same query string is a dictionary hit; an
+        update is parsed per ``prepare`` — keep the returned object to
+        run it again.
 
-        The keyword sniff only picks which parser to try first; a parse
-        failure falls through to the other parser, so keyword-shaped
-        prefix labels (``PREFIX insert: <…>``) cannot misroute a request.
+        Routing follows the grammar: the prologue is read with the
+        parsers' own scanner and the keyword behind it picks the parser,
+        so IRIs, strings, comments and prefix labels that merely look
+        like keywords cannot misroute a request, and a syntax error is
+        reported once, by the parser the text belongs to.
         """
-        if _looks_like_query(sparql):
-            try:
-                return self.prepare_query(sparql, prefixes=prefixes)
-            except SPARQLParseError:
-                return self.prepare_update(sparql, prefixes=prefixes)
-        try:
-            return self.prepare_update(sparql, prefixes=prefixes)
-        except SPARQLParseError:
+        scanner = SPARQLParserBase(sparql)
+        scanner.prologue()
+        if any(scanner.at_keyword(form) for form in QueryParser.FORMS):
             return self.prepare_query(sparql, prefixes=prefixes)
+        if any(scanner.at_keyword(form) for form in UpdateParser.FORMS):
+            return self.prepare_update(sparql, prefixes=prefixes)
+        forms = QueryParser.FORMS + UpdateParser.FORMS
+        raise scanner.error(f"expected {', '.join(forms[:-1])}, or {forms[-1]}")
 
     def prepare_update(
         self,

@@ -1,43 +1,34 @@
 """A Turtle (and N-Triples) parser.
 
-Supports the Turtle subset used by R3M mapping documents and the paper's
-listings, which in practice covers most of the 2010 Turtle specification:
+Turtle's term syntax is the one SPARQL reuses, so IRIs, prefixed names,
+``a``, blank-node labels, plain / language-tagged / typed literals (short
+and long strings, numeric and boolean shorthand), ``PREFIX`` / ``BASE``
+and predicate lists (``;``) with object lists (``,``) are scanned by
+:class:`~repro.rdf.scanner.TermScanner` — the same code the SPARQL parsers
+run.  This module adds what only a Turtle *document* has; together that
+covers the R3M mapping documents, the paper's listings and the endpoint's
+RDF feedback:
 
-* ``@prefix`` / ``@base`` directives (and SPARQL-style ``PREFIX`` / ``BASE``)
-* IRIs (``<...>``), qnames (``foaf:name``), ``a`` for ``rdf:type``
-* predicate lists (``;``) and object lists (``,``)
-* plain / language-tagged / typed literals, including long strings
-  (``\"\"\"...\"\"\"``), numeric shorthand (integers, decimals, doubles) and
-  boolean shorthand
-* blank nodes: ``_:label``, anonymous ``[]``, and property lists
-  ``[ p o ; ... ]``
-* RDF collections ``( a b c )``
+* the ``@prefix`` / ``@base`` spelling of the directives with their
+  trailing ``.``;
+* the statement: a subject, a predicate-object list, the ``.`` terminator;
+* anonymous blank nodes ``[]`` and property lists ``[ p o ; ... ]``;
+* RDF collections ``( a b c )``.
 
-The parser is a hand-written recursive-descent scanner over the raw text.
-Errors carry line/column positions via
-:class:`~repro.errors.TurtleParseError`.
+No SPARQL caller asks for the last two (the paper's patterns never nest),
+so they live here rather than in the shared scanner.  Errors carry
+line/column positions via :class:`~repro.errors.TurtleParseError`.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Union
 
 from ..errors import TurtleParseError
 from .graph import Graph
 from .namespace import RDF, PrefixMap
-from .terms import (
-    XSD_BOOLEAN,
-    XSD_DECIMAL,
-    XSD_DOUBLE,
-    XSD_INTEGER,
-    BNode,
-    Literal,
-    Object,
-    Subject,
-    Triple,
-    URIRef,
-)
+from .scanner import TermScanner
+from .terms import BNode, Literal, Term, Triple, URIRef
 
 __all__ = ["parse_turtle", "parse_ntriples", "TurtleParser"]
 
@@ -62,440 +53,76 @@ def parse_ntriples(text: str, graph: Optional[Graph] = None) -> Graph:
     return parse_turtle(text, graph=graph)
 
 
-_PN_LOCAL_ESCAPES = "_~.-!$&'()*+,;=/?#@%"
-
-_IRIREF_RE = re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")
-_LANGTAG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
-_PREFIX_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_.\-]*)?:")
-_NUMBER_RE = re.compile(
-    r"[+-]?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?|\d+)"
-)
-_BNODE_RE = re.compile(r"_:([A-Za-z0-9_][A-Za-z0-9_.\-]*)")
-_VAR_CHARS = re.compile(r"[A-Za-z0-9_\-.]")
-
-
-class TurtleParser:
+class TurtleParser(TermScanner):
     """Streaming recursive-descent parser producing triples.
 
     Instances are single-use: construct with the document text, then iterate
     :meth:`triples`.
     """
 
-    def __init__(
-        self,
-        text: str,
-        base: str = "",
-        prefixes: Optional[PrefixMap] = None,
-    ) -> None:
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-        self.base = base
-        self.prefixes = prefixes.copy() if prefixes is not None else PrefixMap()
-
-    # -- public API --------------------------------------------------------
+    error_class = TurtleParseError
 
     def triples(self) -> Iterator[Triple]:
-        """Yield every triple in the document."""
+        """Yield every triple in the document, statement by statement."""
         while True:
-            self._skip_ws()
+            self.prologue()  # SPARQL-style directives; skips whitespace
             if self.pos >= self.length:
                 return
-            if self._try_directive():
-                continue
-            yield from self._statement()
-
-    # -- low-level scanning --------------------------------------------------
-
-    def _error(self, message: str) -> TurtleParseError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        last_nl = self.text.rfind("\n", 0, self.pos)
-        column = self.pos - last_nl
-        return TurtleParseError(message, line=line, column=column)
-
-    def _skip_ws(self) -> None:
-        while self.pos < self.length:
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":
-                nl = self.text.find("\n", self.pos)
-                self.pos = self.length if nl == -1 else nl + 1
+            if self.text.startswith("@prefix", self.pos):
+                self.pos += 7
+                self.prefix_declaration()
+                self.expect(".")
+            elif self.text.startswith("@base", self.pos):
+                self.pos += 5
+                self.base_declaration()
+                self.expect(".")
             else:
-                return
+                yield from self._statement()
 
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.length else ""
+    def _statement(self) -> List[Triple]:
+        """``subject predicateObjectList '.'``"""
+        #: the triples of the statement being read; nested property lists
+        #: and collections add theirs here too
+        self._triples: List[Triple] = []
+        subject = self.object()
+        if isinstance(subject, Literal):
+            raise self.error("a literal cannot be a subject")
+        self.skip_ws()
+        self.predicate_object_list(subject, self._triples)
+        self.expect(".")
+        return self._triples
 
-    def _startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def _startswith_keyword(self, keyword: str) -> bool:
-        """Case-insensitive keyword match followed by a non-name character."""
-        end = self.pos + len(keyword)
-        if self.text[self.pos:end].lower() != keyword.lower():
-            return False
-        return end >= self.length or not (self.text[end].isalnum() or self.text[end] == "_")
-
-    def _expect(self, token: str) -> None:
-        if not self._startswith(token):
-            raise self._error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def _match_re(self, regex: "re.Pattern[str]") -> Optional["re.Match[str]"]:
-        m = regex.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-        return m
-
-    # -- directives ------------------------------------------------------------
-
-    def _try_directive(self) -> bool:
-        if self._startswith("@prefix") or self._startswith_keyword("PREFIX"):
-            sparql_style = not self._startswith("@prefix")
-            self.pos += len("@prefix") if not sparql_style else len("PREFIX")
-            self._skip_ws()
-            m = self._match_re(_PREFIX_RE)
-            if not m:
-                raise self._error("expected prefix name in @prefix directive")
-            prefix = m.group(1) or ""
-            self._skip_ws()
-            uri = self._parse_iriref()
-            self.prefixes.bind(prefix, uri.value)
-            self._skip_ws()
-            if not sparql_style:
-                self._expect(".")
-            elif self._peek() == ".":
-                self.pos += 1
-            return True
-        if self._startswith("@base") or self._startswith_keyword("BASE"):
-            sparql_style = not self._startswith("@base")
-            self.pos += len("@base") if not sparql_style else len("BASE")
-            self._skip_ws()
-            uri = self._parse_iriref()
-            self.base = uri.value
-            self._skip_ws()
-            if not sparql_style:
-                self._expect(".")
-            elif self._peek() == ".":
-                self.pos += 1
-            return True
-        return False
-
-    # -- grammar productions ------------------------------------------------------
-
-    def _statement(self) -> Iterator[Triple]:
-        subject, pending = self._parse_subject()
-        yield from pending
-        self._skip_ws()
-        yield from self._predicate_object_list(subject)
-        self._skip_ws()
-        self._expect(".")
-
-    def _predicate_object_list(self, subject: Subject) -> Iterator[Triple]:
-        while True:
-            predicate = self._parse_predicate()
-            self._skip_ws()
-            while True:
-                obj, pending = self._parse_object()
-                yield Triple(subject, predicate, obj)
-                yield from pending
-                self._skip_ws()
-                if self._peek() == ",":
-                    self.pos += 1
-                    self._skip_ws()
-                    continue
-                break
-            if self._peek() == ";":
-                self.pos += 1
-                self._skip_ws()
-                # Trailing ';' before '.' or ']' is legal Turtle.
-                if self._peek() in ".]" or self.pos >= self.length:
-                    return
-                continue
-            return
-
-    def _parse_subject(self) -> Tuple[Subject, List[Triple]]:
-        ch = self._peek()
-        if ch == "<":
-            return self._parse_iriref(), []
-        if self._startswith("_:"):
-            return self._parse_bnode_label(), []
+    def object(self) -> Term:
+        """Subject and object positions: the shared terms plus the two
+        forms that mint blank nodes."""
+        ch = self.text[self.pos: self.pos + 1]
         if ch == "[":
-            return self._parse_bnode_property_list()
+            return self._blank_node_property_list()
         if ch == "(":
-            return self._parse_collection()
-        term = self._try_parse_qname()
-        if term is not None:
-            return term, []
-        raise self._error("expected subject (IRI, qname, or blank node)")
+            return self._collection()
+        return self.term()
 
-    def _parse_predicate(self) -> URIRef:
-        if self._peek() == "a" and not _VAR_CHARS.match(
-            self.text[self.pos + 1: self.pos + 2] or " "
-        ):
-            self.pos += 1
-            return RDF.type
-        if self._peek() == "<":
-            return self._parse_iriref()
-        term = self._try_parse_qname()
-        if term is not None:
-            return term
-        raise self._error("expected predicate (IRI, qname, or 'a')")
-
-    def _parse_object(self) -> Tuple[Object, List[Triple]]:
-        ch = self._peek()
-        if ch == "<":
-            return self._parse_iriref(), []
-        if self._startswith("_:"):
-            return self._parse_bnode_label(), []
-        if ch == "[":
-            return self._parse_bnode_property_list()
-        if ch == "(":
-            return self._parse_collection()
-        if ch in "\"'":
-            return self._parse_rdf_literal(), []
-        if ch.isdigit() or ch in "+-." and _NUMBER_RE.match(self.text, self.pos):
-            return self._parse_numeric_literal(), []
-        if self._startswith_keyword("true"):
-            self.pos += 4
-            return Literal("true", datatype=XSD_BOOLEAN), []
-        if self._startswith_keyword("false"):
-            self.pos += 5
-            return Literal("false", datatype=XSD_BOOLEAN), []
-        term = self._try_parse_qname()
-        if term is not None:
-            return term, []
-        raise self._error("expected object (IRI, literal, or blank node)")
-
-    # -- terms ---------------------------------------------------------------
-
-    def _parse_iriref(self) -> URIRef:
-        m = self._match_re(_IRIREF_RE)
-        if not m:
-            raise self._error("malformed IRI reference")
-        value = _unescape_unicode(m.group(1))
-        if self.base and not re.match(r"^[A-Za-z][A-Za-z0-9+.\-]*:", value):
-            value = _resolve_relative(self.base, value)
-        return URIRef(value)
-
-    def _try_parse_qname(self) -> Optional[URIRef]:
-        m = _PREFIX_RE.match(self.text, self.pos)
-        if not m:
-            return None
-        prefix = m.group(1) or ""
-        if self.prefixes.resolve(prefix) is None:
-            raise self._error(f"unbound prefix: {prefix!r}")
-        scan = m.end()
-        local_chars: List[str] = []
-        while scan < self.length:
-            ch = self.text[scan]
-            if ch == "\\" and scan + 1 < self.length and self.text[scan + 1] in _PN_LOCAL_ESCAPES:
-                local_chars.append(self.text[scan + 1])
-                scan += 2
-                continue
-            if ch.isalnum() or ch in "_-" or (ch == "." and scan + 1 < self.length
-                                              and _VAR_CHARS.match(self.text[scan + 1])):
-                local_chars.append(ch)
-                scan += 1
-                continue
-            break
-        self.pos = scan
-        local = "".join(local_chars)
-        return URIRef(self.prefixes.resolve(prefix) + local)
-
-    def _parse_bnode_label(self) -> BNode:
-        m = self._match_re(_BNODE_RE)
-        if not m:
-            raise self._error("malformed blank node label")
-        label = m.group(1).rstrip(".")
-        # A trailing '.' belongs to the statement terminator, not the label.
-        self.pos -= len(m.group(1)) - len(label)
-        return BNode(label)
-
-    def _parse_bnode_property_list(self) -> Tuple[BNode, List[Triple]]:
-        self._expect("[")
-        node = BNode()
-        self._skip_ws()
-        triples: List[Triple] = []
-        if self._peek() != "]":
-            triples.extend(self._predicate_object_list(node))
-            self._skip_ws()
-        self._expect("]")
-        return node, triples
-
-    def _parse_collection(self) -> Tuple[Union[BNode, URIRef], List[Triple]]:
-        self._expect("(")
-        self._skip_ws()
-        items: List[Tuple[Object, List[Triple]]] = []
-        while self._peek() != ")":
-            if self.pos >= self.length:
-                raise self._error("unterminated collection")
-            items.append(self._parse_object())
-            self._skip_ws()
-        self._expect(")")
-        if not items:
-            return RDF.nil, []
-        triples: List[Triple] = []
-        head = BNode()
-        node = head
-        for i, (obj, pending) in enumerate(items):
-            triples.extend(pending)
-            triples.append(Triple(node, RDF.first, obj))
-            if i + 1 < len(items):
-                nxt = BNode()
-                triples.append(Triple(node, RDF.rest, nxt))
-                node = nxt
-            else:
-                triples.append(Triple(node, RDF.rest, RDF.nil))
-        return head, triples
-
-    def _parse_rdf_literal(self) -> Literal:
-        lexical = self._parse_string()
-        m = self._match_re(_LANGTAG_RE)
-        if m:
-            return Literal(lexical, language=m.group(1))
-        if self._startswith("^^"):
-            self.pos += 2
-            if self._peek() == "<":
-                datatype = self._parse_iriref()
-            else:
-                datatype = self._try_parse_qname()
-                if datatype is None:
-                    raise self._error("expected datatype IRI after '^^'")
-            return Literal(lexical, datatype=datatype)
-        return Literal(lexical)
-
-    def _parse_string(self) -> str:
-        quote = self._peek()
-        if quote not in "\"'":
-            raise self._error("expected string literal")
-        long_delim = quote * 3
-        if self._startswith(long_delim):
-            self.pos += 3
-            end = self.text.find(long_delim, self.pos)
-            while end != -1 and self.text[end - 1] == "\\" and self.text[end - 2] != "\\":
-                end = self.text.find(long_delim, end + 1)
-            if end == -1:
-                raise self._error("unterminated long string")
-            raw = self.text[self.pos:end]
-            self.pos = end + 3
-            return _unescape_string(raw, self._error)
+    def _blank_node_property_list(self) -> BNode:
+        """``[]`` or ``[ predicateObjectList ]``."""
         self.pos += 1
-        chars: List[str] = []
-        while True:
+        node = BNode()
+        if not self.accept("]"):
+            self.predicate_object_list(node, self._triples)
+            self.expect("]")
+        return node
+
+    def _collection(self) -> Union[BNode, URIRef]:
+        """``( object* )`` as an ``rdf:first`` / ``rdf:rest`` chain."""
+        self.pos += 1
+        items: List[Term] = []
+        while not self.accept(")"):
             if self.pos >= self.length:
-                raise self._error("unterminated string literal")
-            ch = self.text[self.pos]
-            if ch == quote:
-                self.pos += 1
-                break
-            if ch in "\n\r":
-                raise self._error("newline in short string literal")
-            if ch == "\\":
-                if self.pos + 1 >= self.length:
-                    raise self._error("dangling escape")
-                chars.append(self.text[self.pos: self.pos + 2])
-                self.pos += 2
-                continue
-            chars.append(ch)
-            self.pos += 1
-        return _unescape_string("".join(chars), self._error)
-
-    def _parse_numeric_literal(self) -> Literal:
-        m = self._match_re(_NUMBER_RE)
-        if not m:
-            raise self._error("malformed numeric literal")
-        lexical = m.group(0)
-        # Turtle grammar: '.' at the very end terminates the statement instead.
-        if lexical.endswith(".") and "e" not in lexical.lower():
-            lexical = lexical[:-1]
-            self.pos -= 1
-        if "e" in lexical.lower():
-            datatype = XSD_DOUBLE
-        elif "." in lexical:
-            datatype = XSD_DECIMAL
-        else:
-            datatype = XSD_INTEGER
-        return Literal(lexical, datatype=datatype)
-
-
-# ---------------------------------------------------------------------------
-# escape handling
-# ---------------------------------------------------------------------------
-
-_STRING_ESCAPES = {
-    "t": "\t",
-    "b": "\b",
-    "n": "\n",
-    "r": "\r",
-    "f": "\f",
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-}
-
-
-def _unescape_string(raw: str, error) -> str:
-    if "\\" not in raw:
-        return raw
-    out: List[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
-            raise error("dangling escape at end of string")
-        esc = raw[i + 1]
-        if esc in _STRING_ESCAPES:
-            out.append(_STRING_ESCAPES[esc])
-            i += 2
-        elif esc == "u":
-            out.append(chr(int(raw[i + 2: i + 6], 16)))
-            i += 6
-        elif esc == "U":
-            out.append(chr(int(raw[i + 2: i + 10], 16)))
-            i += 10
-        else:
-            raise error(f"unknown escape sequence: \\{esc}")
-    return "".join(out)
-
-
-def _unescape_unicode(raw: str) -> str:
-    if "\\" not in raw:
-        return raw
-    out: List[str] = []
-    i = 0
-    while i < len(raw):
-        if raw.startswith("\\u", i):
-            out.append(chr(int(raw[i + 2: i + 6], 16)))
-            i += 6
-        elif raw.startswith("\\U", i):
-            out.append(chr(int(raw[i + 2: i + 10], 16)))
-            i += 10
-        else:
-            out.append(raw[i])
-            i += 1
-    return "".join(out)
-
-
-def _resolve_relative(base: str, relative: str) -> str:
-    """Minimal RFC 3986 relative-reference resolution (no dot segments)."""
-    if not relative:
-        return base
-    if relative.startswith("#"):
-        return base.split("#", 1)[0] + relative
-    if relative.startswith("//"):
-        scheme = base.split(":", 1)[0]
-        return f"{scheme}:{relative}"
-    if relative.startswith("/"):
-        m = re.match(r"^([A-Za-z][A-Za-z0-9+.\-]*://[^/]*)", base)
-        return (m.group(1) if m else base.rstrip("/")) + relative
-    # Relative path: replace everything after the last '/'.
-    if "/" in base[base.find("//") + 2:] if "//" in base else "/" in base:
-        return base.rsplit("/", 1)[0] + "/" + relative
-    return base + relative
+                raise self.error("unterminated collection")
+            items.append(self.object())
+        if not items:
+            return RDF.nil
+        nodes = [BNode() for _ in items]
+        for node, item, rest in zip(nodes, items, nodes[1:] + [RDF.nil]):
+            self._triples.append(Triple(node, RDF.first, item))
+            self._triples.append(Triple(node, RDF.rest, rest))
+        return nodes[0]

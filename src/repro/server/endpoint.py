@@ -219,6 +219,10 @@ class _ResponseWriter:
         self.closed = True
 
 
+#: Seconds advertised in ``Retry-After`` on every 408 and 503 answer.
+RETRY_AFTER = 1.0
+
+
 class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer with a hard cap on live connections.
 
@@ -234,9 +238,8 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
     #: shedding must reach the client as a readable 503, not a reset.
     request_queue_size = 128
 
-    def __init__(self, addr, handler, max_connections: int, retry_after: float):
+    def __init__(self, addr, handler, max_connections: int):
         self._max_connections = max_connections
-        self._retry_after = max(1, int(retry_after))
         self._conn_lock = threading.Lock()
         self.live_connections = 0
         self.rejected_connections = 0
@@ -271,7 +274,7 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
             request.sendall(
                 b"HTTP/1.1 503 Service Unavailable\r\n"
                 b"Content-Type: application/json\r\n"
-                b"Retry-After: " + str(self._retry_after).encode("ascii") + b"\r\n"
+                b"Retry-After: " + str(int(RETRY_AFTER)).encode("ascii") + b"\r\n"
                 b"Content-Length: " + str(len(body)).encode("ascii") + b"\r\n"
                 b"Connection: close\r\n"
                 b"\r\n" + body
@@ -303,7 +306,6 @@ class OntoAccessEndpoint:
         default_timeout: Optional[float] = 30.0,
         max_body_bytes: int = 8 * 1024 * 1024,
         max_connections: int = 128,
-        retry_after: float = 1.0,
         replica: Optional[Any] = None,
         max_replica_lag: Optional[float] = None,
         promoter: Optional[Callable[[], Dict[str, Any]]] = None,
@@ -339,8 +341,6 @@ class OntoAccessEndpoint:
         self.default_timeout = default_timeout
         self.max_body_bytes = max_body_bytes
         self.max_connections = max_connections
-        #: seconds advertised in Retry-After on 503/408
-        self.retry_after = retry_after
         self._abort_lock = threading.Lock()
         #: responses whose streaming was cut short (client disconnect or
         #: deadline expiry mid-stream)
@@ -668,7 +668,7 @@ class OntoAccessEndpoint:
                 "replica has not finished bootstrap replay; retry on "
                 "the primary",
                 503,
-                retry_after=self.retry_after,
+                retry_after=RETRY_AFTER,
             )
         lag = replica.lag()
         if self.max_replica_lag is not None and lag > self.max_replica_lag:
@@ -678,7 +678,7 @@ class OntoAccessEndpoint:
                 f"replica lag {lag:.3f}s exceeds the bound of "
                 f"{self.max_replica_lag:g}s; retry on the primary",
                 503,
-                retry_after=self.retry_after,
+                retry_after=RETRY_AFTER,
                 lag_s=round(lag, 3),
             )
             response.headers["X-Replica-Lag"] = f"{lag:.3f}"
@@ -723,7 +723,7 @@ class OntoAccessEndpoint:
             result = run()
         except QueryTimeout as exc:
             response = protocol.error_json(
-                "timeout", str(exc), 408, retry_after=self.retry_after
+                "timeout", str(exc), 408, retry_after=RETRY_AFTER
             )
         except ReadOnlyDatabaseError as exc:
             # Fenced/deposed primary: the write provably did not execute,
@@ -734,7 +734,7 @@ class OntoAccessEndpoint:
             # by the replica quorum.  NOT safe to blindly retry.
             response = protocol.error_json(
                 "replication-degraded", str(exc), 503,
-                retry_after=self.retry_after,
+                retry_after=RETRY_AFTER,
             )
         except DurabilityError as exc:
             response = protocol.error_json("storage-degraded", str(exc), 503)
@@ -986,7 +986,7 @@ class OntoAccessEndpoint:
                 "replica-syncing",
                 "replica has not finished bootstrap replay",
                 503,
-                retry_after=self.retry_after,
+                retry_after=RETRY_AFTER,
                 replica=self.replica.status(),
             )
         backend = self.session.health()
@@ -1172,7 +1172,7 @@ class OntoAccessEndpoint:
                             "overloaded",
                             "server is at capacity; retry after backoff",
                             503,
-                            retry_after=endpoint.retry_after,
+                            retry_after=RETRY_AFTER,
                         ),
                         None, op, trace, started,
                     )
@@ -1357,7 +1357,6 @@ class OntoAccessEndpoint:
             (self.host, self._requested_port),
             Handler,
             max_connections=self.max_connections,
-            retry_after=self.retry_after,
         )
         self._thread = threading.Thread(
             target=self._server.serve_forever, daemon=True

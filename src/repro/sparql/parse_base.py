@@ -1,344 +1,127 @@
-"""Shared scanning machinery for the SPARQL query and update parsers.
+"""What SPARQL adds to the term grammar it shares with Turtle.
 
-SPARQL reuses Turtle's term syntax (the paper notes that SPARQL/Update
-reuses the SPARQL grammar), so this base parser provides: prologue handling
-(PREFIX/BASE), term parsing including variables, and group-graph-pattern
-parsing used both by query WHERE clauses and by the MODIFY operation's
-clauses.  Patterns are represented with the AST nodes of
-:mod:`repro.sparql.algebra_ast`.
+SPARQL reuses Turtle's term syntax, and SPARQL/Update reuses the SPARQL
+grammar (the paper builds on both), so the prologue, every RDF term and
+the ``;`` / ``,`` predicate-object list are scanned by
+:class:`~repro.rdf.scanner.TermScanner` — the code the Turtle parser
+runs.  This base class of the query and update parsers keeps only what
+SPARQL alone has:
+
+* variables (``?x`` / ``$x``) — :meth:`verb` and :meth:`object` try one
+  first and fall through to the shared productions, so the shared code
+  never asks who is calling;
+* the anonymous blank node ``[]`` in a pattern (property lists and
+  collections are Turtle-only: the paper's patterns never nest);
+* triples blocks that end at ``}`` or at a pattern keyword instead of
+  needing a final ``.``;
+* group graph patterns with FILTER / OPTIONAL / UNION, and FILTER
+  expressions.
+
+Patterns are represented with the AST nodes of
+:mod:`repro.sparql.algebra_ast`; errors are
+:class:`~repro.errors.SPARQLParseError` with line and column.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional
 
 from ..errors import SPARQLParseError
-from ..rdf.namespace import RDF, PrefixMap
-from ..rdf.terms import (
-    XSD_BOOLEAN,
-    XSD_DECIMAL,
-    XSD_DOUBLE,
-    XSD_INTEGER,
-    BNode,
-    Literal,
-    Term,
-    Triple,
-    URIRef,
-    Variable,
-)
+from ..rdf.namespace import PrefixMap
+from ..rdf.scanner import TermScanner
+from ..rdf.terms import BNode, Term, Triple, Variable
 from . import algebra_ast as alg
 
-_IRIREF_RE = re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")
-_PREFIX_DECL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_.\-]*)?:")
 _VAR_RE = re.compile(r"[?$]([A-Za-z_][A-Za-z0-9_]*)")
-_BNODE_RE = re.compile(r"_:([A-Za-z0-9_][A-Za-z0-9_.\-]*)")
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)")
-_LANGTAG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
-_NAME_CHAR = re.compile(r"[A-Za-z0-9_\-.]")
+_PATTERN_KEYWORD_RE = re.compile(r"(?:FILTER|OPTIONAL|UNION)(?![A-Za-z0-9_])", re.I)
+#: ``<`` opens an IRI, not a comparison, when a ``>`` closes it first.
+_IRI_AHEAD_RE = re.compile(r"<[^ =<>]*>")
 
 __all__ = ["SPARQLParserBase"]
 
 
-class SPARQLParserBase:
-    """Scanner + shared productions; query/update parsers subclass this."""
+class SPARQLParserBase(TermScanner):
+    """Variables, triples blocks, graph patterns and expressions;
+    the query and update parsers subclass this."""
+
+    error_class = SPARQLParseError
 
     def __init__(self, text: str, prefixes: Optional[PrefixMap] = None) -> None:
-        self.text = text
-        self.pos = 0
-        self.length = len(text)
-        self.base = ""
-        self.prefixes = prefixes.copy() if prefixes is not None else PrefixMap()
+        super().__init__(text, prefixes=prefixes)
         self._anon_counter = 0
 
-    # -- scanning ------------------------------------------------------------
-
-    def error(self, message: str) -> SPARQLParseError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        column = self.pos - self.text.rfind("\n", 0, self.pos)
-        return SPARQLParseError(message, line=line, column=column)
-
-    def skip_ws(self) -> None:
-        while self.pos < self.length:
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":
-                nl = self.text.find("\n", self.pos)
-                self.pos = self.length if nl == -1 else nl + 1
-            else:
-                return
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < self.length else ""
-
-    def at_keyword(self, keyword: str) -> bool:
-        """Case-insensitive keyword lookahead with a word boundary."""
-        end = self.pos + len(keyword)
-        if self.text[self.pos:end].upper() != keyword.upper():
-            return False
-        if end < self.length and (self.text[end].isalnum() or self.text[end] == "_"):
-            return False
-        return True
-
-    def accept_keyword(self, keyword: str) -> bool:
-        self.skip_ws()
-        if self.at_keyword(keyword):
-            self.pos += len(keyword)
-            return True
-        return False
-
-    def expect_keyword(self, keyword: str) -> None:
-        if not self.accept_keyword(keyword):
-            raise self.error(f"expected keyword {keyword}")
-
-    def accept(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token: str) -> None:
-        if not self.accept(token):
-            raise self.error(f"expected {token!r}")
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= self.length
-
     def expect_end(self) -> None:
-        self.skip_ws()
-        if self.pos < self.length:
+        if not self.at_end():
             raise self.error("unexpected trailing input")
-
-    # -- prologue ------------------------------------------------------------
-
-    def parse_prologue(self) -> None:
-        while True:
-            self.skip_ws()
-            if self.at_keyword("PREFIX"):
-                self.pos += len("PREFIX")
-                self.skip_ws()
-                m = _PREFIX_DECL_RE.match(self.text, self.pos)
-                if not m:
-                    raise self.error("expected prefix name")
-                self.pos = m.end()
-                self.skip_ws()
-                uri = self._parse_iriref()
-                self.prefixes.bind(m.group(1) or "", uri.value)
-            elif self.at_keyword("BASE"):
-                self.pos += len("BASE")
-                self.skip_ws()
-                self.base = self._parse_iriref().value
-            else:
-                return
 
     # -- terms ---------------------------------------------------------------
 
-    def _parse_iriref(self) -> URIRef:
-        self.skip_ws()
-        m = _IRIREF_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("malformed IRI reference")
-        self.pos = m.end()
-        value = m.group(1)
-        if self.base and not re.match(r"^[A-Za-z][A-Za-z0-9+.\-]*:", value):
-            value = self.base.rstrip("/") + "/" + value.lstrip("/")
-        return URIRef(value)
-
-    def try_parse_variable(self) -> Optional[Variable]:
-        self.skip_ws()
+    def _variable(self) -> Optional[Variable]:
         m = _VAR_RE.match(self.text, self.pos)
         if not m:
             return None
         self.pos = m.end()
         return Variable(m.group(1))
 
-    def parse_variable(self) -> Variable:
-        var = self.try_parse_variable()
-        if var is None:
-            raise self.error("expected variable")
-        return var
-
-    def _try_parse_qname(self) -> Optional[URIRef]:
+    def try_parse_variable(self) -> Optional[Variable]:
         self.skip_ws()
-        m = _PREFIX_DECL_RE.match(self.text, self.pos)
-        if not m:
-            return None
-        prefix = m.group(1) or ""
-        namespace = self.prefixes.resolve(prefix)
-        if namespace is None:
-            raise self.error(f"unbound prefix: {prefix!r}")
-        scan = m.end()
-        chars: List[str] = []
-        while scan < self.length:
-            ch = self.text[scan]
-            if ch.isalnum() or ch in "_-" or (
-                ch == "." and scan + 1 < self.length and _NAME_CHAR.match(self.text[scan + 1])
-            ):
-                chars.append(ch)
-                scan += 1
-            else:
-                break
-        self.pos = scan
-        return URIRef(namespace + "".join(chars))
+        return self._variable()
 
-    def parse_term(self, allow_variables: bool = True) -> Term:
-        """Parse any RDF term (and optionally variables)."""
-        self.skip_ws()
-        ch = self.peek()
-        if allow_variables:
-            var = self.try_parse_variable()
-            if var is not None:
-                return var
-        if ch == "<":
-            return self._parse_iriref()
-        if self.text.startswith("_:", self.pos):
-            m = _BNODE_RE.match(self.text, self.pos)
-            if not m:
-                raise self.error("malformed blank node label")
-            self.pos = m.end()
-            return BNode(m.group(1))
-        if ch == "[":
+    def verb(self) -> Term:
+        """A variable, or the shared verb (IRI, prefixed name, ``a``)."""
+        return self._variable() or TermScanner.verb(self)
+
+    def object(self) -> Term:
+        """A variable, ``[]``, or a shared RDF term."""
+        variable = self._variable()
+        if variable is not None:
+            return variable
+        if self.text.startswith("[", self.pos):
             # anonymous bnode []; property lists are not supported in
             # patterns (rarely used, and absent from the paper's examples)
             start = self.pos
             self.pos += 1
-            self.skip_ws()
-            if self.peek() == "]":
-                self.pos += 1
-                self._anon_counter += 1
-                return BNode(f"anon{self._anon_counter}")
-            self.pos = start
-            raise self.error("blank node property lists are not supported here")
-        if ch in "\"'":
-            return self._parse_literal()
-        if ch.isdigit() or (ch in "+-." and _NUMBER_RE.match(self.text, self.pos)):
-            return self._parse_number()
-        if self.at_keyword("true"):
-            self.pos += 4
-            return Literal("true", datatype=XSD_BOOLEAN)
-        if self.at_keyword("false"):
-            self.pos += 5
-            return Literal("false", datatype=XSD_BOOLEAN)
-        if ch == "a" and not _NAME_CHAR.match(self.text[self.pos + 1: self.pos + 2] or " "):
-            self.pos += 1
-            return RDF.type
-        qname = self._try_parse_qname()
-        if qname is not None:
-            return qname
-        raise self.error("expected RDF term")
+            if not self.accept("]"):
+                self.pos = start
+                raise self.error("blank node property lists are not supported here")
+            self._anon_counter += 1
+            return BNode(f"anon{self._anon_counter}")
+        return self.term()
 
-    def _parse_literal(self) -> Literal:
-        lexical = self._parse_string()
-        m = _LANGTAG_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return Literal(lexical, language=m.group(1))
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            self.skip_ws()
-            if self.peek() == "<":
-                datatype = self._parse_iriref()
-            else:
-                datatype = self._try_parse_qname()
-                if datatype is None:
-                    raise self.error("expected datatype IRI")
-            return Literal(lexical, datatype=datatype)
-        return Literal(lexical)
-
-    def _parse_string(self) -> str:
-        quote = self.peek()
-        if quote not in "\"'":
-            raise self.error("expected string literal")
-        long_delim = quote * 3
-        if self.text.startswith(long_delim, self.pos):
-            self.pos += 3
-            end = self.text.find(long_delim, self.pos)
-            if end == -1:
-                raise self.error("unterminated long string")
-            raw = self.text[self.pos:end]
-            self.pos = end + 3
-            return _unescape(raw, self.error)
-        self.pos += 1
-        chars: List[str] = []
-        while True:
-            if self.pos >= self.length:
-                raise self.error("unterminated string literal")
-            ch = self.text[self.pos]
-            if ch == quote:
-                self.pos += 1
-                return _unescape("".join(chars), self.error)
-            if ch in "\n\r":
-                raise self.error("newline in string literal")
-            if ch == "\\":
-                chars.append(self.text[self.pos: self.pos + 2])
-                self.pos += 2
-                continue
-            chars.append(ch)
-            self.pos += 1
-
-    def _parse_number(self) -> Literal:
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("malformed number")
-        self.pos = m.end()
-        lexical = m.group(0)
-        if lexical.endswith(".") and "e" not in lexical.lower():
-            lexical = lexical[:-1]
-            self.pos -= 1
-        if "e" in lexical.lower():
-            datatype = XSD_DOUBLE
-        elif "." in lexical:
-            datatype = XSD_DECIMAL
-        else:
-            datatype = XSD_INTEGER
-        return Literal(lexical, datatype=datatype)
+    def parse_term(self) -> Term:
+        """Any RDF term or variable, after optional whitespace."""
+        self.skip_ws()
+        return self.object()
 
     # -- triple blocks ---------------------------------------------------------
 
-    def parse_triples_block(
-        self, allow_variables: bool = True
-    ) -> List[Triple]:
+    def at_list_end(self) -> bool:
+        """A block also ends where FILTER / OPTIONAL / UNION begins."""
+        return (
+            self.text[self.pos: self.pos + 1] in ".]}"
+            or _PATTERN_KEYWORD_RE.match(self.text, self.pos) is not None
+        )
+
+    def parse_triples_block(self) -> List[Triple]:
         """Parse triples with ``;`` and ``,`` shorthand until a delimiter.
 
         Used for INSERT/DELETE DATA payloads, CONSTRUCT/MODIFY templates,
-        and the triple-pattern part of group graph patterns.
+        and the triple-pattern part of group graph patterns.  The ``.``
+        separates statements; the last one may omit it.
         """
         triples: List[Triple] = []
         while True:
             self.skip_ws()
-            if self.peek() in ("}", "") or self._at_pattern_keyword():
+            if self.at_list_end():
                 return triples
-            subject = self.parse_term(allow_variables)
+            subject = self.object()
             self.skip_ws()
-            while True:
-                predicate = self.parse_term(allow_variables)
-                if isinstance(predicate, (Literal, BNode)):
-                    raise self.error("predicate must be an IRI or variable")
-                while True:
-                    obj = self.parse_term(allow_variables)
-                    triples.append(Triple(subject, predicate, obj))
-                    if not self.accept(","):
-                        break
-                if self.accept(";"):
-                    self.skip_ws()
-                    if self.peek() in ("}", ".", "") or self._at_pattern_keyword():
-                        break
-                    continue
-                break
-            self.skip_ws()
+            self.predicate_object_list(subject, triples)
             if not self.accept("."):
-                self.skip_ws()
-                if self.peek() in ("}", "") or self._at_pattern_keyword():
+                if self.at_list_end():
                     return triples
                 raise self.error("expected '.' between triples")
-
-    def _at_pattern_keyword(self) -> bool:
-        return any(
-            self.at_keyword(k) for k in ("FILTER", "OPTIONAL", "UNION")
-        )
 
     # -- group graph patterns -----------------------------------------------------
 
@@ -370,7 +153,7 @@ class SPARQLParserBase:
                     elements.append(left)
                 self.accept(".")
                 continue
-            triples = self.parse_triples_block(allow_variables=True)
+            triples = self.parse_triples_block()
             if not triples:
                 raise self.error("expected graph pattern element")
             elements.extend(alg.TriplePattern(t) for t in triples)
@@ -403,11 +186,7 @@ class SPARQLParserBase:
         self.skip_ws()
         for op in ("<=", ">=", "!=", "=", "<", ">"):
             if self.text.startswith(op, self.pos):
-                # Avoid consuming '<' of an IRI: require the char after '<'
-                # not start an IRI when op is '<'.
-                if op == "<" and re.match(
-                    r"<[^ =<>]*>", self.text[self.pos:]
-                ):
+                if op == "<" and _IRI_AHEAD_RE.match(self.text, self.pos):
                     break
                 self.pos += len(op)
                 return alg.Comparison(op, left, self._additive_expression())
@@ -420,7 +199,7 @@ class SPARQLParserBase:
             if self.peek() == "+":
                 self.pos += 1
                 left = alg.Arithmetic("+", left, self._multiplicative_expression())
-            elif self.peek() == "-" and not _NUMBER_RE.match(self.text, self.pos):
+            elif self.peek() == "-":
                 self.pos += 1
                 left = alg.Arithmetic("-", left, self._multiplicative_expression())
             else:
@@ -473,43 +252,4 @@ class SPARQLParserBase:
                     args.append(self.parse_expression())
                 self.expect(")")
                 return alg.FunctionExpr(name.upper(), tuple(args))
-        term = self.parse_term(allow_variables=True)
-        return alg.TermExpr(term)
-
-
-_ESCAPES = {
-    "t": "\t",
-    "b": "\b",
-    "n": "\n",
-    "r": "\r",
-    "f": "\f",
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-}
-
-
-def _unescape(raw: str, error) -> str:
-    if "\\" not in raw:
-        return raw
-    out: List[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        esc = raw[i + 1]
-        if esc in _ESCAPES:
-            out.append(_ESCAPES[esc])
-            i += 2
-        elif esc == "u":
-            out.append(chr(int(raw[i + 2: i + 6], 16)))
-            i += 6
-        elif esc == "U":
-            out.append(chr(int(raw[i + 2: i + 10], 16)))
-            i += 10
-        else:
-            raise error(f"unknown escape \\{esc}")
-    return "".join(out)
+        return alg.TermExpr(self.parse_term())

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..rdf.namespace import PrefixMap
-from ..rdf.terms import Triple, Variable
-from .algebra_ast import GroupPattern
+from ..rdf.terms import Variable
+from .algebra_ast import TermExpr
 from .parse_base import SPARQLParserBase
 from .query_ast import AskQuery, ConstructQuery, OrderCondition, Query, SelectQuery
 
@@ -25,9 +25,12 @@ def parse_query(text: str, prefixes: Optional[PrefixMap] = None) -> Query:
 
 
 class QueryParser(SPARQLParserBase):
+    #: The keywords a query starts with behind the prologue;
+    #: ``Session.prepare`` routes on them.
+    FORMS = ("SELECT", "ASK", "CONSTRUCT")
+
     def query(self) -> Query:
-        self.parse_prologue()
-        self.skip_ws()
+        self.prologue()
         if self.at_keyword("SELECT"):
             result = self._select()
         elif self.at_keyword("ASK"):
@@ -74,7 +77,7 @@ class QueryParser(SPARQLParserBase):
     def _construct(self) -> ConstructQuery:
         self.expect_keyword("CONSTRUCT")
         self.expect("{")
-        template = self.parse_triples_block(allow_variables=True)
+        template = self.parse_triples_block()
         self.expect("}")
         self.expect_keyword("WHERE")
         where = self.parse_group_graph_pattern()
@@ -103,8 +106,6 @@ class QueryParser(SPARQLParserBase):
                     var = self.try_parse_variable()
                     if var is None:
                         break
-                    from .algebra_ast import TermExpr
-
                     order_by.append(OrderCondition(TermExpr(var), False))
             if not order_by:
                 raise self.error("expected order condition after ORDER BY")

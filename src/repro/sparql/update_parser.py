@@ -60,9 +60,12 @@ def parse_update(
 class UpdateParser(SPARQLParserBase):
     #: When True, data blocks may contain variables (prepared templates).
     allow_placeholders = False
+    #: The keywords an operation starts with; ``Session.prepare`` routes
+    #: on them.
+    FORMS = ("INSERT", "DELETE", "MODIFY", "CLEAR")
 
     def request(self) -> UpdateRequest:
-        self.parse_prologue()
+        self.prologue()
         operations: List[UpdateOperation] = [self._operation()]
         while True:
             self.accept(";")
@@ -105,7 +108,7 @@ class UpdateParser(SPARQLParserBase):
             # the mediator has a single graph, so accept and ignore it.
             self.skip_ws()
             if self.peek() == "<":
-                self._parse_iriref()
+                self.iriref()
             delete_template = ()
             insert_template = ()
             if self.accept_keyword("DELETE"):
@@ -127,13 +130,13 @@ class UpdateParser(SPARQLParserBase):
 
     def _template(self) -> Tuple[Triple, ...]:
         self.expect("{")
-        triples = self.parse_triples_block(allow_variables=True)
+        triples = self.parse_triples_block()
         self.expect("}")
         return tuple(triples)
 
     def _concrete_triples(self, operation: str) -> Tuple[Triple, ...]:
         self.expect("{")
-        triples = self.parse_triples_block(allow_variables=True)
+        triples = self.parse_triples_block()
         self.expect("}")
         if not self.allow_placeholders:
             for triple in triples:

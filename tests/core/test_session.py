@@ -20,6 +20,7 @@ from repro import (
 )
 from repro.baselines import MappingAwareTripleStore
 from repro.core.session import PreparedQuery, PreparedUpdate
+from repro.errors import SPARQLParseError
 from repro.rdf.terms import Literal, URIRef
 from repro.workloads.publication import (
     build_database,
@@ -73,12 +74,14 @@ def session(mediator):
 
 class TestPrepare:
     def test_prepare_sniffs_update_vs_query(self, session):
+        """The first keyword behind the prologue picks the parser."""
         assert isinstance(session.prepare(INSERT_TEAM), PreparedUpdate)
         assert isinstance(session.prepare(QUERY_NAMES), PreparedQuery)
 
     def test_sniffing_ignores_keywords_inside_iris_and_strings(self, session):
-        """'delete' inside a prefix IRI must not route a SELECT to the
-        update parser (and vice versa)."""
+        """Routing reads the prologue with the parsers' own scanner, so
+        'delete' inside a prefix IRI, 'AskConstruct' inside a string or a
+        keyword inside a comment never routes a request."""
         query = (
             "PREFIX ex: <http://example.org/delete/>\n"
             "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n"
@@ -99,8 +102,8 @@ class TestPrepare:
         assert isinstance(session.prepare(commented), PreparedQuery)
 
     def test_prepare_falls_back_when_sniff_is_wrong(self, session):
-        """A prefix *label* shaped like an update keyword fools the
-        sniff; the parse-failure fallback must still route correctly."""
+        """A prefix *label* shaped like an update keyword is part of the
+        prologue, not the request's first keyword."""
         query = (
             "PREFIX insert: <http://example.org/i/>\n"
             "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n"
@@ -109,6 +112,31 @@ class TestPrepare:
         prepared = session.prepare(query)
         assert isinstance(prepared, PreparedQuery)
         assert len(prepared.execute().rows()) == 1
+
+    def test_syntax_error_is_reported_by_the_right_parser(self, session):
+        """A mistyped query used to be parsed twice and answered with the
+        *update* parser's complaint about its first keyword (and the
+        other way round); the error is the real one at the real place."""
+        query = PREFIXES + "SELECT ?n WHERE { ?x foaf:name }"
+        with pytest.raises(SPARQLParseError, match="expected an RDF term") as exc:
+            session.prepare(query)
+        assert "INSERT" not in str(exc.value)
+        last_line = query.splitlines()[-1]
+        assert exc.value.line == len(query.splitlines())
+        assert exc.value.column == last_line.index("}") + 1 > last_line.index("WHERE")
+        update = PREFIXES + "INSERT DATA { ex:team4 foaf:name }"
+        with pytest.raises(SPARQLParseError, match="expected an RDF term") as exc:
+            session.prepare(update)
+        assert "SELECT" not in str(exc.value)
+
+    def test_unknown_request_form_names_every_keyword(self, session):
+        with pytest.raises(SPARQLParseError) as exc:
+            session.prepare(PREFIXES + "DESCRIBE ex:author6")
+        for keyword in (
+            "SELECT", "ASK", "CONSTRUCT", "INSERT", "DELETE", "MODIFY", "CLEAR"
+        ):
+            assert keyword in str(exc.value)
+        assert exc.value.line == len(PREFIXES.splitlines()) + 1  # the DESCRIBE line
 
     def test_prepared_queries_are_cached_by_text(self, session):
         assert session.prepare(QUERY_NAMES) is session.prepare(QUERY_NAMES)

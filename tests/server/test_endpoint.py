@@ -1,8 +1,12 @@
 """Tests for the HTTP endpoint and client (paper Section 6)."""
 
+import http.client
+import time
+
 import pytest
 
 from repro import OntoAccess
+from repro.observability.metrics import REQUESTS
 from repro.rdf import OA, RDF
 from repro.server import OntoAccessClient, OntoAccessEndpoint
 from repro.workloads.publication import (
@@ -224,6 +228,57 @@ class TestOverHTTP:
             second = client.update(UPDATE_OK.replace("team4", "team7"))
             assert second.ok
             assert endpoint.mediator.db.row_count("team") == 3  # seed + 2
+
+
+    @pytest.mark.parametrize(
+        "literal",
+        ['"""say \\""""', '"x\\uZZZZ"', '"x\\u12"', '"x\\q"'],
+        ids=["escaped-quote-before-long-close", "non-hex-u", "short-u", "unknown"],
+    )
+    def test_malformed_literal_is_answered_not_dropped(self, endpoint, literal):
+        """Outside input the string scanner cannot digest used to leave
+        ``_respond`` as a bare IndexError / ValueError: the handler thread
+        died, the peer saw a dropped connection and the request was never
+        counted.  It is a parse error like any other: 400 with the RDF
+        feedback graph (or, for the first spelling, simply valid), on a
+        connection that stays usable."""
+        body = (
+            "PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
+            "PREFIX ex: <http://example.org/db/> "
+            "INSERT DATA { ex:team9 foaf:name %s . }" % literal
+        )
+        valid = literal.startswith('"""')
+        status = "200" if valid else "400"
+        before = REQUESTS.labels("update", status).value()
+        with endpoint:
+            conn = http.client.HTTPConnection("127.0.0.1", endpoint.port, timeout=10)
+            try:
+                conn.request("POST", "/update", body=body.encode("utf-8"))
+                response = conn.getresponse()
+                text = response.read().decode()
+                assert response.status == int(status)
+                assert response.getheader("Content-Type").startswith("text/turtle")
+                if valid:
+                    row = endpoint.mediator.db.get_row_by_pk("team", (9,))
+                    assert row["name"] == 'say "'
+                else:
+                    assert "unsupported-request" in text
+                    assert "bad escape sequence" in text
+                # the same connection serves the next request
+                conn.request("POST", "/query", body=SELECT_NAMES.encode("utf-8"))
+                second = conn.getresponse()
+                assert second.status == 200
+                assert "Hert" in second.read().decode()
+            finally:
+                conn.close()
+            # counted (bookkeeping lands after the response is flushed)
+            deadline = time.monotonic() + 5.0
+            while (
+                REQUESTS.labels("update", status).value() < before + 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert REQUESTS.labels("update", status).value() >= before + 1
 
 
 SELECT_NAMES = (
