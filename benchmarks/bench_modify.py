@@ -77,6 +77,7 @@ def test_modify_where_clause_select_sql(benchmark):
     """Algorithm 2 line 5: translateSelect — the SQL of the WHERE clause."""
     from repro.core.modify import bindings_for_pattern
     from repro.sparql import parse_update
+    from repro.sql.render import render
 
     db, mediator = _seeded()
     operation = parse_update(LISTING_11).operations[0]
@@ -84,7 +85,8 @@ def test_modify_where_clause_select_sql(benchmark):
     def run():
         return bindings_for_pattern(mediator.mapping, db, operation.where)
 
-    solutions, used_sql, select_sql = benchmark(run)
+    solutions, used_sql, select = benchmark(run)
+    select_sql = render(select)  # shape + values, printed when wanted
     report("Translated SELECT for the WHERE clause", [select_sql])
     assert used_sql
     assert len(solutions) == 1

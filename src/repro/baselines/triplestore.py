@@ -119,7 +119,9 @@ class MappingAwareTripleStore(NativeTripleStore):
             removed += self._cleanup_types(triples)
             return 0, removed
         if isinstance(operation, Modify):
-            solutions = evaluate_pattern(self.graph, operation.where)
+            solutions = evaluate_pattern(
+                self.graph, operation.where, operation.bindings
+            )
             to_remove = []
             to_add = []
             for solution in solutions:

@@ -19,11 +19,16 @@ scope lives in exactly one place (the session), never in the backend.
 
 Each job has one seam.  Updates: every entry point (facade, session,
 prepared update, HTTP) ends in :meth:`Backend.execute_operation`, which
-translates against the current state and runs the SQL — nothing about an
-update is cached here, because translation reads row data.  Queries:
+translates against the current state and runs the SQL — the DML of an
+update is never kept, because translating it reads row data.  Queries:
 :meth:`Backend.query_outcome`, or :meth:`Backend.prepare_query` for a
-handle that keeps what does not depend on row data (on the relational
-backend, the pattern translation per mapping/schema version).
+handle that keeps what does not depend on row data.  On the relational
+backend that is the translation of a WHERE *template*
+(:class:`PreparedPattern`): one per prepared query and one per prepared
+MODIFY, whatever its placeholders are bound to, per mapping/schema
+version.  What reaches the engine is always a statement shape plus a
+value vector (:class:`repro.sql.ast.Bound`), so the engine's plans are
+per template too.
 
 Backends do NOT begin/commit transactions around operations themselves —
 ``execute_operation`` always runs inside a transaction the caller opened.
@@ -49,6 +54,8 @@ from ..rdb.engine import Database
 from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
 from ..r3m.model import DatabaseMapping
+from ..sparql.algebra import Solution
+from ..sparql.algebra_ast import GroupPattern
 from ..sparql.query_ast import Query
 from ..sparql.update_ast import (
     Clear,
@@ -74,6 +81,8 @@ from .query import (
 __all__ = [
     "Backend",
     "OperationResult",
+    "PreparedModify",
+    "PreparedPattern",
     "RelationalBackend",
     "TripleStoreBackend",
     "UpdateResult",
@@ -86,7 +95,7 @@ class OperationResult:
     """Outcome of one translated + executed update operation."""
 
     kind: str  # 'insert-data' | 'delete-data' | 'modify' | 'clear'
-    statements: List[ast.Statement] = field(default_factory=list)
+    statements: List[ast.Bound] = field(default_factory=list)
     rows_affected: int = 0
     bindings: int = 0
     #: True when a MODIFY evaluated its WHERE via translated SQL
@@ -171,7 +180,7 @@ class Backend(abc.ABC):
 
     def translate_operation(
         self, operation: UpdateOperation
-    ) -> List[ast.Statement]:
+    ) -> List[ast.Bound]:
         """Dry-run translation (backends without SQL return nothing)."""
         return []
 
@@ -201,8 +210,13 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def query_outcome(
-        self, q: Union[str, Query], prefixes: Optional[PrefixMap] = None
-    ) -> QueryOutcome: ...
+        self,
+        q: Union[str, Query],
+        prefixes: Optional[PrefixMap] = None,
+        bindings: Optional[Solution] = None,
+    ) -> QueryOutcome:
+        """Run a query; ``bindings`` are initial bindings of its WHERE
+        pattern (a prepared query's placeholders)."""
 
     def prepare_query(self, q: Query) -> "PreparedQueryPlan":
         return PreparedQueryPlan(self, q)
@@ -239,8 +253,74 @@ class PreparedQueryPlan:
         self.backend = backend
         self.query = query
 
-    def outcome(self) -> QueryOutcome:
-        return self.backend.query_outcome(self.query)
+    def outcome(self, bindings: Optional[Solution] = None) -> QueryOutcome:
+        return self.backend.query_outcome(self.query, bindings=bindings)
+
+
+class PreparedPattern:
+    """A WHERE template and the one translation the relational backend
+    keeps for it — of a prepared query or a prepared MODIFY.
+
+    The SPARQL→SQL translation never depends on row data, and for a
+    template it depends on the *kind* of term each placeholder is bound
+    to, not on the term: so it is kept per (mapping, schema) version and
+    handed back to :func:`~repro.core.query.solve_pattern`, which binds
+    it again (a few µs) and translates only when a binding does not fit
+    what was kept — that translation then takes the slot.  Executions
+    therefore share one statement shape, hence one plan.
+
+    Thread-safe without a lock (prepared queries are shared by reader
+    threads): the slot is one atomically swapped tuple, so concurrent
+    callers either reuse what is kept or redundantly translate the same
+    template (benign), and never observe a half-updated pair.
+    """
+
+    __slots__ = ("pattern", "_kept")
+
+    def __init__(self, pattern: GroupPattern) -> None:
+        self.pattern = pattern
+        #: (version, translation — None when the template is known to be
+        #: untranslatable with nothing bound); replaced wholesale.
+        self._kept: Tuple[Any, Any] = (None, None)
+
+    def solve(
+        self, backend: "RelationalBackend", bindings: Optional[Solution]
+    ) -> Tuple[List[Solution], Optional[ast.Bound]]:
+        """The solutions under ``bindings`` and the SELECT that produced
+        them (None: evaluated over the dump)."""
+        current = backend.query_state_version()
+        version, kept = self._kept
+        known = version == current
+        solutions, statement, translated = solve_pattern(
+            backend.mapping,
+            backend.db,
+            self.pattern,
+            # Known-untranslatable: go straight to the dump evaluation
+            # instead of re-attempting translation.
+            force_fallback=backend.force_query_fallback
+            or (known and kept is None and not bindings),
+            bindings=bindings,
+            kept=kept if known else None,
+        )
+        if (
+            not (known and translated is kept)
+            and not backend.force_query_fallback
+            # Whether a template translates can depend on what is bound,
+            # so a failure under bindings says nothing about the next.
+            and (translated is not None or not bindings)
+        ):
+            self._kept = (current, translated)
+        return solutions, statement
+
+
+@dataclass(frozen=True)
+class PreparedModify(Modify):
+    """One execution of a prepared MODIFY: the operation under its
+    ``bindings`` — what any backend can execute — plus the place where
+    the relational backend keeps the translation of its WHERE template
+    between executions."""
+
+    template: Optional[PreparedPattern] = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +363,7 @@ class RelationalBackend(Backend):
 
     def translate_operation(
         self, operation: UpdateOperation
-    ) -> List[ast.Statement]:
+    ) -> List[ast.Bound]:
         if isinstance(operation, InsertData):
             return translate_insert_data(self.mapping, self.db, operation.triples)
         if isinstance(operation, DeleteData):
@@ -299,7 +379,7 @@ class RelationalBackend(Backend):
             return plan.all_statements()
         if isinstance(operation, Clear):
             return [
-                ast.Delete(table=name)
+                ast.Bound(ast.Delete(table=name))
                 for name in reversed(safe_clear_order(self.mapping, self.db))
             ]
         raise TranslationError(
@@ -321,12 +401,19 @@ class RelationalBackend(Backend):
     def _execute_modify(self, operation: Modify) -> OperationResult:
         """Algorithm 2: evaluate WHERE, then per binding translate and
         execute the DELETE DATA / INSERT DATA pair (lines 7–13)."""
-        solutions, used_sql, _ = bindings_for_pattern(
-            self.mapping,
-            self.db,
-            operation.where,
-            force_fallback=self.force_query_fallback,
-        )
+        if isinstance(operation, PreparedModify):
+            solutions, select = operation.template.solve(
+                self, operation.bindings
+            )
+            used_sql = select is not None
+        else:
+            solutions, used_sql, _ = bindings_for_pattern(
+                self.mapping,
+                self.db,
+                operation.where,
+                force_fallback=self.force_query_fallback,
+                bindings=operation.bindings,
+            )
         result = OperationResult(
             kind="modify", bindings=len(solutions), used_sql_select=used_sql
         )
@@ -366,7 +453,10 @@ class RelationalBackend(Backend):
     # -- read path ------------------------------------------------------
 
     def query_outcome(
-        self, q: Union[str, Query], prefixes: Optional[PrefixMap] = None
+        self,
+        q: Union[str, Query],
+        prefixes: Optional[PrefixMap] = None,
+        bindings: Optional[Solution] = None,
     ) -> QueryOutcome:
         outcome = execute_query(
             self.mapping,
@@ -374,6 +464,7 @@ class RelationalBackend(Backend):
             q,
             prefixes=prefixes,
             force_fallback=self.force_query_fallback,
+            bindings=bindings,
         )
         annotate(backend=self.name, used_sql=outcome.used_sql)
         return outcome
@@ -424,44 +515,20 @@ class RelationalBackend(Backend):
 
 
 class _PreparedRdbQuery(PreparedQueryPlan):
-    """Prepared relational query: the SPARQL→SQL pattern translation is
-    kept per (mapping, schema) version (it never depends on row data) and
-    handed back to :func:`~repro.core.query.solve_pattern` on every call;
-    executions share the planner's compiled plan for the translated SELECT.
+    """Prepared relational query: its WHERE is a :class:`PreparedPattern`,
+    so an execution is bind → ``db.execute(shape + values)`` → decode."""
 
-    Thread-safe without a lock: the kept translation lives in one
-    atomically swapped tuple, so concurrent readers either reuse it or
-    redundantly recompute the identical translation (benign), and never
-    observe a half-updated pair of fields.
-    """
-
-    __slots__ = ("_state",)
+    __slots__ = ("_where",)
 
     def __init__(self, backend: RelationalBackend, query: Query) -> None:
         super().__init__(backend, query)
-        #: (version, translation — None when the pattern is known to be
-        #: untranslatable for that version); replaced wholesale.
-        self._state: Tuple[Any, Any] = (None, None)
+        self._where = PreparedPattern(query.where)
 
-    def outcome(self) -> QueryOutcome:
+    def outcome(self, bindings: Optional[Solution] = None) -> QueryOutcome:
         backend = self.backend
-        current = backend.query_state_version()
-        version, kept = self._state
-        known = version == current
-        solutions, translated = solve_pattern(
-            backend.mapping,
-            backend.db,
-            self.query.where,
-            # Known-untranslatable: go straight to the dump evaluation
-            # instead of re-attempting translation.
-            force_fallback=backend.force_query_fallback
-            or (known and kept is None),
-            translated=kept if known else None,
-        )
-        if not known and not backend.force_query_fallback:
-            self._state = (current, translated)
-        annotate(backend=backend.name, used_sql=translated is not None)
-        return outcome_from_solutions(self.query, solutions, translated)
+        solutions, statement = self._where.solve(backend, bindings)
+        annotate(backend=backend.name, used_sql=statement is not None)
+        return outcome_from_solutions(self.query, solutions, statement)
 
 
 # ---------------------------------------------------------------------------
@@ -593,18 +660,22 @@ class TripleStoreBackend(Backend):
             return cache[1]
 
     def query_outcome(
-        self, q: Union[str, Query], prefixes: Optional[PrefixMap] = None
+        self,
+        q: Union[str, Query],
+        prefixes: Optional[PrefixMap] = None,
+        bindings: Optional[Solution] = None,
     ) -> QueryOutcome:
         if (
             self.store.graph.journaling()
             and self._txn_owner == threading.get_ident()
         ):
             # Inside this thread's transaction: see our own writes.
-            result = self.store.query(q, prefixes=prefixes)
+            graph = self.store.graph
         else:
-            from ..sparql.engine import query as native_query
+            graph = self._committed_graph()
+        from ..sparql.engine import query as native_query
 
-            result = native_query(self._committed_graph(), q, prefixes=prefixes)
+        result = native_query(graph, q, prefixes=prefixes, bindings=bindings)
         annotate(backend=self.name, used_sql=False)
         return QueryOutcome(result=result, used_sql=False)
 

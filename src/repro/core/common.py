@@ -10,6 +10,11 @@ drivers compose:
   mapping and column types (used by steps 3 and 4);
 * classification of a subject group's triples into type / attribute /
   link-table triples;
+* :class:`Values` — the one collector every translator puts a request's
+  keys and values through: the SQL gets a parameter, the value goes into
+  the vector, and what leaves the translator is the pair
+  (:class:`repro.sql.ast.Bound`), so requests of one template share one
+  statement shape;
 * the helpers both drivers need exactly once: the ``WHERE pk = ...``
   condition addressing an entity's row (:meth:`EntityRef.pk_condition`),
   object URI → key of the referenced table (:func:`object_uri_to_key`),
@@ -45,6 +50,7 @@ from ..r3m.model import AttributeMapping, DatabaseMapping, LinkTableMapping, Tab
 from ..sql import ast
 
 __all__ = [
+    "Values",
     "EntityRef",
     "SubjectGroup",
     "group_by_subject",
@@ -68,6 +74,31 @@ def group_by_subject(triples: Tuple[Triple, ...]) -> List[Tuple[Term, List[Tripl
     return list(groups.items())
 
 
+class Values:
+    """The values of one statement under translation.
+
+    ``param(value)`` is how a key or value of the request enters the SQL:
+    it is appended to the vector and a :class:`~repro.sql.ast.Parameter`
+    takes its place in the statement.  ``NULL`` is part of the shape
+    (``None`` never travels as a value).  ``bind(shape)`` closes the
+    statement.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self) -> None:
+        self._values: List[Any] = []
+
+    def param(self, value: Any) -> ast.Expression:
+        if value is None:
+            return ast.Null()
+        self._values.append(value)
+        return ast.Parameter(len(self._values) - 1)
+
+    def bind(self, shape: ast.Statement) -> ast.Bound:
+        return ast.Bound(shape, tuple(self._values))
+
+
 @dataclass
 class EntityRef:
     """A subject resolved to a table and primary-key values (step 2)."""
@@ -87,12 +118,12 @@ class EntityRef:
     def current_row(self, db: Database) -> Optional[Dict[str, Any]]:
         return db.get_row_by_pk(self.table.table_name, self.pk_tuple(db))
 
-    def pk_condition(self, db: Database) -> ast.Expression:
+    def pk_condition(self, db: Database, values: Values) -> ast.Expression:
         """``pk1 = v1 AND pk2 = v2 ...`` addressing this entity's row."""
         condition: Optional[ast.Expression] = None
         for column in db.table(self.table.table_name).primary_key:
             clause = ast.BinaryOp(
-                "=", ast.ColumnRef(column), ast.Literal(self.key_values[column])
+                "=", ast.ColumnRef(column), values.param(self.key_values[column])
             )
             condition = clause if condition is None else ast.BinaryOp("AND", condition, clause)
         if condition is None:

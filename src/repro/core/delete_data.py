@@ -32,6 +32,7 @@ from ..sql import ast
 from .common import (
     EntityRef,
     SubjectGroup,
+    Values,
     classify_group,
     group_by_subject,
     link_keys,
@@ -47,9 +48,9 @@ def translate_delete_data(
     mapping: DatabaseMapping,
     db: Database,
     triples: Tuple[Triple, ...],
-) -> List[ast.Statement]:
+) -> List[ast.Bound]:
     """Translate a DELETE DATA payload to sorted SQL statements."""
-    statements: List[ast.Statement] = []
+    statements: List[ast.Bound] = []
     for subject, group_triples in group_by_subject(triples):
         group = classify_group(mapping, db, subject, group_triples)
         statements.extend(_translate_group(mapping, db, group))
@@ -58,9 +59,9 @@ def translate_delete_data(
 
 def _translate_group(
     mapping: DatabaseMapping, db: Database, group: SubjectGroup
-) -> List[ast.Statement]:
+) -> List[ast.Bound]:
     entity = group.entity
-    statements: List[ast.Statement] = []
+    statements: List[ast.Bound] = []
 
     for link, obj in group.link_values:
         statements.append(_link_delete(mapping, db, link, entity, obj))
@@ -83,10 +84,13 @@ def _translate_group(
     deleted_attrs = _verify_triples_hold(mapping, db, group, current)
 
     if _covers_all_remaining_data(db, group, current, deleted_attrs):
+        collected = Values()
         statements.append(
-            ast.Delete(
-                table=entity.table.table_name,
-                where=entity.pk_condition(db),
+            collected.bind(
+                ast.Delete(
+                    table=entity.table.table_name,
+                    where=entity.pk_condition(db, collected),
+                )
             )
         )
         return statements
@@ -120,18 +124,21 @@ def _translate_group(
             )
         assignments.append(ast.Assignment(name, ast.Null()))
     # WHERE pk AND attr = old-value, the guarded form of Listing 18.
-    condition = entity.pk_condition(db)
+    collected = Values()
+    condition = entity.pk_condition(db, collected)
     for name, old_value in deleted_attrs.items():
         condition = ast.BinaryOp(
             "AND",
             condition,
-            ast.BinaryOp("=", ast.ColumnRef(name), ast.Literal(old_value)),
+            ast.BinaryOp("=", ast.ColumnRef(name), collected.param(old_value)),
         )
     statements.append(
-        ast.Update(
-            table=entity.table.table_name,
-            assignments=tuple(assignments),
-            where=condition,
+        collected.bind(
+            ast.Update(
+                table=entity.table.table_name,
+                assignments=tuple(assignments),
+                where=condition,
+            )
         )
     )
     return statements
@@ -200,7 +207,7 @@ def _link_delete(
     link: LinkTableMapping,
     entity: EntityRef,
     obj: Object,
-) -> ast.Delete:
+) -> ast.Bound:
     subject_key, object_key = link_keys(mapping, db, link, entity, obj)
     subject_attr = link.subject_attribute.attribute_name
     object_attr = link.object_attribute.attribute_name
@@ -216,11 +223,18 @@ def _link_delete(
                 "object_key": object_key,
             },
         )
-    return ast.Delete(
-        table=link.table_name,
-        where=ast.BinaryOp(
-            "AND",
-            ast.BinaryOp("=", ast.ColumnRef(subject_attr), ast.Literal(subject_key)),
-            ast.BinaryOp("=", ast.ColumnRef(object_attr), ast.Literal(object_key)),
-        ),
+    collected = Values()
+    return collected.bind(
+        ast.Delete(
+            table=link.table_name,
+            where=ast.BinaryOp(
+                "AND",
+                ast.BinaryOp(
+                    "=", ast.ColumnRef(subject_attr), collected.param(subject_key)
+                ),
+                ast.BinaryOp(
+                    "=", ast.ColumnRef(object_attr), collected.param(object_key)
+                ),
+            ),
+        )
     )

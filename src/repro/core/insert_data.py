@@ -32,6 +32,7 @@ from ..r3m.model import DatabaseMapping, LinkTableMapping
 from ..sql import ast
 from .common import (
     SubjectGroup,
+    Values,
     classify_group,
     group_by_subject,
     link_keys,
@@ -48,9 +49,9 @@ def translate_insert_data(
     db: Database,
     triples: Tuple[Triple, ...],
     allow_overwrite: bool = False,
-) -> List[ast.Statement]:
+) -> List[ast.Bound]:
     """Translate an INSERT DATA payload to sorted SQL statements."""
-    statements: List[ast.Statement] = []
+    statements: List[ast.Bound] = []
     link_rows: List[Tuple[LinkTableMapping, Any, Any]] = []
     #: key values of entities this request itself creates — needed so a
     #: link triple can reference a row inserted by the same operation.
@@ -110,7 +111,7 @@ def _attribute_values(
 
 def _insert_statement(
     db: Database, group: SubjectGroup, values: Dict[str, Any]
-) -> ast.Insert:
+) -> ast.Bound:
     entity = group.entity
     table = entity.table
 
@@ -137,10 +138,13 @@ def _insert_statement(
 
     row = {**entity.key_values, **values}
     columns = tuple(row)
-    return ast.Insert(
-        table=table.table_name,
-        columns=columns,
-        rows=(tuple(_value_expr(row[c]) for c in columns),),
+    collected = Values()
+    return collected.bind(
+        ast.Insert(
+            table=table.table_name,
+            columns=columns,
+            rows=(tuple(collected.param(row[c]) for c in columns),),
+        )
     )
 
 
@@ -150,15 +154,18 @@ def _update_statement(
     values: Dict[str, Any],
     current: Dict[str, Any],
     allow_overwrite: bool,
-) -> Optional[ast.Update]:
+) -> Optional[ast.Bound]:
     """INSERT DATA on an existing entity → UPDATE filling NULLs."""
     entity = group.entity
+    collected = Values()
     assignments: List[ast.Assignment] = []
     for name, value in values.items():
         existing = current.get(name)
         if existing is None or allow_overwrite:
             if existing != value:
-                assignments.append(ast.Assignment(name, _value_expr(value)))
+                assignments.append(
+                    ast.Assignment(name, collected.param(value))
+                )
             continue
         if existing == value:
             continue  # the triple already holds; inserting it is a no-op
@@ -177,10 +184,12 @@ def _update_statement(
         )
     if not assignments:
         return None  # fully redundant insert: set semantics, nothing to do
-    return ast.Update(
-        table=entity.table.table_name,
-        assignments=tuple(assignments),
-        where=entity.pk_condition(db),
+    return collected.bind(
+        ast.Update(
+            table=entity.table.table_name,
+            assignments=tuple(assignments),
+            where=entity.pk_condition(db, collected),
+        )
     )
 
 
@@ -209,19 +218,18 @@ def _check_link_targets(
 
 def _link_insert(
     db: Database, link: LinkTableMapping, subject_key: Any, object_key: Any
-) -> Optional[ast.Insert]:
+) -> Optional[ast.Bound]:
     """INSERT into the link table, skipping pairs that already exist."""
     if link_row_exists(db, link, subject_key, object_key):
         return None  # triple already present: set semantics
-    return ast.Insert(
-        table=link.table_name,
-        columns=(
-            link.subject_attribute.attribute_name,
-            link.object_attribute.attribute_name,
-        ),
-        rows=((_value_expr(subject_key), _value_expr(object_key)),),
+    collected = Values()
+    return collected.bind(
+        ast.Insert(
+            table=link.table_name,
+            columns=(
+                link.subject_attribute.attribute_name,
+                link.object_attribute.attribute_name,
+            ),
+            rows=((collected.param(subject_key), collected.param(object_key)),),
+        )
     )
-
-
-def _value_expr(value: Any) -> ast.Expression:
-    return ast.Null() if value is None else ast.Literal(value)

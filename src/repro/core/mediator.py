@@ -155,7 +155,7 @@ class OntoAccess:
         """Translate without executing (dry run against current state)."""
         if isinstance(request, str):
             request = parse_update(request, prefixes=prefixes)
-        statements: List[ast.Statement] = []
+        statements: List[ast.Bound] = []
         # Translation reads row data (current_row, link lookups), so it
         # must serialize with concurrent writers like every session entry.
         with self._session._lock:

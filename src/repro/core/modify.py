@@ -32,6 +32,7 @@ from ..r3m.model import DatabaseMapping
 from ..sparql.algebra import Solution, instantiate
 from ..sparql.update_ast import Modify
 from ..sql import ast
+from ..sql.render import render
 from .delete_data import translate_delete_data
 from .insert_data import translate_insert_data
 from .query import solve_pattern
@@ -44,12 +45,12 @@ class BindingStep:
     """The work for one WHERE-result binding (Algorithm 2 lines 8–11)."""
 
     binding: Solution
-    delete_statements: List[ast.Statement] = field(default_factory=list)
-    insert_statements: List[ast.Statement] = field(default_factory=list)
+    delete_statements: List[ast.Bound] = field(default_factory=list)
+    insert_statements: List[ast.Bound] = field(default_factory=list)
     #: number of delete triples dropped by the redundancy optimization
     optimized_away: int = 0
 
-    def all_statements(self) -> List[ast.Statement]:
+    def all_statements(self) -> List[ast.Bound]:
         return [*self.delete_statements, *self.insert_statements]
 
 
@@ -59,9 +60,14 @@ class ModifyPlan:
 
     steps: List[BindingStep]
     used_sql_select: bool
-    select_sql: Optional[str] = None
+    #: the translated SELECT of the WHERE pattern (None: dump path)
+    select: Optional[ast.Bound] = None
 
-    def all_statements(self) -> List[ast.Statement]:
+    @property
+    def select_sql(self) -> Optional[str]:
+        return None if self.select is None else render(self.select)
+
+    def all_statements(self) -> List[ast.Bound]:
         return [s for step in self.steps for s in step.all_statements()]
 
 
@@ -70,18 +76,18 @@ def bindings_for_pattern(
     db: Database,
     pattern,
     force_fallback: bool = False,
-) -> Tuple[List[Solution], bool, Optional[str]]:
-    """Evaluate a WHERE pattern on the RDB.
+    bindings: Optional[Solution] = None,
+) -> Tuple[List[Solution], bool, Optional[ast.Bound]]:
+    """Evaluate a WHERE pattern on the RDB (under ``bindings``, if any).
 
-    Returns (solutions, used_sql_translation, select_sql); how the pattern
-    is evaluated is :func:`repro.core.query.solve_pattern`'s decision.
+    Returns (solutions, used_sql_translation, translated SELECT — render
+    it for the SQL text); how the pattern is evaluated is
+    :func:`repro.core.query.solve_pattern`'s decision.
     """
-    solutions, translated = solve_pattern(
-        mapping, db, pattern, force_fallback=force_fallback
+    solutions, select, _ = solve_pattern(
+        mapping, db, pattern, force_fallback=force_fallback, bindings=bindings
     )
-    if translated is None:
-        return solutions, False, None
-    return solutions, True, translated.sql()
+    return solutions, select is not None, select
 
 
 def plan_modify(
@@ -99,8 +105,12 @@ def plan_modify(
     path re-plans each binding after executing the previous one, matching
     the paper's loop exactly (see ``OntoAccess.update``).
     """
-    solutions, used_sql, select_sql = bindings_for_pattern(
-        mapping, db, operation.where, force_fallback=force_fallback
+    solutions, used_sql, select = bindings_for_pattern(
+        mapping,
+        db,
+        operation.where,
+        force_fallback=force_fallback,
+        bindings=operation.bindings,
     )
     steps = [
         plan_binding(
@@ -112,7 +122,7 @@ def plan_modify(
         )
         for solution in solutions
     ]
-    return ModifyPlan(steps=steps, used_sql_select=used_sql, select_sql=select_sql)
+    return ModifyPlan(steps=steps, used_sql_select=used_sql, select=select)
 
 
 def plan_binding(

@@ -9,10 +9,11 @@ is an optimization, never a semantic restriction).
 That translate-or-dump decision is made in exactly one place,
 :func:`solve_pattern`.  One-shot queries (:func:`execute_query`), MODIFY's
 WHERE (:func:`repro.core.modify.bindings_for_pattern`) and prepared
-queries (:class:`repro.core.backend._PreparedRdbQuery`, which hands back
-the translation it cached per mapping/schema version) are all callers of
-it: pattern translation depends only on the mapping and the schema, never
-on row data.
+operations (:class:`repro.core.backend.PreparedPattern`, which hands back
+the translation it kept for the template) are all callers of it: pattern
+translation depends only on the mapping and the schema, never on row
+data — and, for a template, on what kind of term each placeholder is
+bound to, never on the term.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from ..rdb.engine import Database
 from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
 from ..r3m.model import DatabaseMapping
-from ..sparql.algebra import Solution, evaluate_pattern, instantiate
+from ..sparql.algebra import Solution, evaluate_pattern
 from ..sparql.algebra_ast import GroupPattern
-from ..sparql.engine import SelectResult, apply_select_modifiers
-from ..sparql.query_ast import AskQuery, ConstructQuery, Query, SelectQuery
+from ..sparql.engine import SelectResult, shape_result
+from ..sparql.query_ast import Query
 from ..sparql.query_parser import parse_query
+from ..sql import ast
+from ..sql.render import render
 from .dump import dump_database
 from .select_translate import TranslatedSelect, translate_pattern
 
@@ -47,7 +50,13 @@ class QueryOutcome:
 
     result: Union[SelectResult, bool, Graph]
     used_sql: bool
-    select_sql: Optional[str] = None
+    #: the translated SELECT that produced the result (None: dump path)
+    statement: Optional[ast.Bound] = None
+
+    @property
+    def select_sql(self) -> Optional[str]:
+        """The SQL text of :attr:`statement`, rendered when read."""
+        return None if self.statement is None else render(self.statement)
 
 
 def solve_pattern(
@@ -55,52 +64,57 @@ def solve_pattern(
     db: Database,
     pattern: GroupPattern,
     force_fallback: bool = False,
-    translated: Optional[TranslatedSelect] = None,
-) -> Tuple[List[Solution], Optional[TranslatedSelect]]:
+    bindings: Optional[Solution] = None,
+    kept: Optional[TranslatedSelect] = None,
+) -> Tuple[List[Solution], Optional[ast.Bound], Optional[TranslatedSelect]]:
     """Evaluate a WHERE pattern on the RDB.
 
-    Returns the solutions and the translation that produced them, or None
-    when the pattern was evaluated natively over the RDF dump — because it
-    falls outside the translatable fragment, or ``force_fallback`` asked
-    for the reference evaluation.  A caller that kept the translation of
-    an earlier call for the same mapping and schema passes it back as
-    ``translated`` to skip translating again.
+    Returns the solutions, the SQL statement that produced them and its
+    translation — or None for both when the pattern was evaluated
+    natively over the RDF dump, because it falls outside the translatable
+    fragment or ``force_fallback`` asked for the reference evaluation.
+
+    ``bindings`` are initial bindings: the pattern is a template whose
+    bound variables read as the terms given, and every solution extends
+    them.  A caller that kept the translation of an earlier call for the
+    same template, mapping and schema passes it back as ``kept``; it is
+    bound again instead of translating, unless these bindings are of
+    another kind than the ones it was made for — then the pattern is
+    translated with them, as if nothing had been kept.
     """
-    if force_fallback:
-        translated = None
-    elif translated is None:
-        try:
-            # Under the planner lock: DDL holds it across its catalog
-            # mutation, so translation (pure schema/mapping reads, on the
-            # lock-free read tier) never sees a half-applied change.
-            with db.planner.lock:
-                translated = translate_pattern(mapping, db, pattern)
-        except UnsupportedPatternError:
-            pass
+    statement = translated = None
+    if not force_fallback:
+        if kept is not None:
+            statement = kept.bind(bindings or {})
+        if statement is not None:
+            translated = kept
+        else:
+            try:
+                # Under the planner lock: DDL holds it across its catalog
+                # mutation, so translation (pure schema/mapping reads, on
+                # the lock-free read tier) never sees a half-applied change.
+                with db.planner.lock:
+                    translated = translate_pattern(mapping, db, pattern, bindings)
+                statement = translated.statement
+            except UnsupportedPatternError:
+                pass
     if translated is not None:
-        return translated.execute(), translated
-    return evaluate_pattern(dump_database(mapping, db), pattern), None
+        return translated.execute(statement, bindings), statement, translated
+    solutions = evaluate_pattern(dump_database(mapping, db), pattern, bindings)
+    return solutions, None, None
 
 
 def outcome_from_solutions(
     q: Query,
     solutions: List[Solution],
-    translated: Optional[TranslatedSelect] = None,
+    statement: Optional[ast.Bound] = None,
 ) -> QueryOutcome:
     """Shape :func:`solve_pattern`'s answer into the query form's result."""
-    if isinstance(q, SelectQuery):
-        result = apply_select_modifiers(q, solutions)
-    elif isinstance(q, AskQuery):
-        result = bool(solutions)
-    elif isinstance(q, ConstructQuery):
-        result = Graph()
-        for solution in solutions:
-            result.add_all(instantiate(q.template, solution))
-    else:
-        raise TypeError(f"unknown query type {type(q).__name__}")
-    if translated is None:
-        return QueryOutcome(result=result, used_sql=False)
-    return QueryOutcome(result=result, used_sql=True, select_sql=translated.sql())
+    return QueryOutcome(
+        result=shape_result(q, solutions),
+        used_sql=statement is not None,
+        statement=statement,
+    )
 
 
 def execute_query(
@@ -109,10 +123,12 @@ def execute_query(
     q: Union[str, Query],
     prefixes: Optional[PrefixMap] = None,
     force_fallback: bool = False,
+    bindings: Optional[Solution] = None,
 ) -> QueryOutcome:
     """Run a SPARQL query against the mapped database."""
     if isinstance(q, str):
         q = parse_query(q, prefixes=prefixes)
-    return outcome_from_solutions(
-        q, *solve_pattern(mapping, db, q.where, force_fallback=force_fallback)
+    solutions, statement, _ = solve_pattern(
+        mapping, db, q.where, force_fallback=force_fallback, bindings=bindings
     )
+    return outcome_from_solutions(q, solutions, statement)

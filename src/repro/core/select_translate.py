@@ -23,25 +23,79 @@ Translatable fragment:
 Everything else (UNION, variable predicates, unmappable subjects) raises
 :class:`~repro.errors.UnsupportedPatternError`; callers fall back to
 evaluating against :func:`repro.core.dump.dump_database`.
+
+**Shape and values.**  What comes out is a statement *shape* and a value
+vector (:class:`repro.sql.ast.Bound`): every key or constant of the
+request — a subject URI's key, the SQL value of an object, a FILTER
+constant — enters the SQL through one collector
+(:class:`~repro.core.common.Values`) as a parameter.  Structural, i.e.
+part of the shape: tables, joins and column lists, ``IS [NOT] NULL``, the
+``pk = NULL`` of a subject that names no row, ``SELECT 1 AS one``.
+
+**Templates and binders.**  A pattern may be translated together with
+*bindings* of some of its variables (a prepared operation's
+placeholders).  The translator then decides everything exactly as it
+would for the substituted pattern, but where the bound term's value goes
+into the vector it also records the *binder* it just applied — subject
+URI → key of the table its ``uriPattern`` identified; object →
+:func:`~repro.core.common.term_to_sql_value` for that column (which is
+the ``value_pattern`` inverse for ``foaf:mbox``, the referenced table's
+key for an object property); FILTER constant → the number or string the
+column can be compared with.  :meth:`TranslatedSelect.bind` replays the
+binders on another binding of the same template — a few µs instead of a
+translation — and reports a binding it was not made for (``None``):
+another kind of term for a placeholder, a URI that identifies another
+table, a value the column cannot hold, another value for a placeholder
+that shaped the statement (a predicate, a class).  What is compared is
+what translation branched on, never the values themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import TranslationError, UnsupportedPatternError
 from ..rdb.engine import Database
+from ..rdb.types import FloatType, IntegerType, StringType
 from ..rdf.namespace import RDF
-from ..rdf.terms import BNode, Literal, Term, Triple, URIRef, Variable
-from ..r3m.model import AttributeMapping, DatabaseMapping, TableMapping
+from ..rdf.terms import XSD_STRING, BNode, Literal, Term, Triple, URIRef, Variable
+from ..r3m.model import (
+    AttributeMapping,
+    DatabaseMapping,
+    LinkTableMapping,
+    TableMapping,
+)
 from ..sparql import algebra_ast as alg
-from ..sparql.algebra import Solution
+from ..sparql.algebra import Solution, initial_solution
 from ..sparql.expressions import filter_accepts
 from ..sql import ast
-from .common import identify_entity, literal_for_column, term_to_sql_value
+from .common import (
+    EntityRef,
+    Values,
+    coerce_pattern_values,
+    identify_entity,
+    literal_for_column,
+    term_to_sql_value,
+)
 
 __all__ = ["TranslatedSelect", "translate_pattern", "SelectTranslator"]
+
+#: Term bound to a placeholder → the value at its place in the vector;
+#: raises :class:`TranslationError` for a term it was not made for.
+Binder = Callable[[Term], Any]
 
 
 @dataclass
@@ -59,35 +113,66 @@ class _BindingSite:
 
 @dataclass
 class TranslatedSelect:
-    """A translated pattern: SQL + the recipe to decode rows to bindings."""
+    """A translated pattern: the SQL statement, the recipe to decode its
+    rows to bindings, and — when the pattern is a template — the recipe
+    to bind it again."""
 
-    select: ast.Select
+    #: shape + the values of the binding it was translated from
+    statement: ast.Bound
     sites: Dict[Variable, _BindingSite]
     post_filters: Tuple[alg.Expr, ...]
     mapping: DatabaseMapping
     db: Database
+    #: placeholder → kind of term it was bound to (all bindings given)
+    kinds: Dict[Variable, type] = field(default_factory=dict)
+    #: placeholders whose whole value shaped the statement
+    pinned: Dict[Variable, Term] = field(default_factory=dict)
+    #: (position in the value vector — None: a check only —,
+    #: placeholder, binder)
+    binders: Tuple[Tuple[Optional[int], Variable, Binder], ...] = ()
     #: per-variable (index, decoder) pairs, built once on first execute so
     #: row decoding does no catalog lookups in the per-row loop
     _decoders: Optional[List[Tuple[Variable, int, Any]]] = None
-    #: rendered once: a translation kept by a prepared query is asked for
-    #: its SQL text on every execution
-    _sql: Optional[str] = None
 
-    def sql(self) -> str:
-        if self._sql is None:
-            from ..sql.render import render
+    def bind(self, bindings: Solution) -> Optional[ast.Bound]:
+        """The statement for ``bindings``, or None when translating with
+        them would have branched differently (the caller translates
+        again, which also raises whatever error the binding earns)."""
+        kinds = self.kinds
+        if len(bindings) != len(kinds):
+            return None
+        try:
+            for variable, term in bindings.items():
+                if type(term) is not kinds[variable]:
+                    return None
+            for variable, term in self.pinned.items():
+                if bindings[variable] != term:
+                    return None
+            if not self.binders:
+                return self.statement
+            values = list(self.statement.values)
+            for index, variable, binder in self.binders:
+                value = binder(bindings[variable])
+                if index is not None:
+                    values[index] = value
+        except (KeyError, TranslationError):
+            return None
+        return ast.Bound(self.statement.shape, tuple(values))
 
-            self._sql = render(self.select)
-        return self._sql
-
-    def execute(self) -> List[Solution]:
-        """Run the SQL and decode rows into SPARQL solutions."""
-        result = self.db.execute(self.select)
+    def execute(
+        self, statement: ast.Bound, bindings: Optional[Solution] = None
+    ) -> List[Solution]:
+        """Run ``statement`` (this translation, bound) and decode rows
+        into SPARQL solutions.  ``bindings`` seed every solution, so a
+        placeholder is bound in the result, and a filter left to Python
+        reads it like any other variable."""
+        result = self.db.execute(statement)
         decoders = self._site_decoders()
         post_filters = self.post_filters
+        seed = initial_solution(bindings)
         solutions: List[Solution] = []
         for row in result.rows:
-            solution: Solution = {}
+            solution: Solution = dict(seed)
             for var, index, decode in decoders:
                 value = row[index]
                 if value is None:
@@ -123,12 +208,18 @@ class TranslatedSelect:
         return lambda value: pattern.format({attribute: value})
 
 
-
 def translate_pattern(
-    mapping: DatabaseMapping, db: Database, pattern: alg.GroupPattern
+    mapping: DatabaseMapping,
+    db: Database,
+    pattern: alg.GroupPattern,
+    bindings: Optional[Solution] = None,
 ) -> TranslatedSelect:
-    """Translate a group graph pattern; raises UnsupportedPatternError."""
-    return SelectTranslator(mapping, db).translate(pattern)
+    """Translate a group graph pattern; raises UnsupportedPatternError.
+
+    With ``bindings`` the pattern is a template: the variables they name
+    are translated as the terms bound to them, and the result can be
+    bound again (:meth:`TranslatedSelect.bind`)."""
+    return SelectTranslator(mapping, db, bindings).translate(pattern)
 
 
 @dataclass
@@ -143,19 +234,102 @@ class _Node:
     links: List[Tuple[str, str, str]] = field(default_factory=list)
 
 
+def _subject_key(
+    mapping: DatabaseMapping, db: Database, table_name: str, pk: str, term: Term
+) -> Any:
+    """Binder of a subject placeholder: the key of the row ``term`` names
+    in ``table_name`` — another table's URI is not what was translated."""
+    entity = identify_entity(mapping, db, term)
+    if entity.table.table_name != table_name:
+        raise UnsupportedPatternError(
+            f"{term.n3()} identifies a row of {entity.table.table_name!r}, "
+            f"not {table_name!r}"
+        )
+    return entity.key_values[pk]
+
+
+def _link_object_key(
+    db: Database, link: LinkTableMapping, object_table: TableMapping, term: Term
+) -> Any:
+    """Key of the row of the link's object table that ``term`` names (also
+    the binder of a placeholder in that position)."""
+    raw = object_table.uri_pattern.match(term) if isinstance(term, URIRef) else None
+    if raw is None:
+        raise UnsupportedPatternError(
+            f"object {term} does not match the uriPattern of "
+            f"{link.object_table()!r}"
+        )
+    coerced = coerce_pattern_values(db, object_table, raw, term)
+    return coerced[db.table(link.object_table()).primary_key[0]]
+
+
+def _filter_constant(term: Term) -> Optional[Tuple[str, Any]]:
+    """How a FILTER constant compares in SQL: ``("num", number)`` for a
+    numeric literal, ``("str", text)`` for a plain one, None for a term
+    SQL would not compare the way SPARQL does (it stays in Python)."""
+    if not isinstance(term, Literal):
+        return None
+    if term.is_numeric():
+        try:
+            return "num", term.to_python()
+        except ValueError:
+            return None
+    if term.language is None and term.datatype in (None, XSD_STRING):
+        return "str", term.lexical
+    return None
+
+
+def _filter_value(cls: Optional[str], term: Term) -> Any:
+    """Binder of a placeholder used as a FILTER constant of class
+    ``cls``: its SQL value, if it is (still) of that class."""
+    constant = _filter_constant(term)
+    if (constant[0] if constant else None) != cls:
+        raise UnsupportedPatternError(
+            f"{term.n3()} is not a FILTER constant of class {cls}"
+        )
+    return constant[1] if constant else None
+
+
+class _Operand(NamedTuple):
+    """One side of a FILTER comparison: a column or a constant."""
+
+    #: how it compares in SQL: "num" | "str" | None (only in Python)
+    cls: Optional[str]
+    column: Optional[ast.ColumnRef]
+    value: Any = None
+    #: the placeholder a constant came from, if any
+    placeholder: Optional[Variable] = None
+
+
 class SelectTranslator:
     """Single-use translator for one pattern."""
 
-    def __init__(self, mapping: DatabaseMapping, db: Database) -> None:
+    def __init__(
+        self,
+        mapping: DatabaseMapping,
+        db: Database,
+        bindings: Optional[Solution] = None,
+    ) -> None:
         self.mapping = mapping
         self.db = db
+        #: placeholder → kind of term given for it (every binding)
+        self.kinds = {var: type(term) for var, term in (bindings or {}).items()}
+        #: placeholder → term, for the variables translated as constants
+        self.bindings: Solution = initial_solution(bindings)
         self.nodes: Dict[str, _Node] = {}
         self.node_order: List[str] = []
         self.subject_alias: Dict[Term, str] = {}
         self.subject_table: Dict[Term, TableMapping] = {}
+        self.subject_entity: Dict[Term, EntityRef] = {}
         self.sites: Dict[Variable, _BindingSite] = {}
         self.extra_conditions: List[ast.Expression] = []
         self.post_filters: List[alg.Expr] = []
+        self.values = Values()
+        self.binders: List[Tuple[Optional[int], Variable, Binder]] = []
+        self.pinned: Dict[Variable, Term] = {}
+        #: (placeholder, conversion) → its parameter, so a placeholder
+        #: used twice the same way is one parameter
+        self._placeholder_params: Dict[Tuple[Variable, Hashable], ast.Expression] = {}
         self._alias_counter = 0
 
     # ------------------------------------------------------------------
@@ -172,12 +346,53 @@ class SelectTranslator:
         self._push_down_filters(filters)
         select = self._build_select()
         return TranslatedSelect(
-            select=select,
+            statement=self.values.bind(select),
             sites=self.sites,
             post_filters=tuple(self.post_filters),
             mapping=self.mapping,
             db=self.db,
+            kinds=self.kinds,
+            pinned=self.pinned,
+            binders=tuple(self.binders),
         )
+
+    # -- terms and values ------------------------------------------------
+
+    def _bound(self, term: Term) -> Tuple[Term, Optional[Variable]]:
+        """The term translation looks at, and the placeholder it came
+        from: a bound variable reads as its term (a blank node binds
+        nothing, see :func:`~repro.sparql.algebra.initial_solution`)."""
+        if self.bindings and isinstance(term, Variable):
+            value = self.bindings.get(term)
+            if value is not None:
+                return value, term
+        return term, None
+
+    def _pinned(self, term: Term) -> Term:
+        """A term whose whole value shapes the statement (a predicate, a
+        class): a placeholder there pins the translation to that value."""
+        value, placeholder = self._bound(term)
+        if placeholder is not None:
+            self.pinned[placeholder] = value
+        return value
+
+    def _param(
+        self,
+        value: Any,
+        placeholder: Optional[Variable] = None,
+        binder: Optional[Binder] = None,
+        conversion: Hashable = None,
+    ) -> ast.Expression:
+        """A request value enters the SQL: as a parameter, remembered
+        with its binder when a placeholder supplied it."""
+        if placeholder is None:
+            return self.values.param(value)
+        slot = (placeholder, conversion)
+        param = self._placeholder_params.get(slot)
+        if param is None:
+            param = self._placeholder_params[slot] = self.values.param(value)
+            self.binders.append((param.index, placeholder, binder))
+        return param
 
     # -- structure -------------------------------------------------------
 
@@ -238,11 +453,13 @@ class SelectTranslator:
         self, subject: Term, triples: List[Triple]
     ) -> Set[str]:
         """Candidate table *names* for a subject (names are hashable)."""
-        if isinstance(subject, URIRef):
+        term, _ = self._bound(subject)
+        if isinstance(term, URIRef):
             try:
-                entity = identify_entity(self.mapping, self.db, subject)
+                entity = identify_entity(self.mapping, self.db, term)
             except TranslationError as exc:
                 raise UnsupportedPatternError(str(exc)) from exc
+            self.subject_entity[subject] = entity
             return {entity.table.table_name}
 
         candidates: Optional[Set[str]] = None
@@ -254,17 +471,18 @@ class SelectTranslator:
         for triple in triples:
             if triple.subject != subject:
                 continue
-            predicate = triple.predicate
+            predicate = self._pinned(triple.predicate)
             if isinstance(predicate, Variable):
                 raise UnsupportedPatternError(
                     "variable predicates are outside the translatable fragment"
                 )
             if predicate == RDF.type:
-                if isinstance(triple.object, URIRef):
-                    table = self.mapping.table_for_class(triple.object)
+                cls = self._pinned(triple.object)
+                if isinstance(cls, URIRef):
+                    table = self.mapping.table_for_class(cls)
                     if table is None:
                         raise UnsupportedPatternError(
-                            f"class {triple.object} is not mapped"
+                            f"class {cls} is not mapped"
                         )
                     intersect({table.table_name})
                 continue
@@ -292,26 +510,35 @@ class SelectTranslator:
                 f"table {table.table_name!r} needs a single-column primary key"
             )
         pk = schema_table.primary_key[0]
-        if isinstance(subject, URIRef):
-            entity = identify_entity(self.mapping, self.db, subject)
-            node.local_conditions.append(
-                ast.BinaryOp(
-                    "=",
-                    ast.ColumnRef(pk, node.alias),
-                    ast.Literal(entity.key_values[pk]),
-                )
+        term, placeholder = self._bound(subject)
+        key: Optional[ast.Expression] = None
+        if isinstance(term, URIRef):
+            key = self._param(
+                self.subject_entity[subject].key_values[pk],
+                placeholder,
+                partial(_subject_key, self.mapping, self.db, table.table_name, pk),
+                ("subject", table.table_name),
             )
-        elif isinstance(subject, Variable):
-            if subject not in self.sites:
-                self.sites[subject] = _BindingSite(
+        elif isinstance(term, Variable):
+            if term not in self.sites:
+                self.sites[term] = _BindingSite(
                     alias=node.alias, column=pk, kind="subject", table=table
                 )
+        elif isinstance(term, Literal):
+            # A literal is no one's subject: ``pk = NULL`` matches no row
+            # (and reads none — the planner's point lookup stops at NULL).
+            key = ast.Null()
         # BNodes: non-distinguished — no binding, no condition.
+        if key is not None:
+            node.local_conditions.append(
+                ast.BinaryOp("=", ast.ColumnRef(pk, node.alias), key)
+            )
 
     # -- triples ------------------------------------------------------------
 
     def _translate_triple(self, triple: Triple, optional: bool) -> None:
         subject, predicate, obj = triple
+        predicate = self._pinned(predicate)
         if predicate == RDF.type:
             return  # consumed during table assignment
         alias = self.subject_alias.get(subject)
@@ -335,18 +562,35 @@ class SelectTranslator:
             )
         column_ref = ast.ColumnRef(attribute.attribute_name, alias)
 
-        if isinstance(obj, Variable):
+        term, placeholder = self._bound(obj)
+        if isinstance(term, Variable):
             self._bind_object_variable(
-                obj, node, table, attribute, column_ref, optional
+                term, node, table, attribute, column_ref, optional
             )
-        elif isinstance(obj, BNode):
+        elif optional:
+            # It binds nothing and must filter nothing; a condition on
+            # the subject's own row would drop the rows it does not hold
+            # for.
+            raise UnsupportedPatternError(
+                "OPTIONAL triple with a constant object"
+            )
+        elif isinstance(term, BNode):
             node.local_conditions.append(ast.IsNull(column_ref, negated=True))
         else:
-            value = term_to_sql_value(
-                self.mapping, self.db, table, attribute, obj
+            to_value = partial(
+                term_to_sql_value, self.mapping, self.db, table, attribute
             )
             node.local_conditions.append(
-                ast.BinaryOp("=", column_ref, ast.Literal(value))
+                ast.BinaryOp(
+                    "=",
+                    column_ref,
+                    self._param(
+                        to_value(term),
+                        placeholder,
+                        to_value,
+                        ("attribute", table.table_name, attribute.attribute_name),
+                    ),
+                )
             )
 
     def _bind_object_variable(
@@ -412,7 +656,7 @@ class SelectTranslator:
     def _translate_link_triple(
         self, triple: Triple, subject_node: _Node, link, optional: bool
     ) -> None:
-        obj = triple.object
+        obj, placeholder = self._bound(triple.object)
         link_alias = self._new_alias()
         link_node = _Node(
             alias=link_alias,
@@ -455,21 +699,14 @@ class SelectTranslator:
                     table=object_table,
                 )
         elif isinstance(obj, URIRef):
-            raw = object_table.uri_pattern.match(obj)
-            if raw is None:
-                raise UnsupportedPatternError(
-                    f"object {obj.value} does not match the uriPattern of "
-                    f"{link.object_table()!r}"
-                )
-            from .common import coerce_pattern_values
-
-            coerced = coerce_pattern_values(self.db, object_table, raw, obj)
-            pk = self.db.table(link.object_table()).primary_key[0]
+            to_key = partial(_link_object_key, self.db, link, object_table)
             link_node.local_conditions.append(
                 ast.BinaryOp(
                     "=",
                     ast.ColumnRef(object_attr, link_alias),
-                    ast.Literal(coerced[pk]),
+                    self._param(
+                        to_key(obj), placeholder, to_key, ("link", link.table_name)
+                    ),
                 )
             )
         else:
@@ -490,8 +727,6 @@ class SelectTranslator:
                 raise UnsupportedPatternError(
                     "OPTIONAL subjects must be bound by the required pattern"
                 )
-            if triple.predicate == RDF.type:
-                continue
             self._translate_triple(triple, optional=True)
 
     # -- filters -----------------------------------------------------------------
@@ -506,7 +741,8 @@ class SelectTranslator:
 
     def _try_translate_filter(self, expr: alg.Expr) -> Optional[ast.Expression]:
         """Translate simple comparisons/conjunctions to SQL; None = keep in
-        Python."""
+        Python (where a placeholder stays a variable: the solutions are
+        seeded with the bindings)."""
         if isinstance(expr, alg.BoolOp) and expr.op == "&&":
             left = self._try_translate_filter(expr.left)
             right = self._try_translate_filter(expr.right)
@@ -521,26 +757,70 @@ class SelectTranslator:
                 return right
             return None
         if isinstance(expr, alg.Comparison):
-            left = self._operand_to_sql(expr.left)
-            right = self._operand_to_sql(expr.right)
-            if left is None or right is None:
-                return None
-            op = "<>" if expr.op == "!=" else expr.op
-            return ast.BinaryOp(op, left, right)
+            return self._comparison_to_sql(expr)
         return None
 
-    def _operand_to_sql(self, expr: alg.Expr) -> Optional[ast.Expression]:
-        if isinstance(expr, alg.TermExpr):
-            term = expr.term
-            if isinstance(term, Variable):
-                site = self.sites.get(term)
-                if site is None or site.kind != "data":
-                    return None
-                return ast.ColumnRef(site.column, site.alias)
-            if isinstance(term, Literal):
-                return ast.Literal(term.to_python())
+    def _comparison_to_sql(self, expr: alg.Comparison) -> Optional[ast.Expression]:
+        """``column <op> column|constant`` where SQL compares the way
+        SPARQL does: both sides numbers, or both plain strings.  Anything
+        else — a string against an INTEGER column is a type error in
+        SPARQL and a ``DatabaseError`` in the engine — stays in Python."""
+        left, right = self._operand(expr.left), self._operand(expr.right)
+        pushed = (
+            left is not None
+            and right is not None
+            and left.cls is not None
+            and left.cls == right.cls
+            # two constants: nothing for the engine to look up
+            and (left.column is not None or right.column is not None)
+        )
+        if not pushed:
+            for side in (left, right):
+                if side is not None and side.placeholder is not None:
+                    # What was decided here turned on the constant's class:
+                    # a binding of another class is another translation.
+                    self.binders.append(
+                        (None, side.placeholder, partial(_filter_value, side.cls))
+                    )
             return None
-        return None
+        operands = [
+            side.column
+            if side.column is not None
+            else self._param(
+                side.value,
+                side.placeholder,
+                partial(_filter_value, side.cls),
+                ("filter", side.cls),
+            )
+            for side in (left, right)
+        ]
+        op = "<>" if expr.op == "!=" else expr.op
+        return ast.BinaryOp(op, operands[0], operands[1])
+
+    def _operand(self, expr: alg.Expr) -> Optional[_Operand]:
+        """One side of a comparison, or None when it is neither a column
+        nor a constant (an expression; a variable bound to URIs, which
+        are compared as terms, in Python)."""
+        if not isinstance(expr, alg.TermExpr):
+            return None
+        term, placeholder = self._bound(expr.term)
+        if isinstance(term, Variable):
+            site = self.sites.get(term)
+            if site is None or site.kind != "data" or site.value_pattern is not None:
+                return None
+            sql_type = self.db.table(site.table.table_name).column(
+                site.column
+            ).sql_type
+            cls = None
+            if isinstance(sql_type, (IntegerType, FloatType)):
+                cls = "num"
+            elif isinstance(sql_type, StringType):
+                cls = "str"
+            return _Operand(cls, ast.ColumnRef(site.column, site.alias))
+        constant = _filter_constant(term)
+        if constant is None:
+            return _Operand(None, None, None, placeholder)
+        return _Operand(constant[0], None, constant[1], placeholder)
 
     # -- assembly ------------------------------------------------------------------
 
@@ -615,7 +895,8 @@ class SelectTranslator:
                 )
             )
         if not items:
-            # ASK-style pattern with no variables: select a constant
+            # ASK-style pattern with no variables: select a constant (part
+            # of the shape, not a value of the request)
             items.append(ast.SelectItem(ast.Literal(1), alias="one"))
 
         return ast.Select(

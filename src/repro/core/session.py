@@ -14,15 +14,25 @@ that cost across repeated operations:
   parsers are built on (:mod:`repro.rdf.scanner`) and the first keyword
   behind it — SELECT / ASK / CONSTRUCT or INSERT / DELETE / MODIFY /
   CLEAR — names the parser, which then parses the text once and reports
-  its own errors.  What a prepared *update* amortizes is the parse:
-  translation reads row data, so every execution translates against the
-  current state — the same routine every other update entry point ends
-  in.  A prepared *query* additionally keeps, on the relational backend,
-  its translated pattern per schema version and one plan per recently
-  used binding set, on top of the engine's per-statement plan cache.
+  its own errors.
 * Prepared templates may contain SPARQL variables as placeholders;
-  ``execute(bindings={"name": ...})`` substitutes concrete terms at
-  execute time (the prepared-statement idiom).
+  ``execute(bindings={"name": ...})`` binds them at execute time (the
+  prepared-statement idiom).  For a query, and for the WHERE of a MODIFY,
+  they are *initial bindings*: each reads as the term given wherever the
+  pattern uses it and is part of every solution — so a placeholder that
+  is also projected, ordered by or used in a CONSTRUCT template comes
+  back bound.
+* What is kept between executions, on the relational backend: per
+  prepared **query** the SPARQL→SQL translation of its WHERE *template*
+  — one :class:`~repro.core.backend.PreparedPattern`, bound again for
+  every binding set (a few µs) and translated again only for a binding
+  of another kind (an author URI, then a publication URI, for the same
+  placeholder), per mapping/schema version; per prepared **MODIFY** the
+  same for its WHERE.  The DML of an update is translated on every
+  execution — it reads row data — by the same routine every other
+  update entry point ends in.  Below that, the engine plans each
+  statement *shape* once: all bindings of a template, prepared or sent
+  as text, share one plan.
 * :meth:`Session.execute_all` runs a multi-operation batch inside **one**
   database transaction — all-or-nothing, whereas the facade commits each
   operation separately per the paper's one-transaction-per-operation rule.
@@ -48,7 +58,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..deadline import deadline_scope
@@ -58,20 +67,7 @@ from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
 from ..rdf.terms import Literal, Term, Triple, Variable
 from ..sparql.algebra import Solution, substitute
-from ..sparql.algebra_ast import (
-    Arithmetic,
-    BoolOp,
-    Comparison,
-    Filter,
-    FunctionExpr,
-    GroupPattern,
-    Not,
-    Optional_,
-    TermExpr,
-    TriplePattern,
-)
-from ..sparql.algebra_ast import Union as PatternUnion
-from ..sparql.query_ast import ConstructQuery, Query
+from ..sparql.query_ast import Query
 from ..sparql.parse_base import SPARQLParserBase
 from ..sparql.query_parser import QueryParser, parse_query
 from ..sparql.update_ast import (
@@ -82,7 +78,7 @@ from ..sparql.update_ast import (
     UpdateRequest,
 )
 from ..sparql.update_parser import UpdateParser, parse_update
-from .backend import Backend, UpdateResult
+from .backend import Backend, PreparedModify, PreparedPattern, UpdateResult
 from .query import QueryOutcome
 
 __all__ = ["PreparedQuery", "PreparedUpdate", "Session"]
@@ -96,7 +92,6 @@ _PREPARED_CACHE_SIZE = 128
 _OPS_QUERY = SESSION_OPS.labels("query")
 _OPS_UPDATE = SESSION_OPS.labels("update")
 _OPS_BATCH = SESSION_OPS.labels("batch")
-_BINDING_CACHE_SIZE = 64
 
 
 def _as_term(value: Any) -> Term:
@@ -120,21 +115,18 @@ def _solution(bindings: Optional[Bindings]) -> Solution:
     return resolved
 
 
-def _bindings_key(solution: Solution) -> Tuple:
-    return tuple(sorted((v.name, t.n3()) for v, t in solution.items()))
-
-
 # ---------------------------------------------------------------------------
-# placeholder substitution over patterns and templates
+# placeholders: substituted into data blocks, bound for patterns
 # ---------------------------------------------------------------------------
 
 def _substitute_triples(
-    triples: Tuple[Triple, ...], solution: Solution, require_concrete: bool
+    triples: Tuple[Triple, ...], solution: Solution
 ) -> Tuple[Triple, ...]:
+    """A data block with its placeholders replaced; all must be bound."""
     result = []
     for triple in triples:
         candidate = substitute(triple, solution) if solution else triple
-        if require_concrete and not candidate.is_concrete():
+        if not candidate.is_concrete():
             unbound = ", ".join(f"?{v.name}" for v in candidate.variables())
             raise TranslationError(
                 f"unbound placeholder(s) {unbound} in prepared data block; "
@@ -145,92 +137,30 @@ def _substitute_triples(
     return tuple(result)
 
 
-def _substitute_expr(expr, solution: Solution):
-    if isinstance(expr, TermExpr):
-        term = expr.term
-        if isinstance(term, Variable) and term in solution:
-            return TermExpr(solution[term])
-        return expr
-    if isinstance(expr, Comparison):
-        return Comparison(
-            expr.op,
-            _substitute_expr(expr.left, solution),
-            _substitute_expr(expr.right, solution),
-        )
-    if isinstance(expr, BoolOp):
-        return BoolOp(
-            expr.op,
-            _substitute_expr(expr.left, solution),
-            _substitute_expr(expr.right, solution),
-        )
-    if isinstance(expr, Not):
-        return Not(_substitute_expr(expr.operand, solution))
-    if isinstance(expr, Arithmetic):
-        return Arithmetic(
-            expr.op,
-            _substitute_expr(expr.left, solution),
-            _substitute_expr(expr.right, solution),
-        )
-    if isinstance(expr, FunctionExpr):
-        return FunctionExpr(
-            expr.name,
-            tuple(_substitute_expr(a, solution) for a in expr.args),
-        )
-    return expr
-
-
-def _substitute_pattern(pattern: GroupPattern, solution: Solution) -> GroupPattern:
-    if not solution:
-        return pattern
-    elements = []
-    for element in pattern.elements:
-        if isinstance(element, TriplePattern):
-            elements.append(TriplePattern(substitute(element.triple, solution)))
-        elif isinstance(element, Filter):
-            elements.append(Filter(_substitute_expr(element.expression, solution)))
-        elif isinstance(element, Optional_):
-            elements.append(
-                Optional_(_substitute_pattern(element.pattern, solution))
-            )
-        elif isinstance(element, PatternUnion):
-            elements.append(
-                PatternUnion(
-                    tuple(
-                        _substitute_pattern(branch, solution)
-                        for branch in element.branches
-                    )
-                )
-            )
-        elif isinstance(element, GroupPattern):
-            elements.append(_substitute_pattern(element, solution))
-        else:
-            elements.append(element)
-    return GroupPattern(elements=tuple(elements))
-
-
 def _resolve_operation(
-    operation: UpdateOperation, solution: Solution
+    operation: UpdateOperation,
+    solution: Solution,
+    where: Optional[PreparedPattern] = None,
 ) -> UpdateOperation:
-    """One operation with placeholders replaced by bound terms."""
+    """One operation under the bindings of one execution: a data block
+    has its placeholders replaced by the bound terms, a MODIFY takes
+    them as initial bindings of its WHERE (whose kept translation lives
+    in ``where``)."""
     if isinstance(operation, InsertData):
         return InsertData(
-            triples=_substitute_triples(operation.triples, solution, True)
+            triples=_substitute_triples(operation.triples, solution)
         )
     if isinstance(operation, DeleteData):
         return DeleteData(
-            triples=_substitute_triples(operation.triples, solution, True)
+            triples=_substitute_triples(operation.triples, solution)
         )
     if isinstance(operation, Modify):
-        if not solution:
-            return operation
-        return Modify(
-            delete_template=_substitute_triples(
-                operation.delete_template, solution, False
-            ),
-            insert_template=_substitute_triples(
-                operation.insert_template, solution, False
-            ),
-            where=_substitute_pattern(operation.where, solution),
+        return PreparedModify(
+            operation.delete_template,
+            operation.insert_template,
+            operation.where,
+            bindings=solution,
+            template=where,
         )
     return operation
 
@@ -244,7 +174,11 @@ class PreparedUpdate:
 
     Parsing happened at :meth:`Session.prepare` time; each execution
     substitutes the bindings and runs the concrete operations exactly
-    like :meth:`Session.execute` does.
+    like :meth:`Session.execute` does.  What is amortized: the parse,
+    the translation of each MODIFY's WHERE template (kept here, one
+    :class:`~repro.core.backend.PreparedPattern` per MODIFY) and — since
+    every execution produces the same statement shapes — the engine's
+    plans.
     """
 
     def __init__(
@@ -256,13 +190,20 @@ class PreparedUpdate:
         self.session = session
         self.request = request
         self.text = text
+        self._where = [
+            PreparedPattern(op.where) if isinstance(op, Modify) else None
+            for op in request.operations
+        ]
 
     def execute(self, bindings: Optional[Bindings] = None) -> UpdateResult:
         """Execute the request; placeholders are substituted from
         ``bindings`` (variable name → RDF term or plain Python value)."""
         solution = _solution(bindings)
         return self.session._run(
-            [_resolve_operation(op, solution) for op in self.request.operations],
+            [
+                _resolve_operation(op, solution, where)
+                for op, where in zip(self.request.operations, self._where)
+            ],
             atomic=False,
         )
 
@@ -270,9 +211,13 @@ class PreparedUpdate:
 class PreparedQuery:
     """A parsed SPARQL query, executable many times.
 
-    On the relational backend the SPARQL→SQL pattern translation is cached
-    per schema version (translation never reads row data), so repeated
-    executions skip straight to the planner's compiled SELECT.
+    ``bindings`` are initial bindings of the WHERE pattern: a
+    placeholder reads as the term given and comes back bound to it —
+    in the projection, under ORDER BY and in a CONSTRUCT template — as
+    initial bindings behave in Jena and rdflib.  On the relational
+    backend the SPARQL→SQL translation is kept per *template* (see
+    :class:`~repro.core.backend.PreparedPattern`), so an execution binds
+    the values, runs the one statement shape, and decodes the rows.
     """
 
     def __init__(
@@ -284,47 +229,16 @@ class PreparedQuery:
         self.session = session
         self.query = query
         self.text = text
-        self._per_binding: "OrderedDict[Tuple, Any]" = OrderedDict()
+        self._plan = session.backend.prepare_query(query)
 
     def execute(self, bindings: Optional[Bindings] = None):
         """Run the query; returns SelectResult / bool / Graph."""
         return self.outcome(bindings).result
 
     def outcome(self, bindings: Optional[Bindings] = None) -> QueryOutcome:
-        # Lock-free read path: plan lookup briefly takes the cache lock,
-        # execution runs against the backend's committed snapshot.
-        return self._plan_for(_solution(bindings)).outcome()
-
-    def _plan_for(self, solution: Solution):
-        key = _bindings_key(solution)
-        cache_lock = self.session._cache_lock
-        with cache_lock:
-            plan = self._per_binding.get(key)
-            if plan is not None:
-                self._per_binding.move_to_end(key)
-                return plan
-        # Build outside the lock (translation may be expensive); a racing
-        # thread building the same plan is benign — last insert wins.
-        query = self._resolved_query(solution)
-        plan = self.session.backend.prepare_query(query)
-        with cache_lock:
-            self._per_binding[key] = plan
-            if len(self._per_binding) > _BINDING_CACHE_SIZE:
-                self._per_binding.popitem(last=False)
-        return plan
-
-    def _resolved_query(self, solution: Solution) -> Query:
-        if not solution:
-            return self.query
-        query = replace(
-            self.query, where=_substitute_pattern(self.query.where, solution)
-        )
-        if isinstance(query, ConstructQuery):
-            query = replace(
-                query,
-                template=_substitute_triples(query.template, solution, False),
-            )
-        return query
+        # Lock-free read path: execution runs against the backend's
+        # committed snapshot; the plan object is shared by all threads.
+        return self._plan.outcome(_solution(bindings))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ order).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Union
 
 from ..errors import TranslationError
 from ..rdb.catalog import Schema
@@ -28,21 +28,25 @@ __all__ = ["sort_statements", "topological_table_order"]
 
 
 def sort_statements(
-    statements: Sequence[ast.Statement], schema: Schema
-) -> List[ast.Statement]:
-    """Return the statements in FK-dependency-safe execution order."""
-    inserts = [s for s in statements if isinstance(s, ast.Insert)]
-    updates = [s for s in statements if isinstance(s, ast.Update)]
-    deletes = [s for s in statements if isinstance(s, ast.Delete)]
-    others = [
-        s
-        for s in statements
-        if not isinstance(s, (ast.Insert, ast.Update, ast.Delete))
-    ]
-    if others:
-        raise TranslationError(
-            f"cannot sort statement of type {type(others[0]).__name__}"
-        )
+    statements: Sequence[Union[ast.Statement, ast.Bound]], schema: Schema
+) -> List[Union[ast.Statement, ast.Bound]]:
+    """Return the statements in FK-dependency-safe execution order.
+
+    The order depends on each statement's kind and table only, so a
+    bound statement is sorted by its shape."""
+    inserts, updates, deletes = [], [], []
+    for statement in statements:
+        shape = ast.shape_of(statement)
+        if isinstance(shape, ast.Insert):
+            inserts.append(statement)
+        elif isinstance(shape, ast.Update):
+            updates.append(statement)
+        elif isinstance(shape, ast.Delete):
+            deletes.append(statement)
+        else:
+            raise TranslationError(
+                f"cannot sort statement of type {type(shape).__name__}"
+            )
 
     insert_order = topological_table_order(
         [s.table for s in inserts], schema

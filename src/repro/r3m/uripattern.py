@@ -46,6 +46,9 @@ class URIPattern:
             )
         self._template = self._full_pattern()
         self._regex = self._compile_regex()
+        #: the template cut at its placeholders, once: literal text,
+        #: attribute, literal text, ... (odd positions are attributes)
+        self._segments: List[str] = _PLACEHOLDER_RE.split(self._template)
 
     def _full_pattern(self) -> str:
         # "overrides it if the pattern itself forms a valid URI"
@@ -69,16 +72,16 @@ class URIPattern:
 
     def format(self, values: Dict[str, Any]) -> URIRef:
         """Mint the instance URI for a row (a dict of attribute values)."""
-
-        def replace(m: "re.Match[str]") -> str:
-            name = m.group(1)
-            if name not in values or values[name] is None:
+        parts = list(self._segments)
+        for position in range(1, len(parts), 2):
+            value = values.get(parts[position])
+            if value is None:
                 raise MappingError(
-                    f"missing value for URI pattern attribute {name!r}"
+                    "missing value for URI pattern attribute "
+                    f"{parts[position]!r}"
                 )
-            return str(values[name])
-
-        return URIRef(_PLACEHOLDER_RE.sub(replace, self._template))
+            parts[position] = str(value)
+        return URIRef("".join(parts))
 
     # -- reverse: URI -> values ----------------------------------------------------
 

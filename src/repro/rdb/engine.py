@@ -865,14 +865,19 @@ class Database:
 
     def execute(
         self,
-        statement: Union[str, ast.Statement],
+        statement: Union[str, ast.Statement, ast.Bound],
         parameters: Sequence[Any] = (),
     ) -> Result:
-        """Execute one statement (SQL text or AST).
+        """Execute one statement (SQL text, AST, or a bound statement).
 
+        A :class:`~repro.sql.ast.Bound` statement — what the mediator's
+        translators produce — carries its own parameter values: it is
+        the single argument, and is executed as its shape with them.
         SQL text may contain multiple ``;``-separated statements; the result
         of the last one is returned.
         """
+        if type(statement) is ast.Bound:
+            return self._execute_one(statement.shape, statement.values)
         if isinstance(statement, str):
             parsed = parse_statements(statement)
             if not parsed:
@@ -896,10 +901,15 @@ class Database:
         result = self.execute(statement, parameters)
         return result
 
-    def explain(self, statement: Union[str, ast.Statement]) -> List[str]:
+    def explain(
+        self, statement: Union[str, ast.Statement, ast.Bound]
+    ) -> List[str]:
         """The access-path plan for a SELECT/UPDATE/DELETE, one line per
         pipeline stage (e.g. ``author: point lookup via primary key (id)``).
+        A plan belongs to the statement's shape: parameter values play
+        no part in it.
         """
+        statement = ast.shape_of(statement)
         if isinstance(statement, str):
             parsed = parse_statements(statement)
             if len(parsed) != 1:
@@ -913,7 +923,7 @@ class Database:
 
     def explain_analyze(
         self,
-        statement: Union[str, ast.Select],
+        statement: Union[str, ast.Select, ast.Bound],
         parameters: Sequence[Any] = (),
     ) -> Dict[str, Any]:
         """EXPLAIN ANALYZE: execute a SELECT with operator instrumentation.
@@ -936,10 +946,10 @@ class Database:
                     "EXPLAIN ANALYZE takes exactly one statement"
                 )
             statement = parsed[0]
-        if not isinstance(statement, ast.Select):
+        if not isinstance(ast.shape_of(statement), ast.Select):
             raise DatabaseError(
                 "EXPLAIN ANALYZE executes its statement, so only SELECT "
-                f"is supported, not {type(statement).__name__}"
+                f"is supported, not {type(ast.shape_of(statement)).__name__}"
             )
         with analyze_scope() as probe:
             result = self.execute(statement, parameters)

@@ -445,6 +445,9 @@ def evaluate_constant(expr: ast.Expression, parameters: Sequence[Any] = ()) -> A
         # Nearly every VALUES entry: building a closure just to unwrap
         # it made bulk loads measurably (~10 %) slower.
         return expr.value
+    if type(expr) is ast.Parameter and expr.index < len(parameters):
+        # ... and every value of a row the mediator inserts.
+        return parameters[expr.index]
     return compile_expression(expr, _NO_COLUMNS)((), parameters)
 
 

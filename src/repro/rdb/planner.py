@@ -48,10 +48,16 @@ implementation:
   iterator directly (no per-row dict copies); probes extend scope tuples
   instead of rebuilding dicts.
 
-Plans are cached per statement AST (frozen dataclasses hash) in an LRU;
-DDL invalidates the cache through :meth:`Planner.invalidate`.  Statistics
-are read at plan time, so a cached plan keeps its shape until the next
-DDL — stale statistics can cost performance, never correctness.
+Plans are cached per statement *shape* (frozen dataclasses hash) in an
+LRU; DDL invalidates the cache through :meth:`Planner.invalidate`.  The
+mediator's statements carry their request values as parameters
+(:class:`repro.sql.ast.Bound`), so all bindings of one template are one
+shape and one plan.  Nothing here reads a parameter's value at plan time:
+the one constant planning does look at, a ``LIKE`` pattern (it decides
+whether a prefix scan applies), therefore has to stay a literal.
+Statistics are read at plan time, so a shape is costed once per
+generation and keeps its plan until the next DDL — stale statistics can
+cost performance, never correctness.
 
 Setting :attr:`Planner.force_scan` replaces all of the above with
 :meth:`CompiledSelect._plan_oracle`: base tables are always scanned,
@@ -92,7 +98,7 @@ from typing import (
 from ..deadline import cooperative
 from ..errors import DatabaseError
 from ..observability.metrics import ROWS_SCANNED
-from ..observability.tracing import current_probe
+from ..observability.tracing import annotate, current_probe, current_trace
 from ..sql import ast
 from ..sql.render import render_expression
 from .catalog import Schema
@@ -1651,14 +1657,20 @@ class CompiledMutation:
 class Planner:
     """Plans statements against a schema + storage, with an LRU plan cache.
 
-    Statement ASTs are frozen dataclasses, so (generation, AST) pairs
-    serve directly as cache keys; the engine invalidates the cache on DDL,
-    which also bumps :attr:`generation`.  Keying plans by generation is
-    what lets MVCC readers share the cache safely: a plan is only ever
-    built while the live schema matches the generation of the table map
-    it will execute against (snapshot or working store), and DDL holds
-    :attr:`lock` across its catalog mutation so a plan can never observe a
-    half-applied schema change.
+    The cache key is ``(generation, shape)``: the statement AST (frozen
+    dataclasses hash) with parameters where the request's values go, so
+    every execution of one shape — whatever its parameter vector — shares
+    one plan.  A plan is therefore costed **once per shape per
+    generation**, from the statistics of whichever execution came first
+    (possibly an empty table); later growth can leave its join order or
+    build side stale until the next DDL, never its answers — every access
+    path and join strategy is exact for any data.  The engine invalidates
+    the cache on DDL, which also bumps :attr:`generation`.  Keying plans
+    by generation is what lets MVCC readers share the cache safely: a
+    plan is only ever built while the live schema matches the generation
+    of the table map it will execute against (snapshot or working store),
+    and DDL holds :attr:`lock` across its catalog mutation so a plan can
+    never observe a half-applied schema change.
 
     Cache *hits* are lock-free: plans are immutable once built, and the
     individual ``OrderedDict`` operations are atomic under the GIL (a
@@ -1696,14 +1708,19 @@ class Planner:
     def _cached(
         self, generation: int, stmt: ast.Statement, data: Dict[str, TableData]
     ) -> Any:
-        """The plan for ``stmt`` over the table map ``data``, which must
-        belong to ``generation``."""
+        """The plan for the statement shape ``stmt`` over the table map
+        ``data``, which must belong to ``generation``."""
         key = (generation, stmt)
         try:
             plan = self._cache[key]
         except (KeyError, TypeError):
             # TypeError: unhashable literal buried in the AST — plan uncached.
             self.stats["misses"] += 1
+            trace = current_trace()
+            if trace is not None:
+                # Cold path only: the request's log line says it paid
+                # for planning (a hit adds nothing to the hot path).
+                annotate(plans_built=trace.get("plans_built", 0) + 1)
             with self.lock:
                 if generation != self.generation:
                     raise StaleSnapshotError(
@@ -1728,6 +1745,10 @@ class Planner:
         except KeyError:
             pass  # concurrently invalidated/evicted; recency is best-effort
         return plan
+
+    def cache_entries(self) -> int:
+        """Plans (one per statement shape) currently cached."""
+        return len(self._cache)
 
     def plan(
         self, stmt: Union[ast.Select, ast.Update, ast.Delete]

@@ -439,6 +439,11 @@ class OntoAccessEndpoint:
                     f"Plan-cache {key} since process start.",
                     value,
                 )
+            gauge(
+                "plan_cache_entries",
+                "Statement shapes that currently have a cached plan.",
+                planner.cache_entries(),
+            )
         backend = self.session.health()
         gauge(
             "storage_durable",

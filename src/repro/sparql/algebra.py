@@ -8,6 +8,11 @@ terms.
 Blank nodes appearing in a *pattern* act as non-distinguished variables
 (standard SPARQL semantics), implemented by renaming them to fresh
 variables before matching.
+
+A pattern can be evaluated under *initial bindings* (a prepared
+operation's placeholders): every solution starts from them, so a bound
+variable constrains each part of the pattern like a constant written in
+its place, and is part of every solution.
 """
 
 from __future__ import annotations
@@ -19,15 +24,38 @@ from ..rdf.terms import BNode, Term, Triple, Variable
 from . import algebra_ast as alg
 from .expressions import filter_accepts
 
-__all__ = ["Solution", "evaluate_pattern", "match_bgp", "instantiate", "substitute"]
+__all__ = [
+    "Solution",
+    "evaluate_pattern",
+    "initial_solution",
+    "match_bgp",
+    "instantiate",
+    "substitute",
+]
 
 Solution = Dict[Variable, Term]
 
 
-def evaluate_pattern(graph: Graph, pattern: alg.GroupPattern) -> List[Solution]:
-    """Evaluate a group graph pattern; returns all solutions."""
+def initial_solution(bindings: Optional[Solution]) -> Solution:
+    """What every solution of a pattern evaluated under ``bindings``
+    starts from.  A blank node binds nothing: like one written in the
+    pattern it matches anything, so its variable stays free."""
+    if not bindings:
+        return {}
+    return {
+        var: term for var, term in bindings.items() if not isinstance(term, BNode)
+    }
+
+
+def evaluate_pattern(
+    graph: Graph,
+    pattern: alg.GroupPattern,
+    bindings: Optional[Solution] = None,
+) -> List[Solution]:
+    """Evaluate a group graph pattern; returns all solutions (each one an
+    extension of the initial ``bindings``)."""
     pattern = _rename_bnodes(pattern)
-    solutions: List[Solution] = [{}]
+    solutions: List[Solution] = [initial_solution(bindings)]
 
     # Group semantics: join all triple patterns and subgroups/unions/
     # optionals in order, then apply filters over the whole group.
@@ -36,15 +64,19 @@ def evaluate_pattern(graph: Graph, pattern: alg.GroupPattern) -> List[Solution]:
             solutions = _join_triple(graph, solutions, element.triple)
         elif isinstance(element, alg.GroupPattern):
             solutions = _join_solutions(
-                solutions, evaluate_pattern(graph, element)
+                solutions, evaluate_pattern(graph, element, bindings)
             )
         elif isinstance(element, alg.Union):
             branch_solutions: List[Solution] = []
             for branch in element.branches:
-                branch_solutions.extend(evaluate_pattern(graph, branch))
+                branch_solutions.extend(
+                    evaluate_pattern(graph, branch, bindings)
+                )
             solutions = _join_solutions(solutions, branch_solutions)
         elif isinstance(element, alg.Optional_):
-            solutions = _left_join(graph, solutions, element.pattern)
+            solutions = _left_join(
+                solutions, evaluate_pattern(graph, element.pattern, bindings)
+            )
         elif isinstance(element, alg.Filter):
             pass  # applied below, after the group is complete
         else:
@@ -160,9 +192,8 @@ def _join_solutions(
 
 
 def _left_join(
-    graph: Graph, solutions: List[Solution], optional: alg.GroupPattern
+    solutions: List[Solution], optional_solutions: List[Solution]
 ) -> List[Solution]:
-    optional_solutions = evaluate_pattern(graph, optional)
     result = []
     for solution in solutions:
         matched = False

@@ -22,7 +22,14 @@ from .query_parser import parse_query
 from .update_ast import Clear, DeleteData, InsertData, Modify, UpdateRequest
 from .update_parser import parse_update
 
-__all__ = ["SelectResult", "query", "update", "apply_operation", "apply_select_modifiers"]
+__all__ = [
+    "SelectResult",
+    "query",
+    "shape_result",
+    "update",
+    "apply_operation",
+    "apply_select_modifiers",
+]
 
 
 @dataclass
@@ -53,28 +60,36 @@ def query(
     graph: Graph,
     q: Union[str, Query],
     prefixes: Optional[PrefixMap] = None,
+    bindings: Optional[Solution] = None,
 ) -> Union[SelectResult, bool, Graph]:
     """Execute a SPARQL query against ``graph``.
 
     Returns a :class:`SelectResult` for SELECT, ``bool`` for ASK, and a new
-    :class:`Graph` for CONSTRUCT.
+    :class:`Graph` for CONSTRUCT.  ``bindings`` are initial bindings of
+    the WHERE pattern (see :func:`~repro.sparql.algebra.evaluate_pattern`).
     """
     if isinstance(q, str):
         q = parse_query(q, prefixes=prefixes)
+    return shape_result(q, evaluate_pattern(graph, q.where, bindings))
+
+
+def shape_result(
+    q: Query, solutions: List[Solution]
+) -> Union[SelectResult, bool, Graph]:
+    """The result of query ``q`` given the solutions of its WHERE pattern.
+
+    Shared between the native evaluator and the RDB-mediated query path
+    (which produces its solutions from translated SQL)."""
     if isinstance(q, SelectQuery):
-        return _select(graph, q)
+        return apply_select_modifiers(q, solutions)
     if isinstance(q, AskQuery):
-        return bool(evaluate_pattern(graph, q.where))
+        return bool(solutions)
     if isinstance(q, ConstructQuery):
         result = Graph()
-        for solution in evaluate_pattern(graph, q.where):
+        for solution in solutions:
             result.add_all(instantiate(q.template, solution))
         return result
     raise TypeError(f"unknown query type {type(q).__name__}")
-
-
-def _select(graph: Graph, q: SelectQuery) -> SelectResult:
-    return apply_select_modifiers(q, evaluate_pattern(graph, q.where))
 
 
 def apply_select_modifiers(q: SelectQuery, solutions: List[Solution]) -> SelectResult:
@@ -163,7 +178,7 @@ def apply_operation(graph: Graph, operation) -> Tuple[int, int]:
     if isinstance(operation, DeleteData):
         return 0, graph.remove_all(operation.triples)
     if isinstance(operation, Modify):
-        solutions = evaluate_pattern(graph, operation.where)
+        solutions = evaluate_pattern(graph, operation.where, operation.bindings)
         to_remove: List[Triple] = []
         to_add: List[Triple] = []
         for solution in solutions:

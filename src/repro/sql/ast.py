@@ -9,13 +9,16 @@ Shared by three consumers:
   :mod:`repro.sql.render`.
 
 All nodes are frozen dataclasses: statements are values that can be hashed,
-compared in tests, and safely shared.
+compared in tests, and safely shared.  The translator's statements are
+*shapes* — :class:`Parameter` nodes where a request's keys and values go —
+paired with their value vector in a :class:`Bound`; the shape is what the
+engine's plan cache keys on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 __all__ = [
     # expressions
@@ -58,6 +61,9 @@ __all__ = [
     "Commit",
     "Rollback",
     "Statement",
+    # statement shape + values
+    "Bound",
+    "shape_of",
 ]
 
 
@@ -373,3 +379,32 @@ Statement = Union[
     Commit,
     Rollback,
 ]
+
+
+# ---------------------------------------------------------------------------
+# statement shape + values
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Bound:
+    """A statement *shape* and the values of its :class:`Parameter` nodes.
+
+    This is what the mediator hands the engine: requests of one template
+    differ only in ``values``, so they share the shape — and with it one
+    cached plan.  ``Database.execute`` takes a ``Bound`` as its single
+    argument, and :func:`repro.sql.render.render` prints it with the
+    values inlined, i.e. as the statement reads in the paper's listings.
+    """
+
+    shape: Statement
+    values: Tuple[Any, ...] = ()
+
+    @property
+    def table(self) -> Any:
+        """The shape's table (of a DML statement: its target)."""
+        return self.shape.table
+
+
+def shape_of(statement: Union[Statement, Bound]) -> Statement:
+    """The statement itself, or the shape of a bound one."""
+    return statement.shape if type(statement) is Bound else statement

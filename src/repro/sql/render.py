@@ -8,23 +8,32 @@ can be compared verbatim against the paper in tests and benchmarks.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Any, Sequence, Union
 
 from . import ast
 
 __all__ = ["render", "render_expression"]
 
 
-def render(statement: ast.Statement) -> str:
-    """Render a statement to a single-line SQL string with trailing ``;``."""
+def render(statement: Union[ast.Statement, ast.Bound]) -> str:
+    """Render a statement to a single-line SQL string with trailing ``;``.
+
+    A :class:`~repro.sql.ast.Bound` statement is printed with its values
+    in place of the parameters they bind — the mediator's statements read
+    as they do in the paper's listings; a parameter without a value (a
+    bare shape) prints as ``?``.
+    """
+    values: Sequence[Any] = ()
+    if isinstance(statement, ast.Bound):
+        statement, values = statement.shape, statement.values
     if isinstance(statement, ast.Select):
-        return _render_select(statement) + ";"
+        return _render_select(statement, values) + ";"
     if isinstance(statement, ast.Insert):
-        return _render_insert(statement) + ";"
+        return _render_insert(statement, values) + ";"
     if isinstance(statement, ast.Update):
-        return _render_update(statement) + ";"
+        return _render_update(statement, values) + ";"
     if isinstance(statement, ast.Delete):
-        return _render_delete(statement) + ";"
+        return _render_delete(statement, values) + ";"
     if isinstance(statement, ast.CreateTable):
         return _render_create(statement) + ";"
     if isinstance(statement, ast.DropTable):
@@ -51,18 +60,18 @@ def render(statement: ast.Statement) -> str:
 
 
 def render_expression(expr: ast.Expression) -> str:
-    return _expr(expr)
+    return _expr(expr, ())
 
 
 # ---------------------------------------------------------------------------
 # statements
 # ---------------------------------------------------------------------------
 
-def _render_select(stmt: ast.Select) -> str:
+def _render_select(stmt: ast.Select, values: Sequence[Any]) -> str:
     parts = ["SELECT"]
     if stmt.distinct:
         parts.append("DISTINCT")
-    parts.append(", ".join(_select_item(i) for i in stmt.items))
+    parts.append(", ".join(_select_item(i, values) for i in stmt.items))
     if stmt.table is not None:
         parts.append("FROM")
         parts.append(_table_ref(stmt.table))
@@ -72,17 +81,20 @@ def _render_select(stmt: ast.Select) -> str:
             else:
                 keyword = "JOIN" if join.kind == "INNER" else f"{join.kind} JOIN"
                 parts.append(
-                    f"{keyword} {_table_ref(join.table)} ON {_expr(join.condition)}"
+                    f"{keyword} {_table_ref(join.table)} "
+                    f"ON {_expr(join.condition, values)}"
                 )
     if stmt.where is not None:
-        parts.append(f"WHERE {_expr(stmt.where)}")
+        parts.append(f"WHERE {_expr(stmt.where, values)}")
     if stmt.group_by:
-        parts.append("GROUP BY " + ", ".join(_expr(e) for e in stmt.group_by))
+        parts.append(
+            "GROUP BY " + ", ".join(_expr(e, values) for e in stmt.group_by)
+        )
     if stmt.having is not None:
-        parts.append(f"HAVING {_expr(stmt.having)}")
+        parts.append(f"HAVING {_expr(stmt.having, values)}")
     if stmt.order_by:
         rendered = ", ".join(
-            _expr(o.expression) + (" DESC" if o.descending else "")
+            _expr(o.expression, values) + (" DESC" if o.descending else "")
             for o in stmt.order_by
         )
         parts.append(f"ORDER BY {rendered}")
@@ -93,8 +105,8 @@ def _render_select(stmt: ast.Select) -> str:
     return " ".join(parts)
 
 
-def _select_item(item: ast.SelectItem) -> str:
-    text = _expr(item.expression)
+def _select_item(item: ast.SelectItem, values: Sequence[Any]) -> str:
+    text = _expr(item.expression, values)
     if item.alias:
         text += f" AS {item.alias}"
     return text
@@ -104,26 +116,29 @@ def _table_ref(ref: ast.TableRef) -> str:
     return f"{ref.name} {ref.alias}" if ref.alias else ref.name
 
 
-def _render_insert(stmt: ast.Insert) -> str:
+def _render_insert(stmt: ast.Insert, values: Sequence[Any]) -> str:
     columns = f" ({', '.join(stmt.columns)})" if stmt.columns else ""
     rows = ", ".join(
-        "(" + ", ".join(_expr(v) for v in row) + ")" for row in stmt.rows
+        "(" + ", ".join(_expr(v, values) for v in row) + ")"
+        for row in stmt.rows
     )
     return f"INSERT INTO {stmt.table}{columns} VALUES {rows}"
 
 
-def _render_update(stmt: ast.Update) -> str:
-    sets = ", ".join(f"{a.column} = {_expr(a.value)}" for a in stmt.assignments)
+def _render_update(stmt: ast.Update, values: Sequence[Any]) -> str:
+    sets = ", ".join(
+        f"{a.column} = {_expr(a.value, values)}" for a in stmt.assignments
+    )
     text = f"UPDATE {stmt.table} SET {sets}"
     if stmt.where is not None:
-        text += f" WHERE {_expr(stmt.where)}"
+        text += f" WHERE {_expr(stmt.where, values)}"
     return text
 
 
-def _render_delete(stmt: ast.Delete) -> str:
+def _render_delete(stmt: ast.Delete, values: Sequence[Any]) -> str:
     text = f"DELETE FROM {stmt.table}"
     if stmt.where is not None:
-        text += f" WHERE {_expr(stmt.where)}"
+        text += f" WHERE {_expr(stmt.where, values)}"
     return text
 
 
@@ -150,13 +165,13 @@ def _column_def(col: ast.ColumnDef) -> str:
     if col.unique:
         parts.append("UNIQUE")
     if col.default is not None:
-        parts.append(f"DEFAULT {_expr(col.default)}")
+        parts.append(f"DEFAULT {_expr(col.default, ())}")
     if col.references is not None:
         table, column = col.references
         suffix = f"({column})" if column else ""
         parts.append(f"REFERENCES {table}{suffix}")
     for check in col.checks:
-        parts.append(f"CHECK ({_expr(check)})")
+        parts.append(f"CHECK ({_expr(check, ())})")
     return " ".join(parts)
 
 
@@ -168,7 +183,7 @@ def _table_constraint(
     if isinstance(constraint, ast.UniqueDef):
         return f"UNIQUE ({', '.join(constraint.columns)})"
     if isinstance(constraint, ast.CheckDef):
-        return f"CHECK ({_expr(constraint.expression)})"
+        return f"CHECK ({_expr(constraint.expression, ())})"
     ref_cols = (
         f" ({', '.join(constraint.ref_columns)})" if constraint.ref_columns else ""
     )
@@ -200,7 +215,9 @@ _PRECEDENCE = {
 }
 
 
-def _expr(expr: ast.Expression, parent_precedence: int = 0) -> str:
+def _expr(
+    expr: ast.Expression, values: Sequence[Any], parent_precedence: int = 0
+) -> str:
     if isinstance(expr, ast.Literal):
         return _literal(expr.value)
     if isinstance(expr, ast.Null):
@@ -208,45 +225,52 @@ def _expr(expr: ast.Expression, parent_precedence: int = 0) -> str:
     if isinstance(expr, ast.ColumnRef):
         return expr.key()
     if isinstance(expr, ast.Parameter):
+        if expr.index < len(values):
+            return _literal(values[expr.index])
         return "?"
     if isinstance(expr, ast.Star):
         return f"{expr.table}.*" if expr.table else "*"
     if isinstance(expr, ast.BinaryOp):
         precedence = _PRECEDENCE.get(expr.op, 4)
-        left = _expr(expr.left, precedence)
-        right = _expr(expr.right, precedence + 1)
+        left = _expr(expr.left, values, precedence)
+        right = _expr(expr.right, values, precedence + 1)
         text = f"{left} {expr.op} {right}"
         if precedence < parent_precedence:
             return f"({text})"
         return text
     if isinstance(expr, ast.UnaryOp):
         if expr.op == "NOT":
-            return f"NOT {_expr(expr.operand, 3)}"
-        return f"-{_expr(expr.operand, 7)}"
+            return f"NOT {_expr(expr.operand, values, 3)}"
+        return f"-{_expr(expr.operand, values, 7)}"
     if isinstance(expr, ast.IsNull):
         keyword = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"{_expr(expr.operand, 4)} {keyword}"
+        return f"{_expr(expr.operand, values, 4)} {keyword}"
     if isinstance(expr, ast.InList):
         keyword = "NOT IN" if expr.negated else "IN"
-        items = ", ".join(_expr(i) for i in expr.items)
-        return f"{_expr(expr.operand, 4)} {keyword} ({items})"
+        items = ", ".join(_expr(i, values) for i in expr.items)
+        return f"{_expr(expr.operand, values, 4)} {keyword} ({items})"
     if isinstance(expr, ast.Between):
         keyword = "NOT BETWEEN" if expr.negated else "BETWEEN"
         return (
-            f"{_expr(expr.operand, 4)} {keyword} "
-            f"{_expr(expr.low, 5)} AND {_expr(expr.high, 5)}"
+            f"{_expr(expr.operand, values, 4)} {keyword} "
+            f"{_expr(expr.low, values, 5)} AND {_expr(expr.high, values, 5)}"
         )
     if isinstance(expr, ast.Like):
         keyword = "NOT LIKE" if expr.negated else "LIKE"
-        return f"{_expr(expr.operand, 4)} {keyword} {_expr(expr.pattern, 5)}"
+        return (
+            f"{_expr(expr.operand, values, 4)} {keyword} "
+            f"{_expr(expr.pattern, values, 5)}"
+        )
     if isinstance(expr, ast.FunctionCall):
         distinct = "DISTINCT " if expr.distinct else ""
-        args = ", ".join(_expr(a) for a in expr.args)
+        args = ", ".join(_expr(a, values) for a in expr.args)
         return f"{expr.name}({distinct}{args})"
     raise TypeError(f"cannot render expression {type(expr).__name__}")
 
 
-def _literal(value: Union[int, float, str, bool]) -> str:
+def _literal(value: Union[int, float, str, bool, None]) -> str:
+    if value is None:
+        return "NULL"
     if isinstance(value, bool):
         return "TRUE" if value else "FALSE"
     if isinstance(value, (int, float)):

@@ -233,3 +233,100 @@ class TestQueryTranslation:
             P + "SELECT DISTINCT ?t WHERE { ?a ont:team ?t . }"
         )
         assert result.rows() == [(EX.team5,)]
+
+
+class TestTranslationAgreesWithReference:
+    """Cases where the translated path used to answer differently from
+    the reference evaluation over the dump (``force_query_fallback``)."""
+
+    @staticmethod
+    def both(oa, query):
+        translated = oa.query_outcome(P + query)
+        reference = OntoAccess(
+            oa.db, oa.mapping, force_query_fallback=True
+        ).query_outcome(P + query)
+        assert translated.used_sql and not reference.used_sql
+        return (
+            sorted(map(str, translated.result.rows())),
+            sorted(map(str, reference.result.rows())),
+            translated,
+        )
+
+    def test_literal_subject_matches_nothing(self, oa):
+        """A literal is nobody's subject; it used to be ignored, so the
+        pattern answered every author's first name."""
+        translated, reference, outcome = self.both(
+            oa, 'SELECT ?f WHERE { "x" foaf:firstName ?f }'
+        )
+        assert translated == reference == []
+        assert "t0.id = NULL" in outcome.select_sql
+
+    def test_blank_node_subject_still_matches_anything(self, oa):
+        translated, reference, _ = self.both(
+            oa, "SELECT ?f WHERE { _:someone foaf:firstName ?f }"
+        )
+        assert translated == reference and translated
+
+    @pytest.mark.parametrize("op", ["=", ">=", "<", "!="])
+    def test_integer_column_against_plain_string(self, oa, op):
+        """A SPARQL type error rejects the solution (``!=`` of unequal
+        terms accepts it); pushed into SQL it used to escape as
+        ``DatabaseError: cannot compare int with str``."""
+        translated, reference, outcome = self.both(
+            oa, f'SELECT ?p WHERE {{ ?p ont:pubYear ?y . FILTER(?y {op} "2005") }}'
+        )
+        assert translated == reference
+        assert len(translated) == (1 if op == "!=" else 0)
+        assert "2005" not in outcome.select_sql  # decided in Python
+
+    @pytest.mark.parametrize("op", ["=", ">=", "<", "!="])
+    def test_string_column_against_integer(self, oa, op):
+        translated, reference, outcome = self.both(
+            oa, f"SELECT ?a WHERE {{ ?a foaf:family_name ?n . FILTER(?n {op} 5) }}"
+        )
+        assert translated == reference
+        assert len(translated) == (1 if op == "!=" else 0)
+        assert " 5" not in outcome.select_sql
+
+    def test_comparable_constants_are_still_pushed_down(self, oa):
+        _, _, numeric = self.both(
+            oa, "SELECT ?p WHERE { ?p ont:pubYear ?y . FILTER(?y >= 2005.5) }"
+        )
+        assert "t0.year >= 2005.5" in numeric.select_sql
+        _, _, text = self.both(
+            oa, 'SELECT ?a WHERE { ?a foaf:family_name ?n . FILTER(?n = "Hert") }'
+        )
+        assert "t0.lastname = 'Hert'" in text.select_sql
+
+    def test_uri_valued_attribute_is_compared_as_a_term(self, oa):
+        """``foaf:mbox`` is a URI in RDF and a bare address in the column:
+        comparing the column with a string would match what SPARQL does
+        not."""
+        translated, reference, outcome = self.both(
+            oa,
+            'SELECT ?a WHERE { ?a foaf:mbox ?m . FILTER(?m = "hert@ifi.uzh.ch") }',
+        )
+        assert translated == reference == []
+        assert "hert@" not in outcome.select_sql
+
+    def test_constant_object_inside_optional_filters_nothing(self, oa):
+        """An OPTIONAL that binds nothing keeps every solution; as a
+        condition on the subject's row it used to drop them."""
+        oa.db.execute("INSERT INTO author (id, lastname) VALUES (7, 'Teamless')")
+        query = (
+            "SELECT ?n WHERE { ?a foaf:family_name ?n . "
+            "OPTIONAL { ?a ont:team ex:team5 } }"
+        )
+        outcome = oa.query_outcome(P + query)
+        assert not outcome.used_sql  # outside the translatable fragment
+        assert {r[0].lexical for r in outcome.result.rows()} == {"Hert", "Teamless"}
+
+    def test_select_sql_is_rendered_when_read(self, oa):
+        outcome = oa.query_outcome(
+            P + "SELECT ?n WHERE { ex:author6 foaf:family_name ?n }"
+        )
+        assert outcome.statement.values == (6,)
+        assert outcome.select_sql == (
+            "SELECT t0.lastname AS v0 FROM author t0 "
+            "WHERE t0.id = 6 AND t0.lastname IS NOT NULL;"
+        )

@@ -287,6 +287,226 @@ class TestPreparedQuery:
         assert {r[0].lexical for r in prepared.execute().rows()} == {"Hert"}
 
 
+EX = "http://example.org/db/"
+
+
+def _both_backends(mediator):
+    """Sessions over the relational backend and over a triple store
+    holding the same graph."""
+    store = MappingAwareTripleStore(
+        mediator.mapping, mediator.db, graph=mediator.dump()
+    )
+    return [mediator.session(), Session(TripleStoreBackend(store))]
+
+
+class TestPreparedTemplates:
+    """Bindings are initial bindings, and the relational backend keeps
+    one translation per template, whatever is bound."""
+
+    AUTHOR = PREFIXES + "SELECT ?subj ?f WHERE { ?subj foaf:firstName ?f }"
+
+    def test_placeholder_comes_back_bound(self, mediator):
+        """It used to come back unbound: ``[{f: "Matthias"}]`` under the
+        header ``(subj, f)``."""
+        author6 = URIRef(EX + "author6")
+        for session in _both_backends(mediator):
+            result = session.prepare(self.AUTHOR).execute({"subj": author6})
+            assert result.rows() == [(author6, Literal("Matthias"))]
+
+    def test_order_by_and_construct_see_the_placeholder(self, mediator):
+        team5 = URIRef(EX + "team5")
+        ordered = PREFIXES + (
+            "SELECT ?t ?l WHERE { ?a ont:team ?t ; foaf:family_name ?l } "
+            "ORDER BY ?t ?l"
+        )
+        construct = PREFIXES + (
+            "CONSTRUCT { ?t ont:member ?a } WHERE { ?a ont:team ?t }"
+        )
+        for session in _both_backends(mediator):
+            result = session.prepare(ordered).execute({"t": team5})
+            assert result.rows() == [(team5, Literal("Hert"))]
+            graph = session.prepare(construct).execute({"t": team5})
+            assert [t.subject for t in graph] == [team5]
+
+    def test_literal_subject_matches_nothing(self, session):
+        """``{"subj": 3}`` used to answer every author's first name."""
+        prepared = session.prepare(self.AUTHOR)
+        outcome = prepared.outcome({"subj": 3})
+        assert outcome.used_sql and outcome.result.rows() == []
+        # ... and the next binding is translated for what it is
+        author6 = URIRef(EX + "author6")
+        assert len(prepared.execute({"subj": author6})) == 1
+
+    def test_one_translation_and_one_plan_per_template(self, session, mediator):
+        for i in range(10, 40):
+            mediator.db.execute(
+                f"INSERT INTO author (id, firstname, lastname) "
+                f"VALUES ({i}, 'F{i}', 'L{i}')"
+            )
+        prepared = session.prepare(self.AUTHOR)
+        prepared.execute({"subj": URIRef(EX + "author10")})
+        kept = prepared._plan._where._kept
+        misses = mediator.db.planner.stats["misses"]
+        for i in range(11, 40):
+            subject = URIRef(f"{EX}author{i}")
+            outcome = prepared.outcome({"subj": subject})
+            assert outcome.result.rows() == [(subject, Literal(f"F{i}"))]
+            assert outcome.select_sql.endswith(
+                f"WHERE t0.id = {i} AND t0.firstname IS NOT NULL;"
+            )
+        assert prepared._plan._where._kept is kept
+        assert mediator.db.planner.stats["misses"] == misses
+
+    def test_binding_of_another_kind_is_translated_again(self, session):
+        """``foaf:name`` is a team's property: an author URI makes the
+        pattern untranslatable (dump evaluation, no row), a team URI
+        translatable — in any order, any number of times."""
+        prepared = session.prepare(
+            PREFIXES + "SELECT ?n WHERE { ?subj foaf:name ?n }"
+        )
+        for _ in range(3):
+            team = prepared.outcome({"subj": URIRef(EX + "team5")})
+            assert team.used_sql
+            assert team.result.rows() == [(Literal("Software Engineering"),)]
+            author = prepared.outcome({"subj": URIRef(EX + "author6")})
+            assert not author.used_sql and author.result.rows() == []
+
+    def test_post_filter_keeps_the_placeholder(self, session):
+        """A filter evaluated in Python must read the current binding,
+        not the one the translation was made from."""
+        session.execute(
+            PREFIXES + 'INSERT DATA { ex:author2 foaf:family_name "Reif" . }'
+        )
+        prepared = session.prepare(
+            PREFIXES
+            + "SELECT ?n WHERE { ?x foaf:family_name ?n . FILTER(REGEX(?n, ?re)) }"
+        )
+        assert prepared.execute({"re": "^H"}).rows() == [(Literal("Hert"),)]
+        assert prepared.execute({"re": "^R"}).rows() == [(Literal("Reif"),)]
+        assert prepared.execute({"re": "^X"}).rows() == []
+
+    def test_pushed_down_filter_constant_of_another_class(self, session, mediator):
+        """``?y >= "2005"`` is a type error in SPARQL (no row) and used to
+        be a ``DatabaseError`` out of the engine."""
+        for pub, year in ((1, 2001), (2, 2005), (3, 2009)):
+            mediator.db.execute(
+                "INSERT INTO publication (id, title, year, type, publisher) "
+                f"VALUES ({pub}, 'T{pub}', {year}, 4, 3)"
+            )
+        prepared = session.prepare(
+            PREFIXES
+            + "SELECT ?p WHERE { ?p ont:pubYear ?y . FILTER(?y >= ?lo) }"
+        )
+        for lo, rows, pushed in (
+            (2005, 2, True),
+            (Literal("2005"), 0, False),
+            (2002.5, 2, True),
+            (Literal("abc"), 0, False),
+            (Literal("12", datatype="http://www.w3.org/2001/XMLSchema#integer"), 3, True),
+        ):
+            outcome = prepared.outcome({"lo": lo})
+            assert outcome.used_sql and len(outcome.result) == rows, lo
+            assert ("t0.year >=" in outcome.select_sql) == pushed, lo
+
+    def test_placeholder_used_twice_is_one_parameter(self, session, mediator):
+        mediator.db.execute(
+            "INSERT INTO publication (id, title, year, type, publisher) "
+            "VALUES (1, 'T', 2005, 4, 3)"
+        )
+        subject = session.prepare(
+            PREFIXES
+            + "SELECT ?f ?l WHERE { ?s foaf:firstName ?f . ?s foaf:family_name ?l }"
+        ).outcome({"s": URIRef(EX + "author6")})
+        assert subject.statement.values == (6,)
+        assert subject.result.rows() == [(Literal("Matthias"), Literal("Hert"))]
+        constant = session.prepare(
+            PREFIXES
+            + "SELECT ?p WHERE { ?p ont:pubYear ?y . FILTER(?y >= ?v && ?y <= ?v) }"
+        ).outcome({"v": 2005})
+        assert constant.statement.values == (2005,)
+        assert "t0.year >= 2005 AND t0.year <= 2005" in constant.select_sql
+        assert len(constant.result) == 1
+
+    def test_prepared_modify_keeps_its_where_translation(self, session, mediator):
+        for i in range(10, 30):
+            mediator.db.execute(
+                "INSERT INTO author (id, lastname, email) "
+                f"VALUES ({i}, 'L{i}', 'old{i}@example.org')"
+            )
+        prepared = session.prepare(
+            PREFIXES
+            + "MODIFY DELETE { ?s foaf:mbox ?old . } INSERT { ?s foaf:mbox ?new . } "
+            "WHERE { ?s foaf:mbox ?old . }"
+        )
+
+        def replace(i):
+            return prepared.execute({
+                "s": URIRef(f"{EX}author{i}"),
+                "old": URIRef(f"mailto:old{i}@example.org"),
+                "new": URIRef(f"mailto:new{i}@example.org"),
+            })
+
+        assert replace(10).rows_affected() == 1
+        kept = prepared._where[0]._kept
+        misses = mediator.db.planner.stats["misses"]
+        for i in range(11, 30):
+            result = replace(i)
+            assert result.operations[0].used_sql_select
+            assert result.sql() == [
+                f"UPDATE author SET email = 'new{i}@example.org' WHERE id = {i};"
+            ]
+        assert prepared._where[0]._kept is kept
+        assert mediator.db.planner.stats["misses"] == misses
+        assert replace(10).rows_affected() == 0  # old10 is gone: no binding
+
+    def test_shared_prepared_query_under_contending_threads(self, mediator):
+        """Reader threads share one prepared query (``Session._prepared``)
+        and with it the kept-translation slot; bindings of two kinds make
+        them replace it under each other's feet.  Every answer must still
+        be its own binding's."""
+        import sys
+        import time
+
+        session = mediator.session()
+        prepared = session.prepare(
+            PREFIXES + "SELECT ?subj ?n WHERE { ?subj foaf:name ?n }"
+        )
+        team = URIRef(EX + "team5")
+        publisher = URIRef(EX + "publisher3")
+        expected = {
+            team: [(team, Literal("Software Engineering"))],
+            publisher: [],  # ont:name, not foaf:name: untranslatable, no row
+        }
+        wrong, done = [], []
+        deadline = time.monotonic() + 1.0
+
+        def reader(offset):
+            subjects = [team, publisher]
+            count = 0
+            while time.monotonic() < deadline:
+                subject = subjects[(count + offset) % 2]
+                rows = prepared.execute({"subj": subject}).rows()
+                if rows != expected[subject]:
+                    wrong.append((subject, rows))
+                count += 1
+            done.append(count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(i,)) for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and len(done) == 6 and min(done) > 0
+
+
 class TestBatchesAndTransactions:
     def test_execute_all_commits_all(self, session, mediator):
         result = session.execute_all(

@@ -201,3 +201,85 @@ def test_untranslatable_where_falls_back_for_modify_and_select():
     assert operation.used_sql_select is False
     assert operation.bindings == 1
     assert db.get_row_by_pk("author", (6,))["email"] == "hert@example.com"
+
+
+#: request templates for a sequence of distinct bindings: (template,
+#: placeholder -> value for the i-th request)
+SEQUENCE = [
+    (
+        "INSERT DATA { ?subj foaf:firstName ?first ; foaf:family_name ?last ; "
+        "foaf:mbox ?mbox ; ont:team ex:team5 . }",
+        lambda i: {
+            "subj": URIRef(f"http://example.org/db/author{100 + i}"),
+            "first": f"First{i}",
+            "last": f"Last{i}",
+            "mbox": URIRef(f"mailto:a{i}@example.org"),
+        },
+    ),
+    (
+        "MODIFY DELETE { ?subj foaf:mbox ?old . } INSERT { ?subj foaf:mbox ?new . } "
+        "WHERE { ?subj foaf:mbox ?old . }",
+        lambda i: {
+            "subj": URIRef(f"http://example.org/db/author{100 + i}"),
+            "new": URIRef(f"mailto:b{i}@example.org"),
+        },
+    ),
+    (
+        "MODIFY DELETE { ?x foaf:mbox ?old . } INSERT { ?x foaf:mbox ?new . } "
+        "WHERE { ?x rdf:type foaf:Person ; foaf:firstName ?first ; "
+        "foaf:family_name ?last ; foaf:mbox ?old . }",
+        lambda i: {
+            "first": f"First{i}",
+            "last": f"Last{i}",
+            "new": URIRef(f"mailto:c{i}@example.org"),
+        },
+    ),
+    (
+        "DELETE DATA { ?subj foaf:mbox ?mbox . }",
+        lambda i: {
+            "subj": URIRef(f"http://example.org/db/author{100 + i}"),
+            "mbox": URIRef(f"mailto:c{i}@example.org"),
+        },
+    ),
+]
+
+
+def _as_text(template: str, bindings: Dict[str, object]) -> str:
+    text = template
+    for name, value in bindings.items():
+        n3 = value.n3() if hasattr(value, "n3") else f'"{value}"'
+        text = text.replace(f"?{name} ", f"{n3} ")
+    return PREFIXES + text
+
+
+def test_a_sequence_of_distinct_bindings_is_the_same_through_every_entry_point():
+    """Prepared templates keep state between executions (the WHERE
+    translation of a MODIFY, the engine's plans per statement shape);
+    request texts keep none.  Twelve distinct binding sets through each
+    must produce the same SQL lines and leave the same dump."""
+
+    def fresh():
+        db = build_database()
+        seed_feasibility_data(db)
+        mediator = OntoAccess(db, build_mapping(db))
+        return mediator, mediator.session()
+
+    prepared_side, session_side, facade_side = fresh(), fresh(), fresh()
+    prepared = [
+        prepared_side[1].prepare(PREFIXES + template) for template, _ in SEQUENCE
+    ]
+    for i in range(12):
+        for statement, (template, bindings_for) in zip(prepared, SEQUENCE):
+            bindings = bindings_for(i)
+            text = _as_text(template, bindings)
+            lines = statement.execute(bindings).sql()
+            assert lines and all("?" not in line for line in lines)
+            assert session_side[1].execute(text).sql() == lines
+            assert facade_side[0].update(text).sql() == lines
+    dump = prepared_side[0].dump()
+    assert len(dump) > 12 * 4
+    assert session_side[0].dump() == dump == facade_side[0].dump()
+    # one shape per template's statements, whatever the surface
+    misses = [side[0].db.planner.stats["misses"] for side in
+              (prepared_side, session_side, facade_side)]
+    assert misses[0] == misses[1] == misses[2] <= 6

@@ -33,6 +33,7 @@ import pytest
 
 from repro.errors import DatabaseError
 from repro.rdb import Database
+from tests.rdb.test_plan_stability import lift_literals
 
 QUERIES_PER_BATCH = 20
 SEEDS = range(8)
@@ -295,6 +296,7 @@ def _random_dml(rng, specs):
 # ---------------------------------------------------------------------------
 
 def _outcome(db, sql):
+    """What ``sql`` answers — text, or a shape with its value vector."""
     try:
         result = db.query(sql)
     except DatabaseError as exc:
@@ -311,6 +313,13 @@ def _multiset(rows):
 def _assert_agree(planned_db, oracle_db, sql, compare):
     planned = _outcome(planned_db, sql)
     oracle = _outcome(oracle_db, sql)
+    # The other spelling — literals lifted into a parameter vector, as the
+    # mediator sends every statement — runs the same plan on the same
+    # data, so it must answer identically, row for row.
+    assert _outcome(planned_db, lift_literals(sql)) == planned, (
+        f"parameterised spelling diverges for {sql!r}:\n"
+        f"  plan: {planned_db.explain(sql)}"
+    )
     if planned[0] == "error" or oracle[0] == "error":
         assert planned == oracle, (
             f"error divergence for {sql!r}: planned={planned} oracle={oracle}"
@@ -385,8 +394,9 @@ def test_planner_matches_forced_scan_oracle(seed):
         if batch == 0:
             # mutate both sides, then query again: index maintenance
             # (insert/update/delete paths) must keep the structures exact
+            # (the planned side in the mediator's spelling: shape + values)
             for statement in _random_dml(rng, specs):
-                planned_result = planned_db.execute(statement)
+                planned_result = planned_db.execute(lift_literals(statement))
                 oracle_result = oracle_db.execute(statement)
                 assert planned_result.rowcount == oracle_result.rowcount, (
                     f"DML rowcount diverges for {statement!r}"

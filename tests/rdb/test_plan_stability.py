@@ -16,11 +16,14 @@ is not necessarily a bug — but it is a changed plan and has to be
 explained in the change that causes it.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.rdb import Database
 from repro.rdb.expressions import ScopeLayout
-from repro.sql.parser import parse_expression
+from repro.sql import ast
+from repro.sql.parser import parse_expression, parse_statements
 from repro.workloads.publication import PUBLICATION_DDL
 
 #: Rows per table.  Chosen so that the estimates of the statements below
@@ -475,6 +478,85 @@ def test_one_equi_key_matcher_serves_index_keys_and_hash_keys(slot, text, expect
     if match is not None:
         match = (match[0], render_expression(match[1]))
     assert match == expected
+
+
+def lift_literals(sql: str) -> ast.Bound:
+    """The statement as the mediator would send it: every literal lifted
+    into the value vector, a parameter in its place.
+
+    A ``LIKE`` pattern stays a literal — it is part of the shape: the
+    planner reads it to decide whether a prefix scan applies (and which
+    prefix), so a parameter there could only ever be a filter.
+    """
+    values = []
+
+    def lift(node):
+        if isinstance(node, ast.Literal):
+            values.append(node.value)
+            return ast.Parameter(len(values) - 1)
+        if isinstance(node, ast.Like):
+            return dataclasses.replace(node, operand=lift(node.operand))
+        if isinstance(node, tuple):
+            return tuple(lift(item) for item in node)
+        if dataclasses.is_dataclass(node):
+            return dataclasses.replace(
+                node,
+                **{
+                    f.name: lift(getattr(node, f.name))
+                    for f in dataclasses.fields(node)
+                },
+            )
+        return node
+
+    (statement,) = parse_statements(sql)
+    return ast.Bound(lift(statement), tuple(values))
+
+
+@pytest.mark.parametrize("sql", [*PLANS, *POOLED_INNER_PLANS])
+def test_plan_belongs_to_the_shape_not_to_the_values(db, sql):
+    """One plan serves every binding of a statement shape, so lifting the
+    literals to parameters must not change a single plan line."""
+    bound = lift_literals(sql)
+    assert db.explain(bound) == db.explain(sql)
+    assert db.explain(bound.shape) == db.explain(sql)
+
+
+def test_a_shape_planned_on_an_empty_table_stays_right_as_it_fills():
+    """A shape is costed once per generation, from whatever the tables
+    held at its first execution.  That estimate may go stale (here: the
+    join order and build sides chosen for two empty tables); the answers
+    may not."""
+    planned, oracle = Database(), Database()
+    oracle.planner.force_scan = True
+    for db in (planned, oracle):
+        db.execute_script(PUBLICATION_DDL)
+    shapes = [
+        lift_literals(
+            "SELECT a.lastname, t.name FROM author a JOIN team t "
+            "ON t.id = a.team WHERE a.id > 990 AND t.code <> 'T3'"
+        ),
+        lift_literals("SELECT lastname FROM author WHERE team = 4 AND id < 40"),
+        lift_literals("UPDATE author SET title = 'Prof' WHERE team = 2 AND id > 900"),
+    ]
+    for shape in shapes:  # planned now, on empty tables
+        assert planned.execute(shape).rowcount == 0
+    before = dict(planned.planner.stats)
+    for db in (planned, oracle):
+        rows = [f"INSERT INTO team (id, name, code) VALUES ({i}, 'Team {i}', 'T{i}')"
+                for i in range(1, 8)]
+        rows += [
+            "INSERT INTO author (id, firstname, lastname, team) "
+            f"VALUES ({i}, 'F{i}', 'L{i}', {1 + i % 7})"
+            for i in range(1, 1001)
+        ]
+        db.execute_script(";\n".join(rows))
+    for shape in shapes:
+        got, expected = planned.execute(shape), oracle.execute(shape)
+        assert got.rowcount == expected.rowcount > 0
+        assert sorted(got.rows) == sorted(expected.rows)
+    stats = planned.planner.stats
+    assert stats["misses"] == before["misses"]  # the stale plans were reused
+    assert stats["hits"] == before["hits"] + len(shapes)
 
 
 if __name__ == "__main__":

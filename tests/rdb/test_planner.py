@@ -13,8 +13,10 @@ Covers the ISSUE-1 satellite checklist:
 import pytest
 
 from repro.errors import DatabaseError
+from repro.observability.tracing import trace_scope
 from repro.rdb import Database
 from repro.rdb.storage import TableData
+from repro.sql import ast, parse_sql
 
 
 def make_db():
@@ -268,6 +270,54 @@ class TestPlanCache:
         db.execute("DROP TABLE extra")
         result = db.query("SELECT name FROM author WHERE id = 1")
         assert result.rows == [("Hert",)]
+
+
+class TestBoundStatements:
+    """``Database.execute`` takes a statement shape with its value vector
+    as one argument; the plan belongs to the shape."""
+
+    SELECT = parse_sql("SELECT name FROM author WHERE id = ?")
+
+    def test_one_plan_for_every_value_vector(self, db):
+        before = dict(db.planner.stats)
+        rows = [
+            db.execute(ast.Bound(self.SELECT, (key,))).rows for key in (1, 3, 5, 9)
+        ]
+        assert rows == [[("Hert",)], [("Gall",)], [("Solo",)], []]
+        assert db.planner.stats["misses"] == before["misses"] + 1
+        assert db.planner.stats["hits"] == before["hits"] + 3
+        assert db.planner.cache_entries() == 1
+
+    def test_dml_and_unplanned_insert(self, db):
+        insert = parse_sql("INSERT INTO author (id, name, team) VALUES (?, ?, ?)")
+        update = parse_sql("UPDATE author SET name = ? WHERE id = ?")
+        delete = parse_sql("DELETE FROM author WHERE id = ?")
+        before = dict(db.planner.stats)
+        for key in (10, 11):
+            assert db.execute(ast.Bound(insert, (key, f"N{key}", 1))).rowcount == 1
+            assert db.execute(ast.Bound(update, (f"M{key}", key))).rowcount == 1
+        assert db.query("SELECT name FROM author WHERE id = 11").rows == [("M11",)]
+        assert db.execute(ast.Bound(delete, (10,))).rowcount == 1
+        # INSERT is never planned; UPDATE and DELETE once each, + the SELECT
+        assert db.planner.stats["misses"] == before["misses"] + 3
+        with pytest.raises(DatabaseError, match="missing bind parameter"):
+            db.execute(ast.Bound(insert, (12, "short")))
+
+    def test_explain_sees_through(self, db):
+        bound = ast.Bound(self.SELECT, (1,))
+        assert db.explain(bound) == db.explain("SELECT name FROM author WHERE id = 1")
+        report = db.explain_analyze(bound)
+        assert report["rows"] == 1 and "point lookup" in report["plan"][0]
+        assert db.query(bound).rows == [("Hert",)]
+
+    def test_building_a_plan_is_noted_on_the_request_trace(self, db):
+        with trace_scope() as cold:
+            db.execute(ast.Bound(self.SELECT, (1,)))
+            db.execute("SELECT name FROM team WHERE id = 1")
+        with trace_scope() as warm:
+            db.execute(ast.Bound(self.SELECT, (2,)))
+        assert cold["plans_built"] == 2
+        assert "plans_built" not in warm
 
 
 class TestOrderByTopK:

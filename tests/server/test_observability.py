@@ -129,6 +129,9 @@ class TestMetricsExposition:
         assert _sample(text, "repro_serving_in_flight") is not None
         assert _sample(text, "repro_serving_admitted_total") >= 3
         assert _sample(text, "repro_plan_cache_hits") is not None
+        # one query shape was planned, once, and is what the cache holds
+        assert _sample(text, "repro_plan_cache_entries") == 1.0
+        assert _sample(text, "repro_plan_cache_misses") == 1.0
         assert _sample(text, "repro_replica_role_primary") == 1.0
 
     def test_metrics_bypasses_admission(self, endpoint):
@@ -310,6 +313,29 @@ class TestRequestIds:
         assert status == 200
         entries = json.loads(body)["entries"]
         assert any(e["request_id"] == "slow-and-logged" for e in entries)
+
+
+    def test_entry_says_when_the_request_paid_for_planning(self, endpoint):
+        """Cold path only: the request that builds a plan says so in its
+        log entry; requests of the same shape after it say nothing."""
+        endpoint.query_log.threshold = 0.0
+        point = (
+            "PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
+            "PREFIX ex: <http://example.org/db/> "
+            "SELECT ?n WHERE { ex:author%d foaf:family_name ?n . }"
+        )
+        with endpoint:
+            for key in (6, 7, 8):  # one shape, three keys
+                _post(
+                    endpoint.port, "/query", point % key,
+                    headers={"X-Request-Id": f"key-{key}"},
+                )
+            assert _await(lambda: endpoint.query_log.status()["count"] >= 3)
+            _, _, body = _get(endpoint.port, "/admin/slow-queries")
+        entries = {e["request_id"]: e for e in json.loads(body)["entries"]}
+        assert entries["key-6"]["plans_built"] == 1
+        assert "plans_built" not in entries["key-7"]
+        assert "plans_built" not in entries["key-8"]
 
 
 class TestSlowQueryLog:

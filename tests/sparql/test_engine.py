@@ -150,6 +150,63 @@ class TestSelect:
         assert len(result) == 2
 
 
+class TestInitialBindings:
+    """``bindings`` bind variables before evaluation: the variable reads
+    as the term wherever the pattern uses it, and every solution has it."""
+
+    def test_bound_variable_constrains_and_is_returned(self, graph):
+        result = query(
+            graph,
+            P + "SELECT ?x ?n WHERE { ?x foaf:firstName ?n . }",
+            bindings={Variable("x"): EX.author2},
+        )
+        assert result.rows() == [(EX.author2, Literal("Gerald"))]
+
+    def test_binding_reaches_optional_union_subgroup_and_filter(self, graph):
+        result = query(
+            graph,
+            P
+            + """SELECT ?n ?m WHERE {
+                { ?x foaf:firstName ?n } UNION { ?x foaf:name ?n }
+                OPTIONAL { ?x foaf:mbox ?m }
+                { ?x rdf:type ?c }
+                FILTER(?c = ?cls)
+            }""",
+            bindings={Variable("x"): EX.author1, Variable("cls"): FOAF.Person},
+        )
+        assert result.rows() == [
+            (Literal("Matthias"), URIRef("mailto:hert@ifi.uzh.ch"))
+        ]
+
+    def test_literal_subject_matches_nothing(self, graph):
+        result = query(
+            graph,
+            P + "SELECT ?n WHERE { ?x foaf:firstName ?n . }",
+            bindings={Variable("x"): Literal("x")},
+        )
+        assert len(result) == 0
+
+    def test_blank_node_binds_nothing(self, graph):
+        from repro.rdf.terms import BNode
+
+        result = query(
+            graph,
+            P + "SELECT ?n WHERE { ?x foaf:firstName ?n . }",
+            bindings={Variable("x"): BNode()},
+        )
+        assert len(result) == 2  # as a blank node written in the pattern
+
+    def test_ask_and_construct(self, graph):
+        bound = {Variable("x"): EX.author2}
+        assert query(graph, P + "ASK { ?x ont:team ?t }", bindings=bound) is False
+        built = query(
+            graph,
+            P + "CONSTRUCT { ?x foaf:name ?n } WHERE { ?x foaf:family_name ?n }",
+            bindings=bound,
+        )
+        assert list(built) == [Triple(EX.author2, FOAF.name, Literal("Reif"))]
+
+
 class TestAskConstruct:
     def test_ask_true(self, graph):
         assert query(graph, P + 'ASK { ?x foaf:family_name "Hert" . }') is True

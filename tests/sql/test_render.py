@@ -98,6 +98,63 @@ class TestRenderExpressions:
         assert render_expression(ast.Literal(True)) == "TRUE"
 
 
+class TestRenderBound:
+    """A shape with its value vector reads like the literal spelling."""
+
+    SHAPE = ast.Update(
+        table="author",
+        assignments=(
+            ast.Assignment("email", ast.Parameter(0)),
+            ast.Assignment("title", ast.Null()),
+        ),
+        where=ast.BinaryOp(
+            "AND",
+            ast.BinaryOp("=", ast.ColumnRef("id"), ast.Parameter(1)),
+            ast.BinaryOp("<>", ast.ColumnRef("lastname"), ast.Parameter(2)),
+        ),
+    )
+
+    def test_values_are_inlined(self):
+        bound = ast.Bound(self.SHAPE, ("a@b.org", 6, "O'Brien"))
+        assert render(bound) == (
+            "UPDATE author SET email = 'a@b.org', title = NULL "
+            "WHERE id = 6 AND lastname <> 'O''Brien';"
+        )
+        assert render(parse_sql(render(bound))) == render(bound)
+
+    def test_bare_shape_prints_placeholders(self):
+        assert render(self.SHAPE) == (
+            "UPDATE author SET email = ?, title = NULL "
+            "WHERE id = ? AND lastname <> ?;"
+        )
+        assert render(ast.Bound(self.SHAPE)) == render(self.SHAPE)
+
+    def test_every_statement_kind(self):
+        insert = ast.Bound(
+            ast.Insert("t", ("a", "b"), ((ast.Parameter(0), ast.Parameter(1)),)),
+            (1, None),
+        )
+        assert render(insert) == "INSERT INTO t (a, b) VALUES (1, NULL);"
+        delete = ast.Bound(
+            ast.Delete("t", ast.BinaryOp("=", ast.ColumnRef("a"), ast.Parameter(0))),
+            (True,),
+        )
+        assert render(delete) == "DELETE FROM t WHERE a = TRUE;"
+        select = ast.Bound(parse_sql(
+            "SELECT a, ? AS k FROM t JOIN u ON u.id = t.u AND u.x > ? "
+            "WHERE a BETWEEN ? AND ? GROUP BY a HAVING COUNT(*) > ? ORDER BY a;"
+        ), ("k", 1.5, 2, 3, 4))
+        assert render(select) == (
+            "SELECT a, 'k' AS k FROM t JOIN u ON u.id = t.u AND u.x > 1.5 "
+            "WHERE a BETWEEN 2 AND 3 GROUP BY a HAVING COUNT(*) > 4 ORDER BY a;"
+        )
+
+    def test_bound_statement_sees_through(self):
+        bound = ast.Bound(self.SHAPE, ("x", 1, "y"))
+        assert bound.table == "author"
+        assert ast.shape_of(bound) is self.SHAPE is ast.shape_of(self.SHAPE)
+
+
 # -- parse(render(s)) == s property round-trips ------------------------------
 
 _names = st.sampled_from(["id", "name", "team", "year", "email"])
