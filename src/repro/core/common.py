@@ -25,7 +25,7 @@ drivers compose:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError, TypeMismatchError
 from ..rdb.catalog import Column, Table
@@ -475,15 +475,44 @@ def sql_value_to_term(
     return literal_for_column(column.sql_type, value)
 
 
+def _integer_literal(value: Any) -> Literal:
+    return Literal(str(int(value)), datatype=XSD_INTEGER)
+
+
+def _float_literal(value: Any) -> Literal:
+    return Literal(repr(float(value)), datatype=XSD_DOUBLE)
+
+
+def _boolean_literal(value: Any) -> Literal:
+    return Literal("true" if value else "false", datatype=XSD_BOOLEAN)
+
+
+def _date_literal(value: Any) -> Literal:
+    text = str(value)
+    return Literal(
+        text, datatype=XSD_DATETIME if ("T" in text or " " in text) else XSD_DATE
+    )
+
+
+def _plain_literal(value: Any) -> Literal:
+    return Literal(str(value))
+
+
+def literal_decoder(sql_type: SQLType) -> Callable[[Any], Literal]:
+    """The canonical literal form of a column type's values, as a
+    function of the value alone: a caller that decodes many values of
+    one column looks at the type here, once, not once per value."""
+    if isinstance(sql_type, IntegerType):
+        return _integer_literal
+    if isinstance(sql_type, FloatType):
+        return _float_literal
+    if isinstance(sql_type, BooleanType):
+        return _boolean_literal
+    if isinstance(sql_type, DateType):
+        return _date_literal
+    return _plain_literal
+
+
 def literal_for_column(sql_type: SQLType, value: Any) -> Literal:
     """Canonical literal form for a column type (shared with baselines)."""
-    if isinstance(sql_type, IntegerType):
-        return Literal(str(int(value)), datatype=XSD_INTEGER)
-    if isinstance(sql_type, FloatType):
-        return Literal(repr(float(value)), datatype=XSD_DOUBLE)
-    if isinstance(sql_type, BooleanType):
-        return Literal("true" if value else "false", datatype=XSD_BOOLEAN)
-    if isinstance(sql_type, DateType):
-        datatype = XSD_DATETIME if ("T" in str(value) or " " in str(value)) else XSD_DATE
-        return Literal(str(value), datatype=datatype)
-    return Literal(str(value))
+    return literal_decoder(sql_type)(value)

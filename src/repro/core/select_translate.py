@@ -87,7 +87,7 @@ from .common import (
     Values,
     coerce_pattern_values,
     identify_entity,
-    literal_for_column,
+    literal_decoder,
     term_to_sql_value,
 )
 
@@ -198,10 +198,9 @@ class TranslatedSelect:
                 pattern = site.value_pattern
                 attribute = pattern.attributes[0]
                 return lambda value: pattern.format({attribute: value})
-            sql_type = self.db.table(site.table.table_name).column(
-                site.column
-            ).sql_type
-            return lambda value: literal_for_column(sql_type, value)
+            return literal_decoder(
+                self.db.table(site.table.table_name).column(site.column).sql_type
+            )
         # 'object' and 'subject' both mint instance URIs
         pattern = site.table.uri_pattern
         attribute = pattern.attributes[0]

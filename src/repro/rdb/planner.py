@@ -40,10 +40,33 @@ implementation:
 * **Index-ordered scans** — ``ORDER BY`` on an ordered-indexed column of
   the first pipeline table walks the index in key order instead of
   sorting, and ``LIMIT`` then stops after the first rows.
-* **Compiled expressions** — every expression is compiled once per
-  statement into a closure over a tuple-based scope
-  (:func:`repro.rdb.expressions.compile_expression`); per-row work is
-  tuple indexing, not tree walking.
+* **Plans are code** — planning ends by *generating Python source*
+  (:meth:`CompiledSelect._generate`): one generator function per
+  operator — ``base`` (:meth:`_BaseAccess.emit`: the candidates of the
+  chosen access path, the residual conjuncts inlined as nested ``if``
+  statements in written order, the scanned-rows count), ``join<slot>``
+  (:meth:`_JoinStep.emit`: build-side filters, key extraction, probe, ON
+  residual, LEFT null extension, post filters) — and the ``project``
+  comprehension, with every predicate and projection written out by the
+  emitter of :mod:`repro.rdb.expressions` and every parameter and
+  constant hoisted into a local before the loop.  A row costs the
+  bytecode of its predicates, not a Python call per AST node.  The
+  expressions grouping, sorting and UPDATE call per row or per group
+  (``group<n>`` / ``order<n>`` keys, aggregate ``argument<n>``,
+  ``assign<n>``) are functions of the same unit: one ``compile()`` per
+  plan, and ``plan.source`` shows all of the plan's code.  What is
+  *not* generated: the choice of plan (everything above), the candidate
+  iterators of the index paths (:meth:`_BaseAccess.pairs`), grouping,
+  sorting and DISTINCT / LIMIT, and the protocol between operators —
+  they stay separate iterators over scope tuples, which is what EXPLAIN
+  ANALYZE wraps to time each one and what a deadline interrupts.  The
+  text is on the plan (``plan.source``) and a traceback through it shows
+  the generated line; it lives in the generated functions' globals, so
+  it is freed with the plan.  The cost: building a plan takes a few
+  hundred microseconds of ``compile()`` instead of tens — paid once per
+  statement *shape* per schema generation, so the mediator's handful of
+  templates pay it during warm-up, while a caller that sends every
+  request as a new literal SQL text pays it per text.
 * **Streaming joins** — hash-join build sides consume the storage scan
   iterator directly (no per-row dict copies); probes extend scope tuples
   instead of rebuilding dicts.
@@ -107,9 +130,11 @@ from .expressions import (
     Compiled,
     Rows,
     ScopeLayout,
+    Source,
     combine_binary,
     combine_unary,
-    compile_expression,
+    emit_expression,
+    referenced_slots,
 )
 from .storage import UNBOUNDED, TableData
 from .types import DateType, StringType
@@ -146,47 +171,14 @@ def _split_conjuncts(expr: Optional[ast.Expression]) -> List[ast.Expression]:
     return [expr]
 
 
-def _referenced_slots(
-    expr: ast.Expression, layout: ScopeLayout, slots: Optional[Set[int]] = None
-) -> Set[int]:
-    """All scope slots an expression reads (resolving names eagerly);
-    ``slots`` is the set being filled when the walk calls itself."""
-    if slots is None:
-        slots = set()
-    walk = _referenced_slots
-    if isinstance(expr, ast.ColumnRef):
-        slots.add(layout.resolve(expr)[0])
-    elif isinstance(expr, ast.BinaryOp):
-        walk(expr.left, layout, slots)
-        walk(expr.right, layout, slots)
-    elif isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-        walk(expr.operand, layout, slots)
-    elif isinstance(expr, ast.InList):
-        walk(expr.operand, layout, slots)
-        for item in expr.items:
-            walk(item, layout, slots)
-    elif isinstance(expr, ast.Between):
-        walk(expr.operand, layout, slots)
-        walk(expr.low, layout, slots)
-        walk(expr.high, layout, slots)
-    elif isinstance(expr, ast.Like):
-        walk(expr.operand, layout, slots)
-        walk(expr.pattern, layout, slots)
-    elif isinstance(expr, ast.FunctionCall):
-        for arg in expr.args:
-            walk(arg, layout, slots)
-    return slots
-
-
 class _Conjunct:
-    """One WHERE/ON conjunct with its compiled form and slot footprint."""
+    """One WHERE/ON conjunct with its slot footprint."""
 
-    __slots__ = ("expr", "fn", "slots", "stage")
+    __slots__ = ("expr", "slots", "stage")
 
     def __init__(self, expr: ast.Expression, layout: ScopeLayout) -> None:
         self.expr = expr
-        self.slots = frozenset(_referenced_slots(expr, layout))
-        self.fn = compile_expression(expr, layout)
+        self.slots = frozenset(referenced_slots(expr, layout))
         self.stage = max(self.slots) if self.slots else 0
 
 
@@ -203,7 +195,7 @@ def _column_vs_prior(
             isinstance(side, ast.ColumnRef)
             and layout.resolve(side) == (slot, side.name)
         ):
-            earlier = _referenced_slots(other, layout)
+            earlier = referenced_slots(other, layout)
             if not earlier or max(earlier) < slot:
                 return side.name, other, bool(flipped)
     return None
@@ -279,8 +271,8 @@ def _match_range_conjunct(
         if (
             isinstance(operand, ast.ColumnRef)
             and layout.resolve(operand) == (slot, operand.name)
-            and not _referenced_slots(expr.low, layout)
-            and not _referenced_slots(expr.high, layout)
+            and not referenced_slots(expr.low, layout)
+            and not referenced_slots(expr.high, layout)
         ):
             return _Bounds(operand.name, lo=expr.low, hi=expr.high)
     if isinstance(expr, ast.Like) and not expr.negated:
@@ -303,17 +295,23 @@ def _match_range_conjunct(
     return None
 
 
-def _filtered(
-    scopes: Iterator[Rows],
-    predicates: Sequence[Compiled],
-    parameters: Sequence[Any],
-) -> Iterator[Rows]:
-    for scope in scopes:
-        for fn in predicates:
-            if fn(scope, parameters) is not True:
-                break
-        else:
-            yield scope
+def _indented(lines: Sequence[str], levels: int = 1) -> List[str]:
+    pad = "    " * levels
+    return [pad + line for line in lines]
+
+
+def _when(conditions: Sequence[str], lines: Sequence[str]) -> List[str]:
+    """``lines`` under one nested ``if`` per condition, so conditions are
+    tested in order, stop at the first that fails, and each has a source
+    line of its own for a traceback to show."""
+    for condition in reversed(conditions):
+        lines = [f"if {condition}:", *_indented(lines)]
+    return list(lines)
+
+
+def _tuple(parts: Sequence[str]) -> str:
+    """Source of a tuple display."""
+    return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +326,9 @@ class _BaseAccess:
     (:meth:`path`).  ``kind`` is ``'scan'``, ``'point'`` (unique-index
     lookup), ``'probe'`` (secondary-index equality), ``'range'`` /
     ``'prefix'`` (ordered-index walk) or ``'ordered'`` (full
-    ordered-index scan for ORDER BY).  Residual predicates are the
-    stage-0 conjuncts the path does not answer itself.
+    ordered-index scan for ORDER BY).  ``keys`` are the expressions
+    (over no column) whose values :meth:`pairs` looks up; ``residual``
+    the stage-0 conjuncts the path does not answer itself.
     """
 
     def __init__(
@@ -338,40 +337,47 @@ class _BaseAccess:
         kind: str = "scan",
         *,
         residual: Sequence[_Conjunct] = (),
+        keys: Sequence[ast.Expression] = (),
     ) -> None:
         self.table_name = table_name
         self.kind = kind
-        self.residual = tuple(c.fn for c in residual)
+        self.residual = tuple(c.expr for c in residual)
+        self.keys = tuple(keys)
 
     def pairs(
-        self, table_data: TableData, parameters: Sequence[Any]
+        self, table_data: TableData, key: Tuple[Any, ...]
     ) -> Iterable[Tuple[int, Row]]:
-        """The (rowid, row) pairs this path reads, before the residual."""
+        """The (rowid, row) pairs this path reads, before the residual;
+        ``key`` holds the values of :attr:`keys`."""
         return table_data.scan()
 
     def path(self) -> str:
         return "full scan"
 
-    def rowid_scopes(
-        self, data: Dict[str, TableData], parameters: Sequence[Any]
-    ) -> Iterator[Tuple[int, Rows]]:
-        """Yield (rowid, scope tuple) pairs for matching rows."""
-        residual = self.residual
-        scanned = 0
-        try:
-            for rowid, row in self.pairs(data[self.table_name], parameters):
-                scanned += 1
-                scope = (row,)
-                for fn in residual:
-                    if fn(scope, parameters) is not True:
-                        break
-                else:
-                    yield rowid, scope
-        finally:
+    def emit(self, source: Source, layout: ScopeLayout, result: str) -> str:
+        """Write the generator ``base(data, parameters)``: every row
+        :meth:`pairs` offers is counted, tested against the residual
+        conjuncts in written order, and yielded as ``result`` (code over
+        ``rowid`` and ``r0``)."""
+        fn = source.function("base", "data, parameters", layout)
+        pairs = fn.helper("pairs", self.pairs)
+        guard = fn.helper("cooperative", cooperative)
+        count = fn.helper("count_scanned", ROWS_SCANNED.inc)
+        key = _tuple([fn.value(expr) for expr in self.keys])
+        accepted = [fn.truth(expr) for expr in self.residual]
+        return fn.close([
+            f"candidates = {pairs}(data[{self.table_name!r}], {key})",
+            "scanned = 0",
+            "try:",
+            f"    for rowid, r0 in {guard}(candidates, 'executor:scan'):",
+            "        scanned += 1",
+            *_indented(_when(accepted, [f"yield {result}"]), 2),
+            "finally:",
             # One sharded-counter add per statement, not per row: the
             # local integer is the only per-row cost.
-            if scanned:
-                ROWS_SCANNED.inc(scanned)
+            "    if scanned:",
+            f"        {count}(scanned)",
+        ])
 
     def describe(self) -> str:
         suffix = f" + {len(self.residual)} filter(s)" if self.residual else ""
@@ -384,20 +390,17 @@ class _PointLookup(_BaseAccess):
     def __init__(
         self,
         table_name: str,
-        layout: ScopeLayout,
         label: str,
         columns: Tuple[str, ...],
         key_exprs: Sequence[ast.Expression],
         residual: Sequence[_Conjunct],
     ) -> None:
-        super().__init__(table_name, "point", residual=residual)
+        super().__init__(table_name, "point", residual=residual, keys=key_exprs)
         self.label = label
         self.columns = columns
-        self.key_fns = tuple([compile_expression(e, layout) for e in key_exprs])
 
-    def pairs(self, table_data, parameters):
-        key = tuple(fn((), parameters) for fn in self.key_fns)
-        if any(v is None for v in key):
+    def pairs(self, table_data, key):
+        if None in key:
             return ()  # `col = NULL` never matches
         rowid = table_data.find_by_unique(self.columns, key)
         if rowid is None:
@@ -414,20 +417,17 @@ class _IndexProbe(_BaseAccess):
     def __init__(
         self,
         table_name: str,
-        layout: ScopeLayout,
         column: str,
         value_expr: ast.Expression,
         residual: Sequence[_Conjunct],
     ) -> None:
-        super().__init__(table_name, "probe", residual=residual)
+        super().__init__(table_name, "probe", residual=residual, keys=[value_expr])
         self.column = column
-        self.value_fn = compile_expression(value_expr, layout)
 
-    def pairs(self, table_data, parameters):
-        value = self.value_fn((), parameters)
-        if value is None:
+    def pairs(self, table_data, key):
+        if key[0] is None:
             return ()
-        return table_data.rows_for_value(self.column, value)
+        return table_data.rows_for_value(self.column, key[0])
 
     def path(self) -> str:
         return f"index probe on {self.column}"
@@ -440,25 +440,23 @@ class _RangeScan(_BaseAccess):
     def __init__(
         self,
         table_name: str,
-        layout: ScopeLayout,
         spec: _Bounds,
         residual: Sequence[_Conjunct],
     ) -> None:
-        super().__init__(table_name, "range", residual=residual)
+        super().__init__(
+            table_name, "range", residual=residual,
+            keys=[e for e in (spec.lo, spec.hi) if e is not None],
+        )
         self.column = spec.column
-        self.lo_fn = (
-            compile_expression(spec.lo, layout) if spec.lo is not None else None
-        )
-        self.hi_fn = (
-            compile_expression(spec.hi, layout) if spec.hi is not None else None
-        )
+        self.bounded_below = spec.lo is not None
+        self.bounded_above = spec.hi is not None
         self.lo_inclusive = spec.lo_inclusive
         self.hi_inclusive = spec.hi_inclusive
         self.descending = False
 
-    def pairs(self, table_data, parameters):
-        lo = self.lo_fn((), parameters) if self.lo_fn is not None else UNBOUNDED
-        hi = self.hi_fn((), parameters) if self.hi_fn is not None else UNBOUNDED
+    def pairs(self, table_data, key):
+        lo = key[0] if self.bounded_below else UNBOUNDED
+        hi = key[-1] if self.bounded_above else UNBOUNDED
         rows = table_data.rows
         return (
             (rowid, rows[rowid])
@@ -468,8 +466,8 @@ class _RangeScan(_BaseAccess):
         )
 
     def path(self) -> str:
-        lo = "(" if self.lo_fn is None else ("[" if self.lo_inclusive else "(")
-        hi = ")" if self.hi_fn is None else ("]" if self.hi_inclusive else ")")
+        lo = "[" if self.bounded_below and self.lo_inclusive else "("
+        hi = "]" if self.bounded_above and self.hi_inclusive else ")"
         direction = " desc" if self.descending else ""
         return (
             f"range scan{direction} on {self.column} {lo}lo..hi{hi} "
@@ -491,7 +489,7 @@ class _PrefixScan(_BaseAccess):
         self.column = column
         self.prefix = prefix
 
-    def pairs(self, table_data, parameters):
+    def pairs(self, table_data, key):
         rows = table_data.rows
         return (
             (rowid, rows[rowid])
@@ -516,7 +514,7 @@ class _OrderedScan(_BaseAccess):
         self.column = column
         self.descending = descending
 
-    def pairs(self, table_data, parameters):
+    def pairs(self, table_data, key):
         rows = table_data.rows
         return (
             (rowid, rows[rowid])
@@ -584,7 +582,7 @@ def _access_candidates(
         for label, columns in unique_sets:
             if columns and all(c in equalities for c in columns):
                 build = partial(
-                    _PointLookup, table_name, layout, label, columns,
+                    _PointLookup, table_name, label, columns,
                     [equalities[c][1] for c in columns],
                 )
                 return [(1, _POINT, [equalities[c][0] for c in columns], build)]
@@ -595,7 +593,7 @@ def _access_candidates(
     for column, (position, value_expr) in equalities.items():
         if column in table_data.secondary_indexes:
             distinct = table_data.distinct_count(column) or 1
-            build = partial(_IndexProbe, table_name, layout, column, value_expr)
+            build = partial(_IndexProbe, table_name, column, value_expr)
             candidates.append(
                 (max(1, rows // max(1, distinct)), _PROBE, (position,), build)
             )
@@ -615,7 +613,7 @@ def _access_candidates(
             )
     for spec in specs.values():
         bounded_both = spec.lo is not None and spec.hi is not None
-        build = partial(_RangeScan, table_name, layout, spec)
+        build = partial(_RangeScan, table_name, spec)
         candidates.append(
             (max(1, rows // (4 if bounded_both else 3)), _RANGE, spec.consumed, build)
         )
@@ -677,11 +675,11 @@ class _JoinStep:
         null_row: Row,
         *,
         strategy: str,  # 'hash' | 'loop' | 'cross'
-        left_key_fns: Sequence[Compiled] = (),
+        left_keys: Sequence[ast.Expression] = (),
         right_columns: Sequence[str] = (),
-        on_residual: Sequence[Compiled] = (),
-        build_filters: Sequence[Compiled] = (),
-        post: Sequence[Compiled] = (),
+        on_residual: Sequence[ast.Expression] = (),
+        build_filters: Sequence[ast.Expression] = (),
+        post: Sequence[ast.Expression] = (),
         build_left: bool = False,
     ) -> None:
         self.slot = slot
@@ -690,143 +688,113 @@ class _JoinStep:
         self.kind = kind
         self.null_row = null_row
         self.strategy = strategy
-        self.left_key_fns = tuple(left_key_fns)
+        self.left_keys = tuple(left_keys)
         self.right_columns = tuple(right_columns)
         self.on_residual = tuple(on_residual)
         self.build_filters = tuple(build_filters)
         self.post = tuple(post)
         self.build_left = build_left
+        #: The generated ``join<slot>(scopes, data, parameters)``; set by
+        #: the owning plan once its source is compiled.
+        self.run: Callable[..., Iterator[Rows]]
 
-    def apply(
-        self,
-        scopes: Iterator[Rows],
-        data: Dict[str, TableData],
-        parameters: Sequence[Any],
-    ) -> Iterator[Rows]:
-        table_data = data[self.table_name]
-        if self.strategy == "hash":
-            if self.build_left:
-                produced = self._hash_join_build_left(
-                    scopes, table_data, parameters
-                )
-            else:
-                produced = self._hash_join(scopes, table_data, parameters)
-        elif self.strategy == "cross":
-            right_rows = [
-                row
-                for _, row in table_data.scan()
-                if self._passes_build_filters(row, parameters)
-            ]
-            produced = (
-                scope + (row,) for scope in scopes for row in right_rows
-            )
-        else:
-            produced = self._nested_loop(scopes, table_data, parameters)
-        if self.post:
-            return _filtered(produced, self.post, parameters)
-        return produced
+    def emit(self, source: Source, layout: ScopeLayout) -> str:
+        """Write the generator ``join<slot>(scopes, data, parameters)``.
 
-    def _passes_build_filters(
-        self, row: Row, parameters: Sequence[Any]
-    ) -> bool:
-        """Single-table pushed-down predicates, checked on a build-side row.
-
-        The filters only reference this step's slot; earlier slots are
-        padded so the compiled closures index correctly.
+        All strategies share one shape — collect this table's rows that
+        pass the build filters (into a dict by key for a hash join, a
+        list otherwise), then for each incoming scope ``s`` run the
+        candidates through ``on_residual``, null-extend for a LEFT join
+        nothing matched, and test ``post`` on whatever is emitted —
+        except the left-build hash join, which hashes the scopes and
+        streams the table.
         """
-        if not self.build_filters:
-            return True
-        padded = (self.null_row,) * self.slot + (row,)
-        for fn in self.build_filters:
-            if fn(padded, parameters) is not True:
-                return False
-        return True
+        fn = source.function(
+            f"join{self.slot}", "scopes, data, parameters", layout
+        )
+        row = f"r{self.slot}"
+        guard = fn.helper("cooperative", cooperative)
+        scan = f"{guard}(data[{self.table_name!r}].scan(), 'executor:scan')"
+        wanted = [fn.truth(e) for e in self.build_filters]  # reads `row` only
 
-    def _hash_join(
-        self,
-        scopes: Iterator[Rows],
-        table_data: TableData,
-        parameters: Sequence[Any],
-    ) -> Iterator[Rows]:
-        build: Dict[Tuple[Any, ...], List[Row]] = {}
-        columns = self.right_columns
-        for _, row in table_data.scan():
-            if not self._passes_build_filters(row, parameters):
-                continue
-            key = tuple(row.get(c) for c in columns)
-            if None not in key:
-                build.setdefault(key, []).append(row)
+        # A NULL key component never matches: such rows stay out of the
+        # build, so a probe key holding NULL misses by itself.
+        single = len(self.right_columns) == 1
+        has_key = "key is not None" if single else "None not in key"
 
-        left_key_fns = self.left_key_fns
-        residual = self.on_residual
+        def key_of(parts: List[str]) -> str:
+            return parts[0] if single else _tuple(parts)
+
+        left_key = key_of([fn.value(expr) for expr in self.left_keys])
+        right_key = key_of([f"{row}[{c!r}]" for c in self.right_columns])
+
+        def bind(*groups: Sequence[ast.Expression]) -> List[str]:
+            """Name the earlier slots of ``s`` that ``groups`` read."""
+            slots: Set[int] = set()
+            for group in groups:
+                for expr in group:
+                    referenced_slots(expr, layout, slots)
+            return [f"r{i} = s[{i}]" for i in sorted(slots - {self.slot})]
+
+        emit = _when([fn.truth(e) for e in self.post], [f"yield s + ({row},)"])
+
+        if self.build_left:
+            return fn.close([
+                "build = {}",
+                "for s in scopes:",
+                *_indented(bind(self.left_keys)),
+                f"    key = {left_key}",
+                f"    if {has_key}:",
+                "        build.setdefault(key, []).append(s)",
+                "if build:",
+                f"    for _, {row} in {scan}:",
+                *_indented(
+                    _when(wanted, [
+                        f"for s in build.get({right_key}, ()):",
+                        *_indented(bind(self.post) + emit),
+                    ]),
+                    2,
+                ),
+            ])
+
+        if self.strategy == "hash":
+            body = [
+                "build = {}",
+                f"for _, {row} in {scan}:",
+                *_indented(
+                    _when(wanted, [
+                        f"key = {right_key}",
+                        f"if {has_key}:",
+                        f"    build.setdefault(key, []).append({row})",
+                    ])
+                ),
+            ]
+            candidates = f"build.get({left_key}, ())"
+        else:
+            only = "".join(f" if {condition}" for condition in wanted)
+            body = [f"right = [{row} for _, {row} in {scan}{only}]"]
+            candidates = "right"
+
         left_join = self.kind == "LEFT"
-        for scope in scopes:
-            key = tuple(fn(scope, parameters) for fn in left_key_fns)
-            matches = build.get(key) if None not in key else None
-            emitted = False
-            if matches:
-                for row in matches:
-                    candidate = scope + (row,)
-                    if residual:
-                        ok = True
-                        for fn in residual:
-                            if fn(candidate, parameters) is not True:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                    emitted = True
-                    yield candidate
-            if left_join and not emitted:
-                yield scope + (self.null_row,)
-
-    def _hash_join_build_left(
-        self,
-        scopes: Iterator[Rows],
-        table_data: TableData,
-        parameters: Sequence[Any],
-    ) -> Iterator[Rows]:
-        """INNER hash join hashing the (smaller) pipeline input and
-        streaming this step's table as the probe side."""
-        build: Dict[Tuple[Any, ...], List[Rows]] = {}
-        left_key_fns = self.left_key_fns
-        for scope in scopes:
-            key = tuple(fn(scope, parameters) for fn in left_key_fns)
-            if None not in key:
-                build.setdefault(key, []).append(scope)
-        if not build:
-            return
-        columns = self.right_columns
-        for _, row in table_data.scan():
-            if not self._passes_build_filters(row, parameters):
-                continue
-            key = tuple(row.get(c) for c in columns)
-            if None in key:
-                continue
-            for scope in build.get(key, ()):
-                yield scope + (row,)
-
-    def _nested_loop(
-        self,
-        scopes: Iterator[Rows],
-        table_data: TableData,
-        parameters: Sequence[Any],
-    ) -> Iterator[Rows]:
-        right_rows = [row for _, row in table_data.scan()]
-        residual = self.on_residual
-        left_join = self.kind == "LEFT"
-        for scope in scopes:
-            matched = False
-            for row in right_rows:
-                candidate = scope + (row,)
-                for fn in residual:
-                    if fn(candidate, parameters) is not True:
-                        break
-                else:
-                    matched = True
-                    yield candidate
-            if left_join and not matched:
-                yield scope + (self.null_row,)
+        per_scope = bind(self.left_keys, self.on_residual, self.post)
+        if left_join:
+            per_scope.append("emitted = False")
+        per_scope += [
+            f"for {row} in {candidates}:",
+            *_indented(
+                _when(
+                    [fn.truth(e) for e in self.on_residual],
+                    (["emitted = True"] if left_join else []) + emit,
+                )
+            ),
+        ]
+        if left_join:
+            per_scope += [
+                "if not emitted:",
+                f"    {row} = {fn.constant(self.null_row)}",
+                *_indented(emit),
+            ]
+        return fn.close(body + ["for s in scopes:", *_indented(per_scope)])
 
     def describe(self) -> str:
         name = (
@@ -889,18 +857,21 @@ def _null_safe_key(value: Any) -> Tuple[int, int, Any]:
 
 
 class _OrderKey:
-    """One ORDER BY item compiled to a per-row key extractor."""
+    """One ORDER BY item as a per-row key extractor: an output column by
+    position, or an expression — the plan's generated function ``name``,
+    which the plan binds to ``fn`` once its source is compiled."""
 
-    __slots__ = ("alias_position", "fn", "descending")
+    __slots__ = ("alias_position", "name", "fn", "descending")
 
     def __init__(
         self,
         alias_position: Optional[int],
-        fn: Optional[Compiled],
+        name: Optional[str],
         descending: bool,
     ) -> None:
         self.alias_position = alias_position
-        self.fn = fn
+        self.name = name
+        self.fn: Optional[Compiled] = None
         self.descending = descending
 
     def key(
@@ -948,7 +919,7 @@ _GroupFn = Callable[[List[Rows], Sequence[Any]], Any]
 
 
 def _compile_aggregate_call(
-    call: ast.FunctionCall, layout: ScopeLayout
+    call: ast.FunctionCall, layout: ScopeLayout, source: Source
 ) -> _GroupFn:
     if call.name == "COUNT" and (
         not call.args or isinstance(call.args[0], ast.Star)
@@ -956,11 +927,13 @@ def _compile_aggregate_call(
         return lambda members, parameters: len(members)
     if len(call.args) != 1:
         raise DatabaseError(f"{call.name} takes exactly one argument")
-    arg_fn = compile_expression(call.args[0], layout)
+    argument = emit_expression(source, call.args[0], layout, "argument")
+    functions = source.namespace  # holds `argument` once the plan is built
     name = call.name
     distinct = call.distinct
 
     def aggregate(members: List[Rows], parameters: Sequence[Any]) -> Any:
+        arg_fn = functions[argument]
         values = [
             v
             for v in (arg_fn(scope, parameters) for scope in members)
@@ -984,32 +957,35 @@ def _compile_aggregate_call(
 
 
 def _compile_aggregate_expr(
-    expr: ast.Expression, layout: ScopeLayout
+    expr: ast.Expression, layout: ScopeLayout, source: Source
 ) -> _GroupFn:
-    """Compile an expression that may mix aggregates and group keys."""
+    """Compile an expression that may mix aggregates and group keys; what
+    it evaluates per row (aggregate arguments, group-key expressions) is
+    written into the plan's ``source``."""
     if isinstance(expr, ast.FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
-        return _compile_aggregate_call(expr, layout)
+        return _compile_aggregate_call(expr, layout, source)
     if isinstance(expr, ast.BinaryOp):
         op = expr.op
-        left = _compile_aggregate_expr(expr.left, layout)
-        right = _compile_aggregate_expr(expr.right, layout)
+        left = _compile_aggregate_expr(expr.left, layout, source)
+        right = _compile_aggregate_expr(expr.right, layout, source)
         return lambda members, parameters: combine_binary(
             op, left(members, parameters), right(members, parameters)
         )
     if isinstance(expr, ast.UnaryOp):
         op = expr.op
-        operand = _compile_aggregate_expr(expr.operand, layout)
+        operand = _compile_aggregate_expr(expr.operand, layout, source)
         return lambda members, parameters: combine_unary(
             op, operand(members, parameters)
         )
     # Non-aggregate expression: evaluate on the first member (must be a
     # group key for deterministic results, as in classic SQL).
-    plain = compile_expression(expr, layout)
+    plain = emit_expression(source, expr, layout, "plain")
+    functions = source.namespace
 
     def first_member(members: List[Rows], parameters: Sequence[Any]) -> Any:
         if not members:
             return None
-        return plain(members[0], parameters)
+        return functions[plain](members[0], parameters)
 
     return first_member
 
@@ -1044,39 +1020,36 @@ class CompiledSelect:
             for binding, table in self._bindings
         )
         self.base: Optional[_BaseAccess] = None
-        self.constant_predicates: Tuple[Compiled, ...] = ()
         self.steps: List[_JoinStep] = []
-        if stmt.table is None:
-            # SELECT without FROM: the WHERE conjuncts are constants.
-            self.constant_predicates = tuple(
-                compile_expression(e, self.layout)
-                for e in _split_conjuncts(stmt.where)
-            )
-        elif force_scan:
+        # (SELECT without FROM has neither: its WHERE conjuncts are
+        # constants, tested once by the generated ``base``)
+        if stmt.table is not None and force_scan:
             self._plan_oracle(schema, stmt)
-        else:
+        elif stmt.table is not None:
             self._plan_pipeline(schema, data, stmt)
 
         self._grouped = bool(stmt.group_by) or self._has_aggregate(stmt)
         items = self._expand_items(schema, stmt)
         self.columns: List[str] = [name for _, name in items]
         self._index_ordered = False
+        # Everything the plan runs per row is written into one unit and
+        # compiled once, by _generate.
+        source = Source()
+        group_keys: List[str] = []
         if self._grouped:
-            self.group_fns = [
-                compile_expression(e, self.layout) for e in stmt.group_by
+            group_keys = [
+                emit_expression(source, e, self.layout, "group")
+                for e in stmt.group_by
             ]
             self.item_fns_grouped: List[_GroupFn] = [
-                _compile_aggregate_expr(expr, self.layout) for expr, _ in items
+                _compile_aggregate_expr(expr, self.layout, source)
+                for expr, _ in items
             ]
             self.having_fn: Optional[_GroupFn] = (
-                _compile_aggregate_expr(stmt.having, self.layout)
+                _compile_aggregate_expr(stmt.having, self.layout, source)
                 if stmt.having is not None
                 else None
             )
-        else:
-            self.item_fns: List[Compiled] = [
-                compile_expression(expr, self.layout) for expr, _ in items
-            ]
         alias_positions = {name: i for i, name in enumerate(self.columns)}
         self.order_keys: List[_OrderKey] = []
         for item in stmt.order_by:
@@ -1092,7 +1065,7 @@ class CompiledSelect:
                 self.order_keys.append(
                     _OrderKey(
                         None,
-                        compile_expression(expr, self.layout),
+                        emit_expression(source, expr, self.layout, "order"),
                         item.descending,
                     )
                 )
@@ -1100,6 +1073,7 @@ class CompiledSelect:
             # on — grouped results order by output columns only.
         if not self._grouped and not force_scan:
             self._upgrade_to_index_order(data, stmt, items, alias_positions)
+        self._generate(source, items, group_keys)
 
     # -- planning ---------------------------------------------------------
 
@@ -1136,7 +1110,7 @@ class CompiledSelect:
         for slot, join in enumerate(stmt.joins, start=1):
             binding, table_name = self._bindings[slot]
             null_row = dict.fromkeys(schema.table(table_name).column_names())
-            post = [c.fn for c in by_stage.get(slot, [])]
+            post = [c.expr for c in by_stage.get(slot, [])]
             if join.kind == "CROSS" or join.condition is None:
                 step = _JoinStep(
                     slot, table_name, binding, "CROSS", null_row,
@@ -1144,12 +1118,12 @@ class CompiledSelect:
                 )
             else:
                 self._check_on_scope(
-                    slot, [_referenced_slots(join.condition, self.layout)]
+                    slot, [referenced_slots(join.condition, self.layout)]
                 )
                 step = _JoinStep(
                     slot, table_name, binding, join.kind, null_row,
                     strategy="loop",
-                    on_residual=[compile_expression(join.condition, self.layout)],
+                    on_residual=[join.condition],
                     post=post,
                 )
             self.steps.append(step)
@@ -1172,7 +1146,7 @@ class CompiledSelect:
             kinds.append(join.kind)
             exprs = _split_conjuncts(join.condition)
             self._check_on_scope(
-                slot, [_referenced_slots(e, self.layout) for e in exprs]
+                slot, [referenced_slots(e, self.layout) for e in exprs]
             )
             if join.kind == "LEFT":
                 left_on[slot] = exprs
@@ -1238,7 +1212,7 @@ class CompiledSelect:
         is connected).  Returns the order (written-order slots) and each
         table's estimate."""
         written = self.layout
-        footprints = [frozenset(_referenced_slots(e, written)) for e in pool]
+        footprints = [frozenset(referenced_slots(e, written)) for e in pool]
         estimates: List[int] = []
         for i, (_, table) in enumerate(self._bindings):
             own = [e for e, fp in zip(pool, footprints) if fp == {i}]
@@ -1294,38 +1268,38 @@ class CompiledSelect:
         """
         binding, table_name = self._placement[slot]
         null_row = dict.fromkeys(schema.table(table_name).column_names())
-        left_key_fns: List[Compiled] = []
+        left_keys: List[ast.Expression] = []
         right_columns: List[str] = []
-        on_residual: List[Compiled] = []
-        build_filters: List[Compiled] = []
-        post: List[Compiled] = []
+        on_residual: List[ast.Expression] = []
+        build_filters: List[ast.Expression] = []
+        post: List[ast.Expression] = []
 
         keyable: List[_Conjunct] = []
         if kind == "LEFT":
             keyable, rest = [_Conjunct(e, self.layout) for e in on], on_residual
-            post = [c.fn for c in pooled]
+            post = [c.expr for c in pooled]
             build_left = False
         else:
             rest = post
             for conjunct in pooled:
                 if conjunct.slots == {slot}:
-                    build_filters.append(conjunct.fn)
+                    build_filters.append(conjunct.expr)
                 elif kind == "INNER":
                     keyable.append(conjunct)
                 else:
-                    post.append(conjunct.fn)
+                    post.append(conjunct.expr)
         for conjunct in keyable:
             match = _column_eq_prior(conjunct.expr, slot, self.layout)
             if match is None:
-                rest.append(conjunct.fn)
+                rest.append(conjunct.expr)
             else:
                 right_columns.append(match[0])
-                left_key_fns.append(compile_expression(match[1], self.layout))
+                left_keys.append(match[1])
         fallback = "loop" if kind == "LEFT" else "cross"
         return _JoinStep(
             slot, table_name, binding, kind, null_row,
             strategy="hash" if right_columns else fallback,
-            left_key_fns=left_key_fns,
+            left_keys=left_keys,
             right_columns=right_columns,
             on_residual=on_residual,
             build_filters=build_filters,
@@ -1375,7 +1349,7 @@ class CompiledSelect:
             self.base.descending = item.descending
         else:
             ordered = _OrderedScan(self.base.table_name, column, item.descending)
-            # keep the compiled residual predicates of the replaced scan
+            # keep the residual conjuncts of the replaced scan
             ordered.residual = self.base.residual
             self.base = ordered
         self._index_ordered = True
@@ -1416,6 +1390,44 @@ class CompiledSelect:
 
     # -- execution ------------------------------------------------------
 
+    def _generate(
+        self,
+        source: Source,
+        items: List[Tuple[ast.Expression, str]],
+        group_keys: List[str],
+    ) -> None:
+        """Write the operators into the plan's source — ``base``, one
+        ``join<slot>`` per step and (ungrouped) ``project``, each with its
+        predicates and projections inlined and its parameters and
+        constants hoisted — next to the GROUP BY / ORDER BY key and
+        aggregate-argument functions already there, and compile it."""
+        if self.base is None:
+            fn = source.function("base", "data, parameters", self.layout)
+            constant = [fn.truth(e) for e in _split_conjuncts(self.stmt.where)]
+            fn.close(_when(constant, ["yield ()"]))
+        else:
+            self.base.emit(source, self.layout, "(r0,)")
+        for step in self.steps:
+            step.emit(source, self.layout)
+        if not self._grouped:
+            fn = source.function("project", "scopes, parameters", self.layout)
+            values = _tuple([fn.value(expr) for expr, _ in items])
+            scope = _tuple([f"r{i}" for i in range(len(self.layout))])
+            fn.close([f"return [{values} for {scope} in scopes]"])
+        namespace = source.build()
+        #: The generated Python text this plan executes.
+        self.source = source.text
+        self._base: Callable[..., Iterator[Rows]] = namespace["base"]
+        for step in self.steps:
+            step.run = namespace[f"join{step.slot}"]
+        self._project: Callable[..., List[Tuple[Any, ...]]] = namespace.get(
+            "project"
+        )
+        self.group_fns: List[Compiled] = [namespace[name] for name in group_keys]
+        for key in self.order_keys:
+            if key.name is not None:
+                key.fn = namespace[key.name]
+
     def scopes(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
     ) -> Iterator[Rows]:
@@ -1423,31 +1435,21 @@ class CompiledSelect:
         # disarmed; armed, every operator's output is wrapped with a
         # timing/row-counting iterator.  Plans are cached and shared
         # across threads, so the probe is never stored on the plan.
+        #
+        # Cooperative cancellation lives inside the operators: each
+        # generated loop wraps what it *reads* (index candidates, table
+        # scans of a join's build side), so a pipeline that emits nothing
+        # still checks the request deadline every 256 rows read.
         probe = current_probe()
-        if self.base is None:
-            produced: Iterator[Rows] = iter([()])
-            if self.constant_predicates:
-                produced = _filtered(produced, self.constant_predicates, parameters)
-            if probe is not None:
-                produced = probe.timed(
-                    produced,
-                    probe.operator(self, "no FROM clause: single empty scope"),
-                )
-        else:
-            produced = (
-                scope for _, scope in self.base.rowid_scopes(data, parameters)
-            )
-            if probe is not None:
-                produced = probe.timed(
-                    produced, probe.operator(self.base, self.base.describe())
-                )
-        # Cooperative cancellation on the base scan: filters/joins pull
-        # through this wrapper, so even a pipeline that emits no rows
-        # checks the request deadline every few hundred scanned rows.
-        # No-op (iterator returned unchanged) without an active deadline.
-        produced = cooperative(produced, "executor:scan")
+        produced = self._base(data, parameters)
+        if probe is not None:
+            if self.base is None:
+                stats = probe.operator(self, "no FROM clause: single empty scope")
+            else:
+                stats = probe.operator(self.base, self.base.describe())
+            produced = probe.timed(produced, stats)
         for step in self.steps:
-            produced = step.apply(produced, data, parameters)
+            produced = step.run(produced, data, parameters)
             if probe is not None:
                 produced = probe.timed(
                     produced, probe.operator(step, step.describe())
@@ -1495,12 +1497,8 @@ class CompiledSelect:
         self, data: Dict[str, TableData], parameters: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
         stmt = self.stmt
-        item_fns = self.item_fns
         if not stmt.order_by:
-            return [
-                tuple(fn(scope, parameters) for fn in item_fns)
-                for scope in self.scopes(data, parameters)
-            ]
+            return self._project(self.scopes(data, parameters), parameters)
 
         if self._index_ordered:
             # Rows already emerge in ORDER BY order from the ordered
@@ -1509,18 +1507,15 @@ class CompiledSelect:
             scopes = self.scopes(data, parameters)
             if stmt.limit is not None and not stmt.distinct:
                 scopes = islice(scopes, (stmt.offset or 0) + stmt.limit)
-            return [
-                tuple(fn(scope, parameters) for fn in item_fns)
-                for scope in scopes
-            ]
+            return self._project(scopes, parameters)
 
         # Precompute every sort key exactly once per row.
         order_keys = self.order_keys
-        decorated: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = []
-        for scope in self.scopes(data, parameters):
-            row = tuple(fn(scope, parameters) for fn in item_fns)
-            key = tuple(k.key(row, scope, parameters) for k in order_keys)
-            decorated.append((key, row))
+        scopes = list(self.scopes(data, parameters))
+        decorated: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = [
+            (tuple(k.key(row, scope, parameters) for k in order_keys), row)
+            for scope, row in zip(scopes, self._project(scopes, parameters))
+        ]
 
         if stmt.limit is not None and not stmt.distinct:
             # Top-k: no need to sort rows that LIMIT/OFFSET will drop.
@@ -1626,25 +1621,33 @@ class CompiledMutation:
             self.base = _choose_base_access(
                 schema, data, table_name, 0, self.layout, conjuncts
             )
-        self.assignment_fns: List[Tuple[str, Compiled]] = [
-            (a.column, compile_expression(a.value, self.layout))
+        source = Source()
+        assignments = [
+            (a.column, emit_expression(source, a.value, self.layout, "assign"))
             for a in getattr(stmt, "assignments", ())
         ]
+        name = self.base.emit(source, self.layout, "rowid")
+        namespace = source.build()
+        self.assignment_fns: List[Tuple[str, Compiled]] = [
+            (column, namespace[fn]) for column, fn in assignments
+        ]
+        self._matching: Callable[..., Iterator[int]] = namespace[name]
+        #: The generated Python text of the row selection and (UPDATE)
+        #: the assignments.
+        self.source = source.text
 
     def matching_rowids(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
     ) -> List[int]:
         """Materialized list: callers mutate the table while applying."""
-        pairs = cooperative(
-            self.base.rowid_scopes(data, parameters), "executor:scan"
-        )
+        rowids = self._matching(data, parameters)
         probe = current_probe()
         if probe is not None:
-            pairs = probe.timed(
-                pairs, probe.operator(self.base, self.base.describe())
+            rowids = probe.timed(
+                rowids, probe.operator(self.base, self.base.describe())
             )
             probe.note_plan(self, self.describe())
-        return [rowid for rowid, _ in pairs]
+        return list(rowids)
 
     def describe(self) -> List[str]:
         return [self.base.describe()]

@@ -66,12 +66,15 @@ class Term:
 class URIRef(Term):
     """An IRI reference, e.g. ``URIRef("http://example.org/db/author1")``."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: str) -> None:
         if not isinstance(value, str):
             raise TypeError(f"URIRef value must be str, got {type(value).__name__}")
         object.__setattr__(self, "value", value)
+        # Terms are dictionary keys on every path (solutions, graphs):
+        # the hash is computed once, not once per dictionary operation.
+        object.__setattr__(self, "_hash", hash(("URIRef", value)))
 
     def __setattr__(self, name: str, val: Any) -> None:  # immutability guard
         raise AttributeError("URIRef is immutable")
@@ -80,7 +83,7 @@ class URIRef(Term):
         return isinstance(other, URIRef) and other.value == self.value
 
     def __hash__(self) -> int:
-        return hash(("URIRef", self.value))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"URIRef({self.value!r})"
@@ -190,7 +193,7 @@ class Literal(Term):
     the RDF abstract syntax.
     """
 
-    __slots__ = ("lexical", "language", "datatype")
+    __slots__ = ("lexical", "language", "datatype", "_hash")
 
     def __init__(
         self,
@@ -223,6 +226,9 @@ class Literal(Term):
         object.__setattr__(self, "lexical", lexical)
         object.__setattr__(self, "language", language)
         object.__setattr__(self, "datatype", datatype)
+        object.__setattr__(
+            self, "_hash", hash(("Literal", lexical, language, datatype))
+        )
 
     def __setattr__(self, name: str, val: Any) -> None:
         raise AttributeError("Literal is immutable")
@@ -236,7 +242,7 @@ class Literal(Term):
         )
 
     def __hash__(self) -> int:
-        return hash(("Literal", self.lexical, self.language, self.datatype))
+        return self._hash
 
     def __repr__(self) -> str:
         extra = ""
@@ -286,13 +292,14 @@ _VARIABLE_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 class Variable(Term):
     """A SPARQL variable (``?name`` / ``$name``)."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str) -> None:
         name = name.lstrip("?$")
         if not _VARIABLE_RE.match(name):
             raise ValueError(f"invalid variable name: {name!r}")
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(("Variable", name)))
 
     def __setattr__(self, name: str, val: Any) -> None:
         raise AttributeError("Variable is immutable")
@@ -301,7 +308,7 @@ class Variable(Term):
         return isinstance(other, Variable) and other.name == self.name
 
     def __hash__(self) -> int:
-        return hash(("Variable", self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"

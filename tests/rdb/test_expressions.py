@@ -5,11 +5,12 @@ import pytest
 from repro.errors import DatabaseError
 from repro.rdb.expressions import (
     ScopeLayout,
+    Source,
     compile_expression,
     evaluate_constant,
     is_true,
 )
-from repro.sql import parse_expression
+from repro.sql import ast, parse_expression
 
 
 def evaluate(text, bindings, parameters=()):
@@ -178,3 +179,155 @@ class TestScope:
         assert evaluate_constant(parse_expression("? + 1"), [2]) == 3
         with pytest.raises(DatabaseError, match="unknown column"):
             evaluate_constant(parse_expression("a + 1"))
+
+
+class TestExactEquality:
+    """``=`` compares numbers exactly: no detour through ``float``."""
+
+    BIG = 2**53  # the first integer whose successor a float cannot hold
+
+    def test_distinct_big_integers_are_distinct(self):
+        assert ev(f"a = {self.BIG + 1}", {"a": self.BIG}) is False
+        assert ev(f"a <> {self.BIG + 1}", {"a": self.BIG}) is True
+        assert ev(f"a = {self.BIG + 1}", {"a": self.BIG + 1}) is True
+        assert ev(f"a + 0 = {self.BIG + 1}", {"a": self.BIG}) is False
+        assert ev(f"a IN ({self.BIG + 1})", {"a": self.BIG}) is False
+
+    def test_int_and_float_still_compare_by_value(self):
+        assert ev("a = 1", {"a": 1.0}) is True
+        assert ev("a = 1.0", {"a": 1}) is True
+        assert ev(f"a = {self.BIG}", {"a": float(self.BIG)}) is True
+        assert ev(f"a = {self.BIG + 1}", {"a": float(self.BIG)}) is False
+
+    def test_boolean_against_number_keeps_its_answer(self):
+        assert ev("a = 1", {"a": True}) is True
+        assert ev("a = 0", {"a": True}) is False
+
+
+class TestBetweenIsAConjunction:
+    """``x BETWEEN lo AND hi`` is ``x >= lo AND x <= hi``, Kleene AND: a
+    NULL bound does not make the answer NULL when the other bound
+    already says FALSE."""
+
+    def test_null_low_bound(self):
+        assert ev("3 BETWEEN a AND 2", {"a": None}) is False
+        assert ev("3 NOT BETWEEN a AND 2", {"a": None}) is True
+        assert ev("1 BETWEEN a AND 2", {"a": None}) is None
+        assert ev("1 NOT BETWEEN a AND 2", {"a": None}) is None
+
+    def test_null_high_bound(self):
+        assert ev("0 BETWEEN 1 AND a", {"a": None}) is False
+        assert ev("0 NOT BETWEEN 1 AND a", {"a": None}) is True
+        assert ev("2 BETWEEN 1 AND a", {"a": None}) is None
+        assert ev("2 NOT BETWEEN 1 AND a", {"a": None}) is None
+
+    def test_operand_is_evaluated_once(self):
+        layout = ScopeLayout([("t", ["a"])])
+        source = Source()
+        function = source.function("f", "rows, parameters", layout)
+        code = function.value(parse_expression("a + 1 BETWEEN 1 AND 3"))
+        assert code.count("r0['a']") == 1
+
+
+class TestParameters:
+    def test_null_parameter_is_never_equal(self):
+        assert ev("a = ?", {"a": 5}, parameters=[None]) is None
+        assert ev("a <> ?", {"a": 5}, parameters=[None]) is None
+        assert ev("a IN (1, ?)", {"a": 5}, parameters=[None]) is None
+
+    def test_missing_parameter_names_its_index(self):
+        with pytest.raises(DatabaseError, match="missing bind parameter at index 1"):
+            ev("a = ? OR a = ?", {"a": 5}, parameters=[5])
+
+
+class TestConstants:
+    """``evaluate_constant`` runs per cell of an inserted row: operators
+    over literals and parameters must not cost a ``compile()`` each."""
+
+    def constant(self, text, parameters=()):
+        return evaluate_constant(parse_expression(text), parameters)
+
+    def test_operators_over_constants_generate_no_code(self, monkeypatch):
+        def no_build(self):
+            raise AssertionError("generated code for a constant")
+
+        monkeypatch.setattr(Source, "build", no_build)
+        assert self.constant("1 + 1") == 2
+        assert self.constant("'a' || 'b' || ?", ["c"]) == "abc"
+        assert self.constant("(2 + ?) * 3 = 15", [3]) is True
+        assert self.constant("- (1 + 2)") == -3
+        assert self.constant("1 + NULL") is None
+        assert self.constant("NOT 1 = 2") is True
+
+    def test_everything_else_goes_through_the_emitter(self):
+        assert self.constant("UPPER('x') || 'y'") == "Xy"
+        assert self.constant("1 = 2 AND 1 < 'x'") is False
+        assert self.constant("COALESCE(NULL, ?)", [4]) == 4
+
+    def test_errors_are_the_emitter_s(self):
+        with pytest.raises(DatabaseError, match="cannot compare int with str"):
+            self.constant("1 < 'x'")
+        with pytest.raises(DatabaseError, match="missing bind parameter at index 0"):
+            self.constant("1 + ?")
+        with pytest.raises(DatabaseError, match="unknown column 'a'"):
+            self.constant("a + 1")
+
+
+class TestNothingIsSplicedIntoSource:
+    """Request values reach generated code only through the constants
+    tuple; catalog names only through ``repr()``."""
+
+    HOSTILE = [
+        "\"]); import os #",
+        "'; raise SystemExit #",
+        "back\\slash \\' and \"quotes\"",
+        "zeile\numbruch",
+        "Zürich — 東京 ✓",
+    ]
+
+    @staticmethod
+    def _compile(expr, columns=("a",)):
+        source = Source()
+        function = source.function(
+            "f", "rows, parameters", ScopeLayout([("t", list(columns))])
+        )
+        code = function.value(expr)
+        name = function.close(["r0 = rows[0]", f"return {code}"])
+        return source.build()[name], source
+
+    @pytest.mark.parametrize("text", HOSTILE)
+    def test_literal_is_a_constant(self, text):
+        expr = ast.BinaryOp("=", ast.ColumnRef("a"), ast.Literal(text))
+        fn, source = self._compile(expr)
+        assert text in source.constants
+        for fragment in (text, text[:6], repr(text)[1:-1]):
+            assert fragment not in source.text
+        assert fn(({"a": text},), ()) is True
+        assert fn(({"a": text + "x"},), ()) is False
+
+    @pytest.mark.parametrize("text", HOSTILE)
+    def test_like_pattern_is_a_constant(self, text):
+        pattern = text.replace("%", "").replace("_", "") + "%"
+        expr = ast.Like(ast.ColumnRef("a"), ast.Literal(pattern))
+        fn, source = self._compile(expr)
+        assert text[:6] not in source.text
+        assert fn(({"a": pattern[:-1] + " and more"},), ()) is True
+        assert fn(({"a": "x" + pattern},), ()) is False
+
+    def test_column_name_goes_through_repr(self):
+        column = "we'ird\"] or [\"name"
+        fn, source = self._compile(
+            ast.IsNull(ast.ColumnRef(column)), columns=(column,)
+        )
+        assert repr(column) in source.text
+        assert fn(({column: None},), ()) is True
+
+    def test_source_names_only_its_own_vocabulary(self):
+        import re
+
+        expr = parse_expression(
+            "a = 'x' AND (b LIKE 'y%' OR b IN ('p', ?)) AND a || b <> 'q'"
+        )
+        _, source = self._compile(expr, columns=("a", "b"))
+        body = re.sub(r"'[ab]'", "", source.text)  # repr() of the columns
+        assert "'" not in body and '"' not in body

@@ -29,6 +29,7 @@ from repro.workloads.publication import (
     build_mapping,
     seed_feasibility_data,
 )
+from tests.server.test_wire import _wait_for
 
 SCAN_QUERY = (
     "PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
@@ -347,7 +348,12 @@ class TestBodyAndNegotiation:
             # the slot is free again: a new connection is served
             status, _, body = _post(endpoint.port, "/query", SCAN_QUERY)
             assert status == 200, body
-            assert endpoint.serving_stats()["live_connections"] <= 1
+            # A handler thread does its own bookkeeping after its client
+            # saw EOF, so the count is waited for, not read once.
+            _wait_for(
+                lambda: endpoint.serving_stats()["live_connections"] <= 1,
+                "both connections to be released",
+            )
 
     def test_unsupportable_accept_is_406_with_supported_list(
         self, small_endpoint

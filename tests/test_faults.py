@@ -227,6 +227,76 @@ class TestExecutorCancellation:
         assert len(session.query(SCAN_QUERY).solutions) == before + 1
 
 
+class TestChecksCountRowsRead:
+    """The deadline / ``executor:scan`` site is checked per 256 rows an
+    operator *reads* — not per 256 rows it emits — so a scan that matches
+    nothing, or a join still building its hash table, is cancellable."""
+
+    ROWS = 2000
+
+    @pytest.fixture
+    def db(self):
+        from repro.rdb import Database
+
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER)")
+        db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, t INTEGER)")
+        with db.transaction():
+            for i in range(self.ROWS):
+                db.execute("INSERT INTO t (id, a) VALUES (?, ?)", [i, i % 7])
+        return db
+
+    @pytest.fixture
+    def rows_read(self, monkeypatch):
+        """Rows pulled out of any ``TableData.scan()`` so far."""
+        from repro.rdb.storage import TableData
+
+        pulled = []
+        original = TableData.scan
+
+        def counted(table_data):
+            for pair in original(table_data):
+                pulled.append(pair[0])
+                yield pair
+
+        monkeypatch.setattr(TableData, "scan", counted)
+        return pulled
+
+    def test_scan_that_matches_nothing_times_out(self, db, rows_read):
+        assert db.query("SELECT id FROM t WHERE a = 99").rows == []
+        assert len(rows_read) == self.ROWS
+        del rows_read[:]
+        with deadline_scope(0.001):
+            time.sleep(0.005)
+            with pytest.raises(QueryTimeout):
+                db.query("SELECT id FROM t WHERE a = 99")
+        assert len(rows_read) <= 256
+
+    def test_mutation_that_matches_nothing_times_out(self, db, rows_read):
+        with deadline_scope(0.001):
+            time.sleep(0.005)
+            with pytest.raises(QueryTimeout):
+                db.execute("DELETE FROM t WHERE a = 99")
+        assert len(rows_read) <= 256
+        assert db.query("SELECT COUNT(*) FROM t").scalar() == self.ROWS
+
+    def test_hash_join_build_times_out(self, db, rows_read):
+        """``u`` is empty, so the pipeline emits nothing; all the work is
+        the build over ``t``, which no check on the base scan can see."""
+        sql = "SELECT u.id FROM u LEFT JOIN t ON t.id = u.t"
+        assert "hash join" in "\n".join(db.explain(sql))
+        with deadline_scope(0.001):
+            time.sleep(0.005)
+            with pytest.raises(QueryTimeout):
+                db.query(sql)
+        assert len(rows_read) <= 256
+
+    def test_fault_site_fires_on_a_scan_that_emits_nothing(self, db):
+        INJECTOR.inject("executor:scan", fail=True)
+        with pytest.raises(FaultError, match="executor:scan"):
+            db.query("SELECT id FROM t WHERE a = 99")
+
+
 class TestWalChaos:
     """Flip the WAL refusing state via fault injection (ISSUE 6
     satellite): the error surface must be actionable and /health-visible
