@@ -444,8 +444,8 @@ def link_row_exists(
     object_attr = link.object_attribute.attribute_name
     return any(
         table_data.rows[rowid].get(object_attr) == object_key
-        for rowid in table_data.find_by_value(
-            link.subject_attribute.attribute_name, subject_key
+        for rowid in table_data.probe(
+            (link.subject_attribute.attribute_name,), (subject_key,)
         )
     )
 

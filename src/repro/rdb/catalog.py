@@ -12,7 +12,8 @@ engine supports and the mapping treats like an unconstrained attribute).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import CatalogError
 from ..sql import ast as sql_ast
@@ -57,18 +58,14 @@ class ForeignKey:
 
 @dataclass
 class Index:
-    """A secondary index declared via ``CREATE INDEX``.
-
-    ``owns_hash`` records whether the DDL built the hash index (vs.
-    inheriting an FK-maintained one), so ``DROP INDEX`` removes exactly
-    what ``CREATE INDEX`` added and never strips FK acceleration.
-    """
+    """An index declared via ``CREATE [UNIQUE] INDEX``: a name for a
+    requirement on the table's index set (see
+    :meth:`Table.required_indexes`), not a structure of its own."""
 
     name: str
     table: str
     columns: Tuple[str, ...]
     unique: bool = False
-    owns_hash: bool = False
 
 
 class Table:
@@ -156,6 +153,43 @@ class Table:
     def referenced_tables(self) -> List[str]:
         return [fk.ref_table for fk in self.foreign_keys]
 
+    def required_indexes(
+        self,
+        referencing: Iterable[ForeignKey] = (),
+        declared: Iterable[Index] = (),
+    ) -> Dict[Tuple[str, ...], Tuple[Optional[str], bool]]:
+        """The indexes this table's storage must keep, as column tuple ->
+        (constraint label, or None for a grouped index; ordered?) — the
+        one rule for which indexes exist, a pure function of the catalog:
+
+        * unique over the PRIMARY KEY, each UNIQUE constraint and each
+          ``declared`` index that is unique, in that order (the order a
+          duplicate is reported in; the first label wins where several
+          cover the same columns);
+        * grouped over the columns of each foreign key (the parent-side
+          RESTRICT probe), over the columns each of the ``referencing``
+          foreign keys of other tables points at (the child-side
+          existence probe) and over each declared ``CREATE INDEX`` —
+          unless a unique index over the same columns already answers;
+        * ordered when a declared index is over that one column.
+        """
+        unique: Dict[Tuple[str, ...], str] = {}
+        if self.primary_key:
+            unique[self.primary_key] = "primary key"
+        for columns in self.uniques:
+            unique.setdefault(columns, "unique")
+        for index in declared:
+            if index.unique:
+                unique.setdefault(index.columns, "unique index")
+        grouped = [tuple(fk.columns) for fk in self.foreign_keys]
+        grouped += [tuple(fk.ref_columns or self.primary_key) for fk in referencing]
+        grouped += [index.columns for index in declared]
+        ordered = {index.columns for index in declared if len(index.columns) == 1}
+        return {
+            columns: (unique.get(columns), columns in ordered)
+            for columns in chain(unique, grouped)
+        }
+
     def required_columns(self) -> List[str]:
         """Columns that must receive a value on INSERT: NOT NULL (or PK)
         without a default and without autoincrement."""
@@ -234,6 +268,16 @@ class Schema:
 
     def indexes_for(self, table: str) -> List[Index]:
         return [idx for idx in self._indexes.values() if idx.table == table]
+
+    def required_indexes(
+        self, name: str
+    ) -> Dict[Tuple[str, ...], Tuple[Optional[str], bool]]:
+        """:meth:`Table.required_indexes` of table ``name`` given every
+        foreign key that points at it and every index declared for it."""
+        return self.table(name).required_indexes(
+            [fk for _, fk in self.referencing_tables(name)],
+            self.indexes_for(name),
+        )
 
     def table(self, name: str) -> Table:
         try:

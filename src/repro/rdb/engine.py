@@ -44,6 +44,19 @@ transaction's first write blocks until its commit (once; the consumed
 snapshot it then takes flips the database to the clone discipline for
 good).
 
+Indexes (derived, never tracked)
+--------------------------------
+
+Which indexes a table's storage keeps is a pure function of the catalog
+(:meth:`repro.rdb.catalog.Schema.required_indexes`): its PRIMARY KEY and
+UNIQUE constraints, both sides of every foreign key, and what ``CREATE
+[UNIQUE] INDEX`` registered.  DDL changes the catalog and then syncs the
+tables whose requirement it touched (:meth:`Database._sync_indexes`) —
+the child's *and the parent's* — through the copy-on-write gate, so no
+statement builds an index on a version a reader may hold, and no read
+path builds one at all.  Indexes are not persisted: DDL replays, rows
+restore, indexes follow.
+
 Durability (opt-in)
 -------------------
 
@@ -1179,6 +1192,7 @@ class Database:
             self.schema.drop(stmt.name)
             del self.data[stmt.name]
             raise
+        self._sync_indexes(stmt.name, *table.referenced_tables())
         self.planner.invalidate()  # cached plans may predate the new table
         self.schema_version += 1
         return Result(columns=[], rows=[])
@@ -1188,8 +1202,9 @@ class Database:
             if stmt.if_exists:
                 return Result(columns=[], rows=[])
             raise CatalogError(f"no such table: {stmt.name!r}")
-        self.schema.drop(stmt.name)
+        table = self.schema.drop(stmt.name)
         del self.data[stmt.name]
+        self._sync_indexes(*table.referenced_tables())
         self.planner.invalidate()  # cached plans reference the dropped table
         self.schema_version += 1
         self.data_version += 1  # the dropped table's rows are gone
@@ -1200,29 +1215,18 @@ class Database:
             if stmt.if_not_exists:
                 return Result(columns=[], rows=[])
             raise CatalogError(f"index {stmt.name!r} already exists")
-        table = self.schema.table(stmt.table)
-        table_data = self._writable(stmt.table)
-        columns = tuple(stmt.columns)
-        index = Index(
-            name=stmt.name, table=stmt.table, columns=columns, unique=stmt.unique
+        self.schema.add_index(  # validates table + columns
+            Index(
+                name=stmt.name,
+                table=stmt.table,
+                columns=tuple(stmt.columns),
+                unique=stmt.unique,
+            )
         )
-        self.schema.add_index(index)  # validates table + columns
         try:
-            if stmt.unique:
-                # May raise IntegrityError when existing rows collide;
-                # add_unique_index leaves nothing behind in that case.
-                table_data.add_unique_index(columns, "unique index")
-                table.uniques.append(columns)  # planner point-lookup path
-                if len(columns) == 1:
-                    # Like real engines, a single-column unique index is
-                    # ordered: ranges and ORDER BY can walk it too.
-                    table_data.ensure_ordered_index(columns[0])
-            elif len(columns) == 1:
-                index.owns_hash = table_data.ensure_secondary_index(columns[0])
-                table_data.ensure_ordered_index(columns[0])
-            else:
-                table_data.ensure_composite_index(columns)
-        except Exception:
+            # IntegrityError when existing rows collide in a unique index
+            self._sync_indexes(stmt.table)
+        except DatabaseError:
             self.schema.drop_index(stmt.name)
             raise
         self.planner.invalidate()  # cached plans may now have a better path
@@ -1234,36 +1238,26 @@ class Database:
             if stmt.if_exists:
                 return Result(columns=[], rows=[])
             raise CatalogError(f"no such index: {stmt.name!r}")
-        index = self.schema.drop_index(stmt.name)
-        table_data = self._writable(index.table)
-        if index.unique:
-            table_data.drop_unique_index(index.columns, "unique index")
-            table = self.schema.table(index.table)
-            if index.columns in table.uniques:
-                table.uniques.remove(index.columns)
-        elif len(index.columns) > 1:
-            # Composite indexes are also rebuilt on demand by the FK
-            # checker, so dropping one is always safe.
-            table_data.drop_composite_index(index.columns)
-        if len(index.columns) == 1:
-            column = index.columns[0]
-            survivors = [
-                idx
-                for idx in self.schema.indexes_for(index.table)
-                if idx.columns == (column,)
-            ]
-            if survivors:
-                # Shared structures survive; hand hash-index ownership to
-                # a sibling so the last drop still removes it.
-                if index.owns_hash and not any(s.owns_hash for s in survivors):
-                    survivors[0].owns_hash = True
-            else:
-                table_data.drop_ordered_index(column)
-                if index.owns_hash:
-                    table_data.drop_secondary_index(column)
+        self._sync_indexes(self.schema.drop_index(stmt.name).table)
         self.planner.invalidate()  # cached plans reference the dropped index
         self.schema_version += 1
         return Result(columns=[], rows=[])
+
+    def _sync_indexes(self, *names: str) -> None:
+        """Bring the index sets of tables ``names`` in line with the
+        catalog — how every DDL statement ends, for the tables whose
+        requirement it can change: CREATE / DROP TABLE the table itself
+        and every table its foreign keys point at (a parent keeps an
+        index over the referenced columns for as long as a child needs
+        the existence probe), CREATE / DROP INDEX the indexed table.
+        Always on the copy-on-write gate's version: the index set of a
+        published snapshot never changes.
+        """
+        for name in dict.fromkeys(names):
+            if name in self.data:  # not the table being dropped
+                self._writable(name).sync_indexes(
+                    self.schema.required_indexes(name)
+                )
 
     # ------------------------------------------------------------------
     # direct row access (used by the mediator and tests)

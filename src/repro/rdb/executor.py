@@ -297,15 +297,8 @@ class Executor:
             if any(v is None for v in values):
                 return  # NULL FK components never violate
             parent = self.schema.table(fk.ref_table)
-            parent_data = self._table_data(fk.ref_table)
             ref_columns = tuple(fk.ref_columns or parent.primary_key)
-            if ref_columns == parent.primary_key:
-                found = parent_data.find_by_pk(values) is not None
-            elif len(ref_columns) == 1:
-                found = parent_data.has_value(ref_columns[0], values[0])
-            else:
-                found = parent_data.has_key(ref_columns, values)
-            if not found:
+            if not self._table_data(fk.ref_table).has_key(ref_columns, values):
                 raise IntegrityError(
                     f"foreign key violation: {table.name}."
                     f"{','.join(fk.columns)} = {values!r} has no match in "
@@ -355,12 +348,7 @@ class Executor:
         values: Tuple[Any, ...],
     ) -> Callable[[], None]:
         def check() -> None:
-            child_data = self._table_data(child.name)
-            if len(fk.columns) == 1:
-                referenced = child_data.has_value(fk.columns[0], values[0])
-            else:
-                referenced = child_data.has_key(tuple(fk.columns), values)
-            if referenced:
+            if self._table_data(child.name).has_key(tuple(fk.columns), values):
                 raise IntegrityError(
                     f"foreign key violation: rows in {child.name!r} still "
                     f"reference {fk.ref_table}.{','.join(ref_columns)} = "

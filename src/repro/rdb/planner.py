@@ -12,15 +12,18 @@ implementation:
   hash-join key computed from the pipeline so far.
 * **One enumeration of a table's access paths**
   (:func:`_access_candidates`): given a table's single-table conjuncts
-  it yields every index path as ``(estimated rows, priority, consumed
-  conjuncts, lazy builder)`` — covered unique index (point lookup),
-  equality on a hash-indexed column (index probe), bounds or a ``LIKE``
-  prefix on an ordered-indexed column (range/prefix scan).  Estimates
-  are O(1) reads off incrementally maintained statistics (``rows /
-  distinct`` for probes, ``rows / 3-4`` for ranges); the lowest wins, the
-  full scan is the fallback.  :func:`_choose_base_access` *builds* the
-  winner (only the winner is compiled); join ordering *reads* the
-  winner's estimate.  A new kind of path is one more candidate here.
+  it walks the table's one index collection
+  (:attr:`TableData.indexes`) and yields every index path as
+  ``(estimated rows, priority, consumed conjuncts, lazy builder)`` —
+  equalities on every column of a unique index (point lookup) or of a
+  grouped one, over one column or several (index probe), bounds or a
+  ``LIKE`` prefix on the column of an ordered one (range/prefix scan).
+  Estimates are O(1) reads off incrementally maintained statistics
+  (``rows / distinct keys`` for probes, ``rows / 3-4`` for ranges); the
+  lowest wins, the full scan is the fallback.
+  :func:`_choose_base_access` *builds* the winner (only the winner is
+  compiled); join ordering *reads* the winner's estimate.  A new kind of
+  path is one more candidate here.
 * **One join planner** (:meth:`CompiledSelect._plan_pipeline`).  What
   decides the pipeline order: the written order, unless every join is
   an INNER join with a condition — then the table with the lowest
@@ -103,7 +106,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -384,8 +386,36 @@ class _BaseAccess:
         return f"{self.table_name}: {self.path()}" + suffix
 
 
-class _PointLookup(_BaseAccess):
-    """Equality on every column of a primary key or unique index."""
+class _IndexProbe(_BaseAccess):
+    """Equality on every column of a grouped (non-unique) index."""
+
+    def __init__(
+        self,
+        table_name: str,
+        columns: Tuple[str, ...],
+        key_exprs: Sequence[ast.Expression],
+        residual: Sequence[_Conjunct],
+        kind: str = "probe",
+    ) -> None:
+        super().__init__(table_name, kind, residual=residual, keys=key_exprs)
+        self.columns = columns
+
+    def pairs(self, table_data, key):
+        if None in key:
+            return ()  # `col = NULL` never matches
+        rows = table_data.rows
+        return (
+            (rowid, rows[rowid])
+            for rowid in table_data.probe(self.columns, key)
+        )
+
+    def path(self) -> str:
+        return f"index probe on {', '.join(self.columns)}"
+
+
+class _PointLookup(_IndexProbe):
+    """Equality on every column of a primary key or unique index: the
+    probe that finds at most one row."""
 
     def __init__(
         self,
@@ -395,42 +425,11 @@ class _PointLookup(_BaseAccess):
         key_exprs: Sequence[ast.Expression],
         residual: Sequence[_Conjunct],
     ) -> None:
-        super().__init__(table_name, "point", residual=residual, keys=key_exprs)
+        super().__init__(table_name, columns, key_exprs, residual, "point")
         self.label = label
-        self.columns = columns
-
-    def pairs(self, table_data, key):
-        if None in key:
-            return ()  # `col = NULL` never matches
-        rowid = table_data.find_by_unique(self.columns, key)
-        if rowid is None:
-            return ()
-        return ((rowid, table_data.rows[rowid]),)
 
     def path(self) -> str:
         return f"point lookup via {self.label} ({', '.join(self.columns)})"
-
-
-class _IndexProbe(_BaseAccess):
-    """Equality on a column with a secondary (hash) index."""
-
-    def __init__(
-        self,
-        table_name: str,
-        column: str,
-        value_expr: ast.Expression,
-        residual: Sequence[_Conjunct],
-    ) -> None:
-        super().__init__(table_name, "probe", residual=residual, keys=[value_expr])
-        self.column = column
-
-    def pairs(self, table_data, key):
-        if key[0] is None:
-            return ()
-        return table_data.rows_for_value(self.column, key[0])
-
-    def path(self) -> str:
-        return f"index probe on {self.column}"
 
 
 class _RangeScan(_BaseAccess):
@@ -460,7 +459,7 @@ class _RangeScan(_BaseAccess):
         rows = table_data.rows
         return (
             (rowid, rows[rowid])
-            for rowid in table_data.ordered_indexes[self.column].range_rowids(
+            for rowid in table_data.ordered_index(self.column).range_rowids(
                 lo, hi, self.lo_inclusive, self.hi_inclusive, self.descending
             )
         )
@@ -493,7 +492,7 @@ class _PrefixScan(_BaseAccess):
         rows = table_data.rows
         return (
             (rowid, rows[rowid])
-            for rowid in table_data.ordered_indexes[self.column].prefix_rowids(
+            for rowid in table_data.ordered_index(self.column).prefix_rowids(
                 self.prefix
             )
         )
@@ -518,7 +517,7 @@ class _OrderedScan(_BaseAccess):
         rows = table_data.rows
         return (
             (rowid, rows[rowid])
-            for rowid in table_data.ordered_indexes[self.column].ordered_rowids(
+            for rowid in table_data.ordered_index(self.column).ordered_rowids(
                 self.descending
             )
         )
@@ -542,10 +541,15 @@ _Candidate = Tuple[
 ]
 
 #: Tie-break between candidates with equal estimates: an equality probe
-#: is never worse than a range over the same rows (and ``min`` keeps the
-#: first listed on a full tie).
+#: is never worse than a range over the same rows, and of two paths of
+#: one kind the one answering more conjuncts leaves fewer to filter by
+#: (``min`` keeps the first listed on a full tie).
 _POINT, _PROBE, _RANGE, _PREFIX = 0, 1, 2, 3
-_ESTIMATE_THEN_PRIORITY = itemgetter(0, 1)
+
+
+def _cheapest_first(candidate: _Candidate) -> Tuple[int, int, int]:
+    estimate, priority, consumed, _ = candidate
+    return estimate, priority, -len(consumed)
 
 
 def _access_candidates(
@@ -560,9 +564,11 @@ def _access_candidates(
     conjuncts of the table bound at ``slot`` — the one place the cost
     rules live.
 
-    A covered unique index yields one row and ends the enumeration
-    (nothing beats it).  Otherwise equality probes cost ``rows /
-    distinct``, range scans ``rows / 3`` (``/ 4`` when bounded on both
+    The table's index set is enumerated once.  A unique index whose
+    columns all have equalities yields one row and ends the enumeration
+    (nothing beats it; unique indexes are listed first).  A grouped one
+    whose columns all have equalities is a probe at ``rows / distinct
+    keys``; range scans cost ``rows / 3`` (``/ 4`` when bounded on both
     sides) and prefix scans ``rows / 4``; all statistics are O(1) reads
     off the index structures.  The full scan is not a candidate: it is
     what the caller falls back to when the list is empty.
@@ -574,35 +580,27 @@ def _access_candidates(
             equalities[match[0]] = (position, match[1])
 
     table = schema.table(table_name)
-    if equalities:
-        unique_sets: List[Tuple[str, Tuple[str, ...]]] = []
-        if table.primary_key:
-            unique_sets.append(("primary key", tuple(table.primary_key)))
-        unique_sets.extend(("unique index", tuple(u)) for u in table.uniques)
-        for label, columns in unique_sets:
-            if columns and all(c in equalities for c in columns):
-                build = partial(
-                    _PointLookup, table_name, label, columns,
-                    [equalities[c][1] for c in columns],
-                )
-                return [(1, _POINT, [equalities[c][0] for c in columns], build)]
-
     candidates: List[_Candidate] = []
     table_data = data[table_name]
     rows = table_data.row_count()
-    for column, (position, value_expr) in equalities.items():
-        if column in table_data.secondary_indexes:
-            distinct = table_data.distinct_count(column) or 1
-            build = partial(_IndexProbe, table_name, column, value_expr)
-            candidates.append(
-                (max(1, rows // max(1, distinct)), _PROBE, (position,), build)
-            )
+    for columns, index in table_data.indexes.items():  # unique ones first
+        if not all(c in equalities for c in columns):
+            continue
+        consumed = [equalities[c][0] for c in columns]
+        key_exprs = [equalities[c][1] for c in columns]
+        if index.label is not None:
+            label = index.label if index.label == "primary key" else "unique index"
+            build = partial(_PointLookup, table_name, label, columns, key_exprs)
+            return [(1, _POINT, consumed, build)]
+        build = partial(_IndexProbe, table_name, columns, key_exprs)
+        distinct = max(1, len(index.entries))
+        candidates.append((max(1, rows // distinct), _PROBE, consumed, build))
 
     specs: Dict[str, _Bounds] = {}
     prefixes: Dict[str, Tuple[int, str]] = {}
     for position, expr in enumerate(exprs):
         match = _match_range_conjunct(expr, slot, layout)
-        if match is None or match.column not in table_data.ordered_indexes:
+        if match is None or table_data.ordered_index(match.column) is None:
             continue
         if match.prefix is not None:
             if match.column not in prefixes and _prefix_capable(table, match.column):
@@ -638,7 +636,7 @@ def _choose_base_access(
     )
     if not candidates:
         return _BaseAccess(table_name, "scan", residual=conjuncts)
-    _, _, consumed, build = min(candidates, key=_ESTIMATE_THEN_PRIORITY)
+    _, _, consumed, build = min(candidates, key=_cheapest_first)
     return build([c for i, c in enumerate(conjuncts) if i not in consumed])
 
 
@@ -1341,7 +1339,7 @@ class CompiledSelect:
         slot, column = self.layout.resolve(expr)
         if slot != 0:
             return
-        if column not in data[self.base.table_name].ordered_indexes:
+        if data[self.base.table_name].ordered_index(column) is None:
             return
         if self.base.kind == "range":
             if self.base.column != column:

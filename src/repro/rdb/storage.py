@@ -1,12 +1,37 @@
-"""Row storage with hash and ordered secondary indexes, on shared pages.
+"""Row storage with one kind of index, on shared pages.
 
-Each table's rows are keyed by a synthetic row id.  Unique indexes
-(primary key, UNIQUE constraints) map key tuples to row ids; non-unique
-secondary indexes (maintained for foreign-key columns and declared via
-``CREATE INDEX``) map values to row-id groups; ordered indexes
-additionally keep the distinct values sorted so range, prefix, and
-ORDER BY access paths can walk them in key order.  All mutation goes
-through :class:`TableData` methods so indexes never drift from the rows.
+Each table's rows are keyed by a synthetic row id.  An index
+(:class:`_Index`) is one hash from the key of its ``columns`` to the
+rows holding it, with three properties:
+
+* **unique or grouped** — an entry is the one row id (primary key,
+  UNIQUE constraints, ``CREATE UNIQUE INDEX``; a duplicate raises
+  :class:`IntegrityError` under the constraint's label) or the immutable
+  ascending group of row ids (foreign-key columns, referenced columns,
+  ``CREATE INDEX``);
+* **ordered or not** — a single-column declared index additionally
+  keeps its distinct values sorted, so range, prefix and ORDER BY access
+  paths walk them in key order, reading each value's rows from that
+  same hash;
+* **one keying rule** (:meth:`_Index.key_for`) — the value itself for
+  one column, the tuple of values for several; a key with a NULL
+  component is not stored.  A primary key over ``id`` therefore holds
+  ints, not one 1-tuple per row (an allocation per insert and an object
+  for the garbage collector to visit per row, which a bulk load feels);
+  :class:`TableData`'s lookup surface takes a tuple of values whatever
+  the width, because that is what its callers hold.
+
+:class:`TableData` holds them in one collection, ``indexes``, at most one
+per column tuple — a unique index also answers what a grouped one over
+the same columns would.  *Which* indexes exist is not decided here:
+:meth:`TableData.sync_indexes` makes the set equal to what the catalog
+requires (:meth:`repro.rdb.catalog.Table.required_indexes`) and is the
+only place an index is built.  Nothing on a read path builds or scans:
+:meth:`TableData.probe` and :meth:`TableData.has_key` answer from the
+index over exactly the columns asked for, and asking for columns
+nothing indexes is a ``KeyError``, not a slower answer.  All mutation
+goes through :class:`TableData` methods so indexes never drift from the
+rows.
 
 Statistics (row counts, per-column distinct counts) are *derived* from the
 incrementally maintained index structures, so they are O(1) to read and
@@ -15,7 +40,7 @@ O(changes) to maintain — no DML ever recounts a table.
 Pages (MVCC reads, copy-on-write)
 ---------------------------------
 
-Rows and every index kind live in one persistent container,
+Rows and both halves of an index live in one persistent container,
 :class:`_Pages`: a *directory* (a list) of *pages* (dicts or lists of at
 most ``PAGE_SIZE`` entries), each page stamped with the token of the one
 container version that may mutate it in place.  Three addressings share
@@ -570,84 +595,7 @@ class _SortedPages(_Pages):
         return chain.from_iterable(spans)
 
 
-class _UniqueIndex:
-    """Maps a key tuple to the single row id holding it."""
-
-    def __init__(self, columns: Tuple[str, ...], label: str) -> None:
-        self.columns = columns
-        self.label = label  # 'primary key' | 'unique'
-        self._entries = _HashPages()
-
-    def clone(self) -> "_UniqueIndex":
-        twin = _UniqueIndex.__new__(_UniqueIndex)
-        twin.columns = self.columns
-        twin.label = self.label
-        twin._entries = self._entries.clone()
-        return twin
-
-    def key_for(self, row: Row) -> Optional[Tuple[Any, ...]]:
-        """The index key, or None when any component is NULL (SQL UNIQUE
-        semantics: NULLs never collide)."""
-        columns = self.columns
-        if len(columns) == 1:  # most keys: no loop
-            value = row.get(columns[0])
-            return None if value is None else (value,)
-        key = tuple([row.get(col) for col in columns])
-        return None if None in key else key
-
-    def insert(self, row: Row, rowid: int, table: str) -> None:
-        key = self.key_for(row)
-        if key is None:
-            return
-        if self._entries.setdefault(key, rowid) != rowid:
-            value = key[0] if len(key) == 1 else key
-            raise IntegrityError(
-                f"{self.label} violation in table {table!r}: "
-                f"duplicate value {value!r} for ({', '.join(self.columns)})",
-                constraint=self.label,
-                table=table,
-                column=self.columns[0],
-            )
-
-    def remove(self, row: Row, rowid: int) -> None:
-        key = self.key_for(row)
-        if key is not None and self._entries.get(key) == rowid:
-            self._entries.pop(key)
-
-
-_EMPTY_ROWIDS: Tuple[int, ...] = ()
-
-
-class _SecondaryIndex:
-    """Non-unique index: single-column value -> group of row ids."""
-
-    def __init__(self, column: str) -> None:
-        self.column = column
-        self._entries = _HashPages()
-
-    def clone(self) -> "_SecondaryIndex":
-        twin = _SecondaryIndex.__new__(_SecondaryIndex)
-        twin.column = self.column
-        twin._entries = self._entries.clone()
-        return twin
-
-    def insert(self, row: Row, rowid: int) -> None:
-        value = row.get(self.column)
-        if value is not None:
-            self._entries.add_id(value, rowid)
-
-    def remove(self, row: Row, rowid: int) -> None:
-        value = row.get(self.column)
-        if value is not None:
-            self._entries.discard_id(value, rowid)
-
-    def lookup(self, value: Any) -> Any:
-        """The (immutable, ascending) row ids holding ``value``."""
-        return self._entries.get(value, _EMPTY_ROWIDS)
-
-    def contains(self, value: Any) -> bool:
-        return value in self._entries
-
+_SECOND = itemgetter(1)
 
 #: Sentinel for "no bound" in range probes (None means SQL NULL there).
 UNBOUNDED = object()
@@ -676,65 +624,124 @@ def _ordered_key(value: Any) -> Tuple[int, Any]:
     )
 
 
-class _OrderedIndex:
-    """Ordered non-unique index: distinct values kept sorted.
+class _Index:
+    """The one kind of index: ``entries`` hashes the key of ``columns``
+    (:meth:`key_for`) to the rows holding it.
 
-    Backs three access paths the planner emits: range scans
-    (``<``/``<=``/``>``/``>=``/``BETWEEN``), prefix scans (``LIKE 'abc%'``),
-    and index-ordered scans (ORDER BY without a sort).  Row ids within one
-    value group ascend, so index-ordered emission matches what a stable
-    sort over the row-id-ordered scan would produce — ties included —
-    making the index path indistinguishable from scan+sort.
+    *Unique* (``label`` names the constraint) — an entry is the one row
+    id; a second row with the key is an :class:`IntegrityError`.
+    *Grouped* (``label`` is None) — an entry is the immutable ascending
+    group of row ids (see :func:`_ids_with`).  Either way a key with a
+    NULL component is not stored: NULLs never collide under UNIQUE, a
+    NULL foreign-key component never violates, and no equality selects
+    them.
 
-    NULLs are not keyed (no comparison ever selects them) but are tracked
-    separately so ordered scans can emit them where ORDER BY semantics put
-    them (first ascending, last descending).
+    *Ordered* (``keys`` is not None; one column only) — the distinct
+    values are additionally kept sorted, as ``_ordered_key(value)``,
+    which backs range scans (``<``/``<=``/``>``/``>=``/``BETWEEN``),
+    prefix scans (``LIKE 'abc%'``) and index-ordered scans (ORDER BY
+    without a sort).  The walks read each key's rows from ``entries``,
+    the hash equality probes use.  Row ids within one group ascend, so
+    index-ordered emission matches what a stable sort over the
+    row-id-ordered scan would produce — ties included.  The rows holding
+    NULL are tracked apart (``nulls``) so ordered scans can emit them
+    where ORDER BY puts them (first ascending, last descending).
     """
 
-    __slots__ = ("column", "_keys", "_groups", "_nulls")
+    __slots__ = ("table", "columns", "label", "entries", "keys", "nulls")
 
-    def __init__(self, column: str) -> None:
-        self.column = column
-        self._keys = _SortedPages()  # distinct keys
-        self._groups = _HashPages()  # key -> row ids
-        self._nulls: Any = None  # group of row ids with NULL in the column
+    def __init__(
+        self, table: str, columns: Tuple[str, ...], label: Optional[str], ordered: bool
+    ) -> None:
+        self.table = table
+        self.columns = columns
+        self.label = label  # 'primary key' | 'unique' | 'unique index' | None
+        self.entries = _HashPages()
+        self.keys = _SortedPages() if ordered else None
+        self.nulls: Any = None  # group of row ids with NULL in an ordered column
 
-    def clone(self) -> "_OrderedIndex":
-        twin = _OrderedIndex.__new__(_OrderedIndex)
-        twin.column = self.column
-        twin._keys = self._keys.clone()
-        twin._groups = self._groups.clone()
-        twin._nulls = self._nulls
+    def clone(self) -> "_Index":
+        twin = _Index.__new__(_Index)
+        twin.table = self.table
+        twin.columns = self.columns
+        twin.label = self.label
+        twin.entries = self.entries.clone()
+        twin.keys = None if self.keys is None else self.keys.clone()
+        twin.nulls = self.nulls
         return twin
 
+    def key_for(self, row: Row) -> Any:
+        """The row's key — the value itself for one column, the tuple of
+        values for several — or None when any component is NULL."""
+        columns = self.columns
+        if len(columns) == 1:  # most keys: no loop, no tuple
+            return row.get(columns[0])
+        key = tuple([row.get(col) for col in columns])
+        return None if None in key else key
+
     def insert(self, row: Row, rowid: int) -> None:
-        value = row.get(self.column)
-        if value is None:
-            nulls = self._nulls
-            self._nulls = (rowid,) if nulls is None else _ids_with(nulls, rowid)
+        columns = self.columns  # key_for, minus a call per row and index
+        key = row.get(columns[0]) if len(columns) == 1 else self.key_for(row)
+        keys = self.keys
+        if key is None:
+            if keys is not None:
+                nulls = self.nulls
+                self.nulls = (rowid,) if nulls is None else _ids_with(nulls, rowid)
             return
-        key = _ordered_key(value)
-        if self._groups.add_id(key, rowid):
-            self._keys.add(key)
+        if keys is not None:
+            sort_key = _ordered_key(key)  # raises before anything is stored
+        entries = self.entries
+        if self.label is None:
+            new = entries.add_id(key, rowid)
+        else:
+            count = entries.count
+            if entries.setdefault(key, rowid) != rowid:
+                raise IntegrityError(
+                    f"{self.label} violation in table {self.table!r}: "
+                    f"duplicate value {key!r} for ({', '.join(self.columns)})",
+                    constraint=self.label,
+                    table=self.table,
+                    column=columns[0],
+                )
+            new = entries.count != count
+        if new and keys is not None:
+            keys.add(sort_key)
 
     def remove(self, row: Row, rowid: int) -> None:
-        value = row.get(self.column)
-        if value is None:
-            if self._nulls is not None:
-                self._nulls = _ids_without(self._nulls, rowid)
+        """Take ``rowid`` out from under the row's key; a no-op when it
+        is not stored there (so a failed insert can be taken back from
+        every index, reached or not)."""
+        key = self.key_for(row)
+        if key is None:
+            if self.nulls is not None:
+                self.nulls = _ids_without(self.nulls, rowid)
             return
-        key = _ordered_key(value)
-        if self._groups.discard_id(key, rowid):
-            self._keys.remove(key)
+        entries = self.entries
+        if self.label is None:
+            gone = entries.discard_id(key, rowid)
+        else:
+            gone = entries.get(key) == rowid
+            if gone:
+                entries.pop(key)
+        if gone and self.keys is not None:
+            self.keys.remove(_ordered_key(key))
 
-    def distinct_count(self) -> int:
-        return len(self._groups)
+    def rowids(self, key: Any) -> Any:
+        """The row ids holding ``key`` (in :meth:`key_for`'s form): a
+        sized, immutable collection iterated in ascending order (a
+        grouped index's stored group itself — no per-call copy)."""
+        found = self.entries.get(key)
+        if found is None:
+            return ()
+        return found if self.label is None else (found,)
+
+    # -- ordered walks -----------------------------------------------------------
 
     def _check_comparable(self, bound: Any) -> Tuple[int, Any]:
         """The bound's key; raises exactly like the expression layer when
         the bound's type class cannot compare with the stored values."""
         key = _ordered_key(bound)
-        sample = self._keys.first()
+        sample = self.keys.first()
         if sample is not None and sample[0] != key[0]:
             raise DatabaseError(
                 f"cannot compare {type(sample[1]).__name__} with "
@@ -743,9 +750,9 @@ class _OrderedIndex:
         return key
 
     def _rowids(self, keys: Iterator[Tuple[int, Any]]) -> Iterator[int]:
-        get = self._groups.get
-        for key in keys:
-            yield from get(key)
+        """The row ids under each of the sorted ``keys`` in turn."""
+        found = map(self.entries.get, map(_SECOND, keys))
+        return chain.from_iterable(found) if self.label is None else found
 
     def range_rowids(
         self,
@@ -762,7 +769,7 @@ class _OrderedIndex:
         """
         if lo is None or hi is None:
             return iter(())
-        keys = self._keys
+        keys = self.keys
         start, end = (0, 0), None
         if lo is not UNBOUNDED:
             start = keys.position(self._check_comparable(lo), not lo_inclusive)
@@ -776,60 +783,20 @@ class _OrderedIndex:
         Only meaningful on string columns (the planner checks the catalog
         type before choosing this path).
         """
-        keys = self._keys
-        get = self._groups.get
-        for key in keys.keys(keys.position((1, prefix), False)):
-            rank, value = key
+        keys = self.keys
+        rowids = self.rowids
+        for rank, value in keys.keys(keys.position((1, prefix), False)):
             if rank != 1 or not value.startswith(prefix):
                 return
-            yield from get(key)
+            yield from rowids(value)
 
     def ordered_rowids(self, descending: bool = False) -> Iterator[int]:
         """Every row id in ORDER BY emission order: NULLs sort first
         ascending / last descending; ties within a value stay in ascending
         row-id order (what a stable sort over the scan would produce)."""
-        nulls = self._nulls or ()
-        keyed = self._rowids(self._keys.keys(descending=descending))
+        nulls = self.nulls or ()
+        keyed = self._rowids(self.keys.keys(descending=descending))
         return chain(keyed, nulls) if descending else chain(nulls, keyed)
-
-
-class _CompositeIndex:
-    """Non-unique index over a column tuple: key tuple -> group of row ids.
-
-    Backs composite-foreign-key existence checks so multi-column FK
-    validation probes a hash instead of scanning the table.  Keys with a
-    NULL component are not indexed (a NULL FK component never violates,
-    and SQL composite keys with NULLs never match).
-    """
-
-    __slots__ = ("columns", "_entries")
-
-    def __init__(self, columns: Tuple[str, ...]) -> None:
-        self.columns = columns
-        self._entries = _HashPages()
-
-    def clone(self) -> "_CompositeIndex":
-        twin = _CompositeIndex.__new__(_CompositeIndex)
-        twin.columns = self.columns
-        twin._entries = self._entries.clone()
-        return twin
-
-    def key_for(self, row: Row) -> Optional[Tuple[Any, ...]]:
-        key = tuple([row.get(col) for col in self.columns])
-        return None if None in key else key
-
-    def insert(self, row: Row, rowid: int) -> None:
-        key = self.key_for(row)
-        if key is not None:
-            self._entries.add_id(key, rowid)
-
-    def remove(self, row: Row, rowid: int) -> None:
-        key = self.key_for(row)
-        if key is not None:
-            self._entries.discard_id(key, rowid)
-
-    def contains_key(self, key: Tuple[Any, ...]) -> bool:
-        return key in self._entries
 
 
 class TableData:
@@ -848,33 +815,13 @@ class TableData:
         self._autoincrement_next: Dict[str, int] = {
             c.name: 1 for c in table.columns.values() if c.autoincrement
         }
-
-        self.unique_indexes: List[_UniqueIndex] = []
-        if table.primary_key:
-            self.unique_indexes.append(
-                _UniqueIndex(table.primary_key, "primary key")
-            )
-        for unique in table.uniques:
-            self.unique_indexes.append(_UniqueIndex(unique, "unique"))
-
-        # Secondary indexes accelerate FK existence checks both ways:
-        # child-side lookup by FK value and parent-side reverse lookup.
-        self.secondary_indexes: Dict[str, _SecondaryIndex] = {}
-        # Ordered indexes (declared via CREATE INDEX) back range/prefix
-        # scans and index-ordered ORDER BY.
-        self.ordered_indexes: Dict[str, _OrderedIndex] = {}
-        # Composite (multi-column) indexes for composite FKs; additional
-        # ones are built on demand via :meth:`ensure_composite_index`.
-        self.composite_indexes: Dict[Tuple[str, ...], _CompositeIndex] = {}
-        for fk in table.foreign_keys:
-            if len(fk.columns) == 1:
-                col = fk.columns[0]
-                self.secondary_indexes.setdefault(col, _SecondaryIndex(col))
-            else:
-                columns = tuple(fk.columns)
-                self.composite_indexes.setdefault(
-                    columns, _CompositeIndex(columns)
-                )
+        #: Column tuple -> the one index over it, unique ones first (the
+        #: order a duplicate is reported in).  Only :meth:`sync_indexes`
+        #: changes which exist; what this table alone requires is there
+        #: from the start, what other tables' foreign keys and CREATE
+        #: INDEX add follows when the engine syncs after DDL.
+        self.indexes: Dict[Tuple[str, ...], _Index] = {}
+        self.sync_indexes(table.required_indexes())
 
     # -- mutation (raw: no constraint semantics beyond uniqueness) -------------
 
@@ -904,34 +851,47 @@ class TableData:
         clone._cow_pinned = False  # no snapshot references the clone yet
         clone._next_rowid = self._next_rowid
         clone._autoincrement_next = dict(self._autoincrement_next)
-        clone.unique_indexes = [index.clone() for index in self.unique_indexes]
-        clone.secondary_indexes = {
-            column: index.clone()
-            for column, index in self.secondary_indexes.items()
-        }
-        clone.ordered_indexes = {
-            column: index.clone()
-            for column, index in self.ordered_indexes.items()
-        }
-        clone.composite_indexes = {
-            columns: index.clone()
-            for columns, index in self.composite_indexes.items()
+        clone.indexes = {
+            columns: index.clone() for columns, index in self.indexes.items()
         }
         return clone
+
+    def sync_indexes(
+        self, required: Dict[Tuple[str, ...], Tuple[Optional[str], bool]]
+    ) -> None:
+        """Make the index set equal ``required`` — column tuple ->
+        (constraint label or None for grouped, ordered?), what
+        :meth:`repro.rdb.catalog.Schema.required_indexes` derives from
+        the catalog: an index that is missing, or whose kind changed, is
+        built from the current rows; one nothing requires is dropped.
+
+        A unique index the rows collide in raises
+        :class:`IntegrityError` and leaves the set as it was.  The one
+        place an index is built — call it on the version the engine's
+        copy-on-write gate hands out, never on a published one.
+        """
+        indexes = {}
+        for columns, (label, ordered) in required.items():
+            index = self.indexes.get(columns)
+            if (
+                index is None
+                or index.label != label
+                or (index.keys is not None) != ordered
+            ):
+                index = _Index(self.table.name, columns, label, ordered)
+                for rowid, row in self.rows.items():
+                    index.insert(row, rowid)
+            indexes[columns] = index
+        self.indexes = indexes
 
     def containers(self) -> Iterator[_Pages]:
         """Every paged container of this table, in a fixed order (rows
         first) — two versions of one table yield corresponding ones."""
         yield self.rows
-        for unique in self.unique_indexes:
-            yield unique._entries
-        for secondary in self.secondary_indexes.values():
-            yield secondary._entries
-        for ordered in self.ordered_indexes.values():
-            yield ordered._keys
-            yield ordered._groups
-        for composite in self.composite_indexes.values():
-            yield composite._entries
+        for index in self.indexes.values():
+            yield index.entries
+            if index.keys is not None:
+                yield index.keys
 
     def copied_entries(self) -> int:
         """Entries this version copied out of shared pages since it was
@@ -941,37 +901,23 @@ class TableData:
     def insert(self, row: Row) -> int:
         rowid = self._next_rowid
         self._next_rowid = rowid + 1
-        name = self.table.name
+        indexes = self.indexes.values()
         try:
-            for index in self.unique_indexes:
-                index.insert(row, rowid, name)
-        except IntegrityError:
+            for index in indexes:
+                index.insert(row, rowid)
+        except DatabaseError:
             # Take back the entries made in earlier indexes so a failed
             # insert leaves no phantom keys behind (``remove`` only drops
-            # a key that points at this row id).
-            for index in self.unique_indexes:
+            # an entry that points at this row id).
+            for index in indexes:
                 index.remove(row, rowid)
             raise
-        for column, secondary in self.secondary_indexes.items():
-            value = row.get(column)  # _SecondaryIndex.insert, minus a call
-            if value is not None:
-                secondary._entries.add_id(value, rowid)
-        for ordered in self.ordered_indexes.values():
-            ordered.insert(row, rowid)
-        for composite in self.composite_indexes.values():
-            composite.insert(row, rowid)
         self.rows[rowid] = dict(row)
         return rowid
 
     def delete(self, rowid: int) -> Row:
         row = self.rows.pop(rowid)
-        for index in self.unique_indexes:
-            index.remove(row, rowid)
-        for index in self.secondary_indexes.values():
-            index.remove(row, rowid)
-        for index in self.ordered_indexes.values():
-            index.remove(row, rowid)
-        for index in self.composite_indexes.values():
+        for index in self.indexes.values():
             index.remove(row, rowid)
         return row
 
@@ -985,36 +931,24 @@ class TableData:
         old = self.rows[rowid]
         new = {**old, **changes}
         changed = changes.keys()
-        unique_indexes = [
+        touched = [
             index
-            for index in self.unique_indexes
+            for index in self.indexes.values()
             if not changed.isdisjoint(index.columns)
         ]
         # Remove old index entries first, then insert new ones; on a
         # uniqueness failure we restore the old entries to stay consistent.
-        for index in unique_indexes:
+        for index in touched:
             index.remove(old, rowid)
         try:
-            for index in unique_indexes:
-                index.insert(new, rowid, self.table.name)
-        except IntegrityError:
-            for index in unique_indexes:
+            for index in touched:
+                index.insert(new, rowid)
+        except DatabaseError:
+            for index in touched:
                 index.remove(new, rowid)
-            for index in unique_indexes:
-                index.insert(old, rowid, self.table.name)
+            for index in touched:
+                index.insert(old, rowid)
             raise
-        for column in changed & self.secondary_indexes.keys():
-            index = self.secondary_indexes[column]
-            index.remove(old, rowid)
-            index.insert(new, rowid)
-        for column in changed & self.ordered_indexes.keys():
-            ordered = self.ordered_indexes[column]
-            ordered.remove(old, rowid)
-            ordered.insert(new, rowid)
-        for columns, composite in self.composite_indexes.items():
-            if not changed.isdisjoint(columns):
-                composite.remove(old, rowid)
-                composite.insert(new, rowid)
         self.rows[rowid] = new
         return old
 
@@ -1025,17 +959,11 @@ class TableData:
         emission and the stable scan+sort must stay indistinguishable):
         the row store re-orders the one page a mid-table row lands on.
         """
-        for index in self.unique_indexes:
-            index.insert(row, rowid, self.table.name)
-        for index in self.secondary_indexes.values():
-            index.insert(row, rowid)
-        for index in self.ordered_indexes.values():
-            index.insert(row, rowid)
-        for index in self.composite_indexes.values():
+        for index in self.indexes.values():
             index.insert(row, rowid)
         self.rows.reinstate(rowid, dict(row))
 
-    # -- lookups -----------------------------------------------------------------
+    # -- lookups (none builds an index, none falls back to a scan) ---------------
 
     def scan(self) -> Iterator[Tuple[int, Row]]:
         """Yield live (rowid, row) pairs in ascending row-id order,
@@ -1054,128 +982,34 @@ class TableData:
         """
         return list(self.scan())
 
-    def find_by_unique(
-        self, columns: Tuple[str, ...], key: Tuple[Any, ...]
-    ) -> Optional[int]:
-        """Point lookup: the rowid holding ``key`` in the index on
-        ``columns``, or None (no such index / no such key)."""
-        for index in self.unique_indexes:
-            if index.columns == columns:
-                return index._entries.get(key)
-        return None
+    # Callers hold one value per column — the planner's key expressions,
+    # a foreign key's values — so ``key`` is a tuple here whatever the
+    # width; an index over one column stores the value itself.
 
-    def find_by_pk(self, key: Tuple[Any, ...]) -> Optional[int]:
-        if not self.table.primary_key:
-            return None
-        # the primary-key index is built first and never dropped;
-        # _HashPages.get, minus a call: every foreign-key check lands here
-        entries = self.unique_indexes[0]._entries
-        return entries.dir[hash(key) & entries.mask].get(key)
-
-    def unique_index_columns(self) -> List[Tuple[str, ...]]:
-        """Column tuples of the unique indexes, primary key first."""
-        return [index.columns for index in self.unique_indexes]
-
-    def find_by_value(self, column: str, value: Any) -> Any:
-        """Row ids whose ``column`` equals ``value``: a sized, immutable
-        collection iterated in ascending order.
-
-        With a secondary index this is the stored group itself — no
-        per-call copy; without one it falls back to a scan.
-        """
-        index = self.secondary_indexes.get(column)
-        if index is not None:
-            return index.lookup(value)
-        return tuple(
-            rowid
-            for rowid, row in self.rows.items()
-            if row.get(column) == value
-        )
-
-    def rows_for_value(self, column: str, value: Any) -> Iterator[Tuple[int, Row]]:
-        """Point probe: (rowid, row) pairs for ``column = value`` in
-        insertion (rowid) order."""
-        rows = self.rows
-        for rowid in self.find_by_value(column, value):
-            yield rowid, rows[rowid]
-
-    def ensure_composite_index(self, columns: Tuple[str, ...]) -> _CompositeIndex:
-        """The composite index on ``columns``, built from the current rows
-        on first request and maintained incrementally afterwards.
-
-        Used by the constraint checker so composite-FK validation (both
-        the child-side existence probe and the parent-side RESTRICT
-        check) stays index-backed instead of falling back to full scans.
-        """
-        columns = tuple(columns)
-        index = self.composite_indexes.get(columns)
-        if index is None:
-            index = _CompositeIndex(columns)
-            for rowid, row in self.rows.items():
-                index.insert(row, rowid)
-            self.composite_indexes[columns] = index
-        return index
+    def probe(self, columns: Tuple[str, ...], key: Tuple[Any, ...]) -> Any:
+        """Row ids whose ``columns`` equal ``key``, off the index over
+        exactly those columns (see :meth:`_Index.rowids`)."""
+        return self.indexes[columns].rowids(key if len(key) > 1 else key[0])
 
     def has_key(self, columns: Tuple[str, ...], key: Tuple[Any, ...]) -> bool:
-        """Index-backed composite existence probe."""
-        return self.ensure_composite_index(columns).contains_key(tuple(key))
+        """Does any row hold ``key`` in ``columns``?  Both sides of every
+        foreign-key check land here."""
+        return (key if len(key) > 1 else key[0]) in self.indexes[columns].entries
 
-    def has_value(self, column: str, value: Any) -> bool:
-        index = self.secondary_indexes.get(column)
-        if index is not None:
-            return index.contains(value)
-        return any(row.get(column) == value for row in self.rows.values())
-
-    # -- index DDL (CREATE INDEX / DROP INDEX) -----------------------------------
-
-    def ensure_secondary_index(self, column: str) -> bool:
-        """Build the hash index on ``column`` if absent; True when built
-        (so DDL provenance knows whether DROP INDEX may remove it)."""
-        if column in self.secondary_indexes:
-            return False
-        index = _SecondaryIndex(column)
-        for rowid, row in self.rows.items():
-            index.insert(row, rowid)
-        self.secondary_indexes[column] = index
-        return True
-
-    def ensure_ordered_index(self, column: str) -> _OrderedIndex:
-        """Build the ordered index on ``column`` from current rows if
-        absent; maintained incrementally afterwards."""
-        index = self.ordered_indexes.get(column)
+    def find_by_pk(self, key: Tuple[Any, ...]) -> Optional[int]:
+        index = self.indexes.get(self.table.primary_key)
         if index is None:
-            index = _OrderedIndex(column)
-            for rowid, row in self.rows.items():
-                index.insert(row, rowid)
-            self.ordered_indexes[column] = index
-        return index
+            return None
+        if len(key) == 1:
+            key = key[0]
+        entries = index.entries  # _HashPages.get, minus a call
+        return entries.dir[hash(key) & entries.mask].get(key)
 
-    def drop_ordered_index(self, column: str) -> None:
-        self.ordered_indexes.pop(column, None)
-
-    def drop_secondary_index(self, column: str) -> None:
-        self.secondary_indexes.pop(column, None)
-
-    def add_unique_index(self, columns: Tuple[str, ...], label: str) -> None:
-        """Build a unique index over the current rows (CREATE UNIQUE
-        INDEX); raises IntegrityError when existing rows collide, leaving
-        nothing behind."""
-        index = _UniqueIndex(tuple(columns), label)
-        for rowid, row in self.rows.items():
-            index.insert(row, rowid, self.table.name)
-        self.unique_indexes.append(index)
-
-    def drop_unique_index(self, columns: Tuple[str, ...], label: str) -> None:
-        """Remove the unique index with this exact (columns, label) pair —
-        the label keeps DROP INDEX from removing a CREATE TABLE constraint
-        that happens to cover the same columns."""
-        for i, index in enumerate(self.unique_indexes):
-            if index.columns == tuple(columns) and index.label == label:
-                del self.unique_indexes[i]
-                return
-
-    def drop_composite_index(self, columns: Tuple[str, ...]) -> None:
-        self.composite_indexes.pop(tuple(columns), None)
+    def ordered_index(self, column: str) -> Optional[_Index]:
+        """The index whose walks (``range_rowids`` / ``prefix_rowids`` /
+        ``ordered_rowids``) read ``column`` in key order, or None."""
+        index = self.indexes.get((column,))
+        return index if index is not None and index.keys is not None else None
 
     # -- statistics (O(1) reads off incrementally maintained structures) ---------
 
@@ -1186,13 +1020,8 @@ class TableData:
         """Distinct non-NULL values in ``column``, or None when no index
         tracks it.  O(1): the counts fall out of the index structures,
         which DML maintains incrementally — nothing is ever recounted."""
-        ordered = self.ordered_indexes.get(column)
-        if ordered is not None:
-            return ordered.distinct_count()
-        index = self.secondary_indexes.get(column)
-        if index is not None:
-            return len(index._entries)
-        return None
+        index = self.indexes.get((column,))
+        return None if index is None else len(index.entries)
 
     def __len__(self) -> int:
         return len(self.rows)

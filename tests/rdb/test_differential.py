@@ -93,6 +93,9 @@ def _build_schema(rng):
                     f"CREATE INDEX idx_{spec.name}_{column} "
                     f"ON {spec.name} ({column})"
                 )
+        # and a two-column one on every table (no draw: the seeded corpus
+        # is the one it was), so composite probes face the oracle too
+        ddl.append(f"CREATE INDEX idx_{spec.name}_a_b ON {spec.name} (a, b)")
     return specs, ddl
 
 
@@ -454,6 +457,40 @@ def test_planner_matches_forced_scan_oracle(seed):
                     f"DML rowcount diverges for {statement!r}"
                 )
     assert executed == 2 * QUERIES_PER_BATCH
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_composite_probes_match_forced_scan_oracle(seed):
+    """Equalities on both columns of the two-column index — values the
+    rows hold, values they do not, NULL — alone, beside a third conjunct
+    and under a join, through DML in between."""
+    rng = random.Random(20_000 + seed)
+    specs, ddl = _build_schema(rng)
+    planned_db, oracle_db = _make_pair(specs, ddl, _populate(specs, rng))
+    probed = 0
+    for batch in range(2):
+        for _ in range(QUERIES_PER_BATCH):
+            spec = rng.choice(specs)
+            held = rng.choice(oracle_db.query(f"SELECT a, b FROM {spec.name}").rows)
+            a, b = held if rng.random() < 0.7 else (rng.randint(-10, 20), None)
+            where = f"x.b = {_literal(b)} AND x.a = {_literal(a)}"
+            if rng.random() < 0.5:
+                where += f" AND {_random_conjunct(rng, 'x', spec)}"
+            sql = f"SELECT x.id, x.s FROM {spec.name} x WHERE {where}"
+            if spec.fks and rng.random() < 0.4:
+                fk, parent = rng.choice(list(spec.fks.items()))
+                sql = (
+                    f"SELECT x.id, p.a FROM {spec.name} x "
+                    f"JOIN {parent} p ON p.id = x.{fk} WHERE {where}"
+                )
+            probed += any("index probe on a, b" in line for line in planned_db.explain(sql))
+            _assert_agree(planned_db, oracle_db, sql, "multiset")
+            _assert_variants_agree(planned_db, oracle_db, sql)
+        if batch == 0:
+            for statement in _random_dml(rng, specs):
+                planned_db.execute(lift_literals(statement))
+                oracle_db.execute(statement)
+    assert probed >= QUERIES_PER_BATCH  # the path under test is the one chosen
 
 
 def test_corpus_size_meets_floor():

@@ -115,7 +115,7 @@ class TestRoundTrip:
         recovered = Database(data_dir=data_dir)
         assert _state(recovered) == expected
         # index definitions rebuilt on load, usable by the planner
-        assert "n" in recovered.table_data("t").ordered_indexes
+        assert recovered.table_data("t").ordered_index("n") is not None
         assert any(
             "range scan" in line
             for line in recovered.explain("SELECT id FROM t WHERE n > 5")

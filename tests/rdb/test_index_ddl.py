@@ -67,8 +67,11 @@ class TestExecution:
     def test_create_index_builds_structures(self, db):
         db.execute("CREATE INDEX idx_v ON item (v)")
         data = db.table_data("item")
-        assert "v" in data.ordered_indexes
-        assert "v" in data.secondary_indexes
+        assert data.ordered_index("v") is data.indexes[("v",)]
+        # one hash for probes and the walk, beside the sorted keys
+        assert [type(pages).__name__ for pages in data.containers()] == [
+            "_RowPages", "_HashPages", "_HashPages", "_SortedPages",
+        ]
         assert db.schema.has_index("idx_v")
 
     def test_duplicate_name_rejected(self, db):
@@ -96,6 +99,8 @@ class TestExecution:
             db.execute("CREATE UNIQUE INDEX u_name ON item (name)")
         # failed DDL leaves no trace
         assert not db.schema.has_index("u_name")
+        assert db.schema.table("item").uniques == []
+        assert list(db.table_data("item").indexes) == [("id",)]
         db.execute("INSERT INTO item (id, name) VALUES (102, 'dup')")  # still OK
 
     def test_unique_index_enforces_on_new_rows(self, db):
@@ -112,9 +117,11 @@ class TestExecution:
 
     def test_composite_index_registered(self, db):
         db.execute("CREATE INDEX idx_tv ON item (team, v)")
-        assert ("team", "v") in db.table_data("item").composite_indexes
+        assert ("team", "v") in db.table_data("item").indexes
+        plan = db.explain("SELECT id FROM item WHERE v = 3 AND team = 1")
+        assert plan[0] == "item: index probe on team, v"
         db.execute("DROP INDEX idx_tv")
-        assert ("team", "v") not in db.table_data("item").composite_indexes
+        assert ("team", "v") not in db.table_data("item").indexes
 
     def test_drop_table_drops_its_indexes(self, db):
         db.execute("CREATE INDEX idx_v ON item (v)")
@@ -132,34 +139,35 @@ class TestExecution:
             )
             """
         )
-        data = db.table_data("child")
-        assert "p" in data.secondary_indexes  # FK-maintained
+        assert ("p",) in db.table_data("child").indexes  # FK-maintained
         db.execute("CREATE INDEX idx_p ON child (p)")
+        assert db.table_data("child").ordered_index("p") is not None
         db.execute("DROP INDEX idx_p")
-        # ordered index gone, FK hash acceleration intact
-        assert "p" not in data.ordered_indexes
-        assert "p" in data.secondary_indexes
+        # ordered half gone, FK hash acceleration intact
+        data = db.table_data("child")
+        assert data.ordered_index("p") is None
+        assert ("p",) in data.indexes
 
     def test_shared_column_structures_survive_sibling_drop(self, db):
         db.execute("CREATE INDEX idx_a ON item (v)")
         db.execute("CREATE INDEX idx_b ON item (v)")
         db.execute("DROP INDEX idx_a")
-        assert "v" in db.table_data("item").ordered_indexes
+        assert db.table_data("item").ordered_index("v") is not None
         db.execute("DROP INDEX idx_b")
-        assert "v" not in db.table_data("item").ordered_indexes
+        assert db.table_data("item").ordered_index("v") is None
 
-    def test_hash_ownership_transfers_to_surviving_sibling(self, db):
-        """Regression: dropping the hash-owning index first must hand
-        ownership to the surviving same-column index, so the last drop
-        removes the hash instead of leaking it forever."""
+    def test_last_of_several_same_column_indexes_takes_the_structure(self, db):
+        """Regression: whichever of several indexes over one column is
+        dropped first, the structure lives as long as a sibling needs it
+        and the last drop removes it instead of leaking it forever."""
         db.execute("CREATE INDEX idx_plain ON item (v)")  # builds the hash
         db.execute("CREATE UNIQUE INDEX idx_uniq ON item (id)")
         db.execute("CREATE INDEX idx_second ON item (v)")
         db.execute("DROP INDEX idx_plain")
-        assert "v" in db.table_data("item").secondary_indexes  # sibling lives
+        assert db.table_data("item").ordered_index("v") is not None  # sibling lives
         db.execute("DROP INDEX idx_second")
-        assert "v" not in db.table_data("item").secondary_indexes
-        assert "v" not in db.table_data("item").ordered_indexes
+        assert ("v",) not in db.table_data("item").indexes
+        assert db.table_data("item").ordered_index("v") is None
 
 
 class ScanCounter:

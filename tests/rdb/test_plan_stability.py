@@ -71,7 +71,8 @@ def make_db() -> Database:
         """
         CREATE INDEX idx_publication_year ON publication (year);
         CREATE INDEX idx_author_lastname ON author (lastname);
-        CREATE UNIQUE INDEX idx_team_code ON team (code)
+        CREATE UNIQUE INDEX idx_team_code ON team (code);
+        CREATE INDEX idx_publication_type_publisher ON publication (type, publisher)
         """
     )
     return db
@@ -110,6 +111,10 @@ PLANS = {
     ),
     "SELECT title FROM publication WHERE year = 2004 AND type = 1": (
         "publication: index probe on year + 1 filter(s)"
+    ),
+    # a declared two-column index: cheaper than either column's own
+    "SELECT title FROM publication WHERE publisher = 3 AND type = 1": (
+        "publication: index probe on type, publisher"
     ),
     "SELECT title FROM publication WHERE year BETWEEN 2003 AND 2005": (
         "publication: range scan on year [lo..hi] via ordered index"

@@ -1,12 +1,14 @@
 """Unit tests for the row store and its indexes."""
 
 import copy
+import itertools
 import random
 
 import pytest
 
-from repro.errors import IntegrityError
+from repro.errors import CatalogError, IntegrityError
 from repro.rdb.catalog import Column, ForeignKey, Table
+from repro.rdb.engine import Database
 from repro.rdb.storage import (
     _IDS_CHUNK,
     PAGE_SIZE,
@@ -67,17 +69,17 @@ class TestInsert:
         data.insert({"id": 1, "name": "a", "team": 5})
         data.insert({"id": 2, "name": "b", "team": 5})
         data.insert({"id": 3, "name": "c", "team": 6})
-        assert len(data.find_by_value("team", 5)) == 2
-        assert data.has_value("team", 6)
-        assert not data.has_value("team", 7)
+        assert len(data.probe(("team",), (5,))) == 2
+        assert data.has_key(("team",), (6,))
+        assert not data.has_key(("team",), (7,))
 
 
 class TestUpdate:
     def test_update_moves_indexes(self, data):
         rowid = data.insert({"id": 1, "name": "a", "team": 5})
         data.update(rowid, {"team": 6})
-        assert not data.has_value("team", 5)
-        assert data.has_value("team", 6)
+        assert not data.has_key(("team",), (5,))
+        assert data.has_key(("team",), (6,))
 
     def test_update_pk(self, data):
         rowid = data.insert({"id": 1, "name": "a", "team": None})
@@ -92,7 +94,7 @@ class TestUpdate:
             data.update(rowid, {"name": "a"})
         # indexes unchanged: the old name is still findable
         assert data.rows[rowid]["name"] == "b"
-        assert data.find_by_unique(("name",), ("b",)) == rowid
+        assert data.probe(("name",), ("b",)) == (rowid,)
 
     def test_update_returns_old_image(self, data):
         rowid = data.insert({"id": 1, "name": "a", "team": None})
@@ -106,14 +108,14 @@ class TestDeleteRestore:
         data.delete(rowid)
         assert len(data) == 0
         assert data.find_by_pk((1,)) is None
-        assert not data.has_value("team", 5)
+        assert not data.has_key(("team",), (5,))
 
     def test_restore_reinstates_everything(self, data):
         rowid = data.insert({"id": 1, "name": "a", "team": 5})
         image = data.delete(rowid)
         data.restore(rowid, image)
         assert data.find_by_pk((1,)) == rowid
-        assert data.has_value("team", 5)
+        assert data.has_key(("team",), (5,))
 
 
 class TestAutoincrement:
@@ -163,44 +165,43 @@ def make_wide_table():
     )
 
 
+PK, UNIQUE, GROUPED = ("primary key", False), ("unique", False), (None, False)
+
+
 class Oracle:
     """What a :class:`TableData` version must answer: the rows as a plain
-    dict of dicts plus which indexes exist.  Everything a test compares
-    is recomputed from those by the obvious loop."""
+    dict of dicts plus which indexes exist, as column tuple -> (constraint
+    label or None, ordered?).  Everything a test compares is recomputed
+    from those by the obvious loop."""
 
-    def __init__(self):
+    def __init__(self, required=None):
         self.rows = {}
-        self.unique = [("id",), ("name",)]
-        self.secondary = {"team"}
-        self.ordered = set()
-        self.composite = set()
+        self.required = required or {("id",): PK, ("name",): UNIQUE, ("team",): GROUPED}
 
     def freeze(self):
         return copy.deepcopy(self)
 
-    def unique_keys(self, columns):
-        keys = {}
-        for rowid, row in self.rows.items():
-            key = tuple(row[c] for c in columns)
-            if None not in key:
-                keys[key] = rowid
-        return keys
-
-    def groups(self, columns):
+    def groups(self, columns, rows=None):
+        rows = self.rows if rows is None else rows
         groups = {}
-        for rowid in sorted(self.rows):
-            key = tuple(self.rows[rowid][c] for c in columns)
+        for rowid in sorted(rows):
+            key = tuple(rows[rowid][c] for c in columns)
             if None not in key:
                 groups.setdefault(key, []).append(rowid)
         return groups
 
-    def collides(self, row, rowid=None):
-        """Would ``row`` (stored under ``rowid``) break a unique index?"""
-        for columns in self.unique:
-            key = tuple(row[c] for c in columns)
-            if None not in key and self.unique_keys(columns).get(key, rowid) != rowid:
-                return True
-        return False
+    def collides(self, row=None, rowid=None, required=None):
+        """Would the rows, with ``row`` stored under ``rowid`` (a new id
+        if None), break a unique index of ``required`` (default: of the
+        current index set)?"""
+        rows = dict(self.rows)
+        if row is not None:
+            rows[rowid or -1] = row
+        return any(
+            label is not None
+            and any(len(group) > 1 for group in self.groups(columns, rows).values())
+            for columns, (label, _) in (required or self.required).items()
+        )
 
     def in_order(self, column, descending=False):
         """ORDER BY ``column``: a stable sort of the row-id-ordered scan
@@ -214,6 +215,14 @@ class Oracle:
         return keyed + nulls if descending else nulls + keyed
 
 
+def index_kinds(data):
+    """The index set as :meth:`TableData.sync_indexes` takes it."""
+    return {
+        columns: (index.label, index.keys is not None)
+        for columns, index in data.indexes.items()
+    }
+
+
 def assert_matches(data, oracle, rng):
     rows = oracle.rows
     assert list(data.scan()) == [(r, rows[r]) for r in sorted(rows)]
@@ -223,37 +232,33 @@ def assert_matches(data, oracle, rng):
         assert data.rows[rowid] == rows[rowid]
     assert data.rows.get(max(rows, default=0) + 1000) is None
 
-    assert data.unique_index_columns() == oracle.unique
-    for index in data.unique_indexes:
-        keys = oracle.unique_keys(index.columns)
-        assert len(index._entries) == len(keys)
-        for key, rowid in keys.items():
-            assert data.find_by_unique(index.columns, key) == rowid
-        assert data.find_by_unique(index.columns, (-1,) * len(index.columns)) is None
-
-    assert set(data.secondary_indexes) == oracle.secondary
-    for column in oracle.secondary:
-        groups = oracle.groups((column,))
-        assert data.distinct_count(column) == len(groups) or column in oracle.ordered
-        for (value,), rowids in groups.items():
-            found = data.find_by_value(column, value)
-            assert list(found) == rowids and len(found) == len(rowids)
-            assert data.has_value(column, value)
-            assert [r for r, _ in data.rows_for_value(column, value)] == rowids
-        assert len(data.find_by_value(column, -1)) == 0
-        assert not data.has_value(column, -1)
-
-    assert set(data.composite_indexes) == oracle.composite
-    for columns in oracle.composite:
-        index = data.composite_indexes[columns]
+    # one structure per column tuple, in the order duplicates are reported
+    assert list(index_kinds(data).items()) == list(oracle.required.items())
+    pages = list(data.containers())
+    assert len(pages) == len(set(map(id, pages))) == 1 + len(oracle.required) + sum(
+        ordered for _, ordered in oracle.required.values()
+    )
+    for columns, (label, ordered) in oracle.required.items():
         groups = oracle.groups(columns)
-        assert len(index._entries) == len(groups)
-        assert all(index.contains_key(key) for key in groups)
-        assert not index.contains_key((-1,) * len(columns))
+        assert len(data.indexes[columns].entries) == len(groups)
+        for key, rowids in groups.items():
+            found = data.probe(columns, key)
+            assert list(found) == rowids and len(found) == len(rowids)
+            assert data.has_key(columns, key)
+            assert label is None or len(rowids) == 1
+        missing = (-1,) * len(columns)
+        assert len(data.probe(columns, missing)) == 0
+        assert not data.has_key(columns, missing)
+        if len(columns) == 1:
+            assert data.distinct_count(columns[0]) == len(groups)
+            assert (data.ordered_index(columns[0]) is not None) == ordered
+    assert data.find_by_pk((-1,)) is None
+    for rowid, row in rows.items():
+        assert data.find_by_pk((row["id"],)) == rowid
+    assert data.distinct_count("b") is None or ("b",) in oracle.required
 
-    assert set(data.ordered_indexes) == oracle.ordered
-    for column in oracle.ordered:
-        index = data.ordered_indexes[column]
+    for (column,) in [c for c, (_, ordered) in oracle.required.items() if ordered]:
+        index = data.ordered_index(column)
         ascending = oracle.in_order(column)
         assert list(index.ordered_rowids()) == ascending
         descending = oracle.in_order(column, descending=True)
@@ -262,7 +267,6 @@ def assert_matches(data, oracle, rng):
             {row[column] for row in rows.values() if row[column] is not None},
             key=_ordered_key,
         )
-        assert data.distinct_count(column) == len(values)
         if not values:
             continue
         lo, hi = sorted(rng.choices(values, k=2), key=_ordered_key)
@@ -293,9 +297,28 @@ def assert_matches(data, oracle, rng):
 
 
 class TestVersionsAgainstOracle:
-    """Seeded random DML, undo-style restores and index DDL over a chain
-    of ``clone()``d versions: after every step the working version AND
-    every ancestor still answer exactly like their oracle."""
+    """Seeded random DML, undo-style restores and index-set changes over
+    a chain of ``clone()``d versions: after every step the working
+    version AND every ancestor still answer exactly like their oracle."""
+
+    #: What ``index_ddl`` switches on and off, unique ones first (the
+    #: order :meth:`Table.required_indexes` lists them in): every kind
+    #: over one and two columns, an ordered half added to the unique and
+    #: the foreign-key index the table starts with, a grouped index that
+    #: turns unique and back, and one the rows always collide in.
+    TOGGLES = [
+        (("id", "a"), ("unique index", False)),
+        (("tag", "id"), ("unique index", False)),
+        (("score",), ("unique index", True)),  # collides unless scores differ
+        (("a",), ("unique index", True)),  # six values: always collides
+        (("name",), ("unique", True)),
+        (("team",), (None, True)),
+        (("score",), (None, True)),
+        (("tag",), (None, True)),
+        (("a",), GROUPED),
+        (("a", "b"), GROUPED),
+        (("b", "a"), GROUPED),
+    ]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_version_stays_equal_to_its_oracle(self, seed):
@@ -304,6 +327,7 @@ class TestVersionsAgainstOracle:
         versions = []  # (frozen TableData, frozen oracle)
         graveyard = []  # deleted (rowid, row), restored later like an undo
         next_id = [1]
+        switched_on = set()  # positions in TOGGLES
 
         def new_row():
             key = next_id[0]
@@ -361,39 +385,31 @@ class TestVersionsAgainstOracle:
                     oracle.rows[rowid] = row
 
         def index_ddl():
-            kind = rng.choice(["ordered", "ordered", "secondary", "composite", "unique"])
-            if kind == "ordered":
-                column = rng.choice(["score", "tag"])
-                if column in oracle.ordered:
-                    head.drop_ordered_index(column)
-                    oracle.ordered.discard(column)
-                else:
-                    head.ensure_ordered_index(column)
-                    oracle.ordered.add(column)
-            elif kind == "secondary":
-                if "a" in oracle.secondary:
-                    head.drop_secondary_index("a")
-                    oracle.secondary.discard("a")
-                else:
-                    assert head.ensure_secondary_index("a")
-                    oracle.secondary.add("a")
-            elif kind == "composite":
-                if ("a", "b") in oracle.composite:
-                    head.drop_composite_index(("a", "b"))
-                    oracle.composite.discard(("a", "b"))
-                else:
-                    head.ensure_composite_index(("a", "b"))
-                    oracle.composite.add(("a", "b"))
-            elif ("id", "a") in oracle.unique:
-                head.drop_unique_index(("id", "a"), "unique index")
-                oracle.unique.remove(("id", "a"))
+            wanted = switched_on ^ {rng.randrange(len(self.TOGGLES))}
+            required = dict(Oracle().required)
+            del required[("team",)]
+            for position in sorted(wanted):  # the first spec per tuple wins
+                required.setdefault(*self.TOGGLES[position])
+            required.setdefault(("team",), GROUPED)
+            required = {  # unique ones first
+                **{c: kind for c, kind in required.items() if kind[0]},
+                **{c: kind for c, kind in required.items() if not kind[0]},
+            }
+            if oracle.collides(required=required):
+                before = index_kinds(head), list(head.containers())
+                with pytest.raises(IntegrityError):
+                    head.sync_indexes(required)
+                after = index_kinds(head), list(head.containers())
+                assert before == after  # a failed build leaves the set alone
             else:
-                head.add_unique_index(("id", "a"), "unique index")
-                oracle.unique.append(("id", "a"))
+                head.sync_indexes(required)
+                oracle.required = required
+                switched_on.clear()
+                switched_on.update(wanted)
 
         for _ in range(3 * PAGE_SIZE):  # several pages of every structure
             insert()
-        steps = [insert] * 4 + [update] * 4 + [delete] * 3 + [restore] * 2 + [index_ddl]
+        steps = [insert] * 4 + [update] * 4 + [delete] * 3 + [restore] * 2 + [index_ddl] * 2
         for step in range(240):
             if step % 30 == 0:
                 versions.append((head, oracle.freeze()))
@@ -413,18 +429,18 @@ class TestVersionsAgainstOracle:
         data = TableData(make_table())
         for key in range(1, 20_001):
             data.insert({"id": key, "name": None, "team": 7})
-        before = data.find_by_value("team", 7)
+        before = data.probe(("team",), (7,))
         assert isinstance(before, _RowIds) and len(before) == 20_000
         assert all(len(chunk) <= _IDS_CHUNK for chunk in before.chunks)
         data.update(10_000, {"team": 8})
-        after = data.find_by_value("team", 7)
+        after = data.probe(("team",), (7,))
         assert list(before) == list(range(1, 20_001))  # the old group is intact
         assert list(after) == [r for r in range(1, 20_001) if r != 10_000]
         rebuilt = [a for a, b in zip(after.chunks, before.chunks) if a is not b]
         assert len(after.chunks) == len(before.chunks) and len(rebuilt) == 1
         data.update(10_000, {"team": 7})  # back into the middle of the group
-        assert list(data.find_by_value("team", 7)) == list(before)
-        assert data.find_by_value("team", 8) == ()
+        assert list(data.probe(("team",), (7,))) == list(before)
+        assert data.probe(("team",), (8,)) == ()
 
 
 def changed_pages(before, after):
@@ -490,3 +506,236 @@ class TestCopiedEntries:
         assert [pages for pages, _ in shared] == [pages for pages, _ in spread]
         for pages, entries in shared:
             assert entries <= sum(pages) * PAGE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# the index set against the catalog: seeded DDL + DML histories through SQL
+# ---------------------------------------------------------------------------
+
+def required_from_catalog(schema, name):
+    """Which indexes table ``name`` must have — column tuple -> (label,
+    ordered?) — worked out from the catalog independently of
+    ``Table.required_indexes``: the rule the engine is held to."""
+    table = schema.table(name)
+    declared = [index for index in schema._indexes.values() if index.table == name]
+    unique = [(table.primary_key, "primary key")] if table.primary_key else []
+    unique += [(columns, "unique") for columns in table.uniques]
+    unique += [(index.columns, "unique index") for index in declared if index.unique]
+    plain = [fk.columns for fk in table.foreign_keys]
+    for other in schema.tables():
+        for fk in other.foreign_keys:
+            if fk.ref_table == name:
+                plain.append(fk.ref_columns or table.primary_key)
+    plain += [index.columns for index in declared]
+    labels = {}
+    for columns, label in unique + [(columns, None) for columns in plain]:
+        labels.setdefault(tuple(columns), label)
+    return {
+        columns: (
+            label,
+            len(columns) == 1 and any(i.columns == columns for i in declared),
+        )
+        for columns, label in labels.items()
+    }
+
+
+PARENT = """
+CREATE TABLE parent (
+    id INTEGER PRIMARY KEY, code INTEGER UNIQUE,
+    a INTEGER, b INTEGER, x INTEGER, y INTEGER, UNIQUE (a, b)
+)
+"""
+
+#: Children by what their foreign key points at: the primary key, a
+#: UNIQUE column, a UNIQUE pair, a plain column, a plain pair — and the
+#: parent itself, by a plain column.
+CHILDREN = {
+    "c_pk": "p INTEGER REFERENCES parent(id)",
+    "c_code": "p INTEGER REFERENCES parent(code)",
+    "c_ab": "p INTEGER, q INTEGER, FOREIGN KEY (p, q) REFERENCES parent (a, b)",
+    "c_x": "p INTEGER REFERENCES parent(x)",
+    "c_xy": "p INTEGER, q INTEGER, FOREIGN KEY (p, q) REFERENCES parent (x, y)",
+    "c_self": "p INTEGER, q INTEGER REFERENCES c_self(p)",
+}
+
+#: Declared indexes: one and two columns, each twice, unique and not,
+#: over constrained, referenced and plain columns.
+DECLARED = {
+    "i_x": "INDEX i_x ON parent (x)",
+    "i_x2": "INDEX i_x2 ON parent (x)",
+    "u_x": "UNIQUE INDEX u_x ON parent (x)",  # collides once two rows share x
+    "i_xy": "INDEX i_xy ON parent (x, y)",
+    "i_xy2": "INDEX i_xy2 ON parent (x, y)",
+    "u_idx": "UNIQUE INDEX u_idx ON parent (id, x)",
+    "i_code": "INDEX i_code ON parent (code)",
+    "i_id": "INDEX i_id ON parent (id)",
+    "i_ab": "INDEX i_ab ON parent (a, b)",
+    "i_p": "INDEX i_p ON c_pk (p)",
+    "u_p": "UNIQUE INDEX u_p ON c_x (p)",
+}
+
+
+def assert_follows_catalog(tables, schema, model, rng):
+    """Every table's index set is what the catalog requires, and its
+    rows and index contents are what the model holds."""
+    assert set(tables) == set(schema.table_names())
+    for name, data in tables.items():
+        oracle = Oracle(required_from_catalog(schema, name))
+        oracle.rows = {rowid: row for rowid, row in data.scan()}
+        assert sorted(oracle.rows.values(), key=lambda row: row["id"]) == [
+            model[name][key] for key in sorted(model[name])
+        ]
+        assert_matches(data, oracle, rng)
+
+
+class TestIndexSetFollowsCatalog:
+    def run(self, db, sql):
+        """Execute; False (and nothing may have changed) on a refusal."""
+        try:
+            db.execute(sql)
+            return True
+        except (IntegrityError, CatalogError):
+            return False
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_seeded_ddl_and_dml_histories(self, seed):
+        rng = random.Random(seed)
+        db = Database()
+        db.execute(PARENT)
+        model = {"parent": {}}  # table -> primary key -> row
+        frozen = []  # (snapshot, its schema's requirement, model, containers)
+        next_id = [1]
+
+        def small():
+            return rng.choice([None, 0, 1, 2, 3])
+
+        def insert_parent():
+            key = next_id[0]
+            next_id[0] += 1
+            row = {"id": key, "code": rng.choice([None, key, key - 1]),
+                   "a": small(), "b": small(), "x": small(), "y": small()}
+            values = ", ".join("NULL" if v is None else str(v) for v in row.values())
+            if self.run(db, f"INSERT INTO parent VALUES ({values})"):
+                model["parent"][key] = row
+
+        def insert_child():
+            name = rng.choice(sorted(set(model) - {"parent"}) or ["parent"])
+            if name == "parent":
+                return insert_parent()
+            key = next_id[0]
+            next_id[0] += 1
+            row = {"id": key, "p": small()}
+            if "q INTEGER" in CHILDREN[name]:
+                row["q"] = small()
+            values = ", ".join("NULL" if v is None else str(v) for v in row.values())
+            if self.run(db, f"INSERT INTO {name} VALUES ({values})"):
+                model[name][key] = row
+
+        def update():
+            name = rng.choice(sorted(model))
+            if model[name]:
+                key = rng.choice(sorted(model[name]))
+                column = rng.choice([c for c in model[name][key] if c != "id"])
+                value = small()
+                shown = "NULL" if value is None else value
+                if self.run(db, f"UPDATE {name} SET {column} = {shown} WHERE id = {key}"):
+                    model[name][key] = {**model[name][key], column: value}
+
+        def delete():
+            name = rng.choice(sorted(model))
+            if model[name]:
+                key = rng.choice(sorted(model[name]))
+                if self.run(db, f"DELETE FROM {name} WHERE id = {key}"):
+                    del model[name][key]
+
+        def rolled_back():
+            before = copy.deepcopy(model)
+            db.begin()
+            for _ in range(rng.randrange(1, 5)):
+                rng.choice([insert_parent, insert_child, update, delete])()
+            db.rollback()
+            model.clear()
+            model.update(before)
+
+        def table_ddl():
+            name = rng.choice(sorted(CHILDREN))
+            if name in model:
+                assert self.run(db, f"DROP TABLE {name}")
+                del model[name]
+            else:
+                assert self.run(db, f"CREATE TABLE {name} (id INTEGER PRIMARY KEY, {CHILDREN[name]})")
+                model[name] = {}
+
+        def index_ddl():
+            name = rng.choice(sorted(DECLARED))
+            if db.schema.has_index(name):
+                assert self.run(db, f"DROP INDEX {name}")
+            else:
+                before = copy.deepcopy((db.schema._indexes, db.schema.table("parent").uniques))
+                if not self.run(db, f"CREATE {DECLARED[name]}"):
+                    assert before == (db.schema._indexes, db.schema.table("parent").uniques)
+
+        def take_snapshot():
+            snap = db.snapshot()
+            required = {n: required_from_catalog(db.schema, n) for n in snap.tables}
+            containers = {n: list(t.containers()) for n, t in snap.tables.items()}
+            frozen.append((snap, required, copy.deepcopy(model), containers))
+            del frozen[:-4]
+
+        steps = (
+            [insert_parent] * 3 + [insert_child] * 4 + [update] * 3 + [delete] * 3
+            + [rolled_back, table_ddl, table_ddl, index_ddl, index_ddl, take_snapshot]
+        )
+        for _ in range(220):
+            rng.choice(steps)()
+            assert_follows_catalog(db.data, db.schema, model, rng)
+            for snap, required, rows, containers in frozen:
+                for name, data in snap.tables.items():
+                    # same index set, same structures, same answers as then
+                    assert index_kinds(data) == required[name]
+                    now = list(data.containers())
+                    assert len(now) == len(containers[name])
+                    assert all(a is b for a, b in zip(now, containers[name]))
+                    assert sorted(
+                        (row for _, row in data.scan()), key=lambda row: row["id"]
+                    ) == [rows[name][key] for key in sorted(rows[name])]
+                    oracle = Oracle(required[name])
+                    oracle.rows = dict(data.scan())
+                    assert_matches(data, oracle, rng)
+        assert len(model) > 1 or model["parent"]
+
+    def test_child_before_parent_is_refused_and_leaves_nothing(self):
+        db = Database()
+        with pytest.raises(CatalogError):
+            db.execute("CREATE TABLE c_x (id INTEGER PRIMARY KEY, p INTEGER REFERENCES parent(x))")
+        assert db.schema.table_names() == [] and db.data == {}
+        db.execute(PARENT)
+        before = index_kinds(db.table_data("parent"))
+        db.execute("CREATE TABLE c_x (id INTEGER PRIMARY KEY, p INTEGER REFERENCES parent(x))")
+        assert index_kinds(db.table_data("parent")) == {**before, ("x",): GROUPED}
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(["i_x", "i_x2", "i_xy", "c_x", "c_xy"]))[::7]
+    )
+    def test_every_drop_order_ends_at_the_tables_own_constraints(self, order):
+        """Two declared indexes and a child's foreign key all require the
+        index over (x,); two more the one over (x, y): whichever goes
+        last takes the structure with it, none earlier."""
+        db = Database()
+        db.execute(PARENT)
+        own = index_kinds(db.table_data("parent"))
+        created = list(order)
+        random.Random(str(order)).shuffle(created)
+        for name in created:
+            ddl = DECLARED.get(name) or f"TABLE {name} (id INTEGER PRIMARY KEY, {CHILDREN[name]})"
+            db.execute(f"CREATE {ddl}")
+        db.execute("INSERT INTO parent VALUES (1, 1, 0, 0, 5, 6)")
+        for position, name in enumerate(order):
+            db.execute(f"DROP {'TABLE' if name in CHILDREN else 'INDEX'} {name}")
+            kinds = index_kinds(db.table_data("parent"))
+            assert kinds == required_from_catalog(db.schema, "parent")
+            left = set(order[position + 1:])
+            assert (("x",) in kinds) == bool(left & {"i_x", "i_x2", "c_x"})
+            assert kinds.get(("x",), (None, False))[1] == bool(left & {"i_x", "i_x2"})
+            assert (("x", "y") in kinds) == bool(left & {"i_xy", "i_xy2", "c_xy"})
+        assert index_kinds(db.table_data("parent")) == own
