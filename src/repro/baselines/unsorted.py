@@ -13,9 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Union
 from unittest import mock
 
-from ..rdb.engine import Database
 from ..rdf.namespace import PrefixMap
-from ..r3m.model import DatabaseMapping
 from ..sparql.update_ast import UpdateRequest
 from ..sql import ast
 from ..core import sorting

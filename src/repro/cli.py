@@ -311,10 +311,7 @@ def _cmd_demo(args, out) -> int:
     print("Table 1: use case mapping overview", file=out)
     for left, right in table1_rows(mediator.mapping):
         print(f"  {left:<32} {right}", file=out)
-    from .workloads.operations import (
-        PREFIXES,
-        insert_full_publication_op,
-    )
+    from .workloads.operations import insert_full_publication_op
 
     request = insert_full_publication_op(12, 6, 5, 4, 3)
     print("\nListing-15-style request:", file=out)
@@ -336,7 +333,7 @@ def _parse_address(text: str) -> tuple:
 
 
 def _cmd_serve(args, out) -> int:
-    from .server.endpoint import OntoAccessEndpoint
+    from .server.endpoint import ROUTES, OntoAccessEndpoint
 
     if args.service_latency:
         from .faults import INJECTOR
@@ -486,11 +483,7 @@ def _cmd_serve(args, out) -> int:
                 f"{args.primary_loss_timeout:g}s of primary silence",
                 file=out,
             )
-    print(
-        "POST /update, POST /query, GET /dump, GET /mapping, GET /health, "
-        "GET /metrics",
-        file=out,
-    )
+    print(", ".join(f"{method} {path}" for method, path in ROUTES), file=out)
     out.flush()  # a parent process may be parsing the announced ports
     try:
         import threading

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError, TypeMismatchError
-from ..rdb.catalog import Column, Table
+from ..rdb.catalog import Column
 from ..rdb.engine import Database
 from ..rdb.types import BooleanType, DateType, FloatType, IntegerType, SQLType
 from ..rdf.namespace import RDF
@@ -37,7 +37,6 @@ from ..rdf.terms import (
     XSD_DATE,
     XSD_DATETIME,
     XSD_DOUBLE,
-    XSD_FLOAT,
     XSD_INTEGER,
     BNode,
     Literal,

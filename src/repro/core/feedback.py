@@ -14,7 +14,7 @@ readable hint with a direction for improvement.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..errors import TranslationError
 from ..rdf.graph import Graph

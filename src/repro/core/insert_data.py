@@ -22,7 +22,6 @@ checks (step 3) happen before any SQL is generated:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError

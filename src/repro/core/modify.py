@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from ..rdb.engine import Database
 from ..rdf.namespace import RDF
-from ..rdf.terms import Triple, URIRef
+from ..rdf.terms import Triple
 from ..r3m.model import DatabaseMapping
 from ..sparql.algebra import Solution, instantiate
 from ..sparql.update_ast import Modify

@@ -7,12 +7,12 @@ The mapping language "is expressed in RDF and uses the R3M ontology"
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..errors import MappingParseError
 from ..rdf.graph import Graph
 from ..rdf.namespace import RDF
-from ..rdf.terms import BNode, Literal, Term, URIRef
+from ..rdf.terms import Literal, Term, URIRef
 from ..rdf.turtle import parse_turtle
 from . import vocabulary as voc
 from .model import (

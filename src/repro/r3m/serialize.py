@@ -9,7 +9,7 @@ attribute, and blank nodes for constraints.  Round-trips with
 from __future__ import annotations
 
 from ..rdf.graph import Graph
-from ..rdf.namespace import Namespace, PrefixMap, DEFAULT_PREFIXES, RDF
+from ..rdf.namespace import Namespace, PrefixMap, RDF
 from ..rdf.serialize import to_turtle
 from ..rdf.terms import BNode, Literal, Triple, URIRef
 from . import vocabulary as voc

@@ -11,7 +11,7 @@ engine supports and the mapping treats like an unconstrained attribute).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 

@@ -12,7 +12,7 @@ project have few blank nodes, so worst-case behaviour is not a concern.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .graph import Graph
 from .terms import BNode, Term, Triple

@@ -16,9 +16,9 @@ Example::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set
 
-from .terms import BNode, Literal, Object, Predicate, Subject, Term, Triple, URIRef
+from .terms import Object, Predicate, Subject, Term, Triple
 
 __all__ = ["Graph"]
 

@@ -8,68 +8,64 @@ Usage::
     ...  # clients POST SPARQL to http://localhost:{endpoint.port}/update
     endpoint.stop()
 
-The endpoint is intentionally small: request routing, content negotiation
-and HTTP concerns live here, all semantics live in the mediator's
-:class:`~repro.core.session.Session`.  The endpoint drives one shared
-session: update requests serialize on the backend's write-tier lock,
-while query requests run lock-free against the engine's committed MVCC
-snapshot — so the ``ThreadingHTTPServer``'s handler threads genuinely
-answer reads concurrently with each other and with at most one writer.
-Request counters are kept per handler thread (no shared lock on the hot
-path) and aggregated on read.  ``handle_update`` / ``handle_query`` /
-``handle_batch`` are also callable directly (no network) so tests can
-exercise the protocol logic in isolation.
+Routing, content negotiation and HTTP concerns live here; all semantics
+live in the mediator's :class:`~repro.core.session.Session`.  One session
+is shared by every handler thread: updates serialize on its write-tier
+lock, queries run lock-free against the engine's committed MVCC
+snapshot, so reads are answered concurrently with each other and with at
+most one writer.
 
-Resilience (ISSUE 6) — the endpoint degrades gracefully instead of
-falling over:
+**The route table.**  Every (method, path) the endpoint answers is one
+row of :data:`ROUTES`, a :class:`Route` holding
 
-* **Deadlines** — every work request gets a budget: the tighter of the
-  server-wide ``default_timeout`` and what the client asked for via
-  ``?timeout=`` / ``X-Request-Deadline``.  The budget is installed as a
-  thread-local :func:`~repro.deadline.deadline_scope`; the executor's
-  cooperative cancellation checks turn a runaway query into a typed
-  :class:`~repro.errors.QueryTimeout` → HTTP 408 with ``Retry-After``.
-* **Admission control** — a bounded in-flight gate with a short bounded
-  wait queue.  When full, requests are shed *fast* with 503 +
-  ``Retry-After`` + a JSON error body, keeping p99 bounded for the
-  requests that are admitted.  A connection-level cap on the threading
-  server bounds total live threads even under keep-alive.
-* **Health** — ``GET /health`` (always 200, ``status: ok|degraded``)
-  and ``GET /ready`` (503 while degraded) surface durability state:
-  WAL refusing mode, last checkpoint age.  Both bypass admission so a
-  probe can never be starved by load.
+* the handler — it does what the route does and nothing else: no
+  handler counts, gates or catches;
+* ``op`` — the access-log op of an *admitted* route (admission, a
+  deadline, a trace record, one access-log line); None marks a route
+  exempt from admission, so probes, scrapes and admin actions answer
+  precisely when the server is saturated;
+* ``replica`` — the replica policy: ``"read"`` routes are refused with
+  503 ``replica-syncing`` / ``replica-lagging`` while this endpoint
+  serves a replica that is bootstrapping or past ``max_replica_lag``,
+  and otherwise carry ``X-Replica-Lag``; ``"write"`` routes are refused
+  with 403 ``read-only-replica``; None routes have no policy.  A
+  promoted replica serves a primary, and the policy lifts;
+* ``rejected`` — the route's rejection rule: its answer to an exception
+  its handler raised, or None for one it does not claim.
 
-Replica mode (ISSUE 8) — constructed with ``replica=`` (a
-:class:`~repro.replication.replica.Replica`), the endpoint serves the
-read side of WAL-shipping replication:
+**The dispatcher.**  :meth:`OntoAccessEndpoint.handle` is the one entry
+point — the HTTP handler calls it for every request, tests call it
+directly.  In order it
 
-* writes (``/update``, ``/batch``, ``/admin/checkpoint``) answer 403 —
-  they belong on the primary;
-* reads carry an ``X-Replica-Lag`` header (seconds of staleness) and are
-  refused with 503 while the replica is bootstrapping or once its lag
-  exceeds ``max_replica_lag`` — the client's cue to fall back to the
-  primary;
-* ``/ready`` is 503 until bootstrap replay has caught up to the
-  primary's watermark, so load balancers only route to synced replicas.
+1. looks up the route (404 ``not found`` when there is none);
+2. applies the route's replica policy;
+3. on an admitted route, opens the trace record, parses the deadline
+   (400 ``bad-timeout``), claims an admission slot (503 ``overloaded``
+   with ``Retry-After`` when shed) and runs the handler — and sends its
+   response — under the deadline scope and inside the slot;
+4. maps an exception the handler raised, in one place: the route's
+   rejection rule, which for the work routes starts with the serving
+   tier's own failures (408 ``timeout``, 403 ``read-only``, 503
+   ``replication-degraded``, 503 ``storage-degraded``); whatever the
+   rule does not claim — any other exception included — is 500
+   ``internal-error`` JSON.  A request is never answered with a
+   dropped connection;
+5. counts the response exactly once, before sending it
+   (``requests_served``; ``errors_returned`` when the status is 400 or
+   above) — also a 404 and the wire's refusals below;
+6. sends it and finishes the trace of an admitted route once:
+   ``repro_requests_total``, ``repro_request_seconds``,
+   ``repro_queue_wait_seconds``, the JSON access-log line and the
+   slow-query tee.
 
-Observability (ISSUE 10) — the serving tier is inspectable end to end:
-
-* ``GET /metrics`` renders the process-wide metric registry plus a
-  scrape-time snapshot of the endpoint's own state (gate, planner
-  cache, WAL/checkpoint, replication) in the Prometheus text format.
-  Like the probes it bypasses admission, and a failing exposition
-  (chaos site ``obs:export``) maps to a 503 without touching serving.
-* Every request carries an ``X-Request-Id`` (caller-supplied or
-  generated) that is installed thread-local for the whole dispatch, so
-  it appears in the access-log line, the slow-query entry, and the
-  response header — including error responses.
-* Work requests emit one structured JSON access-log line (op, status,
-  queue wait, execute, serialize, rows, shed/timeout cause) and are
-  teed into a ring-buffered slow-query log served at
-  ``GET /admin/slow-queries``.
-* ``GET /query?…&explain=analyze`` (and POST with the same parameter)
-  answers the EXPLAIN tree with per-operator elapsed/rows/loops
-  instead of the result rows.
+**The wire.**  :class:`_Handler` keeps only HTTP: the request body
+(``Content-Length`` only, ``max_body_bytes``, UTF-8 — a body it will
+not read is answered 411 / 400 / 413 / 400 through the dispatcher, so it
+is counted like any other answer), the one-``sendall``-per-flush
+:class:`_ResponseWriter`, chunked streaming of SELECT results with a
+held-back batch, ``Expect: 100-continue`` and echoing ``X-Request-Id``.
+:class:`_BoundedThreadingHTTPServer` caps live connections, and with
+them handler threads.
 """
 
 from __future__ import annotations
@@ -78,9 +74,11 @@ import json
 import math
 import threading
 import time
+import traceback
 import urllib.parse
+from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from ..deadline import Deadline, deadline_scope
 from ..errors import (
@@ -95,7 +93,7 @@ from ..errors import (
 )
 from ..faults import INJECTOR
 from ..core.feedback import error_graph
-from ..core.mediator import OntoAccess, UpdateResult
+from ..core.mediator import OntoAccess
 from ..observability.metrics import (
     QUEUE_WAIT_SECONDS,
     REGISTRY,
@@ -110,7 +108,6 @@ from ..observability.tracing import (
     analyze_scope,
     annotate,
     current_request_id,
-    new_request_id,
     request_scope,
     sanitize_request_id,
     trace_scope,
@@ -120,7 +117,7 @@ from ..r3m.serialize import mapping_to_turtle
 from . import protocol
 from .protocol import Response
 
-__all__ = ["OntoAccessEndpoint"]
+__all__ = ["OntoAccessEndpoint", "ROUTES", "Route"]
 
 
 class _AdmissionGate:
@@ -291,6 +288,122 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
             self.shutdown_request(request)
 
 
+# ---------------------------------------------------------------------------
+# rejection rules
+# ---------------------------------------------------------------------------
+
+def _serving_failure(exc: Exception) -> Optional[Response]:
+    """The serving tier's own failures, answered alike on every work
+    route: deadline, fencing, replication, durability."""
+    if isinstance(exc, QueryTimeout):
+        return protocol.error_json(
+            "timeout", str(exc), 408, retry_after=RETRY_AFTER
+        )
+    if isinstance(exc, ReadOnlyDatabaseError):
+        # Fenced/deposed primary: the write provably did not execute, so
+        # the client may safely re-route it.
+        return protocol.error_json("read-only", str(exc), 403)
+    if isinstance(exc, ReplicationError):
+        # Semi-sync barrier timed out: durable here, unacknowledged by
+        # the replica quorum.  NOT safe to blindly retry.
+        return protocol.error_json(
+            "replication-degraded", str(exc), 503, retry_after=RETRY_AFTER
+        )
+    if isinstance(exc, DurabilityError):
+        return protocol.error_json("storage-degraded", str(exc), 503)
+    return None
+
+
+def _write_rejected(exc: Exception) -> Optional[Response]:
+    """A write the mediator turned down answers with RDF feedback (paper
+    Section 6), also when it does not parse."""
+    served = _serving_failure(exc)
+    if served is not None:
+        return served
+    if isinstance(exc, SPARQLParseError):
+        exc = TranslationError(
+            f"cannot parse request: {exc}",
+            code=TranslationError.UNSUPPORTED,
+        )
+    if isinstance(exc, TranslationError):
+        return Response.turtle(error_graph(exc), status=400)
+    return None
+
+
+def _batch_rejected(exc: Exception) -> Optional[Response]:
+    if isinstance(exc, json.JSONDecodeError):
+        return Response.text(f"invalid JSON body: {exc}", status=400)
+    return _write_rejected(exc)
+
+
+def _query_rejected(exc: Exception) -> Optional[Response]:
+    if not isinstance(exc, ReproError):
+        return None
+    return _serving_failure(exc) or Response.text(f"error: {exc}", status=400)
+
+
+def _metrics_unavailable(exc: Exception) -> Optional[Response]:
+    if not isinstance(exc, ReproError):
+        return None
+    return _serving_failure(exc) or protocol.error_json(
+        "metrics-unavailable", str(exc), 503
+    )
+
+
+def _checkpoint_failed(exc: Exception) -> Optional[Response]:
+    if not isinstance(exc, ReproError):
+        return None
+    return Response.text(f"error: {exc}", status=409)
+
+
+def _promotion_failed(exc: Exception) -> Optional[Response]:
+    if not isinstance(exc, ReproError):
+        return None
+    return protocol.error_json("promotion-failed", str(exc), 500)
+
+
+def _internal_error(exc: Exception) -> Response:
+    """What no rejection rule claims: the request failed for a reason
+    the serving tier has no answer for.  A write that raised was rolled
+    back, so this is a definite "not executed", never a dropped
+    connection the client would have to treat as "maybe delivered".
+    Called while ``exc`` is being handled: its traceback goes to stderr,
+    as the stdlib server prints the failures it catches."""
+    traceback.print_exc()
+    return protocol.error_json(
+        "internal-error", f"{type(exc).__name__}: {exc}", 500
+    )
+
+
+#: Replica policies of :attr:`Route.replica`.
+READ = "read"
+WRITE = "write"
+
+
+class _Request(NamedTuple):
+    """What a handler gets to see of one request."""
+
+    method: str
+    params: Dict[str, List[str]]
+    headers: Mapping[str, str]
+    body: str
+
+
+class Route(NamedTuple):
+    """One row of :data:`ROUTES` (see the module docstring)."""
+
+    handler: Callable[["OntoAccessEndpoint", _Request], Response]
+    #: access-log op of an admitted route; None = admission-exempt
+    op: Optional[str] = None
+    #: replica policy: READ, WRITE or None
+    replica: Optional[str] = None
+    #: what a WRITE route carries, for its 403 message ("updates must…")
+    what: str = ""
+    #: the route's answer to an exception its handler raised (None:
+    #: unclaimed, 500 internal-error)
+    rejected: Callable[[Exception], Optional[Response]] = _serving_failure
+
+
 class OntoAccessEndpoint:
     """Serves a mediator over HTTP (SPARQL-Protocol-shaped)."""
 
@@ -314,13 +427,12 @@ class OntoAccessEndpoint:
         access_log: Optional[Any] = None,
     ) -> None:
         self.mediator = mediator
-        #: replication (ISSUE 8): serving the read side of a replica
+        #: the replica whose read side this endpoint serves, if any
         self.replica = replica
         self.max_replica_lag = max_replica_lag
-        #: failover (ISSUE 9): callable that promotes this replica to
-        #: primary (``POST /admin/promote``); None on endpoints that
-        #: cannot be promoted (true primaries, or replicas launched
-        #: without a promotion path).
+        #: callable that promotes this replica to primary (``POST
+        #: /admin/promote``); None on endpoints that cannot be promoted
+        #: (true primaries, or replicas launched without a promotion path)
         self.promoter = promoter
         self._promote_lock = threading.Lock()
         #: One session shared by all handler threads: writes serialize on
@@ -335,7 +447,6 @@ class OntoAccessEndpoint:
         #: the hot path is a plain list increment with no shared lock,
         #: totals are summed on read
         self._stats = _ShardedCells(2)
-        # -- resilience knobs (ISSUE 6) --------------------------------
         self._gate = _AdmissionGate(max_in_flight, max_queue, queue_timeout)
         #: server-wide request budget; a client may only tighten it
         self.default_timeout = default_timeout
@@ -345,7 +456,6 @@ class OntoAccessEndpoint:
         #: responses whose streaming was cut short (client disconnect or
         #: deadline expiry mid-stream)
         self.stream_aborts = 0
-        # -- observability (ISSUE 10) ----------------------------------
         #: the primary's log shipper, when this endpoint fronts one; a
         #: promoted replica's runner assigns the new shipper here so the
         #: /metrics replication families follow the role change.
@@ -364,7 +474,7 @@ class OntoAccessEndpoint:
     def errors_returned(self) -> int:
         return int(self._stats.total()[1])
 
-    def _count(self, error: bool = False) -> None:
+    def _count(self, error: bool) -> None:
         cell = self._stats.cell()
         cell[0] += 1
         if error:
@@ -387,200 +497,117 @@ class OntoAccessEndpoint:
         return stats
 
     # ------------------------------------------------------------------
-    # observability (ISSUE 10)
+    # the dispatcher
     # ------------------------------------------------------------------
 
-    def _scrape_registry(self) -> MetricsRegistry:
-        """A scrape-time snapshot of instance state as gauge samples.
+    def handle(
+        self,
+        method: str,
+        target: str,
+        headers: Optional[Mapping[str, str]] = None,
+        body: Union[str, Response] = "",
+        *,
+        send: Optional[Callable[[Response, Optional[Deadline]], None]] = None,
+    ) -> Response:
+        """Answer one request (steps 1–6 of the module docstring).
 
-        The hot paths only ever touch the process-wide counters in
-        :data:`~repro.observability.metrics.REGISTRY`; everything that
-        lives on *this* endpoint (gate depths, planner cache, WAL and
-        checkpoint state, replication counters) is read here, once per
-        scrape, so serving pays nothing for it between scrapes.
-        """
-        reg = MetricsRegistry()
-
-        def gauge(name: str, help_text: str, value: Any) -> None:
-            try:
-                number = float(value)
-            except (TypeError, ValueError):
-                return  # non-numeric status field: not a sample
-            reg.gauge(f"repro_{name}", help_text).set(number)
-
-        serving = self.serving_stats()
-        for key in (
-            "in_flight", "waiting", "max_in_flight", "max_queue",
-            "admitted_total", "shed_total", "stream_aborts",
-            "live_connections", "rejected_connections", "max_connections",
-        ):
-            if key in serving:
-                gauge(
-                    f"serving_{key}",
-                    f"Serving-gate statistic {key!r} (see /admin/stats).",
-                    serving[key],
-                )
-        gauge(
-            "endpoint_requests_served",
-            "Requests answered by this endpoint since start.",
-            self.requests_served,
-        )
-        gauge(
-            "endpoint_request_errors",
-            "Error responses returned by this endpoint since start.",
-            self.errors_returned,
-        )
-        db = getattr(self.mediator, "db", None)
-        planner = getattr(db, "planner", None)
-        if planner is not None:
-            for key, value in planner.stats.items():
-                gauge(
-                    f"plan_cache_{key}",
-                    f"Plan-cache {key} since process start.",
-                    value,
-                )
-            gauge(
-                "plan_cache_entries",
-                "Statement shapes that currently have a cached plan.",
-                planner.cache_entries(),
-            )
-        backend = self.session.health()
-        gauge(
-            "storage_durable",
-            "1 when the store runs with a write-ahead log attached.",
-            1.0 if backend.get("durable") else 0.0,
-        )
-        for key, help_text in (
-            ("wal_refusing", "1 while the WAL refuses commits (degraded)."),
-            ("wal_bytes", "Bytes in the live write-ahead log segment."),
-            ("generation", "Checkpoint generation of the store."),
-            ("last_checkpoint_age_s", "Seconds since the last checkpoint."),
-            ("wal_appends", "WAL records appended (across rotations)."),
-            ("wal_commits", "Commit barriers reaching the WAL."),
-            ("wal_syncs", "Physical WAL flushes (group commit folds "
-                          "several commits into one)."),
-        ):
-            if backend.get(key) is not None:
-                name = key[:-2] + "_seconds" if key.endswith("_s") else key
-                gauge(name, help_text, backend[key])
-        if (
-            backend.get("wal_commits") is not None
-            and backend.get("wal_syncs") is not None
-        ):
-            gauge(
-                "wal_group_commit_riders",
-                "Commits that rode another commit's flush.",
-                backend["wal_commits"] - backend["wal_syncs"],
-            )
-        replica = self.replica
-        if replica is not None and hasattr(replica, "metrics"):
-            for key, value in replica.metrics().items():
-                gauge(
-                    f"replica_{key}",
-                    f"Replica statistic {key!r} (see /health).",
-                    value,
-                )
+        ``target`` is the request target (path plus query string).
+        ``body`` is the decoded request body — or, from the wire layer,
+        the :class:`Response` it answers a body it would not read with.
+        ``send`` puts the response on the wire; it runs inside the
+        admission slot and the deadline scope, so streaming a result is
+        request work.  Returns the response (its body is drained on
+        first read when nothing sent it)."""
+        started = time.perf_counter()
+        split = urllib.parse.urlsplit(target)
+        route = None
+        if isinstance(body, Response):  # the wire layer's refusal
+            response: Optional[Response] = body
         else:
-            # A primary advertises role/epoch too, so dashboards track
-            # failover from either side of the pair.
-            fenced = bool(getattr(db, "read_only", False))
-            gauge(
-                "replica_role_primary",
-                "1 when this endpoint serves the primary.",
-                0.0 if fenced else 1.0,
-            )
-            gauge(
-                "replica_epoch",
-                "Failover epoch of the served store.",
-                getattr(db, "epoch", 0),
-            )
-        shipper = self.shipper
-        if shipper is not None and hasattr(shipper, "metrics"):
-            for key, value in shipper.metrics().items():
-                gauge(
-                    f"shipper_{key}",
-                    f"Log-shipper statistic {key!r}.",
-                    value,
+            route = ROUTES.get((method, split.path))
+            response = None if route else Response.text("not found", 404)
+        admitted = route is not None and route.op is not None
+        trace: Dict[str, Any] = {}
+        deadline: Optional[Deadline] = None
+        with ExitStack() as scopes:
+            if route is not None:
+                request = _Request(
+                    method, urllib.parse.parse_qs(split.query),
+                    headers or {}, body,
                 )
-        log = self.query_log.status()
-        gauge(
-            "slow_query_log_entries",
-            "Entries currently held in the slow-query ring buffer.",
-            log["count"],
-        )
-        if log["threshold_s"] is not None:
-            gauge(
-                "slow_query_threshold_seconds",
-                "Threshold above which a request is logged as slow.",
-                log["threshold_s"],
+                if admitted:
+                    trace = scopes.enter_context(trace_scope(
+                        request_id=current_request_id(), op=route.op
+                    ))
+                response = self._replica_policy(route)
+                if response is None and admitted:
+                    try:
+                        deadline = self._request_deadline(request)
+                    except ValueError as exc:
+                        trace["cause"] = "bad-timeout"
+                        response = protocol.error_json(
+                            "bad-timeout", str(exc), 400
+                        )
+                    else:
+                        response = self._admit(deadline, trace, scopes)
+                if response is None:
+                    exec_start = time.perf_counter()
+                    response = self._run(route, request)
+                    trace["execute_s"] = time.perf_counter() - exec_start
+                    if response.status == 408:
+                        trace["cause"] = "timeout"
+            self._count(response.status >= 400)
+            serialize_start = time.perf_counter()
+            if send is not None:
+                send(response, deadline)
+            if admitted:
+                trace["serialize_s"] = time.perf_counter() - serialize_start
+                self._finish_request(
+                    route.op, response.status, trace,
+                    time.perf_counter() - started,
+                )
+        return response
+
+    def _admit(
+        self, deadline: Optional[Deadline], trace: Dict[str, Any],
+        scopes: ExitStack,
+    ) -> Optional[Response]:
+        """Claim an admission slot (released, and the deadline scope
+        closed, when ``scopes`` unwinds); the 503 when shed."""
+        admit_start = time.perf_counter()
+        admitted = self._gate.admit(deadline)
+        trace["queue_wait_s"] = time.perf_counter() - admit_start
+        if not admitted:
+            trace["cause"] = "shed"
+            return protocol.error_json(
+                "overloaded",
+                "server is at capacity; retry after backoff",
+                503,
+                retry_after=RETRY_AFTER,
             )
-        return reg
+        scopes.callback(self._gate.release)
+        scopes.enter_context(deadline_scope(deadline))
+        return None
 
-    def handle_metrics(self) -> Response:
-        """GET /metrics: Prometheus text exposition, admission-exempt.
-
-        The chaos site ``obs:export`` fires inside the renderer; an
-        injected failure maps to a 503 here — a broken or slow scrape
-        can degrade monitoring, never serving.
-        """
-        return self._respond(
-            lambda: render_exposition([REGISTRY, self._scrape_registry()]),
-            lambda text: Response(
-                status=200, body=text, content_type=protocol.CONTENT_PROMETHEUS
-            ),
-            lambda exc: protocol.error_json("metrics-unavailable", str(exc), 503),
-        )
-
-    def handle_stats(self) -> Response:
-        """GET /admin/stats: serving statistics as JSON (admission-exempt,
-        like /health — saturation is exactly when you need it)."""
-        self._count()
-        return Response.json(
-            {
-                "serving": self.serving_stats(),
-                "requests": {
-                    "served": self.requests_served,
-                    "errors": self.errors_returned,
-                },
-                "slow_queries": self.query_log.status(),
-            }
-        )
-
-    def handle_slow_queries(self) -> Response:
-        """GET /admin/slow-queries: the slow-query ring, newest first."""
-        self._count()
-        return Response.json(
-            {**self.query_log.status(), "entries": self.query_log.snapshot()}
-        )
-
-    def handle_query_analyze(self, body: str) -> Response:
-        """``/query`` with ``explain=analyze``: execute the query with the
-        operator probe armed and answer the instrumented plan instead of
-        the result rows."""
-        blocked = self._replica_gate()
-        if blocked is not None:
-            return blocked
-
-        def run():
-            with analyze_scope() as probe:
-                return probe, self.session.query(body)
-
-        def shape(outcome) -> Response:
-            probe, result = outcome
-            report = probe.report()
-            if isinstance(result, bool):
-                report["result"] = result
-            elif not isinstance(result, Graph):
-                report["result_rows"] = len(result.solutions)
-                annotate(rows=len(result.solutions))
-            return self._tag_replica(Response.json(report))
-
-        return self._respond(run, shape, _query_rejected)
+    def _run(self, route: Route, request: _Request) -> Response:
+        """The route's handler, with any exception mapped to its answer;
+        a read route's answer carries the replica's staleness."""
+        try:
+            response = route.handler(self, request)
+        except Exception as exc:
+            response = route.rejected(exc) or _internal_error(exc)
+        if route.replica == READ:
+            replica = self._serving_replica()
+            if replica is not None:
+                lag = replica.lag()
+                if math.isfinite(lag):
+                    response.headers["X-Replica-Lag"] = f"{lag:.3f}"
+        return response
 
     def _finish_request(
         self, op: str, status: int, trace: Dict[str, Any], total_s: float
     ) -> None:
-        """Metrics + access log + slow-query tee for one work request."""
+        """Metrics + access log + slow-query tee for one admitted request."""
         REQUESTS.labels(op, str(status)).inc()
         REQUEST_SECONDS.labels(op).observe(total_s)
         queue_wait = trace.get("queue_wait_s")
@@ -613,25 +640,16 @@ class OntoAccessEndpoint:
         except (OSError, ValueError):
             pass  # a broken log sink must never fail the request
 
-    # ------------------------------------------------------------------
-    # deadlines
-    # ------------------------------------------------------------------
-
-    def _request_deadline(
-        self, query_string: Optional[str], headers
-    ) -> Optional[Deadline]:
+    def _request_deadline(self, request: _Request) -> Optional[Deadline]:
         """The budget for one request: the tighter of the server default
         and any client-requested ``timeout=`` param / ``X-Request-
-        Deadline`` header.  Raises ValueError on a malformed value (the
-        HTTP layer answers 400)."""
+        Deadline`` header.  Raises ValueError on a malformed value."""
         requested: List[float] = []
-        if query_string:
-            params = urllib.parse.parse_qs(query_string)
-            if "timeout" in params:
-                requested.append(
-                    _positive_seconds(params["timeout"][0], "timeout parameter")
-                )
-        header = headers.get("X-Request-Deadline") if headers is not None else None
+        if "timeout" in request.params:
+            requested.append(_positive_seconds(
+                request.params["timeout"][0], "timeout parameter"
+            ))
+        header = request.headers.get("X-Request-Deadline")
         if header is not None:
             requested.append(
                 _positive_seconds(header, "X-Request-Deadline header")
@@ -643,21 +661,35 @@ class OntoAccessEndpoint:
         return None if budget is None else Deadline(budget)
 
     # ------------------------------------------------------------------
-    # replica staleness gate (ISSUE 8)
+    # replica policy
     # ------------------------------------------------------------------
 
     def _serving_replica(self) -> Optional[Any]:
         """The replica this endpoint is serving reads for, or None when
         the endpoint serves a primary.  A promoted replica (its ``role``
         flipped to ``"primary"``) stops counting: write refusals and
-        staleness gates lift the moment :meth:`handle_promote` returns,
-        with no endpoint reconfiguration."""
+        staleness gates lift the moment promotion returns, with no
+        endpoint reconfiguration."""
         replica = self.replica
         if replica is None:
             return None
         if getattr(replica, "role", "replica") == "primary":
             return None
         return replica
+
+    def _replica_policy(self, route: Route) -> Optional[Response]:
+        """The refusal the route's replica policy answers with, or None
+        when the request may be served here."""
+        if route.replica == READ:
+            return self._replica_gate()
+        if route.replica == WRITE and self._serving_replica() is not None:
+            return protocol.error_json(
+                "read-only-replica",
+                f"{route.what} must go to the primary; this endpoint "
+                "serves a read replica",
+                403,
+            )
+        return None
 
     def _replica_gate(self) -> Optional[Response]:
         """None when a read may be served here; a 503 when this endpoint
@@ -667,7 +699,6 @@ class OntoAccessEndpoint:
         if replica is None:
             return None
         if not replica.ready:
-            self._count(error=True)
             return protocol.error_json(
                 "replica-syncing",
                 "replica has not finished bootstrap replay; retry on "
@@ -677,7 +708,6 @@ class OntoAccessEndpoint:
             )
         lag = replica.lag()
         if self.max_replica_lag is not None and lag > self.max_replica_lag:
-            self._count(error=True)
             response = protocol.error_json(
                 "replica-lagging",
                 f"replica lag {lag:.3f}s exceeds the bound of "
@@ -690,140 +720,226 @@ class OntoAccessEndpoint:
             return response
         return None
 
-    def _tag_replica(self, response: Response) -> Response:
-        """Attach the staleness measurement to a replica-served read."""
-        replica = self._serving_replica()
+    # ------------------------------------------------------------------
+    # status: one reading for /health, /ready, /admin/stats and /metrics
+    # ------------------------------------------------------------------
+
+    def _snapshot(self) -> Dict[str, Any]:
+        """The endpoint's state in the shape of the /health document:
+        ``status`` (``"degraded"`` while the WAL refuses commits), the
+        backend's durability detail, serving statistics, the requests
+        answered so far, and role and failover epoch — what clients
+        probe for when they hunt the primary (``role == "primary"``,
+        highest epoch) — plus replication status on a replica endpoint."""
+        backend = self.session.health()
+        replica = self.replica
         if replica is not None:
-            lag = replica.lag()
-            if math.isfinite(lag):
-                response.headers["X-Replica-Lag"] = f"{lag:.3f}"
-        return response
-
-    def _refuse_write(self, what: str) -> Response:
-        self._count(error=True)
-        return protocol.error_json(
-            "read-only-replica",
-            f"{what} must go to the primary; this endpoint serves a "
-            "read replica",
-            403,
-        )
-
-    # ------------------------------------------------------------------
-    # protocol handlers (network-independent)
-    # ------------------------------------------------------------------
-
-    def _respond(
-        self,
-        run: Callable[[], Any],
-        shape: Callable[[Any], Response],
-        rejected: Callable[[ReproError], Response],
-    ) -> Response:
-        """Run one request's work and shape the answer: ``shape(result)``
-        on success, otherwise the status + body the failure's class maps
-        to.  The serving tier's own failures (deadline, fencing,
-        replication, durability) answer the same on every route;
-        ``rejected(exc)`` is the route's answer to a request the mediator
-        turned down."""
-        try:
-            result = run()
-        except QueryTimeout as exc:
-            response = protocol.error_json(
-                "timeout", str(exc), 408, retry_after=RETRY_AFTER
-            )
-        except ReadOnlyDatabaseError as exc:
-            # Fenced/deposed primary: the write provably did not execute,
-            # so the client may safely re-route it (ISSUE 9).
-            response = protocol.error_json("read-only", str(exc), 403)
-        except ReplicationError as exc:
-            # Semi-sync barrier timed out: durable here, unacknowledged
-            # by the replica quorum.  NOT safe to blindly retry.
-            response = protocol.error_json(
-                "replication-degraded", str(exc), 503,
-                retry_after=RETRY_AFTER,
-            )
-        except DurabilityError as exc:
-            response = protocol.error_json("storage-degraded", str(exc), 503)
-        except ReproError as exc:
-            response = rejected(exc)
+            role, epoch = replica.role, replica.epoch
         else:
-            self._count()
-            return shape(result)
-        self._count(error=True)
-        return response
+            db = getattr(self.mediator, "db", None)
+            # A deposed primary (fenced by a higher epoch, flipped
+            # read-only) must not advertise itself as primary, or clients
+            # would keep routing writes into 403s.
+            role = "fenced" if getattr(db, "read_only", False) else "primary"
+            epoch = getattr(db, "epoch", 0)
+        doc = {
+            "status": "degraded" if backend.get("wal_refusing") else "ok",
+            "backend": backend,
+            "serving": self.serving_stats(),
+            "requests": {
+                "served": self.requests_served,
+                "errors": self.errors_returned,
+            },
+            "role": role,
+            "epoch": epoch,
+        }
+        if self.replica is not None:
+            doc["replication"] = self.replica.status()
+        return doc
 
-    def _write_response(self, run: Callable[[], UpdateResult]) -> Response:
-        """Run an update or a batch; the answer is RDF feedback, also for
-        a request that does not parse or translate."""
-        return self._respond(
-            run,
-            lambda result: Response.turtle(result.feedback(), status=200),
-            _write_rejected,
-        )
+    def _scrape_registry(self, snapshot: Dict[str, Any]) -> MetricsRegistry:
+        """A scrape-time snapshot of instance state as gauge samples.
 
-    def handle_update(self, body: str) -> Response:
-        """POST /update: translate + execute, answer with RDF feedback.
-
-        Placeholders are rejected at parse time (the wire protocol has no
-        bindings), preserving the submission's concreteness rule.
+        The hot paths only ever touch the process-wide counters in
+        :data:`~repro.observability.metrics.REGISTRY`; everything that
+        lives on *this* endpoint (gate depths, planner cache, WAL and
+        checkpoint state, replication counters) is read here, once per
+        scrape, so serving pays nothing for it between scrapes.
         """
-        if self._serving_replica() is not None:
-            return self._refuse_write("updates")
-        return self._write_response(
-            lambda: self.session.prepare_update(
-                body, allow_placeholders=False
-            ).execute()
+        reg = MetricsRegistry()
+
+        def gauge(name: str, help_text: str, value: Any) -> None:
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                return  # non-numeric status field: not a sample
+            reg.gauge(f"repro_{name}", help_text).set(number)
+
+        serving = snapshot["serving"]
+        for key in (
+            "in_flight", "waiting", "max_in_flight", "max_queue",
+            "admitted_total", "shed_total", "stream_aborts",
+            "live_connections", "rejected_connections", "max_connections",
+        ):
+            if key in serving:
+                gauge(
+                    f"serving_{key}",
+                    f"Serving-gate statistic {key!r} (see /admin/stats).",
+                    serving[key],
+                )
+        gauge(
+            "endpoint_requests_served",
+            "Requests answered by this endpoint since start.",
+            snapshot["requests"]["served"],
         )
+        gauge(
+            "endpoint_request_errors",
+            "Error responses returned by this endpoint since start.",
+            snapshot["requests"]["errors"],
+        )
+        planner = getattr(getattr(self.mediator, "db", None), "planner", None)
+        if planner is not None:
+            for key, value in planner.stats.items():
+                gauge(
+                    f"plan_cache_{key}",
+                    f"Plan-cache {key} since process start.",
+                    value,
+                )
+            gauge(
+                "plan_cache_entries",
+                "Statement shapes that currently have a cached plan.",
+                planner.cache_entries(),
+            )
+        backend = snapshot["backend"]
+        gauge(
+            "storage_durable",
+            "1 when the store runs with a write-ahead log attached.",
+            1.0 if backend.get("durable") else 0.0,
+        )
+        for key, help_text in (
+            ("wal_refusing", "1 while the WAL refuses commits (degraded)."),
+            ("wal_bytes", "Bytes in the live write-ahead log segment."),
+            ("generation", "Checkpoint generation of the store."),
+            ("last_checkpoint_age_s", "Seconds since the last checkpoint."),
+            ("wal_appends", "WAL records appended (across rotations)."),
+            ("wal_commits", "Commit barriers reaching the WAL."),
+            ("wal_syncs", "Physical WAL flushes (group commit folds "
+                          "several commits into one)."),
+        ):
+            if backend.get(key) is not None:
+                name = key[:-2] + "_seconds" if key.endswith("_s") else key
+                gauge(name, help_text, backend[key])
+        if (
+            backend.get("wal_commits") is not None
+            and backend.get("wal_syncs") is not None
+        ):
+            gauge(
+                "wal_group_commit_riders",
+                "Commits that rode another commit's flush.",
+                backend["wal_commits"] - backend["wal_syncs"],
+            )
+        # Both sides of a pair advertise role and epoch, so dashboards
+        # track failover from either.
+        gauge(
+            "replica_role_primary",
+            "1 when this endpoint serves the primary.",
+            1.0 if snapshot["role"] == "primary" else 0.0,
+        )
+        gauge(
+            "replica_epoch", "Failover epoch of the served store.",
+            snapshot["epoch"],
+        )
+        replica = self.replica
+        if replica is not None and hasattr(replica, "metrics"):
+            for key, value in replica.metrics().items():
+                if key not in ("role_primary", "epoch"):
+                    gauge(
+                        f"replica_{key}",
+                        f"Replica statistic {key!r} (see /health).",
+                        value,
+                    )
+        shipper = self.shipper
+        if shipper is not None and hasattr(shipper, "metrics"):
+            for key, value in shipper.metrics().items():
+                gauge(
+                    f"shipper_{key}",
+                    f"Log-shipper statistic {key!r}.",
+                    value,
+                )
+        log = self.query_log.status()
+        gauge(
+            "slow_query_log_entries",
+            "Entries currently held in the slow-query ring buffer.",
+            log["count"],
+        )
+        if log["threshold_s"] is not None:
+            gauge(
+                "slow_query_threshold_seconds",
+                "Threshold above which a request is logged as slow.",
+                log["threshold_s"],
+            )
+        return reg
 
-    def handle_batch(self, body: str, content_type: Optional[str] = None) -> Response:
+    # ------------------------------------------------------------------
+    # route handlers: what each route does, nothing else
+    # ------------------------------------------------------------------
+
+    def _update(self, request: _Request) -> Response:
+        """POST /update: translate + execute, answer with RDF feedback.
+        Placeholders are rejected at parse time (the wire protocol has
+        no bindings), preserving the submission's concreteness rule."""
+        result = self.session.prepare_update(
+            request.body, allow_placeholders=False
+        ).execute()
+        return Response.turtle(result.feedback())
+
+    def _batch(self, request: _Request) -> Response:
         """POST /batch: all operations inside one database transaction.
-
         ``application/json`` bodies carry an array of SPARQL/Update
         request strings; anything else is one (possibly multi-operation)
-        SPARQL/Update request.  On error nothing is persisted.
-        """
-        if self._serving_replica() is not None:
-            return self._refuse_write("batches")
-        requests = [body]
+        SPARQL/Update request.  On error nothing is persisted."""
+        requests = [request.body]
+        content_type = request.headers.get("Content-Type")
         if (
             content_type
             and content_type.split(";")[0].strip().lower()
             == protocol.CONTENT_JSON
         ):
-            try:
-                requests = json.loads(body)
-            except json.JSONDecodeError as exc:
-                self._count(error=True)
-                return Response.text(f"invalid JSON body: {exc}", status=400)
+            requests = json.loads(request.body)
             if not isinstance(requests, list) or not all(
                 isinstance(r, str) for r in requests
             ):
-                self._count(error=True)
                 return Response.text(
                     "batch body must be a JSON array of SPARQL/Update "
                     "strings",
                     status=400,
                 )
-        return self._write_response(lambda: self.session.execute_all(requests))
+        return Response.turtle(self.session.execute_all(requests).feedback())
 
-    def handle_query(self, body: str, accept: Optional[str] = None) -> Response:
-        """POST /query (or GET): SELECT/ASK/CONSTRUCT over the mediated
-        database, content-negotiated via ``accept``.
-
-        SELECT results are serialized incrementally (JSON / CSV / TSV /
-        text table) and streamed with chunked transfer encoding, so a
-        large result never needs to exist as one response string.
-
-        On a replica the query is refused with 503 while syncing or past
-        the lag bound, and a served result carries ``X-Replica-Lag``.
-        """
-        blocked = self._replica_gate()
-        if blocked is not None:
-            return blocked
-        return self._tag_replica(self._handle_query(body, accept))
-
-    def _handle_query(self, body: str, accept: Optional[str] = None) -> Response:
+    def _query(self, request: _Request) -> Response:
+        """POST /query (body) or GET /query?query=…: SELECT/ASK/CONSTRUCT,
+        content-negotiated via ``Accept``; SELECT results stream.  With
+        ``explain=analyze`` the query runs with the operator probe armed
+        and the answer is the instrumented plan instead of the rows."""
+        if request.method == "GET":
+            texts = request.params.get("query")
+            if not texts:
+                return Response.text("missing query parameter", status=400)
+            text = texts[0]
+        else:
+            text = request.body
+        if request.params.get("explain") == ["analyze"]:
+            with analyze_scope() as probe:
+                result = self.session.query(text)
+            report = probe.report()
+            if isinstance(result, bool):
+                report["result"] = result
+            elif not isinstance(result, Graph):
+                report["result_rows"] = len(result.solutions)
+                annotate(rows=len(result.solutions))
+            return Response.json(report)
+        accept = request.headers.get("Accept")
         if not protocol.acceptable(accept):
-            self._count(error=True)
             return protocol.error_json(
                 "not-acceptable",
                 f"cannot satisfy Accept: {accept!r}; supported result "
@@ -831,99 +947,40 @@ class OntoAccessEndpoint:
                 406,
                 supported=list(protocol.QUERY_RESULT_TYPES),
             )
-        return self._respond(
-            lambda: self.session.query(body),
-            lambda result: self._query_result(result, accept),
-            _query_rejected,
+        return _query_result(self.session.query(text), accept)
+
+    def _dump(self, request: _Request) -> Response:
+        return Response.turtle(self.session.dump())
+
+    def _mapping(self, request: _Request) -> Response:
+        return Response(
+            status=200,
+            body=mapping_to_turtle(self.mediator.mapping),
+            content_type=protocol.CONTENT_TURTLE,
         )
 
-    @staticmethod
-    def _query_result(result, accept: Optional[str]) -> Response:
-        """A query's answer in the best format ``accept`` allows."""
-        if not isinstance(result, (bool, Graph)):
-            annotate(rows=len(result.solutions))
-        wants_json = protocol.accepts(accept, protocol.CONTENT_SPARQL_JSON)
-        wants_xml = protocol.accepts(accept, protocol.CONTENT_SPARQL_XML)
-        if isinstance(result, bool):
-            if wants_json:
-                return Response.json(
-                    protocol.render_ask_json(result),
-                    content_type=protocol.CONTENT_SPARQL_JSON,
-                )
-            if wants_xml:
-                return Response(
-                    status=200,
-                    body=protocol.render_ask_xml(result),
-                    content_type=protocol.CONTENT_SPARQL_XML,
-                )
-            return Response.text("true" if result else "false")
-        if isinstance(result, Graph):
-            return Response.turtle(result)
-        if wants_json:
-            # JSON first: a client listing both sparql-results+json and
-            # another format keeps getting the richer format it always
-            # got; XML outranks CSV/TSV for the same reason.
-            return Response.stream(
-                protocol.iter_select_json(result),
-                protocol.CONTENT_SPARQL_JSON,
-            )
-        if wants_xml:
-            return Response.stream(
-                protocol.iter_select_xml(result),
-                protocol.CONTENT_SPARQL_XML,
-            )
-        if protocol.accepts(accept, protocol.CONTENT_CSV):
-            return Response.stream(
-                protocol.iter_select_csv(result), protocol.CONTENT_CSV
-            )
-        if protocol.accepts(accept, protocol.CONTENT_TSV):
-            return Response.stream(
-                protocol.iter_select_tsv(result), protocol.CONTENT_TSV
-            )
-        return Response.stream(
-            protocol.iter_select_result(result), protocol.CONTENT_TEXT
-        )
-
-    def handle_dump(self) -> Response:
-        blocked = self._replica_gate()
-        if blocked is not None:
-            return blocked
-        self._count()
-        return self._tag_replica(Response.turtle(self.session.dump()))
-
-    def handle_checkpoint(self) -> Response:
+    def _checkpoint(self, request: _Request) -> Response:
         """POST /admin/checkpoint: serialize the committed state and
-        truncate the write-ahead log (no-op answer when the endpoint
-        serves an in-memory database)."""
-        if self._serving_replica() is not None:
-            return self._refuse_write("checkpoints")
-        try:
-            path = self.session.checkpoint()
-        except ReproError as exc:
-            self._count(error=True)
-            return Response.text(f"error: {exc}", status=409)
+        truncate the write-ahead log (409 when the endpoint serves an
+        in-memory database)."""
+        path = self.session.checkpoint()
         if path is None:
-            self._count(error=True)
             return Response.json(
                 {"checkpoint": None, "error": "database has no data_dir"},
                 status=409,
             )
-        self._count()
         return Response.json({"checkpoint": path})
 
-    def handle_promote(self) -> Response:
-        """POST /admin/promote: promote this replica to primary (ISSUE 9).
+    def _promote(self, request: _Request) -> Response:
+        """POST /admin/promote: promote this replica to primary.
 
-        Answers 200 with the promotion record (new epoch, drained flag,
-        applied position) — idempotently on repeat calls, since
+        200 with the promotion record (new epoch, drained flag, applied
+        position) — idempotently on repeat calls, since
         :meth:`Replica.promote` is.  409 ``not-promotable`` when the
-        endpoint has no promotion path (it already serves a primary, or
-        was launched without one); 500 ``promotion-failed`` when the
+        endpoint has no promotion path; 500 ``promotion-failed`` when the
         promotion itself errored (the replica is stopped but writable
         state was not reached — operator attention required)."""
-        promoter = self.promoter
-        if promoter is None:
-            self._count(error=True)
+        if self.promoter is None:
             return protocol.error_json(
                 "not-promotable",
                 "this endpoint has no promotion path; it either already "
@@ -931,86 +988,68 @@ class OntoAccessEndpoint:
                 409,
             )
         with self._promote_lock:
-            try:
-                record = promoter()
-            except ReproError as exc:
-                self._count(error=True)
-                return protocol.error_json("promotion-failed", str(exc), 500)
-        self._count()
+            record = self.promoter()
         return Response.json({"promoted": True, **record})
 
-    def handle_mapping(self) -> Response:
-        self._count()
-        return Response(
-            status=200,
-            body=mapping_to_turtle(self.mediator.mapping),
-            content_type=protocol.CONTENT_TURTLE,
-        )
+    def _health(self, request: _Request) -> Response:
+        """GET /health: always 200; ``status`` says ``"degraded"`` while
+        the WAL refuses commits."""
+        return Response.json(self._snapshot())
 
-    def handle_health(self) -> Response:
-        """GET /health: always 200; ``status`` is ``"degraded"`` when the
-        WAL is refusing commits.  Includes durability detail (sync mode,
-        WAL bytes, last checkpoint age) and serving statistics."""
-        backend = self.session.health()
-        degraded = bool(backend.get("wal_refusing"))
-        self._count()
-        doc = {
-            "status": "degraded" if degraded else "ok",
-            "backend": backend,
-            "serving": self.serving_stats(),
-            "requests": {
-                "served": self.requests_served,
-                "errors": self.errors_returned,
-            },
-        }
-        # Failover discovery (ISSUE 9): clients pick a new primary by
-        # probing /health for role == "primary" with the highest epoch.
-        replica = self.replica
-        if replica is not None:
-            doc["role"] = replica.role
-            doc["epoch"] = replica.epoch
-            doc["replication"] = replica.status()
-        else:
-            db = self.mediator.db
-            # A deposed primary (fenced by a higher epoch, flipped
-            # read-only) must not advertise itself as primary, or
-            # clients would keep routing writes into 403s.
-            fenced = bool(getattr(db, "read_only", False))
-            doc["role"] = "fenced" if fenced else "primary"
-            doc["epoch"] = getattr(db, "epoch", 0)
-        return Response.json(doc)
-
-    def handle_ready(self) -> Response:
+    def _ready(self, request: _Request) -> Response:
         """GET /ready: 200 while the endpoint can accept writes (or, on a
         replica, serve synced reads), 503 while degraded — durable store
         refusing commits, or replica bootstrap replay still running
         (load balancers drain on this)."""
+        snapshot = self._snapshot()
         if self._serving_replica() is not None and not self.replica.ready:
-            self._count(error=True)
             return protocol.error_json(
                 "replica-syncing",
                 "replica has not finished bootstrap replay",
                 503,
                 retry_after=RETRY_AFTER,
-                replica=self.replica.status(),
+                replica=snapshot["replication"],
             )
-        backend = self.session.health()
-        if backend.get("wal_refusing"):
-            self._count(error=True)
+        if snapshot["status"] == "degraded":
             return protocol.error_json(
                 "degraded",
                 "write-ahead log is refusing commits; restart the process "
                 "to recover the durable prefix",
                 503,
             )
-        self._count()
         doc: Dict[str, Any] = {"ready": True}
         if self.replica is not None:
-            doc["replica"] = self.replica.status()
+            doc["replica"] = snapshot["replication"]
         return Response.json(doc)
 
+    def _metrics(self, request: _Request) -> Response:
+        """GET /metrics: Prometheus text exposition.  The chaos site
+        ``obs:export`` fires inside the renderer; a failing scrape is a
+        503 and degrades monitoring, never serving."""
+        registry = self._scrape_registry(self._snapshot())
+        return Response(
+            status=200,
+            body=render_exposition([REGISTRY, registry]),
+            content_type=protocol.CONTENT_PROMETHEUS,
+        )
+
+    def _stats(self, request: _Request) -> Response:
+        """GET /admin/stats: serving and request counters as JSON."""
+        snapshot = self._snapshot()
+        return Response.json({
+            "serving": snapshot["serving"],
+            "requests": snapshot["requests"],
+            "slow_queries": self.query_log.status(),
+        })
+
+    def _slow_queries(self, request: _Request) -> Response:
+        """GET /admin/slow-queries: the slow-query ring, newest first."""
+        return Response.json(
+            {**self.query_log.status(), "entries": self.query_log.snapshot()}
+        )
+
     # ------------------------------------------------------------------
-    # HTTP plumbing
+    # lifecycle
     # ------------------------------------------------------------------
 
     @property
@@ -1026,346 +1065,14 @@ class OntoAccessEndpoint:
     def start(self) -> None:
         if self._server is not None:
             return
-        endpoint = self
-
-        class Handler(BaseHTTPRequestHandler):
-            # HTTP/1.1 so streamed responses can use chunked transfer
-            # encoding (fixed-length responses still send Content-Length).
-            protocol_version = "HTTP/1.1"
-            # With the buffered writer below every flush is a complete
-            # message, so there is nothing for Nagle to coalesce — only
-            # its wait for the peer's (delayed) ACK to lose.
-            disable_nagle_algorithm = True
-
-            def setup(self) -> None:
-                super().setup()
-                self.wfile = _ResponseWriter(self.connection)
-
-            def handle_expect_100(self) -> bool:
-                # The interim response must reach the client before it
-                # sends the body this handler is about to read.
-                proceed = super().handle_expect_100()
-                self.wfile.flush()
-                return proceed
-
-            def log_message(self, *args) -> None:  # keep tests quiet
-                pass
-
-            def _request_headers(self, response: Response) -> None:
-                for name, value in response.headers.items():
-                    self.send_header(name, value)
-                # Echo the request id on every response — errors too —
-                # so one id joins client retries, server logs, and the
-                # slow-query entry.
-                if "X-Request-Id" not in response.headers:
-                    rid = current_request_id()
-                    if rid:
-                        self.send_header("X-Request-Id", rid)
-
-            def _send(
-                self, response: Response, deadline: Optional[Deadline] = None
-            ) -> None:
-                if response.body_iter is not None:
-                    if self.request_version == "HTTP/1.0":
-                        # RFC 7230: no chunked framing toward a 1.0 peer;
-                        # reading .body drains the iterator into one
-                        # buffered payload sent with Content-Length.
-                        pass
-                    else:
-                        self._send_chunked(response, deadline)
-                        return
-                payload = response.body.encode("utf-8")
-                self.send_response(response.status)
-                self.send_header("Content-Type", response.content_type)
-                self._request_headers(response)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-                try:
-                    self.wfile.flush()  # headers + body: one segment
-                except OSError:
-                    # Client went away mid-response: close our side; the
-                    # shared session is untouched (it already returned).
-                    endpoint._note_stream_abort()
-                    self.close_connection = True
-
-            def _send_chunked(
-                self, response: Response, deadline: Optional[Deadline] = None
-            ) -> None:
-                """Stream ``response.body_iter`` with chunked framing:
-                one write + flush per batch.  A framed batch is held
-                back until the next one has been pulled (or the stream
-                ended), so the headers ride the first flush and the
-                terminating 0-chunk the last — a one-batch answer is a
-                single segment.  The held batch is flushed *before* the
-                fault and deadline checks of its successor, so a stall
-                or expiry there never withholds rows already produced."""
-                self.send_response(response.status)
-                self.send_header("Content-Type", response.content_type)
-                self._request_headers(response)
-                self.send_header("Transfer-Encoding", "chunked")
-                self.end_headers()
-                write, flush = self.wfile.write, self.wfile.flush
-                held = b""
-                try:
-                    for chunk in response.body_iter:
-                        if held:
-                            write(held)
-                            flush()
-                            held = b""
-                        if INJECTOR.armed:
-                            INJECTOR.fire("endpoint:stream")
-                        if deadline is not None:
-                            deadline.check()
-                        data = chunk.encode("utf-8")
-                        if not data:
-                            continue  # an empty chunk would end the body
-                        held = b"%X\r\n%b\r\n" % (len(data), data)
-                    write(held + b"0\r\n\r\n")
-                    flush()
-                except (QueryTimeout, FaultError, OSError):
-                    # Truncate without the terminating 0-chunk so the
-                    # client sees an aborted body, and close the
-                    # connection — never leave a desynced keep-alive.
-                    # (Headers still buffered go out when the handler
-                    # finishes: the peer sees a body that never ended.)
-                    endpoint._note_stream_abort()
-                    self.close_connection = True
-
-            def _admitted(
-                self,
-                split,
-                work: Callable[[], Response],
-                op: str = "request",
-            ) -> None:
-                """Run one work request under admission control and its
-                deadline; sends the response (or the 400/503 shed).
-
-                The whole dispatch runs inside a trace scope: the phase
-                timings (queue wait, execute, serialize) and any
-                annotations from deeper layers feed one access-log line,
-                the request counters, and the slow-query tee."""
-                started = time.perf_counter()
-                with trace_scope(
-                    request_id=current_request_id(), op=op
-                ) as trace:
-                    self._admitted_traced(split, work, op, trace, started)
-
-            def _admitted_traced(
-                self, split, work, op, trace, started
-            ) -> None:
-                try:
-                    deadline = endpoint._request_deadline(
-                        split.query, self.headers
-                    )
-                except ValueError as exc:
-                    endpoint._count(error=True)
-                    trace["cause"] = "bad-timeout"
-                    self._send_traced(
-                        protocol.error_json("bad-timeout", str(exc), 400),
-                        None, op, trace, started,
-                    )
-                    return
-                admit_start = time.perf_counter()
-                admitted = endpoint._gate.admit(deadline)
-                trace["queue_wait_s"] = time.perf_counter() - admit_start
-                if not admitted:
-                    endpoint._count(error=True)
-                    trace["cause"] = "shed"
-                    self._send_traced(
-                        protocol.error_json(
-                            "overloaded",
-                            "server is at capacity; retry after backoff",
-                            503,
-                            retry_after=RETRY_AFTER,
-                        ),
-                        None, op, trace, started,
-                    )
-                    return
-                try:
-                    with deadline_scope(deadline):
-                        # Streaming happens inside both the scope and the
-                        # admission slot: serialization is request work.
-                        exec_start = time.perf_counter()
-                        response = work()
-                        trace["execute_s"] = (
-                            time.perf_counter() - exec_start
-                        )
-                        if response.status == 408:
-                            trace["cause"] = "timeout"
-                        self._send_traced(
-                            response, deadline, op, trace, started
-                        )
-                finally:
-                    endpoint._gate.release()
-
-            def _send_traced(
-                self, response, deadline, op, trace, started
-            ) -> None:
-                serialize_start = time.perf_counter()
-                self._send(response, deadline)
-                trace["serialize_s"] = time.perf_counter() - serialize_start
-                endpoint._finish_request(
-                    op, response.status, trace,
-                    time.perf_counter() - started,
-                )
-
-            def do_POST(self) -> None:
-                with request_scope(
-                    sanitize_request_id(self.headers.get("X-Request-Id"))
-                ):
-                    self._route_post()
-
-            def do_GET(self) -> None:
-                with request_scope(
-                    sanitize_request_id(self.headers.get("X-Request-Id"))
-                ):
-                    self._route_get()
-
-            def _route_post(self) -> None:
-                if "chunked" in (
-                    self.headers.get("Transfer-Encoding") or ""
-                ).lower():
-                    # Bodies are read via Content-Length only; under
-                    # HTTP/1.1 keep-alive an unread chunked payload would
-                    # desync the connection, so refuse and close instead.
-                    self.close_connection = True
-                    self._send(
-                        Response.text(
-                            "chunked request bodies are not supported; "
-                            "send Content-Length",
-                            status=411,
-                        )
-                    )
-                    return
-                length_header = self.headers.get("Content-Length", "0")
-                try:
-                    length = int(length_header)
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    # Also a well-formed negative number: read(-1) would
-                    # park this thread until the peer hangs up.
-                    self.close_connection = True
-                    self._send(
-                        protocol.error_json(
-                            "bad-request",
-                            f"invalid Content-Length: {length_header!r}",
-                            400,
-                        )
-                    )
-                    return
-                if length > endpoint.max_body_bytes:
-                    # The body is never read: close the connection rather
-                    # than resynchronize by swallowing it.
-                    endpoint._count(error=True)
-                    self.close_connection = True
-                    self._send(
-                        protocol.error_json(
-                            "body-too-large",
-                            f"request body of {length} bytes exceeds the "
-                            f"limit of {endpoint.max_body_bytes} bytes",
-                            413,
-                        )
-                    )
-                    return
-                body = self.rfile.read(length).decode("utf-8")
-                split = urllib.parse.urlsplit(self.path)
-                accept = self.headers.get("Accept")
-                content_type = self.headers.get("Content-Type")
-                if split.path == protocol.UPDATE_PATH:
-                    self._admitted(
-                        split,
-                        lambda: endpoint.handle_update(body),
-                        op="update",
-                    )
-                elif split.path == protocol.QUERY_PATH:
-                    params = urllib.parse.parse_qs(split.query)
-                    if params.get("explain") == ["analyze"]:
-                        self._admitted(
-                            split,
-                            lambda: endpoint.handle_query_analyze(body),
-                            op="query",
-                        )
-                        return
-                    self._admitted(
-                        split,
-                        lambda: endpoint.handle_query(body, accept=accept),
-                        op="query",
-                    )
-                elif split.path == protocol.BATCH_PATH:
-                    self._admitted(
-                        split,
-                        lambda: endpoint.handle_batch(
-                            body, content_type=content_type
-                        ),
-                        op="batch",
-                    )
-                elif split.path == protocol.CHECKPOINT_PATH:
-                    self._send(endpoint.handle_checkpoint())
-                elif split.path == protocol.PROMOTE_PATH:
-                    # Promotion bypasses admission: it must run exactly
-                    # when the cluster is degraded and load is shedding.
-                    self._send(endpoint.handle_promote())
-                else:
-                    self._send(Response.text("not found", status=404))
-
-            def _route_get(self) -> None:
-                split = urllib.parse.urlsplit(self.path)
-                if split.path == protocol.HEALTH_PATH:
-                    # Health/readiness bypass admission: a probe must
-                    # answer precisely when the server is saturated.
-                    self._send(endpoint.handle_health())
-                elif split.path == protocol.READY_PATH:
-                    self._send(endpoint.handle_ready())
-                elif split.path == protocol.METRICS_PATH:
-                    # /metrics bypasses admission like the probes — a
-                    # saturated (or degraded) server must still scrape.
-                    self._send(endpoint.handle_metrics())
-                elif split.path == protocol.STATS_PATH:
-                    self._send(endpoint.handle_stats())
-                elif split.path == protocol.SLOW_QUERIES_PATH:
-                    self._send(endpoint.handle_slow_queries())
-                elif split.path == protocol.DUMP_PATH:
-                    self._admitted(split, endpoint.handle_dump, op="dump")
-                elif split.path == protocol.MAPPING_PATH:
-                    self._send(endpoint.handle_mapping())
-                elif split.path == protocol.QUERY_PATH:
-                    # SPARQL Protocol: GET /query?query=<urlencoded>
-                    params = urllib.parse.parse_qs(split.query)
-                    queries = params.get("query")
-                    if not queries:
-                        endpoint._count(error=True)
-                        self._send(
-                            Response.text("missing query parameter", status=400)
-                        )
-                        return
-                    if params.get("explain") == ["analyze"]:
-                        self._admitted(
-                            split,
-                            lambda: endpoint.handle_query_analyze(queries[0]),
-                            op="query",
-                        )
-                        return
-                    accept = self.headers.get("Accept")
-                    self._admitted(
-                        split,
-                        lambda: endpoint.handle_query(
-                            queries[0], accept=accept
-                        ),
-                        op="query",
-                    )
-                else:
-                    self._send(Response.text("not found", status=404))
-
-        self._server = _BoundedThreadingHTTPServer(
+        server = _BoundedThreadingHTTPServer(
             (self.host, self._requested_port),
-            Handler,
+            _Handler,
             max_connections=self.max_connections,
         )
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
-        )
+        server.endpoint = self
+        self._server = server
+        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
@@ -1396,17 +1103,243 @@ def _positive_seconds(text: str, what: str) -> float:
     return value
 
 
-def _write_rejected(exc: ReproError) -> Response:
-    """A rejected write answers with RDF feedback (paper Section 6)."""
-    if isinstance(exc, SPARQLParseError):
-        exc = TranslationError(
-            f"cannot parse request: {exc}",
-            code=TranslationError.UNSUPPORTED,
+def _query_result(result, accept: Optional[str]) -> Response:
+    """A query's answer in the best format ``accept`` allows."""
+    if not isinstance(result, (bool, Graph)):
+        annotate(rows=len(result.solutions))
+    wants_json = protocol.accepts(accept, protocol.CONTENT_SPARQL_JSON)
+    wants_xml = protocol.accepts(accept, protocol.CONTENT_SPARQL_XML)
+    if isinstance(result, bool):
+        if wants_json:
+            return Response.json(
+                protocol.render_ask_json(result),
+                content_type=protocol.CONTENT_SPARQL_JSON,
+            )
+        if wants_xml:
+            return Response(
+                status=200,
+                body=protocol.render_ask_xml(result),
+                content_type=protocol.CONTENT_SPARQL_XML,
+            )
+        return Response.text("true" if result else "false")
+    if isinstance(result, Graph):
+        return Response.turtle(result)
+    if wants_json:
+        # JSON first: a client listing both sparql-results+json and
+        # another format keeps getting the richer format it always got;
+        # XML outranks CSV/TSV for the same reason.
+        return Response.stream(
+            protocol.iter_select_json(result), protocol.CONTENT_SPARQL_JSON
         )
-    if isinstance(exc, TranslationError):
-        return Response.turtle(error_graph(exc), status=400)
-    raise exc
+    if wants_xml:
+        return Response.stream(
+            protocol.iter_select_xml(result), protocol.CONTENT_SPARQL_XML
+        )
+    if protocol.accepts(accept, protocol.CONTENT_CSV):
+        return Response.stream(
+            protocol.iter_select_csv(result), protocol.CONTENT_CSV
+        )
+    if protocol.accepts(accept, protocol.CONTENT_TSV):
+        return Response.stream(
+            protocol.iter_select_tsv(result), protocol.CONTENT_TSV
+        )
+    return Response.stream(
+        protocol.iter_select_result(result), protocol.CONTENT_TEXT
+    )
 
 
-def _query_rejected(exc: ReproError) -> Response:
-    return Response.text(f"error: {exc}", status=400)
+#: Every route the endpoint answers (see the module docstring).
+ROUTES: Dict[Tuple[str, str], Route] = {
+    ("POST", protocol.UPDATE_PATH): Route(
+        OntoAccessEndpoint._update, "update", WRITE, "updates",
+        _write_rejected,
+    ),
+    ("POST", protocol.BATCH_PATH): Route(
+        OntoAccessEndpoint._batch, "batch", WRITE, "batches", _batch_rejected,
+    ),
+    ("POST", protocol.QUERY_PATH): Route(
+        OntoAccessEndpoint._query, "query", READ, rejected=_query_rejected,
+    ),
+    ("GET", protocol.QUERY_PATH): Route(
+        OntoAccessEndpoint._query, "query", READ, rejected=_query_rejected,
+    ),
+    ("GET", protocol.DUMP_PATH): Route(OntoAccessEndpoint._dump, "dump", READ),
+    ("GET", protocol.MAPPING_PATH): Route(OntoAccessEndpoint._mapping),
+    ("POST", protocol.CHECKPOINT_PATH): Route(
+        OntoAccessEndpoint._checkpoint, None, WRITE, "checkpoints",
+        _checkpoint_failed,
+    ),
+    ("POST", protocol.PROMOTE_PATH): Route(
+        OntoAccessEndpoint._promote, rejected=_promotion_failed,
+    ),
+    ("GET", protocol.HEALTH_PATH): Route(OntoAccessEndpoint._health),
+    ("GET", protocol.READY_PATH): Route(OntoAccessEndpoint._ready),
+    ("GET", protocol.METRICS_PATH): Route(
+        OntoAccessEndpoint._metrics, rejected=_metrics_unavailable,
+    ),
+    ("GET", protocol.STATS_PATH): Route(OntoAccessEndpoint._stats),
+    ("GET", protocol.SLOW_QUERIES_PATH): Route(
+        OntoAccessEndpoint._slow_queries
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# the wire
+# ---------------------------------------------------------------------------
+
+class _Handler(BaseHTTPRequestHandler):
+    """HTTP for one connection; every request goes to the endpoint's
+    dispatcher (``self.server.endpoint.handle``)."""
+
+    # HTTP/1.1 so streamed responses can use chunked transfer encoding
+    # (fixed-length responses still send Content-Length).
+    protocol_version = "HTTP/1.1"
+    # With the buffered writer every flush is a complete message, so
+    # there is nothing for Nagle to coalesce — only its wait for the
+    # peer's (delayed) ACK to lose.
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _ResponseWriter(self.connection)
+
+    def handle_expect_100(self) -> bool:
+        # The interim response must reach the client before it sends the
+        # body this handler is about to read.
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
+
+    def log_message(self, *args) -> None:  # keep tests quiet
+        pass
+
+    def do_GET(self) -> None:
+        self._dispatch("")
+
+    def do_POST(self) -> None:
+        self._dispatch(self._read_body())
+
+    def _dispatch(self, body: Union[str, Response]) -> None:
+        with request_scope(
+            sanitize_request_id(self.headers.get("X-Request-Id"))
+        ):
+            self.server.endpoint.handle(
+                self.command, self.path, self.headers, body, send=self._send
+            )
+
+    def _read_body(self) -> Union[str, Response]:
+        """The request body, or the answer to a body this layer will not
+        read — the connection then closes instead of resynchronizing."""
+        if "chunked" in (self.headers.get("Transfer-Encoding") or "").lower():
+            # Bodies are read via Content-Length only; under keep-alive an
+            # unread chunked payload would desync the connection.
+            self.close_connection = True
+            return Response.text(
+                "chunked request bodies are not supported; send "
+                "Content-Length",
+                status=411,
+            )
+        length_header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(length_header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Also a well-formed negative number: read(-1) would park
+            # this thread until the peer hangs up.
+            self.close_connection = True
+            return protocol.error_json(
+                "bad-request", f"invalid Content-Length: {length_header!r}",
+                400,
+            )
+        limit = self.server.endpoint.max_body_bytes
+        if length > limit:
+            self.close_connection = True
+            return protocol.error_json(
+                "body-too-large",
+                f"request body of {length} bytes exceeds the limit of "
+                f"{limit} bytes",
+                413,
+            )
+        try:
+            return self.rfile.read(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # The body was read whole: the connection stays usable.
+            return protocol.error_json(
+                "bad-request", f"request body is not UTF-8: {exc}", 400
+            )
+
+    def _request_headers(self, response: Response) -> None:
+        for name, value in response.headers.items():
+            self.send_header(name, value)
+        # Echo the request id on every response — errors too — so one id
+        # joins client retries, server logs, and the slow-query entry.
+        if "X-Request-Id" not in response.headers:
+            rid = current_request_id()
+            if rid:
+                self.send_header("X-Request-Id", rid)
+
+    def _send(
+        self, response: Response, deadline: Optional[Deadline] = None
+    ) -> None:
+        # RFC 7230: no chunked framing toward a 1.0 peer; reading .body
+        # drains the iterator into one payload sent with Content-Length.
+        if response.body_iter is not None and self.request_version != "HTTP/1.0":
+            self._send_chunked(response, deadline)
+            return
+        payload = response.body.encode("utf-8")
+        self.send_response(response.status)
+        self.send_header("Content-Type", response.content_type)
+        self._request_headers(response)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        try:
+            self.wfile.flush()  # headers + body: one segment
+        except OSError:
+            # Client went away mid-response: close our side; the shared
+            # session is untouched (it already returned).
+            self.server.endpoint._note_stream_abort()
+            self.close_connection = True
+
+    def _send_chunked(
+        self, response: Response, deadline: Optional[Deadline] = None
+    ) -> None:
+        """Stream ``response.body_iter`` with chunked framing: one write
+        + flush per batch.  A framed batch is held back until the next
+        one has been pulled (or the stream ended), so the headers ride
+        the first flush and the terminating 0-chunk the last — a
+        one-batch answer is a single segment.  The held batch is flushed
+        *before* the fault and deadline checks of its successor, so a
+        stall or expiry there never withholds rows already produced."""
+        self.send_response(response.status)
+        self.send_header("Content-Type", response.content_type)
+        self._request_headers(response)
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        write, flush = self.wfile.write, self.wfile.flush
+        held = b""
+        try:
+            for chunk in response.body_iter:
+                if held:
+                    write(held)
+                    flush()
+                    held = b""
+                if INJECTOR.armed:
+                    INJECTOR.fire("endpoint:stream")
+                if deadline is not None:
+                    deadline.check()
+                data = chunk.encode("utf-8")
+                if not data:
+                    continue  # an empty chunk would end the body
+                held = b"%X\r\n%b\r\n" % (len(data), data)
+            write(held + b"0\r\n\r\n")
+            flush()
+        except (QueryTimeout, FaultError, OSError):
+            # Truncate without the terminating 0-chunk so the client sees
+            # an aborted body, and close the connection — never leave a
+            # desynced keep-alive.  (Headers still buffered go out when
+            # the handler finishes: the peer sees a body that never ended.)
+            self.server.endpoint._note_stream_abort()
+            self.close_connection = True

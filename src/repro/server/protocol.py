@@ -6,43 +6,18 @@ ISSUE 2 the endpoint is shaped after the W3C SPARQL Protocol: operations
 arrive as ``application/sparql-update`` / ``application/sparql-query``
 request bodies, and responses are content-negotiated.
 
-Endpoints:
-
-* ``POST /update`` — body: SPARQL/Update (``application/sparql-update``);
-  response: RDF feedback graph as Turtle (confirmation or error, HTTP 200
-  vs 400).
-* ``POST /query`` / ``GET /query?query=…`` — body (or ``query`` URL
-  parameter): a SPARQL query.  Response depends on the ``Accept`` header:
-  ``application/sparql-results+json`` returns SPARQL 1.1 JSON results for
-  SELECT/ASK, ``text/csv`` / ``text/tab-separated-values`` return the
-  SPARQL 1.1 CSV/TSV result formats for SELECT; the default is a simple
-  tab-separated table for SELECT and ``true``/``false`` for ASK.
-  CONSTRUCT always returns Turtle.  SELECT bindings are serialized
-  incrementally and sent with chunked transfer encoding, so large results
-  stream instead of being materialized as one response body.
-* ``POST /batch``   — a batch executed inside **one** database
-  transaction (all-or-nothing, :meth:`Session.execute_all`).  Body is
-  either a JSON array of SPARQL/Update request strings
-  (``application/json``) or a single multi-operation request
-  (``application/sparql-update``).
-* ``GET /dump``    — the mapped database as Turtle.
-* ``GET /mapping`` — the R3M mapping document as Turtle.
-* ``POST /admin/checkpoint`` — force a durability checkpoint (ISSUE 5):
-  serialize the committed state and truncate the write-ahead log.
-  Answers JSON ``{"checkpoint": <path>}`` (HTTP 200) or a 409 when the
-  endpoint serves an in-memory database.
-* ``GET /metrics`` — Prometheus text exposition of the serving gate,
-  executor, WAL, and replication counters (ISSUE 10).  Like ``/health``
-  it bypasses admission control, so a saturated server still scrapes.
-* ``GET /admin/stats`` — the serving-gate statistics as JSON (also
-  admission-exempt).
-* ``GET /admin/slow-queries`` — the ring-buffered slow-query log as
-  JSON, newest first.
+The routes — which method and path, which handler, admitted or exempt,
+which replica policy — are one table, :data:`repro.server.endpoint.
+ROUTES`; this module holds their paths (``*_PATH``), the media types,
+the :class:`Response` the handlers return and the result renderings.
 
 Query responses are negotiated via ``Accept`` among the SPARQL 1.1
 result formats: JSON (``application/sparql-results+json``), XML
 (``application/sparql-results+xml``), CSV, and TSV; the default is a
-plain text table.
+plain text table for SELECT and ``true``/``false`` for ASK, and
+CONSTRUCT always answers Turtle.  SELECT bindings are serialized
+incrementally and sent with chunked transfer encoding, so a large result
+never exists as one response body.
 """
 
 from __future__ import annotations

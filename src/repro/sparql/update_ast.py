@@ -16,7 +16,7 @@ defines (useful in tests and examples).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..rdf.terms import Term, Triple, Variable
 from .algebra_ast import GroupPattern

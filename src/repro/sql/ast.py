@@ -17,7 +17,7 @@ engine's plan cache keys on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple, Union
 
 __all__ = [

@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 from ..rdb.engine import Database
 from ..rdf.graph import Graph
 from ..rdf.namespace import DC, FOAF, ONT, OWL, RDF, RDFS, XSD
-from ..rdf.terms import Literal, Triple, URIRef
+from ..rdf.terms import Triple, URIRef
 from ..r3m.generator import generate_mapping
 from ..r3m.model import DatabaseMapping
 

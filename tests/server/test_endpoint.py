@@ -50,7 +50,7 @@ class TestResultFormats:
     """SPARQL 1.1 CSV/TSV result formats and response streaming."""
 
     def test_select_csv(self, endpoint):
-        response = endpoint.handle_query(SELECT_AUTHORS, accept="text/csv")
+        response = endpoint.handle("POST", "/query", {"Accept": "text/csv"}, SELECT_AUTHORS)
         assert response.status == 200
         assert response.content_type.startswith("text/csv")
         lines = response.body.split("\r\n")
@@ -58,18 +58,20 @@ class TestResultFormats:
         assert "Hert" in lines[1:]  # plain value, no quotes needed
 
     def test_select_csv_quotes_metacharacters(self, endpoint):
-        endpoint.handle_update(
+        endpoint.handle(
+            "POST", "/update", {},
             'PREFIX foaf: <http://xmlns.com/foaf/0.1/> '
             'PREFIX ex: <http://example.org/db/> '
             'INSERT DATA { ex:author7 foaf:firstName "A" ; '
             'foaf:family_name "Comma, \\"Quoted\\"" . }'
         )
-        response = endpoint.handle_query(SELECT_AUTHORS, accept="text/csv")
+        response = endpoint.handle("POST", "/query", {"Accept": "text/csv"}, SELECT_AUTHORS)
         assert '"Comma, ""Quoted"""' in response.body
 
     def test_select_tsv(self, endpoint):
-        response = endpoint.handle_query(
-            SELECT_AUTHORS, accept="text/tab-separated-values"
+        response = endpoint.handle(
+            "POST", "/query", {"Accept": "text/tab-separated-values"},
+            SELECT_AUTHORS,
         )
         assert response.status == 200
         assert response.content_type.startswith("text/tab-separated-values")
@@ -85,7 +87,7 @@ class TestResultFormats:
             "application/sparql-results+json",
             None,
         ):
-            response = endpoint.handle_query(SELECT_AUTHORS, accept=accept)
+            response = endpoint.handle("POST", "/query", {"Accept": accept}, SELECT_AUTHORS)
             assert response.body_iter is not None
 
     def test_streamed_json_over_http_parses(self, endpoint):
@@ -123,52 +125,54 @@ class TestHandlersDirect:
     """Protocol handlers without network plumbing."""
 
     def test_update_ok(self, endpoint):
-        response = endpoint.handle_update(UPDATE_OK)
+        response = endpoint.handle("POST", "/update", body=UPDATE_OK)
         assert response.status == 200
         assert "Confirmation" in response.body
         assert endpoint.mediator.db.get_row_by_pk("team", (4,)) is not None
 
     def test_update_error(self, endpoint):
-        response = endpoint.handle_update(UPDATE_BAD)
+        response = endpoint.handle("POST", "/update", body=UPDATE_BAD)
         assert response.status == 400
         assert "missing-required-property" in response.body
 
     def test_update_parse_error(self, endpoint):
-        response = endpoint.handle_update("GIBBERISH {")
+        response = endpoint.handle("POST", "/update", body="GIBBERISH {")
         assert response.status == 400
         assert "unsupported-request" in response.body
 
     def test_query_select(self, endpoint):
-        response = endpoint.handle_query(
+        response = endpoint.handle(
+            "POST", "/query", {},
             'PREFIX foaf: <http://xmlns.com/foaf/0.1/> '
-            'SELECT ?n WHERE { ?x foaf:family_name ?n . }'
+            'SELECT ?n WHERE { ?x foaf:family_name ?n . }',
         )
         assert response.status == 200
         assert '"Hert"' in response.body
 
     def test_query_ask(self, endpoint):
-        response = endpoint.handle_query(
+        response = endpoint.handle(
+            "POST", "/query", {},
             'PREFIX foaf: <http://xmlns.com/foaf/0.1/> '
-            'ASK { ?x foaf:family_name "Hert" . }'
+            'ASK { ?x foaf:family_name "Hert" . }',
         )
         assert response.body == "true"
 
     def test_query_error(self, endpoint):
-        response = endpoint.handle_query("NOT SPARQL")
+        response = endpoint.handle("POST", "/query", body="NOT SPARQL")
         assert response.status == 400
 
     def test_dump(self, endpoint):
-        response = endpoint.handle_dump()
+        response = endpoint.handle("GET", "/dump")
         assert response.status == 200
         assert "foaf:Person" in response.body
 
     def test_mapping(self, endpoint):
-        response = endpoint.handle_mapping()
+        response = endpoint.handle("GET", "/mapping")
         assert "r3m:DatabaseMap" in response.body
 
     def test_counters(self, endpoint):
-        endpoint.handle_update(UPDATE_OK)
-        endpoint.handle_update(UPDATE_BAD)
+        endpoint.handle("POST", "/update", body=UPDATE_OK)
+        endpoint.handle("POST", "/update", body=UPDATE_BAD)
         assert endpoint.requests_served == 2
         assert endpoint.errors_returned == 1
 
@@ -296,8 +300,9 @@ class TestSPARQLProtocol:
     """Content negotiation, GET /query, and the /batch route."""
 
     def test_select_json_results(self, endpoint):
-        response = endpoint.handle_query(
-            SELECT_NAMES, accept="application/sparql-results+json"
+        response = endpoint.handle(
+            "POST", "/query", {"Accept": "application/sparql-results+json"},
+            SELECT_NAMES,
         )
         assert response.status == 200
         assert response.content_type == "application/sparql-results+json"
@@ -313,16 +318,17 @@ class TestSPARQLProtocol:
         assert binding["type"] == "literal"
 
     def test_ask_json_results(self, endpoint):
-        response = endpoint.handle_query(
-            ASK_HERT, accept="application/sparql-results+json"
+        response = endpoint.handle(
+            "POST", "/query", {"Accept": "application/sparql-results+json"},
+            ASK_HERT,
         )
         import json
 
         assert json.loads(response.body) == {"head": {}, "boolean": True}
 
     def test_default_rendering_unchanged(self, endpoint):
-        assert endpoint.handle_query(ASK_HERT).body == "true"
-        assert "?n" in endpoint.handle_query(SELECT_NAMES).body
+        assert endpoint.handle("POST", "/query", body=ASK_HERT).body == "true"
+        assert "?n" in endpoint.handle("POST", "/query", body=SELECT_NAMES).body
 
     def test_query_json_over_http(self, endpoint):
         with endpoint:
@@ -369,26 +375,27 @@ class TestSPARQLProtocol:
 
     def test_batch_single_request_body(self, endpoint):
         """A plain sparql-update body (no JSON) is one batch."""
-        response = endpoint.handle_batch(UPDATE_OK)
+        response = endpoint.handle("POST", "/batch", body=UPDATE_OK)
         assert response.status == 200
         assert endpoint.mediator.db.get_row_by_pk("team", (4,)) is not None
 
     def test_batch_invalid_json(self, endpoint):
-        response = endpoint.handle_batch(
-            "{not json", content_type="application/json"
+        response = endpoint.handle(
+            "POST", "/batch", {"Content-Type": "application/json"}, "{not json"
         )
         assert response.status == 400
 
     def test_batch_non_list_json(self, endpoint):
-        response = endpoint.handle_batch(
-            '{"a": 1}', content_type="application/json"
+        response = endpoint.handle(
+            "POST", "/batch", {"Content-Type": "application/json"}, '{"a": 1}'
         )
         assert response.status == 400
 
     def test_update_with_placeholders_rejected_at_parse(self, endpoint):
         """The wire protocol has no bindings, so the submission's
         concreteness rule stays enforced over HTTP."""
-        response = endpoint.handle_update(
+        response = endpoint.handle(
+            "POST", "/update", {},
             'PREFIX foaf: <http://xmlns.com/foaf/0.1/> '
             'PREFIX ex: <http://example.org/db/> '
             'INSERT DATA { ex:team9 foaf:name ?name . }'
@@ -421,7 +428,7 @@ class TestXmlResults:
     XML_ACCEPT = "application/sparql-results+xml"
 
     def test_select_xml_results(self, endpoint):
-        response = endpoint.handle_query(SELECT_NAMES, accept=self.XML_ACCEPT)
+        response = endpoint.handle("POST", "/query", {"Accept": self.XML_ACCEPT}, SELECT_NAMES)
         assert response.status == 200
         assert response.content_type.startswith(self.XML_ACCEPT)
         import xml.etree.ElementTree as ET
@@ -437,20 +444,21 @@ class TestXmlResults:
         assert binding.get("name") == "n"
 
     def test_select_xml_streams(self, endpoint):
-        response = endpoint.handle_query(SELECT_NAMES, accept=self.XML_ACCEPT)
+        response = endpoint.handle("POST", "/query", {"Accept": self.XML_ACCEPT}, SELECT_NAMES)
         assert response.body_iter is not None  # chunked, not one string
 
     def test_select_xml_escapes_metacharacters(self, endpoint):
-        endpoint.handle_update(
+        endpoint.handle(
+            "POST", "/update", {},
             'PREFIX foaf: <http://xmlns.com/foaf/0.1/> '
             'PREFIX ex: <http://example.org/db/> '
             'INSERT DATA { ex:author7 foaf:firstName "A" ; '
             'foaf:family_name "<&\\"tags\\">" . }'
         )
-        response = endpoint.handle_query(
+        response = endpoint.handle(
+            "POST", "/query", {"Accept": self.XML_ACCEPT},
             'PREFIX foaf: <http://xmlns.com/foaf/0.1/> '
             'SELECT ?n WHERE { ?x foaf:family_name ?n . }',
-            accept=self.XML_ACCEPT,
         )
         import xml.etree.ElementTree as ET
 
@@ -463,7 +471,7 @@ class TestXmlResults:
         assert '<&"tags">' in texts
 
     def test_ask_xml_results(self, endpoint):
-        response = endpoint.handle_query(ASK_HERT, accept=self.XML_ACCEPT)
+        response = endpoint.handle("POST", "/query", {"Accept": self.XML_ACCEPT}, ASK_HERT)
         import xml.etree.ElementTree as ET
 
         root = ET.fromstring(response.body)
@@ -471,10 +479,11 @@ class TestXmlResults:
         assert root.find("s:boolean", ns).text == "true"
 
     def test_json_outranks_xml_when_both_accepted(self, endpoint):
-        response = endpoint.handle_query(
+        response = endpoint.handle(
+            "POST", "/query",
+            {"Accept": "application/sparql-results+xml, "
+                       "application/sparql-results+json"},
             SELECT_NAMES,
-            accept="application/sparql-results+xml, "
-            "application/sparql-results+json",
         )
         assert response.content_type == "application/sparql-results+json"
 
@@ -509,7 +518,7 @@ class TestCheckpointRoute:
     """POST /admin/checkpoint (ISSUE 5 durability admin action)."""
 
     def test_checkpoint_on_memory_database_is_409(self, endpoint):
-        response = endpoint.handle_checkpoint()
+        response = endpoint.handle("POST", "/admin/checkpoint")
         assert response.status == 409
         import json
 
@@ -525,8 +534,8 @@ class TestCheckpointRoute:
         db = Database(data_dir=str(tmp_path / "dd"))
         db.execute_script(PUBLICATION_DDL)
         endpoint = OntoAccessEndpoint(OntoAccess(db, build_mapping(db)))
-        endpoint.handle_update(UPDATE_OK)
-        response = endpoint.handle_checkpoint()
+        endpoint.handle("POST", "/update", body=UPDATE_OK)
+        response = endpoint.handle("POST", "/admin/checkpoint")
         assert response.status == 200
         path = json.loads(response.body)["checkpoint"]
         assert os.path.exists(path)

@@ -6,6 +6,7 @@ Deterministic by construction — run in CI with ``-p no:randomly``.
 """
 
 import http.client
+import io
 import json
 import socket
 import threading
@@ -15,7 +16,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from repro import OntoAccess
-from repro.errors import EndpointTransportError
+from repro.errors import (
+    EndpointTransportError,
+    FaultError,
+    MappingError,
+    RDFError,
+    SPARQLEvalError,
+)
 from repro.faults import INJECTOR
 from repro.server import OntoAccessClient, OntoAccessEndpoint, RetryPolicy
 from repro.workloads.calibration import (
@@ -355,11 +362,72 @@ class TestBodyAndNegotiation:
                 "both connections to be released",
             )
 
+    @pytest.mark.parametrize("path", ["/update", "/query", "/batch"])
+    def test_non_utf8_body_is_400_and_counted_once(self, small_endpoint, path):
+        """A body that is not UTF-8 used to kill the handler thread with a
+        UnicodeDecodeError: the peer saw a dropped connection and nothing
+        was counted.  It is outside input like a bad Content-Length: 400
+        ``bad-request`` JSON — and the body was read whole, so the same
+        connection serves the next request."""
+        with small_endpoint as endpoint:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", endpoint.port, timeout=10.0
+            )
+            try:
+                conn.request("POST", path, body=b"INSERT DATA { \xff\xfe }")
+                response = conn.getresponse()
+                document = json.loads(response.read())
+                assert response.status == 400
+                assert document["error"] == "bad-request"
+                assert "UTF-8" in document["message"]
+                conn.request("POST", "/query", body=SCAN_QUERY.encode())
+                second = conn.getresponse()
+                assert second.status == 200
+                assert "Hert" in second.read().decode()
+            finally:
+                conn.close()
+            assert endpoint.requests_served == 2
+            assert endpoint.errors_returned == 1
+
+    @pytest.mark.parametrize(
+        "request_head, status",
+        [
+            (b"GET /nope HTTP/1.1\r\n", 404),
+            (b"POST /nope HTTP/1.1\r\nContent-Length: 0\r\n", 404),
+            (b"POST /update HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", 411),
+            (b"POST /update HTTP/1.1\r\nContent-Length: abc\r\n", 400),
+            (b"POST /update HTTP/1.1\r\nContent-Length: -1\r\n", 400),
+            (b"POST /update HTTP/1.1\r\nContent-Length: 999999999\r\n", 413),
+        ],
+        ids=["get-404", "post-404", "chunked-411", "length-abc",
+             "length-negative", "too-large-413"],
+    )
+    def test_answers_before_dispatch_are_counted_once(
+        self, small_endpoint, request_head, status
+    ):
+        """Every response the endpoint sends is counted exactly once —
+        including the ones decided before a route runs (only the 413 was
+        counted before)."""
+        with small_endpoint as endpoint:
+            with socket.create_connection(
+                ("127.0.0.1", endpoint.port), timeout=5.0
+            ) as sock:
+                sock.sendall(
+                    request_head + b"Host: x\r\nConnection: close\r\n\r\n"
+                )
+                received = b""
+                while chunk := sock.recv(65536):
+                    received += chunk
+            assert received.startswith(b"HTTP/1.1 %d " % status), received
+            assert endpoint.requests_served == 1
+            assert endpoint.errors_returned == 1
+
     def test_unsupportable_accept_is_406_with_supported_list(
         self, small_endpoint
     ):
-        response = small_endpoint.handle_query(
-            SCAN_QUERY, accept="application/vnd.ms-excel"
+        response = small_endpoint.handle(
+            "POST", "/query", {"Accept": "application/vnd.ms-excel"},
+            SCAN_QUERY,
         )
         assert response.status == 406
         document = json.loads(response.body)
@@ -367,8 +435,9 @@ class TestBodyAndNegotiation:
         assert "application/sparql-results+json" in document["supported"]
 
     def test_wildcard_accept_still_selects_the_default(self, small_endpoint):
-        response = small_endpoint.handle_query(
-            SCAN_QUERY, accept="application/vnd.ms-excel, */*"
+        response = small_endpoint.handle(
+            "POST", "/query", {"Accept": "application/vnd.ms-excel, */*"},
+            SCAN_QUERY,
         )
         assert response.status == 200
 
@@ -474,6 +543,87 @@ class TestHealthAndReadiness:
                 assert client.health()["status"] == "degraded"
         finally:
             db.close()
+
+
+MODIFY_X_TO_Y = (
+    "PREFIX foaf: <http://xmlns.com/foaf/0.1/> "
+    'MODIFY DELETE { ?a foaf:family_name "x" } '
+    'INSERT { ?a foaf:family_name "y" } '
+    'WHERE { ?a foaf:family_name "x" }'
+)
+
+
+class TestRolledBackWrite:
+    """A write that fails for a reason no rejection rule claims used to be
+    re-raised out of the handler: a dropped connection, no access-log
+    line, no count — an ambiguous transport failure for a write that was
+    provably rolled back.  It is a complete 500 ``internal-error``."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            FaultError("boom"),
+            SPARQLEvalError("cannot evaluate"),
+            MappingError("no mapping"),
+            RDFError("bad term"),
+            RuntimeError("a bug"),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_failed_write_is_a_counted_logged_500(self, error):
+        db = build_database()
+        seed_feasibility_data(db)
+        for key in range(10, 15):
+            db.execute(
+                "INSERT INTO author (id, firstname, lastname) VALUES (?, ?, ?)",
+                (key, f"A{key}", "x"),
+            )
+        before = db.query("SELECT id, lastname FROM author ORDER BY id").rows
+        log = io.StringIO()
+        endpoint = OntoAccessEndpoint(
+            OntoAccess(db, build_mapping(db)), access_log=log
+        )
+        INJECTOR.inject("executor:scan", error=error)
+        with endpoint:
+            status, headers, body = _post(
+                endpoint.port, "/update", MODIFY_X_TO_Y,
+                headers={
+                    "Content-Type": "application/sparql-update",
+                    "X-Request-Id": "rolled-back",
+                },
+            )
+            assert status == 500
+            document = json.loads(body)
+            assert document["error"] == "internal-error"
+            assert type(error).__name__ in document["message"]
+            assert headers["X-Request-Id"] == "rolled-back"
+            assert endpoint.errors_returned == 1
+            # the client sees a failed write, not a transport error that
+            # a ReplicatedClient would have to treat as "maybe delivered"
+            client = OntoAccessClient(endpoint.url)
+            try:
+                feedback = client.update(MODIFY_X_TO_Y)
+            finally:
+                client.close()
+            assert feedback.ok is False
+            assert "internal-error" in feedback.message
+            assert endpoint.errors_returned == 2
+            # bookkeeping lands after the response is flushed: poll
+            _wait_for(
+                lambda: endpoint.serving_stats()["in_flight"] == 0,
+                "the admission slot to be released",
+            )
+            _wait_for(
+                lambda: len(log.getvalue().splitlines()) == 2,
+                "the access-log lines",
+            )
+        entries = [json.loads(line) for line in log.getvalue().splitlines()]
+        [entry] = [e for e in entries if e["request_id"] == "rolled-back"]
+        assert entry["op"] == "update"
+        assert entry["status"] == 500
+        # the database is unchanged: both writes were rolled back
+        INJECTOR.clear()
+        assert db.query("SELECT id, lastname FROM author ORDER BY id").rows == before
 
 
 def _unused_port() -> int:
