@@ -39,7 +39,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import (
     DatabaseError,
@@ -52,7 +52,6 @@ from ..errors import (
 from ..observability.tracing import annotate
 from ..rdb.engine import Database
 from ..rdf.graph import Graph
-from ..rdf.namespace import PrefixMap
 from ..r3m.model import DatabaseMapping
 from ..sparql.algebra import Solution
 from ..sparql.algebra_ast import GroupPattern
@@ -71,12 +70,7 @@ from .dump import dump_database
 from .feedback import confirmation_graph
 from .insert_data import translate_insert_data
 from .modify import bindings_for_pattern, plan_binding, plan_modify
-from .query import (
-    QueryOutcome,
-    execute_query,
-    outcome_from_solutions,
-    solve_pattern,
-)
+from .query import QueryOutcome, outcome_from_solutions, solve_pattern
 
 __all__ = [
     "Backend",
@@ -210,13 +204,11 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def query_outcome(
-        self,
-        q: Union[str, Query],
-        prefixes: Optional[PrefixMap] = None,
-        bindings: Optional[Solution] = None,
+        self, q: Query, bindings: Optional[Solution] = None
     ) -> QueryOutcome:
-        """Run a query; ``bindings`` are initial bindings of its WHERE
-        pattern (a prepared query's placeholders)."""
+        """Run a parsed query (texts are read by the session);
+        ``bindings`` are initial bindings of its WHERE pattern (a
+        prepared query's placeholders)."""
 
     def prepare_query(self, q: Query) -> "PreparedQueryPlan":
         return PreparedQueryPlan(self, q)
@@ -453,21 +445,9 @@ class RelationalBackend(Backend):
     # -- read path ------------------------------------------------------
 
     def query_outcome(
-        self,
-        q: Union[str, Query],
-        prefixes: Optional[PrefixMap] = None,
-        bindings: Optional[Solution] = None,
+        self, q: Query, bindings: Optional[Solution] = None
     ) -> QueryOutcome:
-        outcome = execute_query(
-            self.mapping,
-            self.db,
-            q,
-            prefixes=prefixes,
-            force_fallback=self.force_query_fallback,
-            bindings=bindings,
-        )
-        annotate(backend=self.name, used_sql=outcome.used_sql)
-        return outcome
+        return self.prepare_query(q).outcome(bindings)
 
     def prepare_query(self, q: Query) -> PreparedQueryPlan:
         return _PreparedRdbQuery(self, q)
@@ -660,10 +640,7 @@ class TripleStoreBackend(Backend):
             return cache[1]
 
     def query_outcome(
-        self,
-        q: Union[str, Query],
-        prefixes: Optional[PrefixMap] = None,
-        bindings: Optional[Solution] = None,
+        self, q: Query, bindings: Optional[Solution] = None
     ) -> QueryOutcome:
         if (
             self.store.graph.journaling()
@@ -675,7 +652,7 @@ class TripleStoreBackend(Backend):
             graph = self._committed_graph()
         from ..sparql.engine import query as native_query
 
-        result = native_query(graph, q, prefixes=prefixes, bindings=bindings)
+        result = native_query(graph, q, bindings=bindings)
         annotate(backend=self.name, used_sql=False)
         return QueryOutcome(result=result, used_sql=False)
 

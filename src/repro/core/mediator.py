@@ -24,11 +24,17 @@ Every SPARQL/Update operation executes inside one database transaction
 operation are executed within the context of one database transaction to
 ensure the atomicity of the SPARQL/Update operation", Section 5.1).
 
-Since ISSUE 2 the facade is a thin shim over the Session API: execution
-lives in :class:`~repro.core.backend.RelationalBackend` and transaction
-scope in :class:`~repro.core.session.Session`.  Call :meth:`OntoAccess.
-session` for the amortizing interface (prepared operations, batches,
-explicit transactions, alternative backends).
+The facade is a thin shim over the Session API: execution lives in
+:class:`~repro.core.backend.RelationalBackend`, transaction scope in
+:class:`~repro.core.session.Session`.  A request text is read as a shape
+plus values there, so :meth:`OntoAccess.update`, :meth:`OntoAccess.query`
+and :meth:`OntoAccess.translate` run the prepared path: the text is
+parsed — and a query's or MODIFY's WHERE translated — once per shape,
+while the SQL of every request still carries its own values
+(``result.sql()`` renders them inline, as in the paper's listings).
+Call :meth:`OntoAccess.session` for the rest of that interface (prepared
+operations with bindings, batches, explicit transactions, alternative
+backends).
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from ..r3m.model import DatabaseMapping
 from ..r3m.validator import validate_mapping
 from ..sparql.query_ast import Query
 from ..sparql.update_ast import UpdateRequest
-from ..sparql.update_parser import parse_update
 from ..sql import ast
 from ..sql.render import render
 from .backend import (
@@ -115,7 +120,7 @@ class OntoAccess:
 
     def session(self, backend: Optional[Backend] = None) -> Session:
         """A new :class:`Session` over this mediator's backend (or any
-        other backend), with its own prepared-operation cache."""
+        other backend), with its own map of request shapes."""
         return Session(backend if backend is not None else self._backend)
 
     # ------------------------------------------------------------------
@@ -153,13 +158,12 @@ class OntoAccess:
         prefixes: Optional[PrefixMap] = None,
     ) -> List[ast.Statement]:
         """Translate without executing (dry run against current state)."""
-        if isinstance(request, str):
-            request = parse_update(request, prefixes=prefixes)
+        operations = self._session._operations(request, prefixes)
         statements: List[ast.Bound] = []
         # Translation reads row data (current_row, link lookups), so it
         # must serialize with concurrent writers like every session entry.
         with self._session._lock:
-            for operation in request.operations:
+            for operation in operations:
                 statements.extend(self._backend.translate_operation(operation))
         return statements
 

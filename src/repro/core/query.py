@@ -7,10 +7,11 @@ evaluating over the RDB dump, so all of SPARQL keeps working (translation
 is an optimization, never a semantic restriction).
 
 That translate-or-dump decision is made in exactly one place,
-:func:`solve_pattern`.  One-shot queries (:func:`execute_query`), MODIFY's
+:func:`solve_pattern`.  A parsed query (:func:`execute_query`), MODIFY's
 WHERE (:func:`repro.core.modify.bindings_for_pattern`) and prepared
-operations (:class:`repro.core.backend.PreparedPattern`, which hands back
-the translation it kept for the template) are all callers of it: pattern
+operations — every text sent to a session is one — (:class:`repro.core.
+backend.PreparedPattern`, which hands back the translation it kept for
+the template) are all callers of it: pattern
 translation depends only on the mapping and the schema, never on row
 data — and, for a template, on what kind of term each placeholder is
 bound to, never on the term.

@@ -121,7 +121,6 @@ class TranslatedSelect:
     statement: ast.Bound
     sites: Dict[Variable, _BindingSite]
     post_filters: Tuple[alg.Expr, ...]
-    mapping: DatabaseMapping
     db: Database
     #: placeholder → kind of term it was bound to (all bindings given)
     kinds: Dict[Variable, type] = field(default_factory=dict)
@@ -262,6 +261,23 @@ def _link_object_key(
     return coerced[db.table(link.object_table()).primary_key[0]]
 
 
+#: Codes of :func:`~repro.core.common.term_to_sql_value` for a term that
+#: is no value of the column.
+_NO_VALUE = (TranslationError.FK_TARGET_MISSING, TranslationError.TYPE_MISMATCH)
+
+
+def _no_value(to_value: Binder, term: Term) -> None:
+    """Binder (a check) of a placeholder translated as a term its column
+    cannot hold: another such term fits, a value of the column does not."""
+    try:
+        to_value(term)
+    except TranslationError as exc:
+        if exc.code in _NO_VALUE:
+            return None
+        raise
+    raise UnsupportedPatternError(f"{term.n3()} is a value of its column")
+
+
 def _filter_constant(term: Term) -> Optional[Tuple[str, Any]]:
     """How a FILTER constant compares in SQL: ``("num", number)`` for a
     numeric literal, ``("str", text)`` for a plain one, None for a term
@@ -348,7 +364,6 @@ class SelectTranslator:
             statement=self.values.bind(select),
             sites=self.sites,
             post_filters=tuple(self.post_filters),
-            mapping=self.mapping,
             db=self.db,
             kinds=self.kinds,
             pinned=self.pinned,
@@ -579,18 +594,25 @@ class SelectTranslator:
             to_value = partial(
                 term_to_sql_value, self.mapping, self.db, table, attribute
             )
-            node.local_conditions.append(
-                ast.BinaryOp(
-                    "=",
-                    column_ref,
-                    self._param(
-                        to_value(term),
-                        placeholder,
-                        to_value,
-                        ("attribute", table.table_name, attribute.attribute_name),
-                    ),
+            try:
+                value = self._param(
+                    to_value(term),
+                    placeholder,
+                    to_value,
+                    ("attribute", table.table_name, attribute.attribute_name),
                 )
-            )
+            except TranslationError as exc:
+                if exc.code not in _NO_VALUE:
+                    raise
+                # A term the column cannot hold (an instance of another
+                # table, a literal where a key belongs) is in no row: no
+                # solution, as over the dump — ``= NULL`` matches none.
+                value = ast.Null()
+                if placeholder is not None:
+                    self.binders.append(
+                        (None, placeholder, partial(_no_value, to_value))
+                    )
+            node.local_conditions.append(ast.BinaryOp("=", column_ref, value))
 
     def _bind_object_variable(
         self,

@@ -1,20 +1,29 @@
 """Sessions and prepared operations: the amortizing public API.
 
-The facade path (``OntoAccess.update(sparql)``) re-parses and re-translates
-the full SPARQL string on every call, so per-request cost is dominated by
-the front of the pipeline.  A :class:`Session` — obtained from
-:meth:`OntoAccess.session() <repro.core.mediator.OntoAccess.session>` or
-built directly over any :class:`~repro.core.backend.Backend` — amortizes
-that cost across repeated operations:
+A :class:`Session` — obtained from :meth:`OntoAccess.session()
+<repro.core.mediator.OntoAccess.session>` or built directly over any
+:class:`~repro.core.backend.Backend` — runs every request text through
+one route: **a text is a shape plus values.**  One pass over its tokens
+(:meth:`~repro.sparql.parse_base.SPARQLParserBase.lift`) lifts the
+constants in term positions — subject and object IRIs, literals, numbers,
+FILTER and template constants, never predicates or classes — into a value
+vector and yields the shape's key.  The session keeps the parsed shape per
+key, a :class:`PreparedQuery` / :class:`PreparedUpdate` whose lifted
+positions are internal placeholders (:class:`~repro.rdf.terms.
+Placeholder`), so a request is that scan, the binding of its values and
+the prepared execution: ``OntoAccess.update(text)``, ``query(text)`` and
+the HTTP endpoint's ``/update``, ``/batch`` and ``/query`` parse and
+translate once per shape, not once per request.  The map is bounded (an
+open endpoint can be sent any number of shapes), least recently used
+first out.
 
-* :meth:`Session.prepare` parses once and returns a
-  :class:`PreparedUpdate` / :class:`PreparedQuery` whose ``execute()`` can
-  run many times.  Which of the two a text is follows from its grammar,
-  not from a guess: the prologue is read with the scanner both SPARQL
-  parsers are built on (:mod:`repro.rdf.scanner`) and the first keyword
-  behind it — SELECT / ASK / CONSTRUCT or INSERT / DELETE / MODIFY /
-  CLEAR — names the parser, which then parses the text once and reports
-  its own errors.
+* :meth:`Session.prepare` returns a :class:`PreparedUpdate` /
+  :class:`PreparedQuery` whose ``execute()`` can run many times.  Which
+  of the two a text is follows from its grammar, not from a guess: the
+  prologue is read with the scanner both SPARQL parsers are built on
+  (:mod:`repro.rdf.scanner`) and the first keyword behind it — SELECT /
+  ASK / CONSTRUCT or INSERT / DELETE / MODIFY / CLEAR — names the parser,
+  which reports its own errors.
 * Prepared templates may contain SPARQL variables as placeholders;
   ``execute(bindings={"name": ...})`` binds them at execute time (the
   prepared-statement idiom).  For a query, and for the WHERE of a MODIFY,
@@ -28,11 +37,11 @@ that cost across repeated operations:
   every binding set (a few µs) and translated again only for a binding
   of another kind (an author URI, then a publication URI, for the same
   placeholder), per mapping/schema version; per prepared **MODIFY** the
-  same for its WHERE.  The DML of an update is translated on every
-  execution — it reads row data — by the same routine every other
-  update entry point ends in.  Below that, the engine plans each
-  statement *shape* once: all bindings of a template, prepared or sent
-  as text, share one plan.
+  same for its WHERE.  The DML of an update — INSERT DATA / DELETE DATA
+  blocks included — is translated on every execution, because it reads
+  row data, by the same routine every other update entry point ends in.
+  Below that, the engine plans each statement *shape* once: all bindings
+  of a template, prepared or sent as text, share one plan.
 * :meth:`Session.execute_all` runs a multi-operation batch inside **one**
   database transaction — all-or-nothing, whereas the facade commits each
   operation separately per the paper's one-transaction-per-operation rule.
@@ -43,33 +52,45 @@ that cost across repeated operations:
   points (:meth:`query`, :meth:`query_outcome`, prepared queries) do not
   take it — they run against the backend's committed snapshot, so N
   reader threads proceed concurrently with each other and with at most
-  one writer.  The prepared-query cache is guarded by a separate lock
-  held only for dictionary access, never during execution.
+  one writer.  The shape map is guarded by a separate lock held only for
+  dictionary access, never during parsing or execution; the prepared
+  shapes themselves are shared lock-free.
 
-Semantics cannot drift from the unprepared path, because for updates
-there is no other path: :meth:`Session.execute`, :meth:`Session.
-execute_all`, :meth:`PreparedUpdate.execute` and the HTTP endpoint's
-``/update`` and ``/batch`` all hand concrete operations to one routine
-that owns the lock, the transaction scope and the call to
-``backend.execute_operation``.
+Semantics cannot drift between one-shot and prepared requests, because
+there is one path: :meth:`Session.execute`, :meth:`Session.execute_all`,
+:meth:`PreparedUpdate.execute` and the HTTP endpoint's ``/update`` and
+``/batch`` all hand concrete operations to one routine that owns the
+lock, the transaction scope and the call to ``backend.execute_operation``.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..deadline import deadline_scope
-from ..errors import TranslationError
-from ..observability.metrics import SESSION_OPS
+from ..errors import SPARQLParseError, TranslationError
+from ..observability.metrics import REQUEST_SHAPES, SESSION_OPS
 from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
-from ..rdf.terms import Literal, Term, Triple, Variable
+from ..rdf.terms import Literal, Placeholder, Term, Triple, Variable
 from ..sparql.algebra import Solution, substitute
 from ..sparql.query_ast import Query
-from ..sparql.parse_base import SPARQLParserBase
-from ..sparql.query_parser import QueryParser, parse_query
+from ..sparql.parse_base import Lifted, SPARQLParserBase
+from ..sparql.query_parser import QueryParser
 from ..sparql.update_ast import (
     DeleteData,
     InsertData,
@@ -77,7 +98,7 @@ from ..sparql.update_ast import (
     UpdateOperation,
     UpdateRequest,
 )
-from ..sparql.update_parser import UpdateParser, parse_update
+from ..sparql.update_parser import UpdateParser
 from .backend import Backend, PreparedModify, PreparedPattern, UpdateResult
 from .query import QueryOutcome
 
@@ -85,13 +106,21 @@ __all__ = ["PreparedQuery", "PreparedUpdate", "Session"]
 
 Bindings = Dict[str, Any]
 
-_PREPARED_CACHE_SIZE = 128
+#: Shapes a session keeps, least recently used first out.
+_SHAPES_KEPT = 128
+
+#: What a text is parsed as: a query, an update whose data blocks must
+#: be concrete, or an update template whose data blocks may hold the
+#: client's placeholders.  Part of a shape's key.
+_QUERY, _UPDATE, _TEMPLATE = "query", "update", "template"
 
 # Label children resolved once: the hot paths pay a sharded add, not a
 # dict lookup under the registry lock.
 _OPS_QUERY = SESSION_OPS.labels("query")
 _OPS_UPDATE = SESSION_OPS.labels("update")
 _OPS_BATCH = SESSION_OPS.labels("batch")
+_SHAPE_HIT = REQUEST_SHAPES.labels("hit")
+_SHAPE_MISS = REQUEST_SHAPES.labels("miss")
 
 
 def _as_term(value: Any) -> Term:
@@ -169,27 +198,45 @@ def _resolve_operation(
 # prepared operations
 # ---------------------------------------------------------------------------
 
-class PreparedUpdate:
+class _Prepared:
+    """What a prepared update and a prepared query share: a parsed shape
+    and the constants of the text it was prepared from."""
+
+    session: "Session"
+    #: the text this object was prepared from, if any
+    text: Optional[str] = None
+    #: that text's constants, by the placeholders they were lifted into
+    _values: Optional[Solution] = None
+
+    def _solution(self, bindings: Optional[Bindings]) -> Solution:
+        solution = _solution(bindings)
+        if self._values:
+            solution.update(self._values)
+        return solution
+
+    def _of(self, text: str, values: Solution) -> "_Prepared":
+        """This shape, prepared from ``text`` whose constants are
+        ``values``: what is kept per shape is shared, not copied."""
+        prepared = copy.copy(self)
+        prepared.text, prepared._values = text, values
+        return prepared
+
+
+class PreparedUpdate(_Prepared):
     """A parsed SPARQL/Update request, executable many times.
 
-    Parsing happened at :meth:`Session.prepare` time; each execution
-    substitutes the bindings and runs the concrete operations exactly
-    like :meth:`Session.execute` does.  What is amortized: the parse,
-    the translation of each MODIFY's WHERE template (kept here, one
+    Parsing happened once per shape; each execution substitutes the
+    bindings and runs the concrete operations exactly like
+    :meth:`Session.execute` does.  What is amortized: the parse, the
+    translation of each MODIFY's WHERE template (kept here, one
     :class:`~repro.core.backend.PreparedPattern` per MODIFY) and — since
     every execution produces the same statement shapes — the engine's
     plans.
     """
 
-    def __init__(
-        self,
-        session: "Session",
-        request: UpdateRequest,
-        text: Optional[str] = None,
-    ) -> None:
+    def __init__(self, session: "Session", request: UpdateRequest) -> None:
         self.session = session
         self.request = request
-        self.text = text
         self._where = [
             PreparedPattern(op.where) if isinstance(op, Modify) else None
             for op in request.operations
@@ -198,17 +245,19 @@ class PreparedUpdate:
     def execute(self, bindings: Optional[Bindings] = None) -> UpdateResult:
         """Execute the request; placeholders are substituted from
         ``bindings`` (variable name → RDF term or plain Python value)."""
-        solution = _solution(bindings)
         return self.session._run(
-            [
-                _resolve_operation(op, solution, where)
-                for op, where in zip(self.request.operations, self._where)
-            ],
-            atomic=False,
+            self._operations(self._solution(bindings)), atomic=False
         )
 
+    def _operations(self, solution: Solution) -> List[UpdateOperation]:
+        """The concrete operations under ``solution``."""
+        return [
+            _resolve_operation(op, solution, where)
+            for op, where in zip(self.request.operations, self._where)
+        ]
 
-class PreparedQuery:
+
+class PreparedQuery(_Prepared):
     """A parsed SPARQL query, executable many times.
 
     ``bindings`` are initial bindings of the WHERE pattern: a
@@ -220,15 +269,9 @@ class PreparedQuery:
     the values, runs the one statement shape, and decodes the rows.
     """
 
-    def __init__(
-        self,
-        session: "Session",
-        query: Query,
-        text: Optional[str] = None,
-    ) -> None:
+    def __init__(self, session: "Session", query: Query) -> None:
         self.session = session
         self.query = query
-        self.text = text
         self._plan = session.backend.prepare_query(query)
 
     def execute(self, bindings: Optional[Bindings] = None):
@@ -238,7 +281,19 @@ class PreparedQuery:
     def outcome(self, bindings: Optional[Bindings] = None) -> QueryOutcome:
         # Lock-free read path: execution runs against the backend's
         # committed snapshot; the plan object is shared by all threads.
-        return self._plan.outcome(_solution(bindings))
+        return self._plan.outcome(self._solution(bindings))
+
+
+class _Shape(NamedTuple):
+    """What a session keeps per shape key."""
+
+    prepared: Union[PreparedQuery, PreparedUpdate]
+    #: what the shape's prologue binds (with the caller's prefixes): the
+    #: texts of one key resolve their constants against it
+    prefixes: PrefixMap
+    base: str
+    #: slot -> the placeholder its constant was lifted into
+    placeholders: Tuple[Placeholder, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +301,7 @@ class PreparedQuery:
 # ---------------------------------------------------------------------------
 
 class Session:
-    """Owns transaction scope and a prepared-query cache over a backend.
+    """Owns transaction scope and the map of request shapes over a backend.
 
     Thread-safe with two lock tiers, both owned by the backend and shared
     by **all** sessions over it (transaction state lives in the backend,
@@ -256,8 +311,8 @@ class Session:
 
     * the reentrant **write-tier** lock serializes updates, batches, and
       transaction scope;
-    * the **cache lock** guards the prepared-query dictionaries and is
-      held only for lookups/insertions, never across execution.
+    * the **cache lock** guards the shape map and is held only for
+      lookups/insertions, never across parsing or execution.
 
     Queries take neither lock during execution: they run against the
     backend's committed snapshot, concurrent with each other and with at
@@ -270,20 +325,18 @@ class Session:
         # sessions over one backend serialize on the same instances.
         self._lock = backend._session_lock
         self._cache_lock = backend._cache_lock
-        #: query text -> prepared query, LRU
-        self._prepared: "OrderedDict[str, PreparedQuery]" = OrderedDict()
+        #: shape key -> what is kept for that shape, least recently used
+        #: first; touched under the cache lock only
+        self._shapes: "OrderedDict[Hashable, _Shape]" = OrderedDict()
 
     # -- preparing ------------------------------------------------------
 
     def prepare(
         self, sparql: str, prefixes: Optional[PrefixMap] = None
     ) -> Union[PreparedUpdate, PreparedQuery]:
-        """Parse once; returns a :class:`PreparedQuery` for SELECT / ASK /
-        CONSTRUCT text and a :class:`PreparedUpdate` for INSERT / DELETE /
-        MODIFY / CLEAR.  Prepared queries are cached by text, so repeated
-        ``prepare`` of the same query string is a dictionary hit; an
-        update is parsed per ``prepare`` — keep the returned object to
-        run it again.
+        """Returns a :class:`PreparedQuery` for SELECT / ASK / CONSTRUCT
+        text and a :class:`PreparedUpdate` for INSERT / DELETE / MODIFY /
+        CLEAR, parsed once per shape (see the module docstring).
 
         Routing follows the grammar: the prologue is read with the
         parsers' own scanner and the keyword behind it picks the parser,
@@ -306,7 +359,7 @@ class Session:
         prefixes: Optional[PrefixMap] = None,
         allow_placeholders: bool = True,
     ) -> PreparedUpdate:
-        """Parse an update once for repeated execution.
+        """Prepare an update for repeated execution.
 
         ``allow_placeholders=False`` re-enables the submission's
         concreteness rule for data blocks — the HTTP endpoint uses it,
@@ -314,19 +367,9 @@ class Session:
         """
         if isinstance(request, UpdateRequest):
             return PreparedUpdate(self, request)
-        # Not cached by text: no workload sends the same update text
-        # twice (every /update body names new data), so a cache here
-        # only cost each write an LRU insert and eviction under the
-        # cache lock.  Keep the returned object to execute it again.
-        return PreparedUpdate(
-            self,
-            parse_update(
-                request,
-                prefixes=prefixes,
-                allow_placeholders=allow_placeholders,
-            ),
-            text=request,
-        )
+        mode = _TEMPLATE if allow_placeholders else _UPDATE
+        prepared, values = self._shape(request, prefixes, mode)
+        return prepared._of(request, values)
 
     def prepare_query(
         self,
@@ -335,25 +378,89 @@ class Session:
     ) -> PreparedQuery:
         if not isinstance(query, str):
             return PreparedQuery(self, query)
-        if prefixes is None:
+        prepared, values = self._shape(query, prefixes, _QUERY)
+        return prepared._of(query, values)
+
+    # -- the route every request text takes -----------------------------
+
+    def _shape(
+        self, text: str, prefixes: Optional[PrefixMap], mode: str
+    ) -> Tuple[Union[PreparedQuery, PreparedUpdate], Solution]:
+        """The kept shape of ``text`` and the text's own constants: one
+        scan, one dictionary look-up, and a parse only for a shape not
+        kept yet (or a text that cannot be read as shape plus values)."""
+        reader = SPARQLParserBase(text, prefixes)
+        lifted = reader.lift()
+        if lifted is not None:
+            key = (
+                lifted.key,
+                mode,
+                None if prefixes is None else tuple(prefixes.items()),
+            )
             with self._cache_lock:
-                cached = self._prepared.get(query)
-                if cached is not None:
-                    self._prepared.move_to_end(query)
-                    return cached
-        prepared = PreparedQuery(
-            self, parse_query(query, prefixes=prefixes), text=query
-        )
-        if prefixes is not None:  # the text alone does not name the query
-            return prepared
-        with self._cache_lock:
-            # On a racing insert of the same text keep and return the
-            # first one, so all threads share one prepared object and
-            # its caches.
-            existing = self._prepared.setdefault(query, prepared)
-            if len(self._prepared) > _PREPARED_CACHE_SIZE:
-                self._prepared.popitem(last=False)
-            return existing
+                shape = self._shapes.get(key)
+                if shape is not None:
+                    self._shapes.move_to_end(key)
+            counter = _SHAPE_HIT
+            if shape is None:
+                counter = _SHAPE_MISS
+                shape = self._parse_shape(text, prefixes, mode, lifted)
+                if shape is not None:
+                    with self._cache_lock:
+                        # Racing parses of one new shape: all keep and
+                        # use the first, so they share its translations.
+                        shape = self._shapes.setdefault(key, shape)
+                        if len(self._shapes) > _SHAPES_KEPT:
+                            self._shapes.popitem(last=False)
+            if shape is not None:
+                values = reader.lifted_values(lifted, shape.prefixes, shape.base)
+                if values is not None:
+                    counter.inc()
+                    return shape.prepared, dict(zip(shape.placeholders, values))
+        _SHAPE_MISS.inc()
+        return self._parse(text, prefixes, mode)[0], {}
+
+    def _parse_shape(
+        self, text: str, prefixes: Optional[PrefixMap], mode: str, lifted: Lifted
+    ) -> Optional[_Shape]:
+        """Parse ``text`` with its lifted constants read as placeholders.
+        None when the parser does not read every one of them as a term
+        where it was lifted, or rejects the text (the caller parses it
+        again as written, so an error is the parser's own)."""
+        placeholders = tuple(Placeholder(slot) for slot in range(len(lifted.slots)))
+        at = {start: (end, placeholders[slot]) for start, end, slot in lifted.spans}
+        try:
+            prepared, parser = self._parse(text, prefixes, mode, at)
+        except SPARQLParseError:
+            return None
+        if len(parser.consumed) != len(at):
+            return None
+        return _Shape(prepared, parser.prefixes, parser.base, placeholders)
+
+    def _parse(
+        self,
+        text: str,
+        prefixes: Optional[PrefixMap],
+        mode: str,
+        lifted: Optional[Dict[int, Tuple[int, Placeholder]]] = None,
+    ) -> Tuple[Union[PreparedQuery, PreparedUpdate], SPARQLParserBase]:
+        if mode == _QUERY:
+            parser = QueryParser(text, prefixes=prefixes)
+            parser.lifted = lifted
+            return PreparedQuery(self, parser.query()), parser
+        parser = UpdateParser(text, prefixes=prefixes)
+        parser.allow_placeholders = mode == _TEMPLATE
+        parser.lifted = lifted
+        return PreparedUpdate(self, parser.request()), parser
+
+    def _operations(
+        self, request: Union[str, UpdateRequest], prefixes: Optional[PrefixMap]
+    ) -> Sequence[UpdateOperation]:
+        """The concrete operations of one request."""
+        if isinstance(request, UpdateRequest):
+            return request.operations
+        prepared, values = self._shape(request, prefixes, _UPDATE)
+        return prepared._operations(values)
 
     # -- write path -----------------------------------------------------
 
@@ -364,17 +471,14 @@ class Session:
     ) -> UpdateResult:
         """Execute a SPARQL/Update request.
 
-        This is the one-shot path: request strings are parsed per call
-        (the legacy facade behaviour); use :meth:`prepare` to parse once
-        for repeated executions.  Outside an explicit transaction each
-        operation runs in its own database transaction (the paper's
-        atomicity rule); inside one, all operations join the open
-        transaction.
+        A text runs as its shape with its own values (data blocks hold
+        no placeholders of the client's).  Outside an explicit
+        transaction each operation runs in its own database transaction
+        (the paper's atomicity rule); inside one, all operations join
+        the open transaction.
         """
         _OPS_UPDATE.inc()
-        if isinstance(request, str):
-            request = parse_update(request, prefixes=prefixes)
-        return self._run(request.operations, atomic=False)
+        return self._run(self._operations(request, prefixes), atomic=False)
 
     def execute_all(
         self,
@@ -389,9 +493,7 @@ class Session:
         _OPS_BATCH.inc()
         operations: List[UpdateOperation] = []
         for request in requests:
-            if isinstance(request, str):
-                request = parse_update(request, prefixes=prefixes)
-            operations.extend(request.operations)
+            operations.extend(self._operations(request, prefixes))
         return self._run(operations, atomic=True)
 
     # -- read path ------------------------------------------------------
@@ -424,12 +526,16 @@ class Session:
         _OPS_QUERY.inc()
         if timeout is not None:
             with deadline_scope(timeout):
-                if isinstance(q, str):
-                    return self.prepare_query(q, prefixes=prefixes).outcome()
-                return self.backend.query_outcome(q, prefixes=prefixes)
+                return self._outcome(q, prefixes)
+        return self._outcome(q, prefixes)
+
+    def _outcome(
+        self, q: Union[str, Query], prefixes: Optional[PrefixMap]
+    ) -> QueryOutcome:
         if isinstance(q, str):
-            return self.prepare_query(q, prefixes=prefixes).outcome()
-        return self.backend.query_outcome(q, prefixes=prefixes)
+            prepared, values = self._shape(q, prefixes, _QUERY)
+            return prepared._plan.outcome(values)
+        return self.backend.query_outcome(q)
 
     def dump(self) -> Graph:
         """Materialize the backend's state as RDF.

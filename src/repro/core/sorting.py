@@ -33,7 +33,8 @@ def sort_statements(
     """Return the statements in FK-dependency-safe execution order.
 
     The order depends on each statement's kind and table only, so a
-    bound statement is sorted by its shape."""
+    bound statement is sorted by its shape.  Deletes run children-first:
+    the parents-first order, reversed."""
     inserts, updates, deletes = [], [], []
     for statement in statements:
         shape = ast.shape_of(statement)
@@ -48,19 +49,24 @@ def sort_statements(
                 f"cannot sort statement of type {type(shape).__name__}"
             )
 
-    insert_order = topological_table_order(
-        [s.table for s in inserts], schema
-    )
-    delete_order = topological_table_order(
-        [s.table for s in deletes], schema
-    )
+    return [
+        *_sort_by_table(inserts, schema, children_first=False),
+        *updates,
+        *_sort_by_table(deletes, schema, children_first=True),
+    ]
 
-    sorted_inserts = _stable_sort_by_table(inserts, insert_order)
-    # deletes run children-first: reverse the parents-first order
-    sorted_deletes = _stable_sort_by_table(
-        deletes, list(reversed(delete_order))
+
+def _sort_by_table(statements: List, schema: Schema, children_first: bool) -> List:
+    """``statements`` in parents-first (or children-first) table order;
+    statements of one table keep their order — so do those of a single
+    table, which need no sort at all."""
+    tables = [s.table for s in statements]
+    if len(set(tables)) <= 1:
+        return statements
+    order = topological_table_order(tables, schema)
+    return _stable_sort_by_table(
+        statements, order[::-1] if children_first else order
     )
-    return [*sorted_inserts, *updates, *sorted_deletes]
 
 
 def topological_table_order(tables: Sequence[str], schema: Schema) -> List[str]:

@@ -447,6 +447,13 @@ SESSION_OPS = REGISTRY.counter(
     ("kind",),
 )
 
+#: Request texts that ran as a kept shape (hit) or were parsed (miss).
+REQUEST_SHAPES = REGISTRY.counter(
+    "repro_request_shapes_total",
+    "Request texts that ran as a kept parsed shape (hit) or were parsed (miss).",
+    ("outcome",),
+)
+
 #: Requests that crossed the slow-query threshold.
 SLOW_QUERIES = REGISTRY.counter(
     "repro_slow_queries_total",

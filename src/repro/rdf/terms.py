@@ -10,7 +10,9 @@ The model follows the RDF 1.0 abstract syntax used by the paper (2010-era):
   datatype URI.  Typed literals expose a converted Python value via
   :meth:`Literal.to_python`.
 * :class:`Variable` — a SPARQL query variable (``?x``); only valid inside
-  query/update templates, never in a concrete graph.
+  query/update templates, never in a concrete graph; a
+  :class:`Placeholder` is the variable a constant of a request text was
+  lifted into.
 * :class:`Triple` — an (s, p, o) statement.
 
 Design note: terms subclass ``str``-free plain objects rather than ``str``
@@ -31,6 +33,7 @@ __all__ = [
     "BNode",
     "Literal",
     "Variable",
+    "Placeholder",
     "Triple",
     "Subject",
     "Predicate",
@@ -321,6 +324,21 @@ class Variable(Term):
 
     def is_concrete(self) -> bool:
         return False
+
+
+class Placeholder(Variable):
+    """A constant lifted out of a request text: the variable standing for
+    the ``index``-th value of the request's value vector (see
+    :meth:`repro.sparql.parse_base.SPARQLParserBase.lift`).  Its name is
+    the index, which no SPARQL text can spell — a variable name starts
+    with a letter or ``_`` — so it never meets a client's variable."""
+
+    __slots__ = ()
+
+    def __init__(self, index: int) -> None:
+        name = str(index)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(("Variable", name)))
 
 
 Subject = Union[URIRef, BNode, Variable]

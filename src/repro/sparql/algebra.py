@@ -96,14 +96,11 @@ def match_bgp(graph: Graph, triples: Tuple[Triple, ...]) -> List[Solution]:
 
 
 def substitute(triple: Triple, solution: Solution) -> Triple:
-    """Replace bound variables in a triple pattern."""
-
-    def sub(term: Term) -> Term:
-        if isinstance(term, Variable):
-            return solution.get(term, term)
-        return term
-
-    return Triple(sub(triple.subject), sub(triple.predicate), sub(triple.object))
+    """Replace bound variables in a triple pattern (a solution's keys are
+    variables, so no other term is found in it)."""
+    term = solution.get
+    s, p, o = triple
+    return Triple(term(s, s), term(p, p), term(o, o))
 
 
 def instantiate(

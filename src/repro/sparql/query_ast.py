@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from ..rdf.terms import Triple, Variable
+from ..rdf.terms import Placeholder, Triple, Variable
 from .algebra_ast import Expr, GroupPattern
 
 __all__ = ["SelectQuery", "AskQuery", "ConstructQuery", "OrderCondition", "Query"]
@@ -21,7 +21,8 @@ class OrderCondition:
 class SelectQuery:
     """``SELECT [DISTINCT] ?v ... WHERE { ... }`` with solution modifiers.
 
-    ``variables`` empty means ``SELECT *`` (all pattern variables).
+    ``variables`` empty means ``SELECT *`` (all pattern variables but
+    the placeholders a request's constants were lifted into).
     """
 
     variables: Tuple[Variable, ...]
@@ -34,7 +35,10 @@ class SelectQuery:
     def projected(self) -> Tuple[Variable, ...]:
         if self.variables:
             return self.variables
-        return tuple(sorted(self.where.all_variables(), key=lambda v: v.name))
+        return tuple(sorted(
+            (v for v in self.where.all_variables() if not isinstance(v, Placeholder)),
+            key=lambda v: v.name,
+        ))
 
 
 @dataclass(frozen=True)

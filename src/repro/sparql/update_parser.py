@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..rdf.namespace import PrefixMap
-from ..rdf.terms import Triple
+from ..rdf.terms import Placeholder, Triple, Variable
 from .parse_base import SPARQLParserBase
 from .update_ast import (
     Clear,
@@ -140,7 +140,11 @@ class UpdateParser(SPARQLParserBase):
         self.expect("}")
         if not self.allow_placeholders:
             for triple in triples:
-                if not triple.is_concrete():
+                # a constant lifted out of the text is no client variable
+                if any(
+                    isinstance(term, Variable) and not isinstance(term, Placeholder)
+                    for term in triple
+                ):
                     raise self.error(
                         f"{operation} must not contain variables: {triple.n3()}"
                     )

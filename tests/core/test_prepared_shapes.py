@@ -8,16 +8,17 @@ binding served by a translation made for another kind of binding — so
 every shape below is executed with ≥ 30 seeded bindings that interleave
 the kinds translation branches on (an author URI, a publication URI, an
 unmapped URI, a number, a string for the same placeholder), and each
-execution is compared with two references that share none of the kept
-state:
+execution is compared with the one-shot text with the bindings
+substituted — same rows, or the same exception type and ``code``.  The
+one-shot side is itself the prepared path: the session reads a text as a
+shape plus values and keeps the shape's parse and translation.  So it is
+held to two references that share none of the kept state:
 
-* the one-shot execution of the text with the bindings substituted
-  (translated from scratch) — same rows, or the same exception type and
-  ``code``;
+* the parser and the translator run directly on the text
+  (``execute_query(mapping, db, parse_query(text))``);
 * where that answered, the reference evaluation over the RDF dump
-  (``force_fallback``).  (Where translation *raises* — an object URI of
-  the wrong table is a ``TranslationError``, as for updates — the dump
-  evaluation has no translation to fail and answers no rows.)
+  (``force_fallback``).  (Where translation *raises*, the dump evaluation
+  has no translation to fail and answers no rows.)
 
 The request texts are those of ``benchmarks/e2e/workloads.TEMPLATES``
 (copied: the benchmark is not imported) plus one shape per trap of
@@ -35,6 +36,8 @@ from repro import OntoAccess
 from repro.core.query import execute_query
 from repro.errors import ReproError
 from repro.rdf.terms import Literal, URIRef
+from repro.sparql.parse_base import SPARQLParserBase
+from repro.sparql.query_parser import QueryParser, parse_query
 from repro.workloads.generator import (
     WorkloadConfig,
     generate_dataset,
@@ -240,6 +243,11 @@ QUERY_SHAPES = {
             ]),
         },
     ),
+    # an object no row of the referenced table can hold answers no rows
+    "object_of_another_table": (
+        "SELECT ?a ?l WHERE { ?a ont:team ?team ; foaf:family_name ?l }",
+        {"team": one_of(team, team, publication, publisher, author, unmapped, word)},
+    ),
 }
 
 _PLACEHOLDER = re.compile(r"\?(\w+)")
@@ -300,16 +308,32 @@ def mediator():
     return make_mediator()
 
 
+@pytest.fixture
+def shape_parses(monkeypatch):
+    """Counts the parses of a text's shape (its constants lifted)."""
+    count = [0]
+    real = QueryParser.query
+
+    def counted(parser):
+        count[0] += parser.lifted is not None
+        return real(parser)
+
+    monkeypatch.setattr(QueryParser, "query", counted)
+    return count
+
+
 @pytest.mark.parametrize("shape", list(QUERY_SHAPES))
-def test_prepared_equals_oneshot_equals_reference(mediator, shape):
+def test_prepared_equals_oneshot_equals_reference(mediator, shape, shape_parses):
     template, generators = QUERY_SHAPES[shape]
     ordered = "LIMIT" in template
     prepared = mediator.session().prepare(PREFIXES + template)
     rng = random.Random(f"shapes:{shape}")
     answered = translated = 0
+    keys = set()
     for _ in range(BINDINGS_PER_SHAPE):
         bindings = draw(generators, rng)
         text = substituted(template, bindings)
+        keys.add(SPARQLParserBase(text).lift().key)
         outcome = []
         got = observed(
             lambda: outcome.append(prepared.outcome(bindings)) or outcome[0].result,
@@ -317,6 +341,12 @@ def test_prepared_equals_oneshot_equals_reference(mediator, shape):
         )
         oneshot = observed(lambda: mediator.query(text))
         assert same_answer(got, oneshot, ordered), (bindings, got[:2], oneshot[:2])
+        direct = observed(
+            lambda: execute_query(
+                mediator.mapping, mediator.db, parse_query(text)
+            ).result
+        )
+        assert same_answer(oneshot, direct, ordered), (bindings, text)
         if oneshot[0] == "rows":
             reference = observed(
                 lambda: execute_query(
@@ -335,6 +365,37 @@ def test_prepared_equals_oneshot_equals_reference(mediator, shape):
                         assert solution[var] == expected
     # the shape is exercised: some bindings select rows, some run as SQL
     assert answered >= 3 and translated >= 3, (answered, translated)
+    # ... and the one-shot texts ran as kept shapes: a parse per key (a
+    # constant in a key position — a predicate, a class — is one), and
+    # one for the template
+    assert shape_parses[0] <= len(keys) + 1 and len(keys) < BINDINGS_PER_SHAPE // 2
+
+
+def test_an_object_of_another_table_answers_no_rows(mediator):
+    """An object no row of the referenced table can hold — an instance
+    of another table, an unmapped IRI, a literal — is in no row: the
+    translated SELECT answers what the dump evaluation answers, nothing,
+    on the prepared and on the one-shot surface, without falling back to
+    the dump; a MODIFY with such a WHERE changes nothing."""
+    template = "SELECT ?a WHERE { ?a ont:team ?team }"
+    prepared = mediator.session().prepare(PREFIXES + template)
+    for team_of in (
+        uri("pub5"), uri("publisher2"), uri("author3"),
+        URIRef("http://elsewhere.example/x"), Literal("five"), uri("team1"),
+    ):
+        text = substituted(template, {"team": team_of})
+        reference = execute_query(
+            mediator.mapping, mediator.db, text, force_fallback=True
+        ).result
+        assert len(reference) > 0 if team_of == uri("team1") else not reference
+        for outcome in (prepared.outcome({"team": team_of}), mediator.query_outcome(text)):
+            assert outcome.used_sql, team_of
+            assert len(outcome.result) == len(reference), team_of
+    result = mediator.update(PREFIXES + (
+        "MODIFY DELETE { ?a foaf:mbox ?m } INSERT { ?a foaf:mbox <mailto:x@example.org> }"
+        " WHERE { ?a ont:team ex:pub5 ; foaf:mbox ?m }"
+    ))
+    assert result.rows_affected() == 0 and result.operations[0].used_sql_select
 
 
 # ---------------------------------------------------------------------------

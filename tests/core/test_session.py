@@ -138,15 +138,22 @@ class TestPrepare:
             assert keyword in str(exc.value)
         assert exc.value.line == len(PREFIXES.splitlines()) + 1  # the DESCRIBE line
 
-    def test_prepared_queries_are_cached_by_text(self, session):
-        assert session.prepare(QUERY_NAMES) is session.prepare(QUERY_NAMES)
+    def test_prepared_queries_share_their_shape(self, session):
+        """A text, and another that differs only in a constant, are one
+        shape: the parse and the kept translation are shared."""
+        first = session.prepare(QUERY_NAMES)
+        assert session.prepare(QUERY_NAMES)._plan is first._plan
+        by_subject = PREFIXES + "SELECT ?n WHERE { ex:author%d foaf:family_name ?n . }"
+        one, other = session.prepare(by_subject % 6), session.prepare(by_subject % 7)
+        assert one._plan is other._plan and one._plan is not first._plan
+        assert one.execute().rows() != other.execute().rows()
 
     def test_preparing_an_update_text_twice_gives_interchangeable_objects(
         self, session, mediator
     ):
-        """Update texts are parsed per ``prepare`` (no workload repeats
-        one); the two objects run the same operation against whatever
-        state they find, exactly like one object executed twice."""
+        """Both objects share the text's shape; they run the same
+        operation against whatever state they find, exactly like one
+        object executed twice."""
         first = session.prepare(INSERT_TEAM)
         second = session.prepare(INSERT_TEAM)
         assert first.execute().sql() == make_mediator().update(INSERT_TEAM).sql()
@@ -460,7 +467,7 @@ class TestPreparedTemplates:
         assert replace(10).rows_affected() == 0  # old10 is gone: no binding
 
     def test_shared_prepared_query_under_contending_threads(self, mediator):
-        """Reader threads share one prepared query (``Session._prepared``)
+        """Reader threads share one prepared query (one kept shape)
         and with it the kept-translation slot; bindings of two kinds make
         them replace it under each other's feet.  Every answer must still
         be its own binding's."""
@@ -826,21 +833,21 @@ class TestSessionThreadSafety:
     ):
         """Parsing happens before the write-tier lock is taken: a writer
         commits while another thread is still parsing its batch."""
-        import repro.core.session as session_module
+        from repro.sparql.update_parser import UpdateParser
 
         session = mediator.session()
         parsing = threading.Event()
         release = threading.Event()
-        real_parse = session_module.parse_update
+        real_parse = UpdateParser.request
         slow_text = PREFIXES + 'INSERT DATA { ex:team21 foaf:name "Slow" . }'
 
-        def blocking_parse(text, *args, **kwargs):
-            if text == slow_text:
+        def blocking_parse(parser):
+            if parser.text == slow_text:
                 parsing.set()
                 assert release.wait(10)
-            return real_parse(text, *args, **kwargs)
+            return real_parse(parser)
 
-        monkeypatch.setattr(session_module, "parse_update", blocking_parse)
+        monkeypatch.setattr(UpdateParser, "request", blocking_parse)
         batch = threading.Thread(target=session.execute_all, args=([slow_text],))
         batch.start()
         try:
