@@ -16,7 +16,7 @@ from .insert_data import translate_insert_data
 from .mediator import OntoAccess, OperationResult, UpdateResult
 from .modify import ModifyPlan, bindings_for_pattern, plan_binding, plan_modify
 from .query import QueryOutcome, execute_query
-from .select_translate import TranslatedSelect, translate_pattern
+from .select_translate import TranslatedSelect, translate_query
 from .session import PreparedQuery, PreparedUpdate, Session
 from .sorting import sort_statements, topological_table_order
 
@@ -49,5 +49,5 @@ __all__ = [
     "topological_table_order",
     "translate_delete_data",
     "translate_insert_data",
-    "translate_pattern",
+    "translate_query",
 ]

@@ -54,7 +54,6 @@ from ..rdb.engine import Database
 from ..rdf.graph import Graph
 from ..r3m.model import DatabaseMapping
 from ..sparql.algebra import Solution
-from ..sparql.algebra_ast import GroupPattern
 from ..sparql.query_ast import Query
 from ..sparql.update_ast import (
     Clear,
@@ -69,8 +68,8 @@ from .delete_data import translate_delete_data
 from .dump import dump_database
 from .feedback import confirmation_graph
 from .insert_data import translate_insert_data
-from .modify import bindings_for_pattern, plan_binding, plan_modify
-from .query import QueryOutcome, outcome_from_solutions, solve_pattern
+from .modify import plan_binding, plan_modify, where_query
+from .query import Answer, QueryOutcome, solve_query
 
 __all__ = [
     "Backend",
@@ -250,16 +249,18 @@ class PreparedQueryPlan:
 
 
 class PreparedPattern:
-    """A WHERE template and the one translation the relational backend
-    keeps for it — of a prepared query or a prepared MODIFY.
+    """A query — a prepared query, or the SELECT a prepared MODIFY's WHERE
+    becomes — and the one translation the relational backend keeps for
+    it.
 
     The SPARQL→SQL translation never depends on row data, and for a
     template it depends on the *kind* of term each placeholder is bound
     to, not on the term: so it is kept per (mapping, schema) version and
-    handed back to :func:`~repro.core.query.solve_pattern`, which binds
+    handed back to :func:`~repro.core.query.solve_query`, which binds
     it again (a few µs) and translates only when a binding does not fit
-    what was kept — that translation then takes the slot.  Executions
-    therefore share one statement shape, hence one plan.
+    what was kept — that translation then takes the slot, answer step
+    included.  Executions therefore share one statement shape, hence one
+    plan.
 
     Thread-safe without a lock (prepared queries are shared by reader
     threads): the slot is one atomically swapped tuple, so concurrent
@@ -267,26 +268,26 @@ class PreparedPattern:
     template (benign), and never observe a half-updated pair.
     """
 
-    __slots__ = ("pattern", "_kept")
+    __slots__ = ("query", "_kept")
 
-    def __init__(self, pattern: GroupPattern) -> None:
-        self.pattern = pattern
+    def __init__(self, query: Query) -> None:
+        self.query = query
         #: (version, translation — None when the template is known to be
         #: untranslatable with nothing bound); replaced wholesale.
         self._kept: Tuple[Any, Any] = (None, None)
 
     def solve(
         self, backend: "RelationalBackend", bindings: Optional[Solution]
-    ) -> Tuple[List[Solution], Optional[ast.Bound]]:
-        """The solutions under ``bindings`` and the SELECT that produced
-        them (None: evaluated over the dump)."""
+    ) -> Tuple[Answer, Optional[ast.Bound]]:
+        """The answer under ``bindings`` and the SELECT that produced it
+        (None: evaluated over the dump)."""
         current = backend.query_state_version()
         version, kept = self._kept
         known = version == current
-        solutions, statement, translated = solve_pattern(
+        answer, statement, translated = solve_query(
             backend.mapping,
             backend.db,
-            self.pattern,
+            self.query,
             # Known-untranslatable: go straight to the dump evaluation
             # instead of re-attempting translation.
             force_fallback=backend.force_query_fallback
@@ -302,7 +303,7 @@ class PreparedPattern:
             and (translated is not None or not bindings)
         ):
             self._kept = (current, translated)
-        return solutions, statement
+        return answer, statement
 
 
 @dataclass(frozen=True)
@@ -393,21 +394,15 @@ class RelationalBackend(Backend):
     def _execute_modify(self, operation: Modify) -> OperationResult:
         """Algorithm 2: evaluate WHERE, then per binding translate and
         execute the DELETE DATA / INSERT DATA pair (lines 7–13)."""
-        if isinstance(operation, PreparedModify):
-            solutions, select = operation.template.solve(
-                self, operation.bindings
-            )
-            used_sql = select is not None
-        else:
-            solutions, used_sql, _ = bindings_for_pattern(
-                self.mapping,
-                self.db,
-                operation.where,
-                force_fallback=self.force_query_fallback,
-                bindings=operation.bindings,
-            )
+        where = operation.template if isinstance(operation, PreparedModify) else None
+        if where is None:
+            where = PreparedPattern(where_query(operation))
+        answer, select = where.solve(self, operation.bindings)
+        solutions = answer.solutions
         result = OperationResult(
-            kind="modify", bindings=len(solutions), used_sql_select=used_sql
+            kind="modify",
+            bindings=len(solutions),
+            used_sql_select=select is not None,
         )
         for solution in solutions:
             # Re-plan against the current state: earlier bindings may
@@ -495,20 +490,21 @@ class RelationalBackend(Backend):
 
 
 class _PreparedRdbQuery(PreparedQueryPlan):
-    """Prepared relational query: its WHERE is a :class:`PreparedPattern`,
-    so an execution is bind → ``db.execute(shape + values)`` → decode."""
+    """Prepared relational query: a :class:`PreparedPattern`, so an
+    execution is bind → ``db.execute(shape + values)`` → answer step."""
 
     __slots__ = ("_where",)
 
     def __init__(self, backend: RelationalBackend, query: Query) -> None:
         super().__init__(backend, query)
-        self._where = PreparedPattern(query.where)
+        self._where = PreparedPattern(query)
 
     def outcome(self, bindings: Optional[Solution] = None) -> QueryOutcome:
         backend = self.backend
-        solutions, statement = self._where.solve(backend, bindings)
-        annotate(backend=backend.name, used_sql=statement is not None)
-        return outcome_from_solutions(self.query, solutions, statement)
+        answer, statement = self._where.solve(backend, bindings)
+        used_sql = statement is not None
+        annotate(backend=backend.name, used_sql=used_sql)
+        return QueryOutcome(answer, used_sql, statement)
 
 
 # ---------------------------------------------------------------------------

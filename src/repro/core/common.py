@@ -44,6 +44,7 @@ from ..rdf.terms import (
     Term,
     Triple,
     URIRef,
+    double_lexical,
 )
 from ..r3m.model import AttributeMapping, DatabaseMapping, LinkTableMapping, TableMapping
 from ..sql import ast
@@ -474,33 +475,37 @@ def sql_value_to_term(
     return literal_for_column(column.sql_type, value)
 
 
+_literal = Literal.canonical
+
+
 def _integer_literal(value: Any) -> Literal:
-    return Literal(str(int(value)), datatype=XSD_INTEGER)
+    return _literal(str(int(value)), XSD_INTEGER)
 
 
 def _float_literal(value: Any) -> Literal:
-    return Literal(repr(float(value)), datatype=XSD_DOUBLE)
+    return _literal(double_lexical(float(value)), XSD_DOUBLE)
 
 
 def _boolean_literal(value: Any) -> Literal:
-    return Literal("true" if value else "false", datatype=XSD_BOOLEAN)
+    return _literal("true" if value else "false", XSD_BOOLEAN)
 
 
 def _date_literal(value: Any) -> Literal:
     text = str(value)
-    return Literal(
-        text, datatype=XSD_DATETIME if ("T" in text or " " in text) else XSD_DATE
+    return _literal(
+        text, XSD_DATETIME if ("T" in text or " " in text) else XSD_DATE
     )
 
 
 def _plain_literal(value: Any) -> Literal:
-    return Literal(str(value))
+    return _literal(str(value))
 
 
 def literal_decoder(sql_type: SQLType) -> Callable[[Any], Literal]:
     """The canonical literal form of a column type's values, as a
     function of the value alone: a caller that decodes many values of
-    one column looks at the type here, once, not once per value."""
+    one column looks at the type here, once, not once per value.  The
+    dump and a translated query's answer step both decode through it."""
     if isinstance(sql_type, IntegerType):
         return _integer_literal
     if isinstance(sql_type, FloatType):

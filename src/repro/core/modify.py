@@ -3,10 +3,11 @@
 Steps, mirroring the paper exactly:
 
 1. split the MODIFY into DELETE template, INSERT template, WHERE pattern;
-2. build a SELECT from the WHERE pattern and translate it to SQL
+2. build a SELECT from the WHERE pattern (:func:`where_query`: it
+   projects what the templates read) and translate it to SQL
    (:mod:`repro.core.select_translate`); when the pattern falls outside
    the translatable fragment, evaluate it against the RDB dump instead
-   (the one place that decides is :func:`repro.core.query.solve_pattern`);
+   (the one place that decides is :func:`repro.core.query.solve_query`);
 3. for each result binding, instantiate one DELETE DATA and one INSERT
    DATA operation from the templates;
 4. translate and execute them via Algorithm 1, interleaved per binding in
@@ -27,17 +28,25 @@ from typing import List, Optional, Tuple
 
 from ..rdb.engine import Database
 from ..rdf.namespace import RDF
-from ..rdf.terms import Triple
+from ..rdf.terms import Triple, Variable
 from ..r3m.model import DatabaseMapping
-from ..sparql.algebra import Solution, instantiate
+from ..sparql.algebra import Solution, initial_solution, instantiate
+from ..sparql.algebra_ast import GroupPattern
+from ..sparql.query_ast import SelectQuery
 from ..sparql.update_ast import Modify
 from ..sql import ast
 from ..sql.render import render
 from .delete_data import translate_delete_data
 from .insert_data import translate_insert_data
-from .query import solve_pattern
+from .query import solve_query
 
-__all__ = ["ModifyPlan", "BindingStep", "plan_modify", "bindings_for_pattern"]
+__all__ = [
+    "ModifyPlan",
+    "BindingStep",
+    "plan_modify",
+    "bindings_for_pattern",
+    "where_query",
+]
 
 
 @dataclass
@@ -71,23 +80,41 @@ class ModifyPlan:
         return [s for step in self.steps for s in step.all_statements()]
 
 
+def where_query(operation: Modify) -> SelectQuery:
+    """Algorithm 2's SELECT: "The WHERE part is used to create a SPARQL
+    SELECT query that retrieves the data needed for the DELETE and INSERT
+    templates" — it projects the variables the templates read."""
+    templates = operation.delete_template + operation.insert_template
+    return SelectQuery(
+        _sorted({v for triple in templates for v in triple.variables()}),
+        operation.where,
+    )
+
+
 def bindings_for_pattern(
     mapping: DatabaseMapping,
     db: Database,
-    pattern,
+    pattern: GroupPattern,
     force_fallback: bool = False,
     bindings: Optional[Solution] = None,
 ) -> Tuple[List[Solution], bool, Optional[ast.Bound]]:
-    """Evaluate a WHERE pattern on the RDB (under ``bindings``, if any).
+    """Evaluate a WHERE pattern on the RDB (under ``bindings``, if any):
+    every solution binds every variable it can.
 
     Returns (solutions, used_sql_translation, translated SELECT — render
     it for the SQL text); how the pattern is evaluated is
-    :func:`repro.core.query.solve_pattern`'s decision.
+    :func:`repro.core.query.solve_query`'s decision.
     """
-    solutions, select, _ = solve_pattern(
-        mapping, db, pattern, force_fallback=force_fallback, bindings=bindings
+    every = pattern.all_variables() | set(initial_solution(bindings))
+    result, select, _ = solve_query(
+        mapping, db, SelectQuery(_sorted(every), pattern),
+        force_fallback=force_fallback, bindings=bindings,
     )
-    return solutions, select is not None, select
+    return result.solutions, select is not None, select
+
+
+def _sorted(variables) -> Tuple[Variable, ...]:
+    return tuple(sorted(variables, key=lambda v: v.name))
 
 
 def plan_modify(
@@ -105,10 +132,10 @@ def plan_modify(
     path re-plans each binding after executing the previous one, matching
     the paper's loop exactly (see ``OntoAccess.update``).
     """
-    solutions, used_sql, select = bindings_for_pattern(
+    result, select, _ = solve_query(
         mapping,
         db,
-        operation.where,
+        where_query(operation),
         force_fallback=force_fallback,
         bindings=operation.bindings,
     )
@@ -120,9 +147,11 @@ def plan_modify(
             solution,
             optimize_redundant_deletes=optimize_redundant_deletes,
         )
-        for solution in solutions
+        for solution in result.solutions
     ]
-    return ModifyPlan(steps=steps, used_sql_select=used_sql, select=select)
+    return ModifyPlan(
+        steps=steps, used_sql_select=select is not None, select=select
+    )
 
 
 def plan_binding(

@@ -1,18 +1,20 @@
 """SPARQL queries over the relational database (the read path).
 
 The paper's prototype had query support "under development" (Section 6);
-this module completes it.  WHERE patterns inside the translatable fragment
-run as a single translated SQL statement; everything else falls back to
-evaluating over the RDB dump, so all of SPARQL keeps working (translation
-is an optimization, never a semantic restriction).
+this module completes it.  Queries whose WHERE pattern is inside the
+translatable fragment run as a single translated SQL statement — with the
+solution modifiers SQL applies as SPARQL does, and an answer step that
+turns the surviving rows into the query's solutions once; everything else
+falls back to evaluating over the RDB dump, so all of SPARQL keeps working
+(translation is an optimization, never a semantic restriction).
 
 That translate-or-dump decision is made in exactly one place,
-:func:`solve_pattern`.  A parsed query (:func:`execute_query`), MODIFY's
-WHERE (:func:`repro.core.modify.bindings_for_pattern`) and prepared
-operations — every text sent to a session is one — (:class:`repro.core.
-backend.PreparedPattern`, which hands back the translation it kept for
-the template) are all callers of it: pattern
-translation depends only on the mapping and the schema, never on row
+:func:`solve_query`.  A parsed query (:func:`execute_query`), MODIFY's
+WHERE (the SELECT Algorithm 2 builds from it, :func:`repro.core.modify.
+where_query`) and prepared operations — every text sent to a session is
+one — (:class:`repro.core.backend.PreparedPattern`, which hands back the
+translation it kept for the template) are all callers of it: translation
+depends only on the query, the mapping and the schema, never on row
 data — and, for a template, on what kind of term each placeholder is
 bound to, never on the term.
 """
@@ -20,7 +22,7 @@ bound to, never on the term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..errors import UnsupportedPatternError
 from ..rdb.engine import Database
@@ -28,49 +30,51 @@ from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
 from ..r3m.model import DatabaseMapping
 from ..sparql.algebra import Solution, evaluate_pattern
-from ..sparql.algebra_ast import GroupPattern
 from ..sparql.engine import SelectResult, shape_result
 from ..sparql.query_ast import Query
 from ..sparql.query_parser import parse_query
 from ..sql import ast
 from ..sql.render import render
 from .dump import dump_database
-from .select_translate import TranslatedSelect, translate_pattern
+from .select_translate import TranslatedSelect, translate_query
 
 __all__ = [
     "QueryOutcome",
     "execute_query",
-    "outcome_from_solutions",
-    "solve_pattern",
+    "solve_query",
 ]
+
+#: What a query answers: SELECT solutions, an ASK's truth, a CONSTRUCT graph.
+Answer = Union[SelectResult, bool, Graph]
 
 
 @dataclass
 class QueryOutcome:
     """A query result plus how it was obtained (for benchmarks/tests)."""
 
-    result: Union[SelectResult, bool, Graph]
+    result: Answer
     used_sql: bool
     #: the translated SELECT that produced the result (None: dump path)
     statement: Optional[ast.Bound] = None
 
     @property
     def select_sql(self) -> Optional[str]:
-        """The SQL text of :attr:`statement`, rendered when read."""
+        """The SQL text of :attr:`statement`, rendered when read — with
+        the ``ORDER BY`` / ``LIMIT`` / ``OFFSET`` that went into it."""
         return None if self.statement is None else render(self.statement)
 
 
-def solve_pattern(
+def solve_query(
     mapping: DatabaseMapping,
     db: Database,
-    pattern: GroupPattern,
+    query: Query,
     force_fallback: bool = False,
     bindings: Optional[Solution] = None,
     kept: Optional[TranslatedSelect] = None,
-) -> Tuple[List[Solution], Optional[ast.Bound], Optional[TranslatedSelect]]:
-    """Evaluate a WHERE pattern on the RDB.
+) -> Tuple[Answer, Optional[ast.Bound], Optional[TranslatedSelect]]:
+    """Answer a query on the RDB.
 
-    Returns the solutions, the SQL statement that produced them and its
+    Returns the answer, the SQL statement that produced it and its
     translation — or None for both when the pattern was evaluated
     natively over the RDF dump, because it falls outside the translatable
     fragment or ``force_fallback`` asked for the reference evaluation.
@@ -78,9 +82,9 @@ def solve_pattern(
     ``bindings`` are initial bindings: the pattern is a template whose
     bound variables read as the terms given, and every solution extends
     them.  A caller that kept the translation of an earlier call for the
-    same template, mapping and schema passes it back as ``kept``; it is
+    same query, mapping and schema passes it back as ``kept``; it is
     bound again instead of translating, unless these bindings are of
-    another kind than the ones it was made for — then the pattern is
+    another kind than the ones it was made for — then the query is
     translated with them, as if nothing had been kept.
     """
     statement = translated = None
@@ -95,27 +99,14 @@ def solve_pattern(
                 # mutation, so translation (pure schema/mapping reads, on
                 # the lock-free read tier) never sees a half-applied change.
                 with db.planner.lock:
-                    translated = translate_pattern(mapping, db, pattern, bindings)
+                    translated = translate_query(mapping, db, query, bindings)
                 statement = translated.statement
             except UnsupportedPatternError:
                 pass
     if translated is not None:
         return translated.execute(statement, bindings), statement, translated
-    solutions = evaluate_pattern(dump_database(mapping, db), pattern, bindings)
-    return solutions, None, None
-
-
-def outcome_from_solutions(
-    q: Query,
-    solutions: List[Solution],
-    statement: Optional[ast.Bound] = None,
-) -> QueryOutcome:
-    """Shape :func:`solve_pattern`'s answer into the query form's result."""
-    return QueryOutcome(
-        result=shape_result(q, solutions),
-        used_sql=statement is not None,
-        statement=statement,
-    )
+    solutions = evaluate_pattern(dump_database(mapping, db), query.where, bindings)
+    return shape_result(query, solutions), None, None
 
 
 def execute_query(
@@ -129,7 +120,7 @@ def execute_query(
     """Run a SPARQL query against the mapped database."""
     if isinstance(q, str):
         q = parse_query(q, prefixes=prefixes)
-    solutions, statement, _ = solve_pattern(
-        mapping, db, q.where, force_fallback=force_fallback, bindings=bindings
+    result, statement, _ = solve_query(
+        mapping, db, q, force_fallback=force_fallback, bindings=bindings
     )
-    return outcome_from_solutions(q, solutions, statement)
+    return QueryOutcome(result, statement is not None, statement)

@@ -1,4 +1,4 @@
-"""SPARQL SELECT → SQL SELECT translation over an R3M mapping.
+"""SPARQL query → SQL SELECT translation over an R3M mapping.
 
 Algorithm 2 (MODIFY) needs its WHERE clause evaluated against the
 relational data: "The WHERE part is used to create a SPARQL SELECT query
@@ -7,7 +7,9 @@ translated to SQL and evaluated on the relational data."  This module
 implements that translation for the fragment the mapping approach admits
 (Angles & Gutierrez's expressivity result guarantees the full language is
 translatable in principle; OntoAccess translates the mapped fragment and
-the mediator falls back to dump-based evaluation for the rest).
+the mediator falls back to dump-based evaluation for the rest).  What is
+translated is a whole query — its pattern, its form and projection, and
+its solution modifiers — because the rows are turned into answers once.
 
 Translatable fragment:
 
@@ -16,13 +18,30 @@ Translatable fragment:
 * data- and object-property triples, including joins through foreign keys
   and N:M link tables;
 * ``OPTIONAL`` groups of property triples over already-bound subjects;
-* ``FILTER`` comparisons pushed into SQL where possible; all residual
-  filters are applied to the decoded bindings afterwards, so filter
-  semantics never restrict the fragment.
+* ``FILTER`` comparisons pushed into SQL where SQL compares as SPARQL
+  does; all residual filters are applied to the decoded bindings
+  afterwards, so filter semantics never restrict the fragment;
+* ``ORDER BY`` / ``LIMIT`` / ``OFFSET`` pushed into SQL where SQL orders
+  as SPARQL does (the rule is stated at :meth:`SelectTranslator.
+  _order_item`); what is left — a key SQL would order otherwise, DISTINCT,
+  a LIMIT behind a residual filter — is applied to the solutions by
+  :func:`~repro.sparql.engine.apply_select_modifiers`, the modifiers'
+  residue as ``post_filters`` are the FILTER residue.
 
 Everything else (UNION, variable predicates, unmappable subjects) raises
 :class:`~repro.errors.UnsupportedPatternError`; callers fall back to
 evaluating against :func:`repro.core.dump.dump_database`.
+
+**The answer step.**  A translation carries one function, generated once
+with the plan emitter's :class:`~repro.rdb.expressions.Source`, that maps
+the statement's rows straight to the query's solutions: per row one dict
+of a SELECT's projected variables — for a MODIFY, the variables its
+templates use (:func:`repro.core.modify.where_query`) —, each minted from
+its column value — an instance URI as pattern prefix + value + suffix, a
+literal from its canonical lexical form — or, for a placeholder, the term
+it is bound to.  When every modifier went into the SQL those dicts are the
+answer; where a filter or modifier is left to Python, or for a CONSTRUCT,
+they hold every variable bound, and the residue is applied to them.
 
 **Shape and values.**  What comes out is a statement *shape* and a value
 vector (:class:`repro.sql.ast.Bound`): every key or constant of the
@@ -52,6 +71,7 @@ what translation branched on, never the values themselves.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
@@ -65,11 +85,14 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..errors import TranslationError, UnsupportedPatternError
 from ..rdb.engine import Database
+from ..rdb.expressions import Function, ScopeLayout, Source
 from ..rdb.types import FloatType, IntegerType, StringType
+from ..rdf.graph import Graph
 from ..rdf.namespace import RDF
 from ..rdf.terms import XSD_STRING, BNode, Literal, Term, Triple, URIRef, Variable
 from ..r3m.model import (
@@ -80,7 +103,9 @@ from ..r3m.model import (
 )
 from ..sparql import algebra_ast as alg
 from ..sparql.algebra import Solution, initial_solution
+from ..sparql.engine import SelectResult, shape_result
 from ..sparql.expressions import filter_accepts
+from ..sparql.query_ast import AskQuery, OrderCondition, Query, SelectQuery
 from ..sql import ast
 from .common import (
     EntityRef,
@@ -91,11 +116,15 @@ from .common import (
     term_to_sql_value,
 )
 
-__all__ = ["TranslatedSelect", "translate_pattern", "SelectTranslator"]
+__all__ = ["TranslatedSelect", "translate_query", "SelectTranslator"]
 
 #: Term bound to a placeholder → the value at its place in the vector;
 #: raises :class:`TranslationError` for a term it was not made for.
 Binder = Callable[[Term], Any]
+
+#: The answer step: (the statement's rows, the bindings it was bound
+#: with) → solutions.
+AnswerStep = Callable[[Sequence[Tuple[Any, ...]], Solution], List[Solution]]
 
 
 @dataclass
@@ -109,19 +138,25 @@ class _BindingSite:
     select_index: int = -1
     #: lexical transform for URI-valued data attributes (foaf:mbox)
     value_pattern: Optional[object] = None
+    #: the column may be NULL in a row (OPTIONAL left the variable unbound)
+    nullable: bool = False
 
 
 @dataclass
 class TranslatedSelect:
-    """A translated pattern: the SQL statement, the recipe to decode its
-    rows to bindings, and — when the pattern is a template — the recipe
-    to bind it again."""
+    """A translated query: the SQL statement, the step that turns its
+    rows into solutions, and — when the pattern is a template — the
+    recipe to bind it again."""
 
     #: shape + the values of the binding it was translated from
     statement: ast.Bound
-    sites: Dict[Variable, _BindingSite]
-    post_filters: Tuple[alg.Expr, ...]
     db: Database
+    answer: AnswerStep
+    #: the query whose form and solution modifiers still apply to what
+    #: ``answer`` returns; None: those are the SELECT's solutions
+    residual: Optional[Query]
+    #: the SELECT's projection (``residual`` None)
+    variables: Tuple[Variable, ...] = ()
     #: placeholder → kind of term it was bound to (all bindings given)
     kinds: Dict[Variable, type] = field(default_factory=dict)
     #: placeholders whose whole value shaped the statement
@@ -129,9 +164,6 @@ class TranslatedSelect:
     #: (position in the value vector — None: a check only —,
     #: placeholder, binder)
     binders: Tuple[Tuple[Optional[int], Variable, Binder], ...] = ()
-    #: per-variable (index, decoder) pairs, built once on first execute so
-    #: row decoding does no catalog lookups in the per-row loop
-    _decoders: Optional[List[Tuple[Variable, int, Any]]] = None
 
     def bind(self, bindings: Solution) -> Optional[ast.Bound]:
         """The statement for ``bindings``, or None when translating with
@@ -160,64 +192,30 @@ class TranslatedSelect:
 
     def execute(
         self, statement: ast.Bound, bindings: Optional[Solution] = None
-    ) -> List[Solution]:
-        """Run ``statement`` (this translation, bound) and decode rows
-        into SPARQL solutions.  ``bindings`` seed every solution, so a
-        placeholder is bound in the result, and a filter left to Python
-        reads it like any other variable."""
-        result = self.db.execute(statement)
-        decoders = self._site_decoders()
-        post_filters = self.post_filters
-        seed = initial_solution(bindings)
-        solutions: List[Solution] = []
-        for row in result.rows:
-            solution: Solution = dict(seed)
-            for var, index, decode in decoders:
-                value = row[index]
-                if value is None:
-                    continue  # OPTIONAL left the variable unbound
-                solution[var] = decode(value)
-            if all(filter_accepts(f, solution) for f in post_filters):
-                solutions.append(solution)
-        return solutions
-
-    def _site_decoders(self) -> List[Tuple[Variable, int, Any]]:
-        if self._decoders is None:
-            decoders: List[Tuple[Variable, int, Any]] = []
-            for var, site in self.sites.items():
-                decoders.append(
-                    (var, site.select_index, self._decoder_for(site))
-                )
-            self._decoders = decoders
-        return self._decoders
-
-    def _decoder_for(self, site: _BindingSite):
-        if site.kind == "data":
-            if site.value_pattern is not None:
-                pattern = site.value_pattern
-                attribute = pattern.attributes[0]
-                return lambda value: pattern.format({attribute: value})
-            return literal_decoder(
-                self.db.table(site.table.table_name).column(site.column).sql_type
-            )
-        # 'object' and 'subject' both mint instance URIs
-        pattern = site.table.uri_pattern
-        attribute = pattern.attributes[0]
-        return lambda value: pattern.format({attribute: value})
+    ) -> Union[SelectResult, bool, Graph]:
+        """Run ``statement`` (this translation, bound) and answer the
+        query from its rows.  ``bindings`` are the ones it was bound
+        with: a placeholder the query reads is bound to its term in
+        every solution."""
+        solutions = self.answer(self.db.execute(statement).rows, bindings or {})
+        if self.residual is None:
+            return SelectResult(self.variables, solutions)
+        return shape_result(self.residual, solutions)
 
 
-def translate_pattern(
+def translate_query(
     mapping: DatabaseMapping,
     db: Database,
-    pattern: alg.GroupPattern,
+    query: Query,
     bindings: Optional[Solution] = None,
 ) -> TranslatedSelect:
-    """Translate a group graph pattern; raises UnsupportedPatternError.
+    """Translate a query's WHERE pattern together with what the query
+    makes of its solutions; raises UnsupportedPatternError.
 
     With ``bindings`` the pattern is a template: the variables they name
     are translated as the terms bound to them, and the result can be
     bound again (:meth:`TranslatedSelect.bind`)."""
-    return SelectTranslator(mapping, db, bindings).translate(pattern)
+    return SelectTranslator(mapping, db, bindings).translate(query)
 
 
 @dataclass
@@ -349,8 +347,8 @@ class SelectTranslator:
 
     # ------------------------------------------------------------------
 
-    def translate(self, pattern: alg.GroupPattern) -> TranslatedSelect:
-        required, optionals, filters = self._partition(pattern)
+    def translate(self, query: Query) -> TranslatedSelect:
+        required, optionals, filters = self._partition(query.where)
         if not required:
             raise UnsupportedPatternError("empty basic graph pattern")
         self._assign_subject_tables(required)
@@ -359,12 +357,22 @@ class SelectTranslator:
         for group in optionals:
             self._translate_optional(group)
         self._push_down_filters(filters)
-        select = self._build_select()
+        select, residual = self._push_down_modifiers(self._build_select(), query)
+        if residual is None:
+            variables = wanted = query.projected()
+        elif self.post_filters or not isinstance(query, AskQuery):
+            # What is left reads what it likes: every variable bound.
+            variables, wanted = (), [*self.sites, *self.bindings]
+        else:
+            variables = wanted = ()  # an ASK's one row, read by nothing
         return TranslatedSelect(
             statement=self.values.bind(select),
-            sites=self.sites,
-            post_filters=tuple(self.post_filters),
             db=self.db,
+            answer=_answer_step(
+                self.db, self.sites, self.bindings, wanted, self.post_filters
+            ),
+            residual=residual,
+            variables=variables,
             kinds=self.kinds,
             pinned=self.pinned,
             binders=tuple(self.binders),
@@ -661,6 +669,7 @@ class SelectTranslator:
                 column=attribute.attribute_name,
                 kind="object",
                 table=self.mapping.table(attribute.references()),
+                nullable=optional,
             )
         else:
             site = _BindingSite(
@@ -669,6 +678,7 @@ class SelectTranslator:
                 kind="data",
                 table=table,
                 value_pattern=attribute.value_pattern,
+                nullable=optional,
             )
         self.sites[var] = site
         if not optional:
@@ -713,11 +723,13 @@ class SelectTranslator:
                     )
                 )
             else:
+                column = self.db.table(link.table_name).column(object_attr)
                 self.sites[obj] = _BindingSite(
                     alias=link_alias,
                     column=object_attr,
                     kind="object",
                     table=object_table,
+                    nullable=optional or not column.not_null,
                 )
         elif isinstance(obj, URIRef):
             to_key = partial(_link_object_key, self.db, link, object_table)
@@ -842,6 +854,59 @@ class SelectTranslator:
         if constant is None:
             return _Operand(None, None, None, placeholder)
         return _Operand(constant[0], None, constant[1], placeholder)
+
+    # -- solution modifiers --------------------------------------------------
+
+    def _push_down_modifiers(
+        self, select: ast.Select, query: Query
+    ) -> Tuple[ast.Select, Optional[Query]]:
+        """The SELECT with the solution modifiers SQL applies as SPARQL
+        does, and the query whose form and modifiers are left for the
+        answer step's solutions (None: they are the SELECT's answer).
+
+        ORDER BY goes down when every key does (:meth:`_order_item`);
+        LIMIT and OFFSET only behind it, and only when nothing is left
+        that drops or merges solutions afterwards — no residual filter,
+        no DISTINCT.  An ASK reads one row unless a filter is left; a
+        CONSTRUCT keeps its form."""
+        if isinstance(query, AskQuery):
+            if self.post_filters:
+                return select, query
+            return dataclasses.replace(select, limit=1), query
+        if not isinstance(query, SelectQuery):
+            return select, query
+        order = [self._order_item(condition) for condition in query.order_by]
+        if not all(order):
+            return select, query
+        select = dataclasses.replace(select, order_by=tuple(order))
+        if self.post_filters or query.distinct:
+            return select, dataclasses.replace(query, order_by=())
+        limited = dataclasses.replace(select, limit=query.limit, offset=query.offset)
+        return limited, None
+
+    def _order_item(self, condition: OrderCondition) -> Optional[ast.OrderItem]:
+        """An ORDER BY key as SQL, where SQL orders as SPARQL does — the
+        rule beside FILTER push-down's (:meth:`_comparison_to_sql`): a
+        plain variable whose site is a data column of INTEGER or string
+        type without a value pattern.  Both sorts are then stable over
+        the same row order, put NULL / unbound first (last under DESC)
+        and compare numbers as numbers, plain literals as strings, so
+        they agree wherever the keys order totally.  Stays in Python: a
+        URI (SPARQL compares the minted IRI, SQL the key: ``pub10`` <
+        ``pub9``), an expression, a FLOAT, DATE or BOOLEAN column, a
+        placeholder."""
+        expr = condition.expression
+        if not isinstance(expr, alg.TermExpr):
+            return None
+        site = self.sites.get(expr.term)
+        if site is None or site.kind != "data" or site.value_pattern is not None:
+            return None
+        sql_type = self.db.table(site.table.table_name).column(site.column).sql_type
+        if not isinstance(sql_type, (IntegerType, StringType)):
+            return None
+        return ast.OrderItem(
+            ast.ColumnRef(f"v{site.select_index}"), condition.descending
+        )
 
     # -- assembly ------------------------------------------------------------------
 
@@ -973,3 +1038,84 @@ def _conjoin(parts: Sequence[ast.Expression]) -> Optional[ast.Expression]:
     for part in parts:
         condition = part if condition is None else ast.BinaryOp("AND", condition, part)
     return condition
+
+
+# ---------------------------------------------------------------------------
+# the answer step
+# ---------------------------------------------------------------------------
+
+def _answer_step(
+    db: Database,
+    sites: Dict[Variable, _BindingSite],
+    seeded: Solution,
+    wanted: Sequence[Variable],
+    post_filters: Sequence[alg.Expr],
+) -> AnswerStep:
+    """Generate ``answer(rows, seed)``: per row, the solution of the
+    ``wanted`` variables in that order — a site's column value minted or
+    decoded (absent where it is NULL), a placeholder of ``seeded`` read
+    from ``seed`` once per call, any other variable unbound — kept when
+    every residual filter accepts it."""
+    source = Source()
+    fn = source.function("answer", "rows, seed", ScopeLayout(()))
+    head: List[str] = []
+    #: (key, value code, and for a column that may be NULL the row index
+    #: the code's ``v`` is read from)
+    entries: List[Tuple[str, str, Optional[int]]] = []
+    for var in wanted:
+        key = fn.constant(var) if var in sites or var in seeded else None
+        site = sites.get(var)
+        if site is not None:
+            index = site.select_index
+            if site.nullable:
+                entries.append((key, _decoder_code(fn, db, site, "v"), index))
+            else:
+                code = _decoder_code(fn, db, site, f"r[{index}]")
+                entries.append((key, code, None))
+        elif key is not None:
+            name = fn.temp()
+            head.append(f"{name} = seed[{key}]")
+            entries.append((key, name, None))
+    tests = [
+        f"{fn.helper('accepts', filter_accepts)}({fn.constant(expr)}, s)"
+        for expr in post_filters
+    ]
+    if tests or any(index is not None for _, _, index in entries):
+        loop = ["s = {}"]
+        for key, code, index in entries:
+            if index is None:
+                loop.append(f"s[{key}] = {code}")
+            else:
+                loop.append(f"if (v := r[{index}]) is not None:")
+                loop.append(f"    s[{key}] = {code}")
+        if tests:
+            loop += [f"if {' and '.join(tests)}:", "    out.append(s)"]
+        else:
+            loop.append("out.append(s)")
+        body = ["out = []", "for r in rows:", *(f"    {line}" for line in loop)]
+        body.append("return out")
+    else:
+        items = ", ".join(f"{key}: {code}" for key, code, _ in entries)
+        body = [f"return [{{{items}}} for r in rows]"]
+    fn.close(head + body)
+    return source.build()["answer"]
+
+
+def _decoder_code(
+    fn: Function, db: Database, site: _BindingSite, value: str
+) -> str:
+    """Code minting a site's term from its column ``value``: an instance
+    URI as the pattern's prefix + value + suffix, a literal through the
+    column type's canonical decoder."""
+    pattern = site.value_pattern if site.kind == "data" else site.table.uri_pattern
+    if pattern is None:
+        sql_type = db.table(site.table.table_name).column(site.column).sql_type
+        decode = literal_decoder(sql_type)
+        return f"{fn.helper(decode.__name__.lstrip('_'), decode)}({value})"
+    if pattern.affixes is None:
+        raise UnsupportedPatternError(
+            f"{pattern!r} mints URIs from several attributes"
+        )
+    uri = fn.helper("uri", URIRef.canonical)
+    prefix, suffix = (fn.constant(text) for text in pattern.affixes)
+    return f'{uri}(f"{{{prefix}}}{{{value}}}{{{suffix}}}")'

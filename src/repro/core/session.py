@@ -100,6 +100,7 @@ from ..sparql.update_ast import (
 )
 from ..sparql.update_parser import UpdateParser
 from .backend import Backend, PreparedModify, PreparedPattern, UpdateResult
+from .modify import where_query
 from .query import QueryOutcome
 
 __all__ = ["PreparedQuery", "PreparedUpdate", "Session"]
@@ -238,7 +239,7 @@ class PreparedUpdate(_Prepared):
         self.session = session
         self.request = request
         self._where = [
-            PreparedPattern(op.where) if isinstance(op, Modify) else None
+            PreparedPattern(where_query(op)) if isinstance(op, Modify) else None
             for op in request.operations
         ]
 
@@ -266,7 +267,8 @@ class PreparedQuery(_Prepared):
     initial bindings behave in Jena and rdflib.  On the relational
     backend the SPARQL→SQL translation is kept per *template* (see
     :class:`~repro.core.backend.PreparedPattern`), so an execution binds
-    the values, runs the one statement shape, and decodes the rows.
+    the values, runs the one statement shape, and its answer step turns
+    the rows into solutions.
     """
 
     def __init__(self, session: "Session", query: Query) -> None:

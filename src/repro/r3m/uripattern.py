@@ -9,7 +9,8 @@ pattern that itself forms a valid absolute URI (starts with ``http://``,
 Translation needs both directions:
 
 * :meth:`URIPattern.format` — row values → instance URI (used by the
-  RDB→RDF dump and feedback);
+  RDB→RDF dump and feedback); a translated query's answer step mints the
+  URIs of a single-attribute pattern inline from :attr:`URIPattern.affixes`;
 * :meth:`URIPattern.match` — subject URI → attribute values (Algorithm 1
   step 2: "the table affected by this group of triples is identified
   through the URI of their subject ... we can extract the value 1 for the
@@ -19,7 +20,7 @@ Translation needs both directions:
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import MappingError
 from ..rdf.terms import URIRef
@@ -49,6 +50,14 @@ class URIPattern:
         #: the template cut at its placeholders, once: literal text,
         #: attribute, literal text, ... (odd positions are attributes)
         self._segments: List[str] = _PLACEHOLDER_RE.split(self._template)
+        #: (text before, text after) the attribute of a single-attribute
+        #: pattern: its URIs are minted as prefix + value + suffix; None
+        #: for a pattern of several attributes
+        self.affixes: Optional[Tuple[str, str]] = (
+            (self._segments[0], self._segments[2])
+            if len(self.attributes) == 1
+            else None
+        )
 
     def _full_pattern(self) -> str:
         # "overrides it if the pattern itself forms a valid URI"

@@ -18,11 +18,17 @@ The model follows the RDF 1.0 abstract syntax used by the paper (2010-era):
 Design note: terms subclass ``str``-free plain objects rather than ``str``
 itself (as rdflib does) to keep equality semantics explicit: a ``URIRef`` is
 never equal to the string of its IRI.
+
+Immutable terms copy as themselves and pickle through their public
+constructor.  ``URIRef.canonical`` and ``Literal.canonical`` build a term
+from a form already known to be canonical (what decoding a column value
+produces), without the checks and conversions of ``__init__``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import threading
 from typing import Any, Iterator, NamedTuple, Optional, Union
@@ -47,6 +53,7 @@ __all__ = [
     "XSD_BOOLEAN",
     "XSD_DATE",
     "XSD_DATETIME",
+    "double_lexical",
 ]
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -65,6 +72,13 @@ class Term:
         """Return True unless this term is a query variable."""
         return True
 
+    # Immutable: a copy is the term itself, a pickle its constructor call.
+    def __copy__(self) -> "Term":
+        return self
+
+    def __deepcopy__(self, memo: Any) -> "Term":
+        return self
+
 
 class URIRef(Term):
     """An IRI reference, e.g. ``URIRef("http://example.org/db/author1")``."""
@@ -79,8 +93,20 @@ class URIRef(Term):
         # the hash is computed once, not once per dictionary operation.
         object.__setattr__(self, "_hash", hash(("URIRef", value)))
 
+    @staticmethod
+    def canonical(value: str) -> "URIRef":
+        """The URI ``value``, which the caller guarantees is a ``str``
+        (a minted instance URI)."""
+        term = _new(URIRef)
+        _uri_value(term, value)
+        _uri_hash(term, hash(("URIRef", value)))
+        return term
+
     def __setattr__(self, name: str, val: Any) -> None:  # immutability guard
         raise AttributeError("URIRef is immutable")
+
+    def __reduce__(self):
+        return URIRef, (self.value,)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, URIRef) and other.value == self.value
@@ -108,6 +134,10 @@ class URIRef(Term):
         return value
 
 
+_new = object.__new__
+_uri_value = URIRef.__dict__["value"].__set__
+_uri_hash = URIRef.__dict__["_hash"].__set__
+
 _bnode_counter = itertools.count(1)
 _bnode_lock = threading.Lock()
 _BNODE_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
@@ -128,6 +158,9 @@ class BNode(Term):
 
     def __setattr__(self, name: str, val: Any) -> None:
         raise AttributeError("BNode is immutable")
+
+    def __reduce__(self):
+        return BNode, (self.label,)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BNode) and other.label == self.label
@@ -216,7 +249,7 @@ class Literal(Term):
             lexical = str(value)
             datatype = datatype or XSD_INTEGER
         elif isinstance(value, float):
-            lexical = repr(value)
+            lexical = double_lexical(value)
             datatype = datatype or XSD_DOUBLE
         elif isinstance(value, str):
             lexical = value
@@ -233,8 +266,23 @@ class Literal(Term):
             self, "_hash", hash(("Literal", lexical, language, datatype))
         )
 
+    @staticmethod
+    def canonical(lexical: str, datatype: Optional[str] = None) -> "Literal":
+        """The literal of canonical form ``lexical`` (a ``str``) and
+        ``datatype`` (an IRI string or None), without a language tag —
+        what ``Literal(lexical, datatype=datatype)`` makes, unchecked."""
+        term = _new(Literal)
+        _literal_lexical(term, lexical)
+        _literal_language(term, None)
+        _literal_datatype(term, datatype)
+        _literal_hash(term, hash(("Literal", lexical, None, datatype)))
+        return term
+
     def __setattr__(self, name: str, val: Any) -> None:
         raise AttributeError("Literal is immutable")
+
+    def __reduce__(self):
+        return Literal, (self.lexical, self.language, self.datatype)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -289,6 +337,23 @@ class Literal(Term):
         return self.lexical
 
 
+_literal_lexical = Literal.__dict__["lexical"].__set__
+_literal_language = Literal.__dict__["language"].__set__
+_literal_datatype = Literal.__dict__["datatype"].__set__
+_literal_hash = Literal.__dict__["_hash"].__set__
+
+
+def double_lexical(number: float) -> str:
+    """The XSD lexical form of a double: ``repr`` of a finite number,
+    ``INF`` / ``-INF`` / ``NaN`` for what ``repr`` spells ``inf`` /
+    ``-inf`` / ``nan``."""
+    if math.isfinite(number):
+        return repr(number)
+    if number != number:
+        return "NaN"
+    return "INF" if number > 0 else "-INF"
+
+
 _VARIABLE_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -306,6 +371,9 @@ class Variable(Term):
 
     def __setattr__(self, name: str, val: Any) -> None:
         raise AttributeError("Variable is immutable")
+
+    def __reduce__(self):
+        return Variable, (self.name,)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Variable) and other.name == self.name
@@ -339,6 +407,9 @@ class Placeholder(Variable):
         name = str(index)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash(("Variable", name)))
+
+    def __reduce__(self):
+        return Placeholder, (int(self.name),)
 
 
 Subject = Union[URIRef, BNode, Variable]

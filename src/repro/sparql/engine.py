@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
-from ..rdf.terms import Term, Triple, Variable
+from ..rdf.terms import Literal, Term, Triple, URIRef, Variable
 from .algebra import Solution, evaluate_pattern, instantiate
 from .expressions import EvalError, evaluate_expr
 from .query_ast import AskQuery, ConstructQuery, Query, SelectQuery
@@ -95,8 +95,13 @@ def shape_result(
 def apply_select_modifiers(q: SelectQuery, solutions: List[Solution]) -> SelectResult:
     """Apply projection, DISTINCT, ORDER BY, LIMIT/OFFSET to raw solutions.
 
-    Shared between the native evaluator and the RDB-mediated query path
-    (which produces its solutions from translated SQL).
+    Called for the native store's answers, for a pattern the mediator
+    evaluated over the RDB dump, and for what a translated query could
+    not hand to SQL (see :mod:`repro.core.select_translate`): then ``q``
+    is the query with the modifiers SQL already applied removed — its
+    residue, as ``post_filters`` are a pattern's FILTER residue.  A
+    translated query whose modifiers all went into its SQL does not
+    come here: its answer step emits the projected solutions directly.
     """
     solutions = list(solutions)
     variables = q.projected()
@@ -138,8 +143,6 @@ def _order_key(expr, solution: Solution):
         return (2, "", value)
     if isinstance(value, str):
         return (3, "", value)
-    from ..rdf.terms import Literal, URIRef
-
     if isinstance(value, Literal):
         if value.is_numeric():
             try:

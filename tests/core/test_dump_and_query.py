@@ -4,7 +4,7 @@ import pytest
 
 from repro import OntoAccess
 from repro.rdf import DC, EX, FOAF, ONT, RDF, Graph, Literal, Triple, URIRef, Variable
-from repro.rdf.terms import XSD_INTEGER
+from repro.rdf.terms import XSD_DOUBLE, XSD_INTEGER
 from repro.sparql import SelectResult
 from repro.workloads.publication import (
     build_database,
@@ -330,3 +330,56 @@ class TestTranslationAgreesWithReference:
             "SELECT t0.lastname AS v0 FROM author t0 "
             "WHERE t0.id = 6 AND t0.lastname IS NOT NULL;"
         )
+
+
+class TestDoubleLexicalForms:
+    """A FLOAT column's infinities and NaN come back in their XSD
+    spelling (``INF``, ``-INF``, ``NaN`` — not Python's ``inf``), from the
+    translated query and from the dump alike: both decode a column value
+    through the one literal decoder."""
+
+    PREFIXES = (
+        "PREFIX v: <http://example.org/vocab#> PREFIX ex: <http://example.org/db/> "
+        "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> "
+    )
+    SPELLINGS = {"m1": "INF", "m2": "-INF", "m3": "NaN", "m4": "2.5"}
+
+    @pytest.fixture
+    def measures(self):
+        from repro.r3m.generator import generate_mapping
+        from repro.rdb import Database
+
+        db = Database()
+        db.execute("CREATE TABLE m (id INTEGER PRIMARY KEY, v FLOAT)")
+        mediator = OntoAccess(db, generate_mapping(db))
+        mediator.update(self.PREFIXES + "INSERT DATA { " + " ".join(
+            f'ex:{row} v:m_v "{text}"^^xsd:double .'
+            for row, text in self.SPELLINGS.items()
+        ) + " }")
+        return mediator
+
+    def expected(self):
+        return {
+            (URIRef(f"http://example.org/db/{row}"), Literal(text, datatype=XSD_DOUBLE))
+            for row, text in self.SPELLINGS.items()
+        }
+
+    def test_query_answers_xsd_spellings(self, measures):
+        outcome = measures.query_outcome(
+            self.PREFIXES + "SELECT ?s ?v WHERE { ?s v:m_v ?v }"
+        )
+        assert outcome.used_sql
+        assert set(outcome.result.rows()) == self.expected()
+
+    def test_dump_holds_xsd_spellings(self, measures):
+        values = URIRef("http://example.org/vocab#m_v")
+        assert {
+            (t.subject, t.object) for t in measures.dump() if t.predicate == values
+        } == self.expected()
+
+    def test_answered_term_deletes_its_value(self, measures):
+        result = measures.update(
+            self.PREFIXES + 'DELETE DATA { ex:m2 v:m_v "-INF"^^xsd:double . }'
+        )
+        assert result.rows_affected() == 1
+        assert measures.db.query("SELECT id FROM m WHERE id = 2").rows == []

@@ -14,6 +14,11 @@ sort lines (``PLANS`` below; regenerate with
 ``PYTHONPATH=src python tests/rdb/test_plan_stability.py``).  A diff here
 is not necessarily a bug — but it is a changed plan and has to be
 explained in the change that causes it.
+
+Plans that gained an ORDER BY / LIMIT stage when translated queries
+began pushing their solution modifiers into SQL: none.  Every statement
+pinned here is SQL text, never a translation; the translated shapes'
+ORDER BY / LIMIT are held by ``tests/core/test_answer_shapes.py``.
 """
 
 import dataclasses

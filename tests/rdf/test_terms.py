@@ -1,8 +1,12 @@
 """Unit tests for the RDF term model."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.rdf import BNode, Literal, Triple, URIRef, Variable
+from repro.rdf.terms import Placeholder
 from repro.rdf.terms import XSD_BOOLEAN, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
 
 
@@ -180,3 +184,56 @@ class TestTriple:
     def test_variables_iteration(self):
         t = Triple(Variable("x"), URIRef("p"), Variable("y"))
         assert [v.name for v in t.variables()] == ["x", "y"]
+
+
+class TestCopyAndPickle:
+    """Terms are immutable: a copy is the term itself, and a pickle
+    rebuilds an equal term (same hash) through the public constructor."""
+
+    TERMS = {
+        "uri": lambda: URIRef("http://example.org/db/author1"),
+        "canonical uri": lambda: URIRef.canonical("http://example.org/db/pub7"),
+        "bnode": lambda: BNode("b1"),
+        "plain literal": lambda: Literal("Hert"),
+        "language literal": lambda: Literal("chat", language="fr"),
+        "integer literal": lambda: Literal(5),
+        "double literal": lambda: Literal(float("-inf")),
+        "canonical literal": lambda: Literal.canonical("2009", XSD_INTEGER),
+        "canonical plain literal": lambda: Literal.canonical("Hert"),
+        "variable": lambda: Variable("x"),
+        "placeholder": lambda: Placeholder(3),
+    }
+
+    @pytest.mark.parametrize("kind", list(TERMS))
+    def test_round_trip(self, kind):
+        term = self.TERMS[kind]()
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(term, protocol))
+            assert type(again) is type(term)
+            assert again == term and hash(again) == hash(term)
+
+    def test_solutions_deep_copy(self):
+        solutions = [{Variable("a"): URIRef("http://a/b"), Variable("n"): Literal("x")}]
+        assert copy.deepcopy(solutions) == solutions
+
+    def test_canonical_equals_constructed(self):
+        integer = Literal("2009", datatype=XSD_INTEGER)
+        assert Literal.canonical("2009", XSD_INTEGER) == integer
+        assert hash(Literal.canonical("2009", XSD_INTEGER)) == hash(integer)
+        assert hash(Literal.canonical("x")) == hash(Literal("x"))
+        assert URIRef.canonical("http://a/b") == URIRef("http://a/b")
+        assert hash(URIRef.canonical("http://a/b")) == hash(URIRef("http://a/b"))
+
+    @pytest.mark.parametrize(
+        "number, lexical",
+        [
+            (float("inf"), "INF"),
+            (float("-inf"), "-INF"),
+            (float("nan"), "NaN"),
+            (2.5, "2.5"),
+        ],
+    )
+    def test_double_lexical_forms(self, number, lexical):
+        assert Literal(number) == Literal(lexical, datatype=XSD_DOUBLE)
