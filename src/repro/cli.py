@@ -332,110 +332,64 @@ def _parse_address(text: str) -> tuple:
     return host, int(port)
 
 
+def _open_node(args, out):
+    """The replication node ``serve`` runs: a replica of ``--replica-of``
+    (bootstrapped before this returns), else a primary over
+    :func:`_open_database`; either ships its log on
+    ``--replication-port`` (a replica once promoted)."""
+    from .replication import Node, Replica
+
+    shipping = None
+    if args.replication_port is not None:
+        shipping = dict(
+            host=args.host,
+            port=args.replication_port,
+            heartbeat_interval=args.heartbeat_interval,
+            min_sync_replicas=args.sync_replicas,
+            ack_timeout=args.ack_timeout,
+        )
+    if not args.replica_of:
+        return Node(_open_database(args), shipping=shipping, out=out)
+    db = None
+    if args.data_dir:
+        # A durable replica journals what it applies: it can be promoted
+        # without losing its prefix, and a deposed primary restarted
+        # with the same --data-dir rejoins here — its divergent tail is
+        # truncated against the new primary.
+        db = Database(data_dir=args.data_dir, sync_mode=args.sync_mode)
+    replica = Replica(
+        _parse_address(args.replica_of),
+        db=db,
+        heartbeat_grace=args.heartbeat_grace,
+    ).start()
+    if not replica.wait_ready(_BOOTSTRAP_TIMEOUT):
+        replica.close()
+        raise ReproError(
+            f"replica did not catch up to {args.replica_of} within "
+            f"{_BOOTSTRAP_TIMEOUT:g}s"
+        )
+    return Node(
+        replica.db,
+        replica=replica,
+        max_replica_lag=args.max_replica_lag,
+        shipping=shipping,
+        loss_timeout=(
+            args.primary_loss_timeout if args.promote_on_primary_loss else None
+        ),
+        out=out,
+    )
+
+
 def _cmd_serve(args, out) -> int:
+    import threading
+
     from .server.endpoint import ROUTES, OntoAccessEndpoint
 
     if args.service_latency:
         from .faults import INJECTOR
 
         INJECTOR.inject("executor:scan", latency=args.service_latency)
-
-    replica = None
-    shipper = None
-    detector = None
-    promoter = None
-    promoted_shippers: list = []  # at most one; a cell the closure can fill
-    endpoint_cell: list = []  # filled once the endpoint exists (below)
-    if args.replica_of:
-        from .replication import PrimaryLossDetector, Replica
-
-        db = None
-        if getattr(args, "data_dir", None):
-            # A durable replica journals what it applies: it can be
-            # promoted without losing its prefix, and a deposed primary
-            # restarted with the same --data-dir rejoins here — its
-            # divergent tail is truncated against the new primary.
-            db = Database(data_dir=args.data_dir, sync_mode=args.sync_mode)
-        replica = Replica(
-            _parse_address(args.replica_of),
-            db=db,
-            heartbeat_grace=args.heartbeat_grace,
-        ).start()
-        if not replica.wait_ready(_BOOTSTRAP_TIMEOUT):
-            replica.close()
-            raise ReproError(
-                f"replica did not catch up to {args.replica_of} within "
-                f"{_BOOTSTRAP_TIMEOUT:g}s"
-            )
-        db = replica.db
-        mediator = OntoAccess(db, _select_mapping(args, db))
-
-        def promote_now() -> dict:
-            # Shared by POST /admin/promote and the primary-loss
-            # detector; Replica.promote is idempotent under its own
-            # lock, so a race between the two is harmless.
-            record = replica.promote(
-                data_dir=getattr(args, "data_dir", None),
-                sync_mode=args.sync_mode,
-            )
-            print(
-                f"promoted to primary at epoch {record['epoch']}", file=out
-            )
-            if args.replication_port is not None and not promoted_shippers:
-                from .replication import LogShipper
-
-                promoted = LogShipper(
-                    replica.db,
-                    host=args.host,
-                    port=args.replication_port,
-                    heartbeat_interval=args.heartbeat_interval,
-                    min_sync_replicas=args.sync_replicas,
-                    ack_timeout=args.ack_timeout,
-                ).start()
-                promoted_shippers.append(promoted)
-                if endpoint_cell:
-                    # /metrics follows the role change: the promoted
-                    # shipper's counters replace the (absent) old ones.
-                    endpoint_cell[0].shipper = promoted
-                ship_host, ship_port = promoted.address
-                print(
-                    f"replication log shipper at {ship_host}:{ship_port}",
-                    file=out,
-                )
-            out.flush()
-            return record
-
-        promoter = promote_now
-        if args.promote_on_primary_loss:
-            detector = PrimaryLossDetector(
-                replica, args.primary_loss_timeout, promote_now
-            ).start()
-    else:
-        mediator = _build_mediator(args)
-        if args.replication_port is not None:
-            from .replication import LogShipper
-
-            def _deposed(epoch: int) -> None:
-                # Fenced by a promoted replica: refuse writes from here
-                # on so no client can split-brain this lineage.
-                mediator.db.read_only = True
-                print(
-                    f"fenced by replication epoch {epoch}: "
-                    "this primary is now read-only",
-                    file=out,
-                )
-                out.flush()
-
-            shipper = LogShipper(
-                mediator.db,
-                host=args.host,
-                port=args.replication_port,
-                heartbeat_interval=args.heartbeat_interval,
-                min_sync_replicas=args.sync_replicas,
-                ack_timeout=args.ack_timeout,
-                on_deposed=_deposed,
-            ).start()
-
+    node = _open_node(args, out)
     access_log_file = None
     if args.access_log == "-":
         access_log = sys.stderr
@@ -444,9 +398,8 @@ def _cmd_serve(args, out) -> int:
         access_log = access_log_file
     else:
         access_log = None
-
     endpoint = OntoAccessEndpoint(
-        mediator,
+        OntoAccess(node.db, _select_mapping(args, node.db)),
         host=args.host,
         port=args.port,
         max_in_flight=args.max_in_flight,
@@ -454,55 +407,23 @@ def _cmd_serve(args, out) -> int:
         queue_timeout=args.queue_timeout,
         default_timeout=args.request_timeout or None,
         max_connections=args.max_connections,
-        replica=replica,
-        max_replica_lag=args.max_replica_lag if replica is not None else None,
-        promoter=promoter,
-        shipper=shipper,
+        node=node,
         slow_query_threshold=args.slow_query_threshold,
         access_log=access_log,
     )
-    endpoint_cell.append(endpoint)
-    if promoted_shippers:
-        # Promotion raced endpoint construction (primary-loss detector
-        # fired during bootstrap): attach the shipper now.
-        endpoint.shipper = promoted_shippers[0]
     endpoint.start()
     print(f"OntoAccess endpoint at {endpoint.url}", file=out)
-    if shipper is not None:
-        host, port = shipper.address
-        print(f"replication log shipper at {host}:{port}", file=out)
-    if replica is not None:
-        print(
-            f"read replica of {args.replica_of} "
-            f"(max lag {args.max_replica_lag:g}s)",
-            file=out,
-        )
-        if args.promote_on_primary_loss:
-            print(
-                "auto-promote after "
-                f"{args.primary_loss_timeout:g}s of primary silence",
-                file=out,
-            )
+    for line in node.describe():
+        print(line, file=out)
     print(", ".join(f"{method} {path}" for method, path in ROUTES), file=out)
     out.flush()  # a parent process may be parsing the announced ports
     try:
-        import threading
-
         threading.Event().wait()
     except KeyboardInterrupt:
         pass
     finally:
-        if detector is not None:
-            detector.stop()
         endpoint.stop()
-        if shipper is not None:
-            shipper.stop()
-        for promoted in promoted_shippers:
-            promoted.stop()
-        if replica is not None:
-            replica.close()
-        else:
-            mediator.db.close()
+        node.close()
         if access_log_file is not None:
             access_log_file.close()
     return 0

@@ -33,7 +33,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..faults import INJECTOR
 
@@ -196,14 +196,13 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """Point-in-time value: set explicitly or computed at scrape time."""
+    """Point-in-time value, set explicitly."""
 
     kind = "gauge"
 
     def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()) -> None:
         super().__init__(name, help, labelnames)
         self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
 
     def _make_child(self) -> "Gauge":
         return Gauge(self.name, self.help)
@@ -211,14 +210,7 @@ class Gauge(_Metric):
     def set(self, value: float) -> None:
         self._value = float(value)
 
-    def set_function(self, fn: Callable[[], float]) -> "Gauge":
-        """Back this gauge by ``fn``, evaluated at every scrape."""
-        self._fn = fn
-        return self
-
     def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
         return self._value
 
     def samples(self):

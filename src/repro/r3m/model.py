@@ -156,9 +156,6 @@ class TableMapping:
         """Attributes that carry a property (appear as triples)."""
         return [a for a in self.attributes if a.property is not None]
 
-    def primary_key_attributes(self) -> List[AttributeMapping]:
-        return [a for a in self.attributes if a.is_primary_key()]
-
     def required_attributes(self) -> List[AttributeMapping]:
         """Attributes a valid INSERT must provide (NOT NULL, no default,
         not supplied by the URI pattern)."""

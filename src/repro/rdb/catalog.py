@@ -47,14 +47,6 @@ class ForeignKey:
     ref_table: str
     ref_columns: Tuple[str, ...]
 
-    def single_column(self) -> str:
-        """The referencing column, for the common single-column case."""
-        if len(self.columns) != 1:
-            raise CatalogError(
-                f"expected single-column foreign key, got {self.columns}"
-            )
-        return self.columns[0]
-
 
 @dataclass
 class Index:
@@ -189,16 +181,6 @@ class Table:
             columns: (unique.get(columns), columns in ordered)
             for columns in chain(unique, grouped)
         }
-
-    def required_columns(self) -> List[str]:
-        """Columns that must receive a value on INSERT: NOT NULL (or PK)
-        without a default and without autoincrement."""
-        required = []
-        for column in self.columns.values():
-            mandatory = column.not_null or column.name in self.primary_key
-            if mandatory and not column.has_default and not column.autoincrement:
-                required.append(column.name)
-        return required
 
     def __repr__(self) -> str:
         return f"<Table {self.name} ({', '.join(self.columns)})>"

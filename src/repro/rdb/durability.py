@@ -442,32 +442,26 @@ def _read_wal(path: str) -> Tuple[List[Any], int, bool]:
     Returns ``(batches, valid_end, clean)``: the decoded commit batches,
     the byte offset after the last complete valid record, and whether the
     segment ended exactly there (False means a torn/corrupt tail
-    follows).
+    follows).  The frames are :func:`iter_wal_frames`'; a payload that
+    does not decode ends the valid prefix like a torn one.
     """
     with open(path, "rb") as handle:
-        data = handle.read()
-    if not data.startswith(_WAL_MAGIC):
+        magic = handle.read(WAL_HEADER_SIZE)
+        size = handle.seek(0, os.SEEK_END)
+    if magic != _WAL_MAGIC:
         # Torn header (crash before the magic reached disk): the segment
         # holds no records; truncating to 0 lets the next writer rewrite
         # the magic.  Anything else in it was never a valid record.
-        return [], 0, not data
+        return [], 0, size == 0
     batches: List[Any] = []
-    pos = len(_WAL_MAGIC)
-    while True:
-        header = data[pos:pos + _FRAME.size]
-        if not header:
-            return batches, pos, True
-        if len(header) < _FRAME.size:
-            return batches, pos, False
-        length, crc = _FRAME.unpack(header)
-        payload = data[pos + _FRAME.size:pos + _FRAME.size + length]
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            return batches, pos, False
+    valid_end = WAL_HEADER_SIZE
+    for payload, end in iter_wal_frames(path):
         try:
             batches.append(decode_payload(payload))
         except DurabilityError:
-            return batches, pos, False
-        pos += _FRAME.size + length
+            break
+        valid_end = end
+    return batches, valid_end, valid_end == size
 
 
 def iter_wal_frames(path: str, start: int = WAL_HEADER_SIZE):

@@ -109,6 +109,18 @@ def _checkpoint_rows(table_data: TableData) -> LazyList:
     )
 
 
+def _reinstate(table_data: TableData, rowid: int, row: Dict[str, Any]) -> None:
+    """Put one logged row back under its own id (checkpoint load, WAL
+    replay): the row-id and auto-increment counters move past it."""
+    table_data.restore(rowid, row)
+    if rowid >= table_data._next_rowid:
+        table_data._next_rowid = rowid + 1
+    for column in table_data._autoincrement_next:
+        value = row.get(column)
+        if value is not None:
+            table_data.note_autoincrement_value(column, value)
+
+
 class DatabaseSnapshot:
     """An immutable view of committed state at one state version.
 
@@ -213,15 +225,16 @@ class Database:
         #: definitions exactly (index *structures* rebuild from rows).
         self._ddl_history: List[str] = []
         #: WAL + checkpoint owner; None keeps the database purely
-        #: in-memory.  ``_recovering`` gates WAL appends while recovery
-        #: replays the log through the normal execution paths.
+        #: in-memory.
         self._durability: Optional[DurabilityManager] = None
-        self._recovering = False
         #: Failover (ISSUE 9): a replica or a fenced (deposed) primary
-        #: refuses client writes; replication/recovery internals bypass
-        #: the gate via ``_applying``.
+        #: refuses client writes.
         self.read_only = False
-        self._applying = False
+        #: True while recovery or replication replays already-logged
+        #: changes through the normal execution paths (see
+        #: :meth:`_replay`): they bypass ``read_only`` and append nothing
+        #: to the WAL statement by statement.
+        self._replaying = False
         #: Post-durability commit hooks, called with the commit's WAL
         #: position after the local fsync wait — the semi-sync
         #: replication barrier hangs off this.  A hook that raises makes
@@ -245,8 +258,7 @@ class Database:
     def _recover(self) -> None:
         """Load the newest checkpoint and replay the WAL tail (startup)."""
         assert self._durability is not None
-        self._recovering = True
-        try:
+        with self._replay():
             body, batches = self._durability.recover()
             if body is not None:
                 self._load_checkpoint_body(body)
@@ -258,9 +270,18 @@ class Database:
                     _, epoch, generation, offset = note
                     self.replicated_epoch = max(self.replicated_epoch, epoch)
                     self.replicated_position = (generation, offset)
-        finally:
-            self._recovering = False
         self._mark_committed()
+
+    @contextmanager
+    def _replay(self) -> Iterator[None]:
+        """Scope in which already-logged changes are re-executed:
+        recovery, a shipped batch, a snapshot reset."""
+        was_replaying = self._replaying
+        self._replaying = True
+        try:
+            yield
+        finally:
+            self._replaying = was_replaying
 
     def _load_checkpoint_body(self, body: Dict[str, Any]) -> None:
         """Rebuild schema from the checkpoint's DDL history, then bulk
@@ -269,18 +290,8 @@ class Database:
             self.execute(sql)
         for name, payload in body["tables"].items():
             table_data = self.table_data(name)
-            table = self.schema.table(name)
-            autoincrement = [
-                column.name
-                for column in table.columns.values()
-                if column.autoincrement
-            ]
             for rowid, row in payload["rows"]:
-                table_data.restore(rowid, row)
-                for column_name in autoincrement:
-                    value = row.get(column_name)
-                    if value is not None:
-                        table_data.note_autoincrement_value(column_name, value)
+                _reinstate(table_data, rowid, row)
             table_data._next_rowid = max(
                 table_data._next_rowid, payload["next_rowid"]
             )
@@ -316,17 +327,7 @@ class Database:
                 # cache invalidation, publication).
                 self.execute(change[1])
             elif kind == "i":
-                _, name, rowid, row = change
-                table_data = table_for(name)
-                table_data.restore(rowid, row)
-                if rowid >= table_data._next_rowid:
-                    table_data._next_rowid = rowid + 1
-                table = self.schema.table(name)
-                for column in table.columns.values():
-                    if column.autoincrement and row.get(column.name) is not None:
-                        table_data.note_autoincrement_value(
-                            column.name, row[column.name]
-                        )
+                _reinstate(table_for(change[1]), change[2], change[3])
             elif kind == "u":
                 table_for(change[1]).update(change[2], change[3])
             elif kind == "d":
@@ -344,7 +345,7 @@ class Database:
         """Append one commit batch to the WAL (writer lock held; before
         the snapshot is published).  Returns the durability token to pass
         to :meth:`wait_durable` after the lock is released."""
-        if self._durability is None or self._recovering or not changes:
+        if self._durability is None or self._replaying or not changes:
             return None
         return self._durability.log_commit(changes)
 
@@ -379,15 +380,15 @@ class Database:
         """Refuse client writes on a read-only database (replica mode or
         a fenced, deposed primary).  Callers hold the writer lock, so
         the flag cannot flip mid-statement; replication apply and
-        recovery replay set ``_applying``/``_recovering`` to bypass."""
-        if self.read_only and not self._applying and not self._recovering:
+        recovery replay bypass it (:meth:`_replay`)."""
+        if self.read_only and not self._replaying:
             raise ReadOnlyDatabaseError(
                 "database is read-only (replica or deposed primary); "
                 "route writes to the current primary"
             )
 
     def _log_enabled(self) -> bool:
-        return self._durability is not None and not self._recovering
+        return self._durability is not None and not self._replaying
 
     def checkpoint(self) -> Optional[str]:
         """Serialize the committed state and truncate the WAL.
@@ -443,35 +444,6 @@ class Database:
             return self._durability.epoch
         return self.replicated_epoch
 
-    def enable_durability(
-        self, data_dir: str, sync_mode: str = SYNC_FSYNC
-    ) -> DurabilityManager:
-        """Attach a WAL + checkpoint owner to a database created
-        in-memory — the promotion path for a memory-only replica that
-        must start journaling (and shipping) as the new primary.  The
-        directory must be empty of prior state: adopting someone else's
-        lineage silently would corrupt both."""
-        if self._durability is not None:
-            raise DurabilityError("database already has a data_dir")
-        with self._write_lock:
-            if self._txn is not None:
-                raise TransactionError(
-                    "cannot enable durability inside an open transaction"
-                )
-            manager = DurabilityManager(data_dir, sync_mode)
-            body, batches = manager.recover()
-            if body is not None or batches:
-                manager.close()
-                raise DurabilityError(
-                    f"refusing to enable durability onto non-empty "
-                    f"data_dir {data_dir!r}"
-                )
-            self._durability = manager
-            # Checkpoint immediately: the current in-memory state becomes
-            # the durable base the fresh WAL appends onto.
-            self.checkpoint()
-        return manager
-
     def close(self) -> None:
         """Flush and close the WAL (no-op for in-memory databases).  The
         database object must not be used afterwards."""
@@ -509,20 +481,13 @@ class Database:
                     "cannot apply replicated changes inside an open "
                     "transaction"
                 )
-            was_applying = self._applying
-            was_recovering = self._recovering
-            # _recovering suppresses per-statement DDL logging: the whole
+            # Replaying suppresses per-statement DDL logging: the whole
             # batch is journaled in one record below, like the primary's.
-            self._applying = True
-            self._recovering = True
-            try:
+            with self._replay():
                 # A provenance note from an upstream replica's own
                 # journal (chained replication) is superseded by the
                 # note this apply writes for itself below.
                 self._apply_changes(changes, self._writable)
-            finally:
-                self._applying = was_applying
-                self._recovering = was_recovering
             if position is not None:
                 self.replicated_epoch = max(
                     self.replicated_epoch, int(epoch or 0)
@@ -569,11 +534,7 @@ class Database:
                 self._durability.reset_storage(
                     max(self.epoch, int(epoch or 0))
                 )
-            was_applying = self._applying
-            was_recovering = self._recovering
-            self._applying = True
-            self._recovering = True
-            try:
+            with self._replay():
                 remaining = set(self.schema.table_names())
                 while remaining:
                     referenced = set()
@@ -590,9 +551,6 @@ class Database:
                 self._ddl_history.clear()
                 if body is not None:
                     self._load_checkpoint_body(body)
-            finally:
-                self._applying = was_applying
-                self._recovering = was_recovering
             if position is not None:
                 self.replicated_epoch = max(
                     self.replicated_epoch, int(epoch or 0)
@@ -1048,13 +1006,10 @@ class Database:
         snapshot (the query has not read anything yet).
         """
         for _ in range(8):
-            snap = self.snapshot()
             try:
-                plan = self.planner.plan_select_at(stmt, snap)
+                return self.executor.select(stmt, parameters, self.snapshot())
             except StaleSnapshotError:
                 continue
-            columns, rows = plan.execute(snap.tables, parameters)
-            return Result(columns=columns, rows=rows, rowcount=len(rows))
         # Pathological DDL churn: serialize with writers instead.
         with self._write_lock:
             return self.executor.select(stmt, parameters)
@@ -1067,17 +1022,21 @@ class Database:
         token = None
         with self._write_lock:
             self._check_writable_db()
-            before = self.schema_version
             with self.planner.lock:
                 if isinstance(stmt, ast.CreateTable):
-                    result = self._create_table(stmt)
+                    changed = self._create_table(stmt)
                 elif isinstance(stmt, ast.DropTable):
-                    result = self._drop_table(stmt)
+                    changed = self._drop_table(stmt)
                 elif isinstance(stmt, ast.CreateIndex):
-                    result = self._create_index(stmt)
+                    changed = self._create_index(stmt)
                 else:
-                    result = self._drop_index(stmt)
-            if self.schema_version != before:
+                    changed = self._drop_index(stmt)
+                if changed:
+                    # Cached plans may reference what changed, or now
+                    # have a better path.
+                    self.planner.invalidate()
+                    self.schema_version += 1
+            if changed:
                 # The statement actually changed the catalog (IF [NOT]
                 # EXISTS no-ops don't log): record it for checkpoints,
                 # and — inside a transaction — in the transaction's
@@ -1099,7 +1058,7 @@ class Database:
                 # against anymore.
                 self._mark_committed()
         self.wait_durable(token)
-        return result
+        return Result(columns=[], rows=[])
 
     def _run_dml(
         self,
@@ -1114,13 +1073,15 @@ class Database:
         return self.executor.delete(stmt, txn, parameters)
 
     # ------------------------------------------------------------------
-    # DDL
+    # DDL: each statement changes the catalog and syncs indexes, and
+    # answers whether it changed anything (False: an IF [NOT] EXISTS
+    # no-op); _execute_ddl does the rest
     # ------------------------------------------------------------------
 
-    def _create_table(self, stmt: ast.CreateTable) -> Result:
+    def _create_table(self, stmt: ast.CreateTable) -> bool:
         if self.schema.has_table(stmt.name):
             if stmt.if_not_exists:
-                return Result(columns=[], rows=[])
+                return False
             raise CatalogError(f"table {stmt.name!r} already exists")
 
         columns: List[Column] = []
@@ -1193,27 +1154,23 @@ class Database:
             del self.data[stmt.name]
             raise
         self._sync_indexes(stmt.name, *table.referenced_tables())
-        self.planner.invalidate()  # cached plans may predate the new table
-        self.schema_version += 1
-        return Result(columns=[], rows=[])
+        return True
 
-    def _drop_table(self, stmt: ast.DropTable) -> Result:
+    def _drop_table(self, stmt: ast.DropTable) -> bool:
         if not self.schema.has_table(stmt.name):
             if stmt.if_exists:
-                return Result(columns=[], rows=[])
+                return False
             raise CatalogError(f"no such table: {stmt.name!r}")
         table = self.schema.drop(stmt.name)
         del self.data[stmt.name]
         self._sync_indexes(*table.referenced_tables())
-        self.planner.invalidate()  # cached plans reference the dropped table
-        self.schema_version += 1
         self.data_version += 1  # the dropped table's rows are gone
-        return Result(columns=[], rows=[])
+        return True
 
-    def _create_index(self, stmt: ast.CreateIndex) -> Result:
+    def _create_index(self, stmt: ast.CreateIndex) -> bool:
         if self.schema.has_index(stmt.name):
             if stmt.if_not_exists:
-                return Result(columns=[], rows=[])
+                return False
             raise CatalogError(f"index {stmt.name!r} already exists")
         self.schema.add_index(  # validates table + columns
             Index(
@@ -1229,19 +1186,15 @@ class Database:
         except DatabaseError:
             self.schema.drop_index(stmt.name)
             raise
-        self.planner.invalidate()  # cached plans may now have a better path
-        self.schema_version += 1
-        return Result(columns=[], rows=[])
+        return True
 
-    def _drop_index(self, stmt: ast.DropIndex) -> Result:
+    def _drop_index(self, stmt: ast.DropIndex) -> bool:
         if not self.schema.has_index(stmt.name):
             if stmt.if_exists:
-                return Result(columns=[], rows=[])
+                return False
             raise CatalogError(f"no such index: {stmt.name!r}")
         self._sync_indexes(self.schema.drop_index(stmt.name).table)
-        self.planner.invalidate()  # cached plans reference the dropped index
-        self.schema_version += 1
-        return Result(columns=[], rows=[])
+        return True
 
     def _sync_indexes(self, *names: str) -> None:
         """Bring the index sets of tables ``names`` in line with the

@@ -90,9 +90,18 @@ class Executor:
     # SELECT
     # ==================================================================
 
-    def select(self, stmt: ast.Select, parameters: Sequence[Any] = ()) -> Result:
-        plan = self.planner.plan(stmt)
-        columns, rows = plan.execute(self.data, parameters)
+    def select(
+        self, stmt: ast.Select, parameters: Sequence[Any] = (), snapshot=None
+    ) -> Result:
+        """Run a SELECT over the working store, or over the tables of a
+        published ``snapshot`` (raises :class:`StaleSnapshotError` when a
+        DDL ran since it was published and no plan is cached)."""
+        if snapshot is None:
+            plan, tables = self.planner.plan(stmt), self.data
+        else:
+            plan = self.planner.plan_select_at(stmt, snapshot)
+            tables = snapshot.tables
+        columns, rows = plan.execute(tables, parameters)
         if rows:
             _ROWS_SELECT.inc(len(rows))
         return Result(columns=columns, rows=rows, rowcount=len(rows))

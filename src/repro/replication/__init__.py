@@ -6,10 +6,12 @@ write-ahead log is already a complete logical change stream, so a
 :class:`LogShipper` streams it over TCP to any number of
 :class:`Replica` processes, each replaying into its own MVCC store and
 serving snapshot reads with a bounded, measured staleness.  See
-:mod:`repro.replication.wire` for the protocol.
+:mod:`repro.replication.wire` for the protocol.  A :class:`Node` owns
+which of the roles a serving process plays (:mod:`repro.replication.node`).
 """
 
+from .node import Node
 from .replica import PrimaryLossDetector, Replica
 from .shipper import LogShipper
 
-__all__ = ["LogShipper", "PrimaryLossDetector", "Replica"]
+__all__ = ["LogShipper", "Node", "PrimaryLossDetector", "Replica"]

@@ -355,17 +355,7 @@ class Replica:
     def synced_once(self) -> bool:
         return self._synced_once
 
-    @property
-    def connected(self) -> bool:
-        return self._connected
-
-    def promote(
-        self,
-        *,
-        data_dir: Optional[str] = None,
-        sync_mode: str = "os",
-        drain_timeout: float = 5.0,
-    ) -> Dict[str, Any]:
+    def promote(self, *, drain_timeout: float = 5.0) -> Dict[str, Any]:
         """Take over as primary (idempotent).
 
         1. drain: wait (bounded) for the applied tail to reach the last
@@ -376,11 +366,11 @@ class Replica:
         3. bump the epoch strictly past everything observed — persisted
            before the store opens for writes, so our frames fence the
            old primary's everywhere;
-        4. flip the database writable (attaching durability first when a
-           ``data_dir`` is given) and checkpoint, so a new
-           :class:`LogShipper` bootstraps followers from current state.
+        4. flip the database writable and (for a durable store)
+           checkpoint, so a new :class:`LogShipper` bootstraps followers
+           from current state.
 
-        The caller wires the returned epoch into its shipper/endpoint.
+        :meth:`Node.promote` starts that shipper.
         Raises :class:`~repro.errors.FaultError` from the
         ``repl:promote`` site — an injected fault aborts the promotion
         before any state changes.
@@ -400,8 +390,6 @@ class Replica:
             self.stop()
             new_epoch = self._epoch + 1
             db = self.db
-            if db._durability is None and data_dir is not None:
-                db.enable_durability(data_dir, sync_mode)
             if db._durability is not None:
                 db._durability.advance_epoch(new_epoch)
                 new_epoch = db._durability.epoch

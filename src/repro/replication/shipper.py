@@ -224,12 +224,6 @@ class LogShipper:
                 self._acks[conn] = position
             self._ack_cond.notify_all()
 
-    def acked_count(self, position: Tuple[int, int]) -> int:
-        """How many live replicas have acknowledged applying up to
-        ``position``."""
-        with self._ack_cond:
-            return sum(1 for p in self._acks.values() if p >= position)
-
     def wait_replicated(
         self, position: Tuple[int, int], timeout: float
     ) -> bool:

@@ -61,7 +61,7 @@ import socket
 import time
 import urllib.parse
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import EndpointTransportError, ReproError
 from ..observability.tracing import request_scope
@@ -593,16 +593,21 @@ class ReplicatedClient:
                     pass
                 return
 
-    def query_json(
-        self, sparql_query: str, request_timeout: Optional[float] = None
-    ) -> dict:
-        # One request scope per logical read: a replica attempt and its
-        # primary fallback carry the same X-Request-Id.
+    def _read(
+        self,
+        fetch: Callable[[OntoAccessClient], Any],
+        from_primary: Optional[Callable[[OntoAccessClient], Any]] = None,
+    ) -> Any:
+        """One logical read: the next replica first, counted as a
+        fallback when ``fetch`` raises :class:`ReproError` there, then the
+        primary (through ``from_primary`` when given).  One request
+        scope: a replica attempt and its primary fallback carry the same
+        X-Request-Id."""
         with request_scope():
             replica = self._pick()
             if replica is not None:
                 try:
-                    result = replica.query_json(sparql_query, request_timeout)
+                    result = fetch(replica)
                 except ReproError:
                     self.primary_fallbacks += 1
                 else:
@@ -610,54 +615,39 @@ class ReplicatedClient:
                     self._note_lag(replica)
                     return result
             self.primary_reads += 1
-            return self.primary.query_json(sparql_query, request_timeout)
+            return (from_primary or fetch)(self.primary)
+
+    def query_json(
+        self, sparql_query: str, request_timeout: Optional[float] = None
+    ) -> dict:
+        return self._read(
+            lambda client: client.query_json(sparql_query, request_timeout)
+        )
 
     def query_text(
         self, sparql_query: str, request_timeout: Optional[float] = None
     ) -> str:
-        with request_scope():
-            return self._query_text_routed(sparql_query, request_timeout)
+        def from_replica(client: OntoAccessClient) -> str:
+            # _post (not query_text) so the status is visible: a 503
+            # replica-lagging body must not be returned as a result.
+            status, body = client._post(
+                protocol.QUERY_PATH,
+                sparql_query,
+                protocol.CONTENT_SPARQL_QUERY,
+                idempotent=True,
+                request_timeout=request_timeout,
+            )
+            if status != 200:
+                raise ReproError(f"replica answered HTTP {status}")
+            return body
 
-    def _query_text_routed(
-        self, sparql_query: str, request_timeout: Optional[float] = None
-    ) -> str:
-        replica = self._pick()
-        if replica is not None:
-            try:
-                # _post (not query_text) so the status is visible: a 503
-                # replica-lagging body must not be returned as a result.
-                status, body = replica._post(
-                    protocol.QUERY_PATH,
-                    sparql_query,
-                    protocol.CONTENT_SPARQL_QUERY,
-                    idempotent=True,
-                    request_timeout=request_timeout,
-                )
-            except ReproError:
-                self.primary_fallbacks += 1
-            else:
-                if status == 200:
-                    self.replica_reads += 1
-                    self._note_lag(replica)
-                    return body
-                self.primary_fallbacks += 1
-        self.primary_reads += 1
-        return self.primary.query_text(sparql_query, request_timeout)
+        return self._read(
+            from_replica,
+            lambda client: client.query_text(sparql_query, request_timeout),
+        )
 
     def dump(self) -> Graph:
-        with request_scope():
-            replica = self._pick()
-            if replica is not None:
-                try:
-                    result = replica.dump()
-                except ReproError:
-                    self.primary_fallbacks += 1
-                else:
-                    self.replica_reads += 1
-                    self._note_lag(replica)
-                    return result
-            self.primary_reads += 1
-            return self.primary.dump()
+        return self._read(OntoAccessClient.dump)
 
     # -- lifecycle ------------------------------------------------------
 

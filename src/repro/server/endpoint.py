@@ -24,12 +24,25 @@ row of :data:`ROUTES`, a :class:`Route` holding
   deadline, a trace record, one access-log line); None marks a route
   exempt from admission, so probes, scrapes and admin actions answer
   precisely when the server is saturated;
-* ``replica`` — the replica policy: ``"read"`` routes are refused with
-  503 ``replica-syncing`` / ``replica-lagging`` while this endpoint
-  serves a replica that is bootstrapping or past ``max_replica_lag``,
-  and otherwise carry ``X-Replica-Lag``; ``"write"`` routes are refused
-  with 403 ``read-only-replica``; None routes have no policy.  A
-  promoted replica serves a primary, and the policy lifts;
+* ``replica`` — the replica policy, ``"read"``, ``"write"`` or None
+  (no policy), applied by the role of the endpoint's
+  :class:`~repro.replication.Node`:
+
+  ========  ===================================  ==========================  =========
+  role      ``"read"`` routes                    ``"write"`` routes          /ready
+  ========  ===================================  ==========================  =========
+  replica   503 ``replica-syncing`` before the   403 ``read-only-replica``   503 until
+            first sync, 503 ``replica-lagging``                              synced
+            past the node's ``max_replica_lag``,
+            else served with ``X-Replica-Lag``
+  primary   served                               served                      200
+  fenced    served                               403 ``read-only`` (the      503
+                                                 database refuses them)
+  ========  ===================================  ==========================  =========
+
+  An endpoint built without a node serves ``Node(mediator.db)``: a
+  primary, fenced if its database was made read-only.  Promotion and
+  fencing change the role while the endpoint runs;
 * ``rejected`` — the route's rejection rule: its answer to an exception
   its handler raised, or None for one it does not claim.
 
@@ -114,6 +127,7 @@ from ..observability.tracing import (
 )
 from ..rdf.graph import Graph
 from ..r3m.serialize import mapping_to_turtle
+from ..replication.node import Node
 from . import protocol
 from .protocol import Response
 
@@ -419,22 +433,13 @@ class OntoAccessEndpoint:
         default_timeout: Optional[float] = 30.0,
         max_body_bytes: int = 8 * 1024 * 1024,
         max_connections: int = 128,
-        replica: Optional[Any] = None,
-        max_replica_lag: Optional[float] = None,
-        promoter: Optional[Callable[[], Dict[str, Any]]] = None,
-        shipper: Optional[Any] = None,
+        node: Optional[Node] = None,
         slow_query_threshold: Optional[float] = 1.0,
         access_log: Optional[Any] = None,
     ) -> None:
         self.mediator = mediator
-        #: the replica whose read side this endpoint serves, if any
-        self.replica = replica
-        self.max_replica_lag = max_replica_lag
-        #: callable that promotes this replica to primary (``POST
-        #: /admin/promote``); None on endpoints that cannot be promoted
-        #: (true primaries, or replicas launched without a promotion path)
-        self.promoter = promoter
-        self._promote_lock = threading.Lock()
+        #: what this endpoint serves: primary, replica or fenced
+        self.node = node if node is not None else Node(mediator.db)
         #: One session shared by all handler threads: writes serialize on
         #: its write-tier lock, reads run against committed snapshots, and
         #: its prepared cache amortizes repeated texts across threads.
@@ -456,10 +461,6 @@ class OntoAccessEndpoint:
         #: responses whose streaming was cut short (client disconnect or
         #: deadline expiry mid-stream)
         self.stream_aborts = 0
-        #: the primary's log shipper, when this endpoint fronts one; a
-        #: promoted replica's runner assigns the new shipper here so the
-        #: /metrics replication families follow the role change.
-        self.shipper = shipper
         #: ring-buffered log of requests over the slow threshold
         self.query_log = QueryLog(threshold=slow_query_threshold)
         #: writable text stream for JSON access-log lines (None = off)
@@ -591,17 +592,15 @@ class OntoAccessEndpoint:
 
     def _run(self, route: Route, request: _Request) -> Response:
         """The route's handler, with any exception mapped to its answer;
-        a read route's answer carries the replica's staleness."""
+        a read route's answer on a replica carries its staleness."""
         try:
             response = route.handler(self, request)
         except Exception as exc:
             response = route.rejected(exc) or _internal_error(exc)
-        if route.replica == READ:
-            replica = self._serving_replica()
-            if replica is not None:
-                lag = replica.lag()
-                if math.isfinite(lag):
-                    response.headers["X-Replica-Lag"] = f"{lag:.3f}"
+        if route.replica == READ and self.node.following is not None:
+            lag = self.node.lag()
+            if math.isfinite(lag):
+                response.headers["X-Replica-Lag"] = f"{lag:.3f}"
         return response
 
     def _finish_request(
@@ -664,41 +663,23 @@ class OntoAccessEndpoint:
     # replica policy
     # ------------------------------------------------------------------
 
-    def _serving_replica(self) -> Optional[Any]:
-        """The replica this endpoint is serving reads for, or None when
-        the endpoint serves a primary.  A promoted replica (its ``role``
-        flipped to ``"primary"``) stops counting: write refusals and
-        staleness gates lift the moment promotion returns, with no
-        endpoint reconfiguration."""
-        replica = self.replica
-        if replica is None:
-            return None
-        if getattr(replica, "role", "replica") == "primary":
-            return None
-        return replica
-
     def _replica_policy(self, route: Route) -> Optional[Response]:
         """The refusal the route's replica policy answers with, or None
-        when the request may be served here."""
-        if route.replica == READ:
-            return self._replica_gate()
-        if route.replica == WRITE and self._serving_replica() is not None:
+        when the request may be served here — always, unless the node
+        serves a replica: then writes are refused, and reads while it is
+        still syncing or too stale (its ``max_replica_lag`` exceeded),
+        so the client retries against the primary."""
+        node = self.node
+        if route.replica is None or node.following is None:
+            return None
+        if route.replica == WRITE:
             return protocol.error_json(
                 "read-only-replica",
                 f"{route.what} must go to the primary; this endpoint "
                 "serves a read replica",
                 403,
             )
-        return None
-
-    def _replica_gate(self) -> Optional[Response]:
-        """None when a read may be served here; a 503 when this endpoint
-        is a replica that is still syncing or too stale (``max_replica_
-        lag`` exceeded) — the client retries against the primary."""
-        replica = self._serving_replica()
-        if replica is None:
-            return None
-        if not replica.ready:
+        if not node.ready:
             return protocol.error_json(
                 "replica-syncing",
                 "replica has not finished bootstrap replay; retry on "
@@ -706,12 +687,13 @@ class OntoAccessEndpoint:
                 503,
                 retry_after=RETRY_AFTER,
             )
-        lag = replica.lag()
-        if self.max_replica_lag is not None and lag > self.max_replica_lag:
+        lag = node.lag()
+        bound = node.max_replica_lag
+        if bound is not None and lag > bound:
             response = protocol.error_json(
                 "replica-lagging",
                 f"replica lag {lag:.3f}s exceeds the bound of "
-                f"{self.max_replica_lag:g}s; retry on the primary",
+                f"{bound:g}s; retry on the primary",
                 503,
                 retry_after=RETRY_AFTER,
                 lag_s=round(lag, 3),
@@ -730,18 +712,10 @@ class OntoAccessEndpoint:
         backend's durability detail, serving statistics, the requests
         answered so far, and role and failover epoch — what clients
         probe for when they hunt the primary (``role == "primary"``,
-        highest epoch) — plus replication status on a replica endpoint."""
+        highest epoch; a fenced node does not advertise itself as
+        primary) — plus replication status on a replica endpoint."""
         backend = self.session.health()
-        replica = self.replica
-        if replica is not None:
-            role, epoch = replica.role, replica.epoch
-        else:
-            db = getattr(self.mediator, "db", None)
-            # A deposed primary (fenced by a higher epoch, flipped
-            # read-only) must not advertise itself as primary, or clients
-            # would keep routing writes into 403s.
-            role = "fenced" if getattr(db, "read_only", False) else "primary"
-            epoch = getattr(db, "epoch", 0)
+        node = self.node
         doc = {
             "status": "degraded" if backend.get("wal_refusing") else "ok",
             "backend": backend,
@@ -750,11 +724,12 @@ class OntoAccessEndpoint:
                 "served": self.requests_served,
                 "errors": self.errors_returned,
             },
-            "role": role,
-            "epoch": epoch,
+            "role": node.role,
+            "epoch": node.epoch,
         }
-        if self.replica is not None:
-            doc["replication"] = self.replica.status()
+        replication = node.status()
+        if replication is not None:
+            doc["replication"] = replication
         return doc
 
     def _scrape_registry(self, snapshot: Dict[str, Any]) -> MetricsRegistry:
@@ -797,19 +772,18 @@ class OntoAccessEndpoint:
             "Error responses returned by this endpoint since start.",
             snapshot["requests"]["errors"],
         )
-        planner = getattr(getattr(self.mediator, "db", None), "planner", None)
-        if planner is not None:
-            for key, value in planner.stats.items():
-                gauge(
-                    f"plan_cache_{key}",
-                    f"Plan-cache {key} since process start.",
-                    value,
-                )
+        planner = self.mediator.db.planner
+        for key, value in planner.stats.items():
             gauge(
-                "plan_cache_entries",
-                "Statement shapes that currently have a cached plan.",
-                planner.cache_entries(),
+                f"plan_cache_{key}",
+                f"Plan-cache {key} since process start.",
+                value,
             )
+        gauge(
+            "plan_cache_entries",
+            "Statement shapes that currently have a cached plan.",
+            planner.cache_entries(),
+        )
         backend = snapshot["backend"]
         gauge(
             "storage_durable",
@@ -840,32 +814,8 @@ class OntoAccessEndpoint:
             )
         # Both sides of a pair advertise role and epoch, so dashboards
         # track failover from either.
-        gauge(
-            "replica_role_primary",
-            "1 when this endpoint serves the primary.",
-            1.0 if snapshot["role"] == "primary" else 0.0,
-        )
-        gauge(
-            "replica_epoch", "Failover epoch of the served store.",
-            snapshot["epoch"],
-        )
-        replica = self.replica
-        if replica is not None and hasattr(replica, "metrics"):
-            for key, value in replica.metrics().items():
-                if key not in ("role_primary", "epoch"):
-                    gauge(
-                        f"replica_{key}",
-                        f"Replica statistic {key!r} (see /health).",
-                        value,
-                    )
-        shipper = self.shipper
-        if shipper is not None and hasattr(shipper, "metrics"):
-            for key, value in shipper.metrics().items():
-                gauge(
-                    f"shipper_{key}",
-                    f"Log-shipper statistic {key!r}.",
-                    value,
-                )
+        for name, help_text, value in self.node.metrics():
+            gauge(name, help_text, value)
         log = self.query_log.status()
         gauge(
             "slow_query_log_entries",
@@ -976,20 +926,18 @@ class OntoAccessEndpoint:
 
         200 with the promotion record (new epoch, drained flag, applied
         position) — idempotently on repeat calls, since
-        :meth:`Replica.promote` is.  409 ``not-promotable`` when the
-        endpoint has no promotion path; 500 ``promotion-failed`` when the
+        :meth:`Node.promote` is.  409 ``not-promotable`` when the node
+        has no replica to promote; 500 ``promotion-failed`` when the
         promotion itself errored (the replica is stopped but writable
         state was not reached — operator attention required)."""
-        if self.promoter is None:
+        if not self.node.promotable:
             return protocol.error_json(
                 "not-promotable",
                 "this endpoint has no promotion path; it either already "
                 "serves a primary or was started without one",
                 409,
             )
-        with self._promote_lock:
-            record = self.promoter()
-        return Response.json({"promoted": True, **record})
+        return Response.json({"promoted": True, **self.node.promote()})
 
     def _health(self, request: _Request) -> Response:
         """GET /health: always 200; ``status`` says ``"degraded"`` while
@@ -998,11 +946,18 @@ class OntoAccessEndpoint:
 
     def _ready(self, request: _Request) -> Response:
         """GET /ready: 200 while the endpoint can accept writes (or, on a
-        replica, serve synced reads), 503 while degraded — durable store
-        refusing commits, or replica bootstrap replay still running
-        (load balancers drain on this)."""
+        replica, serve synced reads), 503 while it cannot — replica
+        bootstrap replay still running, the node fenced, or the durable
+        store refusing commits (load balancers drain on this)."""
         snapshot = self._snapshot()
-        if self._serving_replica() is not None and not self.replica.ready:
+        if not self.node.ready:
+            if snapshot["role"] == "fenced":
+                return protocol.error_json(
+                    "fenced",
+                    f"fenced at epoch {snapshot['epoch']}: a higher epoch "
+                    "was promoted; writes go to the new primary",
+                    503,
+                )
             return protocol.error_json(
                 "replica-syncing",
                 "replica has not finished bootstrap replay",
@@ -1018,7 +973,7 @@ class OntoAccessEndpoint:
                 503,
             )
         doc: Dict[str, Any] = {"ready": True}
-        if self.replica is not None:
+        if "replication" in snapshot:
             doc["replica"] = snapshot["replication"]
         return Response.json(doc)
 

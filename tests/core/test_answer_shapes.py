@@ -258,9 +258,7 @@ def test_ask_reads_one_row(mediator):
 def test_scan_top10_takes_at_most_ten_rows_out_of_the_executor(mediator):
     """The benchmark's ``scan_top10`` template (a count, not a timing):
     every binding with more than ten matching rows still moves at most
-    ten rows from the executor to the mediator.  The executor counts the
-    statements of a transaction (a read outside one runs the same plan on
-    the committed snapshot), so the queries run inside one."""
+    ten rows from the executor to the mediator."""
     session = mediator.session()
     prepared = session.prepare(
         PREFIXES + "SELECT ?p ?t ?y WHERE { ?p dc:publisher ?pub ; ont:pubType ?type ;"
@@ -280,8 +278,7 @@ def test_scan_top10_takes_at_most_ten_rows_out_of_the_executor(mediator):
             )
             larger += matching > 10
             before = counter.value()
-            with session.transaction():
-                result = prepared.execute(bindings)
+            result = prepared.execute(bindings)
             assert counter.value() - before == len(result) == min(10, matching)
     assert larger >= 3  # the LIMIT cut something
 

@@ -36,7 +36,7 @@ import pytest
 from repro.errors import ReplicationError
 from repro.faults import INJECTOR
 from repro.rdb import Database
-from repro.replication import LogShipper, Replica, wire
+from repro.replication import LogShipper, Node, Replica, wire
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -155,16 +155,18 @@ def test_stalled_applier_grows_lag_and_gates_reads(tmp_path):
     clients fall back to the primary), and reopen after catch-up."""
     from repro.core.mediator import OntoAccess
     from repro.r3m.generator import generate_mapping
-    from repro.server.endpoint import OntoAccessEndpoint
+    from repro.server.endpoint import ROUTES, OntoAccessEndpoint
 
     topology = _Topology(tmp_path, heartbeat_grace=0.2)
     try:
         replica = topology.replica
         mediator = OntoAccess(replica.db, generate_mapping(replica.db))
         endpoint = OntoAccessEndpoint(
-            mediator, replica=replica, max_replica_lag=0.3
+            mediator,
+            node=Node(replica.db, replica=replica, max_replica_lag=0.3),
         )
-        assert endpoint._replica_gate() is None  # caught up: reads open
+        read = ROUTES[("POST", "/query")]
+        assert endpoint._replica_policy(read) is None  # caught up: reads open
 
         gate = threading.Event()
         INJECTOR.inject("repl:apply", stall=gate)
@@ -175,7 +177,7 @@ def test_stalled_applier_grows_lag_and_gates_reads(tmp_path):
         second = replica.lag()
         assert second > first > 0.3  # monotone growth while stalled
 
-        blocked = endpoint._replica_gate()
+        blocked = endpoint._replica_policy(read)
         assert blocked is not None and blocked.status == 503
         assert "replica-lagging" in blocked.body
         assert float(blocked.headers["X-Replica-Lag"]) > 0.3
@@ -185,7 +187,7 @@ def test_stalled_applier_grows_lag_and_gates_reads(tmp_path):
         _quiesce(topology.db, [replica])
         assert _rows(replica.db) == _rows(topology.db)
         _wait(
-            lambda: endpoint._replica_gate() is None,
+            lambda: endpoint._replica_policy(read) is None,
             message="gate never reopened",
         )
     finally:

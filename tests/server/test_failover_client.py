@@ -23,7 +23,7 @@ from repro.errors import EndpointTransportError
 from repro.faults import INJECTOR
 from repro.r3m.generator import generate_mapping
 from repro.rdb import Database
-from repro.replication import LogShipper, Replica
+from repro.replication import Node, Replica
 from repro.server import OntoAccessEndpoint, ReplicatedClient
 from repro.server.client import RetryPolicy
 
@@ -53,28 +53,25 @@ class _Cluster:
         self.db = Database(data_dir=str(tmp_path / "primary"), sync_mode="os")
         self.db.execute("CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER)")
         self.db.execute("INSERT INTO kv (id, v) VALUES (1, 1)")
-        self.shipper = LogShipper(
-            self.db, on_deposed=self._deposed
-        ).start()
+        self.primary_node = Node(self.db, shipping={})
         self.primary = OntoAccessEndpoint(
-            OntoAccess(self.db, generate_mapping(self.db))
+            OntoAccess(self.db, generate_mapping(self.db)),
+            node=self.primary_node,
         )
         self.primary.start()
         self.replica = Replica(
-            self.shipper.address,
+            self.primary_node.shipper.address,
             db=Database(data_dir=str(tmp_path / "replica"), sync_mode="os"),
         ).start()
         assert self.replica.wait_ready(10.0), self.replica.status()
+        self.node = Node(
+            self.replica.db, replica=self.replica, max_replica_lag=5.0
+        )
         self.replica_endpoint = OntoAccessEndpoint(
             OntoAccess(self.replica.db, generate_mapping(self.replica.db)),
-            replica=self.replica,
-            max_replica_lag=5.0,
-            promoter=self.replica.promote,
+            node=self.node,
         )
         self.replica_endpoint.start()
-
-    def _deposed(self, epoch):
-        self.db.read_only = True
 
     def client(self, **kwargs):
         kwargs.setdefault("sleep", lambda _s: None)
@@ -89,9 +86,8 @@ class _Cluster:
     def close(self):
         self.replica_endpoint.stop()
         self.primary.stop()
-        self.replica.close()
-        self.shipper.stop()
-        self.db.close()
+        self.node.close()
+        self.primary_node.close()
 
 
 @pytest.fixture
@@ -113,7 +109,7 @@ def test_writes_fail_fast_before_promotion_succeed_after(cluster):
     assert rediscoveries_before > 0  # it looked for a new primary...
     assert client.write_failovers == 0  # ...and found none to point at
 
-    cluster.replica.promote()  # operator (or detector) promotes
+    cluster.node.promote()  # operator (or detector) promotes
     feedback = client.update(WRITE.format(key=12), idempotent=True)
     assert feedback.ok, feedback.message
     assert client.write_failovers == 1
@@ -142,7 +138,7 @@ def test_non_idempotent_transport_failure_is_never_resent(cluster):
 def test_read_only_refusal_reroutes_even_non_idempotent_writes(cluster):
     """A fenced old primary answers 403 ``read-only``: the refusal
     proves nothing executed, so even a non-idempotent write re-routes."""
-    cluster.replica.promote()
+    cluster.node.promote()
     cluster.db.read_only = True  # the old primary got fenced
     client = cluster.client()
 
@@ -155,7 +151,7 @@ def test_read_only_refusal_reroutes_even_non_idempotent_writes(cluster):
 
 
 def test_batch_follows_the_same_failover_path(cluster):
-    cluster.replica.promote()
+    cluster.node.promote()
     cluster.db.read_only = True
     client = cluster.client()
     feedback = client.batch(
@@ -175,7 +171,7 @@ def test_read_counters_stay_coherent_across_failover(cluster):
     assert client.last_replica_lag is not None
     assert client.last_replica_lag >= 0.0
 
-    cluster.replica.promote()
+    cluster.node.promote()
     # A promoted replica endpoint still serves reads (no lag header —
     # a primary is not stale), and the client's routing still works.
     doc = client.query_json(SELECT)

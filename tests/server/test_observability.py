@@ -17,7 +17,7 @@ from repro import OntoAccess
 from repro.errors import EndpointTransportError
 from repro.faults import INJECTOR
 from repro.observability import QueryLog, lint_exposition
-from repro.observability.metrics import REQUESTS
+from repro.observability.metrics import EXECUTOR_ROWS, REQUESTS
 from repro.observability.tracing import request_scope
 from repro.rdb.engine import Database
 from repro.server import OntoAccessClient, OntoAccessEndpoint, RetryPolicy
@@ -133,6 +133,18 @@ class TestMetricsExposition:
         assert _sample(text, "repro_plan_cache_entries") == 1.0
         assert _sample(text, "repro_plan_cache_misses") == 1.0
         assert _sample(text, "repro_replica_role_primary") == 1.0
+
+    def test_snapshot_select_counts_its_rows(self):
+        """A SELECT outside any transaction runs lock-free on the
+        committed snapshot; its rows count in
+        ``repro_executor_rows_total{op="select"}`` like a transaction's."""
+        db = build_database()
+        seed_feasibility_data(db)
+        counter = EXECUTOR_ROWS.labels("select")
+        before = counter.value()
+        result = db.execute("SELECT id, lastname FROM author")
+        assert len(result) > 0
+        assert counter.value() - before == len(result)
 
     def test_metrics_bypasses_admission(self, endpoint):
         """A saturated gate must not starve the scrape (like /health)."""

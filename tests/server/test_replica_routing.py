@@ -10,7 +10,7 @@ read replicas following its WAL over sockets — driven through
   to the primary only on replica failure or staleness;
 * every replica-served read carries an ``X-Replica-Lag`` header whose
   value is a finite, non-negative staleness bound in seconds;
-* when a replica's lag exceeds the endpoint's ``max_replica_lag``, its
+* when a replica's lag exceeds its node's ``max_replica_lag``, its
   reads return 503 and the client transparently falls back to the
   primary — which serves the freshest data;
 * a replica endpoint's ``/ready`` stays 503 (``replica-syncing``) until
@@ -26,7 +26,7 @@ import pytest
 from repro import OntoAccess
 from repro.faults import INJECTOR
 from repro.rdb import Database
-from repro.replication import LogShipper, Replica
+from repro.replication import LogShipper, Node, Replica
 from repro.server import OntoAccessEndpoint, ReplicatedClient
 from repro.workloads.publication import (
     PUBLICATION_DDL,
@@ -104,8 +104,9 @@ class _Topology:
             assert replica.wait_ready(10.0), replica.status()
             endpoint = OntoAccessEndpoint(
                 OntoAccess(replica.db, build_mapping(replica.db)),
-                replica=replica,
-                max_replica_lag=max_replica_lag,
+                node=Node(
+                    replica.db, replica=replica, max_replica_lag=max_replica_lag
+                ),
             )
             endpoint.start()
             self.replicas.append(replica)
@@ -242,8 +243,7 @@ def test_replica_ready_is_503_until_bootstrap_completes(topo):
         # empty, so the mapping is empty too — /ready must shield that
         endpoint = OntoAccessEndpoint(
             OntoAccess(late.db, build_mapping(late.db)),
-            replica=late,
-            max_replica_lag=5.0,
+            node=Node(late.db, replica=late, max_replica_lag=5.0),
         )
         endpoint.start()
         try:

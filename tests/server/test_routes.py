@@ -22,6 +22,7 @@ import pytest
 
 from repro import OntoAccess
 from repro.faults import INJECTOR
+from repro.replication import Node
 from repro.server import OntoAccessEndpoint
 from repro.workloads.publication import (
     build_database,
@@ -70,10 +71,13 @@ def clean_injector():
     INJECTOR.clear()
 
 
-def _endpoint(**kwargs):
+def _endpoint(replica=None, **kwargs):
     db = build_database()
     seed_feasibility_data(db)
-    return OntoAccessEndpoint(OntoAccess(db, build_mapping(db)), **kwargs)
+    node = None
+    if replica is not None:
+        node = _UnpromotableNode(db, replica=replica, max_replica_lag=5.0)
+    return OntoAccessEndpoint(OntoAccess(db, build_mapping(db)), node=node, **kwargs)
 
 
 def _send(port, method, target, body, content_type):
@@ -100,7 +104,7 @@ def _error(body):
 
 
 class _FakeReplica:
-    """What the endpoint reads of a replica: role, epoch, readiness, lag."""
+    """What a node reads of a replica: epoch, readiness, lag, status."""
 
     role = "replica"
     epoch = 1
@@ -114,6 +118,16 @@ class _FakeReplica:
 
     def status(self):
         return {"role": self.role, "epoch": self.epoch, "ready": self.ready}
+
+    def metrics(self):
+        return {}
+
+
+class _UnpromotableNode(Node):
+    """A replica node with no promotion path: /admin/promote stays 409,
+    as :data:`POLICY` says."""
+
+    promotable = False
 
 
 def test_policy_lists_every_route():
@@ -163,8 +177,7 @@ def test_saturated_gate_sheds_admitted_routes_only():
 @pytest.mark.parametrize("route", POLICY, ids=IDS)
 def test_syncing_replica_gates_reads_and_refuses_writes(route):
     method, target, body, ctype, _, policy, idle_status = route
-    with _endpoint(replica=_FakeReplica(ready=False, lag=float("inf")),
-                   max_replica_lag=5.0) as endpoint:
+    with _endpoint(replica=_FakeReplica(ready=False, lag=float("inf"))) as endpoint:
         status, headers, payload = _send(endpoint.port, method, target, body, ctype)
     if policy == "read":
         assert (status, _error(payload)) == (503, "replica-syncing")
@@ -181,8 +194,7 @@ def test_syncing_replica_gates_reads_and_refuses_writes(route):
 @pytest.mark.parametrize("route", POLICY, ids=IDS)
 def test_ready_replica_tags_reads_with_their_lag(route):
     method, target, body, ctype, _, policy, idle_status = route
-    with _endpoint(replica=_FakeReplica(ready=True, lag=0.25),
-                   max_replica_lag=5.0) as endpoint:
+    with _endpoint(replica=_FakeReplica(ready=True, lag=0.25)) as endpoint:
         status, headers, payload = _send(endpoint.port, method, target, body, ctype)
     if policy == "read":
         assert status == 200, payload
