@@ -174,9 +174,9 @@ def test_concurrent_read_throughput(capsys):
         session.query(READ_QUERY)
 
     def serialized_read():
-        # The pre-ISSUE-4 discipline: every read takes the (write-tier)
-        # session lock, so it queues behind open transactions.
-        with session._lock:
+        # The serialized discipline: every read takes the database's
+        # writer lock, so it queues behind open transactions.
+        with session.backend.writer_lock:
             session.query(READ_QUERY)
 
     with _Writer(session):

@@ -136,34 +136,22 @@ def operation_kind(operation: UpdateOperation) -> str:
 class Backend(abc.ABC):
     """Uniform execution surface over one storage engine.
 
-    Subclasses must call ``super().__init__()``: the backend owns the
-    reentrant lock that every :class:`~repro.core.session.Session` over
-    it shares, because transaction state is backend-global and two
-    sessions on one store must never interleave.
-
-    Since the MVCC work the session lock is a **write-tier** lock: update
-    execution, transaction scope, and translation serialize on it, while
-    the query path runs lock-free against committed snapshots (see
+    A write takes one lock, the store's reentrant **writer lock**
+    (:attr:`writer_lock`): :meth:`begin` takes it and :meth:`commit` /
+    :meth:`rollback` release it, on the thread that opened the
+    transaction; the session holds it across one request's operations.
+    Transaction state is the store's, so every session over one backend
+    serializes on it.  The query path never takes it: it runs lock-free
+    against committed snapshots (see
     :meth:`~repro.rdb.engine.Database.snapshot` and the triple store's
-    frozen-graph cache).  ``_cache_lock`` guards the small prepared-cache
-    dictionaries that readers touch, so a long write transaction never
-    stalls them.
+    frozen-graph cache).
     """
 
     #: Short identifier used in diagnostics and test parametrization.
     name: str = "backend"
 
-    def __init__(self) -> None:
-        self._session_lock = threading.RLock()
-        #: Brief critical sections only (prepared-cache get/put); never
-        #: held while executing a query or an update.
-        self._cache_lock = threading.Lock()
-        #: Outstanding ``Session.begin()`` acquisitions of the session
-        #: lock (0 or 1; engines forbid nested transactions).  Lives here
-        #: because the lock and transaction state are backend-global: a
-        #: transaction begun through one session may legitimately be
-        #: committed through another over the same backend.
-        self._begin_holds = 0
+    #: The store's writer lock (reentrant).
+    writer_lock: Any
 
     # -- write path ----------------------------------------------------
 
@@ -184,10 +172,11 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def commit(self) -> Optional[Any]:
-        """Commit the open transaction; the caller holds the write-tier
-        lock.  Returns a token for :meth:`wait_durable`, which the
-        caller runs *after* releasing that lock and before it
-        acknowledges the commit (None: nothing to wait for)."""
+        """Commit the open transaction and release the writer lock
+        :meth:`begin` took.  Returns a token for :meth:`wait_durable`,
+        which the caller runs *after* releasing every hold it has on
+        that lock and before it acknowledges the commit (None: nothing
+        to wait for)."""
 
     def wait_durable(self, token: Optional[Any]) -> None:
         """Block until the commit behind ``token`` is as durable (and as
@@ -332,8 +321,8 @@ class RelationalBackend(Backend):
         optimize_modify: bool = True,
         force_query_fallback: bool = False,
     ) -> None:
-        super().__init__()
         self.db = db
+        self.writer_lock = db._write_lock
         self._mapping = mapping
         #: Bumped when the mapping object is replaced, so prepared query
         #: translations (keyed on :meth:`query_state_version`) invalidate.
@@ -541,8 +530,8 @@ class TripleStoreBackend(Backend):
     name = "triplestore"
 
     def __init__(self, store) -> None:
-        super().__init__()
         self.store = store
+        self.writer_lock = threading.RLock()
         self._version = 0
         #: _version at the last commit point (begin/rollback/commit keep
         #: it at committed state, so readers' freshness checks work like
@@ -572,11 +561,15 @@ class TripleStoreBackend(Backend):
         )
 
     # -- transactions ---------------------------------------------------
-    # Error contract mirrors the relational engine's transaction control
-    # (TransactionError on misuse) so backends stay swappable.
+    # The relational engine's discipline, error contract included
+    # (TransactionError on misuse), so backends stay swappable: begin
+    # takes the writer lock and the opening thread's commit / rollback
+    # releases it.
 
     def begin(self) -> None:
+        self.writer_lock.acquire()
         if self.store.graph.journaling():
+            self.writer_lock.release()
             raise TransactionError("a transaction is already open")
         cache = self._read_cache
         if self._reads_active and (
@@ -585,7 +578,7 @@ class TripleStoreBackend(Backend):
             # Publish the pre-transaction state before mutating, so
             # concurrent readers stay lock-free for the whole transaction.
             # (A first-ever reader arriving mid-transaction instead waits
-            # for the commit on the write-tier lock.)
+            # for the commit on the writer lock.)
             self._read_cache = (
                 self._committed_version, self.store.graph.copy()
             )
@@ -593,26 +586,40 @@ class TripleStoreBackend(Backend):
         self.store.graph.start_journal()
 
     def commit(self) -> None:
-        if not self.store.graph.journaling():
-            raise TransactionError("no transaction is open")
-        self.store.graph.commit_journal()
-        self._txn_owner = None
-        self._committed_version = self._version
+        self._require_owner()
+        try:
+            self.store.graph.commit_journal()
+            self._committed_version = self._version
+        finally:
+            self._txn_owner = None
+            self.writer_lock.release()
 
     def rollback(self) -> None:
+        self._require_owner()
+        try:
+            self.store.graph.rollback_journal()
+            cache = self._read_cache
+            # The journal restored exactly the pre-transaction state; if
+            # the cache holds that state (begin() published it), relabel
+            # it with the new committed version instead of forcing an
+            # O(graph) recopy.
+            restored = cache is not None and cache[0] == self._committed_version
+            self._version += 1
+            self._committed_version = self._version
+            if restored:
+                self._read_cache = (self._committed_version, cache[1])
+        finally:
+            self._txn_owner = None
+            self.writer_lock.release()
+
+    def _require_owner(self) -> None:
         if not self.store.graph.journaling():
             raise TransactionError("no transaction is open")
-        self.store.graph.rollback_journal()
-        self._txn_owner = None
-        cache = self._read_cache
-        # The journal restored exactly the pre-transaction state; if the
-        # cache holds that state (begin() published it), relabel it with
-        # the new committed version instead of forcing an O(graph) recopy.
-        restored = cache is not None and cache[0] == self._committed_version
-        self._version += 1
-        self._committed_version = self._version
-        if restored:
-            self._read_cache = (self._committed_version, cache[1])
+        if self._txn_owner != threading.get_ident():
+            raise TransactionError(
+                "the transaction belongs to another thread; only the "
+                "thread that opened it may commit or roll back"
+            )
 
     def in_transaction(self) -> bool:
         return self.store.graph.journaling()
@@ -626,9 +633,9 @@ class TripleStoreBackend(Backend):
         if cache is not None and cache[0] == self._committed_version:
             return cache[1]
         # Stale cache with no open transaction (an open one would have
-        # refreshed it in begin()): copy under the write-tier lock so the
+        # refreshed it in begin()): copy under the writer lock so the
         # copy never interleaves with a writer.
-        with self._session_lock:
+        with self.writer_lock:
             cache = self._read_cache
             if cache is None or cache[0] != self._committed_version:
                 cache = (self._committed_version, self.store.graph.copy())

@@ -162,7 +162,7 @@ class OntoAccess:
         statements: List[ast.Bound] = []
         # Translation reads row data (current_row, link lookups), so it
         # must serialize with concurrent writers like every session entry.
-        with self._session._lock:
+        with self._backend.writer_lock:
             for operation in operations:
                 statements.extend(self._backend.translate_operation(operation))
         return statements
@@ -197,4 +197,4 @@ class OntoAccess:
 
     def dump(self) -> Graph:
         """Materialize the whole mapped database as RDF."""
-        return self._session.dump()  # session lock: no torn reads
+        return self._session.dump()  # committed snapshot: no torn reads

@@ -45,27 +45,31 @@ first out.
 * :meth:`Session.execute_all` runs a multi-operation batch inside **one**
   database transaction — all-or-nothing, whereas the facade commits each
   operation separately per the paper's one-transaction-per-operation rule.
-* The session owns transaction scope (:meth:`begin` / :meth:`commit` /
-  :meth:`rollback` / :meth:`transaction`).  **Write** entry points
-  serialize on the backend's write-tier lock so a threaded HTTP endpoint
-  can share one session without interleaving transactions; **read** entry
-  points (:meth:`query`, :meth:`query_outcome`, prepared queries) do not
-  take it — they run against the backend's committed snapshot, so N
-  reader threads proceed concurrently with each other and with at most
-  one writer.  The shape map is guarded by a separate lock held only for
+* Transaction scope (:meth:`begin` / :meth:`commit` / :meth:`rollback`
+  / :meth:`transaction`) is the backend's, and a write takes one lock:
+  the store's writer lock, which the backend's ``begin`` takes and its
+  ``commit`` / ``rollback`` release.  **Write** entry points hold it
+  across one request's operations, so a threaded HTTP endpoint can share
+  one session without interleaving transactions; **read** entry points
+  (:meth:`query`, :meth:`query_outcome`, prepared queries) never take
+  it — they run against the backend's committed snapshot, so N reader
+  threads proceed concurrently with each other and with at most one
+  writer.  The session's shape map has a lock of its own, held only for
   dictionary access, never during parsing or execution; the prepared
   shapes themselves are shared lock-free.
 
 Semantics cannot drift between one-shot and prepared requests, because
 there is one path: :meth:`Session.execute`, :meth:`Session.execute_all`,
 :meth:`PreparedUpdate.execute` and the HTTP endpoint's ``/update`` and
-``/batch`` all hand concrete operations to one routine that owns the
-lock, the transaction scope and the call to ``backend.execute_operation``.
+``/batch`` all hand concrete operations to one routine that holds the
+writer lock, opens the transaction scope and calls
+``backend.execute_operation``.
 """
 
 from __future__ import annotations
 
 import copy
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import (
@@ -303,30 +307,21 @@ class _Shape(NamedTuple):
 # ---------------------------------------------------------------------------
 
 class Session:
-    """Owns transaction scope and the map of request shapes over a backend.
+    """Runs requests over a backend and keeps their shapes.
 
-    Thread-safe with two lock tiers, both owned by the backend and shared
-    by **all** sessions over it (transaction state lives in the backend,
-    so two sessions on one database must never interleave — e.g. the
-    facade's internal session and the HTTP endpoint's session used from
-    different threads):
-
-    * the reentrant **write-tier** lock serializes updates, batches, and
-      transaction scope;
-    * the **cache lock** guards the shape map and is held only for
-      lookups/insertions, never across parsing or execution.
-
-    Queries take neither lock during execution: they run against the
+    Thread-safe.  Writes serialize on the backend's writer lock — the
+    store's own, so **all** sessions over one backend (the facade's and
+    the HTTP endpoint's, say) serialize on it and never interleave
+    transactions.  The session owns no write lock; its one lock guards
+    its shape map and is held only for lookups/insertions, never across
+    parsing or execution.  Queries take no lock: they run against the
     backend's committed snapshot, concurrent with each other and with at
     most one writer.
     """
 
     def __init__(self, backend: Backend) -> None:
         self.backend = backend
-        # The backend owns the locks (created in Backend.__init__), so all
-        # sessions over one backend serialize on the same instances.
-        self._lock = backend._session_lock
-        self._cache_lock = backend._cache_lock
+        self._cache_lock = threading.Lock()
         #: shape key -> what is kept for that shape, least recently used
         #: first; touched under the cache lock only
         self._shapes: "OrderedDict[Hashable, _Shape]" = OrderedDict()
@@ -522,9 +517,9 @@ class Session:
         prefixes: Optional[PrefixMap] = None,
         timeout: Optional[float] = None,
     ) -> QueryOutcome:
-        # Read tier: no session lock.  The backend evaluates against the
-        # committed snapshot current at the query's start (the thread
-        # owning an open transaction sees its own writes instead).
+        # No lock: the backend evaluates against the committed snapshot
+        # current at the query's start (the thread owning an open
+        # transaction sees its own writes instead).
         _OPS_QUERY.inc()
         if timeout is not None:
             with deadline_scope(timeout):
@@ -542,81 +537,53 @@ class Session:
     def dump(self) -> Graph:
         """Materialize the backend's state as RDF.
 
-        Read tier: both backends route their dump through the committed
-        snapshot (or the working store for the transaction's own thread),
-        so no lock is needed and a long-running transaction elsewhere
-        never stalls a dump.
+        Takes no lock: both backends route their dump through the
+        committed snapshot (or the working store for the transaction's
+        own thread), so a long-running transaction elsewhere never
+        stalls a dump.
         """
         return self.backend.dump()
 
     # -- transactions ---------------------------------------------------
 
     def begin(self) -> None:
-        """Open a transaction, holding the write-tier lock until
-        :meth:`commit`/:meth:`rollback`.
+        """Open a transaction: the backend takes its writer lock and
+        holds it until :meth:`commit` / :meth:`rollback`.
 
-        Transaction scope is thread-owned: exactly like the engine's
-        writer lock, the thread that called ``begin`` must finish the
-        transaction.  Another thread's write simply waits here (it can
-        never sneak into — or deadlock against — an open transaction),
-        and reads are unaffected (they use the committed snapshot).
+        Transaction scope is thread-owned: the thread that called
+        ``begin`` must finish the transaction (another thread's commit
+        or rollback raises :class:`~repro.errors.TransactionError`).
+        Another thread's write simply waits for the lock (it can never
+        sneak into — or deadlock against — an open transaction), and
+        reads are unaffected (they use the committed snapshot).  An
+        operation that fails inside the transaction rolls it back, which
+        releases the lock.
         """
-        self._lock.acquire()
-        try:
-            self.backend.begin()
-        except BaseException:
-            self._lock.release()
-            raise
-        self.backend._begin_holds += 1
-
-    def _release_begin_hold(self) -> None:
-        """Drop the lock acquisition made by :meth:`begin`, if any —
-        also on the error paths (e.g. committing after a failed
-        operation already rolled the transaction back).
-
-        MUST be called while holding the lock: a begin-hold is itself a
-        lock acquisition, so inside the lock a nonzero count can only be
-        this thread's own reentrant hold — checking it anywhere else
-        would race another thread's ``begin``.  The count lives on the
-        backend, so a transaction begun through one session can be
-        finished through another session over the same backend.
-        """
-        backend = self.backend
-        if backend._begin_holds:
-            backend._begin_holds -= 1
-            self._lock.release()
+        self.backend.begin()
 
     def commit(self) -> None:
-        with self._lock:
-            try:
-                token = self.backend.commit()
-            finally:
-                self._release_begin_hold()
-        # The durability (and replica-ack) wait runs with the write-tier
+        token = self.backend.commit()
+        # The durability (and replica-ack) wait runs with the writer
         # lock released: the next writer executes and appends meanwhile,
         # and both ride one flush (group commit).
         self.backend.wait_durable(token)
 
     def rollback(self) -> None:
-        with self._lock:
-            try:
-                self.backend.rollback()
-            finally:
-                self._release_begin_hold()
+        self.backend.rollback()
 
     def in_transaction(self) -> bool:
         return self.backend.in_transaction()
 
     def health(self) -> Dict[str, Any]:
         """Backend health (ISSUE 6): durability state incl. WAL refusing
-        mode and last-checkpoint age.  Read tier — no lock, so a health
+        mode and last-checkpoint age.  Takes no lock, so a health
         probe can never be starved by a long write."""
         return self.backend.health()
 
     def checkpoint(self) -> Optional[str]:
         """Force a durability checkpoint on the backend's store.
 
-        Takes no write-tier lock: the store makes the cut under its own
+        Takes no lock itself: the store makes the cut under its
         writer lock (waiting out another thread's open transaction,
         refusing this thread's) and serializes the frozen snapshot after
         releasing it, so updates commit and are acknowledged while the
@@ -627,18 +594,21 @@ class Session:
 
     @contextmanager
     def transaction(self):
-        """Explicit scope: operations inside join one transaction."""
-        with self._lock:
-            self.backend.begin()
-            try:
-                yield self
-            except Exception:
-                if self.backend.in_transaction():
-                    self.backend.rollback()
-                raise
-            else:
-                token = self.backend.commit()
-        self.backend.wait_durable(token)  # lock released, as in commit()
+        """Explicit scope: operations inside join one transaction, which
+        commits at the end and rolls back on any exception
+        (``KeyboardInterrupt`` included), re-raised."""
+        backend = self.backend
+        backend.begin()
+        try:
+            yield self
+        except BaseException:
+            # Under the writer lock an open transaction can only be this
+            # thread's (a failed operation may have rolled it back).
+            with backend.writer_lock:
+                if backend.in_transaction():
+                    backend.rollback()
+            raise
+        self.commit()
 
     # -- execution core -------------------------------------------------
 
@@ -646,7 +616,8 @@ class Session:
         self, operations: Sequence[UpdateOperation], atomic: bool
     ) -> UpdateResult:
         """The one update routine: run concrete operations under the
-        write-tier lock with session-managed transaction scope.
+        backend's writer lock, each in a transaction of its own, all in
+        one, or in the caller's open one.
 
         Callers parse and substitute bindings *before* calling, so the
         lock is held for translation and execution only.  ``atomic=True``
@@ -666,7 +637,7 @@ class Session:
         result = UpdateResult()
         backend = self.backend
         tokens = []
-        with self._lock:
+        with backend.writer_lock:
             joined = backend.in_transaction()
             if atomic or joined:
                 scopes = [operations]
@@ -684,7 +655,7 @@ class Session:
                         token = backend.commit()
                         if token is not None:
                             tokens.append(token)
-                except Exception as exc:
+                except BaseException as exc:
                     self._fail(exc)
         try:
             for token in tokens:
@@ -693,13 +664,14 @@ class Session:
             self._raise_wrapped(exc)
         return result
 
-    def _fail(self, exc: Exception) -> None:
-        """Roll back any open transaction, then raise the wrapped error."""
+    def _fail(self, exc: BaseException) -> None:
+        """Roll back the open transaction — under the writer lock it is
+        the caller's — then raise the wrapped error."""
         if self.backend.in_transaction():
             self.backend.rollback()
         self._raise_wrapped(exc)
 
-    def _raise_wrapped(self, exc: Exception) -> None:
+    def _raise_wrapped(self, exc: BaseException) -> None:
         wrapped = self.backend.wrap_error(exc)
         if wrapped is exc:
             raise exc

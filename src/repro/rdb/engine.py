@@ -16,9 +16,10 @@ deferred FK checking — the knob the FK-sort ablation turns.
 Concurrency model (MVCC reads, single writer)
 ---------------------------------------------
 
-Writers serialize on an exclusive reentrant lock held for the duration of
-a transaction (or one autocommit statement) and mutate the working store
-in place under the undo journal, exactly as before.  Readers never take
+Writers serialize on one exclusive reentrant lock, the writer lock, held
+for the duration of a transaction — an autocommit statement runs as a
+one-statement transaction, by the same begin / commit / rollback steps —
+and mutate the working store in place under the undo journal.  Readers never take
 that lock: each SELECT runs against the :class:`DatabaseSnapshot` current
 at its start — an immutable table map published at commit boundaries —
 so N reader threads proceed concurrently with each other and with at most
@@ -196,10 +197,10 @@ class Database:
         #: not be.
         self.data_version = 0
         self.schema_version = 0
-        #: Exclusive writer lock: held across an explicit transaction
-        #: (begin→commit/rollback) or around one autocommit DML/DDL
-        #: statement.  Readers never take it when a fresh snapshot is
-        #: published (commit points republish eagerly).
+        #: Exclusive writer lock, the only lock a write takes: held from
+        #: begin to commit / rollback (an autocommit DML/DDL statement is
+        #: a one-statement transaction).  Readers never take it when a
+        #: fresh snapshot is published (commit points republish eagerly).
         self._write_lock = threading.RLock()
         #: state_version() at the last commit point.  During an open
         #: transaction it keeps the pre-transaction value, which is what
@@ -577,6 +578,11 @@ class Database:
         the thread that opened the transaction (the reentrant lock cannot
         be released from another thread).
         """
+        self._begin()
+
+    def _begin(self, autocommit: bool = False) -> Transaction:
+        """What :meth:`begin` does, and what a statement outside a
+        transaction runs as its own one-statement transaction."""
         self._write_lock.acquire()
         if self._txn is not None:
             self._write_lock.release()
@@ -586,16 +592,23 @@ class Database:
         except ReadOnlyDatabaseError:
             self._write_lock.release()
             raise
-        # Make sure a fresh pre-transaction snapshot is published before
-        # any mutation, so a reader arriving mid-transaction — even the
-        # first reader this database ever sees — finds committed state
-        # (on a never-consumed database that holds until this
-        # transaction's first write discards the snapshot; a consuming
-        # reader before that point locks in the clone discipline).
-        self._mark_committed()
-        self._txn = Transaction(
-            mode=self.constraint_mode, log_changes=self._log_enabled()
+        if not autocommit:
+            # Make sure a fresh pre-transaction snapshot is published
+            # before any mutation, so a reader arriving mid-transaction —
+            # even the first reader this database ever sees — finds
+            # committed state (on a never-consumed database that holds
+            # until this transaction's first write discards the snapshot;
+            # a consuming reader before that point locks in the clone
+            # discipline).  One statement waits for no reader's sake, and
+            # a replicated batch replaying its DDL publishes no half of
+            # itself here.
+            self._mark_committed()
+        txn = self._txn = Transaction(
+            mode=self.constraint_mode,
+            log_changes=self._log_enabled(),
+            autocommit=autocommit,
         )
+        return txn
 
     def commit(self, wait: bool = True) -> Optional[Any]:
         """Commit the open transaction: publish it, append it to the
@@ -604,10 +617,12 @@ class Database:
         ``wait=False`` returns right after the lock is released, with
         the token the caller must pass to :meth:`wait_durable` before
         acknowledging the commit to anyone — for callers (the session)
-        that hold a lock of their own they want to drop first, so the
-        next writer appends while this one's flush is in flight."""
-        txn = self._require_txn()
-        self._require_owner(txn)
+        that hold the lock across a request and release it before
+        waiting, so the next writer appends while this one's flush is in
+        flight."""
+        return self._commit(self._owned_txn(), wait)
+
+    def _commit(self, txn: Transaction, wait: bool = True) -> Optional[Any]:
         token = None
         committed = False
         try:
@@ -640,8 +655,9 @@ class Database:
         return token
 
     def rollback(self) -> None:
-        txn = self._require_txn()
-        self._require_owner(txn)
+        self._rollback(self._owned_txn())
+
+    def _rollback(self, txn: Transaction) -> None:
         token = None
         try:
             txn.rollback()
@@ -765,25 +781,29 @@ class Database:
         except KeyError:
             raise CatalogError(f"no such table: {name!r}") from None
         snap = self._snapshot
+        txn = self._txn
+        explicit = txn is not None and not txn.autocommit
         if snap is not None and snap.tables.get(name) is table_data:
             snap.retired = True  # divert racing readers to the slow path
             if (
                 snap.consumed
                 or table_data._cow_pinned
-                or (self._txn is not None and self._snapshots_active)
+                or (explicit and self._snapshots_active)
             ):
                 # A reader holds this snapshot — or an *older* consumed
                 # snapshot still shares this very table (republication
                 # shares untouched tables, so the pin outlives the
                 # snapshot that set it) — or readers are active and may
                 # fetch the snapshot while this (arbitrarily long)
-                # transaction runs: preserve the frozen object by cloning.
+                # explicit transaction runs: preserve the frozen object
+                # by cloning.
                 table_data = table_data.clone()
                 self.data[name] = table_data
                 snap.retired = False  # still frozen-valid: fast path back on
             else:
-                # Unconsumed, unpinned, and either autocommit or a
-                # transaction on a database no reader ever consumed from:
+                # Unconsumed, unpinned, and either one autocommit
+                # statement or an explicit transaction on a database no
+                # reader ever consumed from:
                 # no reader holds a snapshot referencing this table
                 # object, and one arriving now re-checks ``retired``
                 # after consuming and falls to the slow path (waiting for
@@ -802,33 +822,35 @@ class Database:
 
     @contextmanager
     def transaction(self) -> Iterator[None]:
-        """Context manager: commit on success, roll back on exception."""
+        """Context manager: commit on success, roll back on any exception
+        (``KeyboardInterrupt`` included — an open transaction holds the
+        writer lock) and re-raise it."""
         self.begin()
         try:
             yield
-        except Exception:
-            if self._txn is not None:
+        except BaseException:
+            txn = self._txn
+            if txn is not None and txn.owner == threading.get_ident():
                 self.rollback()
             raise
-        else:
-            self.commit()
+        self.commit()
 
-    def _require_txn(self) -> Transaction:
-        if self._txn is None:
-            raise TransactionError("no transaction is open")
-        return self._txn
+    def _owned_txn(self) -> Transaction:
+        """The open transaction, which the calling thread must own.
 
-    @staticmethod
-    def _require_owner(txn: Transaction) -> None:
-        """Fail fast on cross-thread commit/rollback.  Without this, a
+        Fails fast on cross-thread commit/rollback: without this, a
         non-owner would race the owner's statements unlocked and publish
         its torn mid-transaction state to readers before the writer
         lock's release blew up anyway."""
+        txn = self._txn
+        if txn is None:
+            raise TransactionError("no transaction is open")
         if txn.owner != threading.get_ident():
             raise TransactionError(
                 "the transaction belongs to another thread; only the "
                 "thread that opened it may commit or roll back"
             )
+        return txn
 
     # ------------------------------------------------------------------
     # statement execution
@@ -947,52 +969,34 @@ class Database:
                 # Inside this thread's transaction: see our own writes.
                 return self.executor.select(stmt, parameters)
             return self._select_committed(stmt, parameters)
-        if isinstance(
+        if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
+            run = self._run_dml
+        elif isinstance(
             stmt, (ast.CreateTable, ast.DropTable, ast.CreateIndex, ast.DropIndex)
         ):
-            return self._execute_ddl(stmt)
-
-        # DML: run inside the open transaction, or autocommit a fresh one.
-        if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
-            txn = self._txn
-            if txn is not None and txn.owner == threading.get_ident():
-                savepoint = txn.statement_savepoint()
-                try:
-                    result = self._run_dml(stmt, txn, parameters)
-                except Exception:
-                    # statement-level atomicity inside the transaction
-                    txn.rollback_to(savepoint)
-                    raise
-                if result.rowcount:
-                    self.data_version += 1
-                return result
-            # Autocommit: exclusive writer for the span of one statement.
-            # (Blocks here while another thread's transaction is open.)
-            with self._write_lock:
-                self._check_writable_db()
-                txn = Transaction(
-                    mode=self.constraint_mode, log_changes=self._log_enabled()
-                )
-                try:
-                    result = self._run_dml(stmt, txn, parameters)
-                    txn.run_deferred_checks()
-                except Exception:
-                    if txn.active:
-                        txn.rollback()
-                    # COW may have discarded the snapshot; republish the
-                    # (unchanged) committed state for readers.
-                    self._mark_committed()
-                    raise
-                txn.commit_cleanup()
-                if result.rowcount:
-                    self.data_version += 1
-                # WAL append under the lock, before publication...
-                token = self._log_changes(txn.changes)
-                self._mark_committed()
-            # ...but the fsync wait outside it (group commit).
-            self.wait_durable(token)
-            return result
-        raise DatabaseError(f"cannot execute {type(stmt).__name__}")
+            run = self._execute_ddl
+        else:
+            raise DatabaseError(f"cannot execute {type(stmt).__name__}")
+        txn = self._txn
+        if txn is not None and txn.owner == threading.get_ident():
+            savepoint = txn.statement_savepoint()
+            try:
+                return run(stmt, txn, parameters)
+            except Exception:
+                # statement-level atomicity inside the transaction
+                txn.rollback_to(savepoint)
+                raise
+        # Outside this thread's transaction a write is a transaction of
+        # its own, begun, committed and rolled back by the steps of an
+        # explicit one (it waits here while another thread's is open).
+        txn = self._begin(True)
+        try:
+            result = run(stmt, txn, parameters)
+        except BaseException:
+            self._rollback(txn)
+            raise
+        self._commit(txn)
+        return result
 
     def _select_committed(
         self, stmt: ast.Select, parameters: Sequence[Any]
@@ -1014,50 +1018,42 @@ class Database:
         with self._write_lock:
             return self.executor.select(stmt, parameters)
 
-    def _execute_ddl(self, stmt: ast.Statement) -> Result:
-        """DDL under the writer lock; serialized against plan building via
-        the planner lock and published like a commit."""
-        txn = self._txn  # local: another thread's commit may null it
-        in_txn = txn is not None and txn.owner == threading.get_ident()
-        token = None
-        with self._write_lock:
-            self._check_writable_db()
-            with self.planner.lock:
-                if isinstance(stmt, ast.CreateTable):
-                    changed = self._create_table(stmt)
-                elif isinstance(stmt, ast.DropTable):
-                    changed = self._drop_table(stmt)
-                elif isinstance(stmt, ast.CreateIndex):
-                    changed = self._create_index(stmt)
-                else:
-                    changed = self._drop_index(stmt)
-                if changed:
-                    # Cached plans may reference what changed, or now
-                    # have a better path.
-                    self.planner.invalidate()
-                    self.schema_version += 1
+    def _execute_ddl(
+        self, stmt: ast.Statement, txn: Transaction, parameters: Sequence[Any]
+    ) -> Result:
+        """One DDL statement in ``txn`` (writer lock held), serialized
+        against plan building via the planner lock.
+
+        DDL is not transactional: the statement is recorded in the
+        transaction's change list so the WAL keeps statement order, and
+        the record survives even a rollback.  Inside an explicit
+        transaction the commit point stays at COMMIT.  The generation
+        bump also invalidates the published snapshot's plans, so *new*
+        reader statements wait on the writer lock until COMMIT publishes
+        a post-DDL snapshot — the only safe option, since no schema of
+        the old generation exists to plan against anymore."""
+        self._check_writable_db()
+        with self.planner.lock:
+            if isinstance(stmt, ast.CreateTable):
+                changed = self._create_table(stmt)
+            elif isinstance(stmt, ast.DropTable):
+                changed = self._drop_table(stmt)
+            elif isinstance(stmt, ast.CreateIndex):
+                changed = self._create_index(stmt)
+            else:
+                changed = self._drop_index(stmt)
             if changed:
-                # The statement actually changed the catalog (IF [NOT]
-                # EXISTS no-ops don't log): record it for checkpoints,
-                # and — inside a transaction — in the transaction's
-                # change list so the WAL keeps statement order (the
-                # record survives even a rollback; DDL always commits).
-                sql = render(stmt)
-                self._ddl_history.append(sql)
-                if in_txn:
-                    txn.record_change(("x", sql))
-                else:
-                    token = self._log_changes([("x", sql)])
-            if not in_txn:
-                # DDL is not transactional; inside an open transaction the
-                # commit point stays at COMMIT.  The generation bump also
-                # invalidates the published snapshot's plans, so *new*
-                # reader statements wait on the writer lock until COMMIT
-                # publishes a post-DDL snapshot — the only safe option,
-                # since no schema of the old generation exists to plan
-                # against anymore.
-                self._mark_committed()
-        self.wait_durable(token)
+                # Cached plans may reference what changed, or now have a
+                # better path.
+                self.planner.invalidate()
+                self.schema_version += 1
+        if changed:
+            # The statement actually changed the catalog (IF [NOT]
+            # EXISTS no-ops don't log): record it for checkpoints and
+            # the WAL.
+            sql = render(stmt)
+            self._ddl_history.append(sql)
+            txn.record_change(("x", sql))
         return Result(columns=[], rows=[])
 
     def _run_dml(
@@ -1067,10 +1063,14 @@ class Database:
         parameters: Sequence[Any],
     ) -> Result:
         if isinstance(stmt, ast.Insert):
-            return self.executor.insert(stmt, txn, parameters)
-        if isinstance(stmt, ast.Update):
-            return self.executor.update(stmt, txn, parameters)
-        return self.executor.delete(stmt, txn, parameters)
+            result = self.executor.insert(stmt, txn, parameters)
+        elif isinstance(stmt, ast.Update):
+            result = self.executor.update(stmt, txn, parameters)
+        else:
+            result = self.executor.delete(stmt, txn, parameters)
+        if result.rowcount:
+            self.data_version += 1
+        return result
 
     # ------------------------------------------------------------------
     # DDL: each statement changes the catalog and syncs indexes, and

@@ -43,10 +43,20 @@ Change = Tuple[Any, ...]
 class Transaction:
     """One open transaction: undo log, redo changes, deferred checks."""
 
-    def __init__(self, mode: str = IMMEDIATE, log_changes: bool = False) -> None:
+    def __init__(
+        self,
+        mode: str = IMMEDIATE,
+        log_changes: bool = False,
+        autocommit: bool = False,
+    ) -> None:
         if mode not in (IMMEDIATE, DEFERRED):
             raise TransactionError(f"unknown constraint mode: {mode!r}")
         self.mode = mode
+        #: True for the transaction one autocommit statement runs in: it
+        #: ends with its statement, so a reader may wait it out — the
+        #: engine neither republishes before it nor clones a table to
+        #: keep readers lock-free during it.
+        self.autocommit = autocommit
         self._undo_log: List[UndoAction] = []
         self._deferred_checks: List[DeferredCheck] = []
         self.active = True

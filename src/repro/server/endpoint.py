@@ -10,8 +10,8 @@ Usage::
 
 Routing, content negotiation and HTTP concerns live here; all semantics
 live in the mediator's :class:`~repro.core.session.Session`.  One session
-is shared by every handler thread: updates serialize on its write-tier
-lock, queries run lock-free against the engine's committed MVCC
+is shared by every handler thread: updates serialize on the database's
+writer lock, queries run lock-free against the engine's committed MVCC
 snapshot, so reads are answered concurrently with each other and with at
 most one writer.
 
@@ -441,8 +441,9 @@ class OntoAccessEndpoint:
         #: what this endpoint serves: primary, replica or fenced
         self.node = node if node is not None else Node(mediator.db)
         #: One session shared by all handler threads: writes serialize on
-        #: its write-tier lock, reads run against committed snapshots, and
-        #: its prepared cache amortizes repeated texts across threads.
+        #: the database's writer lock, reads run against committed
+        #: snapshots, and its shape map amortizes repeated texts across
+        #: threads.
         self.session = mediator.session()
         self.host = host
         self._requested_port = port

@@ -656,8 +656,9 @@ class TestPluggableBackends:
 
     def test_transaction_misuse_raises_uniformly(self, mediator):
         """Both backends raise TransactionError (a ReproError) for
-        commit/rollback without an open transaction, so Session code
-        survives a backend swap."""
+        commit/rollback without an open transaction, for a nested begin
+        and for commit/rollback from a thread that does not own the
+        transaction, so Session code survives a backend swap."""
         from repro.errors import TransactionError
 
         for sess in (mediator.session(), _triplestore_session(mediator)):
@@ -668,7 +669,25 @@ class TestPluggableBackends:
             with pytest.raises(TransactionError):
                 sess.begin()
                 sess.begin()
+            # Another thread may neither commit nor roll back the open
+            # transaction: it is refused at once, not made to wait.
+            outcomes = []
+
+            def finish_elsewhere():
+                for finish in (sess.commit, sess.rollback):
+                    try:
+                        finish()
+                        outcomes.append("finished")
+                    except TransactionError:
+                        outcomes.append("refused")
+
+            thread = threading.Thread(target=finish_elsewhere, daemon=True)
+            thread.start()
+            thread.join(5)
+            assert outcomes == ["refused", "refused"], sess.backend.name
+            assert sess.in_transaction()
             sess.rollback()
+            assert not sess.in_transaction()
 
     def test_backend_names(self, mediator):
         assert RelationalBackend(mediator.db, mediator.mapping).name == "rdb"
@@ -721,15 +740,6 @@ class TestFacadeShim:
 
 
 class TestSessionThreadSafety:
-    def test_sessions_over_one_backend_share_the_lock(self, mediator):
-        """Transaction state lives in the backend, so every session over
-        the same backend must serialize on one lock — including the
-        facade's internal session."""
-        s1 = mediator.session()
-        s2 = mediator.session()
-        assert s1._lock is s2._lock
-        assert s1._lock is mediator._session._lock
-
     def test_concurrent_sessions_never_interleave_transactions(self, mediator):
         """A facade update racing an endpoint-style session update must
         not join or roll back the other's transaction."""
@@ -768,6 +778,72 @@ class TestSessionThreadSafety:
         assert not errors
         assert not mediator.db.in_transaction()
         assert mediator.db.row_count("team") == 1 + 6 + 3  # seed + facade + even sessions
+
+    def test_every_write_path_shares_one_writer_lock(self, mediator):
+        """Explicit session transactions, failing transaction scopes,
+        facade updates and autocommit SQL race each other on more
+        threads than cores: every committed transaction lands whole,
+        every failed one leaves nothing, and no transaction stays open."""
+        import sys
+
+        session = mediator.session()
+        db = mediator.db
+        rounds = 12
+        errors = []
+
+        def insert(key, name):
+            return PREFIXES + f'INSERT DATA {{ ex:team{key} foaf:name "{name}" . }}'
+
+        def explicit(worker, i):
+            session.begin()
+            session.execute(insert(1000 + 100 * worker + 2 * i, "a"))
+            session.execute(insert(1001 + 100 * worker + 2 * i, "b"))
+            session.commit()
+
+        def failing(worker, i):
+            with pytest.raises(TranslationError):
+                with session.transaction():
+                    session.execute(insert(5000 + 100 * worker + i, "lost"))
+                    session.execute(BAD_INSERT)
+
+        def facade(worker, i):
+            mediator.update(insert(1000 + 100 * worker + i, "f"))
+
+        def autocommit(worker, i):
+            db.execute(
+                "INSERT INTO team (id, name) VALUES (?, 'sql')",
+                (1000 + 100 * worker + i,),
+            )
+
+        kinds = [explicit, failing, facade, autocommit, explicit, failing]
+
+        def worker(index):
+            try:
+                for i in range(rounds):
+                    kinds[index](index, i)
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,), daemon=True)
+                for i in range(len(kinds))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert not db.in_transaction()
+        ids = {row[0] for row in db.query("SELECT id FROM team").rows}
+        assert not {key for key in ids if key >= 5000}, "a failed scope leaked"
+        # seed + two explicit workers (2 rows a round) + facade + autocommit
+        assert len(ids) == 1 + 2 * 2 * rounds + 2 * rounds
 
     def test_facade_dump_serializes_with_writers(self, mediator):
         """mediator.dump() must hold the session lock: a dump racing a
@@ -873,13 +949,15 @@ class TestSessionThreadSafety:
 
 
 class TestCrossThreadTransactions:
-    """Explicit transaction scope is thread-owned (ISSUE 4 lock tiers).
+    """Explicit transaction scope is thread-owned, and a write takes one
+    lock: the database's writer lock.
 
-    ``session.begin()`` holds the write tier until commit/rollback, so a
+    ``session.begin()`` takes it and commit / rollback release it, so a
     write from another thread *waits* for the transaction (it can never
     join it, interleave with it, or deadlock against its commit), while
     reads from other threads answer immediately from the pre-transaction
-    snapshot.
+    snapshot.  A transaction that ends — committed, rolled back by a
+    failed operation, or left by any exception — leaves no lock behind.
     """
 
     def test_other_threads_write_waits_for_explicit_txn(self, mediator):
@@ -970,3 +1048,74 @@ class TestCrossThreadTransactions:
         thread.join(10)
         assert len(ok) == 1
         assert mediator.db.row_count("team") == 3  # seed + both inserts
+
+    def test_failed_operation_in_an_abandoned_transaction_frees_the_lock(
+        self, mediator
+    ):
+        """A thread's operation fails inside ``begin()``; the thread
+        writes once more and ends without ``commit()``.  The failed
+        operation's rollback ended the transaction and released the
+        lock, so another thread's write completes."""
+        session = mediator.session()
+        states = []
+
+        def abandon():
+            session.begin()
+            try:
+                session.execute(BAD_INSERT)
+            except TranslationError:
+                pass
+            states.append(session.in_transaction())
+            session.execute(
+                PREFIXES + 'INSERT DATA { ex:team51 foaf:name "After" . }'
+            )
+
+        first = threading.Thread(target=abandon, daemon=True)
+        first.start()
+        first.join(5)
+        assert states == [False]
+        ok = []
+        second = threading.Thread(
+            target=lambda: ok.append(
+                session.execute(
+                    PREFIXES + 'INSERT DATA { ex:team52 foaf:name "Other" . }'
+                )
+            ),
+            daemon=True,
+        )
+        second.start()
+        second.join(5)
+        assert len(ok) == 1, "the other thread's write never finished"
+        assert not mediator.db.in_transaction()
+        assert mediator.db.get_row_by_pk("team", (51,)) is not None
+        assert mediator.db.get_row_by_pk("team", (52,)) is not None
+
+    @pytest.mark.parametrize("scope", ["session", "database"])
+    def test_scope_left_by_a_base_exception_rolls_back(self, mediator, scope):
+        """``KeyboardInterrupt`` is no ``Exception``: a transaction scope
+        it leaves must still roll back and free the writer lock."""
+        session = mediator.session()
+        opened = session.transaction() if scope == "session" else (
+            mediator.db.transaction()
+        )
+        with pytest.raises(KeyboardInterrupt):
+            with opened:
+                mediator.db.execute(
+                    "INSERT INTO team (id, name) VALUES (60, 'Interrupted')"
+                )
+                raise KeyboardInterrupt
+        assert not mediator.db.in_transaction()
+        assert mediator.db.get_row_by_pk("team", (60,)) is None
+        ok = []
+        thread = threading.Thread(
+            target=lambda: ok.append(
+                mediator.db.execute(
+                    "INSERT INTO team (id, name) VALUES (61, 'Other')"
+                )
+            ),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(5)
+        assert len(ok) == 1, "the other thread's write never finished"
+        assert mediator.db.get_row_by_pk("team", (61,)) is not None
