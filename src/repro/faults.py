@@ -1,13 +1,13 @@
 """Reusable fault injection at named sites (ISSUE 6).
 
-PR 5 proved the kill-point discipline inside the durability layer: the
-``DurabilityManager._crash_hook`` seam lets crash-recovery tests die at
-byte-precise moments.  This module generalizes that pattern to the whole
-request path.  A :class:`FaultInjector` maps *site names* to rules that
-inject latency, raise errors, or stall on an event; production code
-calls ``INJECTOR.fire("site")`` (usually via the guards in
-:mod:`repro.deadline`) at interesting points, which is a no-op unless a
-test armed a rule.
+A :class:`FaultInjector` maps *site names* to rules that inject
+latency, raise errors, run a callback, or stall on an event; production
+code calls ``INJECTOR.fire("site")`` (usually via the guards in
+:mod:`repro.deadline`, or behind an ``INJECTOR.armed`` check) at
+interesting points, which is a no-op unless a test armed a rule.  It is
+the one fault seam: the durability layer's kill points fire through it
+too, so crash-recovery tests die at byte-precise moments by arming a
+rule that raises.
 
 Known sites:
 
@@ -15,10 +15,9 @@ Known sites:
 * ``executor:dml``    — executor insert/update/delete loops
 * ``endpoint:stream`` — between chunks of a streamed HTTP response
 * ``wal:pre-append``, ``wal:mid-append``, ``wal:pre-sync``,
-  ``checkpoint:pre-rename``, ``checkpoint:post-rename`` — the existing
-  durability kill points: an injector instance is itself a valid
-  ``_crash_hook`` (``__call__`` aliases :meth:`fire`), so the same rule
-  table drives WAL/checkpoint chaos.
+  ``checkpoint:pre-rename``, ``checkpoint:post-rename`` — the durability
+  kill points (:mod:`repro.rdb.durability`): the same rule table drives
+  WAL/checkpoint chaos and crash recovery.
 * ``repl:ship``    — log shipper, before sending each WAL frame
 * ``repl:connect`` — replica supervisor, before each connect attempt
 * ``repl:apply``   — replica applier, before applying a snapshot/frame
@@ -145,10 +144,6 @@ class FaultInjector:
             rule.stall.wait(timeout=_STALL_CAP_SECONDS)
         if rule.error is not None:
             raise rule.error
-
-    # An injector is a drop-in ``DurabilityManager._crash_hook``: the
-    # durability layer calls ``hook("wal:pre-append")`` etc.
-    __call__ = fire
 
 
 #: The process-wide injector consulted by production code.

@@ -69,9 +69,10 @@ import struct
 import threading
 import time
 import zlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import DurabilityError
+from ..faults import INJECTOR
 
 try:
     import fcntl
@@ -280,10 +281,9 @@ class _WalWriter:
     genuinely overlap their appends with the in-flight flush.
     """
 
-    def __init__(self, path: str, sync_mode: str, crash_hook=None) -> None:
+    def __init__(self, path: str, sync_mode: str) -> None:
         self.path = path
         self.sync_mode = sync_mode
-        self._crash_hook = crash_hook
         # Size 0 counts as fresh: recovery truncates a segment whose
         # header never made it to disk back to empty, and the magic must
         # be rewritten or every later recovery would reject the file.
@@ -329,13 +329,13 @@ class _WalWriter:
             )
         frame = _FRAME.pack(len(payload), zlib.crc32(payload))
         try:
-            if self._crash_hook is not None:
-                self._crash_hook("wal:pre-append")
+            if INJECTOR.armed:
+                INJECTOR.fire("wal:pre-append")
                 # Split the write so the mid-append kill point really
                 # leaves a torn frame behind (header without payload).
                 self._file.write(frame)
                 self._file.flush()
-                self._crash_hook("wal:mid-append")
+                INJECTOR.fire("wal:mid-append")
                 self._file.write(payload)
             else:
                 self._file.write(frame + payload)
@@ -371,8 +371,8 @@ class _WalWriter:
                 self._cond.wait()
             self._flusher_active = True
         try:
-            if self._crash_hook is not None:
-                self._crash_hook("wal:pre-sync")
+            if INJECTOR.armed:
+                INJECTOR.fire("wal:pre-sync")
             # Read the target as late as possible: the flush covers
             # every record appended before it starts, so each one that
             # arrived while this flusher was getting here rides along.
@@ -504,9 +504,11 @@ class DurabilityManager:
     checkpoint — lives in :mod:`repro.rdb.engine`); this class owns the
     files and their crash-safety discipline.
 
-    ``_crash_hook``, when set, is called with a named kill point right
-    before/after the critical file operations; the crash-injection tests
-    raise from it to simulate a process dying there, then reopen the
+    Named kill points right before/after the critical file operations
+    fire through :data:`repro.faults.INJECTOR` (``wal:pre-append``,
+    ``wal:mid-append``, ``wal:pre-sync``, ``checkpoint:pre-rename``,
+    ``checkpoint:post-rename``); the crash-injection tests arm a rule
+    that raises there to simulate a process dying, then reopen the
     directory and assert the committed prefix survived.
     """
 
@@ -518,8 +520,6 @@ class DurabilityManager:
             )
         self.data_dir = data_dir
         self.sync_mode = sync_mode
-        #: test seam: fn(kill_point_name) that may raise to simulate a crash
-        self._crash_hook: Optional[Callable[[str], None]] = None
         os.makedirs(data_dir, exist_ok=True)
         self._lock_file = None
         self._acquire_lock()
@@ -639,9 +639,7 @@ class DurabilityManager:
             os.unlink(self._wal_path(generation))
         _fsync_dir(self.data_dir)
         with self._ship_cond:
-            self._wal = _WalWriter(
-                self._wal_path(0), self.sync_mode, self._crash_hook
-            )
+            self._wal = _WalWriter(self._wal_path(0), self.sync_mode)
         self.last_checkpoint_time = None
         self.recovered_batches = 0
         self.truncated_bytes = 0
@@ -724,7 +722,7 @@ class DurabilityManager:
             if generation < base:
                 os.unlink(self._wal_path(generation))
         self._wal = _WalWriter(
-            self._wal_path(self.generation), self.sync_mode, self._crash_hook
+            self._wal_path(self.generation), self.sync_mode
         )
         self.recovered_batches = len(batches)
         return body, batches
@@ -762,7 +760,7 @@ class DurabilityManager:
         the record landed in, so a concurrent checkpoint rotation can
         never strand the waiter against the wrong file's offsets.  The
         token also carries the generation, giving the engine's commit
-        hooks (the semi-sync replication barrier) the commit's log
+        barrier (semi-sync replication) the commit's log
         position without re-deriving it under the lock."""
         assert self._wal is not None
         token = (
@@ -794,7 +792,7 @@ class DurabilityManager:
             # reality and replicas report phantom lag.
             self.generation += 1
             self._wal = _WalWriter(
-                self._wal_path(self.generation), self.sync_mode, self._crash_hook
+                self._wal_path(self.generation), self.sync_mode
             )
         base = self._wal_counter_base
         base[0] += old.append_count
@@ -828,13 +826,13 @@ class DurabilityManager:
             handle.write(_FRAME.pack(pieces.length, pieces.crc))
             handle.flush()
             _fsync_file(handle)
-        if self._crash_hook is not None:
-            self._crash_hook("checkpoint:pre-rename")
+        if INJECTOR.armed:
+            INJECTOR.fire("checkpoint:pre-rename")
         os.replace(tmp, final)
         _fsync_dir(self.data_dir)
         self.last_checkpoint_time = time.time()
-        if self._crash_hook is not None:
-            self._crash_hook("checkpoint:post-rename")
+        if INJECTOR.armed:
+            INJECTOR.fire("checkpoint:post-rename")
         # The old checkpoint and every segment before this generation are
         # fully covered by the new checkpoint: truncate the log's history.
         checkpoints, wals = self._scan_dir()

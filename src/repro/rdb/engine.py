@@ -19,7 +19,8 @@ Concurrency model (MVCC reads, single writer)
 Writers serialize on one exclusive reentrant lock, the writer lock, held
 for the duration of a transaction — an autocommit statement runs as a
 one-statement transaction, by the same begin / commit / rollback steps —
-and mutate the working store in place under the undo journal.  Readers never take
+and mutate the working store in place, each change recorded once in the
+transaction's journal (:mod:`repro.rdb.transactions`).  Readers never take
 that lock: each SELECT runs against the :class:`DatabaseSnapshot` current
 at its start — an immutable table map published at commit boundaries —
 so N reader threads proceed concurrently with each other and with at most
@@ -62,13 +63,18 @@ Durability (opt-in)
 -------------------
 
 ``Database(data_dir=...)`` makes the store survive its process: every
-committed transaction's logical changes are appended to a
+committed transaction's journal is appended, as one record, to a
 CRC-checksummed write-ahead log *inside the writer lock, before the
 snapshot is published*, and the durability wait (one ``fsync`` absorbing
 all concurrent committers — group commit) happens after the lock is
 released.  :meth:`Database.checkpoint` serializes the published snapshot
 and truncates the log; opening the same ``data_dir`` again recovers the
 committed prefix exactly.  See :mod:`repro.rdb.durability`.
+
+A replica applies each shipped commit batch as a transaction of its own
+(:meth:`Database.apply_replicated`): the same begin / commit / rollback
+steps, so a batch that fails part-way rolls back and applies again when
+it is sent again.
 """
 
 from __future__ import annotations
@@ -231,17 +237,18 @@ class Database:
         #: Failover (ISSUE 9): a replica or a fenced (deposed) primary
         #: refuses client writes.
         self.read_only = False
-        #: True while recovery or replication replays already-logged
-        #: changes through the normal execution paths (see
-        #: :meth:`_replay`): they bypass ``read_only`` and append nothing
-        #: to the WAL statement by statement.
+        #: True while recovery, a snapshot reset or a replicated batch
+        #: re-executes already-logged changes through the normal
+        #: execution paths (see :meth:`_replay`): they bypass
+        #: ``read_only``, and what commits inside the scope appends
+        #: nothing to the WAL (a replicated batch commits outside it).
         self._replaying = False
-        #: Post-durability commit hooks, called with the commit's WAL
-        #: position after the local fsync wait — the semi-sync
-        #: replication barrier hangs off this.  A hook that raises makes
-        #: the commit surface as failed to the caller even though it is
-        #: locally durable (documented semi-sync semantics).
-        self._commit_hooks: List[Any] = []
+        #: Semi-sync replication barrier: called with each commit's
+        #: ``(generation, offset)`` WAL position after the local fsync
+        #: wait, outside the writer lock.  If it raises, the commit call
+        #: fails even though the commit is locally durable (documented
+        #: semi-sync semantics).  Set by the log shipper.
+        self.commit_barrier: Optional[Callable[[tuple], None]] = None
         #: Replica-side provenance: the highest shipped position/epoch
         #: applied into this store.  On a *durable* replica both are
         #: journaled (change kind ``"p"``) and checkpointed, so a
@@ -264,7 +271,7 @@ class Database:
             if body is not None:
                 self._load_checkpoint_body(body)
             for changes in batches:
-                note = self._apply_changes(changes, self.table_data)
+                note = self._apply_changes(changes)
                 if note is not None:
                     # Durable replica: the shipped position this batch
                     # brought the store up to.
@@ -307,32 +314,42 @@ class Database:
         self.data_version += 1
 
     def _apply_changes(
-        self, changes: List[Any], table_for: Callable[[str], TableData]
+        self, changes: List[Any], txn: Optional[Transaction] = None
     ) -> Optional[tuple]:
         """Apply one committed batch physically, by row id — apply order
         equals commit order, so the storage layer converges to exactly
         the state that logged the batch.
 
-        ``table_for`` reaches the table to mutate: :meth:`table_data` at
-        recovery, which runs single-threaded; the :meth:`_writable`
-        copy-on-write gate on a replica, which applies while serving
-        snapshot reads.  Returns the batch's replication provenance note
-        ``("p", epoch, generation, offset)`` if it carries one — what it
-        means is the caller's business.
+        Recovery, which runs single-threaded, passes no ``txn``: rows go
+        straight into the tables.  A replica, which applies while serving
+        snapshot reads, passes the batch's transaction: rows go through
+        the :meth:`_writable` copy-on-write gate into its journal.
+        Returns the batch's provenance note ``("p", epoch, generation,
+        offset)`` if it carries one — what it means is the caller's
+        business.
         """
+        if txn is None:
+            table_for, record = self.table_data, lambda *entry: None
+        else:
+            table_for, record = self._writable, txn.record
         provenance = None
         for change in changes:
             kind = change[0]
             if kind == "x":
                 # Rendered DDL replays through the normal path (plan
-                # cache invalidation, publication).
+                # cache invalidation; on a replica, the batch's journal).
                 self.execute(change[1])
             elif kind == "i":
-                _reinstate(table_for(change[1]), change[2], change[3])
+                table = table_for(change[1])
+                _reinstate(table, change[2], change[3])
+                record("i", table, change[2], change[3])
             elif kind == "u":
-                table_for(change[1]).update(change[2], change[3])
+                table = table_for(change[1])
+                old = table.update(change[2], change[3])
+                record("u", table, change[2], change[3], old)
             elif kind == "d":
-                table_for(change[1]).delete(change[2])
+                table = table_for(change[1])
+                record("d", table, change[2], None, table.delete(change[2]))
             elif kind == "p":
                 provenance = change
             else:
@@ -342,40 +359,28 @@ class Database:
         self.data_version += 1
         return provenance
 
-    def _log_changes(self, changes: List[Any]) -> Optional[Any]:
-        """Append one commit batch to the WAL (writer lock held; before
-        the snapshot is published).  Returns the durability token to pass
-        to :meth:`wait_durable` after the lock is released."""
-        if self._durability is None or self._replaying or not changes:
+    def _log(self, txn: Transaction) -> Optional[Any]:
+        """Append ``txn``'s journal to the WAL as one commit record
+        (writer lock held; before the snapshot is published).  Returns
+        the durability token to pass to :meth:`wait_durable` after the
+        lock is released."""
+        if self._durability is None or self._replaying or not txn.journal:
             return None
-        return self._durability.log_commit(changes)
+        return self._durability.log_commit(txn.wal_record())
 
     def wait_durable(self, token: Optional[Any]) -> None:
-        """Block until the batch behind ``token`` (from
-        :meth:`_log_changes` / ``commit(wait=False)``; None is a no-op)
-        is durable.  Runs WITHOUT the writer lock, so concurrent
-        committers share one fsync (group commit) instead of serializing
-        device flushes.  Commit hooks run after the local wait, still
-        outside the lock, with the commit's ``(generation, offset)`` WAL
-        position."""
+        """Block until the batch behind ``token`` (from :meth:`_log` /
+        ``commit(wait=False)``; None is a no-op) is durable.  Runs
+        WITHOUT the writer lock, so concurrent committers share one
+        fsync (group commit) instead of serializing device flushes.  The
+        :attr:`commit_barrier` runs after the local wait, still outside
+        the lock."""
         if token is not None:
             assert self._durability is not None
             self._durability.wait_durable(token)
-            if self._commit_hooks:
-                position = (token[2], token[1])
-                for hook in list(self._commit_hooks):
-                    hook(position)
-
-    def add_commit_hook(self, hook: Any) -> None:
-        """Register ``hook(position)`` to run after each commit's local
-        durability wait (outside the writer lock).  A raising hook fails
-        the commit call — the semi-sync replication barrier uses this to
-        refuse acknowledging writes no replica has confirmed."""
-        self._commit_hooks.append(hook)
-
-    def remove_commit_hook(self, hook: Any) -> None:
-        if hook in self._commit_hooks:
-            self._commit_hooks.remove(hook)
+            barrier = self.commit_barrier
+            if barrier is not None:
+                barrier((token[2], token[1]))
 
     def _check_writable_db(self) -> None:
         """Refuse client writes on a read-only database (replica mode or
@@ -387,9 +392,6 @@ class Database:
                 "database is read-only (replica or deposed primary); "
                 "route writes to the current primary"
             )
-
-    def _log_enabled(self) -> bool:
-        return self._durability is not None and not self._replaying
 
     def checkpoint(self) -> Optional[str]:
         """Serialize the committed state and truncate the WAL.
@@ -463,32 +465,24 @@ class Database:
     ) -> None:
         """Apply one shipped commit batch to this (replica) database.
 
-        Unlike recovery — which runs single-threaded — a replica applies
-        while serving concurrent snapshot reads, so row changes go
-        through the :meth:`_writable` COW gate and the batch publishes
-        like a local commit: readers either see the whole batch or none
-        of it.
+        The batch is a transaction, by the steps every write takes:
+        readers see the whole batch or none of it, and a batch that fails
+        part-way rolls back, so the frame applies when it is sent again.
 
-        On a *durable* replica the whole batch is re-journaled to the
-        local WAL with a ``("p", epoch, generation, offset)`` provenance
-        note appended, so a restarted replica recovers both the data and
-        the exact stream position to resume from — and a promoted one
-        already owns a self-consistent lineage to ship onward.
+        On a *durable* replica the journal ends in a ``("p", epoch,
+        generation, offset)`` provenance note (superseding an upstream
+        replica's, in chained replication), so a restarted replica
+        recovers both the data and the exact stream position to resume
+        from — and a promoted one already owns a self-consistent lineage
+        to ship onward.
         """
-        token = None
-        with self._write_lock:
-            if self._txn is not None:
-                raise TransactionError(
-                    "cannot apply replicated changes inside an open "
-                    "transaction"
-                )
-            # Replaying suppresses per-statement DDL logging: the whole
-            # batch is journaled in one record below, like the primary's.
+        # Replaying lifts ``read_only`` for the batch's own statements;
+        # commit and rollback run outside it, so they log like any other.
+        with self._replay():
+            txn = self._begin(True)
+        try:
             with self._replay():
-                # A provenance note from an upstream replica's own
-                # journal (chained replication) is superseded by the
-                # note this apply writes for itself below.
-                self._apply_changes(changes, self._writable)
+                self._apply_changes(changes, txn)
             if position is not None:
                 self.replicated_epoch = max(
                     self.replicated_epoch, int(epoch or 0)
@@ -497,13 +491,13 @@ class Database:
                     int(position[0]), int(position[1]),
                 )
                 if self._durability is not None:
-                    record = [c for c in changes if c[0] != "p"]
-                    record.append((
-                        "p", self.replicated_epoch, *self.replicated_position,
+                    txn.record("p", None, None, (
+                        self.replicated_epoch, *self.replicated_position,
                     ))
-                    token = self._durability.log_commit(record)
-            self._mark_committed()
-        self.wait_durable(token)
+        except BaseException:
+            self._rollback(txn)
+            raise
+        self._commit(txn)
 
     def reset_for_snapshot(
         self,
@@ -599,15 +593,10 @@ class Database:
             # committed state (on a never-consumed database that holds
             # until this transaction's first write discards the snapshot;
             # a consuming reader before that point locks in the clone
-            # discipline).  One statement waits for no reader's sake, and
-            # a replicated batch replaying its DDL publishes no half of
-            # itself here.
+            # discipline).  One statement or one replicated batch waits
+            # for no reader's sake.
             self._mark_committed()
-        txn = self._txn = Transaction(
-            mode=self.constraint_mode,
-            log_changes=self._log_enabled(),
-            autocommit=autocommit,
-        )
+        txn = self._txn = Transaction(self.constraint_mode, autocommit)
         return txn
 
     def commit(self, wait: bool = True) -> Optional[Any]:
@@ -634,14 +623,13 @@ class Database:
                 # state reverted: translations cached mid-transaction are stale
                 self.data_version += 1
                 # DDL is non-transactional: it survives the rollback in
-                # memory, so it must survive in the log too.
-                token = self._log_changes(txn.ddl_changes())
+                # memory and in the journal, so it reaches the log too.
+                token = self._log(txn)
                 raise
-            txn.commit_cleanup()
             self._txn = None
             # WAL append while still holding the writer lock (append
             # order == commit order), before the snapshot is published.
-            token = self._log_changes(txn.changes)
+            token = self._log(txn)
             committed = True
         finally:
             self._mark_committed()
@@ -663,7 +651,7 @@ class Database:
             txn.rollback()
             self._txn = None
             self.data_version += 1  # state reverted: anything keyed on it is stale
-            token = self._log_changes(txn.ddl_changes())  # DDL survives
+            token = self._log(txn)  # what survives: the DDL
         finally:
             self._mark_committed()
             self._write_lock.release()
@@ -979,7 +967,7 @@ class Database:
             raise DatabaseError(f"cannot execute {type(stmt).__name__}")
         txn = self._txn
         if txn is not None and txn.owner == threading.get_ident():
-            savepoint = txn.statement_savepoint()
+            savepoint = len(txn.journal)
             try:
                 return run(stmt, txn, parameters)
             except Exception:
@@ -1024,9 +1012,9 @@ class Database:
         """One DDL statement in ``txn`` (writer lock held), serialized
         against plan building via the planner lock.
 
-        DDL is not transactional: the statement is recorded in the
-        transaction's change list so the WAL keeps statement order, and
-        the record survives even a rollback.  Inside an explicit
+        DDL is not transactional: the statement is journaled so the WAL
+        keeps statement order, and the entry survives even a rollback
+        (nothing inverts it).  Inside an explicit
         transaction the commit point stays at COMMIT.  The generation
         bump also invalidates the published snapshot's plans, so *new*
         reader statements wait on the writer lock until COMMIT publishes
@@ -1053,7 +1041,7 @@ class Database:
             # the WAL.
             sql = render(stmt)
             self._ddl_history.append(sql)
-            txn.record_change(("x", sql))
+            txn.record("x", None, None, sql)
         return Result(columns=[], rows=[])
 
     def _run_dml(

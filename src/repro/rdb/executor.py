@@ -11,7 +11,8 @@ compiled plans and implements everything stateful around them:
   immediate or deferred checking (see :mod:`repro.rdb.transactions`).
 
 It never manages transactions itself; the engine passes in the active
-:class:`~repro.rdb.transactions.Transaction` for undo logging.
+:class:`~repro.rdb.transactions.Transaction`, whose journal gets one
+entry per mutated row.
 """
 
 from __future__ import annotations
@@ -176,8 +177,7 @@ class Executor:
         self._check_row_checks(table, row)
         self._check_fk_child(table, row, txn)
         rowid = table_data.insert(row)  # PK/UNIQUE enforced by indexes
-        txn.record_undo(lambda: table_data.delete(rowid))
-        txn.record_change(("i", table.name, rowid, row))
+        txn.record("i", table_data, rowid, row)
         return rowid
 
     def update(
@@ -224,10 +224,9 @@ class Executor:
         # If a referenced (parent-side) column changes, ensure no child
         # still points at the old value (RESTRICT semantics).
         self._check_fk_parent_update(table, current, new_row, txn)
-        old = table_data.update(rowid, changes)
-        restore = {col: old[col] for col in changes}
-        txn.record_undo(lambda: table_data.update(rowid, restore))
-        txn.record_change(("u", table.name, rowid, dict(changes)))
+        txn.record(
+            "u", table_data, rowid, changes, table_data.update(rowid, changes)
+        )
 
     def delete(
         self,
@@ -244,11 +243,7 @@ class Executor:
             tick(count)
             row = table_data.rows[rowid]
             self._check_fk_parent_delete(table, row, txn)
-            removed = table_data.delete(rowid)
-            txn.record_undo(
-                lambda rid=rowid, img=removed: table_data.restore(rid, img)
-            )
-            txn.record_change(("d", table.name, rowid))
+            txn.record("d", table_data, rowid, None, table_data.delete(rowid))
             count += 1
         if count:
             _ROWS_DELETE.inc(count)

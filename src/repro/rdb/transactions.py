@@ -1,4 +1,4 @@
-"""Transactions: undo logging and constraint-check timing.
+"""Transactions: one journal, and constraint-check timing.
 
 The engine supports the two constraint-checking disciplines the paper
 contrasts in Section 5.1: *immediate* (the default of real RDBs — "existing
@@ -8,19 +8,21 @@ dependencies) and *deferred* (checks queued until COMMIT, the theoretical
 mode under which sorting would be unnecessary).  The FK-sort ablation
 benchmark exercises both.
 
-Rollback is implemented with an undo log of closures run in reverse order.
-
-Alongside the undo log, a transaction may collect a **redo change list**
-— the logical row images and DDL the durability layer appends to the
-write-ahead log at commit (see :mod:`repro.rdb.durability`).  Collection
-is opt-in (``log_changes=True``, set by the engine when a ``data_dir``
-is configured) so in-memory databases pay nothing.  Changes are tuples:
+A transaction keeps **one journal**: the code that makes a change
+records it once, as one entry.  Rollback and a failed statement invert
+the entries newest first, each on the table version it changed (not on
+whatever has that name by then); a commit turns them into the record
+the durability layer appends to the write-ahead log (see
+:mod:`repro.rdb.durability`) — only when a ``data_dir`` is configured,
+so in-memory databases build no record.  Records are tuples:
 
 * ``("i", table, rowid, row)`` — inserted row image
 * ``("u", table, rowid, changes)`` — updated columns (post-image)
 * ``("d", table, rowid)`` — deleted row
 * ``("x", sql)`` — a DDL statement (kept even through rollback: DDL is
   non-transactional, so a rolled-back transaction's DDL still commits)
+* ``("p", epoch, generation, offset)`` — a durable replica's provenance
+  note, the last entry of a replicated batch
 """
 
 from __future__ import annotations
@@ -35,20 +37,45 @@ __all__ = ["Transaction", "IMMEDIATE", "DEFERRED"]
 IMMEDIATE = "immediate"
 DEFERRED = "deferred"
 
-UndoAction = Callable[[], None]
 DeferredCheck = Callable[[], None]
-Change = Tuple[Any, ...]
+
+
+class _Entry:
+    """One journaled change: ``table`` is the mutated
+    :class:`~repro.rdb.storage.TableData` version, ``image`` what the
+    record carries (row, changed columns, DDL text, provenance) and
+    ``prior`` what undo puts back (the old row of an update or delete)."""
+
+    __slots__ = ("kind", "table", "rowid", "image", "prior")
+
+    def __init__(
+        self, kind: str, table: Any, rowid: Any, image: Any, prior: Any
+    ) -> None:
+        self.kind, self.table, self.rowid = kind, table, rowid
+        self.image, self.prior = image, prior
+
+    def undo(self) -> None:
+        if self.kind == "i":
+            self.table.delete(self.rowid)
+        elif self.kind == "u":
+            self.table.update(self.rowid, {c: self.prior[c] for c in self.image})
+        elif self.kind == "d":
+            self.table.restore(self.rowid, self.prior)
+
+    def record(self) -> Tuple[Any, ...]:
+        if self.kind == "x":
+            return ("x", self.image)
+        if self.kind == "p":
+            return ("p", *self.image)
+        if self.kind == "d":
+            return ("d", self.table.table.name, self.rowid)
+        return (self.kind, self.table.table.name, self.rowid, self.image)
 
 
 class Transaction:
-    """One open transaction: undo log, redo changes, deferred checks."""
+    """One open transaction: its journal and its deferred checks."""
 
-    def __init__(
-        self,
-        mode: str = IMMEDIATE,
-        log_changes: bool = False,
-        autocommit: bool = False,
-    ) -> None:
+    def __init__(self, mode: str = IMMEDIATE, autocommit: bool = False) -> None:
         if mode not in (IMMEDIATE, DEFERRED):
             raise TransactionError(f"unknown constraint mode: {mode!r}")
         self.mode = mode
@@ -57,35 +84,28 @@ class Transaction:
         #: engine neither republishes before it nor clones a table to
         #: keep readers lock-free during it.
         self.autocommit = autocommit
-        self._undo_log: List[UndoAction] = []
+        #: Every change so far, oldest first; its length is a statement's
+        #: savepoint.
+        self.journal: List[_Entry] = []
         self._deferred_checks: List[DeferredCheck] = []
-        self.active = True
-        #: When True, mutation paths record logical redo changes for the
-        #: write-ahead log; False keeps pure in-memory transactions free.
-        self.log_changes = log_changes
-        self.changes: List[Change] = []
         #: Thread that opened the transaction.  The engine routes reads by
         #: it: statements from the owner see the transaction's uncommitted
         #: working state, every other thread reads the committed snapshot.
         self.owner = threading.get_ident()
 
-    def record_undo(self, action: UndoAction) -> None:
-        self._require_active()
-        self._undo_log.append(action)
+    def record(
+        self, kind: str, table: Any, rowid: Any, image: Any, prior: Any = None
+    ) -> None:
+        """Journal one change; ``table`` is None for DDL (``image`` the
+        statement) and for provenance (``image`` the note's fields)."""
+        self.journal.append(_Entry(kind, table, rowid, image, prior))
 
-    def record_change(self, change: Change) -> None:
-        """Note one logical change for the WAL (no-op unless enabled)."""
-        if self.log_changes:
-            self.changes.append(change)
-
-    def ddl_changes(self) -> List[Change]:
-        """The DDL subset of the change list — what must still reach the
-        WAL when the transaction rolls back."""
-        return [change for change in self.changes if change[0] == "x"]
+    def wal_record(self) -> List[Tuple[Any, ...]]:
+        """The journal as one write-ahead-log commit record."""
+        return [entry.record() for entry in self.journal]
 
     def defer_check(self, check: DeferredCheck) -> None:
         """Queue a constraint check to run at commit (deferred mode)."""
-        self._require_active()
         self._deferred_checks.append(check)
 
     def run_deferred_checks(self) -> None:
@@ -95,33 +115,18 @@ class Transaction:
         self._deferred_checks.clear()
 
     def rollback(self) -> None:
-        self._require_active()
-        while self._undo_log:
-            self._undo_log.pop()()
+        """Invert the whole journal; its DDL entries are what is left."""
+        self.rollback_to(0)
         self._deferred_checks.clear()
-        self.active = False
 
-    def commit_cleanup(self) -> None:
-        self._require_active()
-        self._undo_log.clear()
-        self.active = False
-
-    def statement_savepoint(self) -> Tuple[int, int]:
-        """Mark the current undo/redo position (statement-level atomicity)."""
-        return (len(self._undo_log), len(self.changes))
-
-    def rollback_to(self, savepoint: Tuple[int, int]) -> None:
-        """Undo everything after ``savepoint`` (failed-statement recovery)."""
-        self._require_active()
-        undo_mark, change_mark = savepoint
-        while len(self._undo_log) > undo_mark:
-            self._undo_log.pop()()
-        del self.changes[change_mark:]
-
-    def _require_active(self) -> None:
-        if not self.active:
-            raise TransactionError("transaction is no longer active")
+    def rollback_to(self, savepoint: int) -> None:
+        """Invert every entry after ``savepoint``, newest first (a failed
+        statement); DDL entries stay, as DDL is non-transactional."""
+        journal = self.journal
+        ddl = [entry for entry in journal[savepoint:] if entry.kind == "x"]
+        while len(journal) > savepoint:
+            journal.pop().undo()
+        journal += ddl
 
     def __repr__(self) -> str:
-        state = "active" if self.active else "closed"
-        return f"<Transaction {state}, mode={self.mode}, undo={len(self._undo_log)}>"
+        return f"<Transaction mode={self.mode}, journal={len(self.journal)}>"

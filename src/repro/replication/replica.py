@@ -13,10 +13,12 @@ that keeps one replication connection alive to the primary's
   the position, ``HEARTBEAT`` refreshes the watermark.  After each
   applied frame (and each heartbeat) the replica sends an ``ACK`` with
   its applied position — the primary's semi-sync barrier feeds on it.
-* every error — socket, torn frame (CRC), injected fault — tears the
-  connection down and the supervisor reconnects; the applied position in
-  the next ``HELLO`` makes resumption exact (a frame the crash cut short
-  was never applied, so it ships again).
+* every error — socket, torn frame (CRC), injected fault, a failed
+  apply (counted in ``apply_errors``) — tears the connection down and
+  the supervisor reconnects; the applied position in the next ``HELLO``
+  makes resumption exact (a batch applies atomically, so a frame an
+  error cut short ships again).  Only an applied frame or snapshot
+  resets the reconnect backoff.
 
 **Epoch fencing**: the replica tracks the highest epoch it has ever
 seen (persisted via the database when durable).  Any message stamped
@@ -61,12 +63,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..errors import (
-    DurabilityError,
-    FaultError,
-    ReplicationError,
-    StaleEpochError,
-)
+from ..errors import FaultError, ReplicationError, StaleEpochError
 from ..faults import INJECTOR
 from ..rdb.durability import decode_payload
 from ..rdb.engine import Database
@@ -132,6 +129,7 @@ class Replica:
         self.frames_applied = 0
         self.snapshots_loaded = 0
         self.wire_errors = 0
+        self.apply_errors = 0
         self.fenced_messages = 0
         self.acks_sent = 0
         self.last_error: Optional[str] = None
@@ -184,9 +182,9 @@ class Replica:
                     return
                 backoff = min(backoff * 2, self.max_backoff)
                 continue
-            backoff = self.reconnect_backoff
             self._sock = sock
             self.connects += 1
+            progress = self.frames_applied + self.snapshots_loaded
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 wire.send_message(
@@ -196,14 +194,22 @@ class Replica:
                 self._connected = True
                 while not self._stopped.is_set():
                     self._handle(sock, wire.recv_message(sock))
-            except (OSError, ConnectionError, ReplicationError,
-                    DurabilityError, FaultError) as exc:
+            except Exception as exc:  # an apply error too: it rolled back
                 if isinstance(exc, ReplicationError):
                     self.wire_errors += 1
+                elif not isinstance(exc, OSError):
+                    self.apply_errors += 1
                 self.last_error = f"{type(exc).__name__}: {exc}"
             finally:
                 self._connected = False
                 self._close_socket()
+            # A frame that keeps failing is retried ever more slowly.
+            if self.frames_applied + self.snapshots_loaded > progress:
+                backoff = self.reconnect_backoff
+            elif self._stopped.wait(backoff):
+                return
+            else:
+                backoff = min(backoff * 2, self.max_backoff)
 
     def _position(self) -> Tuple[int, int]:
         with self._lock:
@@ -427,6 +433,7 @@ class Replica:
             "frames_applied": self.frames_applied,
             "snapshots_loaded": self.snapshots_loaded,
             "wire_errors": self.wire_errors,
+            "apply_errors": self.apply_errors,
             "fenced_messages": self.fenced_messages,
         }
 
@@ -449,6 +456,7 @@ class Replica:
             "frames_applied": float(self.frames_applied),
             "snapshots_loaded": float(self.snapshots_loaded),
             "wire_errors": float(self.wire_errors),
+            "apply_errors": float(self.apply_errors),
             "fenced_messages": float(self.fenced_messages),
             "acks_sent": float(self.acks_sent),
         }

@@ -28,9 +28,10 @@ refuses to stream another frame.  A deposed primary therefore cannot
 ship a single frame — and even if it could, appliers reject the stale
 epoch.
 
-**Semi-sync** (``min_sync_replicas > 0``): a commit hook registered on
-the database blocks each commit until at least that many replicas have
-acknowledged applying up to the commit's WAL position, or raises
+**Semi-sync** (``min_sync_replicas > 0``): the database's commit
+barrier (``Database.commit_barrier``, set by :meth:`start`) blocks each
+commit until at least that many replicas have acknowledged applying up
+to the commit's WAL position, or raises
 :class:`~repro.errors.ReplicationError` after ``ack_timeout`` — the
 caller's write fails even though it is locally durable, which is what
 makes "every acknowledged write survives failover" a theorem instead of
@@ -167,13 +168,13 @@ class LogShipper:
         )
         self._accept_thread.start()
         if self.min_sync_replicas > 0:
-            self.db.add_commit_hook(self._commit_barrier)
+            self.db.commit_barrier = self._commit_barrier
         return self
 
     def stop(self) -> None:
         self._stopped.set()
-        if self.min_sync_replicas > 0:
-            self.db.remove_commit_hook(self._commit_barrier)
+        if self.db.commit_barrier == self._commit_barrier:
+            self.db.commit_barrier = None
         listener = self._listener
         if listener is not None:
             try:
@@ -246,8 +247,8 @@ class LogShipper:
                 self._ack_cond.wait(min(remaining, 0.5))
 
     def _commit_barrier(self, position: Tuple[int, int]) -> None:
-        """Database commit hook: refuse to acknowledge a write until
-        enough replicas confirmed it (or fail the commit call — the
+        """The database's commit barrier: refuse to acknowledge a write
+        until enough replicas confirmed it (or fail the commit call — the
         write is locally durable but reported as NOT acknowledged, so a
         failover cannot lose anything a client believes happened)."""
         if self._stopped.is_set():

@@ -7,7 +7,7 @@ commit (in ``fsync`` mode), never a resurrected rolled-back one.
 
 Three attack styles:
 
-* **kill-point injection** — ``DurabilityManager._crash_hook`` raises at
+* **kill-point injection** — a ``repro.faults.INJECTOR`` rule raises at
   named points (mid-WAL-append, before/after the checkpoint rename, …);
   the test then reopens the directory and checks the surviving prefix.
 * **torn-tail truncation** — the WAL is truncated / corrupted at byte
@@ -35,6 +35,7 @@ import pytest
 
 from repro import OntoAccess
 from repro.errors import DurabilityError, ReplicationError, TransactionError
+from repro.faults import INJECTOR
 from repro.rdb import Database
 from repro.rdb.durability import (
     _CKPT_MAGIC,
@@ -51,18 +52,19 @@ DDL = (
 
 
 class _Killed(BaseException):
-    """Raised from the crash hook; BaseException so nothing downstream
+    """Raised at a kill point; BaseException so nothing downstream
     accidentally catches it and keeps going 'after the crash'."""
 
 
-def _crash_at(db, point):
-    """Arm the crash hook to blow up at the first occurrence of point."""
-    def hook(name):
-        if name == point:
-            raise _Killed(point)
+@pytest.fixture(autouse=True)
+def _disarm_kill_points():
+    yield
+    INJECTOR.clear()
 
-    db._durability._crash_hook = hook
-    db._durability.wal._crash_hook = hook
+
+def _crash_at(point):
+    """Arm the kill point to blow up at its first occurrence."""
+    INJECTOR.inject(point, error=_Killed(point), times=1)
 
 
 def _simulate_death(db):
@@ -458,7 +460,7 @@ class TestKillPoints:
 
     def test_crash_mid_wal_append_loses_only_the_torn_commit(self, data_dir):
         db = self._seeded(data_dir)
-        _crash_at(db, "wal:mid-append")
+        _crash_at("wal:mid-append")
         with pytest.raises(_Killed):
             db.execute("INSERT INTO t (id, name, n) VALUES (2, 'b', 2)")
         # simulate process death: no close(), reopen from disk
@@ -474,7 +476,7 @@ class TestKillPoints:
 
     def test_crash_before_append_loses_only_that_commit(self, data_dir):
         db = self._seeded(data_dir)
-        _crash_at(db, "wal:pre-append")
+        _crash_at("wal:pre-append")
         with pytest.raises(_Killed):
             db.execute("INSERT INTO t (id, name, n) VALUES (2, 'b', 2)")
         _simulate_death(db)
@@ -485,7 +487,7 @@ class TestKillPoints:
     def test_crash_before_checkpoint_rename_keeps_old_lineage(self, data_dir):
         db = self._seeded(data_dir)
         expected = _state(db)
-        _crash_at(db, "checkpoint:pre-rename")
+        _crash_at("checkpoint:pre-rename")
         with pytest.raises(_Killed):
             db.checkpoint()
         _simulate_death(db)
@@ -500,7 +502,7 @@ class TestKillPoints:
     def test_crash_after_checkpoint_rename_uses_new_checkpoint(self, data_dir):
         db = self._seeded(data_dir)
         expected = _state(db)
-        _crash_at(db, "checkpoint:post-rename")
+        _crash_at("checkpoint:post-rename")
         with pytest.raises(_Killed):
             db.checkpoint()
         _simulate_death(db)
@@ -523,7 +525,7 @@ class TestKillPoints:
         or vanish (it was still buffered) — but recovery must land on a
         clean prefix boundary either way, never a torn state."""
         db = self._seeded(data_dir)
-        _crash_at(db, "wal:pre-sync")
+        _crash_at("wal:pre-sync")
         with pytest.raises(_Killed):
             db.execute("INSERT INTO t (id, name, n) VALUES (2, 'b', 2)")
         _simulate_death(db)
@@ -575,7 +577,7 @@ class TestDifferentialRecovery:
         for statement in statements:
             if executed == crash_after:
                 # crash mid-append of the next commit: it must vanish
-                _crash_at(db, "wal:mid-append")
+                _crash_at("wal:mid-append")
             try:
                 db.execute(statement)
                 survived = True
@@ -668,17 +670,13 @@ class TestSessionCommitPath:
             db.close()
 
     @staticmethod
-    def _stall_first_sync(db):
+    def _stall_first_sync():
         """Park the first flusher at ``wal:pre-sync`` until released."""
         entered, release = threading.Event(), threading.Event()
-
-        def hook(point):
-            if point == "wal:pre-sync" and not entered.is_set():
-                entered.set()
-                release.wait(30.0)
-
-        db._durability._crash_hook = hook
-        db._durability.wal._crash_hook = hook
+        INJECTOR.inject(
+            "wal:pre-sync",
+            call=lambda site: entered.set(), stall=release, times=1,
+        )
         return entered, release
 
     @staticmethod
@@ -697,12 +695,7 @@ class TestSessionCommitPath:
         db, session = durable
         wal = db._durability.wal
 
-        def slow_sync(point):
-            if point == "wal:pre-sync":
-                time.sleep(0.03)
-
-        db._durability._crash_hook = slow_sync
-        wal._crash_hook = slow_sync
+        INJECTOR.inject("wal:pre-sync", latency=0.03)
         commits, syncs = wal.commit_count, wal.sync_count
         errors = []
 
@@ -732,7 +725,7 @@ class TestSessionCommitPath:
     ):
         db, session = durable
         wal = db._durability.wal
-        entered, release = self._stall_first_sync(db)
+        entered, release = self._stall_first_sync()
         appends, syncs = wal.append_count, wal.sync_count
         outcomes = {}
         first = self._writer(session, 1, outcomes)
@@ -764,7 +757,7 @@ class TestSessionCommitPath:
         for key in (1, 2, 3):
             session.execute(_insert_author(key))
             acknowledged.append(key)
-        _crash_at(db, "wal:pre-sync")
+        _crash_at("wal:pre-sync")
         with pytest.raises(_Killed):
             session.execute(_insert_author(4))
         assert not db.in_transaction()
@@ -811,12 +804,10 @@ class TestSessionCommitPath:
         session.execute(_insert_author(1))
         parked, release = threading.Event(), threading.Event()
 
-        def hook(point):
-            if point == "checkpoint:pre-rename":
-                parked.set()
-                release.wait(30.0)
-
-        db._durability._crash_hook = hook
+        INJECTOR.inject(
+            "checkpoint:pre-rename",
+            call=lambda site: parked.set(), stall=release,
+        )
         paths, outcomes = [], {}
         checkpointer = threading.Thread(
             target=lambda: paths.append(session.checkpoint()), daemon=True

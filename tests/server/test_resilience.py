@@ -525,8 +525,6 @@ class TestHealthAndReadiness:
                 INJECTOR.inject(
                     "wal:pre-append", error=OSError(28, "injected ENOSPC")
                 )
-                db._durability._crash_hook = INJECTOR
-                db._durability.wal._crash_hook = INJECTOR
                 feedback = client.update(UPDATE_OK)
                 assert feedback.ok is False
                 assert "refusing" in (feedback.message or "")

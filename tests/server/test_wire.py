@@ -334,8 +334,6 @@ class TestGroupCommitOverHTTP:
         before = db.durability_status()
         assert before["wal_commits"] == before["wal_syncs"]  # serial DDL
         INJECTOR.inject("wal:pre-sync", latency=0.03)
-        db._durability._crash_hook = INJECTOR
-        db._durability.wal._crash_hook = INJECTOR
         failures = []
 
         def writer(base):

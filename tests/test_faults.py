@@ -106,13 +106,30 @@ class TestFaultInjector:
         assert not injector.armed
         injector.fire("b")
 
-    def test_injector_is_a_valid_crash_hook(self):
-        """``__call__`` aliases fire, so an injector drops into the
-        durability layer's ``_crash_hook`` seam unchanged."""
-        injector = FaultInjector()
-        injector.inject("wal:pre-append", fail=True)
-        with pytest.raises(FaultError):
-            injector("wal:pre-append")
+    def test_durability_kill_points_are_injector_sites(self, tmp_path):
+        """The WAL and checkpoint kill points fire through ``INJECTOR``:
+        one durable commit and one checkpoint pass each of the five once,
+        in order, and an armed error there fails the operation."""
+        from repro.rdb import Database
+
+        sites = [
+            "wal:pre-append", "wal:mid-append", "wal:pre-sync",
+            "checkpoint:pre-rename", "checkpoint:post-rename",
+        ]
+        fired = []
+        db = Database(data_dir=str(tmp_path / "dd"), sync_mode="fsync")
+        try:
+            for site in sites:
+                INJECTOR.inject(site, call=fired.append)
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+            db.checkpoint()
+            assert fired == sites
+            INJECTOR.inject("checkpoint:pre-rename", fail=True)
+            with pytest.raises(FaultError):
+                db.checkpoint()
+        finally:
+            INJECTOR.clear()
+            db.close()
 
 
 class TestDeadline:
@@ -321,8 +338,6 @@ class TestWalChaos:
         db, mediator = self._durable_mediator(tmp_path)
         session = mediator.session()
         INJECTOR.inject("wal:pre-append", error=OSError(28, "injected ENOSPC"))
-        db._durability._crash_hook = INJECTOR
-        db._durability.wal._crash_hook = INJECTOR
         with pytest.raises(DurabilityError) as excinfo:
             session.execute(self.UPDATE)
         # actionable message: names the refusing mode and the way out
@@ -349,8 +364,6 @@ class TestWalChaos:
         session = mediator.session()
         session.execute(self.UPDATE)  # durable before the fault
         INJECTOR.inject("wal:pre-append", error=OSError(5, "injected EIO"))
-        db._durability._crash_hook = INJECTOR
-        db._durability.wal._crash_hook = INJECTOR
         with pytest.raises(DurabilityError):
             session.execute(
                 self.UPDATE.replace("team7", "team8").replace("CHAOS", "CH8")
