@@ -19,8 +19,11 @@ scope lives in exactly one place (the session), never in the backend.
 
 Each job has one seam.  Updates: every entry point (facade, session,
 prepared update, HTTP) ends in :meth:`Backend.execute_operation`, which
-translates against the current state and runs the SQL — the DML of an
-update is never kept, because translating it reads row data.  Queries:
+translates against the current state and runs the SQL.  What the
+relational backend keeps of an update is what does not read row data:
+per INSERT DATA / DELETE DATA block of a kept shape the translated
+*template* (:class:`PreparedData`), which each request binds its values
+to, and per MODIFY the translation of its WHERE.  Queries:
 :meth:`Backend.query_outcome`, or :meth:`Backend.prepare_query` for a
 handle that keeps what does not depend on row data.  On the relational
 backend that is the translation of a WHERE *template*
@@ -39,7 +42,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import (
     DatabaseError,
@@ -49,11 +52,13 @@ from ..errors import (
     TransactionError,
     TranslationError,
 )
+from ..observability.metrics import DATA_TEMPLATES
 from ..observability.tracing import annotate
 from ..rdb.engine import Database
 from ..rdf.graph import Graph
+from ..rdf.terms import Triple, Variable
 from ..r3m.model import DatabaseMapping
-from ..sparql.algebra import Solution
+from ..sparql.algebra import Solution, substitute
 from ..sparql.query_ast import Query
 from ..sparql.update_ast import (
     Clear,
@@ -64,16 +69,19 @@ from ..sparql.update_ast import (
 )
 from ..sql import ast
 from ..sql.render import render
-from .delete_data import translate_delete_data
+from .delete_data import DeleteTemplate, translate_delete_data
 from .dump import dump_database
 from .feedback import confirmation_graph
-from .insert_data import translate_insert_data
+from .insert_data import InsertTemplate, translate_insert_data
 from .modify import plan_binding, plan_modify, where_query
 from .query import Answer, QueryOutcome, solve_query
 
 __all__ = [
     "Backend",
     "OperationResult",
+    "PreparedData",
+    "PreparedDeleteData",
+    "PreparedInsertData",
     "PreparedModify",
     "PreparedPattern",
     "RelationalBackend",
@@ -305,6 +313,94 @@ class PreparedModify(Modify):
     template: Optional[PreparedPattern] = field(default=None, compare=False)
 
 
+_TEMPLATE_BOUND = DATA_TEMPLATES.labels("bound")
+_TEMPLATE_BUILT = DATA_TEMPLATES.labels("built")
+_TEMPLATE_REBUILT = DATA_TEMPLATES.labels("rebuilt")
+
+
+class PreparedData:
+    """An INSERT DATA / DELETE DATA block of a kept shape and the one
+    translated template the relational backend keeps for it.
+
+    What the translation of a data block decides depends on predicates,
+    classes and tables — not on the values, except for the table a
+    subject names (:class:`~repro.core.common.DataTemplate`).  So it is
+    kept per (mapping, schema) version, and an execution binds its
+    values to it; where they do not fit (a subject of another table, a
+    class or predicate bound to another term), the template is built
+    again from them and takes the slot.
+
+    Templates are used under the writer lock (translation reads rows),
+    and the slot is one tuple swapped whole, as :class:`PreparedPattern`'s.
+    """
+
+    __slots__ = ("triples", "variables", "_template", "_kept")
+
+    def __init__(self, operation: Union[InsertData, DeleteData]) -> None:
+        self.triples = operation.triples
+        #: what an execution must bind
+        self.variables = frozenset(
+            term
+            for triple in self.triples
+            for term in triple
+            if isinstance(term, Variable)
+        )
+        self._template = (
+            InsertTemplate if isinstance(operation, InsertData) else DeleteTemplate
+        )
+        #: (version, template); replaced wholesale
+        self._kept: Tuple[Any, Any] = (None, None)
+
+    def translate(
+        self, backend: "RelationalBackend", solution: Solution
+    ) -> List[ast.Bound]:
+        """The block's statements under ``solution``."""
+        mapping, db = backend.mapping, backend.db
+        current = backend.query_state_version()
+        version, template = self._kept
+        entities = None
+        counter = _TEMPLATE_BUILT
+        if version == current:
+            entities = template.entities(mapping, db, solution)
+            counter = _TEMPLATE_REBUILT if entities is None else _TEMPLATE_BOUND
+        if entities is None:
+            template = self._template(mapping, db, self.triples, solution)
+            entities = template.built_entities()
+            if template.reusable:
+                self._kept = (current, template)
+        counter.inc()
+        return template.bind(db, solution, entities)
+
+
+def _concrete(triples: Tuple[Triple, ...], solution: Solution) -> Tuple[Triple, ...]:
+    return tuple(substitute(triple, solution) for triple in triples)
+
+
+@dataclass(frozen=True)
+class PreparedInsertData(InsertData):
+    """One execution of a kept INSERT DATA block: the block as parsed
+    (its constants lifted into placeholders) under the ``bindings`` of
+    this execution, plus where the relational backend keeps its
+    template.  :meth:`concrete` is the block with its terms in place."""
+
+    bindings: Solution = field(compare=False)
+    template: PreparedData = field(compare=False)
+
+    def concrete(self) -> InsertData:
+        return InsertData(_concrete(self.triples, self.bindings))
+
+
+@dataclass(frozen=True)
+class PreparedDeleteData(DeleteData):
+    """:class:`PreparedInsertData` for a DELETE DATA block."""
+
+    bindings: Solution = field(compare=False)
+    template: PreparedData = field(compare=False)
+
+    def concrete(self) -> DeleteData:
+        return DeleteData(_concrete(self.triples, self.bindings))
+
+
 # ---------------------------------------------------------------------------
 # the mediation pipeline as a backend
 # ---------------------------------------------------------------------------
@@ -346,6 +442,8 @@ class RelationalBackend(Backend):
     def translate_operation(
         self, operation: UpdateOperation
     ) -> List[ast.Bound]:
+        if isinstance(operation, (PreparedInsertData, PreparedDeleteData)):
+            return operation.template.translate(self, operation.bindings)
         if isinstance(operation, InsertData):
             return translate_insert_data(self.mapping, self.db, operation.triples)
         if isinstance(operation, DeleteData):
@@ -552,6 +650,8 @@ class TripleStoreBackend(Backend):
     # -- write path ----------------------------------------------------
 
     def execute_operation(self, operation: UpdateOperation) -> OperationResult:
+        if isinstance(operation, (PreparedInsertData, PreparedDeleteData)):
+            operation = operation.concrete()
         added, removed = self.store.apply_operation(operation)
         self._version += 1
         if not self.store.graph.journaling():

@@ -6,10 +6,14 @@ drivers compose:
 * :func:`group_by_subject` — step 1: group triples by equal subjects;
 * :class:`EntityRef` / :func:`identify_entity` — step 2: identify the
   target table and primary-key values from a subject URI;
-* value conversion between RDF terms and SQL values according to the
-  mapping and column types (used by steps 3 and 4);
 * classification of a subject group's triples into type / attribute /
-  link-table triples;
+  link-table triples (:func:`classify_group`);
+* :class:`DataTemplate` — what both drivers build from those steps: a
+  data block translated once, which later requests of its shape bind
+  their values to, guarded by :meth:`DataTemplate.entities`;
+* value conversion between RDF terms and SQL values according to the
+  mapping and column types (used by steps 3 and 4), with its look-ups
+  done once per template (:func:`value_reader`, :func:`key_reader`);
 * :class:`Values` — the one collector every translator puts a request's
   keys and values through: the SQL gets a parameter, the value goes into
   the vector, and what leaves the translator is the pair
@@ -18,20 +22,20 @@ drivers compose:
 * the helpers both drivers need exactly once: the ``WHERE pk = ...``
   condition addressing an entity's row (:meth:`EntityRef.pk_condition`),
   object URI → key of the referenced table (:func:`object_uri_to_key`),
-  and a link triple's key pair and presence (:func:`link_keys`,
-  :func:`link_row_exists`).
+  and a link triple's presence (:func:`link_row_exists`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..errors import TranslationError, TypeMismatchError
 from ..rdb.catalog import Column
 from ..rdb.engine import Database
 from ..rdb.types import BooleanType, DateType, FloatType, IntegerType, SQLType
-from ..rdf.namespace import RDF
+from ..rdf.namespace import RDF_TYPE
 from ..rdf.terms import (
     XSD_BOOLEAN,
     XSD_DATE,
@@ -44,34 +48,35 @@ from ..rdf.terms import (
     Term,
     Triple,
     URIRef,
+    Variable,
     double_lexical,
 )
 from ..r3m.model import AttributeMapping, DatabaseMapping, LinkTableMapping, TableMapping
+from ..r3m.uripattern import URIPattern
+from ..sparql.algebra import Solution
 from ..sql import ast
 
 __all__ = [
     "Values",
     "EntityRef",
     "SubjectGroup",
+    "DataTemplate",
+    "GroupStep",
+    "KeyReader",
+    "pattern_match",
     "group_by_subject",
     "identify_entity",
     "classify_group",
     "term_to_sql_value",
+    "value_reader",
+    "key_reader",
+    "link_key_reader",
+    "link_object_key",
     "sql_value_to_term",
     "coerce_pattern_values",
     "object_uri_to_key",
-    "link_keys",
     "link_row_exists",
 ]
-
-
-def group_by_subject(triples: Tuple[Triple, ...]) -> List[Tuple[Term, List[Triple]]]:
-    """Algorithm 1 step 1: group triples by equal subject, preserving the
-    order in which subjects first appear."""
-    groups: Dict[Term, List[Triple]] = {}
-    for triple in triples:
-        groups.setdefault(triple.subject, []).append(triple)
-    return list(groups.items())
 
 
 class Values:
@@ -107,16 +112,6 @@ class EntityRef:
     table: TableMapping
     #: URI-pattern attribute values coerced to their column types.
     key_values: Dict[str, Any]
-
-    def pk_tuple(self, db: Database) -> Tuple[Any, ...]:
-        schema_table = db.table(self.table.table_name)
-        return tuple(self.key_values[c] for c in schema_table.primary_key)
-
-    def exists(self, db: Database) -> bool:
-        return self.current_row(db) is not None
-
-    def current_row(self, db: Database) -> Optional[Dict[str, Any]]:
-        return db.get_row_by_pk(self.table.table_name, self.pk_tuple(db))
 
     def pk_condition(self, db: Database, values: Values) -> ast.Expression:
         """``pk1 = v1 AND pk2 = v2 ...`` addressing this entity's row."""
@@ -208,48 +203,91 @@ def coerce_pattern_values(
     return coerced
 
 
-@dataclass
-class SubjectGroup:
-    """One subject's triples, classified for translation (steps 2-3)."""
+# ---------------------------------------------------------------------------
+# data blocks: subject groups and the template they make
+# ---------------------------------------------------------------------------
 
-    entity: EntityRef
-    #: declared rdf:type objects (usually zero or one)
-    types: List[Term] = field(default_factory=list)
-    #: attribute triples: (attribute mapping, object term)
-    attribute_values: List[Tuple[AttributeMapping, Object]] = field(
-        default_factory=list
-    )
-    #: link-table triples: (link mapping, object term)
-    link_values: List[Tuple[LinkTableMapping, Object]] = field(default_factory=list)
+class SubjectGroup:
+    """One subject's triples of a data block (steps 1-3).
+
+    Terms are kept as the block writes them — a constant, or a variable
+    (a placeholder of a kept shape, a client's variable) that the
+    solution the block is bound with reads — so a template of the block
+    can be bound to other values.
+    """
+
+    __slots__ = ("sources", "pairs", "entity", "error", "types",
+                 "attribute_values", "link_values")
+
+    def __init__(self, source: Term) -> None:
+        #: the distinct terms the block writes this subject as
+        self.sources: List[Term] = [source]
+        #: (predicate, object) of each of the subject's triples, as written
+        self.pairs: List[Tuple[Term, Term]] = []
+        #: the table and key the subject resolved to (step 2)
+        self.entity: Optional[EntityRef] = None
+        #: the identification or classification error of the group: a
+        #: bind raises it when it reaches the group, where the
+        #: translation of the block as written raises it
+        self.error: Optional[TranslationError] = None
+        #: declared rdf:type objects (usually zero or one)
+        self.types: List[Term] = []
+        #: attribute triples: (attribute mapping, object term)
+        self.attribute_values: List[Tuple[AttributeMapping, Term]] = []
+        #: link-table triples: (link mapping, object term)
+        self.link_values: List[Tuple[LinkTableMapping, Term]] = []
+
+
+def group_by_subject(
+    triples: Tuple[Triple, ...],
+    solution: Solution,
+    group_class: Type[SubjectGroup] = SubjectGroup,
+) -> List[SubjectGroup]:
+    """Algorithm 1 step 1: group triples by equal subject — the subject
+    each one names under ``solution`` — preserving the order in which
+    subjects first appear."""
+    groups: Dict[Term, SubjectGroup] = {}
+    for subject, predicate, obj in triples:
+        value = solution.get(subject, subject)
+        group = groups.get(value)
+        if group is None:
+            group = groups[value] = group_class(subject)
+        elif subject not in group.sources:
+            group.sources.append(subject)
+        group.pairs.append((predicate, obj))
+    return list(groups.values())
 
 
 def classify_group(
     mapping: DatabaseMapping,
     db: Database,
-    subject: Term,
-    triples: List[Triple],
-) -> SubjectGroup:
+    group: SubjectGroup,
+    solution: Solution,
+) -> None:
     """Steps 2-3 (structural part): identify the table and classify each
     triple as type / attribute / link, rejecting unknown properties."""
-    entity = identify_entity(mapping, db, subject)
-    group = SubjectGroup(entity=entity)
+    source = group.sources[0]
+    entity = group.entity = identify_entity(
+        mapping, db, solution.get(source, source)
+    )
     table = entity.table
 
-    for triple in triples:
-        predicate = triple.predicate
-        if predicate == RDF.type:
-            group.types.append(triple.object)
-            if triple.object != table.maps_to_class:
+    for predicate, obj in group.pairs:
+        predicate = solution.get(predicate, predicate)
+        if predicate == RDF_TYPE:
+            group.types.append(obj)
+            obj = solution.get(obj, obj)
+            if obj != table.maps_to_class:
                 raise TranslationError(
                     f"subject {entity.uri.value} is mapped to table "
                     f"{table.table_name!r} (class {table.maps_to_class}), but "
-                    f"the request types it as {triple.object}",
+                    f"the request types it as {obj}",
                     code=TranslationError.CLASS_MISMATCH,
                     details={
                         "subject": entity.uri.value,
                         "table": table.table_name,
                         "expected": str(table.maps_to_class),
-                        "actual": str(triple.object),
+                        "actual": str(obj),
                     },
                 )
             continue
@@ -266,7 +304,7 @@ def classify_group(
                         "table": table.table_name,
                     },
                 )
-            group.link_values.append((link, triple.object))
+            group.link_values.append((link, obj))
             continue
         attribute = table.attribute_for_property(predicate)
         if attribute is None:
@@ -280,9 +318,212 @@ def classify_group(
                     "table": table.table_name,
                 },
             )
-        group.attribute_values.append((attribute, triple.object))
-    return group
+        group.attribute_values.append((attribute, obj))
 
+
+def pattern_match(pattern: URIPattern, uri: URIRef) -> Optional[Dict[str, str]]:
+    """:meth:`URIPattern.match`, read with string operations where that
+    is what the regex of a single-attribute pattern does: its value is
+    one or more characters other than ``/`` between the pattern's
+    affixes (and its ``$`` also matches before a final newline, which
+    the regex is left to read)."""
+    affixes = pattern.affixes
+    if affixes is not None:
+        prefix, suffix = affixes
+        value = uri.value
+        if not value.startswith(prefix):
+            return None
+        end = len(value) - len(suffix)
+        middle = value[len(prefix):end]
+        if (
+            end > len(prefix)
+            and value.endswith(suffix)
+            and "/" not in middle
+            and "\n" not in middle
+        ):
+            return {pattern.attributes[0]: middle}
+    return pattern.match(uri)
+
+
+class KeyReader:
+    """What :func:`identify_entity` asks of one candidate table, with its
+    look-ups done once: the key values the table's URI pattern reads from
+    a URI, coerced to the column types — None where the pattern does not
+    match or a value does not coerce."""
+
+    __slots__ = ("pattern", "coercers")
+
+    def __init__(self, db: Database, table_mapping: TableMapping) -> None:
+        pattern = self.pattern = table_mapping.uri_pattern
+        schema_table = db.table(table_mapping.table_name)
+        self.coercers = tuple(
+            (attr, schema_table.column(attr).sql_type.coerce)
+            for attr in pattern.attributes
+        )
+
+    def read(self, uri: URIRef) -> Optional[Dict[str, Any]]:
+        raw = pattern_match(self.pattern, uri)
+        if raw is None:
+            return None
+        try:
+            return {attr: coerce(raw[attr], attr) for attr, coerce in self.coercers}
+        except TypeMismatchError:
+            return None
+
+
+class GroupStep(SubjectGroup):
+    """A classified group and what a bind reads for it, prepared once
+    (:meth:`setup`): the group's table and key columns and one reader
+    per attribute and link triple.  Each operation adds its own.
+
+    The readers start as :func:`term_to_sql_value` and
+    :func:`link_object_key` themselves, which is all a template bound
+    once needs; :meth:`prepare` swaps in readers with their look-ups done
+    once, for a template that is bound again."""
+
+    __slots__ = ("table_mapping", "table", "pk", "attributes", "links")
+
+    def setup(self, mapping: DatabaseMapping, db: Database) -> None:
+        table = self.table_mapping = self.entity.table
+        self.table = table.table_name
+        self.pk = db.table(self.table).primary_key
+        #: (attribute name, object term, value reader) per attribute triple
+        self.attributes = [
+            (a.attribute_name, obj, partial(term_to_sql_value, mapping, db, table, a))
+            for a, obj in self.attribute_values
+        ]
+        #: (link, object term, key reader) per link triple
+        self.links = [
+            (link, obj, partial(link_object_key, mapping, db, link))
+            for link, obj in self.link_values
+        ]
+
+    def prepare(self, mapping: DatabaseMapping, db: Database) -> None:
+        table = self.table_mapping
+        self.attributes = [
+            (name, obj, value_reader(mapping, db, table, table.attribute_by_name(name)))
+            for name, obj, _ in self.attributes
+        ]
+        self.links = [
+            (link, obj, link_key_reader(mapping, db, link))
+            for link, obj, _ in self.links
+        ]
+
+
+class DataTemplate:
+    """A data block (INSERT DATA / DELETE DATA) translated for the terms
+    it was built with, to be bound to the terms of other requests of its
+    shape.
+
+    Every structural decision of Algorithm 1 — which triples form a
+    group, which table a group's subject names, what each triple is
+    (type, attribute, link), which attributes an INSERT lacks, how the
+    statements sort — depends on predicates, classes and tables, not on
+    values.  The one value that decides is the subject: its table follows
+    from its URI.  :meth:`entities` is the guard that the terms of a
+    request make the same decisions; where they do not, the caller builds
+    the template afresh from them.  Subclasses name their
+    :class:`GroupStep` and add what their operation reads from rows and
+    values in ``bind(db, solution, entities)``.
+    """
+
+    group = GroupStep
+
+    def __init__(
+        self,
+        mapping: DatabaseMapping,
+        db: Database,
+        triples: Tuple[Triple, ...],
+        solution: Solution,
+    ) -> None:
+        self.groups = group_by_subject(triples, solution, self.group)
+        #: False when a group failed: such a template translates the
+        #: terms it was built with, and only those
+        self.reusable = True
+        for group in self.groups:
+            try:
+                classify_group(mapping, db, group, solution)
+            except TranslationError as exc:
+                group.error = exc
+                self.reusable = False
+            else:
+                group.setup(mapping, db)
+        #: the terms the template was built with
+        self._solution = solution
+        self._pinned: Optional[Tuple[Tuple[Term, Term], ...]] = None
+        self._readers: Optional[List[Tuple[KeyReader, List[KeyReader]]]] = None
+
+    def built_entities(self) -> List[Optional[EntityRef]]:
+        """The entities of the terms the template was built with."""
+        return [group.entity for group in self.groups]
+
+    def entities(
+        self, mapping: DatabaseMapping, db: Database, solution: Solution
+    ) -> Optional[List[EntityRef]]:
+        """The entities of the groups under ``solution``, or None where
+        its terms would not translate as the template was built: a
+        structural variable binds another term, a subject names another
+        table (or no row key at all), or two groups name one subject."""
+        pinned = self._pinned
+        if pinned is None:
+            pinned = self._pinned = self._structural_variables()
+        for term, value in pinned:
+            if solution.get(term) != value:
+                return None
+        readers = self._readers
+        if readers is None:
+            # Bound again: worth the readers that do their look-ups once.
+            for group in self.groups:
+                group.prepare(mapping, db)
+            readers = self._readers = [
+                _subject_readers(mapping, db, group.entity.table)
+                for group in self.groups
+            ]
+        entities: List[EntityRef] = []
+        for group, (reader, ahead) in zip(self.groups, readers):
+            sources = group.sources
+            uri = solution.get(sources[0], sources[0])
+            for source in sources[1:]:
+                if solution.get(source, source) != uri:
+                    return None
+            if type(uri) is not URIRef:
+                return None
+            key_values = reader.read(uri)
+            if key_values is None:
+                return None
+            for candidate in ahead:
+                if candidate.read(uri) is not None:
+                    return None
+            entities.append(EntityRef(uri, group.entity.table, key_values))
+        if len(entities) > 1 and len({e.uri for e in entities}) < len(entities):
+            return None
+        return entities
+
+    def _structural_variables(self) -> Tuple[Tuple[Term, Term], ...]:
+        """The variables in a structural position (a predicate, an
+        rdf:type object) and the terms the template was built with."""
+        built = self._solution
+        return tuple(
+            (term, built.get(term))
+            for group in self.groups
+            for term in (*(p for p, _ in group.pairs), *group.types)
+            if isinstance(term, Variable)
+        )
+
+
+def _subject_readers(
+    mapping: DatabaseMapping, db: Database, table: TableMapping
+) -> Tuple[KeyReader, List[KeyReader]]:
+    """The reader of ``table`` and of each table :func:`identify_entity`
+    would try before it (longer patterns first, mapping order among
+    equals): a URI that one of those reads names another table."""
+    ordered = sorted(
+        mapping.tables.values(),
+        key=lambda candidate: len(candidate.uri_pattern.pattern),
+        reverse=True,
+    )
+    ahead = ordered[: ordered.index(table)]
+    return KeyReader(db, table), [KeyReader(db, other) for other in ahead]
 
 # ---------------------------------------------------------------------------
 # value conversion
@@ -420,20 +661,87 @@ def object_uri_to_key(
     return coerced[pk[0]]
 
 
-def link_keys(
+def value_reader(
     mapping: DatabaseMapping,
     db: Database,
-    link: LinkTableMapping,
-    entity: EntityRef,
-    obj: Object,
-) -> Tuple[Any, Any]:
-    """(subject key, object key) of the link-table row a link triple of
-    ``entity`` stands for."""
-    object_key = object_uri_to_key(
+    table: TableMapping,
+    attribute: AttributeMapping,
+) -> Callable[[Object], Any]:
+    """:func:`term_to_sql_value` for one attribute, its look-ups done
+    once: a term of the kind the attribute takes converts directly;
+    anything else — a term of another kind, a value that does not
+    coerce — goes through :func:`term_to_sql_value`, which answers it
+    (its feedback included)."""
+    if attribute.is_object_property:
+        generic = partial(term_to_sql_value, mapping, db, table, attribute)
+        referenced = attribute.references()
+        if referenced is None:
+            return generic
+        return key_reader(mapping, db, referenced, generic)
+    name = attribute.attribute_name
+    coerce = db.table(table.table_name).column(name).sql_type.coerce
+    pattern = attribute.value_pattern
+
+    def read(obj: Object) -> Any:
+        kind = type(obj)
+        try:
+            if kind is Literal:
+                return coerce(obj.to_python(), name)
+            if kind is URIRef:
+                if pattern is None:
+                    return coerce(obj.value, name)
+                extracted = pattern_match(pattern, obj)
+                if extracted is not None:
+                    return coerce(extracted[pattern.attributes[0]], name)
+        except (TypeMismatchError, ValueError):
+            pass
+        return term_to_sql_value(mapping, db, table, attribute, obj)
+
+    return read
+
+
+def key_reader(
+    mapping: DatabaseMapping,
+    db: Database,
+    referenced_table: str,
+    generic: Callable[[Object], Any],
+) -> Callable[[Object], Any]:
+    """:func:`object_uri_to_key` into ``referenced_table``, its look-ups
+    done once; ``generic`` (that function, with the referrer's feedback
+    arguments) answers whatever is not the key of a row URI."""
+    pk = db.table(referenced_table).primary_key
+    if len(pk) != 1:
+        return generic
+    reader = KeyReader(db, mapping.table(referenced_table))
+    column = pk[0]
+
+    def read(obj: Object) -> Any:
+        if type(obj) is URIRef:
+            values = reader.read(obj)
+            if values is not None:
+                return values[column]
+        return generic(obj)
+
+    return read
+
+
+def link_object_key(
+    mapping: DatabaseMapping, db: Database, link: LinkTableMapping, obj: Object
+) -> Any:
+    """The key of the row the object of a ``link`` triple names."""
+    return object_uri_to_key(
         mapping, db, link.object_table(), obj, link.property,
         {"property": str(link.property)},
     )
-    return entity.pk_tuple(db)[0], object_key
+
+
+def link_key_reader(
+    mapping: DatabaseMapping, db: Database, link: LinkTableMapping
+) -> Callable[[Object], Any]:
+    """:func:`link_object_key` for ``link``, its look-ups done once."""
+    return key_reader(
+        mapping, db, link.object_table(), partial(link_object_key, mapping, db, link)
+    )
 
 
 def link_row_exists(

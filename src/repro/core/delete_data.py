@@ -18,30 +18,38 @@ Checks performed before SQL generation:
 
 Link-table triples translate to ``DELETE`` on the link table restricted to
 the subject/object key pair.
+
+Translation is two steps.  :class:`DeleteTemplate` is built once per
+block shape: the groups and their tables, one value reader per
+attribute and link, which attributes the block deletes, the verdicts a
+partial delete meets (a NOT NULL attribute, the ``rdf:type`` triple) and
+the ``DELETE`` / ``UPDATE ... SET NULL`` shapes.
+:meth:`DeleteTemplate.bind` is what a request pays: it reads the values,
+looks each row up by its key, checks that the triples hold and chooses
+between the complete and the partial delete.
+:func:`translate_delete_data` is the two steps over concrete triples.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError
 from ..rdb.engine import Database
-from ..rdf.terms import Object, Triple
+from ..rdf.terms import Triple
 from ..r3m.model import DatabaseMapping, LinkTableMapping
+from ..sparql.algebra import Solution
 from ..sql import ast
 from .common import (
+    DataTemplate,
     EntityRef,
-    SubjectGroup,
+    GroupStep,
     Values,
-    classify_group,
-    group_by_subject,
-    link_keys,
     link_row_exists,
-    term_to_sql_value,
 )
 from .sorting import sort_statements
 
-__all__ = ["translate_delete_data"]
+__all__ = ["DeleteTemplate", "translate_delete_data"]
 
 
 def translate_delete_data(
@@ -50,122 +58,169 @@ def translate_delete_data(
     triples: Tuple[Triple, ...],
 ) -> List[ast.Bound]:
     """Translate a DELETE DATA payload to sorted SQL statements."""
-    statements: List[ast.Bound] = []
-    for subject, group_triples in group_by_subject(triples):
-        group = classify_group(mapping, db, subject, group_triples)
-        statements.extend(_translate_group(mapping, db, group))
-    return sort_statements(statements, db.schema)
+    template = DeleteTemplate(mapping, db, triples, {})
+    return template.bind(db, {}, template.built_entities())
 
 
-def _translate_group(
-    mapping: DatabaseMapping, db: Database, group: SubjectGroup
-) -> List[ast.Bound]:
-    entity = group.entity
-    statements: List[ast.Bound] = []
+class _Group(GroupStep):
+    """What a DELETE DATA group binds, prepared once."""
 
-    for link, obj in group.link_values:
-        statements.append(_link_delete(mapping, db, link, entity, obj))
+    __slots__ = ("typed", "deleted", "_remaining", "delete", "set_null")
 
-    if not group.attribute_values and not group.types:
-        return statements
+    def setup(self, mapping: DatabaseMapping, db: Database) -> None:
+        super().setup(mapping, db)
+        self.typed = bool(self.types)
+        #: the attributes the block deletes, in the order it names them
+        self.deleted = dict.fromkeys([name for name, _, _ in self.attributes])
+        self._remaining: Optional[List[str]] = None
+        self.delete: Optional[ast.Delete] = None
+        self.set_null: Optional[ast.Update] = None
 
-    current = entity.current_row(db)
-    if current is None:
-        raise TranslationError(
-            f"entity {entity.uri.value} does not exist in table "
-            f"{entity.table.table_name!r}",
-            code=TranslationError.ENTITY_MISSING,
-            details={
-                "subject": entity.uri.value,
-                "table": entity.table.table_name,
-            },
-        )
+    def covers(self, current: Dict[str, Any]) -> bool:
+        """Does the request delete *all* non-null mapped data of the row?
 
-    deleted_attrs = _verify_triples_hold(mapping, db, group, current)
+        Key attributes carried by the URI pattern don't count (they exist
+        as long as the row does), and only attributes mapped to
+        properties can be expressed as triples at all.  The rdf:type
+        triple is implied by the row's existence, so it does not enter
+        the comparison; "equals all remaining (i.e., non-null) data" is
+        plain set equality over the mapped non-key attributes.
+        """
+        remaining = self._remaining
+        if remaining is None:
+            pattern_attrs = set(self.table_mapping.uri_pattern.attributes)
+            remaining = self._remaining = [
+                a.attribute_name
+                for a in self.table_mapping.mapped_attributes()
+                if a.attribute_name not in pattern_attrs
+            ]
+        return {
+            name for name in remaining if current.get(name) is not None
+        } == self.deleted.keys()
 
-    if _covers_all_remaining_data(db, group, current, deleted_attrs):
-        collected = Values()
-        statements.append(
-            collected.bind(
-                ast.Delete(
-                    table=entity.table.table_name,
-                    where=entity.pk_condition(db, collected),
+    def not_null(self, db: Database) -> Optional[str]:
+        """The first deleted attribute a partial delete cannot set NULL."""
+        schema_table = db.table(self.table)
+        for name in self.deleted:
+            if schema_table.column(name).not_null or schema_table.is_primary_key(name):
+                return name
+        return None
+
+    def delete_row(self, db: Database, entity: EntityRef, pk: Tuple) -> ast.Bound:
+        if self.delete is None:
+            self.delete = ast.Delete(
+                table=self.table, where=entity.pk_condition(db, Values())
+            )
+        return ast.Bound(self.delete, pk)
+
+    def null_out(
+        self, db: Database, entity: EntityRef, pk: Tuple, deleted: Dict[str, Any]
+    ) -> ast.Bound:
+        """Partial delete → ``UPDATE ... SET attr = NULL WHERE pk AND
+        attr = old-value``, the guarded form of Listing 18."""
+        if self.set_null is None:
+            collected = Values()
+            condition = entity.pk_condition(db, collected)
+            for name, old_value in deleted.items():
+                condition = ast.BinaryOp(
+                    "AND",
+                    condition,
+                    ast.BinaryOp(
+                        "=", ast.ColumnRef(name), collected.param(old_value)
+                    ),
                 )
-            )
-        )
-        return statements
-
-    # Partial delete → UPDATE ... SET attr = NULL.
-    if group.types:
-        raise TranslationError(
-            f"cannot delete the rdf:type triple of {entity.uri.value} while "
-            "other data remains: a row cannot lose its table",
-            code=TranslationError.CONSTRAINT_VIOLATION,
-            details={
-                "subject": entity.uri.value,
-                "table": entity.table.table_name,
-            },
-        )
-    schema_table = db.table(entity.table.table_name)
-    assignments = []
-    for name, old_value in deleted_attrs.items():
-        column = schema_table.column(name)
-        if column.not_null or schema_table.is_primary_key(name):
-            raise TranslationError(
-                f"cannot set NOT NULL attribute "
-                f"{entity.table.table_name}.{name} to NULL; delete the "
-                "complete entity instead",
-                code=TranslationError.NOT_NULL_DELETE,
-                details={
-                    "subject": entity.uri.value,
-                    "table": entity.table.table_name,
-                    "attribute": name,
-                },
-            )
-        assignments.append(ast.Assignment(name, ast.Null()))
-    # WHERE pk AND attr = old-value, the guarded form of Listing 18.
-    collected = Values()
-    condition = entity.pk_condition(db, collected)
-    for name, old_value in deleted_attrs.items():
-        condition = ast.BinaryOp(
-            "AND",
-            condition,
-            ast.BinaryOp("=", ast.ColumnRef(name), collected.param(old_value)),
-        )
-    statements.append(
-        collected.bind(
-            ast.Update(
-                table=entity.table.table_name,
-                assignments=tuple(assignments),
+            self.set_null = ast.Update(
+                table=self.table,
+                assignments=tuple(
+                    ast.Assignment(name, ast.Null()) for name in deleted
+                ),
                 where=condition,
             )
-        )
-    )
-    return statements
+        return ast.Bound(self.set_null, (*pk, *deleted.values()))
+
+
+class DeleteTemplate(DataTemplate):
+    """A DELETE DATA block translated once (see the module docstring)."""
+
+    group = _Group
+
+    def bind(
+        self,
+        db: Database,
+        solution: Solution,
+        entities: List[Optional[EntityRef]],
+    ) -> List[ast.Bound]:
+        """The sorted statements of the block under ``solution``, whose
+        subjects are ``entities`` (:meth:`~repro.core.common.
+        DataTemplate.entities`)."""
+        statements: List[ast.Bound] = []
+        for group, entity in zip(self.groups, entities):
+            if group.error is not None:
+                raise group.error
+            pk = tuple([entity.key_values[column] for column in group.pk])
+            for link, obj, read in group.links:
+                statements.append(
+                    _link_delete(db, link, pk[0], read(solution.get(obj, obj)))
+                )
+            if not group.attributes and not group.typed:
+                continue
+
+            current = db.get_row_by_pk(group.table, pk)
+            if current is None:
+                raise TranslationError(
+                    f"entity {entity.uri.value} does not exist in table "
+                    f"{group.table!r}",
+                    code=TranslationError.ENTITY_MISSING,
+                    details={"subject": entity.uri.value, "table": group.table},
+                )
+            deleted = _verify_triples_hold(group, entity, solution, current)
+            if group.covers(current):
+                statements.append(group.delete_row(db, entity, pk))
+                continue
+            if group.typed:
+                raise TranslationError(
+                    f"cannot delete the rdf:type triple of {entity.uri.value} "
+                    "while other data remains: a row cannot lose its table",
+                    code=TranslationError.CONSTRAINT_VIOLATION,
+                    details={"subject": entity.uri.value, "table": group.table},
+                )
+            not_null = group.not_null(db)
+            if not_null is not None:
+                raise TranslationError(
+                    f"cannot set NOT NULL attribute "
+                    f"{group.table}.{not_null} to NULL; delete the "
+                    "complete entity instead",
+                    code=TranslationError.NOT_NULL_DELETE,
+                    details={
+                        "subject": entity.uri.value,
+                        "table": group.table,
+                        "attribute": not_null,
+                    },
+                )
+            statements.append(group.null_out(db, entity, pk, deleted))
+        return sort_statements(statements, db.schema)
 
 
 def _verify_triples_hold(
-    mapping: DatabaseMapping,
-    db: Database,
-    group: SubjectGroup,
+    group: _Group,
+    entity: EntityRef,
+    solution: Solution,
     current: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Check every attribute triple is present; return {attr: old value}."""
-    entity = group.entity
     deleted: Dict[str, Any] = {}
-    for attribute, obj in group.attribute_values:
-        value = term_to_sql_value(mapping, db, entity.table, attribute, obj)
-        name = attribute.attribute_name
+    for name, obj, read in group.attributes:
+        value = read(solution.get(obj, obj))
         existing = current.get(name)
         if existing is None or existing != value:
             raise TranslationError(
                 f"triple to delete does not hold: "
-                f"{entity.table.table_name}.{name} of {entity.uri.value} is "
+                f"{group.table}.{name} of {entity.uri.value} is "
                 f"{existing!r}, not {value!r}",
                 code=TranslationError.TRIPLE_MISSING,
                 details={
                     "subject": entity.uri.value,
-                    "table": entity.table.table_name,
+                    "table": group.table,
                     "attribute": name,
                     "expected": value,
                     "actual": existing,
@@ -175,40 +230,9 @@ def _verify_triples_hold(
     return deleted
 
 
-def _covers_all_remaining_data(
-    db: Database,
-    group: SubjectGroup,
-    current: Dict[str, Any],
-    deleted_attrs: Dict[str, Any],
-) -> bool:
-    """Does the request delete *all* non-null mapped data of the row?
-
-    Key attributes carried by the URI pattern don't count (they exist as
-    long as the row does), and only attributes mapped to properties can be
-    expressed as triples at all.
-    """
-    entity = group.entity
-    pattern_attrs = set(entity.table.uri_pattern.attributes)
-    remaining = {
-        a.attribute_name
-        for a in entity.table.mapped_attributes()
-        if current.get(a.attribute_name) is not None
-        and a.attribute_name not in pattern_attrs
-    }
-    # The rdf:type triple is implied by the row's existence, so it does not
-    # enter the comparison; "equals all remaining (i.e., non-null) data"
-    # is plain set equality over the mapped non-key attributes.
-    return remaining == set(deleted_attrs)
-
-
 def _link_delete(
-    mapping: DatabaseMapping,
-    db: Database,
-    link: LinkTableMapping,
-    entity: EntityRef,
-    obj: Object,
+    db: Database, link: LinkTableMapping, subject_key: Any, object_key: Any
 ) -> ast.Bound:
-    subject_key, object_key = link_keys(mapping, db, link, entity, obj)
     subject_attr = link.subject_attribute.attribute_name
     object_attr = link.object_attribute.attribute_name
     if not link_row_exists(db, link, subject_key, object_key):

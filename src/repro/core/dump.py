@@ -20,7 +20,7 @@ from typing import Dict, Iterator, Optional
 from ..rdb.engine import Database
 from ..rdb.storage import TableData
 from ..rdf.graph import Graph
-from ..rdf.namespace import RDF
+from ..rdf.namespace import RDF_TYPE
 from ..rdf.terms import Triple
 from ..r3m.model import DatabaseMapping, LinkTableMapping, TableMapping
 from .common import sql_value_to_term
@@ -60,7 +60,7 @@ def dump_table(
     table_data = tables[table_mapping.table_name]
     for _, row in table_data.scan():
         uri = table_mapping.uri_pattern.format(row)
-        yield Triple(uri, RDF.type, table_mapping.maps_to_class)
+        yield Triple(uri, RDF_TYPE, table_mapping.maps_to_class)
         for attribute in table_mapping.mapped_attributes():
             column = schema_table.column(attribute.attribute_name)
             term = sql_value_to_term(

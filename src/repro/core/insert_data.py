@@ -18,6 +18,14 @@ checks (step 3) happen before any SQL is generated:
   "re-inserted" with the same value (triple-set semantics); a *different*
   value is rejected unless ``allow_overwrite`` is set, which the MODIFY
   driver uses for its replace optimization.
+
+Translation is two steps.  :class:`InsertTemplate` is built once per
+block shape: the groups and their tables, one value reader per
+attribute and link, the required attributes a new row lacks and the
+``INSERT`` shape.  :meth:`InsertTemplate.bind` is what a request pays:
+it reads the values, looks each row up by its key to choose INSERT,
+UPDATE or nothing, checks link targets and sorts.
+:func:`translate_insert_data` is the two steps over concrete triples.
 """
 
 from __future__ import annotations
@@ -28,19 +36,18 @@ from ..errors import TranslationError
 from ..rdb.engine import Database
 from ..rdf.terms import Triple
 from ..r3m.model import DatabaseMapping, LinkTableMapping
+from ..sparql.algebra import Solution
 from ..sql import ast
 from .common import (
-    SubjectGroup,
+    DataTemplate,
+    EntityRef,
+    GroupStep,
     Values,
-    classify_group,
-    group_by_subject,
-    link_keys,
     link_row_exists,
-    term_to_sql_value,
 )
 from .sorting import sort_statements
 
-__all__ = ["translate_insert_data"]
+__all__ = ["InsertTemplate", "translate_insert_data"]
 
 
 def translate_insert_data(
@@ -50,57 +57,115 @@ def translate_insert_data(
     allow_overwrite: bool = False,
 ) -> List[ast.Bound]:
     """Translate an INSERT DATA payload to sorted SQL statements."""
-    statements: List[ast.Bound] = []
-    link_rows: List[Tuple[LinkTableMapping, Any, Any]] = []
-    #: key values of entities this request itself creates — needed so a
-    #: link triple can reference a row inserted by the same operation.
-    pending_rows: Dict[Tuple[str, Tuple[Any, ...]], bool] = {}
+    template = InsertTemplate(mapping, db, triples, {})
+    return template.bind(db, {}, template.built_entities(), allow_overwrite)
 
-    for subject, group_triples in group_by_subject(triples):
-        group = classify_group(mapping, db, subject, group_triples)
-        entity = group.entity
-        values = _attribute_values(mapping, db, group)
-        current = entity.current_row(db)
-        if current is None:
-            statements.append(_insert_statement(db, group, values))
-            pending_rows[(entity.table.table_name, entity.pk_tuple(db))] = True
-        else:
-            update = _update_statement(
-                db, group, values, current, allow_overwrite
+
+class _Group(GroupStep):
+    """What an INSERT DATA group binds, prepared once."""
+
+    __slots__ = ("_missing", "shape")
+
+    def setup(self, mapping: DatabaseMapping, db: Database) -> None:
+        super().setup(mapping, db)
+        self._missing: Optional[List[str]] = None
+        self.shape: Optional[ast.Insert] = None
+
+    def missing(self) -> List[str]:
+        """Step 3: "a triple must be present containing a property for
+        every corresponding database attribute that has a NotNull
+        constraint but no Default value" — what a new row lacks."""
+        if self._missing is None:
+            names = {name for name, _, _ in self.attributes}
+            self._missing = [
+                a.attribute_name
+                for a in self.table_mapping.required_attributes()
+                if a.attribute_name not in names
+            ]
+        return self._missing
+
+    def insert(self, row: Dict[str, Any]) -> ast.Bound:
+        """The INSERT of a new row: the columns are the key's and the
+        attributes', whatever the values, so the shape is built once."""
+        if self.shape is None:
+            collected = Values()
+            self.shape = ast.Insert(
+                table=self.table,
+                columns=tuple(row),
+                rows=(tuple(collected.param(value) for value in row.values()),),
             )
-            if update is not None:
-                statements.append(update)
-        for link, obj in group.link_values:
-            link_rows.append((link, *link_keys(mapping, db, link, entity, obj)))
+        return ast.Bound(self.shape, tuple(row.values()))
 
-    # Referenced-row existence is checked only after every group has been
-    # processed: Listing 15's pub12 group references author6, whose INSERT
-    # is produced by a later group of the same request.
-    for link, subject_key, object_key in link_rows:
-        _check_link_targets(db, link, subject_key, object_key, pending_rows)
-        insert = _link_insert(db, link, subject_key, object_key)
-        if insert is not None:
-            statements.append(insert)
-    return sort_statements(statements, db.schema)
+
+class InsertTemplate(DataTemplate):
+    """An INSERT DATA block translated once (see the module docstring)."""
+
+    group = _Group
+
+    def bind(
+        self,
+        db: Database,
+        solution: Solution,
+        entities: List[Optional[EntityRef]],
+        allow_overwrite: bool = False,
+    ) -> List[ast.Bound]:
+        """The sorted statements of the block under ``solution``, whose
+        subjects are ``entities`` (:meth:`~repro.core.common.
+        DataTemplate.entities`)."""
+        statements: List[ast.Bound] = []
+        link_rows: List[Tuple[LinkTableMapping, Any, Any]] = []
+        #: key values of entities this request itself creates — needed so a
+        #: link triple can reference a row inserted by the same operation.
+        pending_rows: Dict[Tuple[str, Tuple[Any, ...]], bool] = {}
+
+        for group, entity in zip(self.groups, entities):
+            if group.error is not None:
+                raise group.error
+            values = _attribute_values(group, entity, solution)
+            key_values = entity.key_values
+            pk = tuple([key_values[column] for column in group.pk])
+            current = db.get_row_by_pk(group.table, pk)
+            if current is None:
+                missing = group.missing()
+                if missing:
+                    raise _missing_required(entity, missing)
+                statements.append(group.insert({**key_values, **values}))
+                pending_rows[(group.table, pk)] = True
+            else:
+                update = _update_statement(
+                    db, entity, values, current, allow_overwrite
+                )
+                if update is not None:
+                    statements.append(update)
+            for link, obj, read in group.links:
+                link_rows.append((link, pk[0], read(solution.get(obj, obj))))
+
+        # Referenced-row existence is checked only after every group has been
+        # processed: Listing 15's pub12 group references author6, whose INSERT
+        # is produced by a later group of the same request.
+        for link, subject_key, object_key in link_rows:
+            _check_link_targets(db, link, subject_key, object_key, pending_rows)
+            insert = _link_insert(db, link, subject_key, object_key)
+            if insert is not None:
+                statements.append(insert)
+        return sort_statements(statements, db.schema)
 
 
 def _attribute_values(
-    mapping: DatabaseMapping, db: Database, group: SubjectGroup
+    group: _Group, entity: EntityRef, solution: Solution
 ) -> Dict[str, Any]:
-    """Extract and coerce the attribute values of one subject group."""
-    entity = group.entity
+    """Read and coerce the attribute values of one subject group."""
     values: Dict[str, Any] = {}
-    for attribute, obj in group.attribute_values:
-        value = term_to_sql_value(mapping, db, entity.table, attribute, obj)
-        name = attribute.attribute_name
+    for name, obj, read in group.attributes:
+        value = read(solution.get(obj, obj))
         if name in values and values[name] != value:
             raise TranslationError(
-                f"multiple values for {entity.table.table_name}.{name}: the "
+                f"multiple values for {group.table}.{name}: the "
                 "relational model stores at most one",
                 code=TranslationError.MULTI_VALUE,
                 details={
                     "subject": entity.uri.value,
-                    "table": entity.table.table_name,
+                    "table": group.table,
                     "attribute": name,
                 },
             )
@@ -108,54 +173,29 @@ def _attribute_values(
     return values
 
 
-def _insert_statement(
-    db: Database, group: SubjectGroup, values: Dict[str, Any]
-) -> ast.Bound:
-    entity = group.entity
-    table = entity.table
-
-    # Step 3: "a triple must be present containing a property for every
-    # corresponding database attribute that has a NotNull constraint but no
-    # Default value."
-    missing = [
-        a.attribute_name
-        for a in table.required_attributes()
-        if a.attribute_name not in values
-    ]
-    if missing:
-        raise TranslationError(
-            f"cannot create {entity.uri.value}: required attribute(s) "
-            f"{missing} of table {table.table_name!r} have no value "
-            "(NOT NULL without default)",
-            code=TranslationError.MISSING_REQUIRED,
-            details={
-                "subject": entity.uri.value,
-                "table": table.table_name,
-                "attributes": missing,
-            },
-        )
-
-    row = {**entity.key_values, **values}
-    columns = tuple(row)
-    collected = Values()
-    return collected.bind(
-        ast.Insert(
-            table=table.table_name,
-            columns=columns,
-            rows=(tuple(collected.param(row[c]) for c in columns),),
-        )
+def _missing_required(entity: EntityRef, missing: List[str]) -> TranslationError:
+    table = entity.table.table_name
+    return TranslationError(
+        f"cannot create {entity.uri.value}: required attribute(s) "
+        f"{missing} of table {table!r} have no value "
+        "(NOT NULL without default)",
+        code=TranslationError.MISSING_REQUIRED,
+        details={
+            "subject": entity.uri.value,
+            "table": table,
+            "attributes": missing,
+        },
     )
 
 
 def _update_statement(
     db: Database,
-    group: SubjectGroup,
+    entity: EntityRef,
     values: Dict[str, Any],
     current: Dict[str, Any],
     allow_overwrite: bool,
 ) -> Optional[ast.Bound]:
     """INSERT DATA on an existing entity → UPDATE filling NULLs."""
-    entity = group.entity
     collected = Values()
     assignments: List[ast.Assignment] = []
     for name, value in values.items():

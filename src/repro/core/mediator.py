@@ -29,8 +29,9 @@ The facade is a thin shim over the Session API: execution lives in
 :class:`~repro.core.session.Session`.  A request text is read as a shape
 plus values there, so :meth:`OntoAccess.update`, :meth:`OntoAccess.query`
 and :meth:`OntoAccess.translate` run the prepared path: the text is
-parsed — and a query's or MODIFY's WHERE translated — once per shape,
-while the SQL of every request still carries its own values
+parsed — and a query's or MODIFY's WHERE, or a data block's template,
+translated — once per shape, while the SQL of every request still
+carries its own values
 (``result.sql()`` renders them inline, as in the paper's listings).
 Call :meth:`OntoAccess.session` for the rest of that interface (prepared
 operations with bindings, batches, explicit transactions, alternative

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..rdb.engine import Database
-from ..rdf.namespace import RDF
+from ..rdf.namespace import RDF_TYPE
 from ..rdf.terms import Triple, Variable
 from ..r3m.model import DatabaseMapping
 from ..sparql.algebra import Solution, initial_solution, instantiate
@@ -202,7 +202,7 @@ def _drop_redundant_deletes(
     for triple in deletes:
         predicate = triple.predicate
         is_attribute = (
-            predicate != RDF.type
+            predicate != RDF_TYPE
             and mapping.link_for_property(predicate) is None
         )
         if (

@@ -37,11 +37,14 @@ first out.
   every binding set (a few µs) and translated again only for a binding
   of another kind (an author URI, then a publication URI, for the same
   placeholder), per mapping/schema version; per prepared **MODIFY** the
-  same for its WHERE.  The DML of an update — INSERT DATA / DELETE DATA
-  blocks included — is translated on every execution, because it reads
-  row data, by the same routine every other update entry point ends in.
-  Below that, the engine plans each statement *shape* once: all bindings
-  of a template, prepared or sent as text, share one plan.
+  same for its WHERE; per **INSERT DATA / DELETE DATA** block the
+  translated data template (:class:`~repro.core.backend.PreparedData`):
+  groups, tables, value readers and statement shapes, which an
+  execution binds its values to — reading the rows it must (does the
+  entity exist, do the triples to delete hold) — and which is built
+  again only for values that name another table.  Below that, the
+  engine plans each statement *shape* once: all bindings of a template,
+  prepared or sent as text, share one plan.
 * :meth:`Session.execute_all` runs a multi-operation batch inside **one**
   database transaction — all-or-nothing, whereas the facade commits each
   operation separately per the paper's one-transaction-per-operation rule.
@@ -90,8 +93,8 @@ from ..errors import SPARQLParseError, TranslationError
 from ..observability.metrics import REQUEST_SHAPES, SESSION_OPS
 from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
-from ..rdf.terms import Literal, Placeholder, Term, Triple, Variable
-from ..sparql.algebra import Solution, substitute
+from ..rdf.terms import Literal, Placeholder, Term, Variable
+from ..sparql.algebra import Solution
 from ..sparql.query_ast import Query
 from ..sparql.parse_base import Lifted, SPARQLParserBase
 from ..sparql.query_parser import QueryParser
@@ -103,7 +106,15 @@ from ..sparql.update_ast import (
     UpdateRequest,
 )
 from ..sparql.update_parser import UpdateParser
-from .backend import Backend, PreparedModify, PreparedPattern, UpdateResult
+from .backend import (
+    Backend,
+    PreparedData,
+    PreparedDeleteData,
+    PreparedInsertData,
+    PreparedModify,
+    PreparedPattern,
+    UpdateResult,
+)
 from .modify import where_query
 from .query import QueryOutcome
 
@@ -150,51 +161,49 @@ def _solution(bindings: Optional[Bindings]) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# placeholders: substituted into data blocks, bound for patterns
+# placeholders: bound into data templates and patterns
 # ---------------------------------------------------------------------------
 
-def _substitute_triples(
-    triples: Tuple[Triple, ...], solution: Solution
-) -> Tuple[Triple, ...]:
-    """A data block with its placeholders replaced; all must be bound."""
-    result = []
-    for triple in triples:
-        candidate = substitute(triple, solution) if solution else triple
-        if not candidate.is_concrete():
-            unbound = ", ".join(f"?{v.name}" for v in candidate.variables())
+def _require_bound(block: PreparedData, solution: Solution) -> None:
+    """A data block's placeholders must all be bound: checked for the
+    whole request before any of its operations runs."""
+    if block.variables <= solution.keys():
+        return
+    for triple in block.triples:
+        unbound = [
+            term for term in triple
+            if isinstance(term, Variable) and term not in solution
+        ]
+        if unbound:
+            names = ", ".join(f"?{v.name}" for v in unbound)
             raise TranslationError(
-                f"unbound placeholder(s) {unbound} in prepared data block; "
+                f"unbound placeholder(s) {names} in prepared data block; "
                 "pass bindings={...} at execute time",
                 code=TranslationError.UNSUPPORTED,
             )
-        result.append(candidate)
-    return tuple(result)
 
 
 def _resolve_operation(
     operation: UpdateOperation,
     solution: Solution,
-    where: Optional[PreparedPattern] = None,
+    kept: Union[PreparedData, PreparedPattern, None],
 ) -> UpdateOperation:
     """One operation under the bindings of one execution: a data block
-    has its placeholders replaced by the bound terms, a MODIFY takes
-    them as initial bindings of its WHERE (whose kept translation lives
-    in ``where``)."""
+    takes them into its kept template (``kept``), a MODIFY as initial
+    bindings of its WHERE (whose kept translation is ``kept``)."""
     if isinstance(operation, InsertData):
-        return InsertData(
-            triples=_substitute_triples(operation.triples, solution)
-        )
+        _require_bound(kept, solution)
+        return PreparedInsertData(operation.triples, solution, kept)
     if isinstance(operation, DeleteData):
-        return DeleteData(
-            triples=_substitute_triples(operation.triples, solution)
-        )
+        _require_bound(kept, solution)
+        return PreparedDeleteData(operation.triples, solution, kept)
     if isinstance(operation, Modify):
         return PreparedModify(
             operation.delete_template,
             operation.insert_template,
             operation.where,
             bindings=solution,
-            template=where,
+            template=kept,
         )
     return operation
 
@@ -205,9 +214,14 @@ def _resolve_operation(
 
 class _Prepared:
     """What a prepared update and a prepared query share: a parsed shape
-    and the constants of the text it was prepared from."""
+    and the constants of the text it was prepared from.
 
-    session: "Session"
+    The shape a session keeps holds no session: the session holds it,
+    and a reference back would make every dropped session wait for the
+    cycle collector.  What :meth:`Session.prepare` hands out is a copy
+    that holds its session (:meth:`_of`)."""
+
+    session: Optional["Session"] = None
     #: the text this object was prepared from, if any
     text: Optional[str] = None
     #: that text's constants, by the placeholders they were lifted into
@@ -219,36 +233,36 @@ class _Prepared:
             solution.update(self._values)
         return solution
 
-    def _of(self, text: str, values: Solution) -> "_Prepared":
-        """This shape, prepared from ``text`` whose constants are
-        ``values``: what is kept per shape is shared, not copied."""
+    def _of(
+        self, session: "Session", text: Optional[str], values: Optional[Solution]
+    ) -> "_Prepared":
+        """This shape, prepared in ``session`` from ``text`` whose
+        constants are ``values``: what is kept per shape is shared, not
+        copied."""
         prepared = copy.copy(self)
-        prepared.text, prepared._values = text, values
+        prepared.session, prepared.text, prepared._values = session, text, values
         return prepared
 
 
 class PreparedUpdate(_Prepared):
     """A parsed SPARQL/Update request, executable many times.
 
-    Parsing happened once per shape; each execution substitutes the
-    bindings and runs the concrete operations exactly like
-    :meth:`Session.execute` does.  What is amortized: the parse, the
-    translation of each MODIFY's WHERE template (kept here, one
-    :class:`~repro.core.backend.PreparedPattern` per MODIFY) and — since
-    every execution produces the same statement shapes — the engine's
-    plans.
+    Parsing happened once per shape; each execution binds its values
+    and runs the operations exactly like :meth:`Session.execute` does.
+    What is amortized: the parse, the translated template of each data
+    block (one :class:`~repro.core.backend.PreparedData` each), the
+    translation of each MODIFY's WHERE template (one
+    :class:`~repro.core.backend.PreparedPattern` each) and — since every
+    execution produces the same statement shapes — the engine's plans.
     """
 
-    def __init__(self, session: "Session", request: UpdateRequest) -> None:
-        self.session = session
+    def __init__(self, request: UpdateRequest) -> None:
         self.request = request
-        self._where = [
-            PreparedPattern(where_query(op)) if isinstance(op, Modify) else None
-            for op in request.operations
-        ]
+        #: per operation, what the backend keeps between executions
+        self._kept = [_kept_for(op) for op in request.operations]
 
     def execute(self, bindings: Optional[Bindings] = None) -> UpdateResult:
-        """Execute the request; placeholders are substituted from
+        """Execute the request; placeholders are bound from
         ``bindings`` (variable name → RDF term or plain Python value)."""
         return self.session._run(
             self._operations(self._solution(bindings)), atomic=False
@@ -257,9 +271,17 @@ class PreparedUpdate(_Prepared):
     def _operations(self, solution: Solution) -> List[UpdateOperation]:
         """The concrete operations under ``solution``."""
         return [
-            _resolve_operation(op, solution, where)
-            for op, where in zip(self.request.operations, self._where)
+            _resolve_operation(op, solution, kept)
+            for op, kept in zip(self.request.operations, self._kept)
         ]
+
+
+def _kept_for(operation: UpdateOperation) -> Union[PreparedData, PreparedPattern, None]:
+    if isinstance(operation, (InsertData, DeleteData)):
+        return PreparedData(operation)
+    if isinstance(operation, Modify):
+        return PreparedPattern(where_query(operation))
+    return None
 
 
 class PreparedQuery(_Prepared):
@@ -275,10 +297,9 @@ class PreparedQuery(_Prepared):
     the rows into solutions.
     """
 
-    def __init__(self, session: "Session", query: Query) -> None:
-        self.session = session
+    def __init__(self, backend: Backend, query: Query) -> None:
         self.query = query
-        self._plan = session.backend.prepare_query(query)
+        self._plan = backend.prepare_query(query)
 
     def execute(self, bindings: Optional[Bindings] = None):
         """Run the query; returns SelectResult / bool / Graph."""
@@ -363,10 +384,10 @@ class Session:
         since the wire protocol has no way to pass bindings.
         """
         if isinstance(request, UpdateRequest):
-            return PreparedUpdate(self, request)
+            return PreparedUpdate(request)._of(self, None, None)
         mode = _TEMPLATE if allow_placeholders else _UPDATE
         prepared, values = self._shape(request, prefixes, mode)
-        return prepared._of(request, values)
+        return prepared._of(self, request, values)
 
     def prepare_query(
         self,
@@ -374,9 +395,9 @@ class Session:
         prefixes: Optional[PrefixMap] = None,
     ) -> PreparedQuery:
         if not isinstance(query, str):
-            return PreparedQuery(self, query)
+            return PreparedQuery(self.backend, query)._of(self, None, None)
         prepared, values = self._shape(query, prefixes, _QUERY)
-        return prepared._of(query, values)
+        return prepared._of(self, query, values)
 
     # -- the route every request text takes -----------------------------
 
@@ -444,11 +465,11 @@ class Session:
         if mode == _QUERY:
             parser = QueryParser(text, prefixes=prefixes)
             parser.lifted = lifted
-            return PreparedQuery(self, parser.query()), parser
+            return PreparedQuery(self.backend, parser.query()), parser
         parser = UpdateParser(text, prefixes=prefixes)
         parser.allow_placeholders = mode == _TEMPLATE
         parser.lifted = lifted
-        return PreparedUpdate(self, parser.request()), parser
+        return PreparedUpdate(parser.request()), parser
 
     def _operations(
         self, request: Union[str, UpdateRequest], prefixes: Optional[PrefixMap]
@@ -619,7 +640,7 @@ class Session:
         backend's writer lock, each in a transaction of its own, all in
         one, or in the caller's open one.
 
-        Callers parse and substitute bindings *before* calling, so the
+        Callers parse and resolve bindings *before* calling, so the
         lock is held for translation and execution only.  ``atomic=True``
         wraps the whole batch in one transaction; otherwise each
         operation gets its own.  Inside an explicit transaction

@@ -35,6 +35,8 @@ def sort_statements(
     The order depends on each statement's kind and table only, so a
     bound statement is sorted by its shape.  Deletes run children-first:
     the parents-first order, reversed."""
+    if len(statements) < 2:
+        return list(statements)
     inserts, updates, deletes = [], [], []
     for statement in statements:
         shape = ast.shape_of(statement)

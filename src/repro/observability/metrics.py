@@ -446,6 +446,17 @@ REQUEST_SHAPES = REGISTRY.counter(
     ("outcome",),
 )
 
+#: Data blocks that ran as a kept template (bound), built one where none
+#: was kept for the mapping and schema (built), or built one because a
+#: request's terms did not fit the kept one (rebuilt).
+DATA_TEMPLATES = REGISTRY.counter(
+    "repro_data_templates_total",
+    "INSERT DATA / DELETE DATA blocks bound to a kept translated template "
+    "(bound), or whose template was built (built) or built again for "
+    "terms the kept one does not fit (rebuilt).",
+    ("outcome",),
+)
+
 #: Requests that crossed the slow-query threshold.
 SLOW_QUERIES = REGISTRY.counter(
     "repro_slow_queries_total",

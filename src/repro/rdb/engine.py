@@ -80,6 +80,7 @@ it is sent again.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -185,8 +186,13 @@ class Database:
         self.data: Dict[str, TableData] = {}
         #: Statement planner with an LRU plan cache; DDL invalidates it.
         self.planner = Planner(self.schema, self.data)
+        # The executor reaches the copy-on-write gate through a weak
+        # reference: a bound method would tie the database into a cycle
+        # with its own executor, freed only by the cycle collector.
+        this = weakref.proxy(self)
         self.executor = Executor(
-            self.schema, self.data, self.planner, for_write=self._writable
+            self.schema, self.data, self.planner,
+            for_write=lambda name: this._writable(name),
         )
         self._txn: Optional[Transaction] = None
         #: Count of statements executed (used by benchmarks).  Updated

@@ -26,6 +26,7 @@ __all__ = [
     "Namespace",
     "PrefixMap",
     "RDF",
+    "RDF_TYPE",
     "RDFS",
     "XSD",
     "OWL",
@@ -79,6 +80,9 @@ class Namespace:
 
 
 RDF = Namespace("http://www.w3.org/1999/02/22-rdf-syntax-ns#")
+#: ``rdf:type``, resolved once: attribute access on a namespace mints a
+#: new term every time, and the translators compare with it per triple.
+RDF_TYPE = RDF.type
 RDFS = Namespace("http://www.w3.org/2000/01/rdf-schema#")
 XSD = Namespace("http://www.w3.org/2001/XMLSchema#")
 OWL = Namespace("http://www.w3.org/2002/07/owl#")

@@ -34,7 +34,7 @@ import re
 from typing import List, Optional, Type
 
 from ..errors import ReproError
-from .namespace import RDF, PrefixMap
+from .namespace import RDF_TYPE, PrefixMap
 from .terms import (
     XSD_BOOLEAN,
     XSD_DECIMAL,
@@ -341,7 +341,7 @@ class TermScanner:
             return name
         if _A_RE.match(self.text, self.pos):
             self.pos += 1
-            return RDF.type
+            return RDF_TYPE
         raise self.error("expected predicate (IRI, prefixed name, or 'a')")
 
     def object(self) -> Term:

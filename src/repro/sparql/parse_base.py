@@ -43,10 +43,24 @@ from ..rdf.scanner import (
     _LONG_BODY_RE,
     _NUMBER_RE,
     _PNAME_RE,
+    _SCHEME_RE,
     _SHORT_BODY_RE,
     TermScanner,
+    _resolve_relative,
 )
-from ..rdf.terms import BNode, Placeholder, Term, Triple, Variable
+from ..rdf.terms import (
+    XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    BNode,
+    Literal,
+    Placeholder,
+    Term,
+    Triple,
+    URIRef,
+    Variable,
+)
 from . import algebra_ast as alg
 
 _VAR_RE = re.compile(r"[?$]([A-Za-z_][A-Za-z0-9_]*)")
@@ -106,6 +120,9 @@ class Lifted(NamedTuple):
     spans: Tuple[Tuple[int, int, int], ...]
     #: per slot: (start, end) of its first constant
     slots: Tuple[Tuple[int, int], ...]
+    #: per slot: the kind of token its first constant is (``iri``,
+    #: ``pname``, ``string``, ``number`` or ``word`` for a boolean)
+    kinds: Tuple[str, ...]
 
 
 class SPARQLParserBase(TermScanner):
@@ -154,6 +171,7 @@ class SPARQLParserBase(TermScanner):
         parts: List[str] = []
         spans: List[Tuple[int, int, int]] = []
         slots: List[Tuple[int, int]] = []
+        kinds: List[str] = []
         spelled: Dict[str, int] = {}
         depth = parens = 0
         position = _SUBJECT
@@ -162,7 +180,9 @@ class SPARQLParserBase(TermScanner):
             m = scan()
             kind = m.lastgroup
             if kind is None:
-                return Lifted(" ".join(parts), tuple(spans), tuple(slots))
+                return Lifted(
+                    " ".join(parts), tuple(spans), tuple(slots), tuple(kinds)
+                )
             token = m.group(kind)
             lift = False
             if parens:  # inside FILTER ( ... ): literals are lifted
@@ -211,6 +231,7 @@ class SPARQLParserBase(TermScanner):
                 if slot is None:
                     slot = spelled[token] = len(slots)
                     slots.append(m.span(kind))
+                    kinds.append(kind)
                 parts.append("?" + str(slot))
                 spans.append((*m.span(kind), slot))
             elif kind == "string":
@@ -224,20 +245,80 @@ class SPARQLParserBase(TermScanner):
         """The value vector of a lifted text: each slot's term as
         :meth:`term` — the production the parser reads it with — reads it
         under the bindings of the shape's prologue (``prefixes``,
-        ``base``; the texts of one key share it).  None where that is not
-        the constant the key was made of (the caller parses the text, and
-        the parser reports its own error)."""
+        ``base``; the texts of one key share it).  A token whose term
+        needs no more than its own text is built from it directly
+        (:meth:`_token_term`); any other is read by :meth:`term` over its
+        span.  None where that is not the constant the key was made of
+        (the caller parses the text, and the parser reports its own
+        error)."""
         self.prefixes, self.base = prefixes, base
+        text = self.text
         values: List[Term] = []
-        for start, end in lifted.slots:
-            self.pos = start
-            try:
-                values.append(self.term())
-            except SPARQLParseError:
-                return None
-            if self.pos != end:
-                return None
+        for (start, end), kind in zip(lifted.slots, lifted.kinds):
+            term = self._token_term(kind, text[start:end])
+            if term is None:
+                self.pos = start
+                try:
+                    term = self.term()
+                except SPARQLParseError:
+                    return None
+                if self.pos != end:
+                    return None
+            values.append(term)
         return tuple(values)
+
+    def _token_term(self, kind: str, token: str) -> Optional[Term]:
+        """What :meth:`term` reads from one token of the token pass, built
+        from the token: a prefixed name, an IRI (resolved against the
+        base), a number, a boolean, or a string without a backslash whose
+        datatype (if any) follows ``^^`` directly.  None for anything
+        else — an escape, an unbound prefix, a space or comment behind
+        ``^^`` — which :meth:`term` reads."""
+        if kind == "pname":
+            return self._prefixed(token)
+        if kind == "iri":
+            return self._resolved(token[1:-1])
+        if kind == "number":
+            if "e" in token or "E" in token:
+                return Literal.canonical(token, XSD_DOUBLE)
+            return Literal.canonical(token, XSD_DECIMAL if "." in token else XSD_INTEGER)
+        if kind == "word":
+            return Literal.canonical(token.lower(), XSD_BOOLEAN)
+        if kind != "string" or "\\" in token:
+            return None
+        quote = token[0]
+        if token.startswith(quote * 3):
+            close = token.index(quote * 3, 3)
+            body, rest = token[3:close], token[close + 3:]
+        else:
+            close = token.index(quote, 1)
+            body, rest = token[1:close], token[close + 1:]
+        if not rest:
+            return Literal.canonical(body)
+        if rest[0] == "@":
+            return Literal(body, language=rest[1:])
+        datatype = rest[2:]
+        if datatype[0] == "<":
+            return Literal.canonical(body, self._resolved(datatype[1:-1]).value)
+        iri = self._prefixed(datatype)
+        return None if iri is None else Literal.canonical(body, iri.value)
+
+    def _prefixed(self, name: str) -> Optional[URIRef]:
+        """:meth:`prefixed_name` of a whole prefixed name; None when its
+        prefix is unbound."""
+        prefix, _, local = name.partition(":")
+        namespace = self.prefixes.resolve(prefix)
+        if namespace is None:
+            return None
+        if "\\" in local:
+            local = local.replace("\\", "")  # PN_LOCAL_ESC: keep the character
+        return URIRef.canonical(namespace + local)
+
+    def _resolved(self, value: str) -> URIRef:
+        """:meth:`iriref` of the text between ``<`` and ``>``."""
+        if self.base and not _SCHEME_RE.match(value):
+            value = _resolve_relative(self.base, value)
+        return URIRef.canonical(value)
 
     # -- terms ---------------------------------------------------------------
 

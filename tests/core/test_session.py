@@ -454,7 +454,7 @@ class TestPreparedTemplates:
             })
 
         assert replace(10).rows_affected() == 1
-        kept = prepared._where[0]._kept
+        kept = prepared._kept[0]._kept
         misses = mediator.db.planner.stats["misses"]
         for i in range(11, 30):
             result = replace(i)
@@ -462,7 +462,7 @@ class TestPreparedTemplates:
             assert result.sql() == [
                 f"UPDATE author SET email = 'new{i}@example.org' WHERE id = {i};"
             ]
-        assert prepared._where[0]._kept is kept
+        assert prepared._kept[0]._kept is kept
         assert mediator.db.planner.stats["misses"] == misses
         assert replace(10).rows_affected() == 0  # old10 is gone: no binding
 
