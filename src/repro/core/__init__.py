@@ -8,7 +8,7 @@ Public API::
 """
 
 from .backend import Backend, RelationalBackend, TripleStoreBackend
-from .common import EntityRef, group_by_subject, identify_entity, literal_for_column
+from .common import EntityRef, identify_entity, literal_for_column
 from .delete_data import translate_delete_data
 from .dump import dump_database, dump_table
 from .feedback import confirmation_graph, error_graph
@@ -40,7 +40,6 @@ __all__ = [
     "dump_table",
     "error_graph",
     "execute_query",
-    "group_by_subject",
     "identify_entity",
     "literal_for_column",
     "plan_binding",

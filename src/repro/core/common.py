@@ -3,33 +3,32 @@
 Provides the per-step building blocks the INSERT DATA and DELETE DATA
 drivers compose:
 
-* :func:`group_by_subject` — step 1: group triples by equal subjects;
 * :class:`EntityRef` / :func:`identify_entity` — step 2: identify the
   target table and primary-key values from a subject URI;
-* classification of a subject group's triples into type / attribute /
-  link-table triples (:func:`classify_group`);
-* :class:`DataTemplate` — what both drivers build from those steps: a
-  data block translated once, which later requests of its shape bind
-  their values to, guarded by :meth:`DataTemplate.entities`;
+* :class:`DataTemplate` — what both drivers build: a data block grouped
+  by subject (step 1) and each :class:`SubjectGroup`'s triples
+  classified into type / attribute / link-table triples
+  (:meth:`SubjectGroup.classify`), once, for later requests of its
+  shape to bind their values to, guarded by
+  :meth:`DataTemplate.entities`;
 * value conversion between RDF terms and SQL values according to the
-  mapping and column types (used by steps 3 and 4), with its look-ups
-  done once per template (:func:`value_reader`, :func:`key_reader`);
+  mapping and column types (used by steps 3 and 4): a look-up step,
+  which a template makes once, and a convert step per term
+  (:func:`term_to_sql_value` is the two);
 * :class:`Values` — the one collector every translator puts a request's
   keys and values through: the SQL gets a parameter, the value goes into
   the vector, and what leaves the translator is the pair
   (:class:`repro.sql.ast.Bound`), so requests of one template share one
   statement shape;
 * the helpers both drivers need exactly once: the ``WHERE pk = ...``
-  condition addressing an entity's row (:meth:`EntityRef.pk_condition`),
-  object URI → key of the referenced table (:func:`object_uri_to_key`),
+  condition addressing an entity's row (:meth:`EntityRef.pk_condition`)
   and a link triple's presence (:func:`link_row_exists`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError, TypeMismatchError
 from ..rdb.catalog import Column
@@ -52,7 +51,6 @@ from ..rdf.terms import (
     double_lexical,
 )
 from ..r3m.model import AttributeMapping, DatabaseMapping, LinkTableMapping, TableMapping
-from ..r3m.uripattern import URIPattern
 from ..sparql.algebra import Solution
 from ..sql import ast
 
@@ -61,20 +59,10 @@ __all__ = [
     "EntityRef",
     "SubjectGroup",
     "DataTemplate",
-    "GroupStep",
-    "KeyReader",
-    "pattern_match",
-    "group_by_subject",
     "identify_entity",
-    "classify_group",
     "term_to_sql_value",
-    "value_reader",
-    "key_reader",
-    "link_key_reader",
-    "link_object_key",
     "sql_value_to_term",
     "coerce_pattern_values",
-    "object_uri_to_key",
     "link_row_exists",
 ]
 
@@ -182,20 +170,47 @@ def coerce_pattern_values(
     subject: URIRef,
 ) -> Dict[str, Any]:
     """Coerce URI-pattern-extracted strings to the column types."""
+    return _coerce_key(
+        table_mapping.table_name,
+        _key_coercers(db, table_mapping),
+        raw_values,
+        subject,
+    )
+
+
+#: (attribute, its column type's coerce) per attribute of a URI pattern
+_Coercers = Tuple[Tuple[str, Callable[[Any, str], Any]], ...]
+
+
+def _key_coercers(db: Database, table_mapping: TableMapping) -> _Coercers:
+    """The look-up step of :func:`coerce_pattern_values`."""
     schema_table = db.table(table_mapping.table_name)
+    return tuple(
+        (attr, schema_table.column(attr).sql_type.coerce)
+        for attr in table_mapping.uri_pattern.attributes
+    )
+
+
+def _coerce_key(
+    table_name: str,
+    coercers: _Coercers,
+    raw_values: Dict[str, str],
+    subject: URIRef,
+) -> Dict[str, Any]:
+    """The convert step of :func:`coerce_pattern_values`."""
     coerced: Dict[str, Any] = {}
-    for attr, raw in raw_values.items():
-        column = schema_table.column(attr)
+    for attr, coerce in coercers:
+        raw = raw_values[attr]
         try:
-            coerced[attr] = column.sql_type.coerce(raw, attr)
+            coerced[attr] = coerce(raw, attr)
         except TypeMismatchError as exc:
             raise TranslationError(
                 f"URI {subject.value}: pattern value {raw!r} is invalid for "
-                f"{table_mapping.table_name}.{attr}: {exc}",
+                f"{table_name}.{attr}: {exc}",
                 code=TranslationError.TYPE_MISMATCH,
                 details={
                     "subject": subject.value,
-                    "table": table_mapping.table_name,
+                    "table": table_name,
                     "attribute": attr,
                     "value": raw,
                 },
@@ -208,95 +223,90 @@ def coerce_pattern_values(
 # ---------------------------------------------------------------------------
 
 class SubjectGroup:
-    """One subject's triples of a data block (steps 1-3).
+    """One subject's triples of a data block (steps 1-3), classified
+    once with a converter per value, for a template to bind.
 
     Terms are kept as the block writes them — a constant, or a variable
     (a placeholder of a kept shape, a client's variable) that the
     solution the block is bound with reads — so a template of the block
-    can be bound to other values.
+    can be bound to other values.  Each operation's group adds what its
+    statements need.
     """
 
-    __slots__ = ("sources", "pairs", "entity", "error", "types",
-                 "attribute_values", "link_values")
+    __slots__ = ("sources", "pairs", "error", "entity", "table", "pk",
+                 "types", "attributes", "links")
 
     def __init__(self, source: Term) -> None:
         #: the distinct terms the block writes this subject as
         self.sources: List[Term] = [source]
         #: (predicate, object) of each of the subject's triples, as written
         self.pairs: List[Tuple[Term, Term]] = []
-        #: the table and key the subject resolved to (step 2)
-        self.entity: Optional[EntityRef] = None
         #: the identification or classification error of the group: a
         #: bind raises it when it reaches the group, where the
         #: translation of the block as written raises it
         self.error: Optional[TranslationError] = None
+        #: the table and key the subject resolved to (step 2)
+        self.entity: Optional[EntityRef] = None
         #: declared rdf:type objects (usually zero or one)
         self.types: List[Term] = []
-        #: attribute triples: (attribute mapping, object term)
-        self.attribute_values: List[Tuple[AttributeMapping, Term]] = []
-        #: link-table triples: (link mapping, object term)
-        self.link_values: List[Tuple[LinkTableMapping, Term]] = []
+        #: (attribute name, object term, converter) per attribute triple
+        self.attributes: List[Tuple[str, Term, Callable[[Object], Any]]] = []
+        #: (link mapping, object term, key converter) per link triple
+        self.links: List[Tuple[LinkTableMapping, Term, Callable[[Object], Any]]] = []
 
+    def classify(
+        self, mapping: DatabaseMapping, db: Database, solution: Solution
+    ) -> None:
+        """Steps 2-3 (structural part): identify the table and classify
+        each triple as type / attribute / link, rejecting unknown
+        properties."""
+        source = self.sources[0]
+        entity = self.entity = identify_entity(
+            mapping, db, solution.get(source, source)
+        )
+        table = entity.table
+        self.table = table.table_name
+        self.pk = db.table(self.table).primary_key
 
-def group_by_subject(
-    triples: Tuple[Triple, ...],
-    solution: Solution,
-    group_class: Type[SubjectGroup] = SubjectGroup,
-) -> List[SubjectGroup]:
-    """Algorithm 1 step 1: group triples by equal subject — the subject
-    each one names under ``solution`` — preserving the order in which
-    subjects first appear."""
-    groups: Dict[Term, SubjectGroup] = {}
-    for subject, predicate, obj in triples:
-        value = solution.get(subject, subject)
-        group = groups.get(value)
-        if group is None:
-            group = groups[value] = group_class(subject)
-        elif subject not in group.sources:
-            group.sources.append(subject)
-        group.pairs.append((predicate, obj))
-    return list(groups.values())
-
-
-def classify_group(
-    mapping: DatabaseMapping,
-    db: Database,
-    group: SubjectGroup,
-    solution: Solution,
-) -> None:
-    """Steps 2-3 (structural part): identify the table and classify each
-    triple as type / attribute / link, rejecting unknown properties."""
-    source = group.sources[0]
-    entity = group.entity = identify_entity(
-        mapping, db, solution.get(source, source)
-    )
-    table = entity.table
-
-    for predicate, obj in group.pairs:
-        predicate = solution.get(predicate, predicate)
-        if predicate == RDF_TYPE:
-            group.types.append(obj)
-            obj = solution.get(obj, obj)
-            if obj != table.maps_to_class:
+        for predicate, obj in self.pairs:
+            predicate = solution.get(predicate, predicate)
+            if predicate == RDF_TYPE:
+                self.types.append(obj)
+                obj = solution.get(obj, obj)
+                if obj != table.maps_to_class:
+                    raise TranslationError(
+                        f"subject {entity.uri.value} is mapped to table "
+                        f"{table.table_name!r} (class {table.maps_to_class}), but "
+                        f"the request types it as {obj}",
+                        code=TranslationError.CLASS_MISMATCH,
+                        details={
+                            "subject": entity.uri.value,
+                            "table": table.table_name,
+                            "expected": str(table.maps_to_class),
+                            "actual": str(obj),
+                        },
+                    )
+                continue
+            link = mapping.link_for_property(predicate)
+            if link is not None:
+                if link.subject_table() != table.table_name:
+                    raise TranslationError(
+                        f"property {predicate} links instances of "
+                        f"{link.subject_table()!r}, not {table.table_name!r}",
+                        code=TranslationError.UNKNOWN_PROPERTY,
+                        details={
+                            "subject": entity.uri.value,
+                            "property": str(predicate),
+                            "table": table.table_name,
+                        },
+                    )
+                self.links.append((link, obj, _link_converter(mapping, db, link)))
+                continue
+            attribute = table.attribute_for_property(predicate)
+            if attribute is None:
                 raise TranslationError(
-                    f"subject {entity.uri.value} is mapped to table "
-                    f"{table.table_name!r} (class {table.maps_to_class}), but "
-                    f"the request types it as {obj}",
-                    code=TranslationError.CLASS_MISMATCH,
-                    details={
-                        "subject": entity.uri.value,
-                        "table": table.table_name,
-                        "expected": str(table.maps_to_class),
-                        "actual": str(obj),
-                    },
-                )
-            continue
-        link = mapping.link_for_property(predicate)
-        if link is not None:
-            if link.subject_table() != table.table_name:
-                raise TranslationError(
-                    f"property {predicate} links instances of "
-                    f"{link.subject_table()!r}, not {table.table_name!r}",
+                    f"property {predicate} is not mapped for table "
+                    f"{table.table_name!r}",
                     code=TranslationError.UNKNOWN_PROPERTY,
                     details={
                         "subject": entity.uri.value,
@@ -304,110 +314,11 @@ def classify_group(
                         "table": table.table_name,
                     },
                 )
-            group.link_values.append((link, obj))
-            continue
-        attribute = table.attribute_for_property(predicate)
-        if attribute is None:
-            raise TranslationError(
-                f"property {predicate} is not mapped for table "
-                f"{table.table_name!r}",
-                code=TranslationError.UNKNOWN_PROPERTY,
-                details={
-                    "subject": entity.uri.value,
-                    "property": str(predicate),
-                    "table": table.table_name,
-                },
-            )
-        group.attribute_values.append((attribute, obj))
-
-
-def pattern_match(pattern: URIPattern, uri: URIRef) -> Optional[Dict[str, str]]:
-    """:meth:`URIPattern.match`, read with string operations where that
-    is what the regex of a single-attribute pattern does: its value is
-    one or more characters other than ``/`` between the pattern's
-    affixes (and its ``$`` also matches before a final newline, which
-    the regex is left to read)."""
-    affixes = pattern.affixes
-    if affixes is not None:
-        prefix, suffix = affixes
-        value = uri.value
-        if not value.startswith(prefix):
-            return None
-        end = len(value) - len(suffix)
-        middle = value[len(prefix):end]
-        if (
-            end > len(prefix)
-            and value.endswith(suffix)
-            and "/" not in middle
-            and "\n" not in middle
-        ):
-            return {pattern.attributes[0]: middle}
-    return pattern.match(uri)
-
-
-class KeyReader:
-    """What :func:`identify_entity` asks of one candidate table, with its
-    look-ups done once: the key values the table's URI pattern reads from
-    a URI, coerced to the column types — None where the pattern does not
-    match or a value does not coerce."""
-
-    __slots__ = ("pattern", "coercers")
-
-    def __init__(self, db: Database, table_mapping: TableMapping) -> None:
-        pattern = self.pattern = table_mapping.uri_pattern
-        schema_table = db.table(table_mapping.table_name)
-        self.coercers = tuple(
-            (attr, schema_table.column(attr).sql_type.coerce)
-            for attr in pattern.attributes
-        )
-
-    def read(self, uri: URIRef) -> Optional[Dict[str, Any]]:
-        raw = pattern_match(self.pattern, uri)
-        if raw is None:
-            return None
-        try:
-            return {attr: coerce(raw[attr], attr) for attr, coerce in self.coercers}
-        except TypeMismatchError:
-            return None
-
-
-class GroupStep(SubjectGroup):
-    """A classified group and what a bind reads for it, prepared once
-    (:meth:`setup`): the group's table and key columns and one reader
-    per attribute and link triple.  Each operation adds its own.
-
-    The readers start as :func:`term_to_sql_value` and
-    :func:`link_object_key` themselves, which is all a template bound
-    once needs; :meth:`prepare` swaps in readers with their look-ups done
-    once, for a template that is bound again."""
-
-    __slots__ = ("table_mapping", "table", "pk", "attributes", "links")
-
-    def setup(self, mapping: DatabaseMapping, db: Database) -> None:
-        table = self.table_mapping = self.entity.table
-        self.table = table.table_name
-        self.pk = db.table(self.table).primary_key
-        #: (attribute name, object term, value reader) per attribute triple
-        self.attributes = [
-            (a.attribute_name, obj, partial(term_to_sql_value, mapping, db, table, a))
-            for a, obj in self.attribute_values
-        ]
-        #: (link, object term, key reader) per link triple
-        self.links = [
-            (link, obj, partial(link_object_key, mapping, db, link))
-            for link, obj in self.link_values
-        ]
-
-    def prepare(self, mapping: DatabaseMapping, db: Database) -> None:
-        table = self.table_mapping
-        self.attributes = [
-            (name, obj, value_reader(mapping, db, table, table.attribute_by_name(name)))
-            for name, obj, _ in self.attributes
-        ]
-        self.links = [
-            (link, obj, link_key_reader(mapping, db, link))
-            for link, obj, _ in self.links
-        ]
+            self.attributes.append((
+                attribute.attribute_name,
+                obj,
+                _value_converter(mapping, db, table, attribute),
+            ))
 
 
 class DataTemplate:
@@ -423,11 +334,11 @@ class DataTemplate:
     from its URI.  :meth:`entities` is the guard that the terms of a
     request make the same decisions; where they do not, the caller builds
     the template afresh from them.  Subclasses name their
-    :class:`GroupStep` and add what their operation reads from rows and
-    values in ``bind(db, solution, entities)``.
+    :class:`SubjectGroup` and add what their operation reads from rows
+    and values in ``bind(db, solution, entities)``.
     """
 
-    group = GroupStep
+    group = SubjectGroup
 
     def __init__(
         self,
@@ -436,22 +347,32 @@ class DataTemplate:
         triples: Tuple[Triple, ...],
         solution: Solution,
     ) -> None:
-        self.groups = group_by_subject(triples, solution, self.group)
+        # Step 1: group the triples by equal subject — the subject each
+        # one names under ``solution`` — in the order subjects first
+        # appear.
+        groups: Dict[Term, SubjectGroup] = {}
+        for subject, predicate, obj in triples:
+            value = solution.get(subject, subject)
+            group = groups.get(value)
+            if group is None:
+                group = groups[value] = self.group(subject)
+            elif subject not in group.sources:
+                group.sources.append(subject)
+            group.pairs.append((predicate, obj))
+        self.groups: List[SubjectGroup] = list(groups.values())
         #: False when a group failed: such a template translates the
         #: terms it was built with, and only those
         self.reusable = True
         for group in self.groups:
             try:
-                classify_group(mapping, db, group, solution)
+                group.classify(mapping, db, solution)
             except TranslationError as exc:
                 group.error = exc
                 self.reusable = False
-            else:
-                group.setup(mapping, db)
         #: the terms the template was built with
         self._solution = solution
         self._pinned: Optional[Tuple[Tuple[Term, Term], ...]] = None
-        self._readers: Optional[List[Tuple[KeyReader, List[KeyReader]]]] = None
+        self._readers: Optional[List[Tuple[_KeyReader, List[_KeyReader]]]] = None
 
     def built_entities(self) -> List[Optional[EntityRef]]:
         """The entities of the terms the template was built with."""
@@ -472,9 +393,6 @@ class DataTemplate:
                 return None
         readers = self._readers
         if readers is None:
-            # Bound again: worth the readers that do their look-ups once.
-            for group in self.groups:
-                group.prepare(mapping, db)
             readers = self._readers = [
                 _subject_readers(mapping, db, group.entity.table)
                 for group in self.groups
@@ -511,19 +429,37 @@ class DataTemplate:
         )
 
 
+class _KeyReader:
+    """What :func:`identify_entity` asks of one candidate table, its
+    look-ups made once: the key values the table's URI pattern reads from
+    a URI, coerced to the column types — None where the pattern does not
+    match or a value does not coerce."""
+
+    __slots__ = ("table_mapping", "coercers")
+
+    def __init__(self, db: Database, table_mapping: TableMapping) -> None:
+        self.table_mapping = table_mapping
+        self.coercers = _key_coercers(db, table_mapping)
+
+    def read(self, uri: URIRef) -> Optional[Dict[str, Any]]:
+        table_mapping = self.table_mapping
+        raw = table_mapping.uri_pattern.match(uri)
+        if raw is None:
+            return None
+        try:
+            return _coerce_key(table_mapping.table_name, self.coercers, raw, uri)
+        except TranslationError:
+            return None
+
+
 def _subject_readers(
     mapping: DatabaseMapping, db: Database, table: TableMapping
-) -> Tuple[KeyReader, List[KeyReader]]:
+) -> Tuple[_KeyReader, List[_KeyReader]]:
     """The reader of ``table`` and of each table :func:`identify_entity`
-    would try before it (longer patterns first, mapping order among
-    equals): a URI that one of those reads names another table."""
-    ordered = sorted(
-        mapping.tables.values(),
-        key=lambda candidate: len(candidate.uri_pattern.pattern),
-        reverse=True,
-    )
+    tries before it: a URI that one of those reads names another table."""
+    ordered = mapping.tables_by_specificity()
     ahead = ordered[: ordered.index(table)]
-    return KeyReader(db, table), [KeyReader(db, other) for other in ahead]
+    return _KeyReader(db, table), [_KeyReader(db, other) for other in ahead]
 
 # ---------------------------------------------------------------------------
 # value conversion
@@ -542,206 +478,160 @@ def term_to_sql_value(
     type; object properties take the primary-key value extracted from the
     object URI via the referenced table's URI pattern.
     """
-    column = db.table(table.table_name).column(attribute.attribute_name)
-    if attribute.is_object_property:
-        referenced = attribute.references()
-        if referenced is None:
-            raise TranslationError(
-                f"attribute {table.table_name}.{attribute.attribute_name} is "
-                "an object property without a foreign key",
-                code=TranslationError.UNSUPPORTED,
-            )
-        return object_uri_to_key(
-            mapping, db, referenced, obj, attribute.property,
-            {"table": table.table_name, "attribute": attribute.attribute_name},
-        )
-
-    if isinstance(obj, URIRef):
-        # Data attribute holding URI-valued terms (e.g. foaf:mbox →
-        # email): extract the stored value through the value pattern, or
-        # store the full URI string when no pattern is declared.
-        if attribute.value_pattern is not None:
-            extracted = attribute.value_pattern.match(obj)
-            if extracted is None:
-                raise TranslationError(
-                    f"value {obj.value} does not match the value pattern "
-                    f"{attribute.value_pattern.pattern!r} of "
-                    f"{table.table_name}.{attribute.attribute_name}",
-                    code=TranslationError.TYPE_MISMATCH,
-                    details={
-                        "table": table.table_name,
-                        "attribute": attribute.attribute_name,
-                        "value": obj.value,
-                    },
-                )
-            raw_value = extracted[attribute.value_pattern.attributes[0]]
-        else:
-            raw_value = obj.value
-        try:
-            return column.sql_type.coerce(raw_value, attribute.attribute_name)
-        except TypeMismatchError as exc:
-            raise TranslationError(
-                f"URI value {obj.value} cannot be stored in "
-                f"{table.table_name}.{attribute.attribute_name}: {exc}",
-                code=TranslationError.TYPE_MISMATCH,
-                details={
-                    "table": table.table_name,
-                    "attribute": attribute.attribute_name,
-                    "value": obj.value,
-                },
-            ) from exc
-    if not isinstance(obj, Literal):
-        raise TranslationError(
-            f"property {attribute.property} is a data property; expected a "
-            f"literal object, got {obj.n3() if isinstance(obj, Term) else obj!r}",
-            code=TranslationError.TYPE_MISMATCH,
-            details={
-                "table": table.table_name,
-                "attribute": attribute.attribute_name,
-                "property": str(attribute.property),
-            },
-        )
-    try:
-        return column.sql_type.coerce(obj.to_python(), attribute.attribute_name)
-    except (TypeMismatchError, ValueError) as exc:
-        raise TranslationError(
-            f"literal {obj.n3()} cannot be stored in "
-            f"{table.table_name}.{attribute.attribute_name}: {exc}",
-            code=TranslationError.TYPE_MISMATCH,
-            details={
-                "table": table.table_name,
-                "attribute": attribute.attribute_name,
-                "value": obj.lexical,
-            },
-        ) from exc
+    return _value_converter(mapping, db, table, attribute)(obj)
 
 
-def object_uri_to_key(
-    mapping: DatabaseMapping,
-    db: Database,
-    referenced_table: str,
-    obj: Object,
-    prop: URIRef,
-    referrer: Dict[str, str],
-) -> Any:
-    """The primary-key value of the ``referenced_table`` row that the
-    object URI of an object-property or link triple names.
-
-    ``referrer`` identifies the referencing side in the error feedback
-    when ``obj`` is no URI at all: table and attribute for a foreign-key
-    attribute, the property for a link table.
-    """
-    if not isinstance(obj, URIRef):
-        raise TranslationError(
-            f"property {prop} takes an instance URI as its object, got "
-            f"{obj.n3() if isinstance(obj, Term) else obj!r}",
-            code=TranslationError.TYPE_MISMATCH,
-            details=referrer,
-        )
-    target = mapping.table(referenced_table)
-    values = target.uri_pattern.match(obj)
-    if values is None:
-        raise TranslationError(
-            f"object {obj.value} does not match the uriPattern of the "
-            f"referenced table {referenced_table!r}",
-            code=TranslationError.FK_TARGET_MISSING,
-            details={
-                "object": obj.value,
-                "referenced_table": referenced_table,
-            },
-        )
-    coerced = coerce_pattern_values(db, target, values, obj)
-    pk = db.table(referenced_table).primary_key
-    if len(pk) != 1:
-        raise TranslationError(
-            f"referenced table {referenced_table!r} must have a single-column "
-            "primary key for object-property mapping",
-            code=TranslationError.UNSUPPORTED,
-        )
-    return coerced[pk[0]]
-
-
-def value_reader(
+def _value_converter(
     mapping: DatabaseMapping,
     db: Database,
     table: TableMapping,
     attribute: AttributeMapping,
 ) -> Callable[[Object], Any]:
-    """:func:`term_to_sql_value` for one attribute, its look-ups done
-    once: a term of the kind the attribute takes converts directly;
-    anything else — a term of another kind, a value that does not
-    coerce — goes through :func:`term_to_sql_value`, which answers it
-    (its feedback included)."""
+    """:func:`term_to_sql_value` for one attribute in two steps: the
+    look-ups (column type, value pattern, referenced table) are made
+    here, and the conversion of a term is the function returned, which a
+    template keeps for every request it binds."""
+    table_name = table.table_name
+    name = attribute.attribute_name
+    coerce = db.table(table_name).column(name).sql_type.coerce
     if attribute.is_object_property:
-        generic = partial(term_to_sql_value, mapping, db, table, attribute)
         referenced = attribute.references()
         if referenced is None:
-            return generic
-        return key_reader(mapping, db, referenced, generic)
-    name = attribute.attribute_name
-    coerce = db.table(table.table_name).column(name).sql_type.coerce
+            def unsupported(obj: Object) -> Any:
+                raise TranslationError(
+                    f"attribute {table_name}.{name} is "
+                    "an object property without a foreign key",
+                    code=TranslationError.UNSUPPORTED,
+                )
+            return unsupported
+        return _key_converter(
+            mapping, db, referenced, attribute.property,
+            {"table": table_name, "attribute": name},
+        )
     pattern = attribute.value_pattern
+    prop = attribute.property
 
-    def read(obj: Object) -> Any:
-        kind = type(obj)
-        try:
-            if kind is Literal:
+    def convert(obj: Object) -> Any:
+        if isinstance(obj, Literal):
+            try:
                 return coerce(obj.to_python(), name)
-            if kind is URIRef:
-                if pattern is None:
-                    return coerce(obj.value, name)
-                extracted = pattern_match(pattern, obj)
-                if extracted is not None:
-                    return coerce(extracted[pattern.attributes[0]], name)
-        except (TypeMismatchError, ValueError):
-            pass
-        return term_to_sql_value(mapping, db, table, attribute, obj)
+            except (TypeMismatchError, ValueError) as exc:
+                raise TranslationError(
+                    f"literal {obj.n3()} cannot be stored in "
+                    f"{table_name}.{name}: {exc}",
+                    code=TranslationError.TYPE_MISMATCH,
+                    details={
+                        "table": table_name,
+                        "attribute": name,
+                        "value": obj.lexical,
+                    },
+                ) from exc
+        if not isinstance(obj, URIRef):
+            raise TranslationError(
+                f"property {prop} is a data property; expected a "
+                f"literal object, got {obj.n3() if isinstance(obj, Term) else obj!r}",
+                code=TranslationError.TYPE_MISMATCH,
+                details={
+                    "table": table_name,
+                    "attribute": name,
+                    "property": str(prop),
+                },
+            )
+        # Data attribute holding URI-valued terms (e.g. foaf:mbox →
+        # email): extract the stored value through the value pattern, or
+        # store the full URI string when no pattern is declared.
+        if pattern is not None:
+            extracted = pattern.match(obj)
+            if extracted is None:
+                raise TranslationError(
+                    f"value {obj.value} does not match the value pattern "
+                    f"{pattern.pattern!r} of {table_name}.{name}",
+                    code=TranslationError.TYPE_MISMATCH,
+                    details={
+                        "table": table_name,
+                        "attribute": name,
+                        "value": obj.value,
+                    },
+                )
+            raw_value = extracted[pattern.attributes[0]]
+        else:
+            raw_value = obj.value
+        try:
+            return coerce(raw_value, name)
+        except TypeMismatchError as exc:
+            raise TranslationError(
+                f"URI value {obj.value} cannot be stored in "
+                f"{table_name}.{name}: {exc}",
+                code=TranslationError.TYPE_MISMATCH,
+                details={
+                    "table": table_name,
+                    "attribute": name,
+                    "value": obj.value,
+                },
+            ) from exc
 
-    return read
+    return convert
 
 
-def key_reader(
-    mapping: DatabaseMapping,
-    db: Database,
-    referenced_table: str,
-    generic: Callable[[Object], Any],
+def _link_converter(
+    mapping: DatabaseMapping, db: Database, link: LinkTableMapping
 ) -> Callable[[Object], Any]:
-    """:func:`object_uri_to_key` into ``referenced_table``, its look-ups
-    done once; ``generic`` (that function, with the referrer's feedback
-    arguments) answers whatever is not the key of a row URI."""
-    pk = db.table(referenced_table).primary_key
-    if len(pk) != 1:
-        return generic
-    reader = KeyReader(db, mapping.table(referenced_table))
-    column = pk[0]
-
-    def read(obj: Object) -> Any:
-        if type(obj) is URIRef:
-            values = reader.read(obj)
-            if values is not None:
-                return values[column]
-        return generic(obj)
-
-    return read
-
-
-def link_object_key(
-    mapping: DatabaseMapping, db: Database, link: LinkTableMapping, obj: Object
-) -> Any:
     """The key of the row the object of a ``link`` triple names."""
-    return object_uri_to_key(
-        mapping, db, link.object_table(), obj, link.property,
+    return _key_converter(
+        mapping, db, link.object_table(), link.property,
         {"property": str(link.property)},
     )
 
 
-def link_key_reader(
-    mapping: DatabaseMapping, db: Database, link: LinkTableMapping
+def _key_converter(
+    mapping: DatabaseMapping,
+    db: Database,
+    referenced_table: str,
+    prop: URIRef,
+    referrer: Dict[str, str],
 ) -> Callable[[Object], Any]:
-    """:func:`link_object_key` for ``link``, its look-ups done once."""
-    return key_reader(
-        mapping, db, link.object_table(), partial(link_object_key, mapping, db, link)
-    )
+    """The primary-key value of the ``referenced_table`` row that the
+    object URI of an object-property or link triple names, in two steps
+    as :func:`_value_converter`.
+
+    ``referrer`` identifies the referencing side in the error feedback
+    when the object is no URI at all: table and attribute for a
+    foreign-key attribute, the property for a link table.
+    """
+    target = mapping.table(referenced_table)
+    pattern = target.uri_pattern
+    coercers = _key_coercers(db, target)
+    pk = db.table(referenced_table).primary_key
+
+    def convert(obj: Object) -> Any:
+        if not isinstance(obj, URIRef):
+            raise TranslationError(
+                f"property {prop} takes an instance URI as its object, got "
+                f"{obj.n3() if isinstance(obj, Term) else obj!r}",
+                code=TranslationError.TYPE_MISMATCH,
+                details=referrer,
+            )
+        values = pattern.match(obj)
+        if values is None:
+            raise TranslationError(
+                f"object {obj.value} does not match the uriPattern of the "
+                f"referenced table {referenced_table!r}",
+                code=TranslationError.FK_TARGET_MISSING,
+                details={
+                    "object": obj.value,
+                    "referenced_table": referenced_table,
+                },
+            )
+        coerced = _coerce_key(target.table_name, coercers, values, obj)
+        if len(pk) != 1:
+            raise TranslationError(
+                f"referenced table {referenced_table!r} must have a single-column "
+                "primary key for object-property mapping",
+                code=TranslationError.UNSUPPORTED,
+            )
+        return coerced[pk[0]]
+
+    return convert
 
 
 def link_row_exists(

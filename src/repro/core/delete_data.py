@@ -20,7 +20,7 @@ Link-table triples translate to ``DELETE`` on the link table restricted to
 the subject/object key pair.
 
 Translation is two steps.  :class:`DeleteTemplate` is built once per
-block shape: the groups and their tables, one value reader per
+block shape: the groups and their tables, one value converter per
 attribute and link, which attributes the block deletes, the verdicts a
 partial delete meets (a NOT NULL attribute, the ``rdf:type`` triple) and
 the ``DELETE`` / ``UPDATE ... SET NULL`` shapes.
@@ -36,14 +36,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError
 from ..rdb.engine import Database
-from ..rdf.terms import Triple
+from ..rdf.terms import Term, Triple
 from ..r3m.model import DatabaseMapping, LinkTableMapping
 from ..sparql.algebra import Solution
 from ..sql import ast
 from .common import (
     DataTemplate,
     EntityRef,
-    GroupStep,
+    SubjectGroup,
     Values,
     link_row_exists,
 )
@@ -62,19 +62,23 @@ def translate_delete_data(
     return template.bind(db, {}, template.built_entities())
 
 
-class _Group(GroupStep):
+class _Group(SubjectGroup):
     """What a DELETE DATA group binds, prepared once."""
 
-    __slots__ = ("typed", "deleted", "_remaining", "delete", "set_null")
+    __slots__ = ("deleted", "_remaining", "delete", "set_null")
 
-    def setup(self, mapping: DatabaseMapping, db: Database) -> None:
-        super().setup(mapping, db)
-        self.typed = bool(self.types)
-        #: the attributes the block deletes, in the order it names them
-        self.deleted = dict.fromkeys([name for name, _, _ in self.attributes])
+    def __init__(self, source: Term) -> None:
+        super().__init__(source)
         self._remaining: Optional[List[str]] = None
         self.delete: Optional[ast.Delete] = None
         self.set_null: Optional[ast.Update] = None
+
+    def classify(
+        self, mapping: DatabaseMapping, db: Database, solution: Solution
+    ) -> None:
+        super().classify(mapping, db, solution)
+        #: the attributes the block deletes, in the order it names them
+        self.deleted = dict.fromkeys([name for name, _, _ in self.attributes])
 
     def covers(self, current: Dict[str, Any]) -> bool:
         """Does the request delete *all* non-null mapped data of the row?
@@ -88,10 +92,11 @@ class _Group(GroupStep):
         """
         remaining = self._remaining
         if remaining is None:
-            pattern_attrs = set(self.table_mapping.uri_pattern.attributes)
+            table_mapping = self.entity.table
+            pattern_attrs = set(table_mapping.uri_pattern.attributes)
             remaining = self._remaining = [
                 a.attribute_name
-                for a in self.table_mapping.mapped_attributes()
+                for a in table_mapping.mapped_attributes()
                 if a.attribute_name not in pattern_attrs
             ]
         return {
@@ -162,7 +167,7 @@ class DeleteTemplate(DataTemplate):
                 statements.append(
                     _link_delete(db, link, pk[0], read(solution.get(obj, obj)))
                 )
-            if not group.attributes and not group.typed:
+            if not group.attributes and not group.types:
                 continue
 
             current = db.get_row_by_pk(group.table, pk)
@@ -177,7 +182,7 @@ class DeleteTemplate(DataTemplate):
             if group.covers(current):
                 statements.append(group.delete_row(db, entity, pk))
                 continue
-            if group.typed:
+            if group.types:
                 raise TranslationError(
                     f"cannot delete the rdf:type triple of {entity.uri.value} "
                     "while other data remains: a row cannot lose its table",

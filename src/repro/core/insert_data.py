@@ -20,7 +20,7 @@ checks (step 3) happen before any SQL is generated:
   driver uses for its replace optimization.
 
 Translation is two steps.  :class:`InsertTemplate` is built once per
-block shape: the groups and their tables, one value reader per
+block shape: the groups and their tables, one value converter per
 attribute and link, the required attributes a new row lacks and the
 ``INSERT`` shape.  :meth:`InsertTemplate.bind` is what a request pays:
 it reads the values, looks each row up by its key to choose INSERT,
@@ -34,14 +34,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError
 from ..rdb.engine import Database
-from ..rdf.terms import Triple
+from ..rdf.terms import Term, Triple
 from ..r3m.model import DatabaseMapping, LinkTableMapping
 from ..sparql.algebra import Solution
 from ..sql import ast
 from .common import (
     DataTemplate,
     EntityRef,
-    GroupStep,
+    SubjectGroup,
     Values,
     link_row_exists,
 )
@@ -61,13 +61,13 @@ def translate_insert_data(
     return template.bind(db, {}, template.built_entities(), allow_overwrite)
 
 
-class _Group(GroupStep):
+class _Group(SubjectGroup):
     """What an INSERT DATA group binds, prepared once."""
 
     __slots__ = ("_missing", "shape")
 
-    def setup(self, mapping: DatabaseMapping, db: Database) -> None:
-        super().setup(mapping, db)
+    def __init__(self, source: Term) -> None:
+        super().__init__(source)
         self._missing: Optional[List[str]] = None
         self.shape: Optional[ast.Insert] = None
 
@@ -79,7 +79,7 @@ class _Group(GroupStep):
             names = {name for name, _, _ in self.attributes}
             self._missing = [
                 a.attribute_name
-                for a in self.table_mapping.required_attributes()
+                for a in self.entity.table.required_attributes()
                 if a.attribute_name not in names
             ]
         return self._missing

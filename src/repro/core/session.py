@@ -39,7 +39,7 @@ first out.
   placeholder), per mapping/schema version; per prepared **MODIFY** the
   same for its WHERE; per **INSERT DATA / DELETE DATA** block the
   translated data template (:class:`~repro.core.backend.PreparedData`):
-  groups, tables, value readers and statement shapes, which an
+  groups, tables, value converters and statement shapes, which an
   execution binds its values to — reading the rows it must (does the
   entity exist, do the triples to delete hold) — and which is built
   again only for values that name another table.  Below that, the

@@ -200,6 +200,12 @@ class LinkTableMapping:
         return self.object_attribute.references()
 
 
+def _specificity(table: TableMapping) -> int:
+    """How specific a table's uriPattern is: a subject URI tries longer
+    patterns first (a stable sort keeps mapping order among equals)."""
+    return len(table.uri_pattern.pattern)
+
+
 class DatabaseMapping:
     """The root of an R3M mapping: connection info + all table maps."""
 
@@ -258,11 +264,16 @@ class DatabaseMapping:
     def link_for_property(self, prop: URIRef) -> Optional[LinkTableMapping]:
         return self._link_property_index.get(prop)
 
+    def tables_by_specificity(self) -> List[TableMapping]:
+        """The table maps in the order a subject URI tries them
+        (:meth:`identify_candidates`)."""
+        return sorted(self.tables.values(), key=_specificity, reverse=True)
+
     def identify_candidates(
         self, uri: URIRef
     ) -> List[Tuple[TableMapping, Dict[str, str]]]:
         """All (table, extracted values) pairs whose uriPattern matches,
-        most specific (longest pattern) first.
+        most specific (longest pattern) first, mapping order among equals.
 
         The paper's own use case overlaps textually (``ex:pub12`` vs
         ``ex:pubtype4`` both start with ``pub``); specificity plus the
@@ -273,9 +284,7 @@ class DatabaseMapping:
             values = table.uri_pattern.match(uri)
             if values is not None:
                 candidates.append((table, values))
-        candidates.sort(
-            key=lambda pair: len(pair[0].uri_pattern.pattern), reverse=True
-        )
+        candidates.sort(key=lambda pair: _specificity(pair[0]), reverse=True)
         return candidates
 
     def identify_table(

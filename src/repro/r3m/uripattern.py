@@ -100,13 +100,27 @@ class URIPattern:
         Values come back as strings; the caller coerces them with the
         column's SQL type (e.g. ``"1"`` → 1 for the INTEGER id).
         """
-        m = self._regex.match(uri.value)
+        value = uri.value
+        affixes = self.affixes
+        if affixes is not None:
+            # What the regex of a single-attribute pattern reads, with
+            # string operations: one or more characters other than '/'
+            # between the affixes.  A value holding a newline is left to
+            # the regex (its '$' also matches before a final one).
+            prefix, suffix = affixes
+            if not value.startswith(prefix):
+                return None
+            if value.endswith(suffix):
+                middle = value[len(prefix):len(value) - len(suffix)]
+                if middle and "/" not in middle and "\n" not in middle:
+                    return {self.attributes[0]: middle}
+        m = self._regex.match(value)
         if m is None:
             return None
         return m.groupdict()
 
     def matches(self, uri: URIRef) -> bool:
-        return self._regex.match(uri.value) is not None
+        return self.match(uri) is not None
 
     def __repr__(self) -> str:
         return f"URIPattern({self._template!r})"

@@ -72,6 +72,23 @@ class TestMatch:
         assert pattern.matches(URIRef("http://e/team9"))
         assert not pattern.matches(URIRef("http://e/team"))
 
+    @pytest.mark.parametrize("text", ["team%%id%%", "team%%id%%.html", "t%%id%%t"])
+    def test_single_attribute_reads_what_its_regex_reads(self, text):
+        """A single-attribute pattern is read with string operations; it
+        must read exactly what the pattern's regex reads."""
+        pattern = URIPattern(text, prefix="http://e/")
+        for uri in (
+            "http://e/team9", "http://e/team", "http://e/team9.html",
+            "http://e/team9.htm", "http://e/team.html", "http://e/tt",
+            "http://e/ttt", "http://e/t9t", "http://e/t/t", "http://e/team9/x",
+            "http://e/team9\n", "http://e/team9.html\n", "http://e/team9\nx",
+            "http://e/te\nam9", "http://e/team9.html.html", "http://e/tea",
+            "http://e/teamteam", "http://e/t9t\n", "http://e/tt\n",
+        ):
+            found = pattern._regex.match(uri)
+            expected = None if found is None else found.groupdict()
+            assert pattern.match(URIRef(uri)) == expected, uri
+
 
 class TestValidation:
     def test_empty_pattern_rejected(self):
