@@ -61,6 +61,7 @@ __all__ = [
     "DataTemplate",
     "identify_entity",
     "term_to_sql_value",
+    "value_converter",
     "sql_value_to_term",
     "coerce_pattern_values",
     "link_row_exists",
@@ -179,16 +180,16 @@ def coerce_pattern_values(
 
 
 #: (attribute, its column type's coerce) per attribute of a URI pattern
-_Coercers = Tuple[Tuple[str, Callable[[Any, str], Any]], ...]
+_Coercers = List[Tuple[str, Callable[[Any, str], Any]]]
 
 
 def _key_coercers(db: Database, table_mapping: TableMapping) -> _Coercers:
     """The look-up step of :func:`coerce_pattern_values`."""
     schema_table = db.table(table_mapping.table_name)
-    return tuple(
+    return [
         (attr, schema_table.column(attr).sql_type.coerce)
         for attr in table_mapping.uri_pattern.attributes
-    )
+    ]
 
 
 def _coerce_key(
@@ -265,6 +266,7 @@ class SubjectGroup:
             mapping, db, solution.get(source, source)
         )
         table = entity.table
+        #: the subject's table and its key columns
         self.table = table.table_name
         self.pk = db.table(self.table).primary_key
 
@@ -317,7 +319,7 @@ class SubjectGroup:
             self.attributes.append((
                 attribute.attribute_name,
                 obj,
-                _value_converter(mapping, db, table, attribute),
+                value_converter(mapping, db, table, attribute),
             ))
 
 
@@ -478,10 +480,10 @@ def term_to_sql_value(
     type; object properties take the primary-key value extracted from the
     object URI via the referenced table's URI pattern.
     """
-    return _value_converter(mapping, db, table, attribute)(obj)
+    return value_converter(mapping, db, table, attribute)(obj)
 
 
-def _value_converter(
+def value_converter(
     mapping: DatabaseMapping,
     db: Database,
     table: TableMapping,
@@ -592,7 +594,7 @@ def _key_converter(
 ) -> Callable[[Object], Any]:
     """The primary-key value of the ``referenced_table`` row that the
     object URI of an object-property or link triple names, in two steps
-    as :func:`_value_converter`.
+    as :func:`value_converter`.
 
     ``referrer`` identifies the referencing side in the error feedback
     when the object is no URI at all: table and attribute for a

@@ -57,7 +57,7 @@ placeholders).  The translator then decides everything exactly as it
 would for the substituted pattern, but where the bound term's value goes
 into the vector it also records the *binder* it just applied — subject
 URI → key of the table its ``uriPattern`` identified; object →
-:func:`~repro.core.common.term_to_sql_value` for that column (which is
+:func:`~repro.core.common.value_converter` for that column (which is
 the ``value_pattern`` inverse for ``foaf:mbox``, the referenced table's
 key for an object property); FILTER constant → the number or string the
 column can be compared with.  :meth:`TranslatedSelect.bind` replays the
@@ -113,7 +113,7 @@ from .common import (
     coerce_pattern_values,
     identify_entity,
     literal_decoder,
-    term_to_sql_value,
+    value_converter,
 )
 
 __all__ = ["TranslatedSelect", "translate_query", "SelectTranslator"]
@@ -599,9 +599,7 @@ class SelectTranslator:
         elif isinstance(term, BNode):
             node.local_conditions.append(ast.IsNull(column_ref, negated=True))
         else:
-            to_value = partial(
-                term_to_sql_value, self.mapping, self.db, table, attribute
-            )
+            to_value = value_converter(self.mapping, self.db, table, attribute)
             try:
                 value = self._param(
                     to_value(term),
