@@ -641,9 +641,9 @@ def link_row_exists(
 ) -> bool:
     """Does the link table hold the (subject key, object key) pair?"""
     table_data = db.table_data(link.table_name)
-    object_attr = link.object_attribute.attribute_name
+    position = table_data.table.positions[link.object_attribute.attribute_name]
     return any(
-        table_data.rows[rowid].get(object_attr) == object_key
+        table_data.rows[rowid][position] == object_key
         for rowid in table_data.probe(
             (link.subject_attribute.attribute_name,), (subject_key,)
         )

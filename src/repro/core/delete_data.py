@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError
 from ..rdb.engine import Database
+from ..rdb.types import Row
 from ..rdf.terms import Term, Triple
 from ..r3m.model import DatabaseMapping, LinkTableMapping
 from ..sparql.algebra import Solution
@@ -69,7 +70,8 @@ class _Group(SubjectGroup):
 
     def __init__(self, source: Term) -> None:
         super().__init__(source)
-        self._remaining: Optional[List[str]] = None
+        #: (attribute, row position) of the mapped non-key attributes
+        self._remaining: Optional[List[Tuple[str, int]]] = None
         self.delete: Optional[ast.Delete] = None
         self.set_null: Optional[ast.Update] = None
 
@@ -80,8 +82,9 @@ class _Group(SubjectGroup):
         #: the attributes the block deletes, in the order it names them
         self.deleted = dict.fromkeys([name for name, _, _ in self.attributes])
 
-    def covers(self, current: Dict[str, Any]) -> bool:
-        """Does the request delete *all* non-null mapped data of the row?
+    def covers(self, db: Database, current: Row) -> bool:
+        """Does the request delete *all* non-null mapped data of the
+        stored row ``current``?
 
         Key attributes carried by the URI pattern don't count (they exist
         as long as the row does), and only attributes mapped to
@@ -94,13 +97,14 @@ class _Group(SubjectGroup):
         if remaining is None:
             table_mapping = self.entity.table
             pattern_attrs = set(table_mapping.uri_pattern.attributes)
+            positions = db.table(self.table).positions
             remaining = self._remaining = [
-                a.attribute_name
+                (a.attribute_name, positions[a.attribute_name])
                 for a in table_mapping.mapped_attributes()
                 if a.attribute_name not in pattern_attrs
             ]
         return {
-            name for name in remaining if current.get(name) is not None
+            name for name, position in remaining if current[position] is not None
         } == self.deleted.keys()
 
     def not_null(self, db: Database) -> Optional[str]:
@@ -170,7 +174,7 @@ class DeleteTemplate(DataTemplate):
             if not group.attributes and not group.types:
                 continue
 
-            current = db.get_row_by_pk(group.table, pk)
+            current = db.row_by_pk(group.table, pk)
             if current is None:
                 raise TranslationError(
                     f"entity {entity.uri.value} does not exist in table "
@@ -178,8 +182,8 @@ class DeleteTemplate(DataTemplate):
                     code=TranslationError.ENTITY_MISSING,
                     details={"subject": entity.uri.value, "table": group.table},
                 )
-            deleted = _verify_triples_hold(group, entity, solution, current)
-            if group.covers(current):
+            deleted = _verify_triples_hold(db, group, entity, solution, current)
+            if group.covers(db, current):
                 statements.append(group.delete_row(db, entity, pk))
                 continue
             if group.types:
@@ -207,16 +211,19 @@ class DeleteTemplate(DataTemplate):
 
 
 def _verify_triples_hold(
+    db: Database,
     group: _Group,
     entity: EntityRef,
     solution: Solution,
-    current: Dict[str, Any],
+    current: Row,
 ) -> Dict[str, Any]:
-    """Check every attribute triple is present; return {attr: old value}."""
+    """Check every attribute triple is present in the stored row
+    ``current``; return {attr: old value}."""
     deleted: Dict[str, Any] = {}
+    positions = db.table(group.table).positions
     for name, obj, read in group.attributes:
         value = read(solution.get(obj, obj))
-        existing = current.get(name)
+        existing = current[positions[name]]
         if existing is None or existing != value:
             raise TranslationError(
                 f"triple to delete does not hold: "

@@ -58,13 +58,23 @@ def dump_table(
     if tables is None:
         tables = db.read_view()
     table_data = tables[table_mapping.table_name]
+    positions = table_data.table.positions
+    pattern = table_mapping.uri_pattern
+    keys = [(name, positions[name]) for name in pattern.attributes]
+    attributes = [
+        (
+            attribute,
+            positions[attribute.attribute_name],
+            schema_table.column(attribute.attribute_name),
+        )
+        for attribute in table_mapping.mapped_attributes()
+    ]
     for _, row in table_data.scan():
-        uri = table_mapping.uri_pattern.format(row)
+        uri = pattern.format({name: row[position] for name, position in keys})
         yield Triple(uri, RDF_TYPE, table_mapping.maps_to_class)
-        for attribute in table_mapping.mapped_attributes():
-            column = schema_table.column(attribute.attribute_name)
+        for attribute, position, column in attributes:
             term = sql_value_to_term(
-                mapping, table_mapping, attribute, row.get(attribute.attribute_name), column
+                mapping, table_mapping, attribute, row[position], column
             )
             if term is not None:
                 yield Triple(uri, attribute.property, term)
@@ -81,13 +91,14 @@ def _dump_link_table(
     if tables is None:
         tables = db.read_view()
     table_data = tables[link.table_name]
-    subject_attr = link.subject_attribute.attribute_name
-    object_attr = link.object_attribute.attribute_name
+    positions = table_data.table.positions
+    subject_position = positions[link.subject_attribute.attribute_name]
+    object_position = positions[link.object_attribute.attribute_name]
     subject_key = subject_table.uri_pattern.attributes[0]
     object_key = object_table.uri_pattern.attributes[0]
     for _, row in table_data.scan():
-        s_value = row.get(subject_attr)
-        o_value = row.get(object_attr)
+        s_value = row[subject_position]
+        o_value = row[object_position]
         if s_value is None or o_value is None:
             continue
         yield Triple(

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError
 from ..rdb.engine import Database
+from ..rdb.types import Row
 from ..rdf.terms import Term, Triple
 from ..r3m.model import DatabaseMapping, LinkTableMapping
 from ..sparql.algebra import Solution
@@ -124,7 +125,7 @@ class InsertTemplate(DataTemplate):
             values = _attribute_values(group, entity, solution)
             key_values = entity.key_values
             pk = tuple([key_values[column] for column in group.pk])
-            current = db.get_row_by_pk(group.table, pk)
+            current = db.row_by_pk(group.table, pk)
             if current is None:
                 missing = group.missing()
                 if missing:
@@ -192,14 +193,16 @@ def _update_statement(
     db: Database,
     entity: EntityRef,
     values: Dict[str, Any],
-    current: Dict[str, Any],
+    current: Row,
     allow_overwrite: bool,
 ) -> Optional[ast.Bound]:
-    """INSERT DATA on an existing entity → UPDATE filling NULLs."""
+    """INSERT DATA on an existing entity (its stored row ``current``) →
+    UPDATE filling NULLs."""
     collected = Values()
     assignments: List[ast.Assignment] = []
+    positions = db.table(entity.table.table_name).positions
     for name, value in values.items():
-        existing = current.get(name)
+        existing = current[positions[name]]
         if existing is None or allow_overwrite:
             if existing != value:
                 assignments.append(
@@ -247,7 +250,7 @@ def _check_link_targets(
     ):
         if (table_name, key) in pending_rows:
             continue
-        if db.get_row_by_pk(table_name, key) is None:
+        if db.row_by_pk(table_name, key) is None:
             raise TranslationError(
                 f"link triple references missing row {table_name}{key}",
                 code=TranslationError.FK_TARGET_MISSING,

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import CatalogError
 from ..sql import ast as sql_ast
 from .expressions import ScopeLayout, compile_expression
-from .types import SQLType
+from .types import Row, SQLType
 
 __all__ = ["Column", "ForeignKey", "Index", "Table", "Schema"]
 
@@ -82,6 +82,11 @@ class Table:
                     f"duplicate column {column.name!r} in table {name!r}"
                 )
             self.columns[column.name] = column
+        #: Column name -> its position in every row of the table.  Fixed
+        #: for the table's life: there is no ALTER TABLE.
+        self.positions: Dict[str, int] = {
+            name: position for position, name in enumerate(self.columns)
+        }
         self.primary_key = tuple(primary_key)
         self.foreign_keys = list(foreign_keys or [])
         self.uniques = [tuple(u) for u in (uniques or [])]
@@ -128,6 +133,19 @@ class Table:
 
     def column_names(self) -> List[str]:
         return list(self.columns)
+
+    def row_from(self, values: Mapping[str, Any]) -> Row:
+        """The row holding ``values`` (column -> value, as the write-ahead
+        log and checkpoints carry it); a column it omits is NULL."""
+        return tuple([values.get(name) for name in self.columns])
+
+    def replaced(self, row: Row, changes: Mapping[str, Any]) -> Row:
+        """``row`` with the columns ``changes`` names set to its values."""
+        new = list(row)
+        positions = self.positions
+        for name, value in changes.items():
+            new[positions[name]] = value
+        return tuple(new)
 
     def has_column(self, name: str) -> bool:
         return name in self.columns

@@ -86,6 +86,7 @@ __all__ = [
     "SYNC_NONE",
     "WAL_HEADER_SIZE",
     "LazyList",
+    "RowImage",
     "encode_payload",
     "decode_payload",
     "iter_wal_frames",
@@ -148,6 +149,11 @@ def _encode_value(value: Any, out: List[bytes]) -> None:
         for key, item in value.items():
             _encode_value(key, out)
             _encode_value(item, out)
+    elif isinstance(value, RowImage):
+        out.append(b"d" + _U32.pack(len(value.row)))
+        for key, item in zip(value.names, value.row):
+            _encode_value(key, out)
+            _encode_value(item, out)
     elif isinstance(value, LazyList):
         out.append(b"l" + _U32.pack(value.count))
         spill = out.spill if isinstance(out, _SpillingPieces) else None
@@ -191,6 +197,21 @@ class LazyList:
     def __init__(self, count: int, items: Iterable[Any]) -> None:
         self.count = count
         self.items = items
+
+
+class RowImage:
+    """A stored row inside a payload: encodes exactly like the dict
+    ``{name: value}`` over its table's column ``names`` and the row
+    tuple, in column order — the row image WAL records and checkpoints
+    carry, which every version of this program reads — without that
+    dict being built.  Decoding yields the dict;
+    :meth:`repro.rdb.catalog.Table.row_from` turns it back into a row."""
+
+    __slots__ = ("names", "row")
+
+    def __init__(self, names: Iterable[str], row: Tuple[Any, ...]) -> None:
+        self.names = names
+        self.row = row
 
 
 #: Encoded pieces (one per scalar, roughly) the checkpoint encoder lets

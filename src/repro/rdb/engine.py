@@ -96,35 +96,38 @@ from ..sql import ast
 from ..sql.parser import parse_statements
 from ..sql.render import render
 from .catalog import Column, ForeignKey, Index, Schema, Table
-from .durability import SYNC_FSYNC, DurabilityManager, LazyList
+from .durability import SYNC_FSYNC, DurabilityManager, LazyList, RowImage
 from .executor import Executor, Result
 from .expressions import evaluate_constant
 from .planner import Planner, StaleSnapshotError
 from .storage import TableData
 from .transactions import DEFERRED, IMMEDIATE, Transaction
-from .types import type_from_name
+from .types import Row, type_from_name
 
 __all__ = ["Database", "DatabaseSnapshot"]
 
 
 def _checkpoint_rows(table_data: TableData) -> LazyList:
-    """One frozen table's ``[rowid, row]`` pairs in row-id order (the
-    order its pages are scanned in), for a checkpoint body — produced as
-    the encoder asks for them, so nothing is allocated per table."""
+    """One frozen table's ``[rowid, row image]`` pairs in row-id order
+    (the order its pages are scanned in), for a checkpoint body —
+    produced as the encoder asks for them, so nothing is allocated per
+    table."""
+    names = table_data.table.columns
     return LazyList(
         len(table_data),
-        ([rowid, row] for rowid, row in table_data.scan()),
+        ([rowid, RowImage(names, row)] for rowid, row in table_data.scan()),
     )
 
 
-def _reinstate(table_data: TableData, rowid: int, row: Dict[str, Any]) -> None:
+def _reinstate(table_data: TableData, rowid: int, row: Row) -> None:
     """Put one logged row back under its own id (checkpoint load, WAL
     replay): the row-id and auto-increment counters move past it."""
     table_data.restore(rowid, row)
     if rowid >= table_data._next_rowid:
         table_data._next_rowid = rowid + 1
+    positions = table_data.table.positions
     for column in table_data._autoincrement_next:
-        value = row.get(column)
+        value = row[positions[column]]
         if value is not None:
             table_data.note_autoincrement_value(column, value)
 
@@ -304,8 +307,9 @@ class Database:
             self.execute(sql)
         for name, payload in body["tables"].items():
             table_data = self.table_data(name)
+            row_from = table_data.table.row_from
             for rowid, row in payload["rows"]:
-                _reinstate(table_data, rowid, row)
+                _reinstate(table_data, rowid, row_from(row))
             table_data._next_rowid = max(
                 table_data._next_rowid, payload["next_rowid"]
             )
@@ -347,8 +351,9 @@ class Database:
                 self.execute(change[1])
             elif kind == "i":
                 table = table_for(change[1])
-                _reinstate(table, change[2], change[3])
-                record("i", table, change[2], change[3])
+                row = table.table.row_from(change[3])
+                _reinstate(table, change[2], row)
+                record("i", table, change[2], row)
             elif kind == "u":
                 table = table_for(change[1])
                 old = table.update(change[2], change[3])
@@ -1222,13 +1227,23 @@ class Database:
     def row_count(self, name: str) -> int:
         return len(self.table_data(name))
 
-    def get_row_by_pk(self, name: str, key: Sequence[Any]) -> Optional[Dict[str, Any]]:
-        """Fetch one row by primary key values; None when absent."""
+    def row_by_pk(self, name: str, key: Sequence[Any]) -> Optional[Row]:
+        """The stored row (a tuple in catalog column order, see
+        :attr:`~repro.rdb.catalog.Table.positions`) with primary key
+        values ``key``; None when absent."""
         table_data = self.table_data(name)
         rowid = table_data.find_by_pk(tuple(key))
         if rowid is None:
             return None
-        return dict(table_data.rows[rowid])
+        return table_data.rows[rowid]
+
+    def get_row_by_pk(self, name: str, key: Sequence[Any]) -> Optional[Dict[str, Any]]:
+        """Fetch one row by primary key values, as a new column -> value
+        dict; None when absent."""
+        row = self.row_by_pk(name, key)
+        if row is None:
+            return None
+        return dict(zip(self.table(name).columns, row))
 
     def __repr__(self) -> str:
         tables = ", ".join(

@@ -30,10 +30,9 @@ from .expressions import evaluate_constant
 from .planner import Planner
 from .storage import TableData
 from .transactions import DEFERRED, Transaction
+from .types import Row
 
 __all__ = ["Result", "Executor"]
-
-Row = Dict[str, Any]
 
 # Label children resolved once: per-statement cost is one sharded add.
 _ROWS_SELECT = EXECUTOR_ROWS.labels("select")
@@ -142,36 +141,34 @@ class Executor:
         self,
         table: Table,
         table_data: TableData,
-        values: Row,
+        values: Dict[str, Any],
         txn: Transaction,
     ) -> int:
-        """Insert one row dict (used by both SQL INSERT and the mediator)."""
+        """Insert one row given as column -> value: the stored row is a
+        new tuple in catalog column order, its values coerced, the
+        columns ``values`` omits filled from AUTOINCREMENT, DEFAULT or
+        NULL."""
         for col in values:
             if not table.has_column(col):
                 raise CatalogError(
                     f"no column {col!r} in table {table.name!r}"
                 )
-        row: Row = {}
+        cells: List[Any] = []
         for column in table.columns.values():
             if column.name in values:
                 value = values[column.name]
-                row[column.name] = (
-                    None
-                    if value is None
-                    else column.sql_type.coerce(value, column.name)
-                )
+                if value is not None:
+                    value = column.sql_type.coerce(value, column.name)
             elif column.autoincrement:
-                row[column.name] = table_data.next_autoincrement(column.name)
+                value = table_data.next_autoincrement(column.name)
             elif column.has_default:
-                row[column.name] = column.sql_type.coerce(
-                    column.default, column.name
-                )
+                value = column.sql_type.coerce(column.default, column.name)
             else:
-                row[column.name] = None
-            if column.autoincrement and row[column.name] is not None:
-                table_data.note_autoincrement_value(
-                    column.name, row[column.name]
-                )
+                value = None
+            if column.autoincrement and value is not None:
+                table_data.note_autoincrement_value(column.name, value)
+            cells.append(value)
+        row = tuple(cells)
 
         self._check_not_null(table, row)
         self._check_row_checks(table, row)
@@ -193,9 +190,8 @@ class Executor:
         count = 0
         for rowid in targets:
             tick(count)
-            current = table_data.rows[rowid]
-            scope = (current,)
-            changes: Row = {}
+            scope = (table_data.rows[rowid],)
+            changes: Dict[str, Any] = {}
             for name, value_fn in plan.assignment_fns:
                 column = table.column(name)
                 value = value_fn(scope, parameters)
@@ -213,19 +209,22 @@ class Executor:
         table: Table,
         table_data: TableData,
         rowid: int,
-        changes: Row,
+        changes: Dict[str, Any],
         txn: Transaction,
     ) -> None:
         current = table_data.rows[rowid]
-        new_row = {**current, **changes}
+        new_row = table.replaced(current, changes)
         self._check_not_null(table, new_row)
         self._check_row_checks(table, new_row)
         self._check_fk_child(table, new_row, txn, changed=set(changes))
         # If a referenced (parent-side) column changes, ensure no child
         # still points at the old value (RESTRICT semantics).
         self._check_fk_parent_update(table, current, new_row, txn)
+        # The journal keeps its own copy of ``changes``: it is the logged
+        # post-image and what undo reverts, whatever the caller does next.
         txn.record(
-            "u", table_data, rowid, changes, table_data.update(rowid, changes)
+            "u", table_data, rowid, dict(changes),
+            table_data.update(rowid, changes),
         )
 
     def delete(
@@ -254,9 +253,9 @@ class Executor:
     # ==================================================================
 
     def _check_not_null(self, table: Table, row: Row) -> None:
-        for column in table.columns.values():
+        for column, value in zip(table.columns.values(), row):
             mandatory = column.not_null or column.name in table.primary_key
-            if mandatory and row.get(column.name) is None:
+            if mandatory and value is None:
                 raise IntegrityError(
                     f"NOT NULL violation: {table.name}.{column.name}",
                     constraint="not null",
@@ -287,7 +286,7 @@ class Executor:
         for fk in table.foreign_keys:
             if changed is not None and not (set(fk.columns) & changed):
                 continue
-            check = self._fk_child_check(table, fk, dict(row))
+            check = self._fk_child_check(table, fk, row)
             if txn.mode == DEFERRED:
                 txn.defer_check(check)
             else:
@@ -297,7 +296,7 @@ class Executor:
         self, table: Table, fk: ForeignKey, row: Row
     ) -> Callable[[], None]:
         def check() -> None:
-            values = tuple(row.get(c) for c in fk.columns)
+            values = tuple([row[table.positions[c]] for c in fk.columns])
             if any(v is None for v in values):
                 return  # NULL FK components never violate
             parent = self.schema.table(fk.ref_table)
@@ -320,7 +319,7 @@ class Executor:
         """RESTRICT: a row being deleted must not be referenced anymore."""
         for child, fk in self.schema.referencing_tables(table.name):
             ref_columns = tuple(fk.ref_columns or table.primary_key)
-            values = tuple(row.get(c) for c in ref_columns)
+            values = tuple([row[table.positions[c]] for c in ref_columns])
             if any(v is None for v in values):
                 continue
             check = self._fk_parent_check(child, fk, ref_columns, values)
@@ -334,8 +333,9 @@ class Executor:
     ) -> None:
         for child, fk in self.schema.referencing_tables(table.name):
             ref_columns = tuple(fk.ref_columns or table.primary_key)
-            old_values = tuple(old_row.get(c) for c in ref_columns)
-            new_values = tuple(new_row.get(c) for c in ref_columns)
+            positions = [table.positions[c] for c in ref_columns]
+            old_values = tuple([old_row[p] for p in positions])
+            new_values = tuple([new_row[p] for p in positions])
             if old_values == new_values or any(v is None for v in old_values):
                 continue
             check = self._fk_parent_check(child, fk, ref_columns, old_values)

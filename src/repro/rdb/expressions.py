@@ -20,13 +20,14 @@ Every expression has two forms:
   x <= hi`` with ``x`` evaluated once;
 * the **truth form** (:meth:`Function.truth`) is truthy exactly when the
   SQL value is TRUE, which is all WHERE / ON / HAVING acceptance asks —
-  it lets ``col = ?`` be ``(t1 := r0['col']) is not None and p0 is not
+  it lets ``col = ?`` be ``(t1 := r0[2]) is not None and p0 is not
   None and t1 == p0`` instead of a three-valued result tested afterwards.
   It never skips an operand the value form would evaluate, so the two
   forms raise the same errors.
 
 What generated source may contain: the text of this module's templates,
-the names ``r<slot>`` (the row dict of a scope slot), ``p<index>`` (a
+the names ``r<slot>`` (the row tuple of a scope slot, read by column
+position: ``r0[2]``), ``p<index>`` (a
 bind parameter, hoisted into a local before any loop), ``k<index>`` and
 helper names (entries of the unit's constants tuple ``K``, hoisted the
 same way), ``t<n>`` (temporaries), and catalog names through ``repr()``.
@@ -53,7 +54,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -62,6 +62,7 @@ from typing import (
 
 from ..errors import DatabaseError
 from ..sql import ast
+from .types import Row
 
 __all__ = [
     "is_true",
@@ -75,10 +76,10 @@ __all__ = [
     "AGGREGATE_FUNCTIONS",
 ]
 
-#: Runtime scope for compiled expressions: one row dict per table binding,
-#: positionally indexed by the compile-time :class:`ScopeLayout`.
-Rows = Tuple[Mapping[str, Any], ...]
-Compiled = Callable[[Rows, Sequence[Any]], Any]
+#: A compiled expression: called with the runtime scope — one row per
+#: table binding, in the slots of its :class:`ScopeLayout` — and the
+#: statement's parameters.
+Compiled = Callable[[Tuple[Row, ...], Sequence[Any]], Any]
 
 
 def is_true(value: Any) -> bool:
@@ -275,8 +276,9 @@ class ScopeLayout:
     """Compile-time shape of the runtime scope tuple.
 
     Maps binding names (table name or alias) to tuple slots and records
-    each binding's column names, so column references resolve — and
-    unknown/ambiguous names fail — once per statement instead of per row.
+    each binding's column names in row order, so a column reference
+    resolves to a (slot, position) pair — and unknown/ambiguous names
+    fail — once per statement instead of per row.
     """
 
     __slots__ = ("slots", "columns")
@@ -293,21 +295,21 @@ class ScopeLayout:
     def __len__(self) -> int:
         return len(self.columns)
 
-    def resolve(self, ref: ast.ColumnRef) -> Tuple[int, str]:
-        """The (slot, column) a reference denotes."""
+    def resolve(self, ref: ast.ColumnRef) -> Tuple[int, int]:
+        """The (slot, column position) a reference denotes."""
         if ref.table is not None:
             slot = self.slots.get(ref.table)
             if slot is None:
                 raise DatabaseError(f"unknown table binding {ref.table!r}")
             if ref.name not in self.columns[slot]:
                 raise DatabaseError(f"unknown column {ref.table}.{ref.name}")
-            return slot, ref.name
+            return slot, self.columns[slot].index(ref.name)
         hits = [i for i, cols in enumerate(self.columns) if ref.name in cols]
         if not hits:
             raise DatabaseError(f"unknown column {ref.name!r}")
         if len(hits) > 1:
             raise DatabaseError(f"ambiguous column reference {ref.name!r}")
-        return hits[0], ref.name
+        return hits[0], self.columns[hits[0]].index(ref.name)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +474,8 @@ class Function:
         if isinstance(expr, ast.Null):
             return "None"
         if isinstance(expr, ast.ColumnRef):
-            slot, name = self.layout.resolve(expr)
-            return f"r{slot}[{name!r}]"
+            slot, position = self.layout.resolve(expr)
+            return f"r{slot}[{position}]"
         if isinstance(expr, ast.Parameter):
             return self.parameter(expr.index)
         if isinstance(expr, ast.BinaryOp):
@@ -695,7 +697,7 @@ def emit_expression(
     per row or per group (ORDER BY and GROUP BY keys, aggregate
     arguments, UPDATE assignments) in its one unit; returns the name.
 
-    ``rows`` is a tuple of row dicts laid out by ``layout``; only the
+    ``rows`` is a tuple of row tuples laid out by ``layout``; only the
     slots the expression reads are touched.
     """
     function = source.function(

@@ -71,8 +71,11 @@ implementation:
   templates pay it during warm-up, while a caller that sends every
   request as a new literal SQL text pays it per text.
 * **Streaming joins** — hash-join build sides consume the storage scan
-  iterator directly (no per-row dict copies); probes extend scope tuples
-  instead of rebuilding dicts.
+  iterator directly; a scope is a tuple of the stored row tuples, and
+  probes extend it rather than copying rows.  Generated code reads a
+  column by its position in the row (``r0[3]``, resolved once per plan
+  by :class:`~repro.rdb.expressions.ScopeLayout`); a LEFT join's null
+  extension is a tuple of ``None`` of the table's width.
 
 Plans are cached per statement *shape* (frozen dataclasses hash) in an
 LRU; DDL invalidates the cache through :meth:`Planner.invalidate`.  The
@@ -130,7 +133,6 @@ from .catalog import Schema
 from .expressions import (
     AGGREGATE_FUNCTIONS,
     Compiled,
-    Rows,
     ScopeLayout,
     Source,
     combine_binary,
@@ -139,7 +141,7 @@ from .expressions import (
     referenced_slots,
 )
 from .storage import UNBOUNDED, TableData
-from .types import DateType, StringType
+from .types import DateType, Row, StringType
 
 __all__ = [
     "Planner",
@@ -147,8 +149,6 @@ __all__ = [
     "CompiledMutation",
     "StaleSnapshotError",
 ]
-
-Row = Dict[str, Any]
 
 _PLAN_CACHE_SIZE = 256
 
@@ -195,7 +195,7 @@ def _column_vs_prior(
     ):
         if (
             isinstance(side, ast.ColumnRef)
-            and layout.resolve(side) == (slot, side.name)
+            and layout.resolve(side)[0] == slot
         ):
             earlier = referenced_slots(other, layout)
             if not earlier or max(earlier) < slot:
@@ -272,7 +272,7 @@ def _match_range_conjunct(
         operand = expr.operand
         if (
             isinstance(operand, ast.ColumnRef)
-            and layout.resolve(operand) == (slot, operand.name)
+            and layout.resolve(operand)[0] == slot
             and not referenced_slots(expr.low, layout)
             and not referenced_slots(expr.high, layout)
         ):
@@ -284,7 +284,7 @@ def _match_range_conjunct(
             isinstance(operand, ast.ColumnRef)
             and isinstance(pattern, ast.Literal)
             and isinstance(pattern.value, str)
-            and layout.resolve(operand) == (slot, operand.name)
+            and layout.resolve(operand)[0] == slot
         ):
             text = pattern.value
             if (
@@ -670,7 +670,7 @@ class _JoinStep:
         table_name: str,
         binding: str,
         kind: str,
-        null_row: Row,
+        width: int,
         *,
         strategy: str,  # 'hash' | 'loop' | 'cross'
         left_keys: Sequence[ast.Expression] = (),
@@ -684,7 +684,8 @@ class _JoinStep:
         self.table_name = table_name
         self.binding = binding
         self.kind = kind
-        self.null_row = null_row
+        #: What a LEFT join emits for the right side nothing matched.
+        self.null_row: Row = (None,) * width
         self.strategy = strategy
         self.left_keys = tuple(left_keys)
         self.right_columns = tuple(right_columns)
@@ -694,7 +695,7 @@ class _JoinStep:
         self.build_left = build_left
         #: The generated ``join<slot>(scopes, data, parameters)``; set by
         #: the owning plan once its source is compiled.
-        self.run: Callable[..., Iterator[Rows]]
+        self.run: Callable[..., Iterator[Tuple[Row, ...]]]
 
     def emit(self, source: Source, layout: ScopeLayout) -> str:
         """Write the generator ``join<slot>(scopes, data, parameters)``.
@@ -724,7 +725,10 @@ class _JoinStep:
             return parts[0] if single else _tuple(parts)
 
         left_key = key_of([fn.value(expr) for expr in self.left_keys])
-        right_key = key_of([f"{row}[{c!r}]" for c in self.right_columns])
+        right_key = key_of([
+            f"{row}[{layout.columns[self.slot].index(c)}]"
+            for c in self.right_columns
+        ])
 
         def bind(*groups: Sequence[ast.Expression]) -> List[str]:
             """Name the earlier slots of ``s`` that ``groups`` read."""
@@ -873,7 +877,7 @@ class _OrderKey:
         self.descending = descending
 
     def key(
-        self, row: Tuple[Any, ...], scope: Rows, parameters: Sequence[Any]
+        self, row: Tuple[Any, ...], scope: Tuple[Row, ...], parameters: Sequence[Any]
     ) -> Any:
         if self.alias_position is not None:
             value = row[self.alias_position]
@@ -913,7 +917,7 @@ def _contains_aggregate(expr: ast.Expression) -> bool:
 
 
 #: An aggregate-aware item evaluator: (group member scopes, parameters) -> value.
-_GroupFn = Callable[[List[Rows], Sequence[Any]], Any]
+_GroupFn = Callable[[List[Tuple[Row, ...]], Sequence[Any]], Any]
 
 
 def _compile_aggregate_call(
@@ -930,7 +934,7 @@ def _compile_aggregate_call(
     name = call.name
     distinct = call.distinct
 
-    def aggregate(members: List[Rows], parameters: Sequence[Any]) -> Any:
+    def aggregate(members: List[Tuple[Row, ...]], parameters: Sequence[Any]) -> Any:
         arg_fn = functions[argument]
         values = [
             v
@@ -980,7 +984,7 @@ def _compile_aggregate_expr(
     plain = emit_expression(source, expr, layout, "plain")
     functions = source.namespace
 
-    def first_member(members: List[Rows], parameters: Sequence[Any]) -> Any:
+    def first_member(members: List[Tuple[Row, ...]], parameters: Sequence[Any]) -> Any:
         if not members:
             return None
         return functions[plain](members[0], parameters)
@@ -1107,11 +1111,11 @@ class CompiledSelect:
         )
         for slot, join in enumerate(stmt.joins, start=1):
             binding, table_name = self._bindings[slot]
-            null_row = dict.fromkeys(schema.table(table_name).column_names())
+            width = len(schema.table(table_name).columns)
             post = [c.expr for c in by_stage.get(slot, [])]
             if join.kind == "CROSS" or join.condition is None:
                 step = _JoinStep(
-                    slot, table_name, binding, "CROSS", null_row,
+                    slot, table_name, binding, "CROSS", width,
                     strategy="cross", post=post,
                 )
             else:
@@ -1119,7 +1123,7 @@ class CompiledSelect:
                     slot, [referenced_slots(join.condition, self.layout)]
                 )
                 step = _JoinStep(
-                    slot, table_name, binding, join.kind, null_row,
+                    slot, table_name, binding, join.kind, width,
                     strategy="loop",
                     on_residual=[join.condition],
                     post=post,
@@ -1265,7 +1269,6 @@ class CompiledSelect:
         * CROSS — like INNER, but nothing becomes a key.
         """
         binding, table_name = self._placement[slot]
-        null_row = dict.fromkeys(schema.table(table_name).column_names())
         left_keys: List[ast.Expression] = []
         right_columns: List[str] = []
         on_residual: List[ast.Expression] = []
@@ -1295,7 +1298,7 @@ class CompiledSelect:
                 left_keys.append(match[1])
         fallback = "loop" if kind == "LEFT" else "cross"
         return _JoinStep(
-            slot, table_name, binding, kind, null_row,
+            slot, table_name, binding, kind, len(schema.table(table_name).columns),
             strategy="hash" if right_columns else fallback,
             left_keys=left_keys,
             right_columns=right_columns,
@@ -1336,8 +1339,8 @@ class CompiledSelect:
             expr = items[alias_positions[expr.name]][0]
         if not isinstance(expr, ast.ColumnRef):
             return
-        slot, column = self.layout.resolve(expr)
-        if slot != 0:
+        column = expr.name
+        if self.layout.resolve(expr)[0] != 0:
             return
         if data[self.base.table_name].ordered_index(column) is None:
             return
@@ -1415,7 +1418,7 @@ class CompiledSelect:
         namespace = source.build()
         #: The generated Python text this plan executes.
         self.source = source.text
-        self._base: Callable[..., Iterator[Rows]] = namespace["base"]
+        self._base: Callable[..., Iterator[Tuple[Row, ...]]] = namespace["base"]
         for step in self.steps:
             step.run = namespace[f"join{step.slot}"]
         self._project: Callable[..., List[Tuple[Any, ...]]] = namespace.get(
@@ -1428,7 +1431,7 @@ class CompiledSelect:
 
     def scopes(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
-    ) -> Iterator[Rows]:
+    ) -> Iterator[Tuple[Row, ...]]:
         # EXPLAIN ANALYZE: one thread-local read per statement when
         # disarmed; armed, every operator's output is wrapped with a
         # timing/row-counting iterator.  Plans are cached and shared
@@ -1531,7 +1534,7 @@ class CompiledSelect:
     def _execute_grouped(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
     ) -> List[Tuple[Any, ...]]:
-        groups: Dict[Tuple[Any, ...], List[Rows]] = {}
+        groups: Dict[Tuple[Any, ...], List[Tuple[Row, ...]]] = {}
         if self.group_fns:
             for scope in self.scopes(data, parameters):
                 key = tuple(

@@ -55,10 +55,12 @@ write copies the pages it touches on first touch (at most ``PAGE_SIZE``
 entries each) and mutates pages it already owns in place, so a version
 that is never cloned (bulk load, write-only loops) never copies.
 Dropping a version frees its directories and the pages it alone holds.
-Row dicts are never mutated after insertion (``update`` replaces the
-dict) and per-value row-id groups (:class:`_RowIds`) are immutable and
-chunked, so a page copy is a copy of pointers and adding one id to a
-10 000-id group copies one chunk and the group's chunk directory.
+Rows are immutable tuples in catalog column order (``update`` stores a
+new tuple; a reader holding a row can never see it change, so nothing
+copies a row to protect it) and per-value row-id groups
+(:class:`_RowIds`) are immutable and chunked, so a page copy is a copy
+of pointers and adding one id to a 10 000-id group copies one chunk and
+the group's chunk directory.
 
 The engine publishes the pre-clone object inside an immutable snapshot
 for lock-free readers and hands the clone to the writer: once a
@@ -79,10 +81,9 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import DatabaseError, IntegrityError
 from .catalog import Table
+from .types import Row
 
 __all__ = ["TableData"]
-
-Row = Dict[str, Any]
 
 #: Entries per page: the unit of sharing between table versions.  A clone
 #: copies rows/PAGE_SIZE directory pointers per structure, a write copies
@@ -158,8 +159,8 @@ _NO_ROWS.owner = None
 
 
 class _RowPages(_Pages):
-    """Row id -> row dict; page ``n`` holds the ids ``n << PAGE_BITS`` up
-    to the next page's first, in ascending order.
+    """Row id -> row tuple; page ``n`` holds the ids ``n << PAGE_BITS``
+    up to the next page's first, in ascending order.
 
     Iteration chains the pages, so scan order is row-id order — the
     invariant ordered-index tie emission relies on.  The mapping surface
@@ -626,7 +627,8 @@ def _ordered_key(value: Any) -> Tuple[int, Any]:
 
 class _Index:
     """The one kind of index: ``entries`` hashes the key of ``columns``
-    (:meth:`key_for`) to the rows holding it.
+    (:meth:`key_for`, which reads the columns' positions in the row) to
+    the rows holding it.
 
     *Unique* (``label`` names the constraint) — an entry is the one row
     id; a second row with the key is an :class:`IntegrityError`.
@@ -648,13 +650,16 @@ class _Index:
     where ORDER BY puts them (first ascending, last descending).
     """
 
-    __slots__ = ("table", "columns", "label", "entries", "keys", "nulls")
+    __slots__ = ("table", "columns", "read", "label", "entries", "keys", "nulls")
 
     def __init__(
-        self, table: str, columns: Tuple[str, ...], label: Optional[str], ordered: bool
+        self, table: Table, columns: Tuple[str, ...], label: Optional[str], ordered: bool
     ) -> None:
-        self.table = table
+        self.table = table.name
         self.columns = columns
+        #: The row's key: ``itemgetter`` over the columns' positions
+        #: returns the value itself for one, the tuple for several.
+        self.read = itemgetter(*[table.positions[column] for column in columns])
         self.label = label  # 'primary key' | 'unique' | 'unique index' | None
         self.entries = _HashPages()
         self.keys = _SortedPages() if ordered else None
@@ -664,6 +669,7 @@ class _Index:
         twin = _Index.__new__(_Index)
         twin.table = self.table
         twin.columns = self.columns
+        twin.read = self.read
         twin.label = self.label
         twin.entries = self.entries.clone()
         twin.keys = None if self.keys is None else self.keys.clone()
@@ -673,15 +679,14 @@ class _Index:
     def key_for(self, row: Row) -> Any:
         """The row's key — the value itself for one column, the tuple of
         values for several — or None when any component is NULL."""
-        columns = self.columns
-        if len(columns) == 1:  # most keys: no loop, no tuple
-            return row.get(columns[0])
-        key = tuple([row.get(col) for col in columns])
-        return None if None in key else key
+        key = self.read(row)
+        if len(self.columns) > 1 and None in key:
+            return None
+        return key
 
     def insert(self, row: Row, rowid: int) -> None:
         columns = self.columns  # key_for, minus a call per row and index
-        key = row.get(columns[0]) if len(columns) == 1 else self.key_for(row)
+        key = self.read(row) if len(columns) == 1 else self.key_for(row)
         keys = self.keys
         if key is None:
             if keys is not None:
@@ -804,7 +809,7 @@ class TableData:
 
     def __init__(self, table: Table) -> None:
         self.table = table
-        #: Row id -> row dict, iterated in ascending row-id order.
+        #: Row id -> row tuple, iterated in ascending row-id order.
         self.rows = _RowPages()
         #: True once any *consumed* snapshot references this object — a
         #: reader may be iterating it, so a writer must clone instead of
@@ -878,7 +883,7 @@ class TableData:
                 or index.label != label
                 or (index.keys is not None) != ordered
             ):
-                index = _Index(self.table.name, columns, label, ordered)
+                index = _Index(self.table, columns, label, ordered)
                 for rowid, row in self.rows.items():
                     index.insert(row, rowid)
             indexes[columns] = index
@@ -899,6 +904,8 @@ class TableData:
         return sum(pages.copied for pages in self.containers())
 
     def insert(self, row: Row) -> int:
+        """Store ``row`` (a tuple in catalog column order) under a new row
+        id, which is returned; a uniqueness violation stores nothing."""
         rowid = self._next_rowid
         self._next_rowid = rowid + 1
         indexes = self.indexes.values()
@@ -912,7 +919,7 @@ class TableData:
             for index in indexes:
                 index.remove(row, rowid)
             raise
-        self.rows[rowid] = dict(row)
+        self.rows[rowid] = row
         return rowid
 
     def delete(self, rowid: int) -> Row:
@@ -921,15 +928,16 @@ class TableData:
             index.remove(row, rowid)
         return row
 
-    def update(self, rowid: int, changes: Row) -> Row:
-        """Apply ``changes`` to the row; returns the previous image.
+    def update(self, rowid: int, changes: Dict[str, Any]) -> Row:
+        """Store the row with ``changes`` (column -> new value) applied as
+        a new tuple; returns the previous one.
 
         Only indexes over a changed column are touched (an index whose
         columns keep their values would get its entry removed and put
         back), so the pages of the others stay shared.
         """
         old = self.rows[rowid]
-        new = {**old, **changes}
+        new = self.table.replaced(old, changes)
         changed = changes.keys()
         touched = [
             index
@@ -961,26 +969,16 @@ class TableData:
         """
         for index in self.indexes.values():
             index.insert(row, rowid)
-        self.rows.reinstate(rowid, dict(row))
+        self.rows.reinstate(rowid, row)
 
     # -- lookups (none builds an index, none falls back to a scan) ---------------
 
     def scan(self) -> Iterator[Tuple[int, Row]]:
         """Yield live (rowid, row) pairs in ascending row-id order,
-        zero-copy.
-
-        The rows are the stored dicts themselves — callers must not mutate
-        them, and callers that mutate the *table* while iterating must use
-        :meth:`snapshot` instead.
-        """
+        zero-copy: the rows are the stored tuples themselves.  A caller
+        that mutates the *table* while iterating must materialize the
+        pairs first."""
         return self.rows.items()
-
-    def snapshot(self) -> List[Tuple[int, Row]]:
-        """Materialized (rowid, row) list, safe to hold across mutations.
-
-        Row dicts are still the live ones; only the iteration is detached.
-        """
-        return list(self.scan())
 
     # Callers hold one value per column — the planner's key expressions,
     # a foreign key's values — so ``key`` is a tuple here whatever the

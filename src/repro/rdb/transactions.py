@@ -16,7 +16,9 @@ the durability layer appends to the write-ahead log (see
 :mod:`repro.rdb.durability`) — only when a ``data_dir`` is configured,
 so in-memory databases build no record.  Records are tuples:
 
-* ``("i", table, rowid, row)`` — inserted row image
+* ``("i", table, rowid, row)`` — inserted row image, as column -> value
+  pairs in catalog order (:class:`~repro.rdb.durability.RowImage` writes
+  them from the stored tuple)
 * ``("u", table, rowid, changes)`` — updated columns (post-image)
 * ``("d", table, rowid)`` — deleted row
 * ``("x", sql)`` — a DDL statement (kept even through rollback: DDL is
@@ -31,6 +33,7 @@ import threading
 from typing import Any, Callable, List, Tuple
 
 from ..errors import TransactionError
+from .durability import RowImage
 
 __all__ = ["Transaction", "IMMEDIATE", "DEFERRED"]
 
@@ -43,8 +46,9 @@ DeferredCheck = Callable[[], None]
 class _Entry:
     """One journaled change: ``table`` is the mutated
     :class:`~repro.rdb.storage.TableData` version, ``image`` what the
-    record carries (row, changed columns, DDL text, provenance) and
-    ``prior`` what undo puts back (the old row of an update or delete)."""
+    record carries (inserted row tuple, changed columns, DDL text,
+    provenance) and ``prior`` what undo puts back (the old row tuple of
+    an update or delete)."""
 
     __slots__ = ("kind", "table", "rowid", "image", "prior")
 
@@ -58,7 +62,10 @@ class _Entry:
         if self.kind == "i":
             self.table.delete(self.rowid)
         elif self.kind == "u":
-            self.table.update(self.rowid, {c: self.prior[c] for c in self.image})
+            positions = self.table.table.positions
+            self.table.update(
+                self.rowid, {c: self.prior[positions[c]] for c in self.image}
+            )
         elif self.kind == "d":
             self.table.restore(self.rowid, self.prior)
 
@@ -67,9 +74,12 @@ class _Entry:
             return ("x", self.image)
         if self.kind == "p":
             return ("p", *self.image)
+        table = self.table.table
         if self.kind == "d":
-            return ("d", self.table.table.name, self.rowid)
-        return (self.kind, self.table.table.name, self.rowid, self.image)
+            return ("d", table.name, self.rowid)
+        if self.kind == "i":
+            return ("i", table.name, self.rowid, RowImage(table.columns, self.image))
+        return ("u", table.name, self.rowid, self.image)
 
 
 class Transaction:

@@ -11,11 +11,12 @@ lexical level) into typed columns — e.g. Listing 15 inserts
 from __future__ import annotations
 
 import re
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from ..errors import TypeMismatchError
 
 __all__ = [
+    "Row",
     "SQLType",
     "IntegerType",
     "FloatType",
@@ -29,6 +30,10 @@ __all__ = [
     "TEXT",
     "DATE",
 ]
+
+#: A stored row: one coerced value (None for NULL) per column of its
+#: table, in catalog column order (:attr:`repro.rdb.catalog.Table.positions`).
+Row = Tuple[Any, ...]
 
 
 class SQLType:

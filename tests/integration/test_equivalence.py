@@ -32,6 +32,7 @@ from repro.workloads.operations import (
     insert_team_op,
     modify_email_op,
 )
+from tests.rdb.test_storage import named_rows
 
 
 def make_pair(populate: bool = False):
@@ -399,7 +400,7 @@ def test_random_sequences_all_tables_consistent(ops):
     db = oa.db
     for table in db.schema.tables():
         data = db.table_data(table.name)
-        for _, row in data.scan():
+        for _, row in named_rows(data):
             for fk in table.foreign_keys:
                 value = row.get(fk.columns[0])
                 if value is not None:

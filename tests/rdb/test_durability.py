@@ -45,6 +45,7 @@ from repro.rdb.durability import (
 )
 from repro.replication.shipper import LogShipper
 from repro.workloads.publication import PUBLICATION_DDL, build_mapping
+from tests.rdb.test_storage import named, named_rows
 
 DDL = (
     "CREATE TABLE t (id INTEGER PRIMARY KEY, name VARCHAR(40), n INTEGER)"
@@ -78,7 +79,7 @@ def _state(db):
     return {
         name: sorted(
             tuple(sorted(row.items()))
-            for _, row in db.table_data(name).scan()
+            for _, row in named_rows(db.table_data(name))
         )
         for name in db.schema.table_names()
     }
@@ -866,7 +867,7 @@ class TestStreamedCheckpoint:
                     "next_rowid": table_data._next_rowid,
                     "autoincrement": dict(table_data._autoincrement_next),
                     "rows": [
-                        [rowid, row]
+                        [rowid, named(table_data, row)]
                         for rowid, row in sorted(table_data.rows.items())
                     ],
                 }

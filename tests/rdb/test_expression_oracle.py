@@ -273,6 +273,12 @@ def _compile_truth(expr):
     return source.build()[name], source.text
 
 
+def _stored(rows):
+    """The reference's rows (column -> value, in layout order) as the
+    generated code reads them: tuples by column position."""
+    return tuple(tuple(row.values()) for row in rows)
+
+
 def _outcome(fn, *args):
     try:
         return ("value", fn(*args))
@@ -297,10 +303,11 @@ def test_emitted_forms_match_the_reference_interpreter():
         expr = _tree(rng, rng.randint(1, 4), parameters)
         _kinds(expr, seen)
 
+        stored = _stored(rows)
         expected = _outcome(reference, expr, rows, parameters)
-        value = _outcome(compile_expression(expr, LAYOUT), rows, parameters)
+        value = _outcome(compile_expression(expr, LAYOUT), stored, parameters)
         accepts, text = _compile_truth(expr)
-        truth = _outcome(accepts, rows, parameters)
+        truth = _outcome(accepts, stored, parameters)
         constant = _outcome(evaluate_constant, _inlined(expr, rows), parameters)
         context = f"tree {number}: {expr}\nrows={rows} parameters={parameters}\n{text}"
 
@@ -358,6 +365,7 @@ def test_between_with_a_null_bound(value, low, high, negated, expected):
     )
     rows = ({"a": value, "b": None, "c": None}, {"x": None, "y": None})
     assert reference(expr, rows, [low, high]) is expected
-    assert compile_expression(expr, LAYOUT)(rows, [low, high]) is expected
+    stored = _stored(rows)
+    assert compile_expression(expr, LAYOUT)(stored, [low, high]) is expected
     accepts, _ = _compile_truth(expr)
-    assert bool(accepts(rows, [low, high])) == (expected is True)
+    assert bool(accepts(stored, [low, high])) == (expected is True)

@@ -72,8 +72,9 @@ class TestSource:
         text = plan.source
         for name in ("def base(", "def join1(", "def project("):
             assert text.count(name) == 1
-        # the predicates are inlined, in written order, parameters hoisted
-        assert text.index("r0['a']") < text.index("r0['s']")
+        # the predicates are inlined, in written order, parameters hoisted;
+        # a column is read by its position in the row (t: id, a, s, ...)
+        assert text.index("r0[1]") < text.index("r0[2]")
         assert "p0 = parameter(parameters, 0)" in text
         assert "for fn in" not in text
 
@@ -117,7 +118,7 @@ class TestSource:
         assert "cannot compare int with str" in text
         assert 'generated-plan-' in text and ", in base" in text
         # the failing conjunct's own line, not a placeholder
-        assert "if ((t1 := r0['a']) is not None and" in text
+        assert "if ((t1 := r0[1]) is not None and" in text
 
     def test_source_dies_with_its_plan(self, db):
         plan = plan_of(db, "SELECT id FROM t WHERE a = 5")

@@ -15,6 +15,7 @@ from repro.rdb.storage import TableData
 from repro.sql import ast
 from repro.sql.parser import parse_sql
 from repro.sql.render import render
+from tests.rdb.test_storage import named_rows
 
 
 @pytest.fixture
@@ -298,7 +299,8 @@ class TestStatisticsMaintenance:
         data = db.table_data("item")
 
         def recount():
-            return len({row["v"] for row in data.rows.values() if row["v"] is not None})
+            values = [row["v"] for _, row in named_rows(data)]
+            return len({v for v in values if v is not None})
 
         db.execute("DELETE FROM item WHERE v = 3")
         assert data.distinct_count("v") == recount()

@@ -23,6 +23,7 @@ import pytest
 
 from repro.errors import TransactionError
 from repro.rdb import Database
+from tests.rdb.test_storage import named, named_rows
 
 WAIT = 10  # seconds; generous so slow CI never turns a sync into a hang
 
@@ -135,7 +136,7 @@ class TestSnapshotVisibility:
         db.execute("UPDATE account SET balance = 0 WHERE id = 1")
         snap = db.snapshot()
         frozen = snap.tables["account"]
-        assert frozen.rows[frozen.find_by_pk((1,))]["balance"] == 100
+        assert named(frozen, frozen.rows[frozen.find_by_pk((1,))])["balance"] == 100
         db.rollback()
 
     def test_cold_snapshot_inside_own_transaction_is_pre_transaction(self):
@@ -269,8 +270,8 @@ class TestCopyOnWrite:
         db.execute("DELETE FROM account WHERE id = 2")
         # The snapshot still answers with the old state...
         assert len(frozen) == 2
-        assert frozen.rows[frozen.find_by_pk((1,))]["balance"] == 100
-        assert {row["balance"] for _, row in frozen.scan()} == {100, 200}
+        assert named(frozen, frozen.rows[frozen.find_by_pk((1,))])["balance"] == 100
+        assert {row["balance"] for _, row in named_rows(frozen)} == {100, 200}
         # ...while the working store moved on (a clone, not the same object).
         assert db.data["account"] is not frozen
         assert run_in_thread(lambda: balances(db)) == {1: 0, 3: 5}
@@ -297,8 +298,8 @@ class TestCopyOnWrite:
         # rows, primary key, balance hash + keys: the write replaced one
         # row page and nothing else
         assert replaced == [1, 0, 0, 0]
-        assert frozen.rows[frozen.find_by_pk((1000,))]["owner"] == "o1000"
-        assert working.rows[working.find_by_pk((1000,))]["owner"] == "z"
+        assert named(frozen, frozen.rows[frozen.find_by_pk((1000,))])["owner"] == "o1000"
+        assert named(working, working.rows[working.find_by_pk((1000,))])["owner"] == "z"
 
     def test_unconsumed_snapshots_are_discarded_not_cloned(self, db):
         """Write-only phases mutate in place: publication alone (with no
@@ -330,7 +331,7 @@ class TestCopyOnWrite:
         # same account object — it must be cloned, not mutated in place.
         db.execute("INSERT INTO account (id, owner, balance) VALUES (3, 'c', 3)")
         assert len(frozen_account) == 2
-        assert {row["owner"] for _, row in frozen_account.scan()} == {"a", "b"}
+        assert {row["owner"] for _, row in named_rows(frozen_account)} == {"a", "b"}
         assert db.data["account"] is not frozen_account
         assert run_in_thread(lambda: db.row_count("account")) == 3
 

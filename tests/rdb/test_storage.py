@@ -1,4 +1,8 @@
-"""Unit tests for the row store and its indexes."""
+"""Unit tests for the row store and its indexes.
+
+Rows are stored as tuples in catalog column order; the oracles below
+keep theirs as column -> value dicts and compare through :func:`named`.
+"""
 
 import copy
 import itertools
@@ -7,8 +11,9 @@ import random
 import pytest
 
 from repro.errors import CatalogError, IntegrityError
-from repro.rdb.catalog import Column, ForeignKey, Table
+from repro.rdb.catalog import Column, ForeignKey, Schema, Table
 from repro.rdb.engine import Database
+from repro.rdb.executor import Executor
 from repro.rdb.storage import (
     _IDS_CHUNK,
     PAGE_SIZE,
@@ -16,7 +21,26 @@ from repro.rdb.storage import (
     _RowIds,
     _ordered_key,
 )
+from repro.rdb.transactions import Transaction
 from repro.rdb.types import INTEGER, TEXT
+
+
+def named(data, row):
+    """A stored row of ``data``'s table as column -> value."""
+    return dict(zip(data.table.columns, row))
+
+
+def named_rows(data):
+    """``data.scan()`` with each row as column -> value."""
+    return [(rowid, named(data, row)) for rowid, row in data.scan()]
+
+
+def assert_rows_are_tuples(tables):
+    """Every stored row of every table is a tuple of the table's width."""
+    for data in tables.values():
+        width = len(data.table.columns)
+        for _, row in data.scan():
+            assert type(row) is tuple and len(row) == width, (data.table.name, row)
 
 
 def make_table():
@@ -40,35 +64,35 @@ def data():
 
 class TestInsert:
     def test_insert_and_scan(self, data):
-        data.insert({"id": 1, "name": "a", "team": None})
-        data.insert({"id": 2, "name": "b", "team": 5})
+        data.insert((1, "a", None))
+        data.insert((2, "b", 5))
         assert len(data) == 2
-        assert [row["id"] for _, row in data.scan()] == [1, 2]
+        assert list(data.scan()) == [(1, (1, "a", None)), (2, (2, "b", 5))]
 
     def test_pk_index(self, data):
-        rowid = data.insert({"id": 7, "name": "x", "team": None})
+        rowid = data.insert((7, "x", None))
         assert data.find_by_pk((7,)) == rowid
         assert data.find_by_pk((8,)) is None
 
     def test_duplicate_pk_rejected(self, data):
-        data.insert({"id": 1, "name": "a", "team": None})
+        data.insert((1, "a", None))
         with pytest.raises(IntegrityError, match="primary key"):
-            data.insert({"id": 1, "name": "b", "team": None})
+            data.insert((1, "b", None))
 
     def test_duplicate_unique_rejected(self, data):
-        data.insert({"id": 1, "name": "same", "team": None})
+        data.insert((1, "same", None))
         with pytest.raises(IntegrityError, match="unique"):
-            data.insert({"id": 2, "name": "same", "team": None})
+            data.insert((2, "same", None))
 
     def test_null_unique_values_never_collide(self, data):
-        data.insert({"id": 1, "name": None, "team": None})
-        data.insert({"id": 2, "name": None, "team": None})  # no error
+        data.insert((1, None, None))
+        data.insert((2, None, None))  # no error
         assert len(data) == 2
 
     def test_secondary_index_on_fk(self, data):
-        data.insert({"id": 1, "name": "a", "team": 5})
-        data.insert({"id": 2, "name": "b", "team": 5})
-        data.insert({"id": 3, "name": "c", "team": 6})
+        data.insert((1, "a", 5))
+        data.insert((2, "b", 5))
+        data.insert((3, "c", 6))
         assert len(data.probe(("team",), (5,))) == 2
         assert data.has_key(("team",), (6,))
         assert not data.has_key(("team",), (7,))
@@ -76,42 +100,43 @@ class TestInsert:
 
 class TestUpdate:
     def test_update_moves_indexes(self, data):
-        rowid = data.insert({"id": 1, "name": "a", "team": 5})
+        rowid = data.insert((1, "a", 5))
         data.update(rowid, {"team": 6})
         assert not data.has_key(("team",), (5,))
         assert data.has_key(("team",), (6,))
 
     def test_update_pk(self, data):
-        rowid = data.insert({"id": 1, "name": "a", "team": None})
+        rowid = data.insert((1, "a", None))
         data.update(rowid, {"id": 9})
         assert data.find_by_pk((9,)) == rowid
         assert data.find_by_pk((1,)) is None
 
     def test_update_unique_violation_restores_state(self, data):
-        data.insert({"id": 1, "name": "a", "team": None})
-        rowid = data.insert({"id": 2, "name": "b", "team": None})
+        data.insert((1, "a", None))
+        rowid = data.insert((2, "b", None))
         with pytest.raises(IntegrityError):
             data.update(rowid, {"name": "a"})
         # indexes unchanged: the old name is still findable
-        assert data.rows[rowid]["name"] == "b"
+        assert data.rows[rowid] == (2, "b", None)
         assert data.probe(("name",), ("b",)) == (rowid,)
 
     def test_update_returns_old_image(self, data):
-        rowid = data.insert({"id": 1, "name": "a", "team": None})
+        rowid = data.insert((1, "a", None))
         old = data.update(rowid, {"name": "z"})
-        assert old["name"] == "a"
+        assert old == (1, "a", None)
+        assert data.rows[rowid] == (1, "z", None)
 
 
 class TestDeleteRestore:
     def test_delete_clears_indexes(self, data):
-        rowid = data.insert({"id": 1, "name": "a", "team": 5})
+        rowid = data.insert((1, "a", 5))
         data.delete(rowid)
         assert len(data) == 0
         assert data.find_by_pk((1,)) is None
         assert not data.has_key(("team",), (5,))
 
     def test_restore_reinstates_everything(self, data):
-        rowid = data.insert({"id": 1, "name": "a", "team": 5})
+        rowid = data.insert((1, "a", 5))
         image = data.delete(rowid)
         data.restore(rowid, image)
         assert data.find_by_pk((1,)) == rowid
@@ -225,11 +250,12 @@ def index_kinds(data):
 
 def assert_matches(data, oracle, rng):
     rows = oracle.rows
-    assert list(data.scan()) == [(r, rows[r]) for r in sorted(rows)]
+    assert named_rows(data) == [(r, rows[r]) for r in sorted(rows)]
+    assert_rows_are_tuples({data.table.name: data})
     assert len(data) == data.row_count() == len(rows)
     assert list(data.rows) == sorted(rows)
     for rowid in rows:
-        assert data.rows[rowid] == rows[rowid]
+        assert named(data, data.rows[rowid]) == rows[rowid]
     assert data.rows.get(max(rows, default=0) + 1000) is None
 
     # one structure per column tuple, in the order duplicates are reported
@@ -350,10 +376,10 @@ class TestVersionsAgainstOracle:
             if oracle.collides(row):
                 before = head._next_rowid
                 with pytest.raises(IntegrityError):
-                    head.insert(row)
+                    head.insert(head.table.row_from(row))
                 assert head._next_rowid == before + 1
             else:
-                oracle.rows[head.insert(row)] = row
+                oracle.rows[head.insert(head.table.row_from(row))] = row
 
         def update():
             rowid = rng.choice(list(oracle.rows))
@@ -369,19 +395,19 @@ class TestVersionsAgainstOracle:
                 with pytest.raises(IntegrityError):
                     head.update(rowid, changes)
             else:
-                assert head.update(rowid, changes) == oracle.rows[rowid]
+                assert named(head, head.update(rowid, changes)) == oracle.rows[rowid]
                 oracle.rows[rowid] = new
 
         def delete():
             rowid = rng.choice(list(oracle.rows))
-            assert head.delete(rowid) == oracle.rows[rowid]
+            assert named(head, head.delete(rowid)) == oracle.rows[rowid]
             graveyard.append((rowid, oracle.rows.pop(rowid)))
 
         def restore():
             if graveyard:
                 rowid, row = graveyard.pop()
                 if not oracle.collides(row):
-                    head.restore(rowid, row)
+                    head.restore(rowid, head.table.row_from(row))
                     oracle.rows[rowid] = row
 
         def index_ddl():
@@ -428,7 +454,7 @@ class TestVersionsAgainstOracle:
         rebuilds one chunk; every other chunk is the same object."""
         data = TableData(make_table())
         for key in range(1, 20_001):
-            data.insert({"id": key, "name": None, "team": 7})
+            data.insert((key, None, 7))
         before = data.probe(("team",), (7,))
         assert isinstance(before, _RowIds) and len(before) == 20_000
         assert all(len(chunk) <= _IDS_CHUNK for chunk in before.chunks)
@@ -461,7 +487,7 @@ class TestCopiedEntries:
     def loaded(rows, team_of):
         data = TableData(make_table())
         for key in range(1, rows + 1):
-            data.insert({"id": key, "name": None, "team": team_of(key)})
+            data.insert((key, None, team_of(key)))
         assert data.copied_entries() == 0  # a bulk load never copies
         return data
 
@@ -472,7 +498,7 @@ class TestCopiedEntries:
         target = PAGE_SIZE + 5  # second row page: full at every size
         results = []
         for write in (
-            lambda data: data.insert({"id": rows + 1, "name": None, "team": 3}),
+            lambda data: data.insert((rows + 1, None, 3)),
             lambda data: data.update(target, {"name": "renamed"}),
             lambda data: data.delete(target),
         ):
@@ -480,7 +506,7 @@ class TestCopiedEntries:
             assert working.copied_entries() == 0 and changed_pages(frozen, working) == [0] * 4
             write(working)
             results.append((changed_pages(frozen, working), working.copied_entries()))
-        assert len(frozen) == rows and frozen.rows[target]["name"] is None
+        assert len(frozen) == rows and frozen.rows[target] == (target, None, team_of(target))
         return results
 
     def test_one_write_after_clone_costs_the_same_at_1k_and_100k_rows(self):
@@ -581,7 +607,7 @@ def assert_follows_catalog(tables, schema, model, rng):
     assert set(tables) == set(schema.table_names())
     for name, data in tables.items():
         oracle = Oracle(required_from_catalog(schema, name))
-        oracle.rows = {rowid: row for rowid, row in data.scan()}
+        oracle.rows = dict(named_rows(data))
         assert sorted(oracle.rows.values(), key=lambda row: row["id"]) == [
             model[name][key] for key in sorted(model[name])
         ]
@@ -697,10 +723,10 @@ class TestIndexSetFollowsCatalog:
                     assert len(now) == len(containers[name])
                     assert all(a is b for a, b in zip(now, containers[name]))
                     assert sorted(
-                        (row for _, row in data.scan()), key=lambda row: row["id"]
+                        (row for _, row in named_rows(data)), key=lambda row: row["id"]
                     ) == [rows[name][key] for key in sorted(rows[name])]
                     oracle = Oracle(required[name])
-                    oracle.rows = dict(data.scan())
+                    oracle.rows = dict(named_rows(data))
                     assert_matches(data, oracle, rng)
         assert len(model) > 1 or model["parent"]
 
@@ -739,3 +765,101 @@ class TestIndexSetFollowsCatalog:
             assert kinds.get(("x",), (None, False))[1] == bool(left & {"i_x", "i_x2"})
             assert (("x", "y") in kinds) == bool(left & {"i_xy", "i_xy2", "c_xy"})
         assert index_kinds(db.table_data("parent")) == own
+
+
+# ---------------------------------------------------------------------------
+# rows are immutable tuples: nothing a caller holds aliases the store
+# ---------------------------------------------------------------------------
+
+class TestRowsAreTuples:
+    def make(self):
+        table = Table(
+            name="t",
+            columns=[Column("id", INTEGER), Column("name", TEXT), Column("n", INTEGER)],
+            primary_key=("id",),
+            uniques=[("name",)],
+        )
+        schema = Schema()
+        schema.add(table)
+        data = {"t": TableData(table)}
+        return table, data, Executor(schema, data)
+
+    def test_mutating_what_a_caller_passed_or_got_leaves_the_store(self):
+        table, data, executor = self.make()
+        txn = Transaction()
+        values = {"id": 1, "name": "a", "n": 1}
+        rowid = executor.insert_row(table, data["t"], values, txn)
+        values.update(id=9, name="changed", n=None)
+        assert data["t"].rows[rowid] == (1, "a", 1)
+        changes = {"name": "b"}
+        executor.update_row(table, data["t"], rowid, changes, txn)
+        changes["name"] = "changed again"
+        changes["n"] = 5
+        assert data["t"].rows[rowid] == (1, "b", 1)
+        assert data["t"].probe(("name",), ("b",)) == (rowid,)
+        assert txn.wal_record()[1][3] == {"name": "b"}  # the logged post-image
+
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT UNIQUE, n INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 'a', 1)")
+        got = db.get_row_by_pk("t", (1,))
+        assert got == {"id": 1, "name": "a", "n": 1}
+        got["name"] = "changed"
+        assert db.get_row_by_pk("t", (1,)) == {"id": 1, "name": "a", "n": 1}
+        assert db.row_by_pk("t", (1,)) == (1, "a", 1)
+        assert db.query("SELECT name FROM t WHERE name = 'a'").rows == [("a",)]
+
+    def test_an_update_stores_a_new_tuple_and_returns_the_old_one(self):
+        table, data, _ = self.make()
+        rowid = data["t"].insert((1, "a", 1))
+        before = data["t"].rows[rowid]
+        assert data["t"].update(rowid, {"n": 2}) is before
+        assert before == (1, "a", 1) and data["t"].rows[rowid] == (1, "a", 2)
+
+    def test_rows_from_every_path_are_tuples_of_the_tables_width(self, tmp_path):
+        """Rows stored by DML, restored by undo, loaded from a checkpoint,
+        replayed from the WAL and applied on a replica."""
+        ddl = (
+            "CREATE TABLE p (id INTEGER PRIMARY KEY, a TEXT, b REAL);"
+            "CREATE TABLE c (id INTEGER PRIMARY KEY AUTOINCREMENT, "
+            "p INTEGER REFERENCES p(id), flag BOOLEAN);"
+        )
+        db = Database(data_dir=str(tmp_path / "primary"), sync_mode="os")
+        db.execute_script(ddl)
+        db.execute_script(
+            "INSERT INTO p VALUES (1, 'x', 0.5); INSERT INTO p (id) VALUES (2);"
+            "INSERT INTO c (p, flag) VALUES (1, TRUE);"
+            "INSERT INTO c (p) VALUES (2);"
+        )
+        db.begin()
+        db.execute("UPDATE p SET a = 'y' WHERE id = 1")
+        db.execute("DELETE FROM c WHERE id = 1")
+        db.execute("INSERT INTO p VALUES (3, 'z', 1.0)")
+        db.rollback()  # undo of an update, a delete and an insert
+        assert_rows_are_tuples(db.data)
+        assert [row for _, row in db.table_data("c").scan()] == [(1, 1, True), (2, 2, None)]
+        db.checkpoint()
+        db.execute("UPDATE p SET b = 2.5 WHERE id = 2")
+        db.execute("INSERT INTO c (p, flag) VALUES (2, FALSE)")
+        expected = {name: list(data.scan()) for name, data in db.data.items()}
+        db.close()
+
+        recovered = Database(data_dir=str(tmp_path / "primary"))  # checkpoint + WAL
+        try:
+            assert_rows_are_tuples(recovered.data)
+            assert {name: list(data.scan()) for name, data in recovered.data.items()} == expected
+            recovered.execute("INSERT INTO c (p) VALUES (1)")  # counters moved past
+            assert recovered.row_by_pk("c", (4,)) == (4, 1, None)
+        finally:
+            recovered.close()
+
+        replica = Database()
+        replica.read_only = True
+        replica.apply_replicated([("x", ddl.split(";")[0]), ("x", ddl.split(";")[1])])
+        replica.apply_replicated([
+            ("i", "p", 1, {"id": 1, "a": "x", "b": 0.5}),
+            ("i", "p", 2, {"b": None, "id": 2}),  # order and gaps are the log's
+            ("u", "p", 1, {"a": "w"}),
+        ])
+        assert_rows_are_tuples(replica.data)
+        assert list(replica.table_data("p").scan()) == [(1, (1, "w", 0.5)), (2, (2, None, None))]

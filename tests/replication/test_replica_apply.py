@@ -23,6 +23,7 @@ from repro.rdb import Database
 from repro.rdb.durability import decode_payload, iter_wal_frames
 from repro.rdb.storage import TableData
 from repro.replication import LogShipper, Replica
+from tests.rdb.test_storage import named_rows
 
 
 @pytest.fixture(autouse=True)
@@ -95,8 +96,8 @@ class TestApplyReplicated:
         # the delete before the failure is undone: working store,
         # published snapshot and the held snapshot all read 1, 2, 3
         assert _ids(db) == [1, 2, 3]
-        assert [row["id"] for _, row in db.table_data("kv").scan()] == [1, 2, 3]
-        assert [row["id"] for _, row in published.tables["kv"].scan()] == [
+        assert [row["id"] for _, row in named_rows(db.table_data("kv"))] == [1, 2, 3]
+        assert [row["id"] for _, row in named_rows(published.tables["kv"])] == [
             1, 2, 3,
         ]
         assert db.replicated_position == seeded
