@@ -137,7 +137,7 @@ class Table:
     def row_from(self, values: Mapping[str, Any]) -> Row:
         """The row holding ``values`` (column -> value, as the write-ahead
         log and checkpoints carry it); a column it omits is NULL."""
-        return tuple([values.get(name) for name in self.columns])
+        return tuple(map(values.get, self.columns))
 
     def replaced(self, row: Row, changes: Mapping[str, Any]) -> Row:
         """``row`` with the columns ``changes`` names set to its values."""

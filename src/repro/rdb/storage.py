@@ -653,7 +653,11 @@ class _Index:
     __slots__ = ("table", "columns", "read", "label", "entries", "keys", "nulls")
 
     def __init__(
-        self, table: Table, columns: Tuple[str, ...], label: Optional[str], ordered: bool
+        self,
+        table: Table,
+        columns: Tuple[str, ...],
+        label: Optional[str],
+        ordered: bool,
     ) -> None:
         self.table = table.name
         self.columns = columns
@@ -805,7 +809,9 @@ class _Index:
 
 
 class TableData:
-    """Rows plus indexes for one table."""
+    """Rows plus indexes for one table.  A row is an immutable tuple in
+    the table's catalog column order (:attr:`Table.positions
+    <repro.rdb.catalog.Table.positions>`), stored and handed out as is."""
 
     def __init__(self, table: Table) -> None:
         self.table = table

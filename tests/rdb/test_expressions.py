@@ -330,11 +330,8 @@ class TestNothingIsSplicedIntoSource:
         assert fn((("x", 1),), ()) is False
 
     def test_source_names_only_its_own_vocabulary(self):
-        import re
-
         expr = parse_expression(
             "a = 'x' AND (b LIKE 'y%' OR b IN ('p', ?)) AND a || b <> 'q'"
         )
         _, source = self._compile(expr, columns=("a", "b"))
-        body = source.text
-        assert "'" not in body and '"' not in body
+        assert "'" not in source.text and '"' not in source.text

@@ -28,11 +28,12 @@ import json
 import os
 import shutil
 import sys
+import zlib
 from pathlib import Path
 
 from repro.core.mediator import OntoAccess
 from repro.rdb import Database
-from repro.rdb.durability import encode_payload
+from repro.rdb.durability import _CKPT_MAGIC, _FRAME, encode_payload
 from repro.replication import LogShipper, Replica
 from repro.workloads.operations import (
     PREFIXES,
@@ -172,9 +173,10 @@ class TestWrittenBytes:
             body = db._durability.checkpoint_body(1)
         finally:
             db.close()
-        raw = (FIXTURE / CHECKPOINT).read_bytes()
-        assert raw.endswith(encode_payload(body))
-        assert len(raw) == len(encode_payload(body)) + 17  # magic + frame header
+        payload = encode_payload(body)
+        assert (FIXTURE / CHECKPOINT).read_bytes() == (
+            _CKPT_MAGIC + _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        )
 
 
 class TestPinnedFilesOpen:
