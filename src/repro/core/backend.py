@@ -75,6 +75,7 @@ from .feedback import confirmation_graph
 from .insert_data import InsertTemplate, translate_insert_data
 from .modify import plan_binding, plan_modify, where_query
 from .query import Answer, QueryOutcome, solve_query
+from .select_translate import SelectRows
 
 __all__ = [
     "Backend",
@@ -275,7 +276,7 @@ class PreparedPattern:
 
     def solve(
         self, backend: "RelationalBackend", bindings: Optional[Solution]
-    ) -> Tuple[Answer, Optional[ast.Bound]]:
+    ) -> Tuple[Union[Answer, SelectRows], Optional[ast.Bound]]:
         """The answer under ``bindings`` and the SELECT that produced it
         (None: evaluated over the dump)."""
         current = backend.query_state_version()
@@ -757,7 +758,7 @@ class TripleStoreBackend(Backend):
 
         result = native_query(graph, q, bindings=bindings)
         annotate(backend=self.name, used_sql=False)
-        return QueryOutcome(result=result, used_sql=False)
+        return QueryOutcome(result, used_sql=False)
 
     def dump(self) -> Graph:
         if (

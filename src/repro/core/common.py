@@ -28,7 +28,7 @@ drivers compose:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import TranslationError, TypeMismatchError
 from ..rdb.catalog import Column
@@ -678,45 +678,62 @@ def sql_value_to_term(
 _literal = Literal.canonical
 
 
-def _integer_literal(value: Any) -> Literal:
-    return _literal(str(int(value)), XSD_INTEGER)
+class LiteralForm(NamedTuple):
+    """How a column type's values read as literals: a value's canonical
+    lexical form and its datatype.  The dump, a translated query's
+    answer step and its JSON writer all read a column through its form
+    (:func:`literal_form`), looked up once per column, not per value."""
+
+    #: value -> canonical lexical form
+    lexical: Callable[[Any], str]
+    #: the datatype IRI (None: a plain literal, or picked per value)
+    datatype: Optional[str] = None
+    #: DATE holds dates and date-times: lexical form -> its datatype
+    datatype_of: Optional[Callable[[str], str]] = None
+
+    def literal(self, value: Any) -> Literal:
+        lexical = self.lexical(value)
+        if self.datatype_of is not None:
+            return _literal(lexical, self.datatype_of(lexical))
+        return _literal(lexical, self.datatype)
 
 
-def _float_literal(value: Any) -> Literal:
-    return _literal(double_lexical(float(value)), XSD_DOUBLE)
+def _integer_lexical(value: Any) -> str:
+    return str(int(value))
 
 
-def _boolean_literal(value: Any) -> Literal:
-    return _literal("true" if value else "false", XSD_BOOLEAN)
+def _float_lexical(value: Any) -> str:
+    return double_lexical(float(value))
 
 
-def _date_literal(value: Any) -> Literal:
-    text = str(value)
-    return _literal(
-        text, XSD_DATETIME if ("T" in text or " " in text) else XSD_DATE
-    )
+def _boolean_lexical(value: Any) -> str:
+    return "true" if value else "false"
 
 
-def _plain_literal(value: Any) -> Literal:
-    return _literal(str(value))
+def _date_datatype(lexical: str) -> str:
+    return XSD_DATETIME if ("T" in lexical or " " in lexical) else XSD_DATE
 
 
-def literal_decoder(sql_type: SQLType) -> Callable[[Any], Literal]:
-    """The canonical literal form of a column type's values, as a
-    function of the value alone: a caller that decodes many values of
-    one column looks at the type here, once, not once per value.  The
-    dump and a translated query's answer step both decode through it."""
+_INTEGER_FORM = LiteralForm(_integer_lexical, XSD_INTEGER)
+_FLOAT_FORM = LiteralForm(_float_lexical, XSD_DOUBLE)
+_BOOLEAN_FORM = LiteralForm(_boolean_lexical, XSD_BOOLEAN)
+_DATE_FORM = LiteralForm(str, datatype_of=_date_datatype)
+_PLAIN_FORM = LiteralForm(str)
+
+
+def literal_form(sql_type: SQLType) -> LiteralForm:
+    """The canonical literal form of a column type's values."""
     if isinstance(sql_type, IntegerType):
-        return _integer_literal
+        return _INTEGER_FORM
     if isinstance(sql_type, FloatType):
-        return _float_literal
+        return _FLOAT_FORM
     if isinstance(sql_type, BooleanType):
-        return _boolean_literal
+        return _BOOLEAN_FORM
     if isinstance(sql_type, DateType):
-        return _date_literal
-    return _plain_literal
+        return _DATE_FORM
+    return _PLAIN_FORM
 
 
 def literal_for_column(sql_type: SQLType, value: Any) -> Literal:
     """Canonical literal form for a column type (shared with baselines)."""
-    return literal_decoder(sql_type)(value)
+    return literal_form(sql_type).literal(value)

@@ -18,10 +18,10 @@ from typing import Optional
 
 from ..errors import TranslationError
 from ..rdf.graph import Graph
-from ..rdf.namespace import OA, RDF
+from ..rdf.namespace import OA, RDF, XSD
 from ..rdf.terms import BNode, Literal, Triple, URIRef
 
-__all__ = ["confirmation_graph", "error_graph", "HINTS"]
+__all__ = ["confirmation_graph", "confirmation_turtle", "error_graph", "HINTS"]
 
 #: Per-error-code improvement hints ("possible directions for improvement
 #: can be reported", Section 8).
@@ -95,6 +95,31 @@ def confirmation_graph(
     g.add(Triple(node, OA.statementsExecuted, Literal(statements_executed)))
     g.add(Triple(node, OA.status, Literal("ok")))
     return g
+
+
+#: :func:`~repro.rdf.serialize.to_turtle` of a confirmation graph with
+#: its blank node's label and the two counts left open.
+_CONFIRMATION_TURTLE = (
+    f"@prefix oa: <{OA.uri}> .\n"
+    f"@prefix xsd: <{XSD.uri}> .\n"
+    "\n"
+    "_:{label}\n"
+    "    a oa:Confirmation ;\n"
+    '    oa:operationCount "{operations}"^^xsd:integer ;\n'
+    '    oa:statementsExecuted "{statements}"^^xsd:integer ;\n'
+    '    oa:status "ok" .\n'
+)
+
+
+def confirmation_turtle(statements_executed: int, operations: int = 1) -> str:
+    """The Turtle of :func:`confirmation_graph` — what the endpoint
+    answers a successful write with — filled into a fixed template; its
+    blank node is labelled from the same counter as a fresh ``BNode``."""
+    return _CONFIRMATION_TURTLE.format(
+        label=BNode().label,
+        operations=int(operations),
+        statements=int(statements_executed),
+    )
 
 
 def error_graph(

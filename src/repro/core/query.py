@@ -36,7 +36,7 @@ from ..sparql.query_parser import parse_query
 from ..sql import ast
 from ..sql.render import render
 from .dump import dump_database
-from .select_translate import TranslatedSelect, translate_query
+from .select_translate import SelectRows, TranslatedSelect, translate_query
 
 __all__ = [
     "QueryOutcome",
@@ -50,12 +50,25 @@ Answer = Union[SelectResult, bool, Graph]
 
 @dataclass
 class QueryOutcome:
-    """A query result plus how it was obtained (for benchmarks/tests)."""
+    """A query's answer plus how it was obtained (for benchmarks/tests).
 
-    result: Answer
+    ``answer`` is what evaluation produced: for a SELECT a kept
+    translation answered with its rows, those rows
+    (:class:`~repro.core.select_translate.SelectRows`), which the
+    endpoint's JSON route writes as text.  :attr:`result` is the answer
+    in terms, built on first read."""
+
+    answer: Union[Answer, SelectRows]
     used_sql: bool
     #: the translated SELECT that produced the result (None: dump path)
     statement: Optional[ast.Bound] = None
+
+    @property
+    def result(self) -> Answer:
+        answer = self.answer
+        if type(answer) is SelectRows:
+            answer = self.answer = answer.result()
+        return answer
 
     @property
     def select_sql(self) -> Optional[str]:
@@ -71,10 +84,14 @@ def solve_query(
     force_fallback: bool = False,
     bindings: Optional[Solution] = None,
     kept: Optional[TranslatedSelect] = None,
-) -> Tuple[Answer, Optional[ast.Bound], Optional[TranslatedSelect]]:
+) -> Tuple[
+    Union[Answer, SelectRows], Optional[ast.Bound], Optional[TranslatedSelect]
+]:
     """Answer a query on the RDB.
 
-    Returns the answer, the SQL statement that produced it and its
+    Returns the answer (a SELECT translated with all its modifiers:
+    its rows, :class:`~repro.core.select_translate.SelectRows`), the SQL
+    statement that produced it and its
     translation — or None for both when the pattern was evaluated
     natively over the RDF dump, because it falls outside the translatable
     fragment or ``force_fallback`` asked for the reference evaluation.

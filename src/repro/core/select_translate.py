@@ -42,6 +42,13 @@ literal from its canonical lexical form — or, for a placeholder, the term
 it is bound to.  When every modifier went into the SQL those dicts are the
 answer; where a filter or modifier is left to Python, or for a CONSTRUCT,
 they hold every variable bound, and the residue is applied to them.
+When they are the answer, the SELECT is answered by its rows
+(:class:`SelectRows`) and the reader picks what they become: the
+solutions, or the SPARQL JSON text ``json.dumps`` makes of each, written
+by a second generated function, ``json(rows, seed)``, from the same
+sites, without minting a term.  That writer is compiled on the first
+JSON answer of a translation; the in-process surfaces and a MODIFY's
+WHERE never compile one.
 
 **Shape and values.**  What comes out is a statement *shape* and a value
 vector (:class:`repro.sql.ast.Bound`): every key or constant of the
@@ -72,8 +79,10 @@ what translation branched on, never the values themselves.
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import (
     Any,
     Callable,
@@ -103,20 +112,21 @@ from ..r3m.model import (
 )
 from ..sparql import algebra_ast as alg
 from ..sparql.algebra import Solution, initial_solution
-from ..sparql.engine import SelectResult, shape_result
+from ..sparql.engine import SelectResult, shape_result, term_json
 from ..sparql.expressions import filter_accepts
 from ..sparql.query_ast import AskQuery, OrderCondition, Query, SelectQuery
 from ..sql import ast
 from .common import (
     EntityRef,
+    LiteralForm,
     Values,
     coerce_pattern_values,
     identify_entity,
-    literal_decoder,
+    literal_form,
     value_converter,
 )
 
-__all__ = ["TranslatedSelect", "translate_query", "SelectTranslator"]
+__all__ = ["SelectRows", "TranslatedSelect", "translate_query", "SelectTranslator"]
 
 #: Term bound to a placeholder → the value at its place in the vector;
 #: raises :class:`TranslationError` for a term it was not made for.
@@ -125,6 +135,10 @@ Binder = Callable[[Term], Any]
 #: The answer step: (the statement's rows, the bindings it was bound
 #: with) → solutions.
 AnswerStep = Callable[[Sequence[Tuple[Any, ...]], Solution], List[Solution]]
+
+#: The JSON writer: the same arguments → the SPARQL JSON text of each
+#: solution the answer step would return.
+JsonWriter = Callable[[Sequence[Tuple[Any, ...]], Solution], List[str]]
 
 
 @dataclass
@@ -152,6 +166,9 @@ class TranslatedSelect:
     statement: ast.Bound
     db: Database
     answer: AnswerStep
+    #: generates the JSON writer of what ``answer`` returns (``residual``
+    #: None); see :meth:`write_json`
+    json_writer: Optional[Callable[[], JsonWriter]]
     #: the query whose form and solution modifiers still apply to what
     #: ``answer`` returns; None: those are the SELECT's solutions
     residual: Optional[Query]
@@ -164,6 +181,19 @@ class TranslatedSelect:
     #: (position in the value vector — None: a check only —,
     #: placeholder, binder)
     binders: Tuple[Tuple[Optional[int], Variable, Binder], ...] = ()
+    _json: Optional[JsonWriter] = field(default=None, init=False, repr=False)
+
+    def write_json(
+        self, rows: Sequence[Tuple[Any, ...]], seed: Solution
+    ) -> List[str]:
+        """The SPARQL JSON text of each solution ``answer`` makes of
+        ``rows``.  The writer is generated on the first call: a
+        translation no JSON answer reads never compiles one.  (Two first
+        calls at once both generate it; either result is kept.)"""
+        write = self._json
+        if write is None:
+            write = self._json = self.json_writer()
+        return write(rows, seed)
 
     def bind(self, bindings: Solution) -> Optional[ast.Bound]:
         """The statement for ``bindings``, or None when translating with
@@ -192,15 +222,58 @@ class TranslatedSelect:
 
     def execute(
         self, statement: ast.Bound, bindings: Optional[Solution] = None
-    ) -> Union[SelectResult, bool, Graph]:
+    ) -> Union[SelectRows, bool, Graph]:
         """Run ``statement`` (this translation, bound) and answer the
-        query from its rows.  ``bindings`` are the ones it was bound
-        with: a placeholder the query reads is bound to its term in
-        every solution."""
-        solutions = self.answer(self.db.execute(statement).rows, bindings or {})
+        query from its rows: a SELECT whose modifiers all went into the
+        SQL with the rows themselves, anything else from the solutions.
+        ``bindings`` are the ones it was bound with: a placeholder the
+        query reads is bound to its term in every solution."""
+        rows = self.db.execute(statement).rows
         if self.residual is None:
-            return SelectResult(self.variables, solutions)
-        return shape_result(self.residual, solutions)
+            return SelectRows(self, rows, bindings or {})
+        return shape_result(self.residual, self.answer(rows, bindings or {}))
+
+
+class SelectRows:
+    """A SELECT answered by the rows of its translation.  The reader
+    picks what they become: solutions (:meth:`result`, the answer step),
+    or the SPARQL JSON text of each (:meth:`json_bindings`, the
+    translation's writer) without a term in between."""
+
+    __slots__ = ("translation", "rows", "seed")
+
+    def __init__(
+        self,
+        translation: TranslatedSelect,
+        rows: Sequence[Tuple[Any, ...]],
+        seed: Solution,
+    ) -> None:
+        self.translation = translation
+        self.rows = rows
+        self.seed = seed
+
+    @property
+    def variables(self) -> Tuple[Variable, ...]:
+        return self.translation.variables
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def solutions(self) -> List[Solution]:
+        """The rows' solutions, made by the answer step on every read."""
+        return self.translation.answer(self.rows, self.seed)
+
+    def result(self) -> SelectResult:
+        translation = self.translation
+        return SelectResult(
+            translation.variables, translation.answer(self.rows, self.seed)
+        )
+
+    def json_bindings(self) -> List[str]:
+        """What :meth:`SelectResult.json_bindings` makes of
+        :attr:`solutions`, written from the rows."""
+        return self.translation.write_json(self.rows, self.seed)
 
 
 def translate_query(
@@ -365,12 +438,18 @@ class SelectTranslator:
             variables, wanted = (), [*self.sites, *self.bindings]
         else:
             variables = wanted = ()  # an ASK's one row, read by nothing
+        json_writer = None
+        if residual is None:
+            json_writer = partial(
+                _json_writer, _json_members(self.db, self.sites, self.bindings, wanted)
+            )
         return TranslatedSelect(
             statement=self.values.bind(select),
             db=self.db,
             answer=_answer_step(
                 self.db, self.sites, self.bindings, wanted, self.post_filters
             ),
+            json_writer=json_writer,
             residual=residual,
             variables=variables,
             kinds=self.kinds,
@@ -1039,7 +1118,7 @@ def _conjoin(parts: Sequence[ast.Expression]) -> Optional[ast.Expression]:
 
 
 # ---------------------------------------------------------------------------
-# the answer step
+# the answer step and the JSON writer
 # ---------------------------------------------------------------------------
 
 def _answer_step(
@@ -1103,17 +1182,165 @@ def _decoder_code(
     fn: Function, db: Database, site: _BindingSite, value: str
 ) -> str:
     """Code minting a site's term from its column ``value``: an instance
-    URI as the pattern's prefix + value + suffix, a literal through the
-    column type's canonical decoder."""
+    URI as the pattern's prefix + value + suffix, a literal from the
+    column type's lexical form and datatype."""
+    form = _literal_form(db, site)
+    if form is None:
+        uri = fn.helper("uri", URIRef.canonical)
+        return f"{uri}({_uri_code(fn, site, value)})"
+    literal = fn.helper("literal", Literal.canonical)
+    lexical = f"{_lexical_helper(fn, form)}({value})"
+    if form.datatype_of is not None:
+        text = fn.temp()
+        datatype_of = _datatype_helper(fn, form)
+        return f"{literal}(({text} := {lexical}), {datatype_of}({text}))"
+    if form.datatype is None:
+        return f"{literal}({lexical})"
+    return f"{literal}({lexical}, {fn.constant(form.datatype)})"
+
+
+#: What the JSON writer writes, per distinct variable in projection
+#: order: the variable, its site (None: a placeholder read from the
+#: seed) and, for a literal site, its column's form.
+JsonMembers = Tuple[
+    Tuple[Variable, Optional[_BindingSite], Optional[LiteralForm]], ...
+]
+
+
+def _json_members(
+    db: Database,
+    sites: Dict[Variable, _BindingSite],
+    seeded: Solution,
+    wanted: Sequence[Variable],
+) -> JsonMembers:
+    """The writer's members, read off the schema at translation time."""
+    members = []
+    for var in dict.fromkeys(wanted):
+        site = sites.get(var)
+        if site is not None:
+            members.append((var, site, _literal_form(db, site)))
+        elif var in seeded:
+            members.append((var, None, None))
+    return tuple(members)
+
+
+def _json_writer(members: JsonMembers) -> JsonWriter:
+    """Generate ``json(rows, seed)``: per row, the text ``json.dumps``
+    makes of the solution the answer step returns for it — a SPARQL JSON
+    binding object of ``members`` in that order — written straight from
+    the row: a URI site as ``esc(prefix + value + suffix)``, a literal
+    site as its lexical form plus the column's datatype, a NULL left
+    out, a placeholder written once per call from ``seed``.  ``esc`` is
+    the string encoder ``json.dumps`` uses."""
+    source = Source()
+    fn = source.function("json", "rows, seed", ScopeLayout(()))
+    esc = fn.helper("esc", encode_basestring_ascii)
+    head: List[str] = []
+    #: per member: its ``"name": {...}`` as parts of an f-string — text
+    #: or code —, and the row index a NULL leaves it out at (its code
+    #: reads ``v``)
+    written: List[Tuple[List[Tuple[bool, str]], Optional[int]]] = []
+    for var, site, form in members:
+        parts = [(False, encode_basestring_ascii(var.name) + ": ")]
+        if site is None:
+            name = fn.temp()
+            dumps = fn.helper("dumps", json.dumps)
+            term = fn.helper("term_json", term_json)
+            head.append(f"{name} = {dumps}({term}(seed[{fn.constant(var)}]))")
+            parts.append((True, name))
+            written.append((parts, None))
+            continue
+        index = site.select_index
+        value = "v" if site.nullable else f"r[{index}]"
+        if form is None:
+            parts += [
+                (False, '{"type": "uri", "value": '),
+                (True, f"{esc}({_uri_code(fn, site, value)})"),
+            ]
+        else:
+            lexical = f"{_lexical_helper(fn, form)}({value})"
+            parts.append((False, '{"type": "literal", "value": '))
+            if form.datatype_of is not None:
+                text = fn.temp()
+                datatype = f"{_datatype_helper(fn, form)}({text})"
+                parts += [
+                    (True, f"{esc}(({text} := {lexical}))"),
+                    (False, ', "datatype": '),
+                    (True, f"{esc}({datatype})"),
+                ]
+            else:
+                parts.append((True, f"{esc}({lexical})"))
+                if form.datatype is not None:
+                    datatype = encode_basestring_ascii(form.datatype)
+                    parts.append((False, f', "datatype": {datatype}'))
+        parts.append((False, "}"))
+        written.append((parts, index if site.nullable else None))
+    if all(index is None for _, index in written):
+        parts = [(False, "{")]
+        for position, (member, _) in enumerate(written):
+            parts += [(False, ", ")] if position else []
+            parts += member
+        parts.append((False, "}"))
+        body = [f"return [{_f_string(fn, parts)} for r in rows]"]
+    else:
+        # every member is written as ", " + member; the first separator
+        # is cut when the object is closed
+        loop = ['s = ""']
+        for member, index in written:
+            text = _f_string(fn, [(False, ", "), *member])
+            if index is None:
+                loop.append(f"s += {text}")
+            else:
+                loop.append(f"if (v := r[{index}]) is not None:")
+                loop.append(f"    s += {text}")
+        loop.append(f"out.append({fn.constant('{')} + s[2:] + {fn.constant('}')})")
+        body = ["out = []", "for r in rows:", *(f"    {line}" for line in loop)]
+        body.append("return out")
+    fn.close(head + body)
+    return source.build()["json"]
+
+
+def _f_string(fn: Function, parts: Sequence[Tuple[bool, str]]) -> str:
+    """A single-quoted f-string of ``parts`` — code, or text, each run of
+    which becomes one constant."""
+    fields: List[str] = []
+    text = ""
+    for is_code, part in parts:
+        if not is_code:
+            text += part
+            continue
+        if text:
+            fields.append(fn.constant(text))
+            text = ""
+        fields.append(part)
+    if text:
+        fields.append(fn.constant(text))
+    return "f'" + "".join(f"{{{field}}}" for field in fields) + "'"
+
+
+def _literal_form(db: Database, site: _BindingSite) -> Optional[LiteralForm]:
+    """How a site's column reads as a literal; None: it mints URIs."""
     pattern = site.value_pattern if site.kind == "data" else site.table.uri_pattern
-    if pattern is None:
-        sql_type = db.table(site.table.table_name).column(site.column).sql_type
-        decode = literal_decoder(sql_type)
-        return f"{fn.helper(decode.__name__.lstrip('_'), decode)}({value})"
+    if pattern is not None:
+        return None
+    return literal_form(db.table(site.table.table_name).column(site.column).sql_type)
+
+
+def _uri_code(fn: Function, site: _BindingSite, value: str) -> str:
+    """Code of the instance URI a site's column ``value`` mints: the
+    pattern's prefix + value + suffix (a double-quoted f-string)."""
+    pattern = site.value_pattern if site.kind == "data" else site.table.uri_pattern
     if pattern.affixes is None:
         raise UnsupportedPatternError(
             f"{pattern!r} mints URIs from several attributes"
         )
-    uri = fn.helper("uri", URIRef.canonical)
     prefix, suffix = (fn.constant(text) for text in pattern.affixes)
-    return f'{uri}(f"{{{prefix}}}{{{value}}}{{{suffix}}}")'
+    return f'f"{{{prefix}}}{{{value}}}{{{suffix}}}"'
+
+
+def _lexical_helper(fn: Function, form: LiteralForm) -> str:
+    return fn.helper(form.lexical.__name__.lstrip("_"), form.lexical)
+
+
+def _datatype_helper(fn: Function, form: LiteralForm) -> str:
+    return fn.helper(form.datatype_of.__name__.lstrip("_"), form.datatype_of)

@@ -457,6 +457,17 @@ DATA_TEMPLATES = REGISTRY.counter(
     ("outcome",),
 )
 
+#: SPARQL JSON answers of /query, by what wrote them: a kept
+#: translation's generated writer, straight from its rows (generated),
+#: or the solutions' terms (terms).
+JSON_ANSWERS = REGISTRY.counter(
+    "repro_json_answers_total",
+    "SPARQL JSON query answers written from a kept translation's rows by "
+    "its generated writer (generated) or from the solutions' terms "
+    "(terms).",
+    ("writer",),
+)
+
 #: Requests that crossed the slow-query threshold.
 SLOW_QUERIES = REGISTRY.counter(
     "repro_slow_queries_total",

@@ -105,9 +105,13 @@ from ..errors import (
     TranslationError,
 )
 from ..faults import INJECTOR
-from ..core.feedback import error_graph
+from ..core.backend import UpdateResult
+from ..core.feedback import confirmation_turtle, error_graph
 from ..core.mediator import OntoAccess
+from ..core.query import QueryOutcome
+from ..core.select_translate import SelectRows
 from ..observability.metrics import (
+    JSON_ANSWERS,
     QUEUE_WAIT_SECONDS,
     REGISTRY,
     REQUEST_SECONDS,
@@ -842,7 +846,7 @@ class OntoAccessEndpoint:
         result = self.session.prepare_update(
             request.body, allow_placeholders=False
         ).execute()
-        return Response.turtle(result.feedback())
+        return _confirmation(result)
 
     def _batch(self, request: _Request) -> Response:
         """POST /batch: all operations inside one database transaction.
@@ -865,7 +869,7 @@ class OntoAccessEndpoint:
                     "strings",
                     status=400,
                 )
-        return Response.turtle(self.session.execute_all(requests).feedback())
+        return _confirmation(self.session.execute_all(requests))
 
     def _query(self, request: _Request) -> Response:
         """POST /query (body) or GET /query?query=…: SELECT/ASK/CONSTRUCT,
@@ -898,7 +902,7 @@ class OntoAccessEndpoint:
                 406,
                 supported=list(protocol.QUERY_RESULT_TYPES),
             )
-        return _query_result(self.session.query(text), accept)
+        return _query_result(self.session.query_outcome(text), accept)
 
     def _dump(self, request: _Request) -> Response:
         return Response.turtle(self.session.dump())
@@ -1059,34 +1063,57 @@ def _positive_seconds(text: str, what: str) -> float:
     return value
 
 
-def _query_result(result, accept: Optional[str]) -> Response:
-    """A query's answer in the best format ``accept`` allows."""
-    if not isinstance(result, (bool, Graph)):
-        annotate(rows=len(result.solutions))
+def _confirmation(result: UpdateResult) -> Response:
+    """A successful write's RDF confirmation (its Turtle, from the
+    template :func:`~repro.core.feedback.confirmation_turtle` fills)."""
+    return Response(
+        status=200,
+        body=confirmation_turtle(
+            result.statements_executed(), len(result.operations)
+        ),
+        content_type=protocol.CONTENT_TURTLE,
+    )
+
+
+_JSON_GENERATED = JSON_ANSWERS.labels("generated")
+_JSON_TERMS = JSON_ANSWERS.labels("terms")
+
+
+def _query_result(outcome: QueryOutcome, accept: Optional[str]) -> Response:
+    """A query's answer in the best format ``accept`` allows.  JSON is
+    written from ``outcome.answer`` — a kept translation's rows go to
+    text through its generated writer —, every other format from the
+    answer's terms (``outcome.result``)."""
+    answer = outcome.answer
+    if not isinstance(answer, (bool, Graph)):
+        annotate(rows=len(answer))
     wants_json = protocol.accepts(accept, protocol.CONTENT_SPARQL_JSON)
     wants_xml = protocol.accepts(accept, protocol.CONTENT_SPARQL_XML)
-    if isinstance(result, bool):
+    if isinstance(answer, bool):
         if wants_json:
             return Response.json(
-                protocol.render_ask_json(result),
+                protocol.render_ask_json(answer),
                 content_type=protocol.CONTENT_SPARQL_JSON,
             )
         if wants_xml:
             return Response(
                 status=200,
-                body=protocol.render_ask_xml(result),
+                body=protocol.render_ask_xml(answer),
                 content_type=protocol.CONTENT_SPARQL_XML,
             )
-        return Response.text("true" if result else "false")
-    if isinstance(result, Graph):
-        return Response.turtle(result)
+        return Response.text("true" if answer else "false")
+    if isinstance(answer, Graph):
+        return Response.turtle(answer)
     if wants_json:
         # JSON first: a client listing both sparql-results+json and
         # another format keeps getting the richer format it always got;
         # XML outranks CSV/TSV for the same reason.
+        writer = _JSON_GENERATED if isinstance(answer, SelectRows) else _JSON_TERMS
+        writer.inc()
         return Response.stream(
-            protocol.iter_select_json(result), protocol.CONTENT_SPARQL_JSON
+            protocol.iter_select_json(answer), protocol.CONTENT_SPARQL_JSON
         )
+    result = outcome.result
     if wants_xml:
         return Response.stream(
             protocol.iter_select_xml(result), protocol.CONTENT_SPARQL_XML
@@ -1244,7 +1271,11 @@ class _Handler(BaseHTTPRequestHandler):
         if response.body_iter is not None and self.request_version != "HTTP/1.0":
             self._send_chunked(response, deadline)
             return
-        payload = response.body.encode("utf-8")
+        try:
+            payload = response.body.encode("utf-8")
+        except Exception:
+            self._abort_failed_stream()
+            return
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self._request_headers(response)
@@ -1256,8 +1287,7 @@ class _Handler(BaseHTTPRequestHandler):
         except OSError:
             # Client went away mid-response: close our side; the shared
             # session is untouched (it already returned).
-            self.server.endpoint._note_stream_abort()
-            self.close_connection = True
+            self._abort_stream()
 
     def _send_chunked(
         self, response: Response, deadline: Optional[Deadline] = None
@@ -1293,9 +1323,30 @@ class _Handler(BaseHTTPRequestHandler):
             write(held + b"0\r\n\r\n")
             flush()
         except (QueryTimeout, FaultError, OSError):
-            # Truncate without the terminating 0-chunk so the client sees
-            # an aborted body, and close the connection — never leave a
-            # desynced keep-alive.  (Headers still buffered go out when
-            # the handler finishes: the peer sees a body that never ended.)
-            self.server.endpoint._note_stream_abort()
-            self.close_connection = True
+            self._abort_stream()
+        except Exception:
+            self._abort_failed_stream(held)
+
+    def _abort_stream(self) -> None:
+        """Truncate the body without the terminating 0-chunk so the
+        client sees an aborted body, and close the connection — never
+        leave a desynced keep-alive.  (Headers still buffered go out
+        when the handler finishes: the peer sees a body that never
+        ended.)"""
+        self.server.endpoint._note_stream_abort()
+        self.close_connection = True
+
+    def _abort_failed_stream(self, held: bytes = b"") -> None:
+        """The abort of a body whose writer raised, after the batch it
+        had produced (``held``) went out.  A server fault: its traceback
+        goes to stderr, as for a 500, and the request's access-log line
+        names the cause."""
+        traceback.print_exc()
+        annotate(cause="internal-error")
+        if held:
+            try:
+                self.wfile.write(held)
+                self.wfile.flush()
+            except OSError:
+                pass  # the abort below is all that is left to do
+        self._abort_stream()

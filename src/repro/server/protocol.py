@@ -15,14 +15,29 @@ Query responses are negotiated via ``Accept`` among the SPARQL 1.1
 result formats: JSON (``application/sparql-results+json``), XML
 (``application/sparql-results+xml``), CSV, and TSV; the default is a
 plain text table for SELECT and ``true``/``false`` for ASK, and
-CONSTRUCT always answers Turtle.  SELECT bindings are serialized
-incrementally and sent with chunked transfer encoding, so a large result
-never exists as one response body.
+CONSTRUCT always answers Turtle.  SELECT bindings are sent with chunked
+transfer encoding, 64 lines per chunk, so a large result never exists
+as one response string.
+
+**JSON answers.**  :func:`iter_select_json` asks the answer for the text
+of each binding object (``json_bindings()``).  A SELECT a kept
+translation answered with its rows
+(:class:`~repro.core.select_translate.SelectRows`) writes them with the
+writer generated from the same sites as its answer step (on the
+translation's first JSON answer): per row one f-string, a URI
+site as the escaped pattern prefix + value + suffix, a literal site as
+its column's lexical form plus datatype, a NULL site left out — no term
+is built.  Every other answer — dump-evaluated, the native store, a
+FILTER or modifier left to Python — is a
+:class:`~repro.sparql.engine.SelectResult`, which writes its solutions'
+terms with ``json.dumps``; the two agree byte for byte.  XML, CSV, TSV
+and the text table are always written from terms.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 from xml.sax.saxutils import escape, quoteattr
 
@@ -313,40 +328,29 @@ def iter_select_tsv(result) -> Iterator[str]:
 
 
 def iter_select_json(result) -> Iterator[str]:
-    """SPARQL 1.1 JSON results serialized incrementally: the head, then
-    each binding object, without ever materializing the whole document."""
-    def lines() -> Iterator[str]:
+    """SPARQL 1.1 JSON results, incrementally: the head, then the text of
+    each binding object — ``result.json_bindings()``, which a kept
+    translation writes straight from its rows —, then the tail, in
+    chunks of :data:`_STREAM_BATCH` lines (a binding is one line)."""
+    def chunks() -> Iterator[str]:
+        texts = iter(result.json_bindings())
         head = json.dumps({"vars": [v.name for v in result.variables]})
-        yield '{"head": ' + head + ', "results": {"bindings": [\n'
-        first = True
-        for solution in result.solutions:
-            binding = {
-                v.name: _term_json(t)
-                for v, t in solution.items()
-                if t is not None
-            }
-            prefix = "" if first else ",\n"
-            first = False
-            yield prefix + json.dumps(binding)
-        yield "\n]}}\n"
+        lines = ['{"head": ' + head + ', "results": {"bindings": [\n']
+        separator = ""
+        while True:
+            room = _STREAM_BATCH - len(lines)
+            batch = list(islice(texts, room))
+            if batch:
+                lines.append(separator + ",\n".join(batch))
+                separator = ",\n"
+            if len(batch) < room:  # the texts ended: the tail fits
+                lines.append("\n]}}\n")
+                yield "".join(lines)
+                return
+            yield "".join(lines)
+            lines = []
 
-    return _batched(lines())
-
-
-def _term_json(term: Term) -> dict:
-    """One RDF term in SPARQL 1.1 Query Results JSON form."""
-    if isinstance(term, URIRef):
-        return {"type": "uri", "value": term.value}
-    if isinstance(term, BNode):
-        return {"type": "bnode", "value": term.label}
-    if isinstance(term, Literal):
-        binding = {"type": "literal", "value": term.lexical}
-        if term.language is not None:
-            binding["xml:lang"] = term.language
-        elif term.datatype is not None:
-            binding["datatype"] = term.datatype
-        return binding
-    raise TypeError(f"cannot serialize {type(term).__name__} to JSON")
+    return chunks()
 
 
 def render_ask_json(value: bool) -> dict:

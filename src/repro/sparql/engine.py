@@ -9,12 +9,13 @@ it as the semantic oracle.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
-from ..rdf.terms import Literal, Term, Triple, URIRef, Variable
+from ..rdf.terms import BNode, Literal, Term, Triple, URIRef, Variable
 from .algebra import Solution, evaluate_pattern, instantiate
 from .expressions import EvalError, evaluate_expr
 from .query_ast import AskQuery, ConstructQuery, Query, SelectQuery
@@ -24,6 +25,7 @@ from .update_parser import parse_update
 
 __all__ = [
     "SelectResult",
+    "term_json",
     "query",
     "shape_result",
     "update",
@@ -54,6 +56,30 @@ class SelectResult:
 
     def __iter__(self):
         return iter(self.solutions)
+
+    def json_bindings(self) -> Iterator[str]:
+        """Each solution as the text of a SPARQL 1.1 Query Results JSON
+        binding object, its variables in the solution's order."""
+        for solution in self.solutions:
+            yield json.dumps({
+                v.name: term_json(t) for v, t in solution.items() if t is not None
+            })
+
+
+def term_json(term: Term) -> dict:
+    """One RDF term in SPARQL 1.1 Query Results JSON form."""
+    if isinstance(term, URIRef):
+        return {"type": "uri", "value": term.value}
+    if isinstance(term, BNode):
+        return {"type": "bnode", "value": term.label}
+    if isinstance(term, Literal):
+        binding = {"type": "literal", "value": term.lexical}
+        if term.language is not None:
+            binding["xml:lang"] = term.language
+        elif term.datatype is not None:
+            binding["datatype"] = term.datatype
+        return binding
+    raise TypeError(f"cannot serialize {type(term).__name__} to JSON")
 
 
 def query(

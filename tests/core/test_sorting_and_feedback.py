@@ -5,9 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import OntoAccess, TranslationError
-from repro.core.feedback import HINTS, confirmation_graph, error_graph
+from repro.core.feedback import (
+    HINTS,
+    confirmation_graph,
+    confirmation_turtle,
+    error_graph,
+)
 from repro.core.sorting import sort_statements, topological_table_order
 from repro.rdf import OA, RDF, Literal
+from repro.rdf.serialize import to_turtle
+from repro.rdf.terms import BNode
 from repro.sql import ast, parse_sql
 from repro.workloads.publication import build_database, build_mapping
 
@@ -126,6 +133,23 @@ class TestFeedback:
         node = next(iter(g.subjects(RDF.type, OA.Confirmation)))
         assert g.value(node, OA.statementsExecuted, None) == Literal(6)
         assert g.value(node, OA.status, None) == Literal("ok")
+
+    @pytest.mark.parametrize("statements", [0, 1, 2, 9, 10, 11, 99, 100, 12345])
+    @pytest.mark.parametrize("operations", [1, 2, 10, 257])
+    def test_confirmation_turtle_is_the_graph_serialized(self, statements, operations):
+        text = confirmation_turtle(statements, operations)
+        label = text.split("_:", 1)[1].split("\n", 1)[0]
+        graph = confirmation_graph(statements, operations, request_uri=BNode(label))
+        assert text == to_turtle(graph)
+
+    def test_confirmation_labels_come_from_the_blank_node_counter(self):
+        first, second = confirmation_turtle(1), confirmation_turtle(1)
+        assert first != second
+        between = BNode().label
+        labels = [t.split("_:", 1)[1].split("\n", 1)[0] for t in (first, second)]
+        assert sorted(int(label[1:]) for label in (*labels, between)) == [
+            int(labels[0][1:]), int(labels[1][1:]), int(between[1:])
+        ]
 
     def test_error_graph_carries_code_and_hint(self):
         error = TranslationError(

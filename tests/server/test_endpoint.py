@@ -6,8 +6,11 @@ import time
 import pytest
 
 from repro import OntoAccess
+from repro.core.feedback import confirmation_graph
 from repro.observability.metrics import REQUESTS
 from repro.rdf import OA, RDF
+from repro.rdf.serialize import to_turtle
+from repro.rdf.terms import BNode
 from repro.server import OntoAccessClient, OntoAccessEndpoint
 from repro.workloads.publication import (
     build_database,
@@ -129,6 +132,34 @@ class TestHandlersDirect:
         assert response.status == 200
         assert "Confirmation" in response.body
         assert endpoint.mediator.db.get_row_by_pk("team", (4,)) is not None
+
+    @pytest.mark.parametrize("path", ["/update", "/batch"])
+    def test_confirmation_bytes_are_the_graph_serialized(self, path):
+        """Both write routes answer with the Turtle of the confirmation
+        graph for the counts the same request earns in process."""
+        served, twin = (
+            OntoAccess(db, build_mapping(db))
+            for db in (build_database(), build_database())
+        )
+        for db in (served.db, twin.db):
+            seed_feasibility_data(db)
+        endpoint = OntoAccessEndpoint(served)
+        for team in range(20, 26):
+            request = UPDATE_OK.replace("team4", f"team{team}").replace(
+                "DBTG", f"C{team}"
+            ).replace("Database Technology", f"T{team}") + "".join(
+                f'; INSERT DATA {{ ex:team{team}{extra} foaf:name "T{team}{extra}" . }}'
+                for extra in range(team % 3)
+            )
+            response = endpoint.handle("POST", path, body=request)
+            assert response.status == 200, response.body
+            expected = twin.update(request)
+            label = response.body.split("_:", 1)[1].split("\n", 1)[0]
+            graph = confirmation_graph(
+                expected.statements_executed(), len(expected.operations),
+                request_uri=BNode(label),
+            )
+            assert response.body == to_turtle(graph)
 
     def test_update_error(self, endpoint):
         response = endpoint.handle("POST", "/update", body=UPDATE_BAD)

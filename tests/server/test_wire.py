@@ -10,6 +10,8 @@ Sockets and timing: run in CI with ``-p no:randomly``.
 """
 
 import http.client
+import io
+import json
 import math
 import socket
 import statistics
@@ -281,6 +283,38 @@ class TestStreamingSemantics:
         INJECTOR.inject("endpoint:stream", call=fail_third_batch)
         conn = _stream_request(endpoint.port)
         self._assert_truncated(endpoint, conn)
+
+    def test_raising_writer_truncates_and_the_request_still_finishes(
+        self, monkeypatch
+    ):
+        """A JSON body whose writer raises after its first batch is
+        aborted as an expired deadline is — the batch it produced goes
+        out, no 0-chunk, connection closed, counted in ``stream_aborts``
+        — and the request is finished: its access-log line names the
+        cause."""
+        real = protocol.iter_select_json
+
+        def failing(result):
+            chunks = real(result)
+            yield next(chunks)
+            raise ValueError("writer failed after its first batch")
+
+        monkeypatch.setattr(protocol, "iter_select_json", failing)
+        db = build_populated_database(
+            WorkloadConfig(authors=ROWS, publications=ROWS, seed=5)
+        )
+        log = io.StringIO()
+        with OntoAccessEndpoint(
+            OntoAccess(db, build_mapping(db)), access_log=log
+        ) as endpoint:
+            self._assert_truncated(endpoint, _stream_request(endpoint.port))
+            _wait_for(lambda: log.getvalue(), "the access-log line")
+            assert endpoint.stream_aborts == 1
+        (entry,) = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert (entry["op"], entry["status"], entry["cause"]) == (
+            "query", 200, "internal-error"
+        )
+        assert "serialize_s" in entry
 
     def test_client_disconnect_midstream_is_contained(self, endpoint):
         release = threading.Event()
