@@ -205,7 +205,9 @@ class Backend(abc.ABC):
     ) -> QueryOutcome:
         """Run a parsed query (texts are read by the session);
         ``bindings`` are initial bindings of its WHERE pattern (a
-        prepared query's placeholders)."""
+        prepared query's placeholders).  The answer is left as
+        evaluation produced it — a kept translation's rows, possibly;
+        the session's entry points build the result."""
 
     def prepare_query(self, q: Query) -> "PreparedQueryPlan":
         return PreparedQueryPlan(self, q)

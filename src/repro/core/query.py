@@ -56,7 +56,9 @@ class QueryOutcome:
     translation answered with its rows, those rows
     (:class:`~repro.core.select_translate.SelectRows`), which the
     endpoint's JSON route writes as text.  :attr:`result` is the answer
-    in terms, built on first read."""
+    in terms, built by :meth:`built` — which every in-process entry
+    point calls before it returns, so the answer step is part of the
+    call a caller times."""
 
     answer: Union[Answer, SelectRows]
     used_sql: bool
@@ -65,10 +67,14 @@ class QueryOutcome:
 
     @property
     def result(self) -> Answer:
+        return self.built().answer
+
+    def built(self) -> "QueryOutcome":
+        """This outcome, its rows (if any) turned into solutions now."""
         answer = self.answer
         if type(answer) is SelectRows:
-            answer = self.answer = answer.result()
-        return answer
+            self.answer = answer.result()
+        return self
 
     @property
     def select_sql(self) -> Optional[str]:
@@ -134,10 +140,11 @@ def execute_query(
     force_fallback: bool = False,
     bindings: Optional[Solution] = None,
 ) -> QueryOutcome:
-    """Run a SPARQL query against the mapped database."""
+    """Run a SPARQL query against the mapped database; the outcome's
+    result is built before this returns."""
     if isinstance(q, str):
         q = parse_query(q, prefixes=prefixes)
     result, statement, _ = solve_query(
         mapping, db, q, force_fallback=force_fallback, bindings=bindings
     )
-    return QueryOutcome(result, statement is not None, statement)
+    return QueryOutcome(result, statement is not None, statement).built()

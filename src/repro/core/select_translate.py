@@ -46,9 +46,11 @@ When they are the answer, the SELECT is answered by its rows
 (:class:`SelectRows`) and the reader picks what they become: the
 solutions, or the SPARQL JSON text ``json.dumps`` makes of each, written
 by a second generated function, ``json(rows, seed)``, from the same
-sites, without minting a term.  That writer is compiled on the first
-JSON answer of a translation; the in-process surfaces and a MODIFY's
-WHERE never compile one.
+sites, without minting a term.  A translation's first JSON answer is
+still written from terms and its second compiles the writer
+(:meth:`TranslatedSelect.writes_json`), so a translation used once costs
+no compile; the in-process surfaces and a MODIFY's WHERE never compile
+one.
 
 **Shape and values.**  What comes out is a statement *shape* and a value
 vector (:class:`repro.sql.ast.Bound`): every key or constant of the
@@ -182,14 +184,25 @@ class TranslatedSelect:
     #: placeholder, binder)
     binders: Tuple[Tuple[Optional[int], Variable, Binder], ...] = ()
     _json: Optional[JsonWriter] = field(default=None, init=False, repr=False)
+    _json_asked: bool = field(default=False, init=False, repr=False)
+
+    def writes_json(self) -> bool:
+        """Whether this JSON answer of the translation is written by its
+        generated writer (:meth:`write_json`): every one but the first,
+        which is written from terms.  Compiling the writer costs what it
+        saves on some two dozen one-row answers, and a translation may
+        answer once — when shapes churn out of a session's cache, after
+        a DDL or mapping change, or when a prepared query's binding kind
+        alternates.  Each call counts one JSON answer."""
+        asked, self._json_asked = self._json_asked, True
+        return asked
 
     def write_json(
         self, rows: Sequence[Tuple[Any, ...]], seed: Solution
     ) -> List[str]:
         """The SPARQL JSON text of each solution ``answer`` makes of
-        ``rows``.  The writer is generated on the first call: a
-        translation no JSON answer reads never compiles one.  (Two first
-        calls at once both generate it; either result is kept.)"""
+        ``rows``.  The writer is generated on the first call.  (Two
+        first calls at once both generate it; either result is kept.)"""
         write = self._json
         if write is None:
             write = self._json = self.json_writer()
@@ -265,10 +278,7 @@ class SelectRows:
         return self.translation.answer(self.rows, self.seed)
 
     def result(self) -> SelectResult:
-        translation = self.translation
-        return SelectResult(
-            translation.variables, translation.answer(self.rows, self.seed)
-        )
+        return SelectResult(self.variables, self.solutions)
 
     def json_bindings(self) -> List[str]:
         """What :meth:`SelectResult.json_bindings` makes of

@@ -54,12 +54,13 @@ first out.
   ``commit`` / ``rollback`` release.  **Write** entry points hold it
   across one request's operations, so a threaded HTTP endpoint can share
   one session without interleaving transactions; **read** entry points
-  (:meth:`query`, :meth:`query_outcome`, prepared queries) never take
-  it — they run against the backend's committed snapshot, so N reader
-  threads proceed concurrently with each other and with at most one
-  writer.  The session's shape map has a lock of its own, held only for
-  dictionary access, never during parsing or execution; the prepared
-  shapes themselves are shared lock-free.
+  (:meth:`query`, :meth:`query_outcome`, :meth:`answer_outcome`,
+  prepared queries) never take it — they run against the backend's
+  committed snapshot, so N reader threads proceed concurrently with
+  each other and with at most one writer.  The session's shape map has
+  a lock of its own, held only for dictionary access, never during
+  parsing or execution; the prepared shapes themselves are shared
+  lock-free.
 
 Semantics cannot drift between one-shot and prepared requests, because
 there is one path: :meth:`Session.execute`, :meth:`Session.execute_all`,
@@ -306,6 +307,14 @@ class PreparedQuery(_Prepared):
         return self.outcome(bindings).result
 
     def outcome(self, bindings: Optional[Bindings] = None) -> QueryOutcome:
+        """How the query was answered, its result built in this call."""
+        return self.answer_outcome(bindings).built()
+
+    def answer_outcome(self, bindings: Optional[Bindings] = None) -> QueryOutcome:
+        """Like :meth:`outcome`, but the answer is left as evaluation
+        produced it: a SELECT a kept translation answered keeps its rows
+        (:class:`~repro.core.select_translate.SelectRows`), for a reader
+        that writes them itself."""
         # Lock-free read path: execution runs against the backend's
         # committed snapshot; the plan object is shared by all threads.
         return self._plan.outcome(self._solution(bindings))
@@ -538,18 +547,25 @@ class Session:
         prefixes: Optional[PrefixMap] = None,
         timeout: Optional[float] = None,
     ) -> QueryOutcome:
+        """How a query was answered, its result (a SELECT's solutions)
+        built before this returns; ``timeout`` as for :meth:`query`."""
+        if timeout is not None:
+            with deadline_scope(timeout):
+                return self.answer_outcome(q, prefixes).built()
+        return self.answer_outcome(q, prefixes).built()
+
+    def answer_outcome(
+        self, q: Union[str, Query], prefixes: Optional[PrefixMap] = None
+    ) -> QueryOutcome:
+        """Like :meth:`query_outcome`, but the answer is left as
+        evaluation produced it: a SELECT a kept translation answered
+        keeps its rows (:class:`~repro.core.select_translate.
+        SelectRows`), which the endpoint's JSON route writes as text
+        without building terms."""
         # No lock: the backend evaluates against the committed snapshot
         # current at the query's start (the thread owning an open
         # transaction sees its own writes instead).
         _OPS_QUERY.inc()
-        if timeout is not None:
-            with deadline_scope(timeout):
-                return self._outcome(q, prefixes)
-        return self._outcome(q, prefixes)
-
-    def _outcome(
-        self, q: Union[str, Query], prefixes: Optional[PrefixMap]
-    ) -> QueryOutcome:
         if isinstance(q, str):
             prepared, values = self._shape(q, prefixes, _QUERY)
             return prepared._plan.outcome(values)

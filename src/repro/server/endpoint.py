@@ -902,7 +902,7 @@ class OntoAccessEndpoint:
                 406,
                 supported=list(protocol.QUERY_RESULT_TYPES),
             )
-        return _query_result(self.session.query_outcome(text), accept)
+        return _query_result(self.session.answer_outcome(text), accept)
 
     def _dump(self, request: _Request) -> Response:
         return Response.turtle(self.session.dump())
@@ -1082,8 +1082,9 @@ _JSON_TERMS = JSON_ANSWERS.labels("terms")
 def _query_result(outcome: QueryOutcome, accept: Optional[str]) -> Response:
     """A query's answer in the best format ``accept`` allows.  JSON is
     written from ``outcome.answer`` — a kept translation's rows go to
-    text through its generated writer —, every other format from the
-    answer's terms (``outcome.result``)."""
+    text through its generated writer, from the translation's second
+    JSON answer on —, every other format from the answer's terms
+    (``outcome.result``)."""
     answer = outcome.answer
     if not isinstance(answer, (bool, Graph)):
         annotate(rows=len(answer))
@@ -1108,8 +1109,11 @@ def _query_result(outcome: QueryOutcome, accept: Optional[str]) -> Response:
         # JSON first: a client listing both sparql-results+json and
         # another format keeps getting the richer format it always got;
         # XML outranks CSV/TSV for the same reason.
-        writer = _JSON_GENERATED if isinstance(answer, SelectRows) else _JSON_TERMS
-        writer.inc()
+        if isinstance(answer, SelectRows) and answer.translation.writes_json():
+            _JSON_GENERATED.inc()
+        else:
+            answer = outcome.result
+            _JSON_TERMS.inc()
         return Response.stream(
             protocol.iter_select_json(answer), protocol.CONTENT_SPARQL_JSON
         )
@@ -1273,9 +1277,15 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             payload = response.body.encode("utf-8")
-        except Exception:
-            self._abort_failed_stream()
-            return
+        except Exception as exc:
+            # A drained body whose writer raised before any byte went
+            # out: answered as any other server fault, and logged with
+            # the status that was sent.
+            annotate(cause="internal-error")
+            failed = _internal_error(exc)
+            response.status = failed.status
+            response.content_type = failed.content_type
+            payload = failed.body.encode("utf-8")
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self._request_headers(response)
@@ -1336,7 +1346,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.endpoint._note_stream_abort()
         self.close_connection = True
 
-    def _abort_failed_stream(self, held: bytes = b"") -> None:
+    def _abort_failed_stream(self, held: bytes) -> None:
         """The abort of a body whose writer raised, after the batch it
         had produced (``held``) went out.  A server fault: its traceback
         goes to stderr, as for a 500, and the request's access-log line

@@ -23,8 +23,10 @@ as one response string.
 of each binding object (``json_bindings()``).  A SELECT a kept
 translation answered with its rows
 (:class:`~repro.core.select_translate.SelectRows`) writes them with the
-writer generated from the same sites as its answer step (on the
-translation's first JSON answer): per row one f-string, a URI
+writer generated from the same sites as its answer step, from the
+translation's second JSON answer on (the endpoint writes its first from
+terms, so a translation used once compiles nothing): per row one
+f-string, a URI
 site as the escaped pattern prefix + value + suffix, a literal site as
 its column's lexical form plus datatype, a NULL site left out — no term
 is built.  Every other answer — dump-evaluated, the native store, a

@@ -2,9 +2,9 @@
 JSON text byte for byte as the term path writes the same rows.
 
 A translated SELECT whose modifiers all went into the SQL is answered by
-its rows (``QueryOutcome.answer`` is a ``SelectRows``); the endpoint's
-JSON route writes them through the writer generated from the answer
-step's sites, without building a term.  The reference is the term path on the
+its rows (``Session.answer_outcome(...).answer`` is a ``SelectRows``);
+the endpoint's JSON route writes them through the writer generated from
+the answer step's sites, without building a term.  The reference is the term path on the
 *same* rows: the answer step's solutions (``rows.result()``) written by
 ``SelectResult.json_bindings``.  What is compared is the whole streamed
 document, chunk by chunk (``protocol.iter_select_json``), over
@@ -20,8 +20,9 @@ document, chunk by chunk (``protocol.iter_select_json``), over
 
 It also counts from outside which writer the endpoint used: the five
 query templates of the benchmark's HTTP workload all take the generated
-one (``repro_json_answers_total``), and it holds the in-process surfaces
-to solutions built inside the call.
+one from their translation's second JSON answer on, the first being
+written from terms (``repro_json_answers_total``), and it holds the
+in-process surfaces to solutions built inside the call.
 """
 
 import json
@@ -113,7 +114,7 @@ def typed():
 @pytest.mark.parametrize("name", list(answer_shapes.ORDERED))
 def test_answer_shapes_write_the_same_text(publications, name):
     text, _, takes_limit = answer_shapes.ORDERED[name]
-    outcome = publications.query_outcome(PREFIXES + text)
+    outcome = publications.session().answer_outcome(PREFIXES + text)
     # rows answer exactly where every modifier went into the SQL
     assert isinstance(outcome.answer, SelectRows) == takes_limit
     if takes_limit:
@@ -124,15 +125,16 @@ def test_answer_shapes_write_the_same_text(publications, name):
 def test_prepared_templates_write_the_same_text(shape):
     mediator = prepared_shapes.make_mediator()
     template, generators = prepared_shapes.QUERY_SHAPES[shape]
-    prepared = mediator.session().prepare(PREFIXES + template)
+    session = mediator.session()
+    prepared = session.prepare(PREFIXES + template)
     rng = random.Random(f"json:{shape}")
     written = 0
     for _ in range(12):
         bindings = prepared_shapes.draw(generators, rng)
         text = prepared_shapes.substituted(template, bindings)
         for run in (
-            lambda: prepared.outcome(bindings),
-            lambda: mediator.query_outcome(text),
+            lambda: prepared.answer_outcome(bindings),
+            lambda: session.answer_outcome(text),
         ):
             try:
                 outcome = run()
@@ -174,20 +176,20 @@ TYPED = {
 
 @pytest.mark.parametrize("name", list(TYPED))
 def test_every_column_type_writes_the_same_text(typed, name):
-    chunks = assert_same_text(typed.query_outcome(VOCAB + TYPED[name]))
+    chunks = assert_same_text(typed.session().answer_outcome(VOCAB + TYPED[name]))
     assert '"type"' in "".join(chunks)
 
 
 def test_awkward_strings_are_all_written(typed):
     document = json.loads("".join(assert_same_text(
-        typed.query_outcome(VOCAB + TYPED["strings"])
+        typed.session().answer_outcome(VOCAB + TYPED["strings"])
     )))
     values = {b["x"]["value"] for b in document["results"]["bindings"]}
     assert values == set(AWKWARD)
 
 
 def test_value_pattern_uris_write_the_same_text(publications):
-    chunks = assert_same_text(publications.query_outcome(
+    chunks = assert_same_text(publications.session().answer_outcome(
         PREFIXES + "SELECT ?a ?m WHERE { ?a foaf:mbox ?m }"
     ))
     assert '"value": "mailto:' in "".join(chunks)
@@ -196,7 +198,7 @@ def test_value_pattern_uris_write_the_same_text(publications):
 def test_projected_placeholders_write_the_same_text(publications):
     session = publications.session()
     subject = session.prepare(PREFIXES + "SELECT ?subj ?f WHERE { ?subj foaf:firstName ?f }")
-    assert_same_text(subject.outcome({"subj": URIRef(answer_shapes.URI_PREFIX + "author3")}))
+    assert_same_text(subject.answer_outcome({"subj": URIRef(answer_shapes.URI_PREFIX + "author3")}))
     tagged = session.prepare(
         PREFIXES + "SELECT ?tag ?a ?when WHERE { ?a foaf:family_name ?l } LIMIT 5"
     )
@@ -206,13 +208,13 @@ def test_projected_placeholders_write_the_same_text(publications):
         URIRef("http://example.org/\U0001F600"),
         7,
     ):
-        chunks = assert_same_text(tagged.outcome({"tag": tag, "when": "now"}))
+        chunks = assert_same_text(tagged.answer_outcome({"tag": tag, "when": "now"}))
         assert '"tag": ' in chunks[0] and '"when": ' in chunks[0]
 
 
 @pytest.mark.parametrize("count", [0, 1, 62, 63, 64, 65, 80])
 def test_chunk_boundaries_are_the_same(typed, count):
-    outcome = typed.query_outcome(
+    outcome = typed.session().answer_outcome(
         VOCAB + f"SELECT ?s ?f WHERE {{ ?s v:m_f ?f }} LIMIT {count}"
     )
     assert len(outcome.answer) == count
@@ -248,28 +250,32 @@ BENCHMARK_QUERIES = {
 
 
 def test_the_benchmark_query_templates_take_the_generated_writer(publications):
+    """Each template's first JSON answer is written from terms, every
+    later one by the generated writer; both give the reference bytes."""
     endpoint = OntoAccessEndpoint(publications)
     generated, terms = JSON_ANSWERS.labels("generated"), JSON_ANSWERS.labels("terms")
-    before = generated.value(), terms.value()
-    sent = 0
     for name, template in BENCHMARK_QUERIES.items():
-        for key in (1, 2, 3):
+        for key in (1, 2, 3, 4):
             values = (key, 2010 if name == "scan_years" else key)
             text = PREFIXES + template % values[: template.count("%d")]
+            before = generated.value(), terms.value()
             response = endpoint.handle("POST", "/query", {"Accept": JSON_RESULTS}, text)
             assert response.status == 200, response.body
             reference = execute_query(
                 publications.mapping, publications.db, parse_query(text)
             ).result
             assert response.body == "".join(protocol.iter_select_json(reference))
-            sent += 1
-    assert (generated.value() - before[0], terms.value() - before[1]) == (sent, 0)
-    # a dump-evaluated answer is written from its terms
-    endpoint.handle(
-        "POST", "/query", {"Accept": JSON_RESULTS},
-        PREFIXES + "SELECT ?s WHERE { { ?s foaf:family_name ?l } UNION { ?s dc:title ?l } } LIMIT 1",
-    ).body
-    assert terms.value() - before[1] == 1
+            counted = generated.value() - before[0], terms.value() - before[1]
+            assert counted == ((0, 1) if key == 1 else (1, 0)), (name, key)
+    # a dump-evaluated answer is written from its terms, every time
+    union = (
+        PREFIXES + "SELECT ?s WHERE { { ?s foaf:family_name ?l } UNION "
+        "{ ?s dc:title ?l } } LIMIT 1"
+    )
+    before = terms.value()
+    for _ in range(2):
+        endpoint.handle("POST", "/query", {"Accept": JSON_RESULTS}, union).body
+    assert terms.value() - before == 2
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +283,9 @@ def test_the_benchmark_query_templates_take_the_generated_writer(publications):
 # ---------------------------------------------------------------------------
 
 def test_in_process_surfaces_return_solutions_built_in_the_call(publications, monkeypatch):
-    """``OntoAccess.query``, ``Session.query`` and ``PreparedQuery.
-    execute`` return a ``SelectResult`` whose solutions exist when the
-    call returns: the answer step ran inside it, once."""
+    """Every in-process entry point returns its solutions built when the
+    call returns — the answer step ran inside it, once —, so a caller
+    timing the call times the answer step too."""
     calls = []
     real = SelectRows.result
 
@@ -293,13 +299,32 @@ def test_in_process_surfaces_return_solutions_built_in_the_call(publications, mo
     prepared = session.prepare(
         PREFIXES + "SELECT ?t ?y WHERE { ?p dc:title ?t ; ont:pubYear ?y }"
     )
-    for call in (
-        lambda: publications.query(text),
-        lambda: session.query(text),
-        lambda: prepared.execute({"p": URIRef(answer_shapes.URI_PREFIX + "pub4")}),
-    ):
+    pub4 = {"p": URIRef(answer_shapes.URI_PREFIX + "pub4")}
+    results = {
+        "OntoAccess.query": lambda: publications.query(text),
+        "Session.query": lambda: session.query(text),
+        "PreparedQuery.execute": lambda: prepared.execute(pub4),
+    }
+    outcomes = {
+        "OntoAccess.query_outcome": lambda: publications.query_outcome(text),
+        "Session.query_outcome": lambda: session.query_outcome(text),
+        "PreparedQuery.outcome": lambda: prepared.outcome(pub4),
+        "execute_query": lambda: execute_query(
+            publications.mapping, publications.db, parse_query(text)
+        ),
+    }
+    for surface, call in [*results.items(), *outcomes.items()]:
         calls.clear()
-        result = call()
-        assert type(result) is SelectResult
-        assert type(result.solutions) is list and len(result.solutions) == 1
-        assert len(calls) == 1
+        returned = call()
+        if surface in outcomes:
+            assert returned.used_sql, surface
+            assert type(returned.answer) is SelectResult, surface
+            returned = returned.answer
+        assert type(returned) is SelectResult, surface
+        assert type(returned.solutions) is list and len(returned.solutions) == 1
+        assert len(calls) == 1, surface
+    # the endpoint's call alone leaves the rows
+    calls.clear()
+    assert type(session.answer_outcome(text).answer) is SelectRows
+    assert type(prepared.answer_outcome(pub4).answer) is SelectRows
+    assert calls == []

@@ -284,14 +284,10 @@ class TestStreamingSemantics:
         conn = _stream_request(endpoint.port)
         self._assert_truncated(endpoint, conn)
 
-    def test_raising_writer_truncates_and_the_request_still_finishes(
-        self, monkeypatch
-    ):
-        """A JSON body whose writer raises after its first batch is
-        aborted as an expired deadline is — the batch it produced goes
-        out, no 0-chunk, connection closed, counted in ``stream_aborts``
-        — and the request is finished: its access-log line names the
-        cause."""
+    @pytest.fixture
+    def failing_writer(self, monkeypatch):
+        """The JSON writer raises after its first batch; yields an
+        endpoint with an access log, and the log."""
         real = protocol.iter_select_json
 
         def failing(result):
@@ -307,14 +303,51 @@ class TestStreamingSemantics:
         with OntoAccessEndpoint(
             OntoAccess(db, build_mapping(db)), access_log=log
         ) as endpoint:
-            self._assert_truncated(endpoint, _stream_request(endpoint.port))
-            _wait_for(lambda: log.getvalue(), "the access-log line")
-            assert endpoint.stream_aborts == 1
+            yield endpoint, log
+
+    @staticmethod
+    def _logged(log):
+        _wait_for(lambda: log.getvalue(), "the access-log line")
         (entry,) = [json.loads(line) for line in log.getvalue().splitlines()]
-        assert (entry["op"], entry["status"], entry["cause"]) == (
-            "query", 200, "internal-error"
-        )
         assert "serialize_s" in entry
+        return entry["op"], entry["status"], entry["cause"]
+
+    def test_raising_writer_truncates_and_the_request_still_finishes(
+        self, failing_writer
+    ):
+        """A JSON body whose writer raises after its first batch is
+        aborted as an expired deadline is — the batch it produced goes
+        out, no 0-chunk, connection closed, counted in ``stream_aborts``
+        — and the request is finished: its access-log line names the
+        cause."""
+        endpoint, log = failing_writer
+        self._assert_truncated(endpoint, _stream_request(endpoint.port))
+        assert self._logged(log) == ("query", 200, "internal-error")
+        assert endpoint.stream_aborts == 1
+
+    def test_raising_writer_toward_http_1_0_answers_500(self, failing_writer):
+        """Toward an HTTP/1.0 peer the body is drained before the status
+        line goes out, so a writer that raises is answered with the
+        internal-error 500 — not an empty reply, and no aborted
+        stream."""
+        endpoint, log = failing_writer
+        body = SCAN_QUERY.encode()
+        with socket.create_connection(
+            ("127.0.0.1", endpoint.port), timeout=5.0
+        ) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.0\r\n"
+                b"Content-Type: application/sparql-query\r\n"
+                b"Accept: " + JSON_RESULTS.encode() + b"\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            status, payload = response.status, response.read()
+        assert status == 500
+        assert json.loads(payload)["error"] == "internal-error"
+        assert self._logged(log) == ("query", 500, "internal-error")
+        assert endpoint.stream_aborts == 0
 
     def test_client_disconnect_midstream_is_contained(self, endpoint):
         release = threading.Event()
