@@ -425,8 +425,9 @@ class RelationalBackend(Backend):
         self._mapping = mapping
         #: Bumped when the mapping object is replaced, so prepared query
         #: translations (keyed on :meth:`query_state_version`) invalidate.
-        #: In-place mutation of a DatabaseMapping is not tracked — replace
-        #: the mapping (or build a new mediator) to change it safely.
+        #: Of in-place changes, only the table maps' own version is
+        #: tracked (a table map assigned into ``mapping.tables``) — replace
+        #: the mapping (or build a new mediator) to change it otherwise.
         self._mapping_generation = 0
         self.optimize_modify = optimize_modify
         self.force_query_fallback = force_query_fallback
@@ -550,10 +551,14 @@ class RelationalBackend(Backend):
 
     # -- bookkeeping -----------------------------------------------------
 
-    def query_state_version(self) -> Tuple[int, int]:
+    def query_state_version(self) -> Tuple[int, int, int]:
         """What prepared query translations depend on: mapping + schema
         (pattern translation never reads row data)."""
-        return (self._mapping_generation, self.db.schema_version)
+        return (
+            self._mapping_generation,
+            self._mapping.tables.version,
+            self.db.schema_version,
+        )
 
     def wrap_error(self, exc: Exception) -> Exception:
         if isinstance(exc, DurabilityError):

@@ -59,6 +59,7 @@ __all__ = [
     "EntityRef",
     "SubjectGroup",
     "DataTemplate",
+    "SubjectReader",
     "identify_entity",
     "term_to_sql_value",
     "value_converter",
@@ -374,7 +375,7 @@ class DataTemplate:
         #: the terms the template was built with
         self._solution = solution
         self._pinned: Optional[Tuple[Tuple[Term, Term], ...]] = None
-        self._readers: Optional[List[Tuple[_KeyReader, List[_KeyReader]]]] = None
+        self._readers: Optional[List[SubjectReader]] = None
 
     def built_entities(self) -> List[Optional[EntityRef]]:
         """The entities of the terms the template was built with."""
@@ -396,24 +397,18 @@ class DataTemplate:
         readers = self._readers
         if readers is None:
             readers = self._readers = [
-                _subject_readers(mapping, db, group.entity.table)
-                for group in self.groups
+                SubjectReader(mapping, db, group.entity.table) for group in self.groups
             ]
         entities: List[EntityRef] = []
-        for group, (reader, ahead) in zip(self.groups, readers):
+        for group, reader in zip(self.groups, readers):
             sources = group.sources
             uri = solution.get(sources[0], sources[0])
             for source in sources[1:]:
                 if solution.get(source, source) != uri:
                     return None
-            if type(uri) is not URIRef:
-                return None
-            key_values = reader.read(uri)
+            key_values = reader.key_values(uri)
             if key_values is None:
                 return None
-            for candidate in ahead:
-                if candidate.read(uri) is not None:
-                    return None
             entities.append(EntityRef(uri, group.entity.table, key_values))
         if len(entities) > 1 and len({e.uri for e in entities}) < len(entities):
             return None
@@ -454,14 +449,35 @@ class _KeyReader:
             return None
 
 
-def _subject_readers(
-    mapping: DatabaseMapping, db: Database, table: TableMapping
-) -> Tuple[_KeyReader, List[_KeyReader]]:
-    """The reader of ``table`` and of each table :func:`identify_entity`
-    tries before it: a URI that one of those reads names another table."""
-    ordered = mapping.tables_by_specificity()
-    ahead = ordered[: ordered.index(table)]
-    return _KeyReader(db, table), [_KeyReader(db, other) for other in ahead]
+class SubjectReader:
+    """:func:`identify_entity` for the subjects of one table, its look-ups
+    made once: a kept translation — a data template's subject group, a
+    query's subject placeholder — binds another subject through it."""
+
+    __slots__ = ("own", "ahead")
+
+    def __init__(
+        self, mapping: DatabaseMapping, db: Database, table: TableMapping
+    ) -> None:
+        ordered = mapping.tables_by_specificity()
+        self.own = _KeyReader(db, table)
+        #: the tables :func:`identify_entity` tries before this one
+        self.ahead = [_KeyReader(db, other) for other in ordered[: ordered.index(table)]]
+
+    def key_values(self, subject: Term) -> Optional[Dict[str, Any]]:
+        """The key values of the row ``subject`` names, as
+        :func:`identify_entity` reads them, where it names a row of this
+        table; None where it names another table's row (a more specific
+        pattern reads it first), or none."""
+        if type(subject) is not URIRef:
+            return None
+        key_values = self.own.read(subject)
+        if key_values is None:
+            return None
+        for other in self.ahead:
+            if other.read(subject) is not None:
+                return None
+        return key_values
 
 # ---------------------------------------------------------------------------
 # value conversion

@@ -121,6 +121,7 @@ from ..sql import ast
 from .common import (
     EntityRef,
     LiteralForm,
+    SubjectReader,
     Values,
     coerce_pattern_values,
     identify_entity,
@@ -313,18 +314,16 @@ class _Node:
     links: List[Tuple[str, str, str]] = field(default_factory=list)
 
 
-def _subject_key(
-    mapping: DatabaseMapping, db: Database, table_name: str, pk: str, term: Term
-) -> Any:
+def _subject_key(reader: SubjectReader, pk: str, term: Term) -> Any:
     """Binder of a subject placeholder: the key of the row ``term`` names
-    in ``table_name`` — another table's URI is not what was translated."""
-    entity = identify_entity(mapping, db, term)
-    if entity.table.table_name != table_name:
+    in the table the reader reads — another table's URI, or one that
+    names no row, is not what was translated."""
+    key_values = reader.key_values(term)
+    if key_values is None:
         raise UnsupportedPatternError(
-            f"{term.n3()} identifies a row of {entity.table.table_name!r}, "
-            f"not {table_name!r}"
+            f"{term.n3()} names no row of {reader.own.table_mapping.table_name!r}"
         )
-    return entity.key_values[pk]
+    return key_values[pk]
 
 
 def _link_object_key(
@@ -627,7 +626,7 @@ class SelectTranslator:
             key = self._param(
                 self.subject_entity[subject].key_values[pk],
                 placeholder,
-                partial(_subject_key, self.mapping, self.db, table.table_name, pk),
+                partial(_subject_key, SubjectReader(self.mapping, self.db, table), pk),
                 ("subject", table.table_name),
             )
         elif isinstance(term, Variable):

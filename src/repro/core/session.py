@@ -138,6 +138,7 @@ _OPS_UPDATE = SESSION_OPS.labels("update")
 _OPS_BATCH = SESSION_OPS.labels("batch")
 _SHAPE_HIT = REQUEST_SHAPES.labels("hit")
 _SHAPE_MISS = REQUEST_SHAPES.labels("miss")
+_SHAPE_FALLBACK = REQUEST_SHAPES.labels("fallback")
 
 
 def _as_term(value: Any) -> Term:
@@ -355,6 +356,10 @@ class Session:
         #: shape key -> what is kept for that shape, least recently used
         #: first; touched under the cache lock only
         self._shapes: "OrderedDict[Hashable, _Shape]" = OrderedDict()
+        #: a text's head -> the key of that part, read once per head
+        #: (:meth:`~repro.sparql.parse_base.SPARQLParserBase.lift`); as
+        #: many as shapes are kept, emptied when it outgrows them
+        self._heads: Dict[str, str] = {}
 
     # -- preparing ------------------------------------------------------
 
@@ -415,9 +420,13 @@ class Session:
     ) -> Tuple[Union[PreparedQuery, PreparedUpdate], Solution]:
         """The kept shape of ``text`` and the text's own constants: one
         scan, one dictionary look-up, and a parse only for a shape not
-        kept yet (or a text that cannot be read as shape plus values)."""
+        kept yet (or a text that cannot be read as shape plus values:
+        the *fallback*, counted apart from the misses)."""
         reader = SPARQLParserBase(text, prefixes)
-        lifted = reader.lift()
+        heads = self._heads
+        lifted = reader.lift(heads)
+        if len(heads) > _SHAPES_KEPT:
+            heads.clear()
         if lifted is not None:
             key = (
                 lifted.key,
@@ -444,7 +453,7 @@ class Session:
                 if values is not None:
                     counter.inc()
                     return shape.prepared, dict(zip(shape.placeholders, values))
-        _SHAPE_MISS.inc()
+        _SHAPE_FALLBACK.inc()
         return self._parse(text, prefixes, mode)[0], {}
 
     def _parse_shape(

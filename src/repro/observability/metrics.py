@@ -439,10 +439,13 @@ SESSION_OPS = REGISTRY.counter(
     ("kind",),
 )
 
-#: Request texts that ran as a kept shape (hit) or were parsed (miss).
+#: Request texts that ran as a kept shape (hit), as a shape parsed for
+#: them (miss), or were parsed as written because they could not be read
+#: as a shape plus values (fallback).
 REQUEST_SHAPES = REGISTRY.counter(
     "repro_request_shapes_total",
-    "Request texts that ran as a kept parsed shape (hit) or were parsed (miss).",
+    "Request texts that ran as a kept parsed shape (hit), as a shape parsed "
+    "for them (miss), or were parsed as written (fallback).",
     ("outcome",),
 )
 

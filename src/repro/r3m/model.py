@@ -206,6 +206,36 @@ def _specificity(table: TableMapping) -> int:
     return len(table.uri_pattern.pattern)
 
 
+def _changes(method: Any) -> Any:
+    """``method`` of a dict, bumping :attr:`TableMaps.version`."""
+
+    def changed(self: "TableMaps", *args: Any, **kwargs: Any) -> Any:
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self.version += 1
+
+    return changed
+
+
+class TableMaps(Dict[str, TableMapping]):
+    """A mapping's table maps by name.  Every change of the dict — an
+    :meth:`DatabaseMapping.add_table`, or an assignment into it —
+    bumps :attr:`version`, which keys what the mapping derives from the
+    table maps (the order a subject URI tries them in)."""
+
+    version = 0
+
+    __setitem__ = _changes(dict.__setitem__)
+    __delitem__ = _changes(dict.__delitem__)
+    pop = _changes(dict.pop)
+    popitem = _changes(dict.popitem)
+    setdefault = _changes(dict.setdefault)
+    update = _changes(dict.update)
+    clear = _changes(dict.clear)
+    __ior__ = _changes(dict.__ior__)
+
+
 class DatabaseMapping:
     """The root of an R3M mapping: connection info + all table maps."""
 
@@ -222,7 +252,9 @@ class DatabaseMapping:
         self.jdbc_url = jdbc_url
         self.username = username
         self.password = password
-        self.tables: Dict[str, TableMapping] = {}
+        self.tables = TableMaps()
+        #: (version of :attr:`tables`, their order by specificity)
+        self._order: Tuple[int, Tuple[TableMapping, ...]] = (-1, ())
         self.link_tables: Dict[str, LinkTableMapping] = {}
         self._class_index: Dict[URIRef, TableMapping] = {}
         self._link_property_index: Dict[URIRef, LinkTableMapping] = {}
@@ -264,27 +296,33 @@ class DatabaseMapping:
     def link_for_property(self, prop: URIRef) -> Optional[LinkTableMapping]:
         return self._link_property_index.get(prop)
 
-    def tables_by_specificity(self) -> List[TableMapping]:
+    def tables_by_specificity(self) -> Tuple[TableMapping, ...]:
         """The table maps in the order a subject URI tries them
-        (:meth:`identify_candidates`)."""
-        return sorted(self.tables.values(), key=_specificity, reverse=True)
+        (:meth:`identify_candidates`): most specific (longest pattern)
+        first, mapping order among equals.  Sorted once per
+        :attr:`TableMaps.version` of :attr:`tables`."""
+        version, order = self._order
+        if version != self.tables.version:
+            version = self.tables.version
+            order = tuple(sorted(self.tables.values(), key=_specificity, reverse=True))
+            self._order = (version, order)
+        return order
 
     def identify_candidates(
         self, uri: URIRef
     ) -> List[Tuple[TableMapping, Dict[str, str]]]:
         """All (table, extracted values) pairs whose uriPattern matches,
-        most specific (longest pattern) first, mapping order among equals.
+        in the order of :meth:`tables_by_specificity`.
 
         The paper's own use case overlaps textually (``ex:pub12`` vs
         ``ex:pubtype4`` both start with ``pub``); specificity plus the
         caller's type-coercibility filtering resolves such overlaps.
         """
         candidates: List[Tuple[TableMapping, Dict[str, str]]] = []
-        for table in self.tables.values():
+        for table in self.tables_by_specificity():
             values = table.uri_pattern.match(uri)
             if values is not None:
                 candidates.append((table, values))
-        candidates.sort(key=lambda pair: _specificity(pair[0]), reverse=True)
         return candidates
 
     def identify_table(

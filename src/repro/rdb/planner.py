@@ -1662,7 +1662,8 @@ class Planner:
     """Plans statements against a schema + storage, with an LRU plan cache.
 
     The cache key is ``(generation, shape)``: the statement AST (frozen
-    dataclasses hash) with parameters where the request's values go, so
+    dataclasses; a statement computes its hash once, see
+    :mod:`repro.sql.ast`) with parameters where the request's values go, so
     every execution of one shape — whatever its parameter vector — shares
     one plan.  A plan is therefore costed **once per shape per
     generation**, from the statistics of whichever execution came first

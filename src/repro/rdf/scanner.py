@@ -58,10 +58,9 @@ _AUTHORITY_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*://[^/]*")
 #: joined by dots or escapes, which the regex engine matches without
 #: backtracking per character.
 _PN_LOCAL_ESC = r"\\[_~.\-!$&'()*+,;=/?#@%]"
-_PNAME_RE = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_.\-]*)?:"
-    rf"([\w\-]*(?:(?:\.+(?=[\w\-\\])|{_PN_LOCAL_ESC})[\w\-]*)*)"
-)
+_PN_PREFIX = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+_PN_LOCAL = rf"[\w\-]*(?:(?:\.+(?=[\w\-\\])|{_PN_LOCAL_ESC})[\w\-]*)*"
+_PNAME_RE = re.compile(rf"({_PN_PREFIX})?:({_PN_LOCAL})")
 _BNODE_RE = re.compile(r"_:([A-Za-z0-9_](?:\.*[A-Za-z0-9_\-])*)")
 _A_RE = re.compile(r"a(?![\w\-.])")  # the verb 'a', not the start of a name
 _LANGTAG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")

@@ -26,12 +26,19 @@ A request text is also read as a *shape plus values*
 constants in term positions into a value vector and yields the key the
 session keeps the parsed shape under; the parser then reads that shape
 once, with each lifted constant replaced by its :class:`~repro.rdf.terms.
-Placeholder` (:attr:`SPARQLParserBase.lifted`).
+Placeholder` (:attr:`SPARQLParserBase.lifted`).  The pass is one
+``findall`` of a token regex whose alternatives each open with a literal
+character or a class, so the regex engine skips the ones a token cannot
+start; Python runs per token only to follow the position it stands in
+(subject, verb, object, FILTER), and the part of a text up to its first
+``{`` — the prologue and the form, alike for every text of a shape — is
+read once per session.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..errors import SPARQLParseError
@@ -42,7 +49,8 @@ from ..rdf.scanner import (
     _LANGTAG_RE,
     _LONG_BODY_RE,
     _NUMBER_RE,
-    _PNAME_RE,
+    _PN_LOCAL,
+    _PN_PREFIX,
     _SCHEME_RE,
     _SHORT_BODY_RE,
     TermScanner,
@@ -68,39 +76,83 @@ _PATTERN_KEYWORD_RE = re.compile(r"(?:FILTER|OPTIONAL|UNION)(?![A-Za-z0-9_])", r
 #: ``<`` opens an IRI, not a comparison, when a ``>`` closes it first and
 #: nothing between is barred from an IRI (an ``=`` makes it ``<=``).
 _IRI_AHEAD_RE = re.compile(r"<[^<>\"{}|^`\\\x00-\x20=]*>")
-_WS = r"(?:[ \t\r\n]++|#[^\n]*+)*+"
-_DECLARATION = r"(?i:PREFIX|BASE)(?!\w)"
-#: A literal, from the scanner's body, language-tag, IRI and prefixed-name
-#: regexes: a long string before a short one, then the tag or datatype.
-_LITERAL = (
-    "(?:"
-    + "|".join(
-        rf"{quote * 3}(?s:{_LONG_BODY_RE[quote].pattern}){quote * 3}" for quote in "\"'"
-    )
-    + "|"
-    + "|".join(rf"{quote}(?s:{_SHORT_BODY_RE[quote].pattern}){quote}" for quote in "\"'")
-    + rf")(?:{_LANGTAG_RE.pattern}|\^\^{_WS}(?:{_IRIREF_RE.pattern}|{_PNAME_RE.pattern}))?"
-)
+_WS = r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+"
+
+
+def _bare(pattern: str) -> str:
+    """``pattern`` with its capturing groups made non-capturing (outside
+    character classes; none of the term regexes opens a class with
+    ``]``)."""
+    out: List[str] = []
+    escaped = in_class = False
+    for position, char in enumerate(pattern):
+        if escaped:
+            escaped = False
+        elif char == "\\":
+            escaped = True
+        elif in_class:
+            in_class = char != "]"
+        elif char == "[":
+            in_class = True
+        elif char == "(" and not pattern.startswith("?", position + 1):
+            char = "(?:"
+        out.append(char)
+    return "".join(out)
+
+
+_IRIREF = _bare(_IRIREF_RE.pattern)
+_PNAME = rf"(?:{_PN_PREFIX})?:{_PN_LOCAL}"
+_DECLARATIONS = (r"[Pp](?i:REFIX)(?!\w)", r"[Bb](?i:ASE)(?!\w)")
+#: what may follow a string: a language tag or a datatype
+_TAG = rf"(?:{_bare(_LANGTAG_RE.pattern)}|\^\^{_WS}(?:{_IRIREF}|{_PNAME}))?"
 #: One token behind whitespace and ``#`` comments, assembled from the
-#: term productions' own regexes; the group that matched names its kind.
-#: The prologue is one token (its declarations as written); a number
-#: never ends in the ``.`` that ends a statement.  Operators the parser
-#: reads as one are one token.  A token only says where a term is: its
-#: value is always what the scanner's production reads there.
-_TOKEN_RE = re.compile(
-    rf"{_WS}(?:"
-    rf"(?P<bnode>{_BNODE_RE.pattern})"
-    rf"|(?P<pname>{_PNAME_RE.pattern})"
-    r"|(?P<punct>[{};,()\[\]*=]|\.(?!\d)|<=|>=|!=|&&|\|\|)"
-    rf"|(?P<var>{_VAR_RE.pattern})"
-    rf"|(?P<string>{_LITERAL})"
-    rf"|(?P<iri>{_IRIREF_RE.pattern})"
-    rf"|(?P<prologue>{_DECLARATION}(?:{_WS}(?:{_DECLARATION}|{_IRIREF_RE.pattern}"
-    rf"|{_PNAME_RE.pattern}))*+)"
-    r"|(?P<word>[A-Za-z_]\w*)"
-    rf"|(?P<number>(?:{_NUMBER_RE.pattern})(?<!\.))"
-    r"|(?P<other>[^ \t\r\n]))?"
+#: term productions' own regexes, in this order: a blank node, a
+#: prefixed name, punctuation (operators the parser reads as one are one
+#: token; a ``.`` before a digit starts a number), a variable, a string
+#: (long before short, then its tag or datatype), an IRI, the prologue
+#: (one token: its declarations as written), a word, a number (never
+#: ending in the ``.`` that ends a statement), any other character.  The
+#: alternatives but the number's open with a literal character or a
+#: character class, which the regex engine tests before it enters one (so
+#: ``PREFIX`` / ``BASE`` are split on their first letter).  A token only
+#: says where a term is: its value is always what the scanner's
+#: production reads there.
+_TOKENS_RE = re.compile(
+    rf"({_WS})("
+    + "|".join((
+        _bare(_BNODE_RE.pattern),
+        rf"{_PN_PREFIX}:{_PN_LOCAL}",
+        rf":{_PN_LOCAL}",
+        r"[{};,()\[\]*=]|\.(?!\d)|<=|>=|!=|&&|\|\|",
+        _bare(_VAR_RE.pattern),
+        *(
+            rf"{quote * 3}(?s:{_LONG_BODY_RE[quote].pattern}){quote * 3}{_TAG}"
+            for quote in "\"'"
+        ),
+        *(
+            rf"{quote}(?s:{_SHORT_BODY_RE[quote].pattern}){quote}{_TAG}"
+            for quote in "\"'"
+        ),
+        _IRIREF,
+        *(
+            rf"{declaration}(?:{_WS}(?:{'|'.join(_DECLARATIONS)}|{_IRIREF}|{_PNAME}))*+"
+            for declaration in _DECLARATIONS
+        ),
+        r"[A-Za-z_]\w*",
+        rf"(?:{_NUMBER_RE.pattern})(?<!\.)",
+        r"[^ \t\r\n]",
+    ))
+    + ")?"
 )
+#: the tokens that are punctuation
+_PUNCT = frozenset("{ } ; , ( ) [ ] * = . <= >= != && ||".split())
+_GROUP_KEYWORDS = frozenset(("FILTER", "OPTIONAL", "UNION"))
+_BOOLEANS = frozenset(("true", "false"))
+#: the characters of a prefixed name's prefix; the first characters of a
+#: word, a prefixed name or the prologue; those of a blank node's label
+_PREFIX_CHARS = string.ascii_letters + string.digits + "_.-"
+_NAME_START = frozenset(string.ascii_letters + "_:")
+_LABEL_START = frozenset(string.ascii_letters + string.digits + "_")
 #: How the verb ``rdf:type`` is spelled where its object is a class,
 #: which is shape.  (Another spelling lifts the class: still the same
 #: answer — translation pins a class placeholder to its value.)
@@ -109,6 +161,35 @@ _TYPE_VERBS = frozenset(("a", "rdf:type", RDF.type.n3()))
 _SUBJECT, _VERB, _OBJECT = range(3)
 
 __all__ = ["Lifted", "SPARQLParserBase"]
+
+
+def _constant(token: str) -> Optional[str]:
+    """The kind of constant a token of :data:`_TOKENS_RE` is — ``iri``,
+    ``pname``, ``string``, ``number``, or ``word`` for a boolean — read
+    off the characters that decided which alternative matched it; None
+    for any other token (a variable, a blank node, a word, punctuation,
+    the prologue, a lone character)."""
+    first = token[0]
+    if first == "?":
+        return None
+    if first in _NAME_START:
+        if first in "TtFf" and token.lower() in _BOOLEANS:
+            return "word"
+        # a prefixed name: its prefix characters, then a colon — where
+        # the prefix is "_" and a label character follows, a blank node
+        prefix, colon, _ = token.partition(":")
+        if colon and not prefix.strip(_PREFIX_CHARS) and not (
+            prefix == "_" and token[2:3] in _LABEL_START
+        ):
+            return "pname"
+        return None
+    if first == '"' or first == "'":
+        return "string" if len(token) > 1 else None
+    if first == "<":
+        return "iri" if len(token) > 1 and token != "<=" else None
+    if first.isdecimal() or (first in "+-." and len(token) > 1):
+        return "number"
+    return None
 
 
 class Lifted(NamedTuple):
@@ -149,7 +230,7 @@ class SPARQLParserBase(TermScanner):
 
     # -- shape and values ------------------------------------------------------
 
-    def lift(self) -> Optional[Lifted]:
+    def lift(self, heads: Optional[Dict[str, str]] = None) -> Optional[Lifted]:
         """Read the text as a shape plus values, in one pass of its tokens.
 
         Lifted into the value vector: IRIs and prefixed names in subject
@@ -163,11 +244,23 @@ class SPARQLParserBase(TermScanner):
         lifted constant; whitespace and comments between tokens are not
         in it.  The values are read by :meth:`lifted_values`.
 
+        The pass is one ``findall`` of :data:`_TOKENS_RE` — each token as
+        a string beside the whitespace before it, no match object — and
+        Python per token only for the position the token is in; a token's
+        kind follows from its first characters (:func:`_constant`).
+        ``heads`` is the caller's map, kept across texts, from a text's
+        *head* — everything up to its first ``{`` — to the key of that
+        part: the prologue and the form before the first group, the same
+        for every text of a shape, are read once.  A head is kept only
+        where that ``{`` is a token and no quote stands before it, so
+        what a head reads as cannot depend on what follows it; the caller
+        bounds the map.
+
         None when the text cannot be read so (a literal where the grammar
         has no term): the caller parses it, and the parser reports its
         own error.
         """
-        scan = _TOKEN_RE.scanner(self.text).match
+        text = self.text
         parts: List[str] = []
         spans: List[Tuple[int, int, int]] = []
         slots: List[Tuple[int, int]] = []
@@ -176,27 +269,41 @@ class SPARQLParserBase(TermScanner):
         depth = parens = 0
         position = _SUBJECT
         typed = filtering = False
-        while True:
-            m = scan()
-            kind = m.lastgroup
-            if kind is None:
-                return Lifted(
-                    " ".join(parts), tuple(spans), tuple(slots), tuple(kinds)
-                )
-            token = m.group(kind)
-            lift = False
+        brace = text.find("{") + 1
+        head = text[:brace]
+        known = heads.get(head) if heads is not None and brace else None
+        learned = 0  # the parts of the head, where this text teaches it
+        if known is None:
+            pos = 0
+        else:
+            parts.append(known)
+            pos, depth = brace, 1
+        append = parts.append
+        for space, token in _TOKENS_RE.findall(text, pos):
+            if not token:
+                break
+            start = pos + len(space)
+            pos = start + len(token)
             if parens:  # inside FILTER ( ... ): literals are lifted
+                kind = None
                 if token == "(":
                     parens += 1
                 elif token == ")":
                     parens -= 1
-                lift = kind == "string" or kind == "number" or (
-                    kind == "word" and token.lower() in ("true", "false")
-                )
+                else:
+                    kind = _constant(token)
+                    if kind == "pname" or kind == "iri":
+                        kind = None
             elif depth == 0:
                 if token == "{":
                     depth, position = 1, _SUBJECT
-            elif kind == "punct":
+                    if pos == brace and known is None:
+                        learned = len(parts) + 1
+                elif token[0] in "\"'" and len(token) > 1:
+                    return None  # a string where the grammar reads no term
+                append(token)
+                continue
+            elif token in _PUNCT:
                 if token == "{":
                     depth, position = depth + 1, _SUBJECT
                 elif token == "}":
@@ -210,34 +317,38 @@ class SPARQLParserBase(TermScanner):
                 elif token == "]" and position == _SUBJECT:
                     position = _VERB
                 filtering = False
-            elif kind == "word" and token.upper() in ("FILTER", "OPTIONAL", "UNION"):
+                append(token)
+                continue
+            elif token[0] in "FfOoUu" and token.upper() in _GROUP_KEYWORDS:
                 position, filtering = _SUBJECT, token.upper() == "FILTER"
+                append(token)
+                continue
             elif position == _VERB:
+                if token[0] in "\"'" and len(token) > 1:
+                    return None
                 typed = token in _TYPE_VERBS
                 position = _OBJECT
-            elif kind == "word":
-                lift = token.lower() in ("true", "false")
+                append(token)
+                continue
+            else:  # a term in subject or object position
+                kind = _constant(token)
+                if typed and position == _OBJECT and (kind == "pname" or kind == "iri"):
+                    kind = None
                 if position == _SUBJECT:
                     position = _VERB
-            else:
-                lift = kind == "string" or kind == "number" or (
-                    (kind == "pname" or kind == "iri")
-                    and not (typed and position == _OBJECT)
-                )
-                if position == _SUBJECT:
-                    position = _VERB
-            if lift:
-                slot = spelled.get(token)
-                if slot is None:
-                    slot = spelled[token] = len(slots)
-                    slots.append(m.span(kind))
-                    kinds.append(kind)
-                parts.append("?" + str(slot))
-                spans.append((*m.span(kind), slot))
-            elif kind == "string":
-                return None  # where the grammar reads no term
-            else:
-                parts.append(token)
+            if kind is None:
+                append(token)
+                continue
+            slot = spelled.get(token)
+            if slot is None:
+                slot = spelled[token] = len(slots)
+                slots.append((start, pos))
+                kinds.append(kind)
+            append("?" + str(slot))
+            spans.append((start, pos, slot))
+        if learned and heads is not None and '"' not in head and "'" not in head:
+            heads[head] = " ".join(parts[:learned])
+        return Lifted(" ".join(parts), tuple(spans), tuple(slots), tuple(kinds))
 
     def lifted_values(
         self, lifted: Lifted, prefixes: PrefixMap, base: str

@@ -18,7 +18,7 @@ engine's plan cache keys on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 __all__ = [
     # expressions
@@ -65,6 +65,34 @@ __all__ = [
     "Bound",
     "shape_of",
 ]
+
+
+def _hashed_once(cls: type) -> type:
+    """A frozen statement class whose instances compute their hash — the
+    dataclass hash of every field, which walks the whole tree — once.
+    The engine's plan cache hashes a statement shape on every execution;
+    a kept translation hands it the same shape object each time.  An
+    unhashable literal in the tree still raises ``TypeError`` each time
+    (its statement is planned uncached), and the hash is not pickled:
+    a string's hash differs between processes."""
+    fields_hash = cls.__hash__
+
+    def __hash__(self: Any) -> int:
+        value = self._hash
+        if value is None:
+            value = fields_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self: Any) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls._hash = None  # type: ignore[attr-defined]
+    cls.__hash__ = __hash__  # type: ignore[assignment]
+    cls.__getstate__ = __getstate__  # type: ignore[attr-defined]
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +243,7 @@ class OrderItem:
     descending: bool = False
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Select:
     """A SELECT statement (single FROM table plus explicit joins)."""
@@ -235,6 +264,7 @@ class Select:
 # DML
 # ---------------------------------------------------------------------------
 
+@_hashed_once
 @dataclass(frozen=True)
 class Insert:
     """``INSERT INTO table (columns) VALUES (row), ...``."""
@@ -252,6 +282,7 @@ class Assignment:
     value: Expression
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Update:
     table: str
@@ -259,6 +290,7 @@ class Update:
     where: Optional[Expression] = None
 
 
+@_hashed_once
 @dataclass(frozen=True)
 class Delete:
     table: str

@@ -89,6 +89,8 @@ def test_the_oneshot_mix_parses_once_per_shape(parses):
     stream = workloads.Stream(spec, workloads.Model(dataset), 0, 1)
     ops = stream.next_chunk(spec.round_ops)
     assert len(ops) == 1536 and len({op.text for op in ops}) == 1536
+    fallbacks = REQUEST_SHAPES.labels("fallback")
+    before = fallbacks.value()
     wrong = []
     for op in ops:
         if op.is_update:
@@ -104,6 +106,8 @@ def test_the_oneshot_mix_parses_once_per_shape(parses):
     assert wrong == []
     shapes = len(mediator._session._shapes)
     assert parses[0] == shapes <= 12, (parses[0], shapes)
+    # every text was read as shape plus values: none fell back to a parse
+    assert fallbacks.value() == before
 
 
 # -- placeholders are no answer's variables ----------------------------------------
@@ -222,3 +226,24 @@ def test_metrics_count_shape_hits_and_misses():
     assert lint_exposition(text) == []
     assert 'repro_request_shapes_total{outcome="hit"}' in text
     assert 'repro_request_shapes_total{outcome="miss"}' in text
+
+
+def test_metrics_count_fallbacks_apart_from_misses():
+    """A text the lift cannot read (a string where no term is read) or
+    whose constant the parser reads otherwise (``?y -1``) is parsed as
+    written: a ``fallback``, neither a hit nor a miss."""
+    endpoint = OntoAccessEndpoint(author_mediator())
+    outcomes = {name: REQUEST_SHAPES.labels(name) for name in ("hit", "miss", "fallback")}
+    before = {name: counter.value() for name, counter in outcomes.items()}
+    texts = [
+        PREFIXES + 'SELECT ?l WHERE { ex:author100 "p" ?l }',
+        PREFIXES + "ASK { ?a foaf:family_name ?l FILTER(?l -1 > 3) }",
+    ]
+    for text in texts:
+        for _ in range(2):
+            endpoint.handle("POST", "/query", {}, text)
+    delta = {name: outcomes[name].value() - before[name] for name in outcomes}
+    assert delta == {"hit": 0, "miss": 0, "fallback": 4}
+    assert 'repro_request_shapes_total{outcome="fallback"}' in (
+        endpoint.handle("GET", "/metrics").body
+    )

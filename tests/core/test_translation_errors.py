@@ -9,11 +9,17 @@ a stable code carried by TranslationError.
 import pytest
 
 from repro import OntoAccess, TranslationError
+from repro.core.common import identify_entity
+from repro.core.query import execute_query
+from repro.r3m import TableMapping, URIPattern
+from repro.rdf import URIRef
+from repro.sparql.query_parser import parse_query
 from repro.workloads.publication import (
     build_database,
     build_mapping,
     seed_feasibility_data,
 )
+from tests.core.test_data_templates import overlapping_mediator
 
 P = """
 PREFIX foaf: <http://xmlns.com/foaf/0.1/>
@@ -219,6 +225,82 @@ class TestDeleteErrors:
             }""",
             TranslationError.CONSTRAINT_VIOLATION,
         )
+
+
+class TestSubjectTables:
+    """Which table a subject URI names: the most specific pattern that
+    reads it, in the order of the mapping as it is now — also for a kept
+    translation bound to another subject."""
+
+    def test_a_table_assigned_after_a_look_up_takes_its_place_in_the_order(self, oa):
+        db, mapping = oa.db, oa.mapping
+        uri = URIRef("http://example.org/db/author6")
+        assert mapping.identify_table(uri)[0].table_name == "author"
+        assert identify_entity(mapping, db, uri).table.table_name == "author"
+        text = P + "SELECT ?n WHERE { ex:author6 foaf:family_name ?n }"
+        assert oa.query_outcome(text).used_sql  # kept: translated for author
+        # team's pattern, longer than author's, now also reads author URIs
+        team = mapping.table("team")
+        mapping.tables["team"] = TableMapping(
+            "team", team.maps_to_class,
+            URIPattern(mapping.uri_prefix + "author%%id%%"), team.attributes,
+        )
+        table, values = mapping.identify_table(uri)
+        assert (table.table_name, values) == ("team", {"id": "6"})
+        entity = identify_entity(mapping, db, uri)
+        assert (entity.table.table_name, entity.key_values) == ("team", {"id": 6})
+        # the kept translation is not bound to it: a fresh translation
+        # names team, which maps no foaf:family_name (the dump answers)
+        fresh = execute_query(mapping, db, text)
+        kept = oa.query_outcome(text)
+        assert not kept.used_sql and not fresh.used_sql
+        assert kept.result.solutions == fresh.result.solutions
+        del mapping.tables["team"]
+        assert [t.table_name for t in mapping.tables_by_specificity()] == [
+            "publisher", "pubtype", "author", "publication"
+        ]
+
+    def test_a_kept_query_translates_again_for_another_tables_subject(self, oa):
+        """``pubtype4`` fits ``pub%%id%%`` as text, but ``pubtype%%id%%``
+        reads it: the translation kept for ``ex:pub12`` is not bound to
+        it, and the query answers what the dump evaluation answers."""
+        oa.db.execute(
+            "INSERT INTO publication (id, title, year, type, publisher) "
+            "VALUES (12, 'Updating', 2010, 4, 3)"
+        )
+        form = P + "SELECT ?t WHERE { %s dc:title ?t }"
+        for subject in ("ex:pub12", "ex:pubtype4", "ex:pub12", "ex:pub13"):
+            text = form % subject
+            reference = execute_query(oa.mapping, oa.db, text, force_fallback=True)
+            got = oa.query(text)
+            assert [s for s in got.solutions] == reference.result.solutions, subject
+        assert len(oa._session._shapes) == 1
+
+    def test_a_subject_a_longer_pattern_reads_first_is_not_bound(self):
+        """``itemset5`` is the key ``set5`` to ``item%%code%%`` and 5 to the
+        longer ``itemset%%id%%``, which decides: the query kept for an
+        ``item`` subject translates again and answers from ``itemset``, as
+        a fresh translation does."""
+        kept, fresh = overlapping_mediator(), overlapping_mediator()
+        for mediator in (kept, fresh):
+            mediator.db.execute_script(
+                """
+                INSERT INTO item (code, label) VALUES ('7', 'seven');
+                INSERT INTO item (code, label) VALUES ('set5', 'item set5');
+                INSERT INTO itemset (id, label) VALUES (5, 'itemset 5');
+                """
+            )
+        form = (
+            "PREFIX ex: <http://example.org/db/> PREFIX v: <http://example.org/vocab#> "
+            "SELECT ?l WHERE { ex:%s v:label ?l }"
+        )
+        answers = {}
+        for subject in ("item7", "itemset5", "item7", "itemset5"):
+            text = form % subject
+            got = [str(row[0]) for row in kept.query(text).rows()]
+            assert got == [str(row[0]) for row in fresh.query(parse_query(text)).rows()]
+            answers[subject] = got
+        assert answers == {"item7": ["seven"], "itemset5": ["itemset 5"]}
 
 
 class TestAtomicity:

@@ -10,13 +10,19 @@ Covers the ISSUE-1 satellite checklist:
   behaviour across DDL.
 """
 
+import dataclasses
+
 import pytest
 
+from repro import OntoAccess
 from repro.errors import DatabaseError
 from repro.observability.tracing import trace_scope
 from repro.rdb import Database
 from repro.rdb.storage import TableData
 from repro.sql import ast, parse_sql
+from repro.workloads.generator import WorkloadConfig, generate_dataset, populate_database
+from repro.workloads.operations import PREFIXES
+from repro.workloads.publication import build_database, build_mapping
 
 
 def make_db():
@@ -270,6 +276,60 @@ class TestPlanCache:
         db.execute("DROP TABLE extra")
         result = db.query("SELECT name FROM author WHERE id = 1")
         assert result.rows == [("Hert",)]
+
+
+class TestPlanCacheKeys:
+    """The cache keys on the statement shape: equal shapes share a plan
+    whichever object holds them, each shape hashes once, and a shape
+    that cannot be hashed is still planned — uncached."""
+
+    @staticmethod
+    def shape():
+        return ast.Select(
+            items=(ast.SelectItem(ast.ColumnRef("name")),),
+            table=ast.TableRef("author"),
+            where=ast.BinaryOp("=", ast.ColumnRef("id"), ast.Parameter(0)),
+        )
+
+    def test_equal_shapes_of_separate_translations_share_one_plan(self):
+        db = build_database()
+        populate_database(db, generate_dataset(WorkloadConfig(authors=5, publications=5)))
+        text = PREFIXES + "SELECT ?l WHERE { ex:author%d foaf:family_name ?l }"
+        first, second = OntoAccess(db, build_mapping(db)), OntoAccess(db, build_mapping(db))
+        assert len(first.query(text % 1)) == 1
+        entries, hits = db.planner.cache_entries(), db.planner.stats["hits"]
+        assert len(second.query(text % 2)) == 1  # its own translation, an equal shape
+        assert db.planner.stats["hits"] == hits + 1
+        assert db.planner.cache_entries() == entries
+
+    def test_a_replaced_shape_has_its_own_hash_and_plan(self, db):
+        shape = self.shape()
+        hash(shape)  # computed and kept
+        limited = dataclasses.replace(shape, limit=1)
+        same = dataclasses.replace(shape)
+        assert limited != shape and hash(limited) != hash(shape)
+        assert same == shape and hash(same) == hash(shape) and same is not shape
+        before = dict(db.planner.stats)
+        assert db.execute(ast.Bound(shape, (1,))).rows == [("Hert",)]
+        assert db.execute(ast.Bound(limited, (2,))).rows == [("Reif",)]
+        assert db.execute(ast.Bound(same, (3,))).rows == [("Gall",)]
+        assert db.planner.stats["misses"] == before["misses"] + 2
+        assert db.planner.stats["hits"] == before["hits"] + 1
+
+    def test_an_unhashable_literal_is_planned_uncached(self, db):
+        # a list where the AST has a tuple: it executes, but hashes never
+        shape = ast.Select(
+            items=(ast.SelectItem(ast.ColumnRef("name")),),
+            table=ast.TableRef("author"),
+            where=ast.InList(ast.ColumnRef("id"), [ast.Literal(1), ast.Literal(3)]),
+        )
+        with pytest.raises(TypeError):
+            hash(shape)
+        entries, misses = db.planner.cache_entries(), db.planner.stats["misses"]
+        for _ in range(2):
+            assert sorted(db.execute(shape).rows) == [("Gall",), ("Hert",)]
+        assert db.planner.stats["misses"] == misses + 2
+        assert db.planner.cache_entries() == entries
 
 
 class TestBoundStatements:
