@@ -69,13 +69,13 @@ from ..sparql.update_ast import (
 )
 from ..sql import ast
 from ..sql.render import render
+from .answer import SelectRows
 from .delete_data import DeleteTemplate, translate_delete_data
 from .dump import dump_database
 from .feedback import confirmation_graph
 from .insert_data import InsertTemplate, translate_insert_data
 from .modify import plan_binding, plan_modify, where_query
 from .query import Answer, QueryOutcome, solve_query
-from .select_translate import SelectRows
 
 __all__ = [
     "Backend",
@@ -258,9 +258,9 @@ class PreparedPattern:
     to, not on the term: so it is kept per (mapping, schema) version and
     handed back to :func:`~repro.core.query.solve_query`, which binds
     it again (a few µs) and translates only when a binding does not fit
-    what was kept — that translation then takes the slot, answer step
-    included.  Executions therefore share one statement shape, hence one
-    plan.
+    what was kept — that translation then takes the slot, with the row
+    functions it generates on first use.  Executions therefore share one
+    statement shape, hence one plan.
 
     Thread-safe without a lock (prepared queries are shared by reader
     threads): the slot is one atomically swapped tuple, so concurrent

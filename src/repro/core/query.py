@@ -35,8 +35,9 @@ from ..sparql.query_ast import Query
 from ..sparql.query_parser import parse_query
 from ..sql import ast
 from ..sql.render import render
+from .answer import SelectRows
 from .dump import dump_database
-from .select_translate import SelectRows, TranslatedSelect, translate_query
+from .select_translate import TranslatedSelect, translate_query
 
 __all__ = [
     "QueryOutcome",
@@ -54,7 +55,7 @@ class QueryOutcome:
 
     ``answer`` is what evaluation produced: for a SELECT a kept
     translation answered with its rows, those rows
-    (:class:`~repro.core.select_translate.SelectRows`), which the
+    (:class:`~repro.core.answer.SelectRows`), which the
     endpoint's JSON route writes as text.  :attr:`result` is the answer
     in terms, built by :meth:`built` — which every in-process entry
     point calls before it returns, so the answer step is part of the
@@ -96,7 +97,7 @@ def solve_query(
     """Answer a query on the RDB.
 
     Returns the answer (a SELECT translated with all its modifiers:
-    its rows, :class:`~repro.core.select_translate.SelectRows`), the SQL
+    its rows, :class:`~repro.core.answer.SelectRows`), the SQL
     statement that produced it and its
     translation — or None for both when the pattern was evaluated
     natively over the RDF dump, because it falls outside the translatable

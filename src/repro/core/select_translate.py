@@ -32,25 +32,12 @@ Everything else (UNION, variable predicates, unmappable subjects) raises
 :class:`~repro.errors.UnsupportedPatternError`; callers fall back to
 evaluating against :func:`repro.core.dump.dump_database`.
 
-**The answer step.**  A translation carries one function, generated once
-with the plan emitter's :class:`~repro.rdb.expressions.Source`, that maps
-the statement's rows straight to the query's solutions: per row one dict
-of a SELECT's projected variables — for a MODIFY, the variables its
-templates use (:func:`repro.core.modify.where_query`) —, each minted from
-its column value — an instance URI as pattern prefix + value + suffix, a
-literal from its canonical lexical form — or, for a placeholder, the term
-it is bound to.  When every modifier went into the SQL those dicts are the
-answer; where a filter or modifier is left to Python, or for a CONSTRUCT,
-they hold every variable bound, and the residue is applied to them.
-When they are the answer, the SELECT is answered by its rows
-(:class:`SelectRows`) and the reader picks what they become: the
-solutions, or the SPARQL JSON text ``json.dumps`` makes of each, written
-by a second generated function, ``json(rows, seed)``, from the same
-sites, without minting a term.  A translation's first JSON answer is
-still written from terms and its second compiles the writer
-(:meth:`TranslatedSelect.writes_json`), so a translation used once costs
-no compile; the in-process surfaces and a MODIFY's WHERE never compile
-one.
+**The answer step.**  A translation keeps what its rows mean — per
+variable the answer binds, its column or placeholder — and generates
+from that each row function on its first use (:mod:`repro.core.answer`):
+the answer step to solutions, the JSON writer to text.  Translation
+compiles nothing.  A SELECT whose modifiers all went into the SQL is
+answered by its rows (:class:`~repro.core.answer.SelectRows`).
 
 **Shape and values.**  What comes out is a statement *shape* and a value
 vector (:class:`repro.sql.ast.Bound`): every key or constant of the
@@ -81,10 +68,8 @@ what translation branched on, never the values themselves.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from functools import partial
-from json.encoder import encode_basestring_ascii
 from typing import (
     Any,
     Callable,
@@ -101,7 +86,6 @@ from typing import (
 
 from ..errors import TranslationError, UnsupportedPatternError
 from ..rdb.engine import Database
-from ..rdb.expressions import Function, ScopeLayout, Source
 from ..rdb.types import FloatType, IntegerType, StringType
 from ..rdf.graph import Graph
 from ..rdf.namespace import RDF
@@ -114,18 +98,25 @@ from ..r3m.model import (
 )
 from ..sparql import algebra_ast as alg
 from ..sparql.algebra import Solution, initial_solution
-from ..sparql.engine import SelectResult, shape_result, term_json
-from ..sparql.expressions import filter_accepts
+from ..sparql.engine import shape_result
 from ..sparql.query_ast import AskQuery, OrderCondition, Query, SelectQuery
 from ..sql import ast
+from .answer import (
+    AnswerStep,
+    BindingSite,
+    JsonWriter,
+    Members,
+    SelectRows,
+    answer_members,
+    answer_step,
+    json_writer,
+)
 from .common import (
     EntityRef,
-    LiteralForm,
     SubjectReader,
     Values,
     coerce_pattern_values,
     identify_entity,
-    literal_form,
     value_converter,
 )
 
@@ -135,45 +126,24 @@ __all__ = ["SelectRows", "TranslatedSelect", "translate_query", "SelectTranslato
 #: raises :class:`TranslationError` for a term it was not made for.
 Binder = Callable[[Term], Any]
 
-#: The answer step: (the statement's rows, the bindings it was bound
-#: with) → solutions.
-AnswerStep = Callable[[Sequence[Tuple[Any, ...]], Solution], List[Solution]]
-
-#: The JSON writer: the same arguments → the SPARQL JSON text of each
-#: solution the answer step would return.
-JsonWriter = Callable[[Sequence[Tuple[Any, ...]], Solution], List[str]]
-
-
-@dataclass
-class _BindingSite:
-    """Where a variable's value lives in the SQL result."""
-
-    alias: str
-    column: str
-    kind: str  # 'data' | 'object' | 'subject'
-    table: TableMapping  # for 'object': the referenced table; else own table
-    select_index: int = -1
-    #: lexical transform for URI-valued data attributes (foaf:mbox)
-    value_pattern: Optional[object] = None
-    #: the column may be NULL in a row (OPTIONAL left the variable unbound)
-    nullable: bool = False
-
 
 @dataclass
 class TranslatedSelect:
-    """A translated query: the SQL statement, the step that turns its
-    rows into solutions, and — when the pattern is a template — the
-    recipe to bind it again."""
+    """A translated query: the SQL statement, what its rows mean, and —
+    when the pattern is a template — the recipe to bind it again.  The
+    functions that turn rows into solutions (:meth:`answer`) or JSON
+    text (:meth:`write_json`) are each generated on their first call.
+    (Two first calls at once both generate it; either result is kept.)"""
 
     #: shape + the values of the binding it was translated from
     statement: ast.Bound
     db: Database
-    answer: AnswerStep
-    #: generates the JSON writer of what ``answer`` returns (``residual``
-    #: None); see :meth:`write_json`
-    json_writer: Optional[Callable[[], JsonWriter]]
+    #: per variable :meth:`answer` binds: its site and literal form
+    members: Members
+    #: FILTERs left to Python, applied by :meth:`answer`
+    post_filters: Tuple[alg.Expr, ...]
     #: the query whose form and solution modifiers still apply to what
-    #: ``answer`` returns; None: those are the SELECT's solutions
+    #: :meth:`answer` returns; None: those are the SELECT's solutions
     residual: Optional[Query]
     #: the SELECT's projection (``residual`` None)
     variables: Tuple[Variable, ...] = ()
@@ -184,29 +154,27 @@ class TranslatedSelect:
     #: (position in the value vector — None: a check only —,
     #: placeholder, binder)
     binders: Tuple[Tuple[Optional[int], Variable, Binder], ...] = ()
+    _answer: Optional[AnswerStep] = field(default=None, init=False, repr=False)
     _json: Optional[JsonWriter] = field(default=None, init=False, repr=False)
-    _json_asked: bool = field(default=False, init=False, repr=False)
 
-    def writes_json(self) -> bool:
-        """Whether this JSON answer of the translation is written by its
-        generated writer (:meth:`write_json`): every one but the first,
-        which is written from terms.  Compiling the writer costs what it
-        saves on some two dozen one-row answers, and a translation may
-        answer once — when shapes churn out of a session's cache, after
-        a DDL or mapping change, or when a prepared query's binding kind
-        alternates.  Each call counts one JSON answer."""
-        asked, self._json_asked = self._json_asked, True
-        return asked
+    def answer(
+        self, rows: Sequence[Tuple[Any, ...]], seed: Solution
+    ) -> List[Solution]:
+        """The solutions of ``rows`` (``seed``: the bindings the
+        statement was bound with), filtered by :attr:`post_filters`."""
+        step = self._answer
+        if step is None:
+            step = self._answer = answer_step(self.members, self.post_filters)
+        return step(rows, seed)
 
     def write_json(
         self, rows: Sequence[Tuple[Any, ...]], seed: Solution
     ) -> List[str]:
-        """The SPARQL JSON text of each solution ``answer`` makes of
-        ``rows``.  The writer is generated on the first call.  (Two
-        first calls at once both generate it; either result is kept.)"""
+        """The SPARQL JSON text of each solution :meth:`answer` makes of
+        ``rows`` (``residual`` None)."""
         write = self._json
         if write is None:
-            write = self._json = self.json_writer()
+            write = self._json = json_writer(self.members)
         return write(rows, seed)
 
     def bind(self, bindings: Solution) -> Optional[ast.Bound]:
@@ -246,45 +214,6 @@ class TranslatedSelect:
         if self.residual is None:
             return SelectRows(self, rows, bindings or {})
         return shape_result(self.residual, self.answer(rows, bindings or {}))
-
-
-class SelectRows:
-    """A SELECT answered by the rows of its translation.  The reader
-    picks what they become: solutions (:meth:`result`, the answer step),
-    or the SPARQL JSON text of each (:meth:`json_bindings`, the
-    translation's writer) without a term in between."""
-
-    __slots__ = ("translation", "rows", "seed")
-
-    def __init__(
-        self,
-        translation: TranslatedSelect,
-        rows: Sequence[Tuple[Any, ...]],
-        seed: Solution,
-    ) -> None:
-        self.translation = translation
-        self.rows = rows
-        self.seed = seed
-
-    @property
-    def variables(self) -> Tuple[Variable, ...]:
-        return self.translation.variables
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def solutions(self) -> List[Solution]:
-        """The rows' solutions, made by the answer step on every read."""
-        return self.translation.answer(self.rows, self.seed)
-
-    def result(self) -> SelectResult:
-        return SelectResult(self.variables, self.solutions)
-
-    def json_bindings(self) -> List[str]:
-        """What :meth:`SelectResult.json_bindings` makes of
-        :attr:`solutions`, written from the rows."""
-        return self.translation.write_json(self.rows, self.seed)
 
 
 def translate_query(
@@ -416,7 +345,7 @@ class SelectTranslator:
         self.subject_alias: Dict[Term, str] = {}
         self.subject_table: Dict[Term, TableMapping] = {}
         self.subject_entity: Dict[Term, EntityRef] = {}
-        self.sites: Dict[Variable, _BindingSite] = {}
+        self.sites: Dict[Variable, BindingSite] = {}
         self.extra_conditions: List[ast.Expression] = []
         self.post_filters: List[alg.Expr] = []
         self.values = Values()
@@ -447,18 +376,11 @@ class SelectTranslator:
             variables, wanted = (), [*self.sites, *self.bindings]
         else:
             variables = wanted = ()  # an ASK's one row, read by nothing
-        json_writer = None
-        if residual is None:
-            json_writer = partial(
-                _json_writer, _json_members(self.db, self.sites, self.bindings, wanted)
-            )
         return TranslatedSelect(
             statement=self.values.bind(select),
             db=self.db,
-            answer=_answer_step(
-                self.db, self.sites, self.bindings, wanted, self.post_filters
-            ),
-            json_writer=json_writer,
+            members=answer_members(self.db, self.sites, self.bindings, wanted),
+            post_filters=tuple(self.post_filters),
             residual=residual,
             variables=variables,
             kinds=self.kinds,
@@ -631,7 +553,7 @@ class SelectTranslator:
             )
         elif isinstance(term, Variable):
             if term not in self.sites:
-                self.sites[term] = _BindingSite(
+                self.sites[term] = BindingSite(
                     alias=node.alias, column=pk, kind="subject", table=table
                 )
         elif isinstance(term, Literal):
@@ -750,7 +672,7 @@ class SelectTranslator:
             return
 
         if attribute.is_object_property:
-            site = _BindingSite(
+            site = BindingSite(
                 alias=node.alias,
                 column=attribute.attribute_name,
                 kind="object",
@@ -758,7 +680,7 @@ class SelectTranslator:
                 nullable=optional,
             )
         else:
-            site = _BindingSite(
+            site = BindingSite(
                 alias=node.alias,
                 column=attribute.attribute_name,
                 kind="data",
@@ -810,7 +732,7 @@ class SelectTranslator:
                 )
             else:
                 column = self.db.table(link.table_name).column(object_attr)
-                self.sites[obj] = _BindingSite(
+                self.sites[obj] = BindingSite(
                     alias=link_alias,
                     column=object_attr,
                     kind="object",
@@ -1124,232 +1046,3 @@ def _conjoin(parts: Sequence[ast.Expression]) -> Optional[ast.Expression]:
     for part in parts:
         condition = part if condition is None else ast.BinaryOp("AND", condition, part)
     return condition
-
-
-# ---------------------------------------------------------------------------
-# the answer step and the JSON writer
-# ---------------------------------------------------------------------------
-
-def _answer_step(
-    db: Database,
-    sites: Dict[Variable, _BindingSite],
-    seeded: Solution,
-    wanted: Sequence[Variable],
-    post_filters: Sequence[alg.Expr],
-) -> AnswerStep:
-    """Generate ``answer(rows, seed)``: per row, the solution of the
-    ``wanted`` variables in that order — a site's column value minted or
-    decoded (absent where it is NULL), a placeholder of ``seeded`` read
-    from ``seed`` once per call, any other variable unbound — kept when
-    every residual filter accepts it."""
-    source = Source()
-    fn = source.function("answer", "rows, seed", ScopeLayout(()))
-    head: List[str] = []
-    #: (key, value code, and for a column that may be NULL the row index
-    #: the code's ``v`` is read from)
-    entries: List[Tuple[str, str, Optional[int]]] = []
-    for var in wanted:
-        key = fn.constant(var) if var in sites or var in seeded else None
-        site = sites.get(var)
-        if site is not None:
-            index = site.select_index
-            if site.nullable:
-                entries.append((key, _decoder_code(fn, db, site, "v"), index))
-            else:
-                code = _decoder_code(fn, db, site, f"r[{index}]")
-                entries.append((key, code, None))
-        elif key is not None:
-            name = fn.temp()
-            head.append(f"{name} = seed[{key}]")
-            entries.append((key, name, None))
-    tests = [
-        f"{fn.helper('accepts', filter_accepts)}({fn.constant(expr)}, s)"
-        for expr in post_filters
-    ]
-    if tests or any(index is not None for _, _, index in entries):
-        loop = ["s = {}"]
-        for key, code, index in entries:
-            if index is None:
-                loop.append(f"s[{key}] = {code}")
-            else:
-                loop.append(f"if (v := r[{index}]) is not None:")
-                loop.append(f"    s[{key}] = {code}")
-        if tests:
-            loop += [f"if {' and '.join(tests)}:", "    out.append(s)"]
-        else:
-            loop.append("out.append(s)")
-        body = ["out = []", "for r in rows:", *(f"    {line}" for line in loop)]
-        body.append("return out")
-    else:
-        items = ", ".join(f"{key}: {code}" for key, code, _ in entries)
-        body = [f"return [{{{items}}} for r in rows]"]
-    fn.close(head + body)
-    return source.build()["answer"]
-
-
-def _decoder_code(
-    fn: Function, db: Database, site: _BindingSite, value: str
-) -> str:
-    """Code minting a site's term from its column ``value``: an instance
-    URI as the pattern's prefix + value + suffix, a literal from the
-    column type's lexical form and datatype."""
-    form = _literal_form(db, site)
-    if form is None:
-        uri = fn.helper("uri", URIRef.canonical)
-        return f"{uri}({_uri_code(fn, site, value)})"
-    literal = fn.helper("literal", Literal.canonical)
-    lexical = f"{_lexical_helper(fn, form)}({value})"
-    if form.datatype_of is not None:
-        text = fn.temp()
-        datatype_of = _datatype_helper(fn, form)
-        return f"{literal}(({text} := {lexical}), {datatype_of}({text}))"
-    if form.datatype is None:
-        return f"{literal}({lexical})"
-    return f"{literal}({lexical}, {fn.constant(form.datatype)})"
-
-
-#: What the JSON writer writes, per distinct variable in projection
-#: order: the variable, its site (None: a placeholder read from the
-#: seed) and, for a literal site, its column's form.
-JsonMembers = Tuple[
-    Tuple[Variable, Optional[_BindingSite], Optional[LiteralForm]], ...
-]
-
-
-def _json_members(
-    db: Database,
-    sites: Dict[Variable, _BindingSite],
-    seeded: Solution,
-    wanted: Sequence[Variable],
-) -> JsonMembers:
-    """The writer's members, read off the schema at translation time."""
-    members = []
-    for var in dict.fromkeys(wanted):
-        site = sites.get(var)
-        if site is not None:
-            members.append((var, site, _literal_form(db, site)))
-        elif var in seeded:
-            members.append((var, None, None))
-    return tuple(members)
-
-
-def _json_writer(members: JsonMembers) -> JsonWriter:
-    """Generate ``json(rows, seed)``: per row, the text ``json.dumps``
-    makes of the solution the answer step returns for it — a SPARQL JSON
-    binding object of ``members`` in that order — written straight from
-    the row: a URI site as ``esc(prefix + value + suffix)``, a literal
-    site as its lexical form plus the column's datatype, a NULL left
-    out, a placeholder written once per call from ``seed``.  ``esc`` is
-    the string encoder ``json.dumps`` uses."""
-    source = Source()
-    fn = source.function("json", "rows, seed", ScopeLayout(()))
-    esc = fn.helper("esc", encode_basestring_ascii)
-    head: List[str] = []
-    #: per member: its ``"name": {...}`` as parts of an f-string — text
-    #: or code —, and the row index a NULL leaves it out at (its code
-    #: reads ``v``)
-    written: List[Tuple[List[Tuple[bool, str]], Optional[int]]] = []
-    for var, site, form in members:
-        parts = [(False, encode_basestring_ascii(var.name) + ": ")]
-        if site is None:
-            name = fn.temp()
-            dumps = fn.helper("dumps", json.dumps)
-            term = fn.helper("term_json", term_json)
-            head.append(f"{name} = {dumps}({term}(seed[{fn.constant(var)}]))")
-            parts.append((True, name))
-            written.append((parts, None))
-            continue
-        index = site.select_index
-        value = "v" if site.nullable else f"r[{index}]"
-        if form is None:
-            parts += [
-                (False, '{"type": "uri", "value": '),
-                (True, f"{esc}({_uri_code(fn, site, value)})"),
-            ]
-        else:
-            lexical = f"{_lexical_helper(fn, form)}({value})"
-            parts.append((False, '{"type": "literal", "value": '))
-            if form.datatype_of is not None:
-                text = fn.temp()
-                datatype = f"{_datatype_helper(fn, form)}({text})"
-                parts += [
-                    (True, f"{esc}(({text} := {lexical}))"),
-                    (False, ', "datatype": '),
-                    (True, f"{esc}({datatype})"),
-                ]
-            else:
-                parts.append((True, f"{esc}({lexical})"))
-                if form.datatype is not None:
-                    datatype = encode_basestring_ascii(form.datatype)
-                    parts.append((False, f', "datatype": {datatype}'))
-        parts.append((False, "}"))
-        written.append((parts, index if site.nullable else None))
-    if all(index is None for _, index in written):
-        parts = [(False, "{")]
-        for position, (member, _) in enumerate(written):
-            parts += [(False, ", ")] if position else []
-            parts += member
-        parts.append((False, "}"))
-        body = [f"return [{_f_string(fn, parts)} for r in rows]"]
-    else:
-        # every member is written as ", " + member; the first separator
-        # is cut when the object is closed
-        loop = ['s = ""']
-        for member, index in written:
-            text = _f_string(fn, [(False, ", "), *member])
-            if index is None:
-                loop.append(f"s += {text}")
-            else:
-                loop.append(f"if (v := r[{index}]) is not None:")
-                loop.append(f"    s += {text}")
-        loop.append(f"out.append({fn.constant('{')} + s[2:] + {fn.constant('}')})")
-        body = ["out = []", "for r in rows:", *(f"    {line}" for line in loop)]
-        body.append("return out")
-    fn.close(head + body)
-    return source.build()["json"]
-
-
-def _f_string(fn: Function, parts: Sequence[Tuple[bool, str]]) -> str:
-    """A single-quoted f-string of ``parts`` — code, or text, each run of
-    which becomes one constant."""
-    fields: List[str] = []
-    text = ""
-    for is_code, part in parts:
-        if not is_code:
-            text += part
-            continue
-        if text:
-            fields.append(fn.constant(text))
-            text = ""
-        fields.append(part)
-    if text:
-        fields.append(fn.constant(text))
-    return "f'" + "".join(f"{{{field}}}" for field in fields) + "'"
-
-
-def _literal_form(db: Database, site: _BindingSite) -> Optional[LiteralForm]:
-    """How a site's column reads as a literal; None: it mints URIs."""
-    pattern = site.value_pattern if site.kind == "data" else site.table.uri_pattern
-    if pattern is not None:
-        return None
-    return literal_form(db.table(site.table.table_name).column(site.column).sql_type)
-
-
-def _uri_code(fn: Function, site: _BindingSite, value: str) -> str:
-    """Code of the instance URI a site's column ``value`` mints: the
-    pattern's prefix + value + suffix (a double-quoted f-string)."""
-    pattern = site.value_pattern if site.kind == "data" else site.table.uri_pattern
-    if pattern.affixes is None:
-        raise UnsupportedPatternError(
-            f"{pattern!r} mints URIs from several attributes"
-        )
-    prefix, suffix = (fn.constant(text) for text in pattern.affixes)
-    return f'f"{{{prefix}}}{{{value}}}{{{suffix}}}"'
-
-
-def _lexical_helper(fn: Function, form: LiteralForm) -> str:
-    return fn.helper(form.lexical.__name__.lstrip("_"), form.lexical)
-
-
-def _datatype_helper(fn: Function, form: LiteralForm) -> str:
-    return fn.helper(form.datatype_of.__name__.lstrip("_"), form.datatype_of)

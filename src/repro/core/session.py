@@ -314,7 +314,7 @@ class PreparedQuery(_Prepared):
     def answer_outcome(self, bindings: Optional[Bindings] = None) -> QueryOutcome:
         """Like :meth:`outcome`, but the answer is left as evaluation
         produced it: a SELECT a kept translation answered keeps its rows
-        (:class:`~repro.core.select_translate.SelectRows`), for a reader
+        (:class:`~repro.core.answer.SelectRows`), for a reader
         that writes them itself."""
         # Lock-free read path: execution runs against the backend's
         # committed snapshot; the plan object is shared by all threads.
@@ -568,9 +568,8 @@ class Session:
     ) -> QueryOutcome:
         """Like :meth:`query_outcome`, but the answer is left as
         evaluation produced it: a SELECT a kept translation answered
-        keeps its rows (:class:`~repro.core.select_translate.
-        SelectRows`), which the endpoint's JSON route writes as text
-        without building terms."""
+        keeps its rows (:class:`~repro.core.answer.SelectRows`), which
+        the endpoint's JSON route writes as text without building terms."""
         # No lock: the backend evaluates against the committed snapshot
         # current at the query's start (the thread owning an open
         # transaction sees its own writes instead).

@@ -109,7 +109,7 @@ from ..core.backend import UpdateResult
 from ..core.feedback import confirmation_turtle, error_graph
 from ..core.mediator import OntoAccess
 from ..core.query import QueryOutcome
-from ..core.select_translate import SelectRows
+from ..core.answer import SelectRows
 from ..observability.metrics import (
     JSON_ANSWERS,
     QUEUE_WAIT_SECONDS,
@@ -1082,9 +1082,8 @@ _JSON_TERMS = JSON_ANSWERS.labels("terms")
 def _query_result(outcome: QueryOutcome, accept: Optional[str]) -> Response:
     """A query's answer in the best format ``accept`` allows.  JSON is
     written from ``outcome.answer`` — a kept translation's rows go to
-    text through its generated writer, from the translation's second
-    JSON answer on —, every other format from the answer's terms
-    (``outcome.result``)."""
+    text through its generated writer —, every other format from the
+    answer's terms (``outcome.result``)."""
     answer = outcome.answer
     if not isinstance(answer, (bool, Graph)):
         annotate(rows=len(answer))
@@ -1109,7 +1108,7 @@ def _query_result(outcome: QueryOutcome, accept: Optional[str]) -> Response:
         # JSON first: a client listing both sparql-results+json and
         # another format keeps getting the richer format it always got;
         # XML outranks CSV/TSV for the same reason.
-        if isinstance(answer, SelectRows) and answer.translation.writes_json():
+        if isinstance(answer, SelectRows):
             _JSON_GENERATED.inc()
         else:
             answer = outcome.result

@@ -21,19 +21,16 @@ as one response string.
 
 **JSON answers.**  :func:`iter_select_json` asks the answer for the text
 of each binding object (``json_bindings()``).  A SELECT a kept
-translation answered with its rows
-(:class:`~repro.core.select_translate.SelectRows`) writes them with the
-writer generated from the same sites as its answer step, from the
-translation's second JSON answer on (the endpoint writes its first from
-terms, so a translation used once compiles nothing): per row one
-f-string, a URI
-site as the escaped pattern prefix + value + suffix, a literal site as
-its column's lexical form plus datatype, a NULL site left out — no term
-is built.  Every other answer — dump-evaluated, the native store, a
-FILTER or modifier left to Python — is a
-:class:`~repro.sparql.engine.SelectResult`, which writes its solutions'
-terms with ``json.dumps``; the two agree byte for byte.  XML, CSV, TSV
-and the text table are always written from terms.
+translation answered with its rows (:class:`~repro.core.answer.
+SelectRows`) writes them with its JSON writer, generated on the
+translation's first JSON answer from the same members as its answer
+step: per row one f-string, a URI site as the escaped pattern prefix +
+value + suffix, a literal site as its column's lexical form plus
+datatype, a NULL site left out — no term is built.  Every other answer
+— dump-evaluated, the native store, a FILTER or modifier left to Python
+— is a :class:`~repro.sparql.engine.SelectResult`, which writes its
+solutions' terms with ``json.dumps``; the two agree byte for byte.
+XML, CSV, TSV and the text table are always written from terms.
 """
 
 from __future__ import annotations
