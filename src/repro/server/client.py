@@ -1,4 +1,4 @@
-"""HTTP client for the OntoAccess endpoint (stdlib http.client).
+"""HTTP client for the OntoAccess endpoint.
 
 Gives applications the remote-manipulation interface the paper describes:
 send SPARQL/Update, receive the parsed RDF feedback graph.  Mirrors the
@@ -12,9 +12,13 @@ Resilience (ISSUE 6):
   wrapped in :class:`~repro.errors.EndpointTransportError` with the
   request context (method, URL, attempt count, cause) attached; raw
   ``socket.timeout`` / ``URLError`` never leak to callers.
-* **Keep-alive** — one persistent ``http.client.HTTPConnection`` is
-  reused across requests (the endpoint speaks HTTP/1.1); a dropped
-  connection is re-established transparently.
+* **Keep-alive** — one persistent HTTP/1.1 connection (a socket with
+  ``TCP_NODELAY``) is reused across requests.  A request leaves as one
+  ``sendall``; the response head is read with the endpoint's own
+  :func:`~repro.server.protocol.read_head`, and the body by
+  ``Content-Length``, by chunks or to the end of input.  The connection
+  is reopened after ``Connection: close``, an HTTP/1.0 response or a
+  transport error.
 * **Retry with backoff** — *idempotent* operations (query, dump,
   mapping, health, ready) are retried on transport errors and on
   503/408 responses, with exponential backoff and full jitter, honoring
@@ -54,7 +58,6 @@ one per thread.
 from __future__ import annotations
 
 import errno
-import http.client
 import json
 import random
 import socket
@@ -151,10 +154,13 @@ class OntoAccessClient:
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self._sleep = sleep
-        self._conn: Optional[http.client.HTTPConnection] = None
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        self._host_header = host if self._port == 80 else f"{host}:{self._port}"
+        self._conn: Optional[_Connection] = None
         #: headers of the last response received (e.g. ``X-Replica-Lag``
-        #: from a replica endpoint); None before the first response
-        self.last_response_headers: Optional[dict] = None
+        #: from a replica endpoint), looked up in any case; None before
+        #: the first response
+        self.last_response_headers: Optional[protocol.Headers] = None
 
     # -- write path (never auto-retried) --------------------------------
 
@@ -305,11 +311,9 @@ class OntoAccessClient:
             raise ReproError(f"GET {path} failed (HTTP {status}): {body.strip()}")
         return body
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> "_Connection":
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self._host, self._port, timeout=self.timeout
-            )
+            self._conn = _Connection(self._host, self._port, self.timeout)
         return self._conn
 
     def _request(
@@ -335,26 +339,23 @@ class OntoAccessClient:
         with request_scope() as request_id:
             send_headers = dict(headers or {})
             send_headers.setdefault("X-Request-Id", request_id)
+            head = [f"{method} {self._base_path}{path} HTTP/1.1\r\n"
+                    f"Host: {self._host_header}\r\n"]
+            head.extend(f"{name}: {value}\r\n" for name, value in send_headers.items())
+            data = b""
+            if body is not None:
+                data = body.encode("utf-8")
+                head.append(f"Content-Length: {len(data)}\r\n")
+            head.append("\r\n")
+            message = "".join(head).encode("iso-8859-1") + data
             attempt = 0
             while True:
                 try:
                     conn = self._connection()
-                    conn.request(
-                        method,
-                        self._base_path + path,
-                        body=body.encode("utf-8") if body is not None else None,
-                        headers=send_headers,
-                    )
-                    response = conn.getresponse()
-                    payload = response.read().decode("utf-8")
-                    status = response.status
-                    self.last_response_headers = dict(response.getheaders())
-                    retry_after = _parse_retry_after(
-                        response.getheader("Retry-After")
-                    )
-                    if response.will_close:
+                    status, response_headers, payload = conn.exchange(message)
+                    if conn.will_close:
                         self.close()
-                except (http.client.HTTPException, OSError) as exc:
+                except (protocol.FramingError, OSError) as exc:
                     # The connection is in an unknown state: drop it so the
                     # next attempt starts clean.
                     self.close()
@@ -372,15 +373,103 @@ class OntoAccessClient:
                         cause=exc,
                         request_id=request_id,
                     ) from exc
+                self.last_response_headers = response_headers
                 if (
                     idempotent
                     and status in self.retry.statuses
                     and attempt + 1 < self.retry.max_attempts
                 ):
+                    retry_after = _parse_retry_after(
+                        response_headers.get("Retry-After")
+                    )
                     self._sleep(self.retry.delay(attempt, retry_after))
                     attempt += 1
                     continue
-                return status, payload
+                return status, payload.decode("utf-8")
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection.  :meth:`exchange` sends a
+    request with one ``sendall`` and reads its response: the status line,
+    the head (:func:`~repro.server.protocol.read_head`), and the body by
+    ``Content-Length``, by chunks or to the end of input.  Anything it
+    cannot read as a response raises :class:`~repro.server.protocol.
+    FramingError`; socket failures pass through as ``OSError``."""
+
+    __slots__ = ("_sock", "_file", "will_close")
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self._sock = socket.create_connection((host, port), timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._file = self._sock.makefile("rb")
+        #: the peer will not take another request on this connection
+        self.will_close = False
+
+    def exchange(self, message: bytes) -> Tuple[int, protocol.Headers, bytes]:
+        """Send ``message``; return the response's status, head and body."""
+        self._sock.sendall(message)
+        readline = self._file.readline
+        status = 100
+        while status < 200:  # interim (1xx) answers precede the final one
+            line = readline(protocol.MAX_LINE + 1)
+            if not line:
+                raise protocol.FramingError(
+                    "connection closed before the status line"
+                )
+            version, _, rest = line.partition(b" ")
+            code = rest[:3]
+            if not version.startswith(b"HTTP/") or not code.isdigit():
+                raise protocol.FramingError(f"bad status line: {line[:80]!r}")
+            status = int(code)
+            headers = protocol.read_head(readline)
+        self.will_close = (
+            version != b"HTTP/1.1"
+            or headers.get("Connection", "").lower() == "close"
+        )
+        if status in (204, 304):
+            return status, headers, b""
+        if "chunked" in headers.get("Transfer-Encoding", "").lower():
+            return status, headers, self._read_chunked()
+        length = headers.get("Content-Length")
+        if length is None:  # delimited by the end of input
+            self.will_close = True
+            return status, headers, self._file.read()
+        try:
+            size = int(length)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise protocol.FramingError(f"bad Content-Length: {length!r}")
+        body = self._file.read(size)
+        if len(body) < size:
+            raise protocol.FramingError(
+                f"body ended after {len(body)} of {size} bytes"
+            )
+        return status, headers, body
+
+    def _read_chunked(self) -> bytes:
+        """A chunked body: extensions ignored, trailers read and dropped."""
+        read, readline = self._file.read, self._file.readline
+        parts = []
+        while True:
+            line = readline(protocol.MAX_LINE + 1)
+            try:
+                size = int(line.split(b";", 1)[0], 16)
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise protocol.FramingError(f"bad chunk size line: {line[:80]!r}")
+            if size == 0:
+                protocol.read_head(readline)  # the trailer section
+                return b"".join(parts)
+            data = read(size + 2)
+            if len(data) < size + 2 or data[size:] != b"\r\n":
+                raise protocol.FramingError("chunk ended early")
+            parts.append(data[:size])
+
+    def close(self) -> None:
+        self._file.close()
+        self._sock.close()
 
 
 class ReplicatedClient:
@@ -584,14 +673,13 @@ class ReplicatedClient:
         return client
 
     def _note_lag(self, client: OntoAccessClient) -> None:
-        headers = client.last_response_headers or {}
-        for name, value in headers.items():
-            if name.lower() == "x-replica-lag":
-                try:
-                    self.last_replica_lag = float(value)
-                except ValueError:
-                    pass
-                return
+        headers = client.last_response_headers
+        value = headers.get("X-Replica-Lag") if headers is not None else None
+        if value is not None:
+            try:
+                self.last_replica_lag = float(value)
+            except ValueError:
+                pass
 
     def _read(
         self,

@@ -1,4 +1,4 @@
-"""The OntoAccess HTTP endpoint (paper Section 6) on stdlib http.server.
+"""The OntoAccess HTTP endpoint (paper Section 6).
 
 Usage::
 
@@ -71,20 +71,40 @@ directly.  In order it
    ``repro_queue_wait_seconds``, the JSON access-log line and the
    slow-query tee.
 
-**The wire.**  :class:`_Handler` keeps only HTTP: the request body
-(``Content-Length`` only, ``max_body_bytes``, UTF-8 — a body it will
-not read is answered 411 / 400 / 413 / 400 through the dispatcher, so it
-is counted like any other answer), the one-``sendall``-per-flush
-:class:`_ResponseWriter`, chunked streaming of SELECT results with a
-held-back batch, ``Expect: 100-continue`` and echoing ``X-Request-Id``.
+**The wire.**  :class:`_Handler` keeps only HTTP.  It runs on the
+stdlib's socket server and connection loop, but reads and writes message
+heads itself:
+
+* the request line by the stdlib's rules — a bad version is 400,
+  HTTP/2 and later 505 (both with a status line), HTTP/0.9 is GET only,
+  a leading ``//`` collapses to ``/``, ``Connection`` picks keep-alive
+  or close, and ``Expect: 100-continue`` gets its interim answer;
+* the head through :func:`protocol.read_head` (no ``email`` parse): at
+  most 100 fields of at most 65 536 bytes a line (431), and a line
+  without a colon, whitespace before a colon, obs-fold or two different
+  ``Content-Length`` values are 400.  Each of these refusals closes the
+  connection, so nothing after it is read as a request;
+* the response head as one formatted string: status line, ``Server``,
+  ``Date`` (formatted once a second), ``Content-Type``, the response's
+  headers, the ``X-Request-Id`` echo and the framing header.
+
+Then the request body (``Content-Length`` only, ``max_body_bytes``,
+UTF-8 — a body it will not read is answered 411 / 400 / 413 / 400
+through the dispatcher, so it is counted like any other answer), the
+one-``sendall``-per-flush :class:`_ResponseWriter` and chunked streaming
+of SELECT results with a held-back batch.  :meth:`OntoAccessEndpoint.
+handle` reads headers by lower-cased name, whether they came from the
+wire or as a plain dict from an in-process caller.
 :class:`_BoundedThreadingHTTPServer` caps live connections, and with
 them handler threads.
 """
 
 from __future__ import annotations
 
+import email.utils
 import json
 import math
+import re
 import threading
 import time
 import traceback
@@ -539,7 +559,7 @@ class OntoAccessEndpoint:
             if route is not None:
                 request = _Request(
                     method, urllib.parse.parse_qs(split.query),
-                    headers or {}, body,
+                    protocol.Headers.of(headers), body,
                 )
                 if admitted:
                     trace = scopes.enter_context(trace_scope(
@@ -1174,6 +1194,21 @@ ROUTES: Dict[Tuple[str, str], Route] = {
 # the wire
 # ---------------------------------------------------------------------------
 
+#: ``HTTP/<major>.<minor>`` as the stdlib's request-line parser accepts it
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})")
+
+_date = (0, "")
+
+
+def _http_date() -> str:
+    """The ``Date`` header's value, formatted once per second."""
+    global _date
+    now = int(time.time())
+    if _date[0] != now:
+        _date = (now, email.utils.formatdate(now, usegmt=True))
+    return _date[1]
+
+
 class _Handler(BaseHTTPRequestHandler):
     """HTTP for one connection; every request goes to the endpoint's
     dispatcher (``self.server.endpoint.handle``)."""
@@ -1190,12 +1225,63 @@ class _Handler(BaseHTTPRequestHandler):
         super().setup()
         self.wfile = _ResponseWriter(self.connection)
 
-    def handle_expect_100(self) -> bool:
-        # The interim response must reach the client before it sends the
-        # body this handler is about to read.
-        proceed = super().handle_expect_100()
-        self.wfile.flush()
-        return proceed
+    def parse_request(self) -> bool:
+        """The request line by the stdlib's rules, then the head through
+        :func:`protocol.read_head`.  False when the request was refused
+        (the refusal is written and the connection closes)."""
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = _VERSION.fullmatch(words[-1])
+            number = (int(version[1]), int(version[2])) if version else None
+            if number is None or number >= (2, 0):
+                # Refused with a status line: the stdlib answers these
+                # as HTTP/0.9, a body the peer cannot tell from a reply.
+                self.request_version = self.protocol_version
+                if number is None:
+                    self.send_error(400, f"Bad request version ({words[-1]!r})")
+                else:
+                    self.send_error(505, f"Invalid HTTP version ({words[-1][5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = words[-1]
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:  # HTTP/0.9
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        # A leading '//' would read as a network-path reference.
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        try:
+            self.headers = protocol.read_head(self.rfile.readline)
+        except protocol.FramingError as exc:
+            self.send_error(exc.status, explain=str(exc))
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("Expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            # The interim response must reach the client before it sends
+            # the body this handler is about to read.
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.wfile.flush()
+        return True
 
     def log_message(self, *args) -> None:  # keep tests quiet
         pass
@@ -1256,15 +1342,28 @@ class _Handler(BaseHTTPRequestHandler):
                 "bad-request", f"request body is not UTF-8: {exc}", 400
             )
 
-    def _request_headers(self, response: Response) -> None:
-        for name, value in response.headers.items():
-            self.send_header(name, value)
+    def _head(self, response: Response, framing: str) -> bytes:
+        """The response head as one string: status line, ``Server``,
+        ``Date``, ``Content-Type``, the response's headers, the request
+        id and the ``framing`` header (an HTTP/0.9 answer has none)."""
+        if self.request_version == "HTTP/0.9":
+            return b""
+        fields = "".join(
+            f"{name}: {value}\r\n" for name, value in response.headers.items()
+        )
         # Echo the request id on every response — errors too — so one id
         # joins client retries, server logs, and the slow-query entry.
         if "X-Request-Id" not in response.headers:
             rid = current_request_id()
             if rid:
-                self.send_header("X-Request-Id", rid)
+                fields += f"X-Request-Id: {rid}\r\n"
+        status = response.status
+        reason = self.responses[status][0] if status in self.responses else ""
+        return (
+            f"HTTP/1.1 {status} {reason}\r\nServer: {self.version_string()}\r\n"
+            f"Date: {_http_date()}\r\nContent-Type: {response.content_type}"
+            f"\r\n{fields}{framing}\r\n\r\n"
+        ).encode("iso-8859-1")
 
     def _send(
         self, response: Response, deadline: Optional[Deadline] = None
@@ -1285,11 +1384,9 @@ class _Handler(BaseHTTPRequestHandler):
             response.status = failed.status
             response.content_type = failed.content_type
             payload = failed.body.encode("utf-8")
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self._request_headers(response)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
+        self.wfile.write(
+            self._head(response, f"Content-Length: {len(payload)}")
+        )
         self.wfile.write(payload)
         try:
             self.wfile.flush()  # headers + body: one segment
@@ -1308,12 +1405,8 @@ class _Handler(BaseHTTPRequestHandler):
         one-batch answer is a single segment.  The held batch is flushed
         *before* the fault and deadline checks of its successor, so a
         stall or expiry there never withholds rows already produced."""
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self._request_headers(response)
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
         write, flush = self.wfile.write, self.wfile.flush
+        write(self._head(response, "Transfer-Encoding: chunked"))
         held = b""
         try:
             for chunk in response.body_iter:

@@ -31,13 +31,24 @@ datatype, a NULL site left out — no term is built.  Every other answer
 — is a :class:`~repro.sparql.engine.SelectResult`, which writes its
 solutions' terms with ``json.dumps``; the two agree byte for byte.
 XML, CSV, TSV and the text table are always written from terms.
+
+**Message heads.**  Both ends read an HTTP/1.1 head — the header lines
+after a request or status line, up to the blank line — with
+:func:`read_head`, into a :class:`Headers` mapping looked up in any
+case.  Its limits are the stdlib's: :data:`MAX_LINE` bytes per line and
+:data:`MAX_HEADERS` fields, each answered 431.  A head it will not read
+raises :class:`FramingError` with the status to answer it with: a line
+without a colon, whitespace between a name and its colon, an obs-fold
+continuation line (RFC 9112 §5.1, §5.2) and two different
+``Content-Length`` values (§6.3) are 400 — each would otherwise make the
+two ends disagree about where the message ends.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 from xml.sax.saxutils import escape, quoteattr
 
 from ..rdf.graph import Graph
@@ -45,6 +56,11 @@ from ..rdf.serialize import to_turtle
 from ..rdf.terms import BNode, Literal, Term, URIRef
 
 __all__ = [
+    "MAX_HEADERS",
+    "MAX_LINE",
+    "FramingError",
+    "Headers",
+    "read_head",
     "UPDATE_PATH",
     "QUERY_PATH",
     "BATCH_PATH",
@@ -106,6 +122,83 @@ CONTENT_CSV = "text/csv; charset=utf-8"
 CONTENT_TSV = "text/tab-separated-values; charset=utf-8"
 #: Prometheus text exposition format 0.0.4 (what ``GET /metrics`` serves).
 CONTENT_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
+
+
+# ---------------------------------------------------------------------------
+# message heads
+# ---------------------------------------------------------------------------
+
+#: Longest line of a head, in bytes (the stdlib's ``_MAXLINE``).
+MAX_LINE = 65536
+#: Most header fields in one head (the stdlib's ``_MAXHEADERS``).
+MAX_HEADERS = 100
+
+
+class FramingError(ValueError):
+    """A message head (or, at the client, a body) that cannot be read
+    as HTTP/1.1; ``status`` is the answer a server sends for it."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class Headers(dict):
+    """Header fields keyed by lower-cased name; ``get``, ``[]`` and
+    ``in`` lower-case the name they are given, so a field is found
+    whatever case either side spelled it in."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+    def __getitem__(self, name: str) -> str:
+        return dict.__getitem__(self, name.lower())
+
+    def __contains__(self, name) -> bool:
+        return dict.__contains__(self, name.lower())
+
+    @classmethod
+    def of(cls, fields: Optional[Mapping[str, str]]) -> "Headers":
+        """``fields`` as a :class:`Headers` (names lower-cased once)."""
+        if isinstance(fields, Headers):
+            return fields
+        return cls((name.lower(), value) for name, value in (fields or {}).items())
+
+
+def read_head(readline: Callable[[int], bytes]) -> Headers:
+    """Read header lines with ``readline`` up to the blank line (or the
+    end of input) and return them; the first occurrence of a name wins.
+    Raises :class:`FramingError` on a head this layer will not read
+    (see the module docstring)."""
+    headers = Headers()
+    count = 0
+    while True:
+        line = readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise FramingError("header line too long", 431)
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        count += 1
+        if count > MAX_HEADERS:
+            raise FramingError(f"more than {MAX_HEADERS} headers", 431)
+        if line[0] in b" \t":
+            raise FramingError("obsolete line folding")
+        name, colon, value = line.partition(b":")
+        if not colon or not name:
+            raise FramingError(f"header line without a colon: {line[:80]!r}")
+        if name[-1] in b" \t":
+            raise FramingError(f"whitespace before the colon: {name[:80]!r}")
+        key = name.decode("iso-8859-1").lower()
+        text = value.strip(b" \t\r\n").decode("iso-8859-1")
+        first = dict.get(headers, key)
+        if first is None:
+            dict.__setitem__(headers, key, text)
+        elif key == "content-length" and first != text:
+            raise FramingError(
+                f"conflicting Content-Length values: {first!r}, {text!r}"
+            )
 
 
 class Response:
