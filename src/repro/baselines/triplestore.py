@@ -23,6 +23,9 @@ from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
 from ..rdf.terms import Literal, Object, Term, Triple, URIRef
 from ..r3m.model import DatabaseMapping
+from ..sparql.algebra import Solution
+from ..sparql.engine import apply_operation as native_apply
+from ..sparql.engine import data_triples
 from ..sparql.engine import update as native_update
 from ..sparql.update_ast import (
     Clear,
@@ -55,11 +58,13 @@ class NativeTripleStore:
 
         return native_query(self.graph, q, prefixes=prefixes)
 
-    def apply_operation(self, operation) -> Tuple[int, int]:
-        """Apply one update operation; returns (added, removed)."""
-        from ..sparql.engine import apply_operation as native_apply
-
-        return native_apply(self.graph, operation)
+    def apply_operation(
+        self, operation, solution: Optional[Solution] = None
+    ) -> Tuple[int, int]:
+        """Apply one update operation under ``solution`` (see
+        :func:`repro.sparql.engine.apply_operation`); returns (added,
+        removed)."""
+        return native_apply(self.graph, operation, solution)
 
     def __len__(self) -> int:
         return len(self.graph)
@@ -98,8 +103,11 @@ class MappingAwareTripleStore(NativeTripleStore):
 
     # ------------------------------------------------------------------
 
-    def apply_operation(self, operation) -> Tuple[int, int]:
-        """Apply one operation with row-implied rdf:type semantics.
+    def apply_operation(
+        self, operation, solution: Optional[Solution] = None
+    ) -> Tuple[int, int]:
+        """Apply one operation under ``solution`` with row-implied
+        rdf:type semantics.
 
         A relational row always carries its class, so inserting any triple
         about a mapped entity implies its rdf:type triple; conversely,
@@ -110,18 +118,20 @@ class MappingAwareTripleStore(NativeTripleStore):
         from ..sparql.algebra import evaluate_pattern, instantiate
 
         if isinstance(operation, InsertData):
-            triples = [self.normalize_triple(t) for t in operation.triples]
+            triples = [
+                self.normalize_triple(t) for t in data_triples(operation, solution)
+            ]
             triples.extend(self._implied_types(triples))
             return self.graph.add_all(triples), 0
         if isinstance(operation, DeleteData):
-            triples = [self.normalize_triple(t) for t in operation.triples]
+            triples = [
+                self.normalize_triple(t) for t in data_triples(operation, solution)
+            ]
             removed = self.graph.remove_all(triples)
             removed += self._cleanup_types(triples)
             return 0, removed
         if isinstance(operation, Modify):
-            solutions = evaluate_pattern(
-                self.graph, operation.where, operation.bindings
-            )
+            solutions = evaluate_pattern(self.graph, operation.where, solution)
             to_remove = []
             to_add = []
             for solution in solutions:

@@ -14,7 +14,7 @@ from .dump import dump_database, dump_table
 from .feedback import confirmation_graph, error_graph
 from .insert_data import translate_insert_data
 from .mediator import OntoAccess, OperationResult, UpdateResult
-from .modify import ModifyPlan, bindings_for_pattern, plan_binding, plan_modify
+from .modify import bindings_for_pattern, plan_binding
 from .query import QueryOutcome, execute_query
 from .select_translate import TranslatedSelect, translate_query
 from .session import PreparedQuery, PreparedUpdate, Session
@@ -23,7 +23,6 @@ from .sorting import sort_statements, topological_table_order
 __all__ = [
     "Backend",
     "EntityRef",
-    "ModifyPlan",
     "OntoAccess",
     "PreparedQuery",
     "PreparedUpdate",
@@ -43,7 +42,6 @@ __all__ = [
     "identify_entity",
     "literal_for_column",
     "plan_binding",
-    "plan_modify",
     "sort_statements",
     "topological_table_order",
     "translate_delete_data",

@@ -17,21 +17,24 @@ Because both speak the same interface, equivalence tests and benchmarks
 drive both through one :class:`Session`, and per-operation transaction
 scope lives in exactly one place (the session), never in the backend.
 
-Each job has one seam.  Updates: every entry point (facade, session,
-prepared update, HTTP) ends in :meth:`Backend.execute_operation`, which
-translates against the current state and runs the SQL.  What the
-relational backend keeps of an update is what does not read row data:
-per INSERT DATA / DELETE DATA block of a kept shape the translated
-*template* (:class:`PreparedData`), which each request binds its values
-to, and per MODIFY the translation of its WHERE.  Queries:
-:meth:`Backend.query_outcome`, or :meth:`Backend.prepare_query` for a
-handle that keeps what does not depend on row data.  On the relational
-backend that is the translation of a WHERE *template*
-(:class:`PreparedPattern`): one per prepared query and one per prepared
-MODIFY, whatever its placeholders are bound to, per mapping/schema
-version.  What reaches the engine is always a statement shape plus a
-value vector (:class:`repro.sql.ast.Bound`), so the engine's plans are
-per template too.
+One route runs every operation and query: the operation (or query), the
+solution its placeholders and initial bindings are bound by, and what
+the backend keeps of it between executions — :meth:`Backend.keep`'s
+*slot*.  :meth:`Backend.execute_operation`, :meth:`Backend.
+translate_operation` (a dry run) and :meth:`Backend.query_outcome` take
+those three; a call without a slot uses a throwaway one, so a prepared
+request, a one-shot text, a parsed object and a dry run take the same
+route.  What the relational backend keeps is what does not read row
+data, per (mapping, schema) version: per INSERT DATA / DELETE DATA block
+the translated data *template* (:class:`~repro.core.common.
+PreparedData`), which each request binds its values to; per query the
+translation of its WHERE *template* (:class:`PreparedPattern`), whatever
+its placeholders are bound to; per MODIFY both — the translation of its
+WHERE and a data template for each of its DELETE and INSERT templates
+(:class:`~repro.core.modify.KeptModify`), which each binding binds.  What
+reaches the engine is always a statement shape plus a value vector
+(:class:`repro.sql.ast.Bound`), so the engine's plans are per template
+too.  The triple store keeps nothing.
 
 Backends do NOT begin/commit transactions around operations themselves —
 ``execute_operation`` always runs inside a transaction the caller opened.
@@ -42,7 +45,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import (
     DatabaseError,
@@ -52,13 +55,11 @@ from ..errors import (
     TransactionError,
     TranslationError,
 )
-from ..observability.metrics import DATA_TEMPLATES
 from ..observability.tracing import annotate
 from ..rdb.engine import Database
 from ..rdf.graph import Graph
-from ..rdf.terms import Triple, Variable
 from ..r3m.model import DatabaseMapping
-from ..sparql.algebra import Solution, substitute
+from ..sparql.algebra import Solution
 from ..sparql.query_ast import Query
 from ..sparql.update_ast import (
     Clear,
@@ -70,20 +71,18 @@ from ..sparql.update_ast import (
 from ..sql import ast
 from ..sql.render import render
 from .answer import SelectRows
-from .delete_data import DeleteTemplate, translate_delete_data
+from .common import PreparedData
+from .delete_data import DeleteTemplate
 from .dump import dump_database
 from .feedback import confirmation_graph
-from .insert_data import InsertTemplate, translate_insert_data
-from .modify import plan_binding, plan_modify, where_query
+from .insert_data import InsertTemplate
+from .modify import KeptModify, plan_binding, where_query
 from .query import Answer, QueryOutcome, solve_query
 
 __all__ = [
     "Backend",
     "OperationResult",
     "PreparedData",
-    "PreparedDeleteData",
-    "PreparedInsertData",
-    "PreparedModify",
     "PreparedPattern",
     "RelationalBackend",
     "TripleStoreBackend",
@@ -162,14 +161,30 @@ class Backend(abc.ABC):
     #: The store's writer lock (reentrant).
     writer_lock: Any
 
-    # -- write path ----------------------------------------------------
+    # -- the one route ----------------------------------------------------
+
+    def keep(self, subject: Union[UpdateOperation, Query]) -> Any:
+        """What this backend keeps of an operation or a query between
+        executions — the ``kept`` slot the calls below take (default:
+        nothing, None)."""
+        return None
 
     @abc.abstractmethod
-    def execute_operation(self, operation: UpdateOperation) -> OperationResult:
-        """Execute one operation inside the caller's open transaction."""
+    def execute_operation(
+        self,
+        operation: UpdateOperation,
+        solution: Optional[Solution] = None,
+        kept: Any = None,
+    ) -> OperationResult:
+        """Execute one operation under ``solution`` (its placeholders, a
+        MODIFY's initial bindings) inside the caller's open transaction;
+        ``kept`` is what :meth:`keep` returned for it."""
 
     def translate_operation(
-        self, operation: UpdateOperation
+        self,
+        operation: UpdateOperation,
+        solution: Optional[Solution] = None,
+        kept: Any = None,
     ) -> List[ast.Bound]:
         """Dry-run translation (backends without SQL return nothing)."""
         return []
@@ -201,16 +216,14 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def query_outcome(
-        self, q: Query, bindings: Optional[Solution] = None
+        self, q: Query, solution: Optional[Solution] = None, kept: Any = None
     ) -> QueryOutcome:
         """Run a parsed query (texts are read by the session);
-        ``bindings`` are initial bindings of its WHERE pattern (a
-        prepared query's placeholders).  The answer is left as
-        evaluation produced it — a kept translation's rows, possibly;
-        the session's entry points build the result."""
-
-    def prepare_query(self, q: Query) -> "PreparedQueryPlan":
-        return PreparedQueryPlan(self, q)
+        ``solution`` holds initial bindings of its WHERE pattern (a
+        prepared query's placeholders), ``kept`` what :meth:`keep`
+        returned for it.  The answer is left as evaluation produced it —
+        a kept translation's rows, possibly; the session's entry points
+        build the result."""
 
     @abc.abstractmethod
     def dump(self) -> Graph:
@@ -235,21 +248,8 @@ class Backend(abc.ABC):
         return exc
 
 
-class PreparedQueryPlan:
-    """Default prepared query: re-runs the full query path each time."""
-
-    __slots__ = ("backend", "query")
-
-    def __init__(self, backend: Backend, query: Query) -> None:
-        self.backend = backend
-        self.query = query
-
-    def outcome(self, bindings: Optional[Solution] = None) -> QueryOutcome:
-        return self.backend.query_outcome(self.query, bindings=bindings)
-
-
 class PreparedPattern:
-    """A query — a prepared query, or the SELECT a prepared MODIFY's WHERE
+    """A query — a query of a kept shape, or the SELECT a MODIFY's WHERE
     becomes — and the one translation the relational backend keeps for
     it.
 
@@ -306,104 +306,6 @@ class PreparedPattern:
         return answer, statement
 
 
-@dataclass(frozen=True)
-class PreparedModify(Modify):
-    """One execution of a prepared MODIFY: the operation under its
-    ``bindings`` — what any backend can execute — plus the place where
-    the relational backend keeps the translation of its WHERE template
-    between executions."""
-
-    template: Optional[PreparedPattern] = field(default=None, compare=False)
-
-
-_TEMPLATE_BOUND = DATA_TEMPLATES.labels("bound")
-_TEMPLATE_BUILT = DATA_TEMPLATES.labels("built")
-_TEMPLATE_REBUILT = DATA_TEMPLATES.labels("rebuilt")
-
-
-class PreparedData:
-    """An INSERT DATA / DELETE DATA block of a kept shape and the one
-    translated template the relational backend keeps for it.
-
-    What the translation of a data block decides depends on predicates,
-    classes and tables — not on the values, except for the table a
-    subject names (:class:`~repro.core.common.DataTemplate`).  So it is
-    kept per (mapping, schema) version, and an execution binds its
-    values to it; where they do not fit (a subject of another table, a
-    class or predicate bound to another term), the template is built
-    again from them and takes the slot.
-
-    Templates are used under the writer lock (translation reads rows),
-    and the slot is one tuple swapped whole, as :class:`PreparedPattern`'s.
-    """
-
-    __slots__ = ("triples", "variables", "_template", "_kept")
-
-    def __init__(self, operation: Union[InsertData, DeleteData]) -> None:
-        self.triples = operation.triples
-        #: what an execution must bind
-        self.variables = frozenset(
-            term
-            for triple in self.triples
-            for term in triple
-            if isinstance(term, Variable)
-        )
-        self._template = (
-            InsertTemplate if isinstance(operation, InsertData) else DeleteTemplate
-        )
-        #: (version, template); replaced wholesale
-        self._kept: Tuple[Any, Any] = (None, None)
-
-    def translate(
-        self, backend: "RelationalBackend", solution: Solution
-    ) -> List[ast.Bound]:
-        """The block's statements under ``solution``."""
-        mapping, db = backend.mapping, backend.db
-        current = backend.query_state_version()
-        version, template = self._kept
-        entities = None
-        counter = _TEMPLATE_BUILT
-        if version == current:
-            entities = template.entities(mapping, db, solution)
-            counter = _TEMPLATE_REBUILT if entities is None else _TEMPLATE_BOUND
-        if entities is None:
-            template = self._template(mapping, db, self.triples, solution)
-            entities = template.built_entities()
-            if template.reusable:
-                self._kept = (current, template)
-        counter.inc()
-        return template.bind(db, solution, entities)
-
-
-def _concrete(triples: Tuple[Triple, ...], solution: Solution) -> Tuple[Triple, ...]:
-    return tuple(substitute(triple, solution) for triple in triples)
-
-
-@dataclass(frozen=True)
-class PreparedInsertData(InsertData):
-    """One execution of a kept INSERT DATA block: the block as parsed
-    (its constants lifted into placeholders) under the ``bindings`` of
-    this execution, plus where the relational backend keeps its
-    template.  :meth:`concrete` is the block with its terms in place."""
-
-    bindings: Solution = field(compare=False)
-    template: PreparedData = field(compare=False)
-
-    def concrete(self) -> InsertData:
-        return InsertData(_concrete(self.triples, self.bindings))
-
-
-@dataclass(frozen=True)
-class PreparedDeleteData(DeleteData):
-    """:class:`PreparedInsertData` for a DELETE DATA block."""
-
-    bindings: Solution = field(compare=False)
-    template: PreparedData = field(compare=False)
-
-    def concrete(self) -> DeleteData:
-        return DeleteData(_concrete(self.triples, self.bindings))
-
-
 # ---------------------------------------------------------------------------
 # the mediation pipeline as a backend
 # ---------------------------------------------------------------------------
@@ -441,75 +343,95 @@ class RelationalBackend(Backend):
         self._mapping = value
         self._mapping_generation += 1
 
-    # -- write path ----------------------------------------------------
+    # -- the one route ----------------------------------------------------
+
+    def keep(self, subject: Union[UpdateOperation, Query]) -> Any:
+        if isinstance(subject, InsertData):
+            return PreparedData(subject.triples, InsertTemplate)
+        if isinstance(subject, DeleteData):
+            return PreparedData(subject.triples, DeleteTemplate)
+        if isinstance(subject, Modify):
+            return KeptModify.of(subject, PreparedPattern(where_query(subject)))
+        if isinstance(subject, Clear):
+            return None
+        return PreparedPattern(subject)
+
+    def execute_operation(
+        self,
+        operation: UpdateOperation,
+        solution: Optional[Solution] = None,
+        kept: Any = None,
+    ) -> OperationResult:
+        return self._operation(operation, solution, kept, execute=True)
 
     def translate_operation(
-        self, operation: UpdateOperation
+        self,
+        operation: UpdateOperation,
+        solution: Optional[Solution] = None,
+        kept: Any = None,
     ) -> List[ast.Bound]:
-        if isinstance(operation, (PreparedInsertData, PreparedDeleteData)):
-            return operation.template.translate(self, operation.bindings)
-        if isinstance(operation, InsertData):
-            return translate_insert_data(self.mapping, self.db, operation.triples)
-        if isinstance(operation, DeleteData):
-            return translate_delete_data(self.mapping, self.db, operation.triples)
-        if isinstance(operation, Modify):
-            plan = plan_modify(
-                self.mapping,
-                self.db,
-                operation,
-                optimize_redundant_deletes=self.optimize_modify,
-                force_fallback=self.force_query_fallback,
-            )
-            return plan.all_statements()
-        if isinstance(operation, Clear):
-            return [
-                ast.Bound(ast.Delete(table=name))
-                for name in reversed(safe_clear_order(self.mapping, self.db))
-            ]
-        raise TranslationError(
-            f"unsupported operation {type(operation).__name__}",
-            code=TranslationError.UNSUPPORTED,
-        )
+        return self._operation(operation, solution, kept, execute=False).statements
 
-    def execute_operation(self, operation: UpdateOperation) -> OperationResult:
-        if isinstance(operation, Modify):
-            return self._execute_modify(operation)
-        result = OperationResult(
-            kind=operation_kind(operation),
-            statements=self.translate_operation(operation),
-        )
-        for statement in result.statements:
-            result.rows_affected += self.db.execute(statement).rowcount
+    def _operation(
+        self,
+        operation: UpdateOperation,
+        solution: Optional[Solution],
+        kept: Any,
+        execute: bool,
+    ) -> OperationResult:
+        """Translate ``operation`` against the current state and, when
+        ``execute``, run each statement as it comes: a MODIFY binding is
+        planned after the previous binding's statements ran (Algorithm 2
+        lines 7–13), while a dry run plans every binding against the
+        state it starts from."""
+        if kept is None:
+            kept = self.keep(operation)
+        result = OperationResult(kind=operation_kind(operation))
+        for statement in self._statements(operation, solution or {}, kept, result):
+            if execute:
+                result.rows_affected += self.db.execute(statement).rowcount
+            result.statements.append(statement)
         return result
 
-    def _execute_modify(self, operation: Modify) -> OperationResult:
-        """Algorithm 2: evaluate WHERE, then per binding translate and
-        execute the DELETE DATA / INSERT DATA pair (lines 7–13)."""
-        where = operation.template if isinstance(operation, PreparedModify) else None
-        if where is None:
-            where = PreparedPattern(where_query(operation))
-        answer, select = where.solve(self, operation.bindings)
-        solutions = answer.solutions
-        result = OperationResult(
-            kind="modify",
-            bindings=len(solutions),
-            used_sql_select=select is not None,
-        )
-        for solution in solutions:
-            # Re-plan against the current state: earlier bindings may
-            # have changed rows this binding touches.
-            step = plan_binding(
-                self.mapping,
-                self.db,
-                operation,
-                solution,
-                optimize_redundant_deletes=self.optimize_modify,
+    def _statements(
+        self,
+        operation: UpdateOperation,
+        solution: Solution,
+        kept: Any,
+        result: OperationResult,
+    ) -> Iterator[ast.Bound]:
+        """The statements of ``operation``, each translated when the one
+        before it has been consumed; a MODIFY notes its WHERE's bindings
+        on ``result``."""
+        if isinstance(operation, Modify):
+            # Algorithm 2: evaluate WHERE, then per binding the DELETE
+            # DATA / INSERT DATA pair through the kept templates.
+            answer, select = kept.where.solve(self, solution)
+            result.bindings = len(answer.solutions)
+            result.used_sql_select = select is not None
+            version = self.query_state_version()
+            for binding in answer.solutions:
+                yield from plan_binding(
+                    self.mapping,
+                    self.db,
+                    operation,
+                    binding,
+                    optimize_redundant_deletes=self.optimize_modify,
+                    kept=kept,
+                    version=version,
+                ).all_statements()
+        elif isinstance(operation, (InsertData, DeleteData)):
+            yield from kept.bind(
+                self.mapping, self.db, self.query_state_version(), solution
             )
-            for statement in step.all_statements():
-                outcome = self.db.execute(statement)
-                result.rows_affected += outcome.rowcount
-                result.statements.append(statement)
-        return result
+        elif isinstance(operation, Clear):
+            for name in reversed(safe_clear_order(self.mapping, self.db)):
+                yield ast.Bound(ast.Delete(table=name))
+        else:
+            raise TranslationError(
+                f"unsupported operation {type(operation).__name__}",
+                code=TranslationError.UNSUPPORTED,
+            )
 
     # -- transactions ---------------------------------------------------
 
@@ -531,12 +453,16 @@ class RelationalBackend(Backend):
     # -- read path ------------------------------------------------------
 
     def query_outcome(
-        self, q: Query, bindings: Optional[Solution] = None
+        self, q: Query, solution: Optional[Solution] = None, kept: Any = None
     ) -> QueryOutcome:
-        return self.prepare_query(q).outcome(bindings)
-
-    def prepare_query(self, q: Query) -> PreparedQueryPlan:
-        return _PreparedRdbQuery(self, q)
+        """Bind → ``db.execute(shape + values)`` → answer step, through
+        the translation ``kept`` (a :class:`PreparedPattern`)."""
+        if kept is None:
+            kept = PreparedPattern(q)
+        answer, statement = kept.solve(self, solution)
+        used_sql = statement is not None
+        annotate(backend=self.name, used_sql=used_sql)
+        return QueryOutcome(answer, used_sql, statement)
 
     def dump(self) -> Graph:
         return dump_database(self.mapping, self.db)
@@ -582,24 +508,6 @@ class RelationalBackend(Backend):
         if isinstance(exc, (IntegrityError, DatabaseError)):
             return wrap_db_error(exc)
         return exc
-
-
-class _PreparedRdbQuery(PreparedQueryPlan):
-    """Prepared relational query: a :class:`PreparedPattern`, so an
-    execution is bind → ``db.execute(shape + values)`` → answer step."""
-
-    __slots__ = ("_where",)
-
-    def __init__(self, backend: RelationalBackend, query: Query) -> None:
-        super().__init__(backend, query)
-        self._where = PreparedPattern(query)
-
-    def outcome(self, bindings: Optional[Solution] = None) -> QueryOutcome:
-        backend = self.backend
-        answer, statement = self._where.solve(backend, bindings)
-        used_sql = statement is not None
-        annotate(backend=backend.name, used_sql=used_sql)
-        return QueryOutcome(answer, used_sql, statement)
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +565,13 @@ class TripleStoreBackend(Backend):
 
     # -- write path ----------------------------------------------------
 
-    def execute_operation(self, operation: UpdateOperation) -> OperationResult:
-        if isinstance(operation, (PreparedInsertData, PreparedDeleteData)):
-            operation = operation.concrete()
-        added, removed = self.store.apply_operation(operation)
+    def execute_operation(
+        self,
+        operation: UpdateOperation,
+        solution: Optional[Solution] = None,
+        kept: Any = None,
+    ) -> OperationResult:
+        added, removed = self.store.apply_operation(operation, solution)
         self._version += 1
         if not self.store.graph.journaling():
             self._committed_version = self._version
@@ -751,7 +662,7 @@ class TripleStoreBackend(Backend):
             return cache[1]
 
     def query_outcome(
-        self, q: Query, bindings: Optional[Solution] = None
+        self, q: Query, solution: Optional[Solution] = None, kept: Any = None
     ) -> QueryOutcome:
         if (
             self.store.graph.journaling()
@@ -763,7 +674,7 @@ class TripleStoreBackend(Backend):
             graph = self._committed_graph()
         from ..sparql.engine import query as native_query
 
-        result = native_query(graph, q, bindings=bindings)
+        result = native_query(graph, q, bindings=solution)
         annotate(backend=self.name, used_sql=False)
         return QueryOutcome(result, used_sql=False)
 

@@ -11,6 +11,9 @@ drivers compose:
   (:meth:`SubjectGroup.classify`), once, for later requests of its
   shape to bind their values to, guarded by
   :meth:`DataTemplate.entities`;
+* :class:`PreparedData` — where a data block's template is kept between
+  requests, per (mapping, schema) version: every INSERT DATA / DELETE
+  DATA block and every MODIFY binding is translated through one;
 * value conversion between RDF terms and SQL values according to the
   mapping and column types (used by steps 3 and 4): a look-up step,
   which a template makes once, and a convert step per term
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import TranslationError, TypeMismatchError
+from ..observability.metrics import DATA_TEMPLATES
 from ..rdb.catalog import Column
 from ..rdb.engine import Database
 from ..rdb.types import BooleanType, DateType, FloatType, IntegerType, SQLType
@@ -59,12 +63,12 @@ __all__ = [
     "EntityRef",
     "SubjectGroup",
     "DataTemplate",
+    "PreparedData",
     "SubjectReader",
     "identify_entity",
     "term_to_sql_value",
     "value_converter",
     "sql_value_to_term",
-    "coerce_pattern_values",
     "link_row_exists",
 ]
 
@@ -154,70 +158,13 @@ def identify_entity(
     last_error: Optional[TranslationError] = None
     for table_mapping, raw_values in candidates:
         try:
-            key_values = coerce_pattern_values(
-                db, table_mapping, raw_values, subject
-            )
+            key_values = _KeyReader(db, table_mapping).coerce(raw_values, subject)
         except TranslationError as exc:
             last_error = exc
             continue
         return EntityRef(uri=subject, table=table_mapping, key_values=key_values)
     assert last_error is not None
     raise last_error
-
-
-def coerce_pattern_values(
-    db: Database,
-    table_mapping: TableMapping,
-    raw_values: Dict[str, str],
-    subject: URIRef,
-) -> Dict[str, Any]:
-    """Coerce URI-pattern-extracted strings to the column types."""
-    return _coerce_key(
-        table_mapping.table_name,
-        _key_coercers(db, table_mapping),
-        raw_values,
-        subject,
-    )
-
-
-#: (attribute, its column type's coerce) per attribute of a URI pattern
-_Coercers = List[Tuple[str, Callable[[Any, str], Any]]]
-
-
-def _key_coercers(db: Database, table_mapping: TableMapping) -> _Coercers:
-    """The look-up step of :func:`coerce_pattern_values`."""
-    schema_table = db.table(table_mapping.table_name)
-    return [
-        (attr, schema_table.column(attr).sql_type.coerce)
-        for attr in table_mapping.uri_pattern.attributes
-    ]
-
-
-def _coerce_key(
-    table_name: str,
-    coercers: _Coercers,
-    raw_values: Dict[str, str],
-    subject: URIRef,
-) -> Dict[str, Any]:
-    """The convert step of :func:`coerce_pattern_values`."""
-    coerced: Dict[str, Any] = {}
-    for attr, coerce in coercers:
-        raw = raw_values[attr]
-        try:
-            coerced[attr] = coerce(raw, attr)
-        except TypeMismatchError as exc:
-            raise TranslationError(
-                f"URI {subject.value}: pattern value {raw!r} is invalid for "
-                f"{table_name}.{attr}: {exc}",
-                code=TranslationError.TYPE_MISMATCH,
-                details={
-                    "subject": subject.value,
-                    "table": table_name,
-                    "attribute": attr,
-                    "value": raw,
-                },
-            ) from exc
-    return coerced
 
 
 # ---------------------------------------------------------------------------
@@ -426,27 +373,118 @@ class DataTemplate:
         )
 
 
+_TEMPLATE_BOUND = DATA_TEMPLATES.labels("bound")
+_TEMPLATE_BUILT = DATA_TEMPLATES.labels("built")
+_TEMPLATE_REBUILT = DATA_TEMPLATES.labels("rebuilt")
+
+
+class PreparedData:
+    """A data block — an INSERT DATA / DELETE DATA block, or a MODIFY's
+    DELETE or INSERT template — and the one translated template
+    (``template``, a :class:`DataTemplate` class) kept for it.
+
+    What the translation of a data block decides depends on predicates,
+    classes and tables — not on the values, except for the table a
+    subject names (:class:`DataTemplate`).  So it is kept per (mapping,
+    schema) ``version``, and a request binds its values to it; where they
+    do not fit (a subject of another table, a class or predicate bound to
+    another term, another part of a MODIFY template), the template is
+    built again from them and takes the slot.
+
+    Templates are used under the writer lock (translation reads rows),
+    and the slot is one tuple swapped whole.
+    """
+
+    __slots__ = ("triples", "_template", "_kept")
+
+    def __init__(self, triples: Tuple[Triple, ...], template: type) -> None:
+        self.triples = triples
+        self._template = template
+        #: (version, the triples the template was built for, template);
+        #: replaced wholesale
+        self._kept: Tuple[Any, Any, Any] = (None, None, None)
+
+    def bind(
+        self,
+        mapping: DatabaseMapping,
+        db: Database,
+        version: Any,
+        solution: Solution,
+        triples: Optional[Tuple[Triple, ...]] = None,
+        **options: Any,
+    ) -> List[ast.Bound]:
+        """The statements of ``triples`` — the block's own, or the part of
+        a MODIFY template one binding translates — under ``solution``;
+        ``options`` go to the template's ``bind``."""
+        if triples is None:
+            triples = self.triples
+        kept_version, kept_triples, template = self._kept
+        entities = None
+        counter = _TEMPLATE_BUILT
+        if template is not None and kept_version == version:
+            counter = _TEMPLATE_REBUILT
+            if kept_triples is triples or kept_triples == triples:
+                entities = template.entities(mapping, db, solution)
+                if entities is not None:
+                    counter = _TEMPLATE_BOUND
+        if entities is None:
+            template = self._template(mapping, db, triples, solution)
+            entities = template.built_entities()
+            if template.reusable:
+                self._kept = (version, triples, template)
+        counter.inc()
+        return template.bind(db, solution, entities, **options)
+
+
 class _KeyReader:
     """What :func:`identify_entity` asks of one candidate table, its
     look-ups made once: the key values the table's URI pattern reads from
-    a URI, coerced to the column types — None where the pattern does not
-    match or a value does not coerce."""
+    a URI, coerced to the column types."""
 
     __slots__ = ("table_mapping", "coercers")
 
     def __init__(self, db: Database, table_mapping: TableMapping) -> None:
         self.table_mapping = table_mapping
-        self.coercers = _key_coercers(db, table_mapping)
+        schema_table = db.table(table_mapping.table_name)
+        #: (attribute, its column type's coerce) per pattern attribute
+        self.coercers = [
+            (attr, schema_table.column(attr).sql_type.coerce)
+            for attr in table_mapping.uri_pattern.attributes
+        ]
 
     def read(self, uri: URIRef) -> Optional[Dict[str, Any]]:
-        table_mapping = self.table_mapping
-        raw = table_mapping.uri_pattern.match(uri)
+        """The key values of ``uri``; None where the pattern does not
+        match or a value does not coerce."""
+        raw = self.table_mapping.uri_pattern.match(uri)
         if raw is None:
             return None
         try:
-            return _coerce_key(table_mapping.table_name, self.coercers, raw, uri)
+            return self.coerce(raw, uri)
         except TranslationError:
             return None
+
+    def coerce(self, raw_values: Dict[str, str], uri: URIRef) -> Dict[str, Any]:
+        """The values the pattern read from ``uri``, coerced to the column
+        types; raises :class:`TranslationError` for one that does not."""
+        table_name = self.table_mapping.table_name
+        coerced: Dict[str, Any] = {}
+        for attr, coerce in self.coercers:
+            raw = raw_values[attr]
+            try:
+                coerced[attr] = coerce(raw, attr)
+            except TypeMismatchError as exc:
+                raise TranslationError(
+                    f"URI {uri.value}: pattern value {raw!r} is invalid for "
+                    f"{table_name}.{attr}: {exc}",
+                    code=TranslationError.TYPE_MISMATCH,
+                    details={
+                        "subject": uri.value,
+                        "table": table_name,
+                        "attribute": attr,
+                        "value": raw,
+                    },
+                ) from exc
+        return coerced
 
 
 class SubjectReader:
@@ -616,9 +654,8 @@ def _key_converter(
     when the object is no URI at all: table and attribute for a
     foreign-key attribute, the property for a link table.
     """
-    target = mapping.table(referenced_table)
-    pattern = target.uri_pattern
-    coercers = _key_coercers(db, target)
+    reader = _KeyReader(db, mapping.table(referenced_table))
+    pattern = reader.table_mapping.uri_pattern
     pk = db.table(referenced_table).primary_key
 
     def convert(obj: Object) -> Any:
@@ -640,7 +677,7 @@ def _key_converter(
                     "referenced_table": referenced_table,
                 },
             )
-        coerced = _coerce_key(target.table_name, coercers, values, obj)
+        coerced = reader.coerce(values, obj)
         if len(pk) != 1:
             raise TranslationError(
                 f"referenced table {referenced_table!r} must have a single-column "

@@ -158,14 +158,16 @@ class OntoAccess:
         request: Union[str, UpdateRequest],
         prefixes: Optional[PrefixMap] = None,
     ) -> List[ast.Statement]:
-        """Translate without executing (dry run against current state)."""
-        operations = self._session._operations(request, prefixes)
+        """Translate without executing: the execution route with
+        execution skipped, every operation — every MODIFY binding —
+        translated against the current state."""
+        steps = self._session._steps(request, prefixes)
         statements: List[ast.Bound] = []
         # Translation reads row data (current_row, link lookups), so it
         # must serialize with concurrent writers like every session entry.
         with self._backend.writer_lock:
-            for operation in operations:
-                statements.extend(self._backend.translate_operation(operation))
+            for step in steps:
+                statements.extend(self._backend.translate_operation(*step))
         return statements
 
     def translate_sql(

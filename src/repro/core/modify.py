@@ -8,10 +8,22 @@ Steps, mirroring the paper exactly:
    (:mod:`repro.core.select_translate`); when the pattern falls outside
    the translatable fragment, evaluate it against the RDB dump instead
    (the one place that decides is :func:`repro.core.query.solve_query`);
-3. for each result binding, instantiate one DELETE DATA and one INSERT
-   DATA operation from the templates;
+3. for each result binding, take the DELETE DATA and INSERT DATA blocks
+   the templates make under it (:func:`plan_binding`);
 4. translate and execute them via Algorithm 1, interleaved per binding in
    one shared transaction (Algorithm 2 lines 7–13).
+
+Step 3 binds, it does not build: what is kept of a MODIFY
+(:class:`KeptModify`) holds a data template for each of its DELETE and
+INSERT templates (:class:`~repro.core.common.PreparedData`), and a
+binding binds the template triples that are ground under it to the kept
+one — the values of the binding go in, as a request's values go into a
+kept INSERT DATA block.  Where a binding grounds other triples than the
+kept template was built for, or its subjects name other tables, the
+template is built again.  The loop itself — evaluate WHERE, then per
+binding plan against the current state and execute — is the relational
+backend's (:meth:`repro.core.backend.RelationalBackend.execute_operation`);
+a dry run is that loop with execution skipped.
 
 The Section 5.2 optimization is applied per binding: when a delete triple
 has a corresponding insert triple (same subject and property, different
@@ -24,26 +36,26 @@ sets the same attribute to a new value, therefore the delete is redundant".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from ..rdb.engine import Database
 from ..rdf.namespace import RDF_TYPE
 from ..rdf.terms import Triple, Variable
 from ..r3m.model import DatabaseMapping
-from ..sparql.algebra import Solution, initial_solution, instantiate
+from ..sparql.algebra import Solution, initial_solution
 from ..sparql.algebra_ast import GroupPattern
 from ..sparql.query_ast import SelectQuery
 from ..sparql.update_ast import Modify
 from ..sql import ast
-from ..sql.render import render
-from .delete_data import translate_delete_data
-from .insert_data import translate_insert_data
+from .common import PreparedData
+from .delete_data import DeleteTemplate
+from .insert_data import InsertTemplate
 from .query import solve_query
 
 __all__ = [
-    "ModifyPlan",
     "BindingStep",
-    "plan_modify",
+    "KeptModify",
+    "plan_binding",
     "bindings_for_pattern",
     "where_query",
 ]
@@ -63,21 +75,22 @@ class BindingStep:
         return [*self.delete_statements, *self.insert_statements]
 
 
-@dataclass
-class ModifyPlan:
-    """The translated MODIFY: per-binding statement batches plus metadata."""
+class KeptModify(NamedTuple):
+    """What is kept of a MODIFY between executions: the backend's kept
+    translation of its WHERE (:func:`where_query`; None where no backend
+    keeps one) and a data template slot per template."""
 
-    steps: List[BindingStep]
-    used_sql_select: bool
-    #: the translated SELECT of the WHERE pattern (None: dump path)
-    select: Optional[ast.Bound] = None
+    where: Any
+    delete: PreparedData
+    insert: PreparedData
 
-    @property
-    def select_sql(self) -> Optional[str]:
-        return None if self.select is None else render(self.select)
-
-    def all_statements(self) -> List[ast.Bound]:
-        return [s for step in self.steps for s in step.all_statements()]
+    @classmethod
+    def of(cls, operation: Modify, where: Any = None) -> "KeptModify":
+        return cls(
+            where,
+            PreparedData(operation.delete_template, DeleteTemplate),
+            PreparedData(operation.insert_template, InsertTemplate),
+        )
 
 
 def where_query(operation: Modify) -> SelectQuery:
@@ -117,70 +130,37 @@ def _sorted(variables) -> Tuple[Variable, ...]:
     return tuple(sorted(variables, key=lambda v: v.name))
 
 
-def plan_modify(
-    mapping: DatabaseMapping,
-    db: Database,
-    operation: Modify,
-    optimize_redundant_deletes: bool = True,
-    force_fallback: bool = False,
-) -> ModifyPlan:
-    """Translate a MODIFY operation against the *current* database state.
-
-    Note Algorithm 2 interleaves translation and execution per binding;
-    this function translates all bindings against the current state and is
-    what the mediator uses for dry-run display.  The mediator's execution
-    path re-plans each binding after executing the previous one, matching
-    the paper's loop exactly (see ``OntoAccess.update``).
-    """
-    result, select, _ = solve_query(
-        mapping,
-        db,
-        where_query(operation),
-        force_fallback=force_fallback,
-        bindings=operation.bindings,
-    )
-    steps = [
-        plan_binding(
-            mapping,
-            db,
-            operation,
-            solution,
-            optimize_redundant_deletes=optimize_redundant_deletes,
-        )
-        for solution in result.solutions
-    ]
-    return ModifyPlan(
-        steps=steps, used_sql_select=select is not None, select=select
-    )
-
-
 def plan_binding(
     mapping: DatabaseMapping,
     db: Database,
     operation: Modify,
     solution: Solution,
     optimize_redundant_deletes: bool = True,
+    kept: Optional[KeptModify] = None,
+    version: Any = None,
 ) -> BindingStep:
-    """Algorithm 2 lines 8–11 for one binding: build and translate the
-    DELETE DATA / INSERT DATA pair."""
-    delete_triples = instantiate(operation.delete_template, solution)
-    insert_triples = instantiate(operation.insert_template, solution)
+    """Algorithm 2 lines 8–11 for one binding: the DELETE DATA / INSERT
+    DATA pair the templates make under ``solution``, translated against
+    the current state through the templates ``kept`` for ``version`` (a
+    throwaway pair where none is given)."""
+    if kept is None:
+        kept = KeptModify.of(operation)
+    deletes = _ground(operation.delete_template, solution)
+    inserts = _ground(operation.insert_template, solution)
 
     step = BindingStep(binding=solution)
     if optimize_redundant_deletes:
-        delete_triples, step.optimized_away = _drop_redundant_deletes(
-            mapping, delete_triples, insert_triples
+        deletes, step.optimized_away = _drop_redundant_deletes(
+            mapping, deletes, inserts, solution
         )
 
-    if delete_triples:
-        step.delete_statements = translate_delete_data(
-            mapping, db, tuple(delete_triples)
+    if deletes:
+        step.delete_statements = kept.delete.bind(
+            mapping, db, version, solution, deletes
         )
-    if insert_triples:
-        step.insert_statements = translate_insert_data(
-            mapping,
-            db,
-            tuple(insert_triples),
+    if inserts:
+        step.insert_statements = kept.insert.bind(
+            mapping, db, version, solution, inserts,
             # Replacement semantics: the paired delete was dropped, so the
             # insert may overwrite the existing value.
             allow_overwrite=True,
@@ -188,28 +168,41 @@ def plan_binding(
     return step
 
 
+def _ground(
+    template: Tuple[Triple, ...], solution: Solution
+) -> Tuple[Triple, ...]:
+    """The template triples ``solution`` binds every variable of — the
+    ones a binding instantiates, per SPARQL semantics — or the template
+    itself when it binds them all."""
+    ground = tuple(
+        triple for triple in template
+        if all(not isinstance(term, Variable) or term in solution for term in triple)
+    )
+    return template if len(ground) == len(template) else ground
+
+
 def _drop_redundant_deletes(
     mapping: DatabaseMapping,
-    deletes: List[Triple],
-    inserts: List[Triple],
-) -> Tuple[List[Triple], int]:
-    """Omit delete triples whose (subject, property) also appears in the
-    inserts and maps to a plain attribute (link-table pairs are keyed by
-    subject *and* object, so their deletes are never redundant)."""
-    insert_keys = {(t.subject, t.predicate) for t in inserts}
+    deletes: Tuple[Triple, ...],
+    inserts: Tuple[Triple, ...],
+    solution: Solution,
+) -> Tuple[Tuple[Triple, ...], int]:
+    """Omit delete triples whose (subject, property) under ``solution``
+    also appears in the inserts and maps to a plain attribute (link-table
+    pairs are keyed by subject *and* object, so their deletes are never
+    redundant)."""
+    value = solution.get
+    insert_keys = {(value(s, s), value(p, p)) for s, p, _ in inserts}
     kept: List[Triple] = []
-    dropped = 0
     for triple in deletes:
-        predicate = triple.predicate
-        is_attribute = (
+        subject, predicate, _ = triple
+        predicate = value(predicate, predicate)
+        if (
             predicate != RDF_TYPE
             and mapping.link_for_property(predicate) is None
-        )
-        if (
-            is_attribute
-            and (triple.subject, predicate) in insert_keys
+            and (value(subject, subject), predicate) in insert_keys
         ):
-            dropped += 1
             continue
         kept.append(triple)
-    return kept, dropped
+    dropped = len(deletes) - len(kept)
+    return (tuple(kept) if dropped else deletes), dropped

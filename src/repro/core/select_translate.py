@@ -115,7 +115,7 @@ from .common import (
     EntityRef,
     SubjectReader,
     Values,
-    coerce_pattern_values,
+    _KeyReader,
     identify_entity,
     value_converter,
 )
@@ -256,18 +256,20 @@ def _subject_key(reader: SubjectReader, pk: str, term: Term) -> Any:
 
 
 def _link_object_key(
-    db: Database, link: LinkTableMapping, object_table: TableMapping, term: Term
+    reader: _KeyReader, link: LinkTableMapping, pk: str, term: Term
 ) -> Any:
-    """Key of the row of the link's object table that ``term`` names (also
-    the binder of a placeholder in that position)."""
-    raw = object_table.uri_pattern.match(term) if isinstance(term, URIRef) else None
+    """Key of the row of the link's object table that ``term`` names, read
+    through the object table's key reader (also the binder of a
+    placeholder in that position)."""
+    raw = None
+    if isinstance(term, URIRef):
+        raw = reader.table_mapping.uri_pattern.match(term)
     if raw is None:
         raise UnsupportedPatternError(
             f"object {term} does not match the uriPattern of "
             f"{link.object_table()!r}"
         )
-    coerced = coerce_pattern_values(db, object_table, raw, term)
-    return coerced[db.table(link.object_table()).primary_key[0]]
+    return reader.coerce(raw, term)[pk]
 
 
 #: Codes of :func:`~repro.core.common.term_to_sql_value` for a term that
@@ -740,7 +742,12 @@ class SelectTranslator:
                     nullable=optional or not column.not_null,
                 )
         elif isinstance(obj, URIRef):
-            to_key = partial(_link_object_key, self.db, link, object_table)
+            to_key = partial(
+                _link_object_key,
+                _KeyReader(self.db, object_table),
+                link,
+                self.db.table(link.object_table()).primary_key[0],
+            )
             link_node.local_conditions.append(
                 ast.BinaryOp(
                     "=",

@@ -31,18 +31,21 @@ first out.
   pattern uses it and is part of every solution — so a placeholder that
   is also projected, ordered by or used in a CONSTRUCT template comes
   back bound.
-* What is kept between executions, on the relational backend: per
-  prepared **query** the SPARQL→SQL translation of its WHERE *template*
-  — one :class:`~repro.core.backend.PreparedPattern`, bound again for
-  every binding set (a few µs) and translated again only for a binding
-  of another kind (an author URI, then a publication URI, for the same
-  placeholder), per mapping/schema version; per prepared **MODIFY** the
-  same for its WHERE; per **INSERT DATA / DELETE DATA** block the
-  translated data template (:class:`~repro.core.backend.PreparedData`):
-  groups, tables, value converters and statement shapes, which an
-  execution binds its values to — reading the rows it must (does the
-  entity exist, do the triples to delete hold) — and which is built
-  again only for values that name another table.  Below that, the
+* What is kept between executions is the backend's
+  (:meth:`~repro.core.backend.Backend.keep`, one slot per operation or
+  query of a shape).  On the relational backend: per **query** the
+  SPARQL→SQL translation of its WHERE *template* — one
+  :class:`~repro.core.backend.PreparedPattern`, bound again for every
+  binding set (a few µs) and translated again only for a binding of
+  another kind (an author URI, then a publication URI, for the same
+  placeholder), per mapping/schema version; per **INSERT DATA / DELETE
+  DATA** block the translated data template
+  (:class:`~repro.core.common.PreparedData`): groups, tables, value
+  converters and statement shapes, which an execution binds its values
+  to — reading the rows it must (does the entity exist, do the triples
+  to delete hold) — and which is built again only for values that name
+  another table; per **MODIFY** both, for its WHERE and for its DELETE
+  and INSERT templates, which each binding binds.  Below that, the
   engine plans each statement *shape* once: all bindings of a template,
   prepared or sent as text, share one plan.
 * :meth:`Session.execute_all` runs a multi-operation batch inside **one**
@@ -65,9 +68,11 @@ first out.
 Semantics cannot drift between one-shot and prepared requests, because
 there is one path: :meth:`Session.execute`, :meth:`Session.execute_all`,
 :meth:`PreparedUpdate.execute` and the HTTP endpoint's ``/update`` and
-``/batch`` all hand concrete operations to one routine that holds the
-writer lock, opens the transaction scope and calls
-``backend.execute_operation``.
+``/batch`` all hand each operation — with the solution that binds its
+placeholders and its kept slot, a :data:`Step` — to one routine that
+holds the writer lock, opens the transaction scope and calls
+``backend.execute_operation``; a parsed request's operations travel
+without a slot, and the backend uses a throwaway one.
 """
 
 from __future__ import annotations
@@ -102,26 +107,21 @@ from ..sparql.query_parser import QueryParser
 from ..sparql.update_ast import (
     DeleteData,
     InsertData,
-    Modify,
     UpdateOperation,
     UpdateRequest,
 )
 from ..sparql.update_parser import UpdateParser
-from .backend import (
-    Backend,
-    PreparedData,
-    PreparedDeleteData,
-    PreparedInsertData,
-    PreparedModify,
-    PreparedPattern,
-    UpdateResult,
-)
-from .modify import where_query
+from .backend import Backend, UpdateResult
 from .query import QueryOutcome
 
 __all__ = ["PreparedQuery", "PreparedUpdate", "Session"]
 
 Bindings = Dict[str, Any]
+
+#: One operation as the backend runs it: the operation, the solution its
+#: placeholders are bound by, and the backend's kept slot for it (None: a
+#: throwaway one).
+Step = Tuple[UpdateOperation, Optional[Solution], Any]
 
 #: Shapes a session keeps, least recently used first out.
 _SHAPES_KEPT = 128
@@ -166,48 +166,26 @@ def _solution(bindings: Optional[Bindings]) -> Solution:
 # placeholders: bound into data templates and patterns
 # ---------------------------------------------------------------------------
 
-def _require_bound(block: PreparedData, solution: Solution) -> None:
+def _require_bound(
+    operations: Sequence[UpdateOperation], solution: Solution
+) -> None:
     """A data block's placeholders must all be bound: checked for the
     whole request before any of its operations runs."""
-    if block.variables <= solution.keys():
-        return
-    for triple in block.triples:
-        unbound = [
-            term for term in triple
-            if isinstance(term, Variable) and term not in solution
-        ]
-        if unbound:
-            names = ", ".join(f"?{v.name}" for v in unbound)
-            raise TranslationError(
-                f"unbound placeholder(s) {names} in prepared data block; "
-                "pass bindings={...} at execute time",
-                code=TranslationError.UNSUPPORTED,
-            )
-
-
-def _resolve_operation(
-    operation: UpdateOperation,
-    solution: Solution,
-    kept: Union[PreparedData, PreparedPattern, None],
-) -> UpdateOperation:
-    """One operation under the bindings of one execution: a data block
-    takes them into its kept template (``kept``), a MODIFY as initial
-    bindings of its WHERE (whose kept translation is ``kept``)."""
-    if isinstance(operation, InsertData):
-        _require_bound(kept, solution)
-        return PreparedInsertData(operation.triples, solution, kept)
-    if isinstance(operation, DeleteData):
-        _require_bound(kept, solution)
-        return PreparedDeleteData(operation.triples, solution, kept)
-    if isinstance(operation, Modify):
-        return PreparedModify(
-            operation.delete_template,
-            operation.insert_template,
-            operation.where,
-            bindings=solution,
-            template=kept,
-        )
-    return operation
+    for operation in operations:
+        if not isinstance(operation, (InsertData, DeleteData)):
+            continue
+        for triple in operation.triples:
+            unbound = [
+                term for term in triple
+                if isinstance(term, Variable) and term not in solution
+            ]
+            if unbound:
+                names = ", ".join(f"?{v.name}" for v in unbound)
+                raise TranslationError(
+                    f"unbound placeholder(s) {names} in prepared data block; "
+                    "pass bindings={...} at execute time",
+                    code=TranslationError.UNSUPPORTED,
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -251,39 +229,44 @@ class PreparedUpdate(_Prepared):
 
     Parsing happened once per shape; each execution binds its values
     and runs the operations exactly like :meth:`Session.execute` does.
-    What is amortized: the parse, the translated template of each data
-    block (one :class:`~repro.core.backend.PreparedData` each), the
-    translation of each MODIFY's WHERE template (one
-    :class:`~repro.core.backend.PreparedPattern` each) and — since every
-    execution produces the same statement shapes — the engine's plans.
+    What is amortized: the parse, what the backend keeps of each
+    operation (:meth:`~repro.core.backend.Backend.keep`: on the
+    relational backend the translated template of each data block and
+    the translations of each MODIFY's WHERE and templates) and — since
+    every execution produces the same statement shapes — the engine's
+    plans.
     """
 
-    def __init__(self, request: UpdateRequest) -> None:
+    def __init__(self, backend: Backend, request: UpdateRequest) -> None:
         self.request = request
         #: per operation, what the backend keeps between executions
-        self._kept = [_kept_for(op) for op in request.operations]
+        self._kept = [backend.keep(op) for op in request.operations]
+        #: the placeholders the data blocks hold: an execution binds all
+        self._placeholders = frozenset(
+            term
+            for op in request.operations
+            if isinstance(op, (InsertData, DeleteData))
+            for triple in op.triples
+            for term in triple
+            if isinstance(term, Variable)
+        )
 
     def execute(self, bindings: Optional[Bindings] = None) -> UpdateResult:
         """Execute the request; placeholders are bound from
         ``bindings`` (variable name → RDF term or plain Python value)."""
         return self.session._run(
-            self._operations(self._solution(bindings)), atomic=False
+            self._steps(self._solution(bindings)), atomic=False
         )
 
-    def _operations(self, solution: Solution) -> List[UpdateOperation]:
-        """The concrete operations under ``solution``."""
+    def _steps(self, solution: Solution) -> List[Step]:
+        """The request's operations under ``solution``."""
+        operations = self.request.operations
+        if not self._placeholders <= solution.keys():
+            _require_bound(operations, solution)
         return [
-            _resolve_operation(op, solution, kept)
-            for op, kept in zip(self.request.operations, self._kept)
+            (operation, solution, kept)
+            for operation, kept in zip(operations, self._kept)
         ]
-
-
-def _kept_for(operation: UpdateOperation) -> Union[PreparedData, PreparedPattern, None]:
-    if isinstance(operation, (InsertData, DeleteData)):
-        return PreparedData(operation)
-    if isinstance(operation, Modify):
-        return PreparedPattern(where_query(operation))
-    return None
 
 
 class PreparedQuery(_Prepared):
@@ -301,7 +284,8 @@ class PreparedQuery(_Prepared):
 
     def __init__(self, backend: Backend, query: Query) -> None:
         self.query = query
-        self._plan = backend.prepare_query(query)
+        #: what the backend keeps of the query between executions
+        self._plan = backend.keep(query)
 
     def execute(self, bindings: Optional[Bindings] = None):
         """Run the query; returns SelectResult / bool / Graph."""
@@ -317,8 +301,10 @@ class PreparedQuery(_Prepared):
         (:class:`~repro.core.answer.SelectRows`), for a reader
         that writes them itself."""
         # Lock-free read path: execution runs against the backend's
-        # committed snapshot; the plan object is shared by all threads.
-        return self._plan.outcome(self._solution(bindings))
+        # committed snapshot; the kept slot is shared by all threads.
+        return self.session.backend.query_outcome(
+            self.query, self._solution(bindings), self._plan
+        )
 
 
 class _Shape(NamedTuple):
@@ -398,7 +384,7 @@ class Session:
         since the wire protocol has no way to pass bindings.
         """
         if isinstance(request, UpdateRequest):
-            return PreparedUpdate(request)._of(self, None, None)
+            return PreparedUpdate(self.backend, request)._of(self, None, None)
         mode = _TEMPLATE if allow_placeholders else _UPDATE
         prepared, values = self._shape(request, prefixes, mode)
         return prepared._of(self, request, values)
@@ -487,16 +473,18 @@ class Session:
         parser = UpdateParser(text, prefixes=prefixes)
         parser.allow_placeholders = mode == _TEMPLATE
         parser.lifted = lifted
-        return PreparedUpdate(parser.request()), parser
+        return PreparedUpdate(self.backend, parser.request()), parser
 
-    def _operations(
+    def _steps(
         self, request: Union[str, UpdateRequest], prefixes: Optional[PrefixMap]
-    ) -> Sequence[UpdateOperation]:
-        """The concrete operations of one request."""
+    ) -> List[Step]:
+        """The operations of one request as the backend runs them: a
+        text's as its shape's under the text's values, a parsed
+        request's as they are, without a kept slot."""
         if isinstance(request, UpdateRequest):
-            return request.operations
+            return [(operation, None, None) for operation in request.operations]
         prepared, values = self._shape(request, prefixes, _UPDATE)
-        return prepared._operations(values)
+        return prepared._steps(values)
 
     # -- write path -----------------------------------------------------
 
@@ -514,7 +502,7 @@ class Session:
         the open transaction.
         """
         _OPS_UPDATE.inc()
-        return self._run(self._operations(request, prefixes), atomic=False)
+        return self._run(self._steps(request, prefixes), atomic=False)
 
     def execute_all(
         self,
@@ -527,10 +515,10 @@ class Session:
         first error — everything rolls back and the error propagates.
         """
         _OPS_BATCH.inc()
-        operations: List[UpdateOperation] = []
+        steps: List[Step] = []
         for request in requests:
-            operations.extend(self._operations(request, prefixes))
-        return self._run(operations, atomic=True)
+            steps.extend(self._steps(request, prefixes))
+        return self._run(steps, atomic=True)
 
     # -- read path ------------------------------------------------------
 
@@ -576,7 +564,7 @@ class Session:
         _OPS_QUERY.inc()
         if isinstance(q, str):
             prepared, values = self._shape(q, prefixes, _QUERY)
-            return prepared._plan.outcome(values)
+            return self.backend.query_outcome(prepared.query, values, prepared._plan)
         return self.backend.query_outcome(q)
 
     def dump(self) -> Graph:
@@ -657,10 +645,8 @@ class Session:
 
     # -- execution core -------------------------------------------------
 
-    def _run(
-        self, operations: Sequence[UpdateOperation], atomic: bool
-    ) -> UpdateResult:
-        """The one update routine: run concrete operations under the
+    def _run(self, steps: Sequence[Step], atomic: bool) -> UpdateResult:
+        """The one update routine: run a request's steps under the
         backend's writer lock, each in a transaction of its own, all in
         one, or in the caller's open one.
 
@@ -685,16 +671,16 @@ class Session:
         with backend.writer_lock:
             joined = backend.in_transaction()
             if atomic or joined:
-                scopes = [operations]
+                scopes = [steps]
             else:
-                scopes = [[operation] for operation in operations]
+                scopes = [[step] for step in steps]
             for scope in scopes:
                 if not joined:
                     backend.begin()
                 try:
-                    for operation in scope:
+                    for step in scope:
                         result.operations.append(
-                            backend.execute_operation(operation)
+                            backend.execute_operation(*step)
                         )
                     if not joined:
                         token = backend.commit()

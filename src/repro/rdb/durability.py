@@ -751,6 +751,12 @@ class DurabilityManager:
     def _load_checkpoint(self, generation: int) -> Any:
         """Load and validate one checkpoint; raises DurabilityError on
         any damage (a checkpoint only exists post-rename, fsynced)."""
+        return decode_payload(self.checkpoint_payload(generation))
+
+    def checkpoint_payload(self, generation: int) -> bytes:
+        """The payload bytes of checkpoint ``generation`` as stored, its
+        CRC checked (what a shipper sends a replica); DurabilityError if
+        the file is damaged or gone."""
         path = self._checkpoint_path(generation)
         def corrupt(reason: str) -> DurabilityError:
             return DurabilityError(f"corrupt checkpoint {path!r}: {reason}")
@@ -771,7 +777,7 @@ class DurabilityManager:
             raise corrupt("truncated body")
         if zlib.crc32(payload) != crc:
             raise corrupt("checksum mismatch")
-        return decode_payload(payload)
+        return payload
 
     # -- commit path ----------------------------------------------------
 

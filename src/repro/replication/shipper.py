@@ -383,13 +383,13 @@ class LogShipper:
             else:
                 base = (generation, WAL_HEADER_SIZE)
                 try:
-                    from ..rdb.durability import encode_payload
-
-                    payload = encode_payload(
-                        self.manager.checkpoint_body(generation)
-                    )
+                    payload = self.manager.checkpoint_payload(generation)
                 except DurabilityError:
-                    continue  # a newer checkpoint raced the read; retry
+                    if self.manager.newest_checkpoint() != generation:
+                        continue  # a newer checkpoint raced the read; retry
+                    # Damaged, not superseded: reading it again fails
+                    # again.  The connection closes; the replica redials.
+                    raise
             wire.send_message(
                 conn, wire.SNAPSHOT, base[0], base[1], payload,
                 epoch=self.epoch, sent_at=time.time(),

@@ -69,7 +69,11 @@ directly.  In order it
 6. sends it and finishes the trace of an admitted route once:
    ``repro_requests_total``, ``repro_request_seconds``,
    ``repro_queue_wait_seconds``, the JSON access-log line and the
-   slow-query tee.
+   slow-query tee.  The trace's ``serialize_s`` is timed around the
+   send: it covers writing the response head and the socket
+   ``sendall`` as well as rendering the body, so a wire-only change
+   moves it, and it is read together with the client-side remainder
+   (the benchmark's ``transport_s``).
 
 **The wire.**  :class:`_Handler` keeps only HTTP.  It runs on the
 stdlib's socket server and connection loop, but reads and writes message

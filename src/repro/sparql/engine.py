@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..rdf.graph import Graph
 from ..rdf.namespace import PrefixMap
 from ..rdf.terms import BNode, Literal, Term, Triple, URIRef, Variable
-from .algebra import Solution, evaluate_pattern, instantiate
+from .algebra import Solution, evaluate_pattern, instantiate, substitute
 from .expressions import EvalError, evaluate_expr
 from .query_ast import AskQuery, ConstructQuery, Query, SelectQuery
 from .query_parser import parse_query
@@ -30,6 +30,7 @@ __all__ = [
     "shape_result",
     "update",
     "apply_operation",
+    "data_triples",
     "apply_select_modifiers",
 ]
 
@@ -181,6 +182,15 @@ def _order_key(expr, solution: Solution):
     return (5, "", str(value))
 
 
+def data_triples(
+    operation: Union[InsertData, DeleteData], solution: Optional[Solution]
+) -> Sequence[Triple]:
+    """A data block's triples with its placeholders bound by ``solution``."""
+    if not solution:
+        return operation.triples
+    return [substitute(triple, solution) for triple in operation.triples]
+
+
 def update(
     graph: Graph,
     request: Union[str, UpdateRequest],
@@ -200,14 +210,17 @@ def update(
     return {"added": added, "removed": removed}
 
 
-def apply_operation(graph: Graph, operation) -> Tuple[int, int]:
-    """Apply one update operation; returns (added, removed)."""
+def apply_operation(
+    graph: Graph, operation, solution: Optional[Solution] = None
+) -> Tuple[int, int]:
+    """Apply one update operation under ``solution`` (a data block's
+    placeholders, a MODIFY's initial bindings); returns (added, removed)."""
     if isinstance(operation, InsertData):
-        return graph.add_all(operation.triples), 0
+        return graph.add_all(data_triples(operation, solution)), 0
     if isinstance(operation, DeleteData):
-        return 0, graph.remove_all(operation.triples)
+        return 0, graph.remove_all(data_triples(operation, solution))
     if isinstance(operation, Modify):
-        solutions = evaluate_pattern(graph, operation.where, operation.bindings)
+        solutions = evaluate_pattern(graph, operation.where, solution)
         to_remove: List[Triple] = []
         to_add: List[Triple] = []
         for solution in solutions:

@@ -15,10 +15,10 @@ defines (useful in tests and examples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple, Union
 
-from ..rdf.terms import Term, Triple, Variable
+from ..rdf.terms import Triple
 from .algebra_ast import GroupPattern
 
 __all__ = ["InsertData", "DeleteData", "Modify", "Clear", "UpdateOperation", "UpdateRequest"]
@@ -42,16 +42,15 @@ class DeleteData:
 class Modify:
     """Atomic delete+insert driven by a WHERE pattern (paper Listing 8).
 
-    ``bindings`` are initial bindings of the WHERE pattern — how a
-    prepared MODIFY's placeholders reach it: every solution extends
-    them, so the templates see them bound as well (see
+    A prepared MODIFY's placeholders are not part of it: they travel
+    beside it, as initial bindings of the WHERE pattern that every
+    solution extends, so the templates see them bound as well (see
     :func:`repro.sparql.algebra.evaluate_pattern`).
     """
 
     delete_template: Tuple[Triple, ...]
     insert_template: Tuple[Triple, ...]
     where: GroupPattern
-    bindings: Optional[Dict[Variable, Term]] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

@@ -352,7 +352,7 @@ class TestPreparedTemplates:
             )
         prepared = session.prepare(self.AUTHOR)
         prepared.execute({"subj": URIRef(EX + "author10")})
-        kept = prepared._plan._where._kept
+        kept = prepared._plan._kept
         misses = mediator.db.planner.stats["misses"]
         for i in range(11, 40):
             subject = URIRef(f"{EX}author{i}")
@@ -361,7 +361,7 @@ class TestPreparedTemplates:
             assert outcome.select_sql.endswith(
                 f"WHERE t0.id = {i} AND t0.firstname IS NOT NULL;"
             )
-        assert prepared._plan._where._kept is kept
+        assert prepared._plan._kept is kept
         assert mediator.db.planner.stats["misses"] == misses
 
     def test_binding_of_another_kind_is_translated_again(self, session):
@@ -454,7 +454,7 @@ class TestPreparedTemplates:
             })
 
         assert replace(10).rows_affected() == 1
-        kept = prepared._kept[0]._kept
+        kept = prepared._kept[0].where._kept
         misses = mediator.db.planner.stats["misses"]
         for i in range(11, 30):
             result = replace(i)
@@ -462,7 +462,7 @@ class TestPreparedTemplates:
             assert result.sql() == [
                 f"UPDATE author SET email = 'new{i}@example.org' WHERE id = {i};"
             ]
-        assert prepared._kept[0]._kept is kept
+        assert prepared._kept[0].where._kept is kept
         assert mediator.db.planner.stats["misses"] == misses
         assert replace(10).rows_affected() == 0  # old10 is gone: no binding
 

@@ -136,8 +136,8 @@ def _run(entry, case: Case, native: bool = False) -> Observed:
     seen: List[OperationResult] = []
     execute_operation = backend.execute_operation
 
-    def recording(operation):
-        seen.append(execute_operation(operation))
+    def recording(operation, solution=None, kept=None):
+        seen.append(execute_operation(operation, solution, kept))
         return seen[-1]
 
     backend.execute_operation = recording
