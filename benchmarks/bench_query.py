@@ -21,7 +21,7 @@ from repro.workloads.generator import (
 )
 from repro.workloads.publication import build_database, build_mapping
 
-from conftest import report
+from conftest import reference_loop, report
 
 PREFIXES = """
 PREFIX foaf: <http://xmlns.com/foaf/0.1/>
@@ -60,6 +60,12 @@ def _mediator(authors: int, fallback: bool = False) -> OntoAccess:
     return OntoAccess(
         db, build_mapping(db), validate=False, force_query_fallback=fallback
     )
+
+
+def test_reference_loop(benchmark):
+    """The trend gate's calibration: the box's speed, read by work no
+    program change moves."""
+    benchmark(reference_loop)
 
 
 @pytest.mark.parametrize("authors", [50, 500])

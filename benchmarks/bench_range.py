@@ -17,8 +17,9 @@ the indexed range reads at most the 51 rows of its window and the indexed
 top-10 at most 10, against 1000 for the forced scan
 (``test_rows_read_floor_at_1000_rows``, from the ``ROWS_SCANNED``
 counter), and the committed ``BENCH_range.json`` medians are guarded by
-the CI trend gate (``check_trend.py --filter indexed --calibration forced_scan``
-— machine speed cancels out, a lost index path does not).
+the CI trend gate (``check_trend.py --filter indexed --calibration
+reference_loop`` — machine speed cancels out, a lost index path does
+not).
 """
 
 import pytest
@@ -26,7 +27,7 @@ import pytest
 from repro.observability.metrics import ROWS_SCANNED
 from repro.rdb import Database
 
-from conftest import report
+from conftest import reference_loop, report
 
 SIZES = (10, 100, 1000)
 
@@ -58,6 +59,12 @@ def _range_sql(rows: int) -> str:
 ORDER_SQL = "SELECT v, id FROM item ORDER BY v LIMIT 10"
 
 
+def test_reference_loop(benchmark):
+    """The trend gate's calibration: the box's speed, read by work no
+    program change moves."""
+    benchmark(reference_loop)
+
+
 @pytest.mark.parametrize("rows", SIZES)
 def test_range_query_indexed(benchmark, rows):
     """Expected shape: flat-ish — cost follows the ~5% window, not the
@@ -70,7 +77,7 @@ def test_range_query_indexed(benchmark, rows):
 @pytest.mark.parametrize("rows", SIZES)
 def test_range_query_forced_scan(benchmark, rows):
     """Expected shape: linear in table size (the baseline the index
-    beats; also the trend-gate calibration set)."""
+    beats)."""
     db = _build_db(rows, force_scan=True)
     result = benchmark(db.query, _range_sql(rows))
     assert len(result) == min(rows, max(1, rows // 20) + 1)
@@ -101,10 +108,13 @@ def test_rows_read_floor_at_1000_rows(benchmark):
     cheap, without any index path getting worse.)"""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
+    def read_so_far():  # by every table
+        return sum(value for *_, value in ROWS_SCANNED.samples())
+
     def rows_read(db, sql):
-        before = ROWS_SCANNED.value()
+        before = read_so_far()
         db.query(sql)
-        return int(ROWS_SCANNED.value() - before)
+        return int(read_so_far() - before)
 
     indexed = _build_db(1000)
     scanned = _build_db(1000, force_scan=True)

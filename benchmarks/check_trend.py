@@ -8,18 +8,18 @@ point-query timing regressed by more than ``--max-ratio`` (default 2x).
 The committed numbers come from a dev machine and CI runners have
 different absolute speed, so the comparison is **calibrated**: the
 machine factor is estimated as the median fresh/committed ratio over the
-calibration benchmarks (default: the join-query sweep, which exercises
-the same engine but is dominated by per-row work rather than the index
-path under test).  Each point-query ratio is divided by that factor
-before the threshold check — a uniformly slower machine cancels out,
-while a lost index path (which costs 10x+ on point queries only) does
-not.
+calibration benchmarks (default: ``test_reference_loop``, plain Python
+work that no program change moves).  Each point-query ratio is divided
+by that factor before the threshold check — a uniformly slower machine
+cancels out, while a lost index path (which costs 10x+ on point queries
+only) does not.  When the two files share no calibration benchmark the
+timings are compared as they are, and the output says so.
 
 Usage::
 
     cp benchmarks/BENCH_query.json /tmp/committed.json
     PYTHONPATH=src python -m pytest benchmarks/bench_query.py \
-        --benchmark-only -k "point or (join and translated)"
+        --benchmark-only -k "point or reference_loop"
     python benchmarks/check_trend.py /tmp/committed.json \
         benchmarks/BENCH_query.json
 
@@ -33,6 +33,7 @@ import argparse
 import json
 import statistics
 import sys
+from typing import Optional
 
 
 def load_medians(path: str, name_filter: str) -> dict:
@@ -45,12 +46,16 @@ def load_medians(path: str, name_filter: str) -> dict:
     }
 
 
-def machine_factor(committed_path: str, fresh_path: str, calibration: str) -> float:
+def machine_factor(
+    committed_path: str, fresh_path: str, calibration: str
+) -> Optional[float]:
+    """Median fresh/committed ratio over the calibration benchmarks, or
+    None when the two files share none."""
     committed = load_medians(committed_path, calibration)
     fresh = load_medians(fresh_path, calibration)
     shared = set(committed) & set(fresh)
     if not shared:
-        return 1.0  # no calibration data: compare absolute numbers
+        return None
     return statistics.median(
         fresh[name] / committed[name] for name in shared
     )
@@ -73,9 +78,9 @@ def main() -> int:
     )
     parser.add_argument(
         "--calibration",
-        default="join_query_translated",
+        default="reference_loop",
         help="substring of benchmarks used to estimate machine speed "
-        "(default: join_query_translated); pass '' to disable",
+        "(default: reference_loop); pass '' to disable",
     )
     args = parser.parse_args()
 
@@ -91,9 +96,15 @@ def main() -> int:
 
     factor = 1.0
     if args.calibration:
-        factor = machine_factor(args.committed, args.fresh, args.calibration)
-        print(f"machine calibration factor: {factor:.2f}x "
-              f"(median over {args.calibration!r} benchmarks)")
+        measured = machine_factor(args.committed, args.fresh, args.calibration)
+        if measured is None:
+            # Not silently 1.0: the verdicts below are absolute timings.
+            print(f"machine calibration: no {args.calibration!r} benchmark in "
+                  "both files; comparing absolute timings")
+        else:
+            factor = measured
+            print(f"machine calibration factor: {factor:.2f}x "
+                  f"(median over {args.calibration!r} benchmarks)")
 
     failures = []
     for fullname in shared:

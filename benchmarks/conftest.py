@@ -27,6 +27,14 @@ from repro.workloads.publication import (
 BENCH_DIR = pathlib.Path(__file__).parent
 
 
+def reference_loop():
+    """Machine-speed yardstick for the trend gates: plain Python work
+    (filter and sum a 2 000-row dict table) that no code under
+    ``src/repro`` runs, so no change to the program moves it."""
+    table = {i: (i, f"name{i % 97}", i % 7) for i in range(2000)}
+    return sum(row[0] for row in table.values() if row[2] == 3 and row[1] != "x")
+
+
 def report(title, lines):
     print(f"\n### {title}")
     for line in lines:

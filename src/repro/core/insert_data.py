@@ -16,8 +16,9 @@ checks (step 3) happen before any SQL is generated:
 * at most one value per attribute (tuples cannot hold two);
 * when updating an existing entity, a non-NULL attribute may only be
   "re-inserted" with the same value (triple-set semantics); a *different*
-  value is rejected unless ``allow_overwrite`` is set, which the MODIFY
-  driver uses for its replace optimization.
+  value is rejected unless its (subject, property) pair is
+  ``replaceable`` — what a MODIFY's DELETE template names, so that its
+  replace optimization can overwrite.
 
 Translation is two steps.  :class:`InsertTemplate` is built once per
 block shape: the groups and their tables, one value converter per
@@ -30,7 +31,7 @@ UPDATE or nothing, checks link targets and sorts.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import AbstractSet, Any, Dict, List, Optional, Tuple
 
 from ..errors import TranslationError
 from ..rdb.engine import Database
@@ -55,11 +56,10 @@ def translate_insert_data(
     mapping: DatabaseMapping,
     db: Database,
     triples: Tuple[Triple, ...],
-    allow_overwrite: bool = False,
 ) -> List[ast.Bound]:
     """Translate an INSERT DATA payload to sorted SQL statements."""
     template = InsertTemplate(mapping, db, triples, {})
-    return template.bind(db, {}, template.built_entities(), allow_overwrite)
+    return template.bind(db, {}, template.built_entities())
 
 
 class _Group(SubjectGroup):
@@ -108,11 +108,12 @@ class InsertTemplate(DataTemplate):
         db: Database,
         solution: Solution,
         entities: List[Optional[EntityRef]],
-        allow_overwrite: bool = False,
+        replaceable: AbstractSet[Tuple[Term, Term]] = frozenset(),
     ) -> List[ast.Bound]:
         """The sorted statements of the block under ``solution``, whose
         subjects are ``entities`` (:meth:`~repro.core.common.
-        DataTemplate.entities`)."""
+        DataTemplate.entities`); an existing value may be overwritten
+        where its (subject, property) is ``replaceable``."""
         statements: List[ast.Bound] = []
         link_rows: List[Tuple[LinkTableMapping, Any, Any]] = []
         #: key values of entities this request itself creates — needed so a
@@ -134,7 +135,7 @@ class InsertTemplate(DataTemplate):
                 pending_rows[(group.table, pk)] = True
             else:
                 update = _update_statement(
-                    db, entity, values, current, allow_overwrite
+                    db, entity, values, current, replaceable
                 )
                 if update is not None:
                     statements.append(update)
@@ -194,16 +195,22 @@ def _update_statement(
     entity: EntityRef,
     values: Dict[str, Any],
     current: Row,
-    allow_overwrite: bool,
+    replaceable: AbstractSet[Tuple[Term, Term]],
 ) -> Optional[ast.Bound]:
     """INSERT DATA on an existing entity (its stored row ``current``) →
-    UPDATE filling NULLs."""
+    UPDATE filling NULLs and overwriting the replaceable attributes."""
     collected = Values()
     assignments: List[ast.Assignment] = []
     positions = db.table(entity.table.table_name).positions
+    overwrite = {
+        attribute.attribute_name
+        for subject, prop in replaceable
+        if subject == entity.uri
+        and (attribute := entity.table.attribute_for_property(prop)) is not None
+    }
     for name, value in values.items():
         existing = current[positions[name]]
-        if existing is None or allow_overwrite:
+        if existing is None or name in overwrite:
             if existing != value:
                 assignments.append(
                     ast.Assignment(name, collected.param(value))

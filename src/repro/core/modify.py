@@ -11,7 +11,9 @@ Steps, mirroring the paper exactly:
 3. for each result binding, take the DELETE DATA and INSERT DATA blocks
    the templates make under it (:func:`plan_binding`);
 4. translate and execute them via Algorithm 1, interleaved per binding in
-   one shared transaction (Algorithm 2 lines 7–13).
+   one shared transaction (Algorithm 2 lines 7–13): the INSERT half of a
+   binding is translated once its DELETE statements have run
+   (:meth:`BindingStep.all_statements`), so it sees the state they leave.
 
 Step 3 binds, it does not build: what is kept of a MODIFY
 (:class:`KeptModify`) holds a data template for each of its DELETE and
@@ -31,16 +33,22 @@ object) and the property maps to a table attribute, the delete is omitted
 and the insert translates to an ``UPDATE`` that overwrites the value
 directly — "the delete would set an attribute value to NULL and the insert
 sets the same attribute to a new value, therefore the delete is redundant".
+Only such a pair may overwrite: an insert of a second value for an
+attribute the binding's DELETE template does not name is refused, as
+INSERT DATA refuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import (
+    Any, Callable, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 from ..rdb.engine import Database
 from ..rdf.namespace import RDF_TYPE
-from ..rdf.terms import Triple, Variable
+from ..rdf.terms import Term, Triple, Variable
 from ..r3m.model import DatabaseMapping
 from ..sparql.algebra import Solution, initial_solution
 from ..sparql.algebra_ast import GroupPattern
@@ -70,9 +78,17 @@ class BindingStep:
     insert_statements: List[ast.Bound] = field(default_factory=list)
     #: number of delete triples dropped by the redundancy optimization
     optimized_away: int = 0
+    #: translates the INSERT half where DELETE statements precede it
+    translate_inserts: Optional[Callable[[], List[ast.Bound]]] = None
 
-    def all_statements(self) -> List[ast.Bound]:
-        return [*self.delete_statements, *self.insert_statements]
+    def all_statements(self) -> Iterator[ast.Bound]:
+        """The DELETE half, then the INSERT half, translated once the
+        caller has taken (and run) every DELETE statement."""
+        yield from self.delete_statements
+        if self.translate_inserts is not None:
+            self.insert_statements = self.translate_inserts()
+            self.translate_inserts = None
+        yield from self.insert_statements
 
 
 class KeptModify(NamedTuple):
@@ -140,13 +156,22 @@ def plan_binding(
     version: Any = None,
 ) -> BindingStep:
     """Algorithm 2 lines 8–11 for one binding: the DELETE DATA / INSERT
-    DATA pair the templates make under ``solution``, translated against
-    the current state through the templates ``kept`` for ``version`` (a
-    throwaway pair where none is given)."""
+    DATA pair the templates make under ``solution``, translated through
+    the templates ``kept`` for ``version`` (a throwaway pair where none
+    is given) — the DELETE half against the current state, the INSERT
+    half against the state the DELETE half leaves (see
+    :meth:`BindingStep.all_statements`)."""
     if kept is None:
         kept = KeptModify.of(operation)
     deletes = _ground(operation.delete_template, solution)
     inserts = _ground(operation.insert_template, solution)
+    # Replacement semantics: what the DELETE template names may be given
+    # a new value, whether or not its delete runs.
+    replaceable = _subject_properties(deletes, solution)
+    translate_inserts = partial(
+        kept.insert.bind, mapping, db, version, solution, inserts,
+        replaceable=replaceable,
+    )
 
     step = BindingStep(binding=solution)
     if optimize_redundant_deletes:
@@ -158,14 +183,19 @@ def plan_binding(
         step.delete_statements = kept.delete.bind(
             mapping, db, version, solution, deletes
         )
-    if inserts:
-        step.insert_statements = kept.insert.bind(
-            mapping, db, version, solution, inserts,
-            # Replacement semantics: the paired delete was dropped, so the
-            # insert may overwrite the existing value.
-            allow_overwrite=True,
-        )
+    if inserts and step.delete_statements:
+        step.translate_inserts = translate_inserts
+    elif inserts:
+        step.insert_statements = translate_inserts()
     return step
+
+
+def _subject_properties(
+    triples: Tuple[Triple, ...], solution: Solution
+) -> FrozenSet[Tuple[Term, Term]]:
+    """The (subject, property) pairs ``triples`` name under ``solution``."""
+    value = solution.get
+    return frozenset((value(s, s), value(p, p)) for s, p, _ in triples)
 
 
 def _ground(
@@ -192,7 +222,7 @@ def _drop_redundant_deletes(
     pairs are keyed by subject *and* object, so their deletes are never
     redundant)."""
     value = solution.get
-    insert_keys = {(value(s, s), value(p, p)) for s, p, _ in inserts}
+    insert_keys = _subject_properties(inserts, solution)
     kept: List[Triple] = []
     for triple in deletes:
         subject, predicate, _ = triple

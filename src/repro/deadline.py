@@ -2,18 +2,18 @@
 
 A deadline is carried in a thread-local rather than threaded through
 every call signature: the serving layer opens a :func:`deadline_scope`
-around request handling, and the hot loops deep in the executor call
-:func:`tick` (or wrap their row iterators with :func:`cooperative`)
-every few hundred rows.  When the deadline passes, the check raises a
-typed :class:`~repro.errors.QueryTimeout` that unwinds through the
-normal exception paths — DML rolls back via the existing statement
-savepoint / autocommit machinery, reads simply stop pulling rows.
+around request handling, and the loops deep in the executor call
+:func:`cancellation_point` once per unit of work: a plan's reads once
+per page of rows or chunk of row ids, DML once per row it changes.
+When the deadline passes, the check raises a typed
+:class:`~repro.errors.QueryTimeout` that unwinds through the normal
+exception paths — DML rolls back via the existing statement savepoint /
+autocommit machinery, reads simply stop pulling rows.
 
-The checks are engineered to cost nothing when no deadline is active:
-:func:`cooperative` returns the iterator unchanged, and :func:`tick`
-is guarded by a bit-mask so only one call in ``_TICK_EVERY`` does any
-work.  Fault-injection sites (:mod:`repro.faults`) piggyback on the
-same hooks so chaos tests can stall or fail the executor mid-scan.
+A check costs two attribute reads when no deadline is active and no
+fault is armed, paid per unit rather than per row read.
+Fault-injection sites (:mod:`repro.faults`) piggyback on the same hook
+so chaos tests can stall or fail the executor mid-scan.
 """
 
 from __future__ import annotations
@@ -21,23 +21,17 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import QueryTimeout
 from .faults import INJECTOR
 
 __all__ = [
     "Deadline",
-    "cooperative",
+    "cancellation_point",
     "current_deadline",
     "deadline_scope",
-    "tick",
 ]
-
-#: Loop iterations between cancellation checks.  Must be a power of two
-#: (the guards use ``count & (_TICK_EVERY - 1)``).
-_TICK_EVERY = 256
-_TICK_MASK = _TICK_EVERY - 1
 
 
 class Deadline:
@@ -70,12 +64,18 @@ class Deadline:
         return f"<Deadline budget={self.budget:.3f}s remaining={self.remaining():.3f}s>"
 
 
-_local = threading.local()
+class _Local(threading.local):
+    #: A class default: a thread that never opened a scope reads None
+    #: without the cost of a failed attribute lookup.
+    deadline: Optional[Deadline] = None
+
+
+_local = _Local()
 
 
 def current_deadline() -> Optional[Deadline]:
     """The deadline governing the current thread, or None."""
-    return getattr(_local, "deadline", None)
+    return _local.deadline
 
 
 @contextmanager
@@ -101,41 +101,12 @@ def deadline_scope(limit: Union[None, float, Deadline]):
         _local.deadline = outer
 
 
-def tick(count: int, site: str = "executor:dml") -> None:
-    """Cheap cancellation check for explicit loops.
-
-    Call with a monotonically increasing loop counter; one call in
-    ``_TICK_EVERY`` (plus the first, ``count == 0``) fires the fault
-    injector for ``site`` and checks the active deadline.
-    """
-    if count & _TICK_MASK:
-        return
+def cancellation_point(site: str = "executor:scan") -> None:
+    """Fire the fault injector for ``site`` and check the active
+    deadline: what a loop calls once per unit of work."""
     if INJECTOR.armed:
         INJECTOR.fire(site)
-    deadline = getattr(_local, "deadline", None)
+    deadline = _local.deadline
     if deadline is not None:
         deadline.check()
 
-
-def cooperative(rows: Iterator, site: str = "executor:scan") -> Iterator:
-    """Wrap a row iterator with periodic cancellation checks.
-
-    Zero-cost when no deadline is active and no fault rule is armed:
-    the iterator is returned unchanged.
-    """
-    if current_deadline() is None and not INJECTOR.armed:
-        return rows
-    return _guarded(rows, site)
-
-
-def _guarded(rows: Iterator, site: str) -> Iterator:
-    count = 0
-    for item in rows:
-        if not count & _TICK_MASK:
-            if INJECTOR.armed:
-                INJECTOR.fire(site)
-            deadline = getattr(_local, "deadline", None)
-            if deadline is not None:
-                deadline.check()
-        count += 1
-        yield item

@@ -11,8 +11,9 @@ rule that raises.
 
 Known sites:
 
-* ``executor:scan``   — the planner's row-scan pipeline (per ~256 rows)
-* ``executor:dml``    — executor insert/update/delete loops
+* ``executor:scan``   — a plan's table and index reads (once per page of
+  rows or chunk of row ids read)
+* ``executor:dml``    — executor insert/update/delete loops (per row)
 * ``endpoint:stream`` — between chunks of a streamed HTTP response
 * ``wal:pre-append``, ``wal:mid-append``, ``wal:pre-sync``,
   ``checkpoint:pre-rename``, ``checkpoint:post-rename`` — the durability

@@ -426,10 +426,18 @@ EXECUTOR_ROWS = REGISTRY.counter(
     ("op",),
 )
 
-#: Rows the planner's base access considered (batched per statement).
+#: Rows plan base accesses read, by table (one add per statement).
 ROWS_SCANNED = REGISTRY.counter(
     "repro_executor_rows_scanned_total",
-    "Candidate rows examined by plan base accesses.",
+    "Candidate rows examined by plan base accesses, by table.",
+    ("table",),
+)
+
+#: Full table scans plan base accesses started, by table.
+FULL_SCANS = REGISTRY.counter(
+    "repro_executor_full_scans_total",
+    "Full table scans started by plan base accesses, by table.",
+    ("table",),
 )
 
 #: Session-level operations, by kind (query/update/batch).

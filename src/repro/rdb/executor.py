@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..deadline import tick
+from ..deadline import cancellation_point
 from ..errors import CatalogError, DatabaseError, IntegrityError
 from ..observability.metrics import EXECUTOR_ROWS
 from ..sql import ast
@@ -121,7 +121,7 @@ class Executor:
         columns = stmt.columns or tuple(table.column_names())
         count = 0
         for row_exprs in stmt.rows:
-            tick(count)
+            cancellation_point("executor:dml")
             if len(row_exprs) != len(columns):
                 raise DatabaseError(
                     f"INSERT into {stmt.table!r}: {len(columns)} columns but "
@@ -189,7 +189,7 @@ class Executor:
         targets = plan.matching_rowids(self.data, parameters)
         count = 0
         for rowid in targets:
-            tick(count)
+            cancellation_point("executor:dml")
             scope = (table_data.rows[rowid],)
             changes: Dict[str, Any] = {}
             for name, value_fn in plan.assignment_fns:
@@ -239,7 +239,7 @@ class Executor:
         targets = plan.matching_rowids(self.data, parameters)
         count = 0
         for rowid in targets:
-            tick(count)
+            cancellation_point("executor:dml")
             row = table_data.rows[rowid]
             self._check_fk_parent_delete(table, row, txn)
             txn.record("d", table_data, rowid, None, table_data.delete(rowid))

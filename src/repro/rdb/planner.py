@@ -45,9 +45,11 @@ implementation:
   sorting, and ``LIMIT`` then stops after the first rows.
 * **Plans are code** — planning ends by *generating Python source*
   (:meth:`CompiledSelect._generate`): one generator function per
-  operator — ``base`` (:meth:`_BaseAccess.emit`: the candidates of the
-  chosen access path, the residual conjuncts inlined as nested ``if``
-  statements in written order, the scanned-rows count), ``join<slot>``
+  operator — ``base`` (:meth:`_BaseAccess.emit`: the chosen access path
+  read a unit at a time — a page of rows for a full scan, a chunk of
+  row ids for an index path, with one cancellation point per unit —
+  the residual conjuncts inlined as nested ``if`` statements in written
+  order, and the scanned-rows count), ``join<slot>``
   (:meth:`_JoinStep.emit`: build-side filters, key extraction, probe, ON
   residual, LEFT null extension, post filters) — and the ``project``
   comprehension, with every predicate and projection written out by the
@@ -58,8 +60,8 @@ implementation:
   (``group<n>`` / ``order<n>`` keys, aggregate ``argument<n>``,
   ``assign<n>``) are functions of the same unit: one ``compile()`` per
   plan, and ``plan.source`` shows all of the plan's code.  What is
-  *not* generated: the choice of plan (everything above), the candidate
-  iterators of the index paths (:meth:`_BaseAccess.pairs`), grouping,
+  *not* generated: the choice of plan (everything above), the row-id
+  walks of the index paths (:meth:`_IndexWalk.rowids`), grouping,
   sorting and DISTINCT / LIMIT, and the protocol between operators —
   they stay separate iterators over scope tuples, which is what EXPLAIN
   ANALYZE wraps to time each one and what a deadline interrupts.  The
@@ -70,8 +72,8 @@ implementation:
   statement *shape* per schema generation, so the mediator's handful of
   templates pay it during warm-up, while a caller that sends every
   request as a new literal SQL text pays it per text.
-* **Streaming joins** — hash-join build sides consume the storage scan
-  iterator directly; a scope is a tuple of the stored row tuples, and
+* **Streaming joins** — hash-join build sides read the table's pages
+  directly; a scope is a tuple of the stored row tuples, and
   probes extend it rather than copying rows.  Generated code reads a
   column by its position in the row (``r0[3]``, resolved once per plan
   by :class:`~repro.rdb.expressions.ScopeLayout`); a LEFT join's null
@@ -123,9 +125,9 @@ from typing import (
     Union,
 )
 
-from ..deadline import cooperative
+from ..deadline import cancellation_point
 from ..errors import DatabaseError
-from ..observability.metrics import ROWS_SCANNED
+from ..observability.metrics import FULL_SCANS, ROWS_SCANNED
 from ..observability.tracing import annotate, current_probe, current_trace
 from ..sql import ast
 from ..sql.render import render_expression
@@ -133,6 +135,7 @@ from .catalog import Schema
 from .expressions import (
     AGGREGATE_FUNCTIONS,
     Compiled,
+    Function,
     ScopeLayout,
     Source,
     combine_binary,
@@ -140,7 +143,7 @@ from .expressions import (
     emit_expression,
     referenced_slots,
 )
-from .storage import UNBOUNDED, TableData
+from .storage import PAGE_BITS, PAGE_SIZE, UNBOUNDED, TableData
 from .types import DateType, Row, StringType
 
 __all__ = [
@@ -323,14 +326,20 @@ def _tuple(parts: Sequence[str]) -> str:
 class _BaseAccess:
     """How the first (or only) table of a statement is read.
 
-    This class is the full scan; each index path is a subclass that
-    supplies its candidate rows (:meth:`pairs`) and its EXPLAIN wording
-    (:meth:`path`).  ``kind`` is ``'scan'``, ``'point'`` (unique-index
-    lookup), ``'probe'`` (secondary-index equality), ``'range'`` /
-    ``'prefix'`` (ordered-index walk) or ``'ordered'`` (full
-    ordered-index scan for ORDER BY).  ``keys`` are the expressions
-    (over no column) whose values :meth:`pairs` looks up; ``residual``
-    the stage-0 conjuncts the path does not answer itself.
+    This class is the full scan, which reads the table a page at a time
+    (:meth:`TableData.pages`); each index path is an :class:`_IndexWalk`,
+    which supplies the row ids it reads (:meth:`_IndexWalk.rowids`, taken
+    a chunk at a time through :meth:`TableData.id_chunks`) and its
+    EXPLAIN wording (:meth:`path`).  ``kind`` is ``'scan'``, ``'point'``
+    (unique-index lookup), ``'probe'`` (secondary-index equality),
+    ``'range'`` / ``'prefix'`` (ordered-index walk) or ``'ordered'``
+    (full ordered-index scan for ORDER BY).  ``keys`` are the expressions
+    (over no column) whose values an index path looks up; ``residual``
+    the stage-0 conjuncts the path does not answer itself, of which the
+    first ``len(guards)`` test a column against a parameter that is
+    tested for NULL once, before anything is read (see
+    :func:`_null_guards`); ``stop`` the rows LIMIT stops an index-ordered
+    walk after, which caps its chunks.
     """
 
     def __init__(
@@ -345,38 +354,66 @@ class _BaseAccess:
         self.kind = kind
         self.residual = tuple(c.expr for c in residual)
         self.keys = tuple(keys)
-
-    def pairs(
-        self, table_data: TableData, key: Tuple[Any, ...]
-    ) -> Iterable[Tuple[int, Row]]:
-        """The (rowid, row) pairs this path reads, before the residual;
-        ``key`` holds the values of :attr:`keys`."""
-        return table_data.scan()
+        self.guards: Tuple[Tuple[ast.ColumnRef, ast.Parameter], ...] = ()
+        self.stop: Optional[int] = None
 
     def path(self) -> str:
         return "full scan"
 
-    def emit(self, source: Source, layout: ScopeLayout, result: str) -> str:
-        """Write the generator ``base(data, parameters)``: every row
-        :meth:`pairs` offers is counted, tested against the residual
-        conjuncts in written order, and yielded as ``result`` (code over
-        ``rowid`` and ``r0``)."""
+    def _reader(
+        self, fn: Function, rowids: bool
+    ) -> Tuple[List[str], List[str], str, List[str]]:
+        """How ``base`` reads: lines before the NULL guards, lines after
+        them, what the loop over units (``unit``: a page of rows or a
+        chunk of row ids) iterates, and the loop over a unit's rows,
+        which binds ``r0`` (and ``rowid`` when ``rowids``)."""
+        full_scan = fn.helper(
+            "count_full_scan", FULL_SCANS.labels(self.table_name).inc
+        )
+        pairs = "rowid, r0 in unit.items()" if rowids else "r0 in unit.values()"
+        return [], [f"{full_scan}()"], "table.pages()", [f"for {pairs}:"]
+
+    def emit(self, source: Source, layout: ScopeLayout, rowids: bool) -> str:
+        """Write the generator ``base(data, parameters)``.
+
+        It reads the table a unit at a time — a page of rows, or a chunk
+        of row ids whose rows it reads inline — with one cancellation
+        point per unit, adds up the rows it read, and yields the
+        ``rowid`` (when ``rowids``) or the scope ``(r0,)`` of every row
+        that passes the residual conjuncts, tested in written order as
+        nested ``if`` statements."""
         fn = source.function("base", "data, parameters", layout)
-        pairs = fn.helper("pairs", self.pairs)
-        guard = fn.helper("cooperative", cooperative)
-        count = fn.helper("count_scanned", ROWS_SCANNED.inc)
-        key = _tuple([fn.value(expr) for expr in self.keys])
-        accepted = [fn.truth(expr) for expr in self.residual]
-        return fn.close([
-            f"candidates = {pairs}(data[{self.table_name!r}], {key})",
+        check = fn.helper("cancellation_point", cancellation_point)
+        count = fn.helper(
+            "count_scanned", ROWS_SCANNED.labels(self.table_name).inc
+        )
+        guards = [(fn.value(c), fn.parameter(p.index)) for c, p in self.guards]
+        # Past the guard a guarded parameter is not NULL: ``==`` alone
+        # answers its conjunct (a NULL column compares False).
+        tests = [f"({column} == {value})" for column, value in guards]
+        tests += [fn.truth(expr) for expr in self.residual[len(guards):]]
+        setup, start, units, loop = self._reader(fn, rowids)
+        lines = [f"table = data[{self.table_name!r}]", *setup]
+        if guards:
+            nulls = " or ".join(f"{value} is None" for _, value in guards)
+            lines += [f"if {nulls}:", "    return"]
+        if rowids and not tests:
+            # a page iterates its row ids, as a chunk does
+            rows = ["yield from unit"]
+        else:
+            accepted = _when(tests, [f"yield {'rowid' if rowids else '(r0,)'}"])
+            rows = loop + _indented(accepted)
+        return fn.close(lines + [
+            *start,
             "scanned = 0",
             "try:",
-            f"    for rowid, r0 in {guard}(candidates, 'executor:scan'):",
-            "        scanned += 1",
-            *_indented(_when(accepted, [f"yield {result}"]), 2),
+            f"    for unit in {units}:",
+            f"        {check}('executor:scan')",
+            "        scanned += len(unit)",
+            *_indented(rows, 2),
             "finally:",
-            # One sharded-counter add per statement, not per row: the
-            # local integer is the only per-row cost.
+            # One sharded-counter add per statement; per unit, only a
+            # local sum.
             "    if scanned:",
             f"        {count}(scanned)",
         ])
@@ -386,53 +423,61 @@ class _BaseAccess:
         return f"{self.table_name}: {self.path()}" + suffix
 
 
-class _IndexProbe(_BaseAccess):
-    """Equality on every column of a grouped (non-unique) index."""
+class _IndexWalk(_BaseAccess):
+    """An index path: the row ids of :meth:`rowids`, in the order given,
+    read a chunk at a time (at most a page, at most ``stop`` ids), the
+    rows looked up inline on the row pages."""
 
-    def __init__(
-        self,
-        table_name: str,
-        columns: Tuple[str, ...],
-        key_exprs: Sequence[ast.Expression],
-        residual: Sequence[_Conjunct],
-        kind: str = "probe",
-    ) -> None:
-        super().__init__(table_name, kind, residual=residual, keys=key_exprs)
-        self.columns = columns
+    def rowids(self, table_data: TableData, key: Tuple[Any, ...]) -> Iterable[int]:
+        """The row ids this path reads, before the residual; ``key``
+        holds the values of :attr:`keys`."""
+        raise NotImplementedError
 
-    def pairs(self, table_data, key):
-        if None in key:
-            return ()  # `col = NULL` never matches
-        rows = table_data.rows
+    def _reader(self, fn, rowids):
+        walk = fn.helper("rowids", self.rowids)
+        key = _tuple([fn.value(expr) for expr in self.keys])
+        size = "" if self.stop is None else f", {min(self.stop, PAGE_SIZE)}"
         return (
-            (rowid, rows[rowid])
-            for rowid in table_data.probe(self.columns, key)
+            [f"ids = {walk}(table, {key})", "directory = table.rows.dir"],
+            [],
+            f"table.id_chunks(ids{size})",
+            [
+                "for rowid in unit:",
+                f"    r0 = directory[rowid >> {PAGE_BITS}][rowid]",
+            ],
         )
 
-    def path(self) -> str:
-        return f"index probe on {', '.join(self.columns)}"
 
-
-class _PointLookup(_IndexProbe):
-    """Equality on every column of a primary key or unique index: the
-    probe that finds at most one row."""
+class _IndexProbe(_IndexWalk):
+    """Equality on every column of an index: a point lookup (at most one
+    row) where ``label`` names the primary key or unique index, a probe
+    of a grouped index otherwise."""
 
     def __init__(
         self,
         table_name: str,
-        label: str,
         columns: Tuple[str, ...],
         key_exprs: Sequence[ast.Expression],
         residual: Sequence[_Conjunct],
+        label: Optional[str] = None,
     ) -> None:
-        super().__init__(table_name, columns, key_exprs, residual, "point")
+        kind = "probe" if label is None else "point"
+        super().__init__(table_name, kind, residual=residual, keys=key_exprs)
+        self.columns = columns
         self.label = label
 
+    def rowids(self, table_data, key):
+        if None in key:
+            return ()  # `col = NULL` never matches
+        return table_data.probe(self.columns, key)
+
     def path(self) -> str:
+        if self.label is None:
+            return f"index probe on {', '.join(self.columns)}"
         return f"point lookup via {self.label} ({', '.join(self.columns)})"
 
 
-class _RangeScan(_BaseAccess):
+class _RangeScan(_IndexWalk):
     """Ordered-index walk between bounds; ``descending`` is set when
     ORDER BY rides the same index."""
 
@@ -453,15 +498,11 @@ class _RangeScan(_BaseAccess):
         self.hi_inclusive = spec.hi_inclusive
         self.descending = False
 
-    def pairs(self, table_data, key):
+    def rowids(self, table_data, key):
         lo = key[0] if self.bounded_below else UNBOUNDED
         hi = key[-1] if self.bounded_above else UNBOUNDED
-        rows = table_data.rows
-        return (
-            (rowid, rows[rowid])
-            for rowid in table_data.ordered_index(self.column).range_rowids(
-                lo, hi, self.lo_inclusive, self.hi_inclusive, self.descending
-            )
+        return table_data.ordered_index(self.column).range_rowids(
+            lo, hi, self.lo_inclusive, self.hi_inclusive, self.descending
         )
 
     def path(self) -> str:
@@ -474,7 +515,7 @@ class _RangeScan(_BaseAccess):
         )
 
 
-class _PrefixScan(_BaseAccess):
+class _PrefixScan(_IndexWalk):
     """Ordered-index walk over the keys that start with a LIKE prefix."""
 
     def __init__(
@@ -488,14 +529,8 @@ class _PrefixScan(_BaseAccess):
         self.column = column
         self.prefix = prefix
 
-    def pairs(self, table_data, key):
-        rows = table_data.rows
-        return (
-            (rowid, rows[rowid])
-            for rowid in table_data.ordered_index(self.column).prefix_rowids(
-                self.prefix
-            )
-        )
+    def rowids(self, table_data, key):
+        return table_data.ordered_index(self.column).prefix_rowids(self.prefix)
 
     def path(self) -> str:
         return (
@@ -504,7 +539,7 @@ class _PrefixScan(_BaseAccess):
         )
 
 
-class _OrderedScan(_BaseAccess):
+class _OrderedScan(_IndexWalk):
     """Whole-table walk in the key order of an ordered index (ORDER BY
     without a sort)."""
 
@@ -513,18 +548,34 @@ class _OrderedScan(_BaseAccess):
         self.column = column
         self.descending = descending
 
-    def pairs(self, table_data, key):
-        rows = table_data.rows
-        return (
-            (rowid, rows[rowid])
-            for rowid in table_data.ordered_index(self.column).ordered_rowids(
-                self.descending
-            )
-        )
+    def rowids(self, table_data, key):
+        return table_data.ordered_index(self.column).ordered_rowids(self.descending)
 
     def path(self) -> str:
         direction = "desc" if self.descending else "asc"
         return f"index-ordered scan on {self.column} {direction}"
+
+
+def _null_guards(
+    residual: Sequence[ast.Expression],
+) -> Tuple[Tuple[ast.ColumnRef, ast.Parameter], ...]:
+    """(column, parameter) of the leading ``column = parameter``
+    conjuncts.  Such a conjunct cannot raise, and with its parameter NULL
+    it fails every row before any later conjunct runs; so a base access
+    tests these parameters once, before reading, and not per row."""
+    guards = []
+    for expr in residual:
+        if not (isinstance(expr, ast.BinaryOp) and expr.op == "="):
+            break
+        column, parameter = expr.left, expr.right
+        if isinstance(column, ast.Parameter):
+            column, parameter = parameter, column
+        if not (
+            isinstance(column, ast.ColumnRef) and isinstance(parameter, ast.Parameter)
+        ):
+            break
+        guards.append((column, parameter))
+    return tuple(guards)
 
 
 def _prefix_capable(table, column: str) -> bool:
@@ -590,7 +641,7 @@ def _access_candidates(
         key_exprs = [equalities[c][1] for c in columns]
         if index.label is not None:
             label = index.label if index.label == "primary key" else "unique index"
-            build = partial(_PointLookup, table_name, label, columns, key_exprs)
+            build = partial(_IndexProbe, table_name, columns, key_exprs, label=label)
             return [(1, _POINT, consumed, build)]
         build = partial(_IndexProbe, table_name, columns, key_exprs)
         distinct = max(1, len(index.entries))
@@ -635,9 +686,12 @@ def _choose_base_access(
         schema, data, table_name, slot, layout, [c.expr for c in conjuncts]
     )
     if not candidates:
-        return _BaseAccess(table_name, "scan", residual=conjuncts)
-    _, _, consumed, build = min(candidates, key=_cheapest_first)
-    return build([c for i, c in enumerate(conjuncts) if i not in consumed])
+        access = _BaseAccess(table_name, "scan", residual=conjuncts)
+    else:
+        _, _, consumed, build = min(candidates, key=_cheapest_first)
+        access = build([c for i, c in enumerate(conjuncts) if i not in consumed])
+    access.guards = _null_guards(access.residual)
+    return access
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +766,13 @@ class _JoinStep:
             f"join{self.slot}", "scopes, data, parameters", layout
         )
         row = f"r{self.slot}"
-        guard = fn.helper("cooperative", cooperative)
-        scan = f"{guard}(data[{self.table_name!r}].scan(), 'executor:scan')"
+        check = fn.helper("cancellation_point", cancellation_point)
+        # The table's rows a page at a time, a cancellation point per page.
+        rows = [
+            f"for page in data[{self.table_name!r}].pages():",
+            f"    {check}('executor:scan')",
+            f"    for {row} in page.values():",
+        ]
         wanted = [fn.truth(e) for e in self.build_filters]  # reads `row` only
 
         # A NULL key component never matches: such rows stay out of the
@@ -749,32 +808,36 @@ class _JoinStep:
                 f"    if {has_key}:",
                 "        build.setdefault(key, []).append(s)",
                 "if build:",
-                f"    for _, {row} in {scan}:",
+                *_indented(rows),
                 *_indented(
                     _when(wanted, [
                         f"for s in build.get({right_key}, ()):",
                         *_indented(bind(self.post) + emit),
                     ]),
-                    2,
+                    3,
                 ),
             ])
 
         if self.strategy == "hash":
             body = [
                 "build = {}",
-                f"for _, {row} in {scan}:",
+                *rows,
                 *_indented(
                     _when(wanted, [
                         f"key = {right_key}",
                         f"if {has_key}:",
                         f"    build.setdefault(key, []).append({row})",
-                    ])
+                    ]),
+                    2,
                 ),
             ]
             candidates = f"build.get({left_key}, ())"
         else:
-            only = "".join(f" if {condition}" for condition in wanted)
-            body = [f"right = [{row} for _, {row} in {scan}{only}]"]
+            body = [
+                "right = []",
+                *rows,
+                *_indented(_when(wanted, [f"right.append({row})"]), 2),
+            ]
             candidates = "right"
 
         left_join = self.kind == "LEFT"
@@ -1005,6 +1068,12 @@ class CompiledSelect:
         force_scan: bool = False,
     ) -> None:
         self.stmt = stmt
+        #: The rows LIMIT / OFFSET keep at most when ordered rows may stop
+        #: early (DISTINCT must see every row): None when they may not.
+        self._stop = (
+            None if stmt.limit is None or stmt.distinct
+            else stmt.limit + (stmt.offset or 0)
+        )
         self._bindings: List[Tuple[str, str]] = []  # (binding, table) as written
         refs: List[ast.TableRef] = []
         if stmt.table is not None:
@@ -1351,8 +1420,9 @@ class CompiledSelect:
         else:
             ordered = _OrderedScan(self.base.table_name, column, item.descending)
             # keep the residual conjuncts of the replaced scan
-            ordered.residual = self.base.residual
+            ordered.residual, ordered.guards = self.base.residual, self.base.guards
             self.base = ordered
+        self.base.stop = self._stop
         self._index_ordered = True
 
     def _has_aggregate(self, stmt: ast.Select) -> bool:
@@ -1407,7 +1477,7 @@ class CompiledSelect:
             constant = [fn.truth(e) for e in _split_conjuncts(self.stmt.where)]
             fn.close(_when(constant, ["yield ()"]))
         else:
-            self.base.emit(source, self.layout, "(r0,)")
+            self.base.emit(source, self.layout, rowids=False)
         for step in self.steps:
             step.emit(source, self.layout)
         if not self._grouped:
@@ -1438,9 +1508,10 @@ class CompiledSelect:
         # across threads, so the probe is never stored on the plan.
         #
         # Cooperative cancellation lives inside the operators: each
-        # generated loop wraps what it *reads* (index candidates, table
-        # scans of a join's build side), so a pipeline that emits nothing
-        # still checks the request deadline every 256 rows read.
+        # generated loop has a cancellation point per unit it *reads* (a
+        # page of a table scan or a join's build side, a chunk of index
+        # row ids), so a pipeline that emits nothing still checks the
+        # request deadline every page read.
         probe = current_probe()
         produced = self._base(data, parameters)
         if probe is not None:
@@ -1503,11 +1574,10 @@ class CompiledSelect:
 
         if self._index_ordered:
             # Rows already emerge in ORDER BY order from the ordered
-            # index; LIMIT stops the pipeline after the first rows
-            # (DISTINCT must see everything, so no early stop there).
+            # index; LIMIT stops the pipeline after the first rows.
             scopes = self.scopes(data, parameters)
-            if stmt.limit is not None and not stmt.distinct:
-                scopes = islice(scopes, (stmt.offset or 0) + stmt.limit)
+            if self._stop is not None:
+                scopes = islice(scopes, self._stop)
             return self._project(scopes, parameters)
 
         # Precompute every sort key exactly once per row.
@@ -1518,12 +1588,11 @@ class CompiledSelect:
             for scope, row in zip(scopes, self._project(scopes, parameters))
         ]
 
-        if stmt.limit is not None and not stmt.distinct:
+        if self._stop is not None:
             # Top-k: no need to sort rows that LIMIT/OFFSET will drop.
-            top = stmt.limit + (stmt.offset or 0)
             indexes = range(len(decorated))
             chosen = heapq.nsmallest(
-                top, indexes, key=lambda i: decorated[i][0]
+                self._stop, indexes, key=lambda i: decorated[i][0]
             )
             return [decorated[i][1] for i in chosen]
         indexes = sorted(
@@ -1577,22 +1646,17 @@ class CompiledSelect:
             lines.append(f"group + aggregate -> {len(self.columns)} column(s)")
         else:
             lines.append(f"project {len(self.columns)} column(s)")
+            stop = self._stop
             if self._index_ordered:
-                if self.stmt.limit is not None and not self.stmt.distinct:
-                    lines.append(
-                        "order by via ordered index (no sort), "
-                        f"stop after {self.stmt.limit + (self.stmt.offset or 0)}"
-                    )
-                else:
-                    lines.append("order by via ordered index (no sort)")
+                lines.append(
+                    "order by via ordered index (no sort)"
+                    + ("" if stop is None else f", stop after {stop}")
+                )
             elif self.stmt.order_by:
-                if self.stmt.limit is not None and not self.stmt.distinct:
-                    lines.append(
-                        f"order by {len(self.stmt.order_by)} key(s), "
-                        f"top-{self.stmt.limit + (self.stmt.offset or 0)} via heap"
-                    )
-                else:
-                    lines.append(f"order by {len(self.stmt.order_by)} key(s)")
+                lines.append(
+                    f"order by {len(self.stmt.order_by)} key(s)"
+                    + ("" if stop is None else f", top-{stop} via heap")
+                )
         return lines
 
 
@@ -1627,7 +1691,7 @@ class CompiledMutation:
             (a.column, emit_expression(source, a.value, self.layout, "assign"))
             for a in getattr(stmt, "assignments", ())
         ]
-        name = self.base.emit(source, self.layout, "rowid")
+        name = self.base.emit(source, self.layout, rowids=True)
         namespace = source.build()
         self.assignment_fns: List[Tuple[str, Compiled]] = [
             (column, namespace[fn]) for column, fn in assignments

@@ -75,7 +75,7 @@ stay).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -985,6 +985,24 @@ class TableData:
         that mutates the *table* while iterating must materialize the
         pairs first."""
         return self.rows.items()
+
+    # The planner's readers: a plan reads a table a page, or a chunk of
+    # row ids, at a time, and checks for cancellation once per unit.
+
+    def pages(self) -> Iterator[Dict[int, Row]]:
+        """The row pages in ascending row-id order, empty ones skipped:
+        dicts of at most ``PAGE_SIZE`` row id -> row, the stored pages
+        themselves (the caveat of :meth:`scan` applies)."""
+        return filter(None, self.rows.dir)
+
+    def id_chunks(self, rowids: Any, size: int = PAGE_SIZE) -> Iterator[Any]:
+        """``rowids`` — what :meth:`probe` or an ordered index's walk
+        returns — in order, as sequences of at most ``size`` ids; a group
+        that small is its own one chunk."""
+        if type(rowids) is tuple and len(rowids) <= size:
+            return iter((rowids,) if rowids else ())
+        ids = iter(rowids)
+        return iter(lambda: list(islice(ids, size)), [])
 
     # Callers hold one value per column — the planner's key expressions,
     # a foreign key's values — so ``key`` is a tuple here whatever the

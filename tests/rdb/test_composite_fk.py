@@ -3,7 +3,8 @@
 The constraint checker used to fall back to full table scans for
 multi-column foreign keys (both the child-side existence probe and the
 parent-side RESTRICT check).  These tests pin the semantics and — via
-``TableData.scan`` instrumentation — prove the probes never scan.
+``TableData.scan`` / ``TableData.pages`` instrumentation — prove the
+probes never scan.
 """
 
 import pytest
@@ -44,14 +45,16 @@ def db():
 
 @pytest.fixture
 def scan_counter(monkeypatch):
-    """Counts ``TableData.scan`` calls per table and, under ``"rows"``,
-    every iteration of a row store that bypasses it."""
+    """Counts whole-table reads (``TableData.scan`` / ``pages`` calls) per
+    table and, under ``"rows"``, every iteration of a row store that
+    bypasses them."""
     counts = {}
-    original = TableData.scan
 
-    def counted(self):
-        counts[self.table.name] = counts.get(self.table.name, 0) + 1
-        return original(self)
+    def counted(method):
+        def read(self):
+            counts[self.table.name] = counts.get(self.table.name, 0) + 1
+            return method(self)
+        return read
 
     def counted_rows(method):
         def iterate(self):
@@ -59,7 +62,8 @@ def scan_counter(monkeypatch):
             return method(self)
         return iterate
 
-    monkeypatch.setattr(TableData, "scan", counted)
+    for name in ("scan", "pages"):
+        monkeypatch.setattr(TableData, name, counted(getattr(TableData, name)))
     for name in ("items", "values", "__iter__"):
         monkeypatch.setattr(_RowPages, name, counted_rows(getattr(_RowPages, name)))
     return counts
@@ -151,19 +155,23 @@ class TestCompositeFkProbesAreIndexBacked:
                 f"VALUES ({i}, 'CH', 'ZH')"
             )
         counts = {}
-        original = TableData.scan
+        originals = {name: getattr(TableData, name) for name in ("scan", "pages")}
 
-        def counted(self):
-            counts[self.table.name] = counts.get(self.table.name, 0) + 1
-            return original(self)
+        def counted(method):
+            def read(self):
+                counts[self.table.name] = counts.get(self.table.name, 0) + 1
+                return method(self)
+            return read
 
         try:
-            TableData.scan = counted
+            for name, method in originals.items():
+                setattr(TableData, name, counted(method))
             with pytest.raises(IntegrityError):
                 db.execute("DELETE FROM region WHERE code = 'ZH'")
             db.execute("DELETE FROM region WHERE code = 'BE'")
         finally:
-            TableData.scan = original
+            for name, method in originals.items():
+                setattr(TableData, name, method)
         assert counts.get("warehouse", 0) == 0
 
     def test_non_pk_composite_ref_columns_probe(self, db, scan_counter):

@@ -5,7 +5,7 @@ Covers the ISSUE-1 satellite checklist:
 * index-path vs. full-scan equivalence on WHERE/JOIN/LEFT JOIN, including
   NULL join keys;
 * a regression test that PK-equality WHERE does **zero** full scans
-  (instrumented via ``TableData.scan`` call counts);
+  (instrumented via ``TableData.pages`` call counts);
 * plan-shape assertions through ``Database.explain`` and plan-cache
   behaviour across DDL.
 """
@@ -70,11 +70,11 @@ def db():
 
 
 class ScanCounter:
-    """Counts TableData.scan calls per table."""
+    """Counts full-table reads (``TableData.pages`` calls) per table."""
 
     def __init__(self, monkeypatch):
         self.counts = {}
-        original = TableData.scan
+        original = TableData.pages
         counter = self
 
         def counted(self_td):
@@ -83,7 +83,7 @@ class ScanCounter:
             )
             return original(self_td)
 
-        monkeypatch.setattr(TableData, "scan", counted)
+        monkeypatch.setattr(TableData, "pages", counted)
 
     def total(self):
         return sum(self.counts.values())

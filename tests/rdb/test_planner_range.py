@@ -192,7 +192,7 @@ class TestExplainShapes:
 class ScanCounter:
     def __init__(self, monkeypatch):
         self.counts = {}
-        original = TableData.scan
+        original = TableData.pages
         counter = self
 
         def counted(self_td):
@@ -201,7 +201,7 @@ class ScanCounter:
             )
             return original(self_td)
 
-        monkeypatch.setattr(TableData, "scan", counted)
+        monkeypatch.setattr(TableData, "pages", counted)
 
     def total(self):
         return sum(self.counts.values())

@@ -17,10 +17,9 @@ import pytest
 from repro import OntoAccess
 from repro.deadline import (
     Deadline,
-    cooperative,
+    cancellation_point,
     current_deadline,
     deadline_scope,
-    tick,
 )
 from repro.errors import DurabilityError, FaultError, QueryTimeout
 from repro.faults import INJECTOR, FaultInjector
@@ -166,26 +165,26 @@ class TestDeadline:
             deadline.check()
         assert excinfo.value.timeout_seconds == 0.001
 
-    def test_cooperative_is_passthrough_when_disarmed(self):
-        rows = iter(range(10))
-        assert cooperative(rows) is rows
+    def test_cancellation_point_is_silent_when_disarmed(self):
+        assert cancellation_point() is None
 
-    def test_cooperative_raises_on_expiry(self):
+    def test_cancellation_point_raises_on_expiry(self):
         with deadline_scope(0.001):
             time.sleep(0.005)
             with pytest.raises(QueryTimeout):
-                list(cooperative(iter(range(1000))))
+                cancellation_point()
 
-    def test_tick_fires_fault_site(self):
+    def test_cancellation_point_fires_its_fault_site(self):
         INJECTOR.inject("executor:dml", fail=True)
+        cancellation_point("executor:scan")
         with pytest.raises(FaultError):
-            tick(0)
+            cancellation_point("executor:dml")
 
 
 @pytest.fixture(scope="module")
 def big_mediator():
     """A populated database large enough that scans cross several
-    cancellation-check intervals (ticks run every 256 base rows)."""
+    cancellation points (one per page of 128 rows read)."""
     db = build_populated_database(
         WorkloadConfig(authors=600, publications=900, seed=7)
     )
@@ -245,9 +244,10 @@ class TestExecutorCancellation:
 
 
 class TestChecksCountRowsRead:
-    """The deadline / ``executor:scan`` site is checked per 256 rows an
-    operator *reads* — not per 256 rows it emits — so a scan that matches
-    nothing, or a join still building its hash table, is cancellable."""
+    """The deadline / ``executor:scan`` site is checked once per page of
+    rows or chunk of row ids an operator *reads* — not per rows it emits
+    — so a scan that matches nothing, a join still building its hash
+    table, or an index walk over a large group is cancellable."""
 
     ROWS = 2000
 
@@ -256,28 +256,48 @@ class TestChecksCountRowsRead:
         from repro.rdb import Database
 
         db = Database()
-        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER)")
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
         db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, t INTEGER)")
+        db.execute("CREATE INDEX t_b ON t (b)")
         with db.transaction():
             for i in range(self.ROWS):
-                db.execute("INSERT INTO t (id, a) VALUES (?, ?)", [i, i % 7])
+                db.execute(
+                    "INSERT INTO t (id, a, b) VALUES (?, ?, ?)", [i, i % 7, i % 2]
+                )
         return db
 
     @pytest.fixture
     def rows_read(self, monkeypatch):
-        """Rows pulled out of any ``TableData.scan()`` so far."""
+        """Row ids pulled out of any table's readers so far: its pages
+        (``TableData.pages``) and the id chunks of its index walks
+        (``TableData.id_chunks``)."""
         from repro.rdb.storage import TableData
 
         pulled = []
-        original = TableData.scan
 
-        def counted(table_data):
-            for pair in original(table_data):
-                pulled.append(pair[0])
-                yield pair
+        def counting(method):
+            def units(table_data, *args):
+                for unit in method(table_data, *args):
+                    pulled.extend(unit)
+                    yield unit
+            return units
 
-        monkeypatch.setattr(TableData, "scan", counted)
+        for name in ("pages", "id_chunks"):
+            monkeypatch.setattr(
+                TableData, name, counting(getattr(TableData, name))
+            )
         return pulled
+
+    #: Index walks that read many rows and match none of them:
+    #: (statement, its access path, the rows it reads).
+    WALKS = {
+        "probe": (
+            "SELECT id FROM t WHERE b = 1 AND a = 99", "index probe on b", ROWS // 2
+        ),
+        "range": (
+            "SELECT id FROM t WHERE b >= 0 AND a = 99", "range scan on b", ROWS
+        ),
+    }
 
     def test_scan_that_matches_nothing_times_out(self, db, rows_read):
         assert db.query("SELECT id FROM t WHERE a = 99").rows == []
@@ -287,6 +307,19 @@ class TestChecksCountRowsRead:
             time.sleep(0.005)
             with pytest.raises(QueryTimeout):
                 db.query("SELECT id FROM t WHERE a = 99")
+        assert len(rows_read) <= 256
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_index_walk_that_matches_nothing_times_out(self, db, rows_read, walk):
+        sql, path, read = self.WALKS[walk]
+        assert db.explain(sql)[0].startswith(f"t: {path}")
+        assert db.query(sql).rows == []
+        assert len(rows_read) == read
+        del rows_read[:]
+        with deadline_scope(0.001):
+            time.sleep(0.005)
+            with pytest.raises(QueryTimeout):
+                db.query(sql)
         assert len(rows_read) <= 256
 
     def test_mutation_that_matches_nothing_times_out(self, db, rows_read):
@@ -312,6 +345,21 @@ class TestChecksCountRowsRead:
         INJECTOR.inject("executor:scan", fail=True)
         with pytest.raises(FaultError, match="executor:scan"):
             db.query("SELECT id FROM t WHERE a = 99")
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_fault_site_fires_on_an_index_walk_that_emits_nothing(self, db, walk):
+        INJECTOR.inject("executor:scan", fail=True)
+        with pytest.raises(FaultError, match="executor:scan"):
+            db.query(self.WALKS[walk][0])
+
+    def test_fault_site_fires_once_per_unit_read(self, db):
+        fired = []
+        INJECTOR.inject("executor:scan", call=fired.append)
+        db.query("SELECT id FROM t WHERE a = 99")
+        assert len(fired) == -(-self.ROWS // 128)  # one per page
+        del fired[:]
+        db.query(self.WALKS["probe"][0])
+        assert len(fired) == -(-self.ROWS // 2 // 128)  # one per chunk of ids
 
 
 class TestWalChaos:
