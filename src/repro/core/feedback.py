@@ -14,14 +14,18 @@ readable hint with a direction for improvement.
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+import string
+from typing import Optional, Tuple
 
 from ..errors import TranslationError
 from ..rdf.graph import Graph
 from ..rdf.namespace import OA, RDF, XSD
 from ..rdf.terms import BNode, Literal, Triple, URIRef
 
-__all__ = ["confirmation_graph", "confirmation_turtle", "error_graph", "HINTS"]
+__all__ = [
+    "confirmation_graph", "confirmation_turtle", "error_graph", "read_confirmation", "HINTS",
+]
 
 #: Per-error-code improvement hints ("possible directions for improvement
 #: can be reported", Section 8).
@@ -120,6 +124,35 @@ def confirmation_turtle(statements_executed: int, operations: int = 1) -> str:
         operations=int(operations),
         statements=int(statements_executed),
     )
+
+
+#: What each field of :data:`_CONFIRMATION_TURTLE` may hold: the label
+#: ``BNode()`` writes, and the decimal digits ``int`` formats to.
+_CONFIRMATION_FIELDS = {
+    "label": "[A-Za-z0-9_]+",
+    "operations": "-?[0-9]+",
+    "statements": "-?[0-9]+",
+}
+
+#: The template as a pattern: its text literally, each field a group.
+_CONFIRMATION_READER = re.compile("".join(
+    re.escape(text) + (f"(?P<{name}>{_CONFIRMATION_FIELDS[name]})" if name else "")
+    for text, name, _, _ in string.Formatter().parse(_CONFIRMATION_TURTLE)
+))
+
+
+def read_confirmation(text: str) -> Optional[Tuple[int, int]]:
+    """(statements executed, operations) of a body
+    :func:`confirmation_turtle` wrote, or None for any other text.
+
+    The match is exact — one character added, dropped or changed and
+    the body is not a confirmation — so a body read here holds no
+    ``oa:Error`` node, and its graph is what ``parse_turtle`` makes of
+    it: the four confirmation triples about the written blank node."""
+    match = _CONFIRMATION_READER.fullmatch(text)
+    if match is None:
+        return None
+    return int(match["statements"]), int(match["operations"])
 
 
 def error_graph(

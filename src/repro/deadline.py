@@ -1,10 +1,11 @@
 """Per-request deadlines and cooperative cancellation (ISSUE 6).
 
-A deadline is carried in a thread-local rather than threaded through
-every call signature: the serving layer opens a :func:`deadline_scope`
-around request handling, and the loops deep in the executor call
-:func:`cancellation_point` once per unit of work: a plan's reads once
-per page of rows or chunk of row ids, DML once per row it changes.
+A deadline is carried in the request scope (:mod:`repro.observability.
+tracing`) rather than threaded through every call signature: the
+serving layer holds it in each request's scope, and the loops deep in
+the executor call :func:`cancellation_point` once per unit of work: a
+plan's reads once per page of rows or chunk of row ids, DML once per
+row it changes.
 When the deadline passes, the check raises a typed
 :class:`~repro.errors.QueryTimeout` that unwinds through the normal
 exception paths — DML rolls back via the existing statement savepoint /
@@ -18,13 +19,13 @@ so chaos tests can stall or fail the executor mid-scan.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from typing import Optional, Union
 
 from .errors import QueryTimeout
 from .faults import INJECTOR
+from .observability.tracing import RequestScope, current
 
 __all__ = [
     "Deadline",
@@ -64,18 +65,9 @@ class Deadline:
         return f"<Deadline budget={self.budget:.3f}s remaining={self.remaining():.3f}s>"
 
 
-class _Local(threading.local):
-    #: A class default: a thread that never opened a scope reads None
-    #: without the cost of a failed attribute lookup.
-    deadline: Optional[Deadline] = None
-
-
-_local = _Local()
-
-
 def current_deadline() -> Optional[Deadline]:
     """The deadline governing the current thread, or None."""
-    return _local.deadline
+    return current.scope.deadline
 
 
 @contextmanager
@@ -87,18 +79,10 @@ def deadline_scope(limit: Union[None, float, Deadline]):
     expires first, so an outer request budget can never be loosened by
     an inner call.
     """
-    outer = current_deadline()
-    if limit is None:
-        inner = outer
-    else:
-        inner = limit if isinstance(limit, Deadline) else Deadline(limit)
-        if outer is not None and outer.expires_at < inner.expires_at:
-            inner = outer
-    _local.deadline = inner
-    try:
-        yield inner
-    finally:
-        _local.deadline = outer
+    if limit is not None and not isinstance(limit, Deadline):
+        limit = Deadline(limit)
+    with RequestScope(deadline=limit) as scope:
+        yield scope.deadline
 
 
 def cancellation_point(site: str = "executor:scan") -> None:
@@ -106,7 +90,7 @@ def cancellation_point(site: str = "executor:scan") -> None:
     deadline: what a loop calls once per unit of work."""
     if INJECTOR.armed:
         INJECTOR.fire(site)
-    deadline = _local.deadline
+    deadline = current.scope.deadline
     if deadline is not None:
         deadline.check()
 

@@ -1,9 +1,10 @@
 """Request tracing and operator-level plan instrumentation (ISSUE 10).
 
-Three thread-local contexts, all following the :mod:`repro.deadline`
-pattern — installed by a context manager at the serving boundary, read
-by cheap accessor functions deep in the stack, and costing one
-``getattr`` on a thread-local when inactive:
+What a thread runs under is one :class:`RequestScope` — the request
+id, the trace record, the analyze probe and the deadline
+(:mod:`repro.deadline` reads it too) — held by one thread-local,
+:data:`current`, whose class default is an empty scope.  The endpoint
+enters one scope per request; the helpers below are each one scope:
 
 * **Request id** — :func:`request_scope` carries the ``X-Request-Id``
   (caller-supplied or :func:`new_request_id`) through
@@ -21,17 +22,22 @@ by cheap accessor functions deep in the stack, and costing one
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
+
+if TYPE_CHECKING:
+    from ..deadline import Deadline
 
 __all__ = [
     "AnalyzeProbe",
     "OperatorStats",
+    "RequestScope",
     "analyze_scope",
     "annotate",
+    "current",
     "current_probe",
     "current_request_id",
     "current_trace",
@@ -40,7 +46,65 @@ __all__ = [
     "trace_scope",
 ]
 
-_local = threading.local()
+
+class RequestScope:
+    """The request id, trace record, analyze probe, deadline and
+    admission slot one unit of work runs under: :data:`current`'s scope
+    from entry to exit.
+
+    A value left None is the outer scope's; an outer request id wins
+    over this one, and of two deadlines the one that expires first.
+    :meth:`hold` sets the deadline later, with the admission slot it
+    was granted, whose release runs on exit."""
+
+    __slots__ = ("request_id", "trace", "probe", "deadline", "release", "outer")
+
+    def __init__(
+        self, request_id: Optional[str] = None, trace: Optional[Dict[str, Any]] = None,
+        probe: Optional["AnalyzeProbe"] = None, deadline: Optional["Deadline"] = None,
+    ) -> None:
+        self.request_id, self.trace, self.probe = request_id, trace, probe
+        self.deadline = deadline
+        self.release: Optional[Callable[[], None]] = None
+
+    def __enter__(self) -> "RequestScope":
+        outer = self.outer = current.scope
+        self.request_id = outer.request_id or self.request_id
+        if self.trace is None:
+            self.trace = outer.trace
+        if self.probe is None:
+            self.probe = outer.probe
+        self.hold(self.deadline)
+        current.scope = self
+        return self
+
+    def hold(
+        self, deadline: Optional["Deadline"], release: Optional[Callable[[], None]] = None
+    ) -> None:
+        """Run the rest of the scope under ``deadline`` (the outer one
+        when that expires first); call ``release`` on exit."""
+        outer = self.outer.deadline
+        if deadline is None or (
+            outer is not None and outer.expires_at < deadline.expires_at
+        ):
+            deadline = outer
+        self.deadline = deadline
+        self.release = release
+
+    def __exit__(self, *exc_info: Any) -> None:
+        current.scope = self.outer
+        if self.release is not None:
+            self.release()
+
+
+class _Current(threading.local):
+    #: A class default, never entered: a thread that never opened a
+    #: scope reads its Nones without a failed attribute lookup.
+    scope = RequestScope()
+
+
+#: The scope the current thread runs under.
+current = _Current()
 
 
 # ---------------------------------------------------------------------------
@@ -49,24 +113,26 @@ _local = threading.local()
 
 def new_request_id() -> str:
     """A fresh 16-hex-char request id."""
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 def current_request_id() -> Optional[str]:
     """The request id governing the current thread, or None."""
-    return getattr(_local, "request_id", None)
+    return current.scope.request_id
 
 
 def sanitize_request_id(raw: Optional[str]) -> Optional[str]:
     """A header-safe version of a caller-supplied id, or None.
 
     Ids are echoed into response headers and log lines, so control
-    characters are stripped and length is capped.
+    characters are stripped and length is capped; an id that is clean
+    already is returned as it is.
     """
     if not raw:
         return None
-    cleaned = "".join(ch for ch in raw if 32 <= ord(ch) < 127)[:128].strip()
-    return cleaned or None
+    if not (raw.isascii() and raw.isprintable()):
+        raw = "".join(ch for ch in raw if 32 <= ord(ch) < 127)
+    return raw[:128].strip() or None
 
 
 @contextmanager
@@ -76,13 +142,8 @@ def request_scope(request_id: Optional[str] = None) -> Iterator[str]:
     Nested scopes keep the outer id: a client helper that opens a scope
     around a logical operation keeps one id across retries and failover.
     """
-    outer = current_request_id()
-    inner = outer or request_id or new_request_id()
-    _local.request_id = inner
-    try:
-        yield inner
-    finally:
-        _local.request_id = outer
+    with RequestScope(current.scope.request_id or request_id or new_request_id()) as scope:
+        yield scope.request_id
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +151,12 @@ def request_scope(request_id: Optional[str] = None) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 def current_trace() -> Optional[Dict[str, Any]]:
-    return getattr(_local, "trace", None)
+    return current.scope.trace
 
 
 def annotate(**fields: Any) -> None:
     """Merge fields into the active trace record (no-op without one)."""
-    trace = getattr(_local, "trace", None)
+    trace = current.scope.trace
     if trace is not None:
         trace.update(fields)
 
@@ -103,13 +164,8 @@ def annotate(**fields: Any) -> None:
 @contextmanager
 def trace_scope(**initial: Any) -> Iterator[Dict[str, Any]]:
     """Open a mutable trace record for the ``with`` block."""
-    outer = current_trace()
-    trace: Dict[str, Any] = dict(initial)
-    _local.trace = trace
-    try:
-        yield trace
-    finally:
-        _local.trace = outer
+    with RequestScope(trace=dict(initial)) as scope:
+        yield scope.trace
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +254,11 @@ class AnalyzeProbe:
 
 def current_probe() -> Optional[AnalyzeProbe]:
     """The analyze probe armed for this thread, or None (the fast path)."""
-    return getattr(_local, "probe", None)
+    return current.scope.probe
 
 
 @contextmanager
 def analyze_scope() -> Iterator[AnalyzeProbe]:
     """Arm operator-level instrumentation for the ``with`` block."""
-    outer = current_probe()
-    probe = AnalyzeProbe()
-    _local.probe = probe
-    try:
-        yield probe
-    finally:
-        _local.probe = outer
+    with RequestScope(probe=AnalyzeProbe()) as scope:
+        yield scope.probe

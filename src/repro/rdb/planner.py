@@ -373,8 +373,10 @@ class _BaseAccess:
         pairs = "rowid, r0 in unit.items()" if rowids else "r0 in unit.values()"
         return [], [f"{full_scan}()"], "table.pages()", [f"for {pairs}:"]
 
-    def emit(self, source: Source, layout: ScopeLayout, rowids: bool) -> str:
-        """Write the generator ``base(data, parameters)``.
+    def emit(
+        self, source: Source, layout: ScopeLayout, rowids: bool, name: str = "base"
+    ) -> str:
+        """Write the generator ``<name>(data, parameters)``.
 
         It reads the table a unit at a time — a page of rows, or a chunk
         of row ids whose rows it reads inline — with one cancellation
@@ -382,7 +384,7 @@ class _BaseAccess:
         ``rowid`` (when ``rowids``) or the scope ``(r0,)`` of every row
         that passes the residual conjuncts, tested in written order as
         nested ``if`` statements."""
-        fn = source.function("base", "data, parameters", layout)
+        fn = source.function(name, "data, parameters", layout)
         check = fn.helper("cancellation_point", cancellation_point)
         count = fn.helper(
             "count_scanned", ROWS_SCANNED.labels(self.table_name).inc
@@ -426,19 +428,50 @@ class _BaseAccess:
 class _IndexWalk(_BaseAccess):
     """An index path: the row ids of :meth:`rowids`, in the order given,
     read a chunk at a time (at most a page, at most ``stop`` ids), the
-    rows looked up inline on the row pages."""
+    rows looked up inline on the row pages.
 
-    def rowids(self, table_data: TableData, key: Tuple[Any, ...]) -> Iterable[int]:
-        """The row ids this path reads, before the residual; ``key``
-        holds the values of :attr:`keys`."""
+    A walk reads fewer rows than the written-order scan, which is only
+    the same answer while no conjunct raises on a row the walk skips.
+    So where a key is NULL (:meth:`rowids` answers None) or a bound in
+    ``checks`` is of the other type class than its column (see
+    :func:`_other_class`), the statement reads the table through
+    ``scan`` instead: the full scan of all the stage's conjuncts in
+    written order, as the forced-scan plan does."""
+
+    #: The written-order full scan, for a path that can fall back to it.
+    scan: Optional[_BaseAccess] = None
+    #: (bound expression, its column's type class) of every range-shaped
+    #: conjunct of the stage, in written order.
+    checks: Tuple[Tuple[ast.Expression, int], ...] = ()
+
+    def rowids(
+        self, table_data: TableData, key: Tuple[Any, ...]
+    ) -> Optional[Iterable[int]]:
+        """The row ids this path reads, before the residual, or None when
+        the index cannot answer ``key`` (the values of :attr:`keys`)."""
         raise NotImplementedError
+
+    def emit(self, source, layout, rowids, name="base"):
+        if self.scan is not None:
+            self.scan.emit(source, layout, rowids, name="scan")
+        return super().emit(source, layout, rowids, name)
 
     def _reader(self, fn, rowids):
         walk = fn.helper("rowids", self.rowids)
         key = _tuple([fn.value(expr) for expr in self.keys])
         size = "" if self.stop is None else f", {min(self.stop, PAGE_SIZE)}"
+        ids = f"{walk}(table, {key})"
+        if self.checks:
+            other = fn.helper("other_class", _other_class)
+            bounds = _tuple([fn.value(expr) for expr, _ in self.checks])
+            classes = _tuple([str(rank) for _, rank in self.checks])
+            ids = f"None if {other}({bounds}, {classes}) else {ids}"
+        setup = [f"ids = {ids}"]
+        if self.scan is not None:
+            setup += ["if ids is None:", "    yield from scan(data, parameters)",
+                      "    return"]
         return (
-            [f"ids = {walk}(table, {key})", "directory = table.rows.dir"],
+            setup + ["directory = table.rows.dir"],
             [],
             f"table.id_chunks(ids{size})",
             [
@@ -468,7 +501,7 @@ class _IndexProbe(_IndexWalk):
 
     def rowids(self, table_data, key):
         if None in key:
-            return ()  # `col = NULL` never matches
+            return None  # `col = NULL` never matches: the scan decides
         return table_data.probe(self.columns, key)
 
     def path(self) -> str:
@@ -499,6 +532,8 @@ class _RangeScan(_IndexWalk):
         self.descending = False
 
     def rowids(self, table_data, key):
+        if None in key:
+            return None  # a NULL bound: no row in range; the scan decides
         lo = key[0] if self.bounded_below else UNBOUNDED
         hi = key[-1] if self.bounded_above else UNBOUNDED
         return table_data.ordered_index(self.column).range_rowids(
@@ -576,6 +611,45 @@ def _null_guards(
             break
         guards.append((column, parameter))
     return tuple(guards)
+
+
+def _bound_checks(
+    schema: Schema,
+    access: _IndexWalk,
+    slot: int,
+    layout: ScopeLayout,
+    conjuncts: Sequence[_Conjunct],
+) -> Tuple[Tuple[ast.Expression, int], ...]:
+    """(bound, type class of its column) of each conjunct that orders a
+    column of the table against a value (``<``, ``<=``, ``>``, ``>=``,
+    ``BETWEEN``), in written order: numbers are class 0, strings and
+    dates (stored as text) class 1.  A bound is a literal, a parameter
+    or a key of ``access``: nothing the check evaluates can raise, or
+    was not evaluated before reading anyway."""
+    table = schema.table(access.table_name)
+    checks = []
+    for conjunct in conjuncts:
+        match = _match_range_conjunct(conjunct.expr, slot, layout)
+        if match is None or match.prefix is not None:
+            continue
+        sql_type = table.column(match.column).sql_type
+        rank = 1 if isinstance(sql_type, (StringType, DateType)) else 0
+        checks += [
+            (bound, rank) for bound in (match.lo, match.hi)
+            if isinstance(bound, (ast.Literal, ast.Parameter)) or bound in access.keys
+        ]
+    return tuple(checks)
+
+
+def _other_class(values: Tuple[Any, ...], classes: Tuple[int, ...]) -> bool:
+    """Is a value not NULL and of the other type class than its column?
+    Then its comparison raises on every row that reaches it."""
+    for value, rank in zip(values, classes):
+        if value is not None and rank != (
+            0 if isinstance(value, (int, float)) else 1 if isinstance(value, str) else -1
+        ):
+            return True
+    return False
 
 
 def _prefix_capable(table, column: str) -> bool:
@@ -690,6 +764,10 @@ def _choose_base_access(
     else:
         _, _, consumed, build = min(candidates, key=_cheapest_first)
         access = build([c for i, c in enumerate(conjuncts) if i not in consumed])
+        access.checks = _bound_checks(schema, access, slot, layout, conjuncts)
+        if access.keys or access.checks:
+            access.scan = _BaseAccess(table_name, "scan", residual=conjuncts)
+            access.scan.guards = _null_guards(access.scan.residual)
     access.guards = _null_guards(access.residual)
     return access
 

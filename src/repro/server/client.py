@@ -6,6 +6,14 @@ SPARQL-Protocol shape of the endpoint: ``application/sparql-update`` /
 ``application/sparql-query`` request bodies, JSON query results via
 content negotiation, and atomic batches via ``POST /batch``.
 
+Feedback — a write's 200 answer whose body is exactly the endpoint's
+confirmation template (:func:`~repro.core.feedback.read_confirmation`,
+derived from the template the endpoint fills) is a :class:`Feedback`
+with ``ok`` set and no code, message or hint, read without the Turtle
+parser; its ``graph`` is parsed from the body when first read.  Every
+other body — an error graph, a 400, a plain-text or JSON refusal,
+another server's Turtle — is parsed at once.
+
 Resilience (ISSUE 6):
 
 * **Typed transport errors** — every connection/socket failure is
@@ -66,6 +74,7 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
+from ..core.feedback import read_confirmation
 from ..errors import EndpointTransportError, ReproError
 from ..observability.tracing import request_scope
 from ..rdf.graph import Graph
@@ -77,15 +86,38 @@ from . import protocol
 __all__ = ["OntoAccessClient", "Feedback", "ReplicatedClient", "RetryPolicy"]
 
 
-@dataclass
 class Feedback:
-    """Parsed feedback: status plus the raw RDF graph."""
+    """Parsed feedback: status, an error's code / message / hint, and the
+    RDF graph — parsed on first read for a confirmation read off the
+    endpoint's template, which arrives as ``turtle``."""
 
-    ok: bool
-    graph: Graph
-    code: Optional[str] = None
-    message: Optional[str] = None
-    hint: Optional[str] = None
+    __slots__ = ("ok", "code", "message", "hint", "_graph", "_turtle")
+
+    def __init__(
+        self, ok: bool, graph: Optional[Graph] = None, code: Optional[str] = None,
+        message: Optional[str] = None, hint: Optional[str] = None,
+        *, turtle: Optional[str] = None,
+    ) -> None:
+        self.ok, self.code, self.message, self.hint = ok, code, message, hint
+        self._graph = Graph() if graph is None and turtle is None else graph
+        self._turtle = turtle
+
+    @property
+    def graph(self) -> Graph:
+        if self._graph is None:
+            self._graph, self._turtle = parse_turtle(self._turtle), None
+        return self._graph
+
+    def _fields(self) -> tuple:
+        return (self.ok, self.graph, self.code, self.message, self.hint)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Feedback):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "Feedback(ok=%r, graph=%r, code=%r, message=%r, hint=%r)" % self._fields()
 
     @classmethod
     def from_graph(cls, graph: Graph, http_ok: bool) -> "Feedback":
@@ -806,7 +838,12 @@ def _parse_retry_after(value: Optional[str]) -> Optional[float]:
 
 def _feedback_from_body(status: int, body: str) -> Feedback:
     """Feedback from a response that is usually Turtle but may be a
-    plain-text or JSON error (e.g. /batch body validation, 503 shed)."""
+    plain-text or JSON error (e.g. /batch body validation, 503 shed).
+    A 200 whose body is exactly the endpoint's confirmation template
+    skips the Turtle parser: its feedback is known from the match, and
+    its graph is parsed only when read."""
+    if status == 200 and read_confirmation(body) is not None:
+        return Feedback(ok=True, turtle=body)
     try:
         graph = parse_turtle(body)
     except Exception:

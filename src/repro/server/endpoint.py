@@ -52,10 +52,14 @@ directly.  In order it
 
 1. looks up the route (404 ``not found`` when there is none);
 2. applies the route's replica policy;
-3. on an admitted route, opens the trace record, parses the deadline
-   (400 ``bad-timeout``), claims an admission slot (503 ``overloaded``
-   with ``Retry-After`` when shed) and runs the handler — and sends its
-   response — under the deadline scope and inside the slot;
+3. enters the request's one scope
+   (:class:`~repro.observability.tracing.RequestScope`): its id — the
+   ``X-Request-Id`` header's, else a new one — and, on an admitted
+   route, the trace record; there it parses the deadline (400
+   ``bad-timeout``), claims an admission slot (503 ``overloaded`` with
+   ``Retry-After`` when shed) and runs the handler — and sends its
+   response — under the deadline and inside the slot, which the scope
+   releases on exit;
 4. maps an exception the handler raised, in one place: the route's
    rejection rule, which for the work routes starts with the serving
    tier's own failures (408 ``timeout``, 403 ``read-only``, 503
@@ -113,11 +117,10 @@ import threading
 import time
 import traceback
 import urllib.parse
-from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-from ..deadline import Deadline, deadline_scope
+from ..deadline import Deadline
 from ..errors import (
     DurabilityError,
     FaultError,
@@ -146,12 +149,12 @@ from ..observability.metrics import (
 )
 from ..observability.querylog import QueryLog
 from ..observability.tracing import (
+    RequestScope,
     analyze_scope,
     annotate,
     current_request_id,
-    request_scope,
+    new_request_id,
     sanitize_request_id,
-    trace_scope,
 )
 from ..rdf.graph import Graph
 from ..r3m.serialize import mapping_to_turtle
@@ -494,6 +497,10 @@ class OntoAccessEndpoint:
         self.query_log = QueryLog(threshold=slow_query_threshold)
         #: writable text stream for JSON access-log lines (None = off)
         self.access_log = access_log
+        #: (op, status) -> its ``repro_requests_total`` and
+        #: ``repro_request_seconds`` children, resolved by the first such
+        #: request
+        self._request_metrics: Dict[Tuple[str, int], Tuple[Any, Any]] = {}
         self._access_log_lock = threading.Lock()
 
     @property
@@ -545,11 +552,12 @@ class OntoAccessEndpoint:
         ``body`` is the decoded request body — or, from the wire layer,
         the :class:`Response` it answers a body it would not read with.
         ``send`` puts the response on the wire; it runs inside the
-        admission slot and the deadline scope, so streaming a result is
+        admission slot and under the deadline, so streaming a result is
         request work.  Returns the response (its body is drained on
         first read when nothing sent it)."""
         started = time.perf_counter()
         split = urllib.parse.urlsplit(target)
+        headers = protocol.Headers.of(headers)
         route = None
         if isinstance(body, Response):  # the wire layer's refusal
             response: Optional[Response] = body
@@ -558,28 +566,19 @@ class OntoAccessEndpoint:
             response = None if route else Response.text("not found", 404)
         admitted = route is not None and route.op is not None
         trace: Dict[str, Any] = {}
-        deadline: Optional[Deadline] = None
-        with ExitStack() as scopes:
+        with RequestScope(
+            sanitize_request_id(headers.get("X-Request-Id")) or new_request_id(),
+            trace if admitted else None,
+        ) as scope:
+            if admitted:
+                trace.update(request_id=scope.request_id, op=route.op)
             if route is not None:
                 request = _Request(
-                    method, urllib.parse.parse_qs(split.query),
-                    protocol.Headers.of(headers), body,
+                    method, urllib.parse.parse_qs(split.query), headers, body
                 )
-                if admitted:
-                    trace = scopes.enter_context(trace_scope(
-                        request_id=current_request_id(), op=route.op
-                    ))
                 response = self._replica_policy(route)
                 if response is None and admitted:
-                    try:
-                        deadline = self._request_deadline(request)
-                    except ValueError as exc:
-                        trace["cause"] = "bad-timeout"
-                        response = protocol.error_json(
-                            "bad-timeout", str(exc), 400
-                        )
-                    else:
-                        response = self._admit(deadline, trace, scopes)
+                    response = self._admit(request, trace, scope)
                 if response is None:
                     exec_start = time.perf_counter()
                     response = self._run(route, request)
@@ -589,7 +588,7 @@ class OntoAccessEndpoint:
             self._count(response.status >= 400)
             serialize_start = time.perf_counter()
             if send is not None:
-                send(response, deadline)
+                send(response, scope.deadline)
             if admitted:
                 trace["serialize_s"] = time.perf_counter() - serialize_start
                 self._finish_request(
@@ -599,11 +598,16 @@ class OntoAccessEndpoint:
         return response
 
     def _admit(
-        self, deadline: Optional[Deadline], trace: Dict[str, Any],
-        scopes: ExitStack,
+        self, request: _Request, trace: Dict[str, Any], scope: RequestScope
     ) -> Optional[Response]:
-        """Claim an admission slot (released, and the deadline scope
-        closed, when ``scopes`` unwinds); the 503 when shed."""
+        """Claim an admission slot and install the request's deadline in
+        ``scope`` (which releases the slot on exit); the 400 of a
+        malformed budget, the 503 when shed."""
+        try:
+            deadline = self._request_deadline(request)
+        except ValueError as exc:
+            trace["cause"] = "bad-timeout"
+            return protocol.error_json("bad-timeout", str(exc), 400)
         admit_start = time.perf_counter()
         admitted = self._gate.admit(deadline)
         trace["queue_wait_s"] = time.perf_counter() - admit_start
@@ -615,8 +619,7 @@ class OntoAccessEndpoint:
                 503,
                 retry_after=RETRY_AFTER,
             )
-        scopes.callback(self._gate.release)
-        scopes.enter_context(deadline_scope(deadline))
+        scope.hold(deadline, self._gate.release)
         return None
 
     def _run(self, route: Route, request: _Request) -> Response:
@@ -635,17 +638,29 @@ class OntoAccessEndpoint:
     def _finish_request(
         self, op: str, status: int, trace: Dict[str, Any], total_s: float
     ) -> None:
-        """Metrics + access log + slow-query tee for one admitted request."""
-        REQUESTS.labels(op, str(status)).inc()
-        REQUEST_SECONDS.labels(op).observe(total_s)
+        """Metrics + access log + slow-query tee for one admitted request;
+        the log entry is built only when a sink or the slow-query log
+        takes it."""
+        children = self._request_metrics.get((op, status))
+        if children is None:
+            children = self._request_metrics[op, status] = (
+                REQUESTS.labels(op, str(status)), REQUEST_SECONDS.labels(op)
+            )
+        requests, seconds = children
+        requests.inc()
+        seconds.observe(total_s)
         queue_wait = trace.get("queue_wait_s")
         if queue_wait is not None:
             QUEUE_WAIT_SECONDS.observe(queue_wait)
+        total_s = round(total_s, 6)
+        threshold = self.query_log.threshold
+        if self.access_log is None and (threshold is None or total_s < threshold):
+            return
         entry: Dict[str, Any] = {
             "request_id": trace.get("request_id"),
             "op": op,
             "status": status,
-            "total_s": round(total_s, 6),
+            "total_s": total_s,
         }
         for key in ("queue_wait_s", "execute_s", "serialize_s"):
             if trace.get(key) is not None:
@@ -1297,12 +1312,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch(self._read_body())
 
     def _dispatch(self, body: Union[str, Response]) -> None:
-        with request_scope(
-            sanitize_request_id(self.headers.get("X-Request-Id"))
-        ):
-            self.server.endpoint.handle(
-                self.command, self.path, self.headers, body, send=self._send
-            )
+        self.server.endpoint.handle(
+            self.command, self.path, self.headers, body, send=self._send
+        )
 
     def _read_body(self) -> Union[str, Response]:
         """The request body, or the answer to a body this layer will not

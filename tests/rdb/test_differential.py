@@ -148,11 +148,23 @@ def _populate(specs, rng):
     return statements
 
 
-def _random_conjunct(rng, alias, spec):
+def _random_conjunct(rng, alias, spec, mistyped=False):
     column = rng.choice(list(spec.columns))
     kind = spec.columns[column]
     ref = f"{alias}.{column}"
     roll = rng.random()
+    if mistyped:
+        # a bound whose kind is drawn apart from the column's: an int or
+        # float against a string column (or a string against a number)
+        # raises, but only once a row reaches the conjunct
+        def bound():
+            return _literal(_random_value(rng, rng.choice(["int", "float", "str"]), False))
+
+        if roll < 0.6:
+            return f"{ref} {rng.choice(['<', '<=', '>', '>='])} {bound()}"
+        if roll < 0.8:
+            return f"{ref} BETWEEN {bound()} AND {bound()}"
+        return f"{ref} = {bound()}"
     if kind == "str":
         if roll < 0.3:
             prefix = rng.choice(_WORDS)[: rng.randint(2, 4)]
@@ -491,6 +503,45 @@ def test_composite_probes_match_forced_scan_oracle(seed):
                 planned_db.execute(lift_literals(statement))
                 oracle_db.execute(statement)
     assert probed >= QUERIES_PER_BATCH  # the path under test is the one chosen
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mistyped_bounds_match_forced_scan_oracle(seed):
+    """Conjuncts whose bound is of another kind than their column (int /
+    float / str), beside ordinary ones, on one table: where an index
+    path cannot walk such a bound (or a NULL one, in the variants) it
+    reads as written, so a statement raises on the planned side exactly
+    when a row reaches the conjunct on the oracle side."""
+    rng = random.Random(30_000 + seed)
+    specs, ddl = _build_schema(rng)
+    planned_db, oracle_db = _make_pair(specs, ddl, _populate(specs, rng))
+    answered = []
+    for batch in range(2):
+        for _ in range(QUERIES_PER_BATCH):
+            spec = rng.choice(specs)
+            conjuncts = [_random_conjunct(rng, "x", spec, mistyped=True)]
+            for _ in range(rng.randint(0, 2)):
+                conjuncts.insert(
+                    rng.randint(0, len(conjuncts)),
+                    _random_conjunct(rng, "x", spec, mistyped=rng.random() < 0.3),
+                )
+            where = " AND ".join(conjuncts)
+            key = rng.choice(list(spec.columns))
+            sql = f"SELECT x.{key}, x.id FROM {spec.name} x WHERE {where}"
+            if rng.random() < 0.5:
+                sql += f" ORDER BY x.{key}{rng.choice(['', ' DESC'])}"
+                compare = ("ordered", sql)
+            else:
+                compare = "multiset"
+            _assert_agree(planned_db, oracle_db, sql, compare)
+            _assert_variants_agree(planned_db, oracle_db, sql)
+            answered.append(_outcome(oracle_db, sql)[0])
+        if batch == 0:
+            for statement in _random_dml(rng, specs):
+                planned_db.execute(lift_literals(statement))
+                oracle_db.execute(statement)
+    # both outcomes are drawn: statements that raise and ones that answer
+    assert {"rows", "error"} <= set(answered)
 
 
 def test_corpus_size_meets_floor():

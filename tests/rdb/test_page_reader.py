@@ -156,3 +156,53 @@ def test_only_leading_equalities_are_guarded(db):
     assert "is None:" not in source("SELECT id FROM t WHERE a < 'x' AND s = ?")
     # a guarded parameter is compared with == alone, once per row
     assert "if (r0[3] == p0):" in source("SELECT id FROM t WHERE s = ? AND a < 'x'")
+
+
+#: (statement, parameters): an index path given a key it cannot walk — a
+#: range bound of another type than the stored integers, a NULL bound, a
+#: NULL probe key — beside conjuncts that fail every row or raise.  The
+#: path then reads the table as the forced-scan plan does, every conjunct
+#: in written order: an error comes only from a row that reaches the
+#: conjunct that raises.
+UNWALKABLE_KEYS = [
+    ("SELECT id FROM t WHERE s = 'zz' AND v < 'x'", []),  # no row has s = 'zz'
+    ("SELECT id FROM t WHERE s = 's1' AND v < 'x'", []),
+    ("SELECT id FROM t WHERE v < 'x'", []),
+    ("SELECT id FROM t WHERE v < 'x' AND s = 'zz'", []),
+    ("SELECT id FROM t WHERE s = 'zz' AND v BETWEEN 'a' AND 'b'", []),
+    ("SELECT id FROM t WHERE s = ? AND v >= ?", ["zz", "x"]),
+    ("SELECT id FROM t WHERE s = ? AND v >= ?", [None, "x"]),
+    ("SELECT id FROM t WHERE v > 5 AND s = 'zz' AND v < 'x'", []),
+    ("SELECT id FROM t WHERE s = 'zz' AND v < 'x' ORDER BY v DESC LIMIT 3", []),
+    ("SELECT id FROM t WHERE v > 2.5 AND v < 9", []),  # a float bound walks
+    ("SELECT id FROM t WHERE a < 'x' AND v < ?", [None]),
+    ("SELECT id FROM t WHERE v < ? AND a < 'x'", [None]),
+    ("SELECT id FROM t WHERE a < 'x' AND g = ?", [None]),
+    ("SELECT id FROM t WHERE a < 'x' AND id = ?", [None]),
+    ("SELECT id FROM t WHERE id = ? AND a < 'x'", [None]),
+    ("DELETE FROM t WHERE s = 'zz' AND v < 'x'", []),
+    ("DELETE FROM t WHERE s = 's2' AND v < 'x'", []),
+    ("UPDATE t SET a = 0 WHERE a < 'x' AND g = ?", [None]),
+    ("UPDATE t SET a = 0 WHERE s = 'zz' AND v >= ?", ["x"]),
+]
+
+
+@pytest.mark.parametrize("sql, parameters", UNWALKABLE_KEYS)
+def test_an_unwalkable_key_answers_as_the_oracle(sql, parameters):
+    planned, oracle = _database(), _database(force_scan=True)
+    answers = [_outcome(db, sql, parameters) for db in (planned, oracle)]
+    # rows without ORDER BY come in the order the plan reads them
+    assert [a if a[0] == "error" else sorted(a[2]) for a in answers] == [
+        a if a[0] == "error" else sorted(a[2]) for a in answers[::-1]
+    ]
+    assert answers[0][:2] == answers[1][:2]
+
+
+def test_an_unwalkable_key_reads_the_table_once_in_written_order(db):
+    sql = "SELECT id FROM t WHERE s = 'zz' AND v < 'x'"
+    assert db.explain(sql)[0] == "t: range scan on v (lo..hi) via ordered index + 1 filter(s)"
+    assert _read(db, sql) == (ROWS, 1)
+    assert _read(db, "SELECT id FROM t WHERE s = 'zz' AND v < 5") == (5, 0)
+    # a NULL probe key behind no other conjunct is still answered unread
+    assert _read(db, "SELECT id FROM t WHERE id = ?", [None]) == (0, 0)
+    assert _read(db, "SELECT id FROM t WHERE g = ? AND a < 'x'", [None]) == (0, 0)
