@@ -1,11 +1,10 @@
 """Baselines: native triple store and the unsorted-translation ablation."""
 
 from .triplestore import MappingAwareTripleStore, NativeTripleStore
-from .unsorted import UnsortedOntoAccess, shuffled_statement_order
+from .unsorted import UnsortedOntoAccess
 
 __all__ = [
     "MappingAwareTripleStore",
     "NativeTripleStore",
     "UnsortedOntoAccess",
-    "shuffled_statement_order",
 ]

@@ -19,7 +19,7 @@ from ..sql import ast
 from ..core import sorting
 from ..core.mediator import OntoAccess, UpdateResult
 
-__all__ = ["UnsortedOntoAccess", "shuffled_statement_order"]
+__all__ = ["UnsortedOntoAccess"]
 
 
 def _identity_sort(statements, schema) -> List[ast.Statement]:
@@ -57,12 +57,3 @@ class UnsortedOntoAccess(OntoAccess):
                 ):
             return super().translate(request, prefixes=prefixes)
 
-
-def shuffled_statement_order(statements: List[ast.Statement], seed: int) -> List[ast.Statement]:
-    """Deterministically shuffle statements (for ablation sweeps)."""
-    import random
-
-    rng = random.Random(seed)
-    shuffled = list(statements)
-    rng.shuffle(shuffled)
-    return shuffled

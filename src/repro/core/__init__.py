@@ -2,17 +2,14 @@
 
 Public API::
 
-    from repro.core import OntoAccess
-    from repro.core import translate_insert_data, translate_delete_data
+    from repro.core import OntoAccess, Session
     from repro.core import dump_database, execute_query
 """
 
 from .backend import Backend, RelationalBackend, TripleStoreBackend
 from .common import EntityRef, identify_entity, literal_for_column
-from .delete_data import translate_delete_data
 from .dump import dump_database, dump_table
 from .feedback import confirmation_graph, error_graph
-from .insert_data import translate_insert_data
 from .mediator import OntoAccess, OperationResult, UpdateResult
 from .modify import bindings_for_pattern, plan_binding
 from .query import QueryOutcome, execute_query
@@ -44,7 +41,5 @@ __all__ = [
     "plan_binding",
     "sort_statements",
     "topological_table_order",
-    "translate_delete_data",
-    "translate_insert_data",
     "translate_query",
 ]

@@ -16,8 +16,8 @@ drivers compose:
   DATA block and every MODIFY binding is translated through one;
 * value conversion between RDF terms and SQL values according to the
   mapping and column types (used by steps 3 and 4): a look-up step,
-  which a template makes once, and a convert step per term
-  (:func:`term_to_sql_value` is the two);
+  which a template makes once (:func:`value_converter`), and a convert
+  step per term (the function it returns);
 * :class:`Values` — the one collector every translator puts a request's
   keys and values through: the SQL gets a parameter, the value goes into
   the vector, and what leaves the translator is the pair
@@ -66,7 +66,6 @@ __all__ = [
     "PreparedData",
     "SubjectReader",
     "identify_entity",
-    "term_to_sql_value",
     "value_converter",
     "sql_value_to_term",
     "link_row_exists",
@@ -521,32 +520,19 @@ class SubjectReader:
 # value conversion
 # ---------------------------------------------------------------------------
 
-def term_to_sql_value(
-    mapping: DatabaseMapping,
-    db: Database,
-    table: TableMapping,
-    attribute: AttributeMapping,
-    obj: Object,
-) -> Any:
-    """Convert a triple object into the SQL value for an attribute.
-
-    Data properties take the literal's lexical value coerced to the column
-    type; object properties take the primary-key value extracted from the
-    object URI via the referenced table's URI pattern.
-    """
-    return value_converter(mapping, db, table, attribute)(obj)
-
-
 def value_converter(
     mapping: DatabaseMapping,
     db: Database,
     table: TableMapping,
     attribute: AttributeMapping,
 ) -> Callable[[Object], Any]:
-    """:func:`term_to_sql_value` for one attribute in two steps: the
-    look-ups (column type, value pattern, referenced table) are made
-    here, and the conversion of a term is the function returned, which a
-    template keeps for every request it binds."""
+    """Convert a triple object into the SQL value for an attribute, in
+    two steps: the look-ups (column type, value pattern, referenced
+    table) are made here, and the conversion of a term is the function
+    returned, which a template keeps for every request it binds.  Data
+    properties take the literal's lexical value coerced to the column
+    type; object properties take the primary-key value extracted from
+    the object URI via the referenced table's URI pattern."""
     table_name = table.table_name
     name = attribute.attribute_name
     coerce = db.table(table_name).column(name).sql_type.coerce

@@ -27,7 +27,8 @@ the ``DELETE`` / ``UPDATE ... SET NULL`` shapes.
 :meth:`DeleteTemplate.bind` is what a request pays: it reads the values,
 looks each row up by its key, checks that the triples hold and chooses
 between the complete and the partial delete.
-:func:`translate_delete_data` is the two steps over concrete triples.
+Both run through :class:`~repro.core.common.PreparedData`, which keeps a
+template per block shape.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..errors import TranslationError
 from ..rdb.engine import Database
 from ..rdb.types import Row
-from ..rdf.terms import Term, Triple
+from ..rdf.terms import Term
 from ..r3m.model import DatabaseMapping, LinkTableMapping
 from ..sparql.algebra import Solution
 from ..sql import ast
@@ -50,17 +51,7 @@ from .common import (
 )
 from .sorting import sort_statements
 
-__all__ = ["DeleteTemplate", "translate_delete_data"]
-
-
-def translate_delete_data(
-    mapping: DatabaseMapping,
-    db: Database,
-    triples: Tuple[Triple, ...],
-) -> List[ast.Bound]:
-    """Translate a DELETE DATA payload to sorted SQL statements."""
-    template = DeleteTemplate(mapping, db, triples, {})
-    return template.bind(db, {}, template.built_entities())
+__all__ = ["DeleteTemplate"]
 
 
 class _Group(SubjectGroup):

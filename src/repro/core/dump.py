@@ -25,7 +25,7 @@ from ..rdf.terms import Triple
 from ..r3m.model import DatabaseMapping, LinkTableMapping, TableMapping
 from .common import sql_value_to_term
 
-__all__ = ["dump_database", "dump_table", "entity_uri"]
+__all__ = ["dump_database", "dump_table"]
 
 
 def dump_database(mapping: DatabaseMapping, db: Database) -> Graph:
@@ -107,13 +107,3 @@ def _dump_link_table(
             object_table.uri_pattern.format({object_key: o_value}),
         )
 
-
-def entity_uri(
-    mapping: DatabaseMapping, table_name: str, key_value
-) -> Optional[object]:
-    """Mint the instance URI for a row key (convenience for callers)."""
-    table_mapping = mapping.tables.get(table_name)
-    if table_mapping is None:
-        return None
-    attr = table_mapping.uri_pattern.attributes[0]
-    return table_mapping.uri_pattern.format({attr: key_value})

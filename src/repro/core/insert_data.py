@@ -25,8 +25,9 @@ block shape: the groups and their tables, one value converter per
 attribute and link, the required attributes a new row lacks and the
 ``INSERT`` shape.  :meth:`InsertTemplate.bind` is what a request pays:
 it reads the values, looks each row up by its key to choose INSERT,
-UPDATE or nothing, checks link targets and sorts.
-:func:`translate_insert_data` is the two steps over concrete triples.
+UPDATE or nothing, checks link targets and sorts.  Both run through
+:class:`~repro.core.common.PreparedData`, which keeps a template per
+block shape.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from typing import AbstractSet, Any, Dict, List, Optional, Tuple
 from ..errors import TranslationError
 from ..rdb.engine import Database
 from ..rdb.types import Row
-from ..rdf.terms import Term, Triple
-from ..r3m.model import DatabaseMapping, LinkTableMapping
+from ..rdf.terms import Term
+from ..r3m.model import LinkTableMapping
 from ..sparql.algebra import Solution
 from ..sql import ast
 from .common import (
@@ -49,17 +50,7 @@ from .common import (
 )
 from .sorting import sort_statements
 
-__all__ = ["InsertTemplate", "translate_insert_data"]
-
-
-def translate_insert_data(
-    mapping: DatabaseMapping,
-    db: Database,
-    triples: Tuple[Triple, ...],
-) -> List[ast.Bound]:
-    """Translate an INSERT DATA payload to sorted SQL statements."""
-    template = InsertTemplate(mapping, db, triples, {})
-    return template.bind(db, {}, template.built_entities())
+__all__ = ["InsertTemplate"]
 
 
 class _Group(SubjectGroup):

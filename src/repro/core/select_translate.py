@@ -272,7 +272,7 @@ def _link_object_key(
     return reader.coerce(raw, term)[pk]
 
 
-#: Codes of :func:`~repro.core.common.term_to_sql_value` for a term that
+#: Codes of :func:`~repro.core.common.value_converter` for a term that
 #: is no value of the column.
 _NO_VALUE = (TranslationError.FK_TARGET_MISSING, TranslationError.TYPE_MISMATCH)
 

@@ -58,10 +58,6 @@ class QueryLog:
         with self._lock:
             return list(reversed(self._entries))
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def status(self) -> Dict[str, Any]:
         with self._lock:
             count = len(self._entries)

@@ -168,10 +168,6 @@ class TableMapping:
             and a.property is not None
         ]
 
-    def properties(self) -> List[URIRef]:
-        return list(self._by_property)
-
-
 @dataclass
 class LinkTableMapping:
     """An N:M link table mapped to an object property (Listing 4)."""

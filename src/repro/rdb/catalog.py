@@ -260,12 +260,6 @@ class Schema:
     def has_index(self, name: str) -> bool:
         return name in self._indexes
 
-    def index(self, name: str) -> Index:
-        try:
-            return self._indexes[name]
-        except KeyError:
-            raise CatalogError(f"no such index: {name!r}") from None
-
     def indexes_for(self, table: str) -> List[Index]:
         return [idx for idx in self._indexes.values() if idx.table == table]
 

@@ -932,11 +932,6 @@ class DurabilityManager:
         checkpoints, _ = self._scan_dir()
         return checkpoints[-1] if checkpoints else None
 
-    def checkpoint_body(self, generation: int) -> Any:
-        """Decoded body of checkpoint ``generation`` (DurabilityError if
-        it vanished — a newer checkpoint superseded it; retry)."""
-        return self._load_checkpoint(generation)
-
     def segment_path(self, generation: int) -> str:
         """Path of WAL segment ``generation`` (for iter_wal_frames)."""
         return self._wal_path(generation)

@@ -97,9 +97,9 @@ class Executor:
         published ``snapshot`` (raises :class:`StaleSnapshotError` when a
         DDL ran since it was published and no plan is cached)."""
         if snapshot is None:
-            plan, tables = self.planner.plan(stmt), self.data
+            plan, tables = self.planner.plan(stmt, parameters), self.data
         else:
-            plan = self.planner.plan_select_at(stmt, snapshot)
+            plan = self.planner.plan_select_at(stmt, snapshot, parameters)
             tables = snapshot.tables
         columns, rows = plan.execute(tables, parameters)
         if rows:
@@ -185,7 +185,7 @@ class Executor:
     ) -> Result:
         table = self.schema.table(stmt.table)
         table_data = self._for_write(stmt.table)
-        plan = self.planner.plan(stmt)
+        plan = self.planner.plan(stmt, parameters)
         targets = plan.matching_rowids(self.data, parameters)
         count = 0
         for rowid in targets:
@@ -235,7 +235,7 @@ class Executor:
     ) -> Result:
         table = self.schema.table(stmt.table)
         table_data = self._for_write(stmt.table)
-        plan = self.planner.plan(stmt)
+        plan = self.planner.plan(stmt, parameters)
         targets = plan.matching_rowids(self.data, parameters)
         count = 0
         for rowid in targets:

@@ -61,8 +61,8 @@ implementation:
   ``assign<n>``) are functions of the same unit: one ``compile()`` per
   plan, and ``plan.source`` shows all of the plan's code.  What is
   *not* generated: the choice of plan (everything above), the row-id
-  walks of the index paths (:meth:`_IndexWalk.rowids`), grouping,
-  sorting and DISTINCT / LIMIT, and the protocol between operators —
+  walks of the index paths (an :class:`_IndexWalk`'s ``rowids``),
+  grouping, sorting and DISTINCT / LIMIT, and the protocol between operators —
   they stay separate iterators over scope tuples, which is what EXPLAIN
   ANALYZE wraps to time each one and what a deadline interrupts.  The
   text is on the plan (``plan.source``) and a traceback through it shows
@@ -100,6 +100,13 @@ before any plan is cached, or call :meth:`Planner.invalidate` after).  It
 is a separate, deliberately naive function: it must not share
 classification logic with the planner it checks, or a mistake there
 would show up on both sides of the comparison.
+
+The same plan is each statement's one written-order fallback
+(:class:`_Plan`): an execution with a NULL key for the base index walk,
+or a literal or parameter bound of the other type class than its column
+in any stage, joined stages included, runs the ``force_scan`` plan (built
+on the first such execution, kept on the plan), so both sides raise on
+the same executions whichever rows the planned one would skip.
 """
 
 from __future__ import annotations
@@ -111,6 +118,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -141,6 +149,7 @@ from .expressions import (
     combine_binary,
     combine_unary,
     emit_expression,
+    evaluate_constant,
     referenced_slots,
 )
 from .storage import PAGE_BITS, PAGE_SIZE, UNBOUNDED, TableData
@@ -328,7 +337,7 @@ class _BaseAccess:
 
     This class is the full scan, which reads the table a page at a time
     (:meth:`TableData.pages`); each index path is an :class:`_IndexWalk`,
-    which supplies the row ids it reads (:meth:`_IndexWalk.rowids`, taken
+    which supplies the row ids it reads (its ``rowids``, taken
     a chunk at a time through :meth:`TableData.id_chunks`) and its
     EXPLAIN wording (:meth:`path`).  ``kind`` is ``'scan'``, ``'point'``
     (unique-index lookup), ``'probe'`` (secondary-index equality),
@@ -362,21 +371,19 @@ class _BaseAccess:
 
     def _reader(
         self, fn: Function, rowids: bool
-    ) -> Tuple[List[str], List[str], str, List[str]]:
-        """How ``base`` reads: lines before the NULL guards, lines after
-        them, what the loop over units (``unit``: a page of rows or a
-        chunk of row ids) iterates, and the loop over a unit's rows,
-        which binds ``r0`` (and ``rowid`` when ``rowids``)."""
+    ) -> Tuple[List[str], str, List[str]]:
+        """How ``base`` reads, past the NULL guards: its set-up lines,
+        what the loop over units (``unit``: a page of rows or a chunk of
+        row ids) iterates, and the loop over a unit's rows, which binds
+        ``r0`` (and ``rowid`` when ``rowids``)."""
         full_scan = fn.helper(
             "count_full_scan", FULL_SCANS.labels(self.table_name).inc
         )
         pairs = "rowid, r0 in unit.items()" if rowids else "r0 in unit.values()"
-        return [], [f"{full_scan}()"], "table.pages()", [f"for {pairs}:"]
+        return [f"{full_scan}()"], "table.pages()", [f"for {pairs}:"]
 
-    def emit(
-        self, source: Source, layout: ScopeLayout, rowids: bool, name: str = "base"
-    ) -> str:
-        """Write the generator ``<name>(data, parameters)``.
+    def emit(self, source: Source, layout: ScopeLayout, rowids: bool) -> str:
+        """Write the generator ``base(data, parameters)``.
 
         It reads the table a unit at a time — a page of rows, or a chunk
         of row ids whose rows it reads inline — with one cancellation
@@ -384,7 +391,7 @@ class _BaseAccess:
         ``rowid`` (when ``rowids``) or the scope ``(r0,)`` of every row
         that passes the residual conjuncts, tested in written order as
         nested ``if`` statements."""
-        fn = source.function(name, "data, parameters", layout)
+        fn = source.function("base", "data, parameters", layout)
         check = fn.helper("cancellation_point", cancellation_point)
         count = fn.helper(
             "count_scanned", ROWS_SCANNED.labels(self.table_name).inc
@@ -394,8 +401,8 @@ class _BaseAccess:
         # answers its conjunct (a NULL column compares False).
         tests = [f"({column} == {value})" for column, value in guards]
         tests += [fn.truth(expr) for expr in self.residual[len(guards):]]
-        setup, start, units, loop = self._reader(fn, rowids)
-        lines = [f"table = data[{self.table_name!r}]", *setup]
+        setup, units, loop = self._reader(fn, rowids)
+        lines = [f"table = data[{self.table_name!r}]"]
         if guards:
             nulls = " or ".join(f"{value} is None" for _, value in guards)
             lines += [f"if {nulls}:", "    return"]
@@ -406,7 +413,7 @@ class _BaseAccess:
             accepted = _when(tests, [f"yield {'rowid' if rowids else '(r0,)'}"])
             rows = loop + _indented(accepted)
         return fn.close(lines + [
-            *start,
+            *setup,
             "scanned = 0",
             "try:",
             f"    for unit in {units}:",
@@ -428,51 +435,17 @@ class _BaseAccess:
 class _IndexWalk(_BaseAccess):
     """An index path: the row ids of :meth:`rowids`, in the order given,
     read a chunk at a time (at most a page, at most ``stop`` ids), the
-    rows looked up inline on the row pages.
-
-    A walk reads fewer rows than the written-order scan, which is only
-    the same answer while no conjunct raises on a row the walk skips.
-    So where a key is NULL (:meth:`rowids` answers None) or a bound in
-    ``checks`` is of the other type class than its column (see
-    :func:`_other_class`), the statement reads the table through
-    ``scan`` instead: the full scan of all the stage's conjuncts in
-    written order, as the forced-scan plan does."""
-
-    #: The written-order full scan, for a path that can fall back to it.
-    scan: Optional[_BaseAccess] = None
-    #: (bound expression, its column's type class) of every range-shaped
-    #: conjunct of the stage, in written order.
-    checks: Tuple[Tuple[ast.Expression, int], ...] = ()
-
-    def rowids(
-        self, table_data: TableData, key: Tuple[Any, ...]
-    ) -> Optional[Iterable[int]]:
-        """The row ids this path reads, before the residual, or None when
-        the index cannot answer ``key`` (the values of :attr:`keys`)."""
-        raise NotImplementedError
-
-    def emit(self, source, layout, rowids, name="base"):
-        if self.scan is not None:
-            self.scan.emit(source, layout, rowids, name="scan")
-        return super().emit(source, layout, rowids, name)
+    rows looked up inline on the row pages.  Each path's ``rowids(table
+    data, key)`` answers the ids it reads before the residual, given the
+    values of :attr:`keys` (an execution with keys a path cannot walk
+    runs the statement's written-order plan instead: :class:`_Plan`)."""
 
     def _reader(self, fn, rowids):
         walk = fn.helper("rowids", self.rowids)
         key = _tuple([fn.value(expr) for expr in self.keys])
         size = "" if self.stop is None else f", {min(self.stop, PAGE_SIZE)}"
-        ids = f"{walk}(table, {key})"
-        if self.checks:
-            other = fn.helper("other_class", _other_class)
-            bounds = _tuple([fn.value(expr) for expr, _ in self.checks])
-            classes = _tuple([str(rank) for _, rank in self.checks])
-            ids = f"None if {other}({bounds}, {classes}) else {ids}"
-        setup = [f"ids = {ids}"]
-        if self.scan is not None:
-            setup += ["if ids is None:", "    yield from scan(data, parameters)",
-                      "    return"]
         return (
-            setup + ["directory = table.rows.dir"],
-            [],
+            [f"ids = {walk}(table, {key})", "directory = table.rows.dir"],
             f"table.id_chunks(ids{size})",
             [
                 "for rowid in unit:",
@@ -501,7 +474,7 @@ class _IndexProbe(_IndexWalk):
 
     def rowids(self, table_data, key):
         if None in key:
-            return None  # `col = NULL` never matches: the scan decides
+            return ()  # `col = NULL` never matches
         return table_data.probe(self.columns, key)
 
     def path(self) -> str:
@@ -533,7 +506,7 @@ class _RangeScan(_IndexWalk):
 
     def rowids(self, table_data, key):
         if None in key:
-            return None  # a NULL bound: no row in range; the scan decides
+            return ()  # a NULL bound: no row is in range
         lo = key[0] if self.bounded_below else UNBOUNDED
         hi = key[-1] if self.bounded_above else UNBOUNDED
         return table_data.ordered_index(self.column).range_rowids(
@@ -613,48 +586,10 @@ def _null_guards(
     return tuple(guards)
 
 
-def _bound_checks(
-    schema: Schema,
-    access: _IndexWalk,
-    slot: int,
-    layout: ScopeLayout,
-    conjuncts: Sequence[_Conjunct],
-) -> Tuple[Tuple[ast.Expression, int], ...]:
-    """(bound, type class of its column) of each conjunct that orders a
-    column of the table against a value (``<``, ``<=``, ``>``, ``>=``,
-    ``BETWEEN``), in written order: numbers are class 0, strings and
-    dates (stored as text) class 1.  A bound is a literal, a parameter
-    or a key of ``access``: nothing the check evaluates can raise, or
-    was not evaluated before reading anyway."""
-    table = schema.table(access.table_name)
-    checks = []
-    for conjunct in conjuncts:
-        match = _match_range_conjunct(conjunct.expr, slot, layout)
-        if match is None or match.prefix is not None:
-            continue
-        sql_type = table.column(match.column).sql_type
-        rank = 1 if isinstance(sql_type, (StringType, DateType)) else 0
-        checks += [
-            (bound, rank) for bound in (match.lo, match.hi)
-            if isinstance(bound, (ast.Literal, ast.Parameter)) or bound in access.keys
-        ]
-    return tuple(checks)
-
-
-def _other_class(values: Tuple[Any, ...], classes: Tuple[int, ...]) -> bool:
-    """Is a value not NULL and of the other type class than its column?
-    Then its comparison raises on every row that reaches it."""
-    for value, rank in zip(values, classes):
-        if value is not None and rank != (
-            0 if isinstance(value, (int, float)) else 1 if isinstance(value, str) else -1
-        ):
-            return True
-    return False
-
-
-def _prefix_capable(table, column: str) -> bool:
-    """LIKE-prefix index scans are sound only when every stored value is
-    a string (LIKE matches ``str(value)``, which diverges for numbers)."""
+def _stores_text(table, column: str) -> bool:
+    """Does ``column`` hold strings (dates are stored as text)?  Only
+    then is a LIKE-prefix index scan sound (LIKE matches ``str(value)``,
+    which diverges for numbers), and only a string orders against it."""
     return isinstance(table.column(column).sql_type, (StringType, DateType))
 
 
@@ -728,7 +663,7 @@ def _access_candidates(
         if match is None or table_data.ordered_index(match.column) is None:
             continue
         if match.prefix is not None:
-            if match.column not in prefixes and _prefix_capable(table, match.column):
+            if match.column not in prefixes and _stores_text(table, match.column):
                 prefixes[match.column] = (position, match.prefix)
         else:
             specs.setdefault(match.column, _Bounds(match.column)).absorb(
@@ -764,10 +699,6 @@ def _choose_base_access(
     else:
         _, _, consumed, build = min(candidates, key=_cheapest_first)
         access = build([c for i, c in enumerate(conjuncts) if i not in consumed])
-        access.checks = _bound_checks(schema, access, slot, layout, conjuncts)
-        if access.keys or access.checks:
-            access.scan = _BaseAccess(table_name, "scan", residual=conjuncts)
-            access.scan.guards = _null_guards(access.scan.residual)
     access.guards = _null_guards(access.residual)
     return access
 
@@ -1033,26 +964,14 @@ class _OrderKey:
 # compiled statements
 # ---------------------------------------------------------------------------
 
-def _hashable(value: Any) -> Any:
-    return value if not isinstance(value, dict) else tuple(sorted(value.items()))
-
-
-def _default_column_name(expr: ast.Expression) -> str:
-    if isinstance(expr, ast.ColumnRef):
-        return expr.name
-    return render_expression(expr)
-
-
-def _contains_aggregate(expr: ast.Expression) -> bool:
+def _contains_aggregate(expr: Optional[ast.Expression]) -> bool:
     if isinstance(expr, ast.FunctionCall):
         if expr.name in AGGREGATE_FUNCTIONS:
             return True
         return any(_contains_aggregate(a) for a in expr.args)
     if isinstance(expr, ast.BinaryOp):
         return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, (ast.IsNull, ast.Like, ast.Between, ast.InList)):
+    if isinstance(expr, (ast.UnaryOp, ast.IsNull, ast.Like, ast.Between, ast.InList)):
         return _contains_aggregate(expr.operand)
     return False
 
@@ -1133,7 +1052,75 @@ def _compile_aggregate_expr(
     return first_member
 
 
-class CompiledSelect:
+def _type_class(value: Any) -> int:
+    """0 for a number, 1 for a string, -1 otherwise (orders with neither)."""
+    return 0 if isinstance(value, (int, float)) else 1 if isinstance(value, str) else -1
+
+
+class _Plan:
+    """What a SELECT plan and an UPDATE / DELETE row selection share:
+    when an execution runs its written-order :attr:`fallback` (see the
+    module docstring).  A one-table full scan is its own written-order
+    plan and has no checks."""
+
+    stmt: ast.Statement
+    layout: ScopeLayout
+    base: Optional[_BaseAccess]
+    #: The statement's ``force_scan`` plan, once an execution needed it.
+    fallback: Optional["_Plan"] = None
+    checks: Tuple[Tuple[ast.Expression, Optional[int]], ...] = ()
+    guards: Tuple[Tuple[ast.ColumnRef, ast.Parameter], ...] = ()
+
+    def _set_checks(
+        self, schema: Schema, placement: Sequence[Tuple[str, str]],
+        conjuncts: Sequence[_Conjunct],
+    ) -> None:
+        """What :meth:`unwalkable` reads.  :attr:`guards`, for one table:
+        the leading ``column = ?`` conjuncts; with a NULL parameter no
+        row passes them before a later conjunct runs, and the plan
+        answers without reading.  :attr:`checks`: each key of the base
+        access that is no guard's parameter (class None), then the bound
+        of each conjunct, in any stage, that orders a column against a
+        value (``<``, ``<=``, ``>``, ``>=``, ``BETWEEN``) with its
+        column's type class: numbers are class 0, strings and dates
+        (stored as text) class 1.  A bound is a literal, a parameter or a
+        key: nothing a check evaluates can raise, or was not evaluated
+        before reading anyway."""
+        if len(placement) == 1:
+            self.guards = _null_guards([c.expr for c in conjuncts])
+        keys = self.base.keys
+        guarded = [parameter for _, parameter in self.guards]
+        checks: List[Tuple[ast.Expression, Optional[int]]] = [
+            (key, None) for key in keys if key not in guarded
+        ]
+        for conjunct in conjuncts:
+            match = _match_range_conjunct(conjunct.expr, conjunct.stage, self.layout)
+            if match is None or match.prefix is not None:
+                continue
+            table = schema.table(placement[conjunct.stage][1])
+            rank = int(_stores_text(table, match.column))
+            checks += [
+                (bound, rank) for bound in (match.lo, match.hi)
+                if isinstance(bound, (ast.Literal, ast.Parameter)) or bound in keys
+            ]
+        self.checks = tuple(checks)
+
+    def unwalkable(self, parameters: Sequence[Any]) -> bool:
+        """Must an execution with ``parameters`` run :attr:`fallback`?"""
+        for _, parameter in self.guards:
+            if evaluate_constant(parameter, parameters) is None:
+                return False
+        for expr, rank in self.checks:
+            value = evaluate_constant(expr, parameters)
+            if value is None:
+                if rank is None:
+                    return True
+            elif rank not in (None, _type_class(value)):
+                return True
+        return False
+
+
+class CompiledSelect(_Plan):
     """A fully planned and compiled SELECT: access path, joins, pushed-down
     predicates, projection, grouping, and ordering — built once, executed
     per call with fresh parameters."""
@@ -1170,14 +1157,17 @@ class CompiledSelect:
         )
         self.base: Optional[_BaseAccess] = None
         self.steps: List[_JoinStep] = []
+        conjuncts: List[_Conjunct] = []
         # (SELECT without FROM has neither: its WHERE conjuncts are
         # constants, tested once by the generated ``base``)
         if stmt.table is not None and force_scan:
             self._plan_oracle(schema, stmt)
         elif stmt.table is not None:
-            self._plan_pipeline(schema, data, stmt)
+            conjuncts = self._plan_pipeline(schema, data, stmt)
 
-        self._grouped = bool(stmt.group_by) or self._has_aggregate(stmt)
+        self._grouped = bool(stmt.group_by) or any(
+            map(_contains_aggregate, [i.expression for i in stmt.items] + [stmt.having])
+        )
         items = self._expand_items(schema, stmt)
         self.columns: List[str] = [name for _, name in items]
         self._index_ordered = False
@@ -1222,6 +1212,8 @@ class CompiledSelect:
             # on — grouped results order by output columns only.
         if not self._grouped and not force_scan:
             self._upgrade_to_index_order(data, stmt, items, alias_positions)
+        if self.steps or (self.base is not None and self.base.kind != "scan"):
+            self._set_checks(schema, self._placement, conjuncts)
         self._generate(source, items, group_keys)
 
     # -- planning ---------------------------------------------------------
@@ -1279,9 +1271,11 @@ class CompiledSelect:
 
     def _plan_pipeline(
         self, schema: Schema, data: Dict[str, TableData], stmt: ast.Select
-    ) -> None:
+    ) -> List[_Conjunct]:
         """The one join planner: pool the conjuncts, pick the pipeline
-        order, then plan the base access and one step per join."""
+        order, then plan the base access and one step per join.  Returns
+        every conjunct of the statement, WHERE and ON, in the pipeline's
+        layout."""
         # One pool for WHERE and the ON conjuncts of INNER joins (they
         # filter the same product); a LEFT join's ON stays with the join.
         pool: List[ast.Expression] = _split_conjuncts(stmt.where)
@@ -1347,6 +1341,9 @@ class CompiledSelect:
                 running = max(1, running) * max(1, right_estimate)
             else:
                 running = max(running, 1)
+        return [c for stage in by_stage.values() for c in stage] + [
+            _Conjunct(e, self.layout) for exprs in left_on.values() for e in exprs
+        ]
 
     def _order_by_estimate(
         self,
@@ -1503,12 +1500,6 @@ class CompiledSelect:
         self.base.stop = self._stop
         self._index_ordered = True
 
-    def _has_aggregate(self, stmt: ast.Select) -> bool:
-        exprs: List[ast.Expression] = [i.expression for i in stmt.items]
-        if stmt.having is not None:
-            exprs.append(stmt.having)
-        return any(_contains_aggregate(e) for e in exprs)
-
     def _expand_items(
         self, schema: Schema, stmt: ast.Select
     ) -> List[Tuple[ast.Expression, str]]:
@@ -1533,7 +1524,10 @@ class CompiledSelect:
                         f"unknown table binding {expr.table!r} in select list"
                     )
                 continue
-            name = item.alias or _default_column_name(expr)
+            name = item.alias or (
+                expr.name if isinstance(expr, ast.ColumnRef)
+                else render_expression(expr)
+            )
             expanded.append((expr, name))
         return expanded
 
@@ -1629,13 +1623,7 @@ class CompiledSelect:
             rows = self._execute_plain(data, parameters)
 
         if stmt.distinct:
-            seen: Set[Tuple[Any, ...]] = set()
-            unique_rows = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique_rows.append(row)
-            rows = unique_rows
+            rows = list(dict.fromkeys(rows))  # the first of equal rows, in order
 
         if stmt.offset is not None:
             rows = rows[stmt.offset:]
@@ -1658,25 +1646,20 @@ class CompiledSelect:
                 scopes = islice(scopes, self._stop)
             return self._project(scopes, parameters)
 
-        # Precompute every sort key exactly once per row.
+        # Precompute every sort key exactly once per row; both sorts are
+        # stable and compare the keys only.
         order_keys = self.order_keys
         scopes = list(self.scopes(data, parameters))
         decorated: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = [
             (tuple(k.key(row, scope, parameters) for k in order_keys), row)
             for scope, row in zip(scopes, self._project(scopes, parameters))
         ]
-
         if self._stop is not None:
             # Top-k: no need to sort rows that LIMIT/OFFSET will drop.
-            indexes = range(len(decorated))
-            chosen = heapq.nsmallest(
-                self._stop, indexes, key=lambda i: decorated[i][0]
-            )
-            return [decorated[i][1] for i in chosen]
-        indexes = sorted(
-            range(len(decorated)), key=lambda i: decorated[i][0]
-        )
-        return [decorated[i][1] for i in indexes]
+            decorated = heapq.nsmallest(self._stop, decorated, key=itemgetter(0))
+        else:
+            decorated.sort(key=itemgetter(0))
+        return [row for _, row in decorated]
 
     def _execute_grouped(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
@@ -1684,9 +1667,7 @@ class CompiledSelect:
         groups: Dict[Tuple[Any, ...], List[Tuple[Row, ...]]] = {}
         if self.group_fns:
             for scope in self.scopes(data, parameters):
-                key = tuple(
-                    _hashable(fn(scope, parameters)) for fn in self.group_fns
-                )
+                key = tuple(fn(scope, parameters) for fn in self.group_fns)
                 groups.setdefault(key, []).append(scope)
         else:
             groups[()] = list(self.scopes(data, parameters))
@@ -1738,7 +1719,7 @@ class CompiledSelect:
         return lines
 
 
-class CompiledMutation:
+class CompiledMutation(_Plan):
     """Compiled row selection for UPDATE/DELETE: index-aware WHERE over a
     single table, plus (for UPDATE) compiled assignment expressions."""
 
@@ -1750,6 +1731,7 @@ class CompiledMutation:
         force_scan: bool = False,
     ) -> None:
         table_name = stmt.table
+        self.stmt = stmt
         self.table_name = table_name
         self.layout = ScopeLayout(
             # raises CatalogError for unknown tables
@@ -1764,6 +1746,8 @@ class CompiledMutation:
             self.base = _choose_base_access(
                 schema, data, table_name, 0, self.layout, conjuncts
             )
+            if self.base.kind != "scan":
+                self._set_checks(schema, [(table_name, table_name)], conjuncts)
         source = Source()
         assignments = [
             (a.column, emit_expression(source, a.value, self.layout, "assign"))
@@ -1853,10 +1837,12 @@ class Planner:
             self.stats["invalidations"] += 1
 
     def _cached(
-        self, generation: int, stmt: ast.Statement, data: Dict[str, TableData]
+        self, generation: int, stmt: ast.Statement, data: Dict[str, TableData],
+        parameters: Optional[Sequence[Any]],
     ) -> Any:
         """The plan for the statement shape ``stmt`` over the table map
-        ``data``, which must belong to ``generation``."""
+        ``data``, which must belong to ``generation``; with the
+        ``parameters`` of an execution, the plan that runs them."""
         key = (generation, stmt)
         try:
             plan = self._cache[key]
@@ -1869,50 +1855,63 @@ class Planner:
                 # for planning (a hit adds nothing to the hot path).
                 annotate(plans_built=trace.get("plans_built", 0) + 1)
             with self.lock:
-                if generation != self.generation:
-                    raise StaleSnapshotError(
-                        "schema changed since the snapshot was taken"
-                    )
-                compiled = (
-                    CompiledSelect
-                    if isinstance(stmt, ast.Select)
-                    else CompiledMutation
-                )
-                plan = compiled(self.schema, data, stmt, self.force_scan)
+                plan = self._compile(generation, stmt, data, self.force_scan)
                 try:
                     self._cache[key] = plan
                     if len(self._cache) > _PLAN_CACHE_SIZE:
                         self._cache.popitem(last=False)
                 except TypeError:
                     pass
-            return plan
-        self.stats["hits"] += 1
-        try:
-            self._cache.move_to_end(key)
-        except KeyError:
-            pass  # concurrently invalidated/evicted; recency is best-effort
+        else:
+            self.stats["hits"] += 1
+            try:
+                self._cache.move_to_end(key)
+            except KeyError:
+                pass  # concurrently invalidated/evicted; recency is best-effort
+        if parameters is not None and plan.checks and plan.unwalkable(parameters):
+            if plan.fallback is None:
+                plan.fallback = self._compile(generation, stmt, data, True)
+            return plan.fallback
         return plan
+
+    def _compile(
+        self, generation: int, stmt: ast.Statement, data: Dict[str, TableData],
+        force_scan: bool,
+    ) -> Any:
+        """Build a plan while the live schema is ``generation``'s."""
+        with self.lock:
+            if generation != self.generation:
+                raise StaleSnapshotError("schema changed since the snapshot was taken")
+            select = isinstance(stmt, ast.Select)
+            compiled = CompiledSelect if select else CompiledMutation
+            return compiled(self.schema, data, stmt, force_scan)
 
     def cache_entries(self) -> int:
         """Plans (one per statement shape) currently cached."""
         return len(self._cache)
 
     def plan(
-        self, stmt: Union[ast.Select, ast.Update, ast.Delete]
+        self,
+        stmt: Union[ast.Select, ast.Update, ast.Delete],
+        parameters: Optional[Sequence[Any]] = None,
     ) -> Union[CompiledSelect, CompiledMutation]:
-        """Build/fetch the plan for the *working* store, retrying across a
-        racing DDL (only possible for unlocked callers like explain())."""
+        """Build/fetch the plan for the *working* store (the one that runs
+        ``parameters``, when given), retrying across a racing DDL (only
+        possible for unlocked callers like explain())."""
         while True:
             try:
-                return self._cached(self.generation, stmt, self.data)
+                return self._cached(self.generation, stmt, self.data, parameters)
             except StaleSnapshotError:
                 continue
 
-    def plan_select_at(self, stmt: ast.Select, snapshot) -> CompiledSelect:
-        """The plan a snapshot reader executes: costed against the
-        snapshot's tables and cached under the snapshot's generation.
-        In the steady state (no DDL since publication) this is the same
-        cache entry the working store uses, so readers share the
-        amortization.  Raises :class:`StaleSnapshotError` when a DDL has
-        run since the snapshot was published and no plan is cached."""
-        return self._cached(snapshot.generation, stmt, snapshot.tables)
+    def plan_select_at(
+        self, stmt: ast.Select, snapshot, parameters: Sequence[Any]
+    ) -> CompiledSelect:
+        """The plan a snapshot reader executes with ``parameters``:
+        costed against the snapshot's tables and cached under the
+        snapshot's generation.  In the steady state (no DDL since
+        publication) this is the same cache entry the working store uses,
+        so readers share the amortization.  Raises :class:`StaleSnapshotError`
+        when a DDL has run since the snapshot was published and the plan
+        it needs is not built."""
+        return self._cached(snapshot.generation, stmt, snapshot.tables, parameters)

@@ -6,7 +6,7 @@ Public API::
     from repro.rdf import parse_turtle, to_turtle, to_ntriples, isomorphic
 """
 
-from .compare import graph_diff, isomorphic
+from .compare import isomorphic
 from .graph import Graph
 from .namespace import (
     DC,
@@ -62,7 +62,6 @@ __all__ = [
     "URIRef",
     "Variable",
     "XSD",
-    "graph_diff",
     "isomorphic",
     "parse_ntriples",
     "parse_turtle",

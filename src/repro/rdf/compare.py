@@ -17,7 +17,7 @@ from typing import Dict, List, Set, Tuple
 from .graph import Graph
 from .terms import BNode, Term, Triple
 
-__all__ = ["isomorphic", "graph_diff"]
+__all__ = ["isomorphic"]
 
 
 def isomorphic(left: Graph, right: Graph) -> bool:
@@ -38,15 +38,6 @@ def isomorphic(left: Graph, right: Graph) -> bool:
         return True
 
     return _find_mapping(left, right, sorted(left_bnodes, key=lambda b: b.label), {})
-
-
-def graph_diff(left: Graph, right: Graph) -> Tuple[Graph, Graph]:
-    """Return (only-in-left, only-in-right) ignoring bnode-free overlap.
-
-    This is a debugging aid for tests; blank-node triples are compared
-    exactly (by label), so use :func:`isomorphic` for the real check.
-    """
-    return left.difference(right), right.difference(left)
 
 
 def _has_bnode(triple: Triple) -> bool:

@@ -138,16 +138,6 @@ class Graph:
         """Remove every listed triple; return the number removed."""
         return sum(1 for t in list(triples) if self.remove(t))
 
-    def remove_matching(
-        self,
-        subject: Optional[Subject] = None,
-        predicate: Optional[Predicate] = None,
-        object: Optional[Object] = None,
-    ) -> int:
-        """Remove all triples matching a pattern (None = wildcard)."""
-        victims = list(self.triples(subject, predicate, object))
-        return self.remove_all(victims)
-
     def clear(self) -> None:
         if self._journal is not None:
             self._journal.extend((True, t) for t in self)
@@ -299,10 +289,6 @@ class Graph:
 
     def difference(self, other: "Graph") -> "Graph":
         return Graph(t for t in self if t not in other)
-
-    def intersection(self, other: "Graph") -> "Graph":
-        small, large = (self, other) if len(self) <= len(other) else (other, self)
-        return Graph(t for t in small if t in large)
 
     def __eq__(self, other: object) -> bool:
         """Exact (label-sensitive) equality.  For bnode-isomorphism use

@@ -175,12 +175,9 @@ class LogShipper:
         self._stopped.set()
         if self.db.commit_barrier == self._commit_barrier:
             self.db.commit_barrier = None
-        listener = self._listener
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
+        if self._listener is not None:
+            # shutdown() too: close() alone leaves accept() blocked
+            _shutdown_close(self._listener)
         self._close_conns()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)

@@ -61,8 +61,8 @@ directly.  In order it
    response — under the deadline and inside the slot, which the scope
    releases on exit;
 4. maps an exception the handler raised, in one place: the route's
-   rejection rule, which for the work routes starts with the serving
-   tier's own failures (408 ``timeout``, 403 ``read-only``, 503
+   rejection rule, which for the work and admin routes starts with the
+   serving tier's own failures (408 ``timeout``, 403 ``read-only``, 503
    ``replication-degraded``, 503 ``storage-degraded``); whatever the
    rule does not claim — any other exception included — is 500
    ``internal-error`` JSON.  A request is never answered with a
@@ -398,13 +398,15 @@ def _metrics_unavailable(exc: Exception) -> Optional[Response]:
 def _checkpoint_failed(exc: Exception) -> Optional[Response]:
     if not isinstance(exc, ReproError):
         return None
-    return Response.text(f"error: {exc}", status=409)
+    return _serving_failure(exc) or Response.text(f"error: {exc}", status=409)
 
 
 def _promotion_failed(exc: Exception) -> Optional[Response]:
     if not isinstance(exc, ReproError):
         return None
-    return protocol.error_json("promotion-failed", str(exc), 500)
+    return _serving_failure(exc) or protocol.error_json(
+        "promotion-failed", str(exc), 500
+    )
 
 
 def _internal_error(exc: Exception) -> Response:
@@ -973,7 +975,8 @@ class OntoAccessEndpoint:
         :meth:`Node.promote` is.  409 ``not-promotable`` when the node
         has no replica to promote; 500 ``promotion-failed`` when the
         promotion itself errored (the replica is stopped but writable
-        state was not reached — operator attention required)."""
+        state was not reached — operator attention required), unless the
+        error is the serving tier's own (503 ``storage-degraded``, ...)."""
         if not self.node.promotable:
             return protocol.error_json(
                 "not-promotable",

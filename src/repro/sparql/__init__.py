@@ -6,7 +6,7 @@ Public API::
 """
 
 from . import algebra_ast
-from .algebra import Solution, evaluate_pattern, instantiate, match_bgp, substitute
+from .algebra import Solution, evaluate_pattern, instantiate, substitute
 from .engine import SelectResult, apply_operation, query, update
 from .expressions import effective_boolean_value, evaluate_expr, filter_accepts
 from .query_ast import AskQuery, ConstructQuery, OrderCondition, Query, SelectQuery
@@ -42,7 +42,6 @@ __all__ = [
     "evaluate_pattern",
     "filter_accepts",
     "instantiate",
-    "match_bgp",
     "parse_query",
     "parse_update",
     "query",

@@ -28,7 +28,6 @@ __all__ = [
     "Solution",
     "evaluate_pattern",
     "initial_solution",
-    "match_bgp",
     "instantiate",
     "substitute",
 ]
@@ -84,14 +83,6 @@ def evaluate_pattern(
 
     for filt in pattern.filters():
         solutions = [s for s in solutions if filter_accepts(filt.expression, s)]
-    return solutions
-
-
-def match_bgp(graph: Graph, triples: Tuple[Triple, ...]) -> List[Solution]:
-    """Match a bare basic graph pattern (no filters/optionals)."""
-    solutions: List[Solution] = [{}]
-    for triple in triples:
-        solutions = _join_triple(graph, solutions, triple)
     return solutions
 
 

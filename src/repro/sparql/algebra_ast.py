@@ -127,9 +127,6 @@ class GroupPattern:
     def unions(self) -> Tuple[Union, ...]:
         return tuple(e for e in self.elements if isinstance(e, Union))
 
-    def subgroups(self) -> Tuple["GroupPattern", ...]:
-        return tuple(e for e in self.elements if isinstance(e, GroupPattern))
-
     def all_variables(self) -> set:
         found = set()
         for element in self.elements:

@@ -141,6 +141,24 @@ class TestInsertErrors:
             TranslationError.TYPE_MISMATCH,
         )
 
+    def test_object_property_without_foreign_key(self):
+        """An attribute mapped as an object property that references no
+        table (a mapping the validator would refuse) has no URI pattern
+        to read a key from: the translator refuses the value instead of
+        guessing one."""
+        db = build_database()
+        seed_feasibility_data(db)
+        mapping = build_mapping(db)
+        (team,) = [a for a in mapping.tables["author"].attributes
+                   if a.attribute_name == "team"]
+        team.constraints = tuple(c for c in team.constraints if c.kind != "foreign-key")
+        error = expect_error(
+            OntoAccess(db, mapping, validate=False),
+            P + "INSERT DATA { ex:author6 ont:team ex:team5 . }",
+            TranslationError.UNSUPPORTED,
+        )
+        assert "author.team is an object property without a foreign key" in str(error)
+
     def test_object_uri_of_wrong_table(self, oa):
         expect_error(
             oa,

@@ -34,7 +34,7 @@ import pytest
 
 from repro.errors import DatabaseError
 from repro.rdb import Database
-from repro.sql import ast
+from repro.sql import ast, parse_statements
 from tests.rdb.test_plan_stability import lift_literals
 
 QUERIES_PER_BATCH = 20
@@ -542,6 +542,73 @@ def test_mistyped_bounds_match_forced_scan_oracle(seed):
                 oracle_db.execute(statement)
     # both outcomes are drawn: statements that raise and ones that answer
     assert {"rows", "error"} <= set(answered)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mistyped_bounds_in_joins_match_forced_scan_oracle(seed):
+    """The same bounds on either table of a two-table join, beside a
+    point on the joined table's key: the planned side may start from
+    either table, walk an index and filter a hash join's build side, so
+    only a statement that reads as written where a bound is of the
+    other kind (or, in the variants, a key NULL) raises exactly when the
+    oracle's nested loop brings a row to the conjunct."""
+    rng = random.Random(50_000 + seed)
+    specs, ddl = _build_schema(rng)
+    planned_db, oracle_db = _make_pair(specs, ddl, _populate(specs, rng))
+    answered = []
+    for batch in range(2):
+        for _ in range(15):
+            child, parent = rng.sample(specs, 2)
+            fk = next((f for f, t in child.fks.items() if t == parent.name), "a")
+            sides = [("x", child), ("p", parent)]
+            conjuncts = [_random_conjunct(rng, *rng.choice(sides), mistyped=True)]
+            if rng.random() < 0.6:
+                conjuncts.append(f"p.id = {rng.randint(1, 40)}")
+            for _ in range(rng.randint(0, 2)):
+                conjuncts.append(_random_conjunct(
+                    rng, *rng.choice(sides), mistyped=rng.random() < 0.3))
+            rng.shuffle(conjuncts)
+            kind = rng.choice(["JOIN", "JOIN", "LEFT JOIN"])
+            sql = (
+                f"SELECT x.id, p.id FROM {child.name} x {kind} {parent.name} p "
+                f"ON p.id = x.{fk} WHERE {' AND '.join(conjuncts)}"
+            )
+            _assert_agree(planned_db, oracle_db, sql, "multiset")
+            _assert_variants_agree(planned_db, oracle_db, sql)
+            answered.append(_outcome(oracle_db, sql)[0])
+        if batch == 0:
+            for statement in _random_dml(rng, specs):
+                planned_db.execute(lift_literals(statement))
+                oracle_db.execute(statement)
+    assert {"rows", "error"} <= set(answered)
+
+
+def test_a_joined_mistyped_bound_reads_as_written():
+    """A point lookup that finds no row (t0 has no id 19) leaves the
+    planned join nothing to probe, so it never reads the rows where the
+    other table's conjunct raises; the oracle's scan of t1 reads them
+    first.  The execution runs the statement's written-order plan,
+    built once and kept on the plan."""
+    dbs = _make_pair([], [
+        "CREATE TABLE t0 (id INTEGER PRIMARY KEY)",
+        "CREATE TABLE t1 (id INTEGER PRIMARY KEY, f INTEGER, "
+        "r_t0 INTEGER REFERENCES t0(id))",
+    ], [f"INSERT INTO t0 (id) VALUES ({i})" for i in range(1, 19)] + [
+        f"INSERT INTO t1 (id, f, r_t0) VALUES ({i}, {i}, {i % 18 + 1})"
+        for i in range(1, 31)
+    ])
+    sql = ("SELECT x.id, p.id FROM t1 x JOIN t0 p ON p.id = x.r_t0 "
+           "WHERE p.id = 19 AND x.f > 'iota9'")
+    assert dbs[0].explain(sql)[:2] == [
+        "join order: p -> x (stats-driven reorder)",
+        "t0: point lookup via primary key (id)",
+    ]
+    for _ in range(2):
+        assert [_outcome(db, sql) for db in dbs] == [("error", "DatabaseError")] * 2
+    plan = dbs[0].planner.plan(parse_statements(sql)[0])
+    assert plan.fallback is not None and plan.fallback.fallback is None
+    assert dbs[0].query("SELECT x.id, p.id FROM t1 x JOIN t0 p ON p.id = x.r_t0 "
+                        "WHERE p.id = 19 AND x.f > 9").rows == []
 
 
 def test_corpus_size_meets_floor():

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from repro.core.mediator import OntoAccess
 from repro.rdb import Database
-from repro.rdb.durability import _CKPT_MAGIC, _FRAME, encode_payload
+from repro.rdb.durability import _CKPT_MAGIC, _FRAME, decode_payload, encode_payload
 from repro.replication import LogShipper, Replica
 from repro.workloads.operations import (
     PREFIXES,
@@ -170,7 +170,7 @@ class TestWrittenBytes:
         data_dir = _copy_fixture(tmp_path / "primary", [CHECKPOINT, TAIL])
         db = Database(data_dir=str(data_dir), sync_mode="os")
         try:
-            body = db._durability.checkpoint_body(1)
+            body = decode_payload(db._durability.checkpoint_payload(1))
         finally:
             db.close()
         payload = encode_payload(body)

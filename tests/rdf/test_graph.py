@@ -50,11 +50,6 @@ class TestMutation:
     def test_remove_absent_returns_false(self, small_graph):
         assert not small_graph.remove(t(EX.nobody, FOAF.name, Literal("x")))
 
-    def test_remove_matching_wildcard(self, small_graph):
-        removed = small_graph.remove_matching(subject=EX.author1)
-        assert removed == 2
-        assert len(small_graph) == 2
-
     def test_clear(self, small_graph):
         small_graph.clear()
         assert len(small_graph) == 0
@@ -165,16 +160,6 @@ class TestSetOperations:
         other = Graph([t(EX.author1, FOAF.firstName, Literal("Matthias"))])
         diff = small_graph.difference(other)
         assert len(diff) == 3
-
-    def test_intersection(self, small_graph):
-        other = Graph(
-            [
-                t(EX.author1, FOAF.firstName, Literal("Matthias")),
-                t(EX.authorX, FOAF.firstName, Literal("Nobody")),
-            ]
-        )
-        common = small_graph.intersection(other)
-        assert len(common) == 1
 
     def test_equality(self, small_graph):
         assert small_graph == small_graph.copy()
