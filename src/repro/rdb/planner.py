@@ -345,8 +345,8 @@ class _BaseAccess:
     (full ordered-index scan for ORDER BY).  ``keys`` are the expressions
     (over no column) whose values an index path looks up; ``residual``
     the stage-0 conjuncts the path does not answer itself, of which the
-    first ``len(guards)`` test a column against a parameter that is
-    tested for NULL once, before anything is read (see
+    first ``len(guards)`` test a column against a parameter (or NULL)
+    that is tested for NULL once, before anything is read (see
     :func:`_null_guards`); ``stop`` the rows LIMIT stops an index-ordered
     walk after, which caps its chunks.
     """
@@ -363,7 +363,7 @@ class _BaseAccess:
         self.kind = kind
         self.residual = tuple(c.expr for c in residual)
         self.keys = tuple(keys)
-        self.guards: Tuple[Tuple[ast.ColumnRef, ast.Parameter], ...] = ()
+        self.guards: Tuple[Tuple[ast.ColumnRef, ast.Expression], ...] = ()
         self.stop: Optional[int] = None
 
     def path(self) -> str:
@@ -396,8 +396,8 @@ class _BaseAccess:
         count = fn.helper(
             "count_scanned", ROWS_SCANNED.labels(self.table_name).inc
         )
-        guards = [(fn.value(c), fn.parameter(p.index)) for c, p in self.guards]
-        # Past the guard a guarded parameter is not NULL: ``==`` alone
+        guards = [(fn.value(c), fn.value(v)) for c, v in self.guards]
+        # Past the guard a guarded value is not NULL: ``==`` alone
         # answers its conjunct (a NULL column compares False).
         tests = [f"({column} == {value})" for column, value in guards]
         tests += [fn.truth(expr) for expr in self.residual[len(guards):]]
@@ -566,23 +566,25 @@ class _OrderedScan(_IndexWalk):
 
 def _null_guards(
     residual: Sequence[ast.Expression],
-) -> Tuple[Tuple[ast.ColumnRef, ast.Parameter], ...]:
-    """(column, parameter) of the leading ``column = parameter``
-    conjuncts.  Such a conjunct cannot raise, and with its parameter NULL
-    it fails every row before any later conjunct runs; so a base access
-    tests these parameters once, before reading, and not per row."""
+) -> Tuple[Tuple[ast.ColumnRef, ast.Expression], ...]:
+    """(column, parameter or NULL) of the leading ``column = parameter``
+    and ``column = NULL`` conjuncts.  Such a conjunct cannot raise, and
+    with a NULL value it fails every row before any later conjunct runs;
+    so a base access tests these values once, before reading, and not
+    per row."""
     guards = []
     for expr in residual:
         if not (isinstance(expr, ast.BinaryOp) and expr.op == "="):
             break
-        column, parameter = expr.left, expr.right
-        if isinstance(column, ast.Parameter):
-            column, parameter = parameter, column
+        column, value = expr.left, expr.right
+        if isinstance(column, (ast.Parameter, ast.Null)):
+            column, value = value, column
         if not (
-            isinstance(column, ast.ColumnRef) and isinstance(parameter, ast.Parameter)
+            isinstance(column, ast.ColumnRef)
+            and isinstance(value, (ast.Parameter, ast.Null))
         ):
             break
-        guards.append((column, parameter))
+        guards.append((column, value))
     return tuple(guards)
 
 
@@ -1069,16 +1071,16 @@ class _Plan:
     #: The statement's ``force_scan`` plan, once an execution needed it.
     fallback: Optional["_Plan"] = None
     checks: Tuple[Tuple[ast.Expression, Optional[int]], ...] = ()
-    guards: Tuple[Tuple[ast.ColumnRef, ast.Parameter], ...] = ()
+    guards: Tuple[Tuple[ast.ColumnRef, ast.Expression], ...] = ()
 
     def _set_checks(
         self, schema: Schema, placement: Sequence[Tuple[str, str]],
         conjuncts: Sequence[_Conjunct],
     ) -> None:
         """What :meth:`unwalkable` reads.  :attr:`guards`, for one table:
-        the leading ``column = ?`` conjuncts; with a NULL parameter no
-        row passes them before a later conjunct runs, and the plan
-        answers without reading.  :attr:`checks`: each key of the base
+        the leading ``column = ?`` / ``column = NULL`` conjuncts; with a
+        NULL value no row passes them before a later conjunct runs, and
+        the plan answers without reading.  :attr:`checks`: each key of the base
         access that is no guard's parameter (class None), then the bound
         of each conjunct, in any stage, that orders a column against a
         value (``<``, ``<=``, ``>``, ``>=``, ``BETWEEN``) with its
@@ -1089,7 +1091,7 @@ class _Plan:
         if len(placement) == 1:
             self.guards = _null_guards([c.expr for c in conjuncts])
         keys = self.base.keys
-        guarded = [parameter for _, parameter in self.guards]
+        guarded = [value for _, value in self.guards]
         checks: List[Tuple[ast.Expression, Optional[int]]] = [
             (key, None) for key in keys if key not in guarded
         ]
@@ -1107,9 +1109,8 @@ class _Plan:
 
     def unwalkable(self, parameters: Sequence[Any]) -> bool:
         """Must an execution with ``parameters`` run :attr:`fallback`?"""
-        for _, parameter in self.guards:
-            if evaluate_constant(parameter, parameters) is None:
-                return False
+        if any(evaluate_constant(v, parameters) is None for _, v in self.guards):
+            return False
         for expr, rank in self.checks:
             value = evaluate_constant(expr, parameters)
             if value is None:

@@ -33,6 +33,7 @@ import time
 import pytest
 
 from repro.errors import DatabaseError
+from repro.observability.metrics import ROWS_SCANNED
 from repro.rdb import Database
 from repro.sql import ast, parse_statements
 from tests.rdb.test_plan_stability import lift_literals
@@ -609,6 +610,24 @@ def test_a_joined_mistyped_bound_reads_as_written():
     assert plan.fallback is not None and plan.fallback.fallback is None
     assert dbs[0].query("SELECT x.id, p.id FROM t1 x JOIN t0 p ON p.id = x.r_t0 "
                         "WHERE p.id = 19 AND x.f > 9").rows == []
+
+
+def test_a_leading_null_literal_reads_nothing():
+    """``column = NULL`` first in written order fails every row before a
+    later conjunct runs, as a NULL ``column = ?`` does: the plan answers
+    as the oracle without reading a row (the translator writes such a
+    key for a term no row can hold)."""
+    dbs = _make_pair([], [
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, s VARCHAR(9), v INTEGER)",
+        "CREATE INDEX t_v ON t (v)",
+    ], [f"INSERT INTO t (id, s, v) VALUES ({i}, 's{i}', {i})" for i in range(1, 300)])
+    for sql in ["SELECT id FROM t WHERE id = NULL",
+                "SELECT id FROM t WHERE s = NULL AND v < 'x'",
+                "SELECT id FROM t WHERE id = NULL AND s > 5"]:
+        before = ROWS_SCANNED.labels("t").value()
+        assert _outcome(dbs[0], sql) == ("rows", ["id"], [])
+        assert ROWS_SCANNED.labels("t").value() == before, sql
+        assert _outcome(dbs[1], sql) == ("rows", ["id"], [])
 
 
 def test_corpus_size_meets_floor():
