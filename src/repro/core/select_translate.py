@@ -560,7 +560,8 @@ class SelectTranslator:
                 )
         elif isinstance(term, Literal):
             # A literal is no one's subject: ``pk = NULL`` matches no row
-            # (and reads none — the planner's point lookup stops at NULL).
+            # (and reads none as a join's point-lookup key, or first in
+            # written order on one table: the planner's ``_Plan``).
             key = ast.Null()
         # BNodes: non-distinguished — no binding, no condition.
         if key is not None:

@@ -102,11 +102,11 @@ classification logic with the planner it checks, or a mistake there
 would show up on both sides of the comparison.
 
 The same plan is each statement's one written-order fallback
-(:class:`_Plan`): an execution with a NULL key for the base index walk,
-or a literal or parameter bound of the other type class than its column
-in any stage, joined stages included, runs the ``force_scan`` plan (built
-on the first such execution, kept on the plan), so both sides raise on
-the same executions whichever rows the planned one would skip.
+(:class:`_Plan`): an execution with a literal or parameter bound of the
+other type class than its column in any stage, joins included, or a NULL
+key for a one-table index walk, runs the ``force_scan`` plan (built on
+the first such execution, kept on the plan), so both sides raise on the
+same executions whichever rows the planned one would skip.
 """
 
 from __future__ import annotations
@@ -1077,24 +1077,23 @@ class _Plan:
         self, schema: Schema, placement: Sequence[Tuple[str, str]],
         conjuncts: Sequence[_Conjunct],
     ) -> None:
-        """What :meth:`unwalkable` reads.  :attr:`guards`, for one table:
-        the leading ``column = ?`` / ``column = NULL`` conjuncts; with a
-        NULL value no row passes them before a later conjunct runs, and
-        the plan answers without reading.  :attr:`checks`: each key of the base
-        access that is no guard's parameter (class None), then the bound
-        of each conjunct, in any stage, that orders a column against a
-        value (``<``, ``<=``, ``>``, ``>=``, ``BETWEEN``) with its
-        column's type class: numbers are class 0, strings and dates
-        (stored as text) class 1.  A bound is a literal, a parameter or a
-        key: nothing a check evaluates can raise, or was not evaluated
-        before reading anyway."""
+        """What :meth:`unwalkable` reads.  For one table, :attr:`guards`:
+        the leading ``column = ?`` / ``column = NULL`` conjuncts (with a
+        NULL value no row passes them, and the plan answers unread), and
+        a check of class None on each other key of the base access (a
+        NULL runs the full scan; a join's walk reads no row for it).
+        :attr:`checks` also hold the bound of each conjunct, in any stage,
+        that orders a column against a value (``<``, ``<=``, ``>``, ``>=``,
+        ``BETWEEN``), with its column's type class: numbers are class 0,
+        strings and dates (stored as text) class 1.  A bound is a literal,
+        a parameter or a key: nothing a check evaluates can raise, or was
+        not evaluated before reading anyway."""
+        keys = self.base.keys
+        checks: List[Tuple[ast.Expression, Optional[int]]] = []
         if len(placement) == 1:
             self.guards = _null_guards([c.expr for c in conjuncts])
-        keys = self.base.keys
-        guarded = [value for _, value in self.guards]
-        checks: List[Tuple[ast.Expression, Optional[int]]] = [
-            (key, None) for key in keys if key not in guarded
-        ]
+            guarded = [value for _, value in self.guards]
+            checks = [(key, None) for key in keys if key not in guarded]
         for conjunct in conjuncts:
             match = _match_range_conjunct(conjunct.expr, conjunct.stage, self.layout)
             if match is None or match.prefix is not None:

@@ -321,10 +321,10 @@ def _random_dml(rng, specs):
 # execution + comparison
 # ---------------------------------------------------------------------------
 
-def _outcome(db, sql):
+def _outcome(db, sql, parameters=()):
     """What ``sql`` answers — text, or a shape with its value vector."""
     try:
-        result = db.query(sql)
+        result = db.query(sql, parameters)
     except DatabaseError as exc:
         return ("error", type(exc).__name__)
     return ("rows", result.columns, result.rows)
@@ -551,8 +551,9 @@ def test_mistyped_bounds_in_joins_match_forced_scan_oracle(seed):
     point on the joined table's key: the planned side may start from
     either table, walk an index and filter a hash join's build side, so
     only a statement that reads as written where a bound is of the
-    other kind (or, in the variants, a key NULL) raises exactly when the
-    oracle's nested loop brings a row to the conjunct."""
+    other kind raises exactly when the oracle's nested loop brings a row
+    to the conjunct (a variant's NULL key reads no row, unless such a
+    bound sends it to the written-order plan)."""
     rng = random.Random(50_000 + seed)
     specs, ddl = _build_schema(rng)
     planned_db, oracle_db = _make_pair(specs, ddl, _populate(specs, rng))
@@ -628,6 +629,41 @@ def test_a_leading_null_literal_reads_nothing():
         assert _outcome(dbs[0], sql) == ("rows", ["id"], [])
         assert ROWS_SCANNED.labels("t").value() == before, sql
         assert _outcome(dbs[1], sql) == ("rows", ["id"], [])
+
+
+def test_a_null_key_on_a_join_reads_nothing():
+    """A NULL key of a join's base walk (a literal, as the translator
+    writes for a term no row can hold, or a parameter) reads no row of
+    either table, where the written-order plan loops over every pair to
+    find none; a mistyped bound beside it still reads as written."""
+    dbs = _make_pair([], [
+        "CREATE TABLE team (id INTEGER PRIMARY KEY, name VARCHAR(9))",
+        "CREATE TABLE author (id INTEGER PRIMARY KEY, f INTEGER, "
+        "team INTEGER REFERENCES team(id))",
+    ], [f"INSERT INTO team (id, name) VALUES ({i}, 't{i}')" for i in range(1, 21)] + [
+        f"INSERT INTO author (id, f, team) VALUES ({i}, {i}, {i % 20 + 1})"
+        for i in range(1, 401)
+    ])
+    join = "SELECT a.id, t.name FROM author a JOIN team t ON t.id = a.team WHERE "
+    assert dbs[0].explain(join + "t.id = NULL")[1] == (
+        "team: point lookup via primary key (id)"
+    )
+
+    def read(db, sql, parameters):
+        before = [ROWS_SCANNED.labels(t).value() for t in ("author", "team")]
+        outcome = _outcome(db, sql, parameters)
+        after = [ROWS_SCANNED.labels(t).value() for t in ("author", "team")]
+        return outcome, [b - a for a, b in zip(before, after)]
+
+    for sql, parameters in [(join + "t.id = NULL", []), (join + "t.id = ?", [None])]:
+        assert read(dbs[0], sql, parameters) == (("rows", ["id", "name"], []), [0, 0])
+        # (a base access counts the rows it reads; the oracle's scan of
+        # author is its base, its loop over team is not counted)
+        oracle, reads = read(dbs[1], sql, parameters)
+        assert oracle == ("rows", ["id", "name"], []) and reads == [400, 0]
+    sql = join + "t.id = ? AND a.f > 'x'"
+    assert _outcome(dbs[0], sql, [None]) == _outcome(dbs[1], sql, [None])
+    assert _outcome(dbs[0], sql, [None])[0] == "error"
 
 
 def test_corpus_size_meets_floor():

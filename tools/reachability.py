@@ -1,7 +1,7 @@
 """Which functions under ``src/repro`` does anything run?
 
-    python3 tools/reachability.py --work /tmp/reach [--seconds 6]
-        [--tests tests] [--no-tests] [--workloads a,b]
+    python3 tools/reachability.py --work /tmp/reach [--tests tests]
+        [--workloads a,b]
 
 Copies ``src``, ``tests`` and ``benchmarks`` into ``--work`` and puts a
 ``sitecustomize.py`` into the copy's ``src``: every interpreter started
@@ -12,8 +12,9 @@ object's first call, per *context*, and writes what it has every 0.2 s
 (children are SIGKILLed, so nothing waits for exit).  A context is the
 test file running (pytest's ``-p sitecustomize`` sets it before each test
 and hands it to children through the environment), ``import`` before the
-first test, or ``benchmarks:<workload>`` for one ``--trace 1`` run of a
-``BENCHMARK.json`` workload.
+first test, or ``benchmarks:<workload>`` for one seed-1, 6 s ``--trace 1``
+run of a ``BENCHMARK.json`` workload.  An empty ``--tests`` runs no
+pytest, an empty ``--workloads`` no workload.
 
 Every code object of ``src/repro`` below module level (functions,
 methods, lambdas, comprehensions and class bodies) is then put in at
@@ -28,7 +29,7 @@ most one of three lists, written to ``--work`` as text files with a
 
 Cost on a 2-core box: the hook slows the suites by roughly a quarter
 (tier-1 takes about nine minutes under it), and each workload run is its
-set-up plus twice ``--seconds``.  Standard library only.
+set-up plus twice 6 s.  Standard library only.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+#: How long each workload run measures (``run.py --seconds``).
+SECONDS = 6
 
 #: Installed as ``src/sitecustomize.py`` of the copy; also the pytest
 #: plugin (``-p sitecustomize``) that names the context per test file.
@@ -150,9 +153,7 @@ def _run(command: List[str], copy: pathlib.Path, records: pathlib.Path, context:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--work", required=True, help="scratch directory (emptied)")
-    parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--tests", default="tests", help="what pytest runs")
-    parser.add_argument("--no-tests", action="store_true")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args(argv)
 
@@ -161,12 +162,12 @@ def main(argv=None) -> int:
     shutil.rmtree(records, ignore_errors=True)
     records.mkdir(parents=True)
     copy = _copy(work)
-    if not args.no_tests:
+    if args.tests.split():
         _run([sys.executable, "-m", "pytest", "-q", "-p", "sitecustomize",
               *args.tests.split()], copy, records, "import")
     for workload in filter(None, args.workloads.split(",")):
         _run([sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-              "--seed", "1", "--seconds", str(args.seconds), "--trace", "1"],
+              "--seed", "1", "--seconds", str(SECONDS), "--trace", "1"],
              copy, records, f"benchmarks:{workload}")
 
     reached: Dict[str, Set[str]] = {}
