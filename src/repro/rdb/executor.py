@@ -1,14 +1,19 @@
 """Statement execution: SELECT pipeline and DML with constraint enforcement.
 
 The executor operates on the engine's catalog (:mod:`repro.rdb.catalog`)
-and storage (:mod:`repro.rdb.storage`).  Query planning — access-path
-selection, predicate pushdown, join strategy, and per-statement expression
-compilation — lives in :mod:`repro.rdb.planner`; the executor drives the
-compiled plans and implements everything stateful around them:
+and storage (:mod:`repro.rdb.storage`).  Planning and the per-row work
+of every statement kind live in :mod:`repro.rdb.planner`, as code
+generated once per statement shape: a SELECT's pipeline, an UPDATE's or
+DELETE's row selection, and the row write of INSERT, UPDATE and DELETE
+— coercion, NOT NULL, CHECK and FK enforcement under immediate or
+deferred checking (see :mod:`repro.rdb.transactions`), PK/UNIQUE in
+storage.  An INSERT is planned like the others; its literal values are
+no part of its plan, which reads them from the statement it executes.
+The executor drives the plans and does what is stateful around them:
 
 * SELECT: runs the planned pipeline and wraps rows in a :class:`Result`;
-* INSERT/UPDATE/DELETE with NOT NULL, PK/UNIQUE, and FK enforcement under
-  immediate or deferred checking (see :mod:`repro.rdb.transactions`).
+* INSERT/UPDATE/DELETE: hands the plan the table version it may mutate
+  (the engine's copy-on-write gate) and counts the rows written.
 
 It never manages transactions itself; the engine passes in the active
 :class:`~repro.rdb.transactions.Transaction`, whose journal gets one
@@ -18,19 +23,15 @@ entry per mutated row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..deadline import cancellation_point
-from ..errors import CatalogError, DatabaseError, IntegrityError
+from ..errors import CatalogError
 from ..observability.metrics import EXECUTOR_ROWS
 from ..sql import ast
-from ..sql.render import render_expression
-from .catalog import ForeignKey, Schema, Table
-from .expressions import evaluate_constant
+from .catalog import Schema
 from .planner import Planner
 from .storage import TableData
-from .transactions import DEFERRED, Transaction
-from .types import Row
+from .transactions import Transaction
 
 __all__ = ["Result", "Executor"]
 
@@ -107,7 +108,7 @@ class Executor:
         return Result(columns=columns, rows=rows, rowcount=len(rows))
 
     # ==================================================================
-    # DML
+    # DML: each statement's plan writes its rows (see the planner)
     # ==================================================================
 
     def insert(
@@ -116,66 +117,10 @@ class Executor:
         txn: Transaction,
         parameters: Sequence[Any] = (),
     ) -> Result:
-        table = self.schema.table(stmt.table)
-        table_data = self._for_write(stmt.table)
-        columns = stmt.columns or tuple(table.column_names())
-        count = 0
-        for row_exprs in stmt.rows:
-            cancellation_point("executor:dml")
-            if len(row_exprs) != len(columns):
-                raise DatabaseError(
-                    f"INSERT into {stmt.table!r}: {len(columns)} columns but "
-                    f"{len(row_exprs)} values"
-                )
-            values = {
-                col: evaluate_constant(expr, parameters)
-                for col, expr in zip(columns, row_exprs)
-            }
-            self.insert_row(table, table_data, values, txn)
-            count += 1
-        if count:
-            _ROWS_INSERT.inc(count)
-        return Result(columns=[], rows=[], rowcount=count)
-
-    def insert_row(
-        self,
-        table: Table,
-        table_data: TableData,
-        values: Dict[str, Any],
-        txn: Transaction,
-    ) -> int:
-        """Insert one row given as column -> value: the stored row is a
-        new tuple in catalog column order, its values coerced, the
-        columns ``values`` omits filled from AUTOINCREMENT, DEFAULT or
-        NULL."""
-        for col in values:
-            if not table.has_column(col):
-                raise CatalogError(
-                    f"no column {col!r} in table {table.name!r}"
-                )
-        cells: List[Any] = []
-        for column in table.columns.values():
-            if column.name in values:
-                value = values[column.name]
-                if value is not None:
-                    value = column.sql_type.coerce(value, column.name)
-            elif column.autoincrement:
-                value = table_data.next_autoincrement(column.name)
-            elif column.has_default:
-                value = column.sql_type.coerce(column.default, column.name)
-            else:
-                value = None
-            if column.autoincrement and value is not None:
-                table_data.note_autoincrement_value(column.name, value)
-            cells.append(value)
-        row = tuple(cells)
-
-        self._check_not_null(table, row)
-        self._check_row_checks(table, row)
-        self._check_fk_child(table, row, txn)
-        rowid = table_data.insert(row)  # PK/UNIQUE enforced by indexes
-        txn.record("i", table_data, rowid, row)
-        return rowid
+        plan = self.planner.plan(stmt)
+        plan.write(stmt.rows, parameters, self._for_write(stmt.table), self.data, txn)
+        _ROWS_INSERT.inc(len(stmt.rows))
+        return Result(columns=[], rows=[], rowcount=len(stmt.rows))
 
     def update(
         self,
@@ -183,49 +128,7 @@ class Executor:
         txn: Transaction,
         parameters: Sequence[Any] = (),
     ) -> Result:
-        table = self.schema.table(stmt.table)
-        table_data = self._for_write(stmt.table)
-        plan = self.planner.plan(stmt, parameters)
-        targets = plan.matching_rowids(self.data, parameters)
-        count = 0
-        for rowid in targets:
-            cancellation_point("executor:dml")
-            scope = (table_data.rows[rowid],)
-            changes: Dict[str, Any] = {}
-            for name, value_fn in plan.assignment_fns:
-                column = table.column(name)
-                value = value_fn(scope, parameters)
-                changes[column.name] = (
-                    None if value is None else column.sql_type.coerce(value, column.name)
-                )
-            self.update_row(table, table_data, rowid, changes, txn)
-            count += 1
-        if count:
-            _ROWS_UPDATE.inc(count)
-        return Result(columns=[], rows=[], rowcount=count)
-
-    def update_row(
-        self,
-        table: Table,
-        table_data: TableData,
-        rowid: int,
-        changes: Dict[str, Any],
-        txn: Transaction,
-    ) -> None:
-        current = table_data.rows[rowid]
-        new_row = table.replaced(current, changes)
-        self._check_not_null(table, new_row)
-        self._check_row_checks(table, new_row)
-        self._check_fk_child(table, new_row, txn, changed=set(changes))
-        # If a referenced (parent-side) column changes, ensure no child
-        # still points at the old value (RESTRICT semantics).
-        self._check_fk_parent_update(table, current, new_row, txn)
-        # The journal keeps its own copy of ``changes``: it is the logged
-        # post-image and what undo reverts, whatever the caller does next.
-        txn.record(
-            "u", table_data, rowid, dict(changes),
-            table_data.update(rowid, changes),
-        )
+        return self._change(stmt, txn, parameters, _ROWS_UPDATE)
 
     def delete(
         self,
@@ -233,138 +136,22 @@ class Executor:
         txn: Transaction,
         parameters: Sequence[Any] = (),
     ) -> Result:
-        table = self.schema.table(stmt.table)
+        return self._change(stmt, txn, parameters, _ROWS_DELETE)
+
+    def _change(
+        self,
+        stmt: Union[ast.Update, ast.Delete],
+        txn: Transaction,
+        parameters: Sequence[Any],
+        counter: Any,
+    ) -> Result:
         table_data = self._for_write(stmt.table)
         plan = self.planner.plan(stmt, parameters)
         targets = plan.matching_rowids(self.data, parameters)
-        count = 0
-        for rowid in targets:
-            cancellation_point("executor:dml")
-            row = table_data.rows[rowid]
-            self._check_fk_parent_delete(table, row, txn)
-            txn.record("d", table_data, rowid, None, table_data.delete(rowid))
-            count += 1
-        if count:
-            _ROWS_DELETE.inc(count)
-        return Result(columns=[], rows=[], rowcount=count)
-
-    # ==================================================================
-    # constraint checks
-    # ==================================================================
-
-    def _check_not_null(self, table: Table, row: Row) -> None:
-        for column, value in zip(table.columns.values(), row):
-            mandatory = column.not_null or column.name in table.primary_key
-            if mandatory and value is None:
-                raise IntegrityError(
-                    f"NOT NULL violation: {table.name}.{column.name}",
-                    constraint="not null",
-                    table=table.name,
-                    column=column.name,
-                )
-
-    def _check_row_checks(self, table: Table, row: Row) -> None:
-        """CHECK constraints: NULL results pass (SQL semantics), False
-        fails."""
-        for expression, check in zip(table.checks, table.compiled_checks):
-            if check((row,), ()) is False:
-                raise IntegrityError(
-                    f"CHECK constraint violated on {table.name!r}: "
-                    f"{render_expression(expression)}",
-                    constraint="check",
-                    table=table.name,
-                )
-
-    def _check_fk_child(
-        self,
-        table: Table,
-        row: Row,
-        txn: Transaction,
-        changed: Optional[Set[str]] = None,
-    ) -> None:
-        """The row's FK values must exist in their parent tables."""
-        for fk in table.foreign_keys:
-            if changed is not None and not (set(fk.columns) & changed):
-                continue
-            check = self._fk_child_check(table, fk, row)
-            if txn.mode == DEFERRED:
-                txn.defer_check(check)
-            else:
-                check()
-
-    def _fk_child_check(
-        self, table: Table, fk: ForeignKey, row: Row
-    ) -> Callable[[], None]:
-        def check() -> None:
-            values = tuple([row[table.positions[c]] for c in fk.columns])
-            if any(v is None for v in values):
-                return  # NULL FK components never violate
-            parent = self.schema.table(fk.ref_table)
-            ref_columns = tuple(fk.ref_columns or parent.primary_key)
-            if not self._table_data(fk.ref_table).has_key(ref_columns, values):
-                raise IntegrityError(
-                    f"foreign key violation: {table.name}."
-                    f"{','.join(fk.columns)} = {values!r} has no match in "
-                    f"{fk.ref_table}",
-                    constraint="foreign key",
-                    table=table.name,
-                    column=fk.columns[0],
-                )
-
-        return check
-
-    def _check_fk_parent_delete(
-        self, table: Table, row: Row, txn: Transaction
-    ) -> None:
-        """RESTRICT: a row being deleted must not be referenced anymore."""
-        for child, fk in self.schema.referencing_tables(table.name):
-            ref_columns = tuple(fk.ref_columns or table.primary_key)
-            values = tuple([row[table.positions[c]] for c in ref_columns])
-            if any(v is None for v in values):
-                continue
-            check = self._fk_parent_check(child, fk, ref_columns, values)
-            if txn.mode == DEFERRED:
-                txn.defer_check(check)
-            else:
-                check()
-
-    def _check_fk_parent_update(
-        self, table: Table, old_row: Row, new_row: Row, txn: Transaction
-    ) -> None:
-        for child, fk in self.schema.referencing_tables(table.name):
-            ref_columns = tuple(fk.ref_columns or table.primary_key)
-            positions = [table.positions[c] for c in ref_columns]
-            old_values = tuple([old_row[p] for p in positions])
-            new_values = tuple([new_row[p] for p in positions])
-            if old_values == new_values or any(v is None for v in old_values):
-                continue
-            check = self._fk_parent_check(child, fk, ref_columns, old_values)
-            if txn.mode == DEFERRED:
-                txn.defer_check(check)
-            else:
-                check()
-
-    def _fk_parent_check(
-        self,
-        child: Table,
-        fk: ForeignKey,
-        ref_columns: Tuple[str, ...],
-        values: Tuple[Any, ...],
-    ) -> Callable[[], None]:
-        def check() -> None:
-            if self._table_data(child.name).has_key(tuple(fk.columns), values):
-                raise IntegrityError(
-                    f"foreign key violation: rows in {child.name!r} still "
-                    f"reference {fk.ref_table}.{','.join(ref_columns)} = "
-                    f"{values!r}",
-                    constraint="foreign key",
-                    table=child.name,
-                    column=fk.columns[0],
-                )
-
-        return check
-
-    # ==================================================================
+        plan.write(targets, parameters, table_data, self.data, txn)
+        if targets:
+            counter.inc(len(targets))
+        return Result(columns=[], rows=[], rowcount=len(targets))
 
     def _table_data(self, name: str) -> TableData:
         try:

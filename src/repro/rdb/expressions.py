@@ -4,9 +4,10 @@ There is one evaluator, and it is an *emitter*: :class:`Function` turns a
 :mod:`repro.sql.ast` expression plus a :class:`ScopeLayout` into a Python
 expression string, and :class:`Source` collects the functions written
 around such strings into one text that is compiled once — per plan
-(:mod:`repro.rdb.planner` generates every operator's per-row body this
-way, and puts what it must call as a function — ORDER BY and GROUP BY
-keys, aggregate arguments, UPDATE assignments — into the same unit with
+(:mod:`repro.rdb.planner` generates every operator's per-row body and
+every DML row write this way, and puts what it must call as a function
+— GROUP BY keys, aggregate arguments, UPDATE assignments, INSERT VALUES
+cells that are expressions — into the same unit with
 :func:`emit_expression`) or per expression (:func:`compile_expression`,
 for a caller with no plan to put it in: CHECK constraints).  Evaluating
 a row is then running straight-line Python: no tree walk, no name
@@ -35,8 +36,8 @@ Literal values, compiled LIKE patterns and helper functions reach the
 code only as entries of ``K`` — no request value or identifier is ever
 spliced into source.
 
-Expressions that may not reference columns (INSERT VALUES, column
-DEFAULTs) go through :func:`evaluate_constant`.  The value-level helpers
+Expressions that may not reference columns outside a plan (column
+DEFAULTs, a plan's fallback checks) go through :func:`evaluate_constant`.  The value-level helpers
 (:func:`combine_binary`, :func:`combine_unary`) are what the planner's
 aggregate path applies to already-computed values, and what
 :func:`evaluate_constant` applies to operators over constants; they
@@ -694,8 +695,8 @@ def emit_expression(
 ) -> str:
     """Write ``def <prefix><n>(rows, parameters)`` returning the value of
     ``expr`` into ``source`` — how a plan keeps the expressions it calls
-    per row or per group (ORDER BY and GROUP BY keys, aggregate
-    arguments, UPDATE assignments) in its one unit; returns the name.
+    per row or per group (GROUP BY keys, aggregate arguments, UPDATE
+    assignments, INSERT VALUES cells) in its one unit; returns the name.
 
     ``rows`` is a tuple of row tuples laid out by ``layout``; only the
     slots the expression reads are touched.
@@ -758,17 +759,19 @@ _NO_COLUMNS = ScopeLayout(())
 
 
 def evaluate_constant(expr: ast.Expression, parameters: Sequence[Any] = ()) -> Any:
-    """Evaluate an expression that must not reference columns (defaults,
-    VALUES entries); ``None`` represents SQL NULL.
+    """Evaluate an expression that must not reference columns (a column
+    DEFAULT at CREATE TABLE, the values a plan's fallback checks read
+    per execution); ``None`` represents SQL NULL.
 
-    It runs once per cell of an inserted row, and INSERT is never
-    planned, so generating a function here is a ``compile()`` per cell.
-    What VALUES lists hold in practice is answered directly — a literal,
-    a parameter (every value of a row the mediator inserts), NULL, and
-    arithmetic / ``||`` / comparisons over those, which are the
-    value-level operators applied to both operands whatever they are.
-    Everything else (``AND`` / ``OR``, ``IN``, ``BETWEEN``, ``LIKE``,
-    function calls: forms with evaluation rules of their own) is generated.
+    An INSERT's VALUES cells do not come here: INSERT is planned, and
+    its plan reads a literal from the statement and writes every other
+    cell into its unit.  What the callers pass in practice is answered
+    directly — a literal, a parameter, NULL, and arithmetic / ``||`` /
+    comparisons over those, which are the value-level operators applied
+    to both operands whatever they are.  Everything else (``AND`` /
+    ``OR``, ``IN``, ``BETWEEN``, ``LIKE``, function calls: forms with
+    evaluation rules of their own) is generated, a ``compile()`` per
+    call.
     """
     kind = type(expr)
     if kind is ast.Literal:

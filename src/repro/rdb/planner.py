@@ -3,8 +3,9 @@
 The planner turns ``ast.Select``/``ast.Update``/``ast.Delete`` into
 compiled, index-aware access paths so per-operation cost scales with the
 *request* rather than the database — the feasibility property the paper's
-Section 5/6 measurements rest on.  Every planning job has one
-implementation:
+Section 5/6 measurements rest on — and ``ast.Insert`` /
+``ast.Update`` / ``ast.Delete`` into generated row writes.  Every
+planning job has one implementation:
 
 * **One equi-key matcher** (:func:`_column_eq_prior`): ``column of slot
   k = expression over slots < k``.  At slot 0 "earlier slots" is "no
@@ -55,16 +56,23 @@ implementation:
   comprehension, with every predicate and projection written out by the
   emitter of :mod:`repro.rdb.expressions` and every parameter and
   constant hoisted into a local before the loop.  A row costs the
-  bytecode of its predicates, not a Python call per AST node.  The
-  expressions grouping, sorting and UPDATE call per row or per group
-  (``group<n>`` / ``order<n>`` keys, aggregate ``argument<n>``,
-  ``assign<n>``) are functions of the same unit: one ``compile()`` per
-  plan, and ``plan.source`` shows all of the plan's code.  What is
-  *not* generated: the choice of plan (everything above), the row-id
-  walks of the index paths (an :class:`_IndexWalk`'s ``rowids``),
-  grouping, sorting and DISTINCT / LIMIT, and the protocol between operators —
-  they stay separate iterators over scope tuples, which is what EXPLAIN
-  ANALYZE wraps to time each one and what a deadline interrupts.  The
+  bytecode of its predicates, not a Python call per AST node.  ORDER BY
+  is ``order`` (:func:`_emit_order`): each row's keys in one tuple per
+  run of same-direction keys — an output column read by position, an
+  expression inlined — then one stable ``list.sort`` per run, last run
+  first, so rows compare in C and equal keys keep scan order; OFFSET /
+  LIMIT slice the result.  The expressions grouping and UPDATE call
+  per row or per group (``group<n>`` keys, aggregate ``argument<n>``,
+  ``assign<n>``) are functions of the same unit, and so is a DML
+  statement's row write, ``write`` (:class:`_RowWrite`,
+  :class:`CompiledInsert`, :class:`CompiledMutation`): one
+  ``compile()`` per plan, and ``plan.source`` shows all of the plan's
+  code.  What is *not* generated: the choice of plan (everything
+  above), the row-id walks of the index paths (an
+  :class:`_IndexWalk`'s ``rowids``), grouping, DISTINCT, and the
+  protocol between operators — they stay separate iterators over scope
+  tuples, which is what EXPLAIN ANALYZE wraps to time each one and
+  what a deadline interrupts.  The
   text is on the plan (``plan.source``) and a traceback through it shows
   the generated line; it lives in the generated functions' globals, so
   it is freed with the plan.  The cost: building a plan takes a few
@@ -83,7 +91,10 @@ Plans are cached per statement *shape* (frozen dataclasses hash) in an
 LRU; DDL invalidates the cache through :meth:`Planner.invalidate`.  The
 mediator's statements carry their request values as parameters
 (:class:`repro.sql.ast.Bound`), so all bindings of one template are one
-shape and one plan.  Nothing here reads a parameter's value at plan time:
+shape and one plan.  An INSERT's shape leaves out the literal values of
+its VALUES cells (:func:`_insert_key`): its plan reads them from the
+statement it executes, so a bulk load of literal INSERTs builds one plan
+per table and column list.  Nothing here reads a parameter's value at plan time:
 the one constant planning does look at, a ``LIKE`` pattern (it decides
 whether a prefix scan applies), therefore has to stay a literal.
 Statistics are read at plan time, so a shape is costed once per
@@ -111,7 +122,6 @@ same executions whichever rows the planned one would skip.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from collections import OrderedDict
@@ -134,17 +144,18 @@ from typing import (
 )
 
 from ..deadline import cancellation_point
-from ..errors import DatabaseError
+from ..errors import CatalogError, DatabaseError, IntegrityError
 from ..observability.metrics import FULL_SCANS, ROWS_SCANNED
 from ..observability.tracing import annotate, current_probe, current_trace
 from ..sql import ast
 from ..sql.render import render_expression
-from .catalog import Schema
+from .catalog import Column, ForeignKey, Schema, Table
 from .expressions import (
     AGGREGATE_FUNCTIONS,
     Compiled,
     Function,
     ScopeLayout,
+    _parameter,
     Source,
     combine_binary,
     combine_unary,
@@ -153,11 +164,13 @@ from .expressions import (
     referenced_slots,
 )
 from .storage import PAGE_BITS, PAGE_SIZE, UNBOUNDED, TableData
-from .types import DateType, Row, StringType
+from .transactions import DEFERRED
+from .types import DateType, FloatType, IntegerType, Row, StringType
 
 __all__ = [
     "Planner",
     "CompiledSelect",
+    "CompiledInsert",
     "CompiledMutation",
     "StaleSnapshotError",
 ]
@@ -900,28 +913,14 @@ class _JoinStep:
 # ORDER BY machinery
 # ---------------------------------------------------------------------------
 
-class _Desc:
-    """Inverts comparison so one sort pass handles mixed ASC/DESC keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Desc") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Desc) and other.key == self.key
-
-
 def _null_safe_key(value: Any) -> Tuple[int, int, Any]:
     """NULLs sort before everything; mixed types sort by type class.
 
     CONTRACT: on non-NULL values this must order exactly like
     :func:`repro.rdb.storage._ordered_key` — the index-ordered access
     path replaces this sort with an ordered-index walk.  Change both
-    together (a unit test asserts the orders agree).
+    together (a unit test asserts the orders agree).  The generated
+    ``order`` function answers a str or an int inline, as this does.
     """
     if value is None:
         return (0, 0, "")
@@ -932,34 +931,52 @@ def _null_safe_key(value: Any) -> Tuple[int, int, Any]:
     return (1, 1, str(value))
 
 
-class _OrderKey:
-    """One ORDER BY item as a per-row key extractor: an output column by
-    position, or an expression — the plan's generated function ``name``,
-    which the plan binds to ``fn`` once its source is compiled."""
+def _emit_order(
+    source: Source,
+    layout: ScopeLayout,
+    keys: Sequence[Tuple[Union[int, ast.Expression], bool]],
+    grouped: bool,
+) -> str:
+    """Write ``order(scopes, rows, parameters)``, which returns ``rows``
+    (the projected rows, ``scopes`` the scopes they came from, None when
+    grouped) sorted by ``keys``: (output position or expression over the
+    scope, descending) per ORDER BY item.
 
-    __slots__ = ("alias_position", "name", "fn", "descending")
-
-    def __init__(
-        self,
-        alias_position: Optional[int],
-        name: Optional[str],
-        descending: bool,
-    ) -> None:
-        self.alias_position = alias_position
-        self.name = name
-        self.fn: Optional[Compiled] = None
-        self.descending = descending
-
-    def key(
-        self, row: Tuple[Any, ...], scope: Tuple[Row, ...], parameters: Sequence[Any]
-    ) -> Any:
-        if self.alias_position is not None:
-            value = row[self.alias_position]
+    Each row is decorated once with its keys, one tuple per run of
+    consecutive items of one direction, and the runs are sorted last run
+    first, one stable ``list.sort`` pass each (``reverse=True`` for a
+    DESC run keeps ties in order too): the decorated tuples compare in
+    C, no Python call per comparison, and equal keys keep scan order."""
+    fn = source.function("order", "scopes, rows, parameters", layout)
+    key_of = fn.helper("null_safe_key", _null_safe_key)
+    runs: List[Tuple[bool, List[str]]] = []
+    for key, descending in keys:
+        value = f"row[{key}]" if isinstance(key, int) else fn.value(key)
+        t = fn.temp()
+        code = (
+            f"((1, 1, {t}) if ({t} := {value}).__class__ is str else "
+            f"(1, 0, {t}) if {t}.__class__ is int else {key_of}({t}))"
+        )
+        if runs and runs[-1][0] == descending:
+            runs[-1][1].append(code)
         else:
-            assert self.fn is not None
-            value = self.fn(scope, parameters)
-        base = _null_safe_key(value)
-        return _Desc(base) if self.descending else base
+            runs.append((descending, [code]))
+    decorated = _tuple(
+        [parts[0] if len(parts) == 1 else _tuple(parts) for _, parts in runs]
+        + ["row"]
+    )
+    if grouped:
+        source_rows = "row in rows"
+    else:
+        scope = _tuple([f"r{slot}" for slot in range(len(layout))])
+        source_rows = f"{scope}, row in zip(scopes, rows)"
+    lines = [f"decorated = [{decorated} for {source_rows}]"]
+    for position in reversed(range(len(runs))):
+        item = fn.helper(f"item{position}", itemgetter(position))
+        reverse = ", reverse=True" if runs[position][0] else ""
+        lines.append(f"decorated.sort(key={item}{reverse})")
+    lines.append(f"return [entry[{len(runs)}] for entry in decorated]")
+    return fn.close(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,6 +1076,27 @@ def _type_class(value: Any) -> int:
     return 0 if isinstance(value, (int, float)) else 1 if isinstance(value, str) else -1
 
 
+def _ordered_operands(
+    expr: ast.Expression,
+) -> Iterator[Tuple[ast.ColumnRef, ast.Expression]]:
+    """(column, other operand) of each ``<``, ``<=``, ``>``, ``>=`` and
+    ``[NOT] BETWEEN`` that orders a column, in ``expr`` or under its AND,
+    OR and NOT."""
+    if isinstance(expr, ast.BinaryOp):
+        if expr.op in ("AND", "OR"):
+            yield from _ordered_operands(expr.left)
+            yield from _ordered_operands(expr.right)
+        elif expr.op in _FLIPPED_COMPARISON:
+            for column, value in ((expr.left, expr.right), (expr.right, expr.left)):
+                if isinstance(column, ast.ColumnRef):
+                    yield column, value
+    elif isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
+        yield from _ordered_operands(expr.operand)
+    elif isinstance(expr, ast.Between) and isinstance(expr.operand, ast.ColumnRef):
+        yield expr.operand, expr.low
+        yield expr.operand, expr.high
+
+
 class _Plan:
     """What a SELECT plan and an UPDATE / DELETE row selection share:
     when an execution runs its written-order :attr:`fallback` (see the
@@ -1082,12 +1120,15 @@ class _Plan:
         NULL value no row passes them, and the plan answers unread), and
         a check of class None on each other key of the base access (a
         NULL runs the full scan; a join's walk reads no row for it).
-        :attr:`checks` also hold the bound of each conjunct, in any stage,
-        that orders a column against a value (``<``, ``<=``, ``>``, ``>=``,
-        ``BETWEEN``), with its column's type class: numbers are class 0,
-        strings and dates (stored as text) class 1.  A bound is a literal,
-        a parameter or a key: nothing a check evaluates can raise, or was
-        not evaluated before reading anyway."""
+        :attr:`checks` also hold each value a column is ordered against
+        (``<``, ``<=``, ``>``, ``>=``, ``[NOT] BETWEEN``) in a conjunct of
+        any stage, at its top or under AND, OR and NOT, with the
+        column's type class: numbers are class 0, strings and dates
+        (stored as text) class 1.  A value is a literal, a parameter or
+        a key: nothing a check evaluates can raise, or was not evaluated
+        before reading anyway.  A comparison the written-order plan
+        would not reach (behind an OR that is already TRUE) only sends
+        such an execution to it needlessly; it answers the same."""
         keys = self.base.keys
         checks: List[Tuple[ast.Expression, Optional[int]]] = []
         if len(placement) == 1:
@@ -1095,15 +1136,10 @@ class _Plan:
             guarded = [value for _, value in self.guards]
             checks = [(key, None) for key in keys if key not in guarded]
         for conjunct in conjuncts:
-            match = _match_range_conjunct(conjunct.expr, conjunct.stage, self.layout)
-            if match is None or match.prefix is not None:
-                continue
-            table = schema.table(placement[conjunct.stage][1])
-            rank = int(_stores_text(table, match.column))
-            checks += [
-                (bound, rank) for bound in (match.lo, match.hi)
-                if isinstance(bound, (ast.Literal, ast.Parameter)) or bound in keys
-            ]
+            for column, value in _ordered_operands(conjunct.expr):
+                if isinstance(value, (ast.Literal, ast.Parameter)) or value in keys:
+                    table = schema.table(placement[self.layout.resolve(column)[0]][1])
+                    checks.append((value, int(_stores_text(table, column.name))))
         self.checks = tuple(checks)
 
     def unwalkable(self, parameters: Sequence[Any]) -> bool:
@@ -1190,24 +1226,17 @@ class CompiledSelect(_Plan):
                 else None
             )
         alias_positions = {name: i for i, name in enumerate(self.columns)}
-        self.order_keys: List[_OrderKey] = []
+        #: (output position or expression, descending) per ORDER BY item
+        self._order_keys: List[Tuple[Union[int, ast.Expression], bool]] = []
         for item in stmt.order_by:
             expr = item.expression
             names_output = (
                 isinstance(expr, ast.ColumnRef) and expr.name in alias_positions
             )
             if names_output and (self._grouped or expr.table is None):
-                self.order_keys.append(
-                    _OrderKey(alias_positions[expr.name], None, item.descending)
-                )
+                self._order_keys.append((alias_positions[expr.name], item.descending))
             elif not self._grouped:
-                self.order_keys.append(
-                    _OrderKey(
-                        None,
-                        emit_expression(source, expr, self.layout, "order"),
-                        item.descending,
-                    )
-                )
+                self._order_keys.append((expr, item.descending))
             # else: a group has no single row to evaluate the expression
             # on — grouped results order by output columns only.
         if not self._grouped and not force_scan:
@@ -1473,7 +1502,7 @@ class CompiledSelect(_Plan):
             return
         item = stmt.order_by[0]
         expr = item.expression
-        # ORDER BY resolves output aliases first (same rule as _OrderKey);
+        # ORDER BY resolves output aliases first (same rule as _order_keys);
         # follow the indirection to the underlying expression.
         if (
             isinstance(expr, ast.ColumnRef)
@@ -1540,10 +1569,11 @@ class CompiledSelect(_Plan):
         group_keys: List[str],
     ) -> None:
         """Write the operators into the plan's source — ``base``, one
-        ``join<slot>`` per step and (ungrouped) ``project``, each with its
-        predicates and projections inlined and its parameters and
-        constants hoisted — next to the GROUP BY / ORDER BY key and
-        aggregate-argument functions already there, and compile it."""
+        ``join<slot>`` per step, (ungrouped) ``project`` and the ORDER BY
+        sort ``order``, each with its predicates, projections and keys
+        inlined and its parameters and constants hoisted — next to the
+        GROUP BY key and aggregate-argument functions already there, and
+        compile it."""
         if self.base is None:
             fn = source.function("base", "data, parameters", self.layout)
             constant = [fn.truth(e) for e in _split_conjuncts(self.stmt.where)]
@@ -1557,6 +1587,8 @@ class CompiledSelect(_Plan):
             values = _tuple([fn.value(expr) for expr, _ in items])
             scope = _tuple([f"r{i}" for i in range(len(self.layout))])
             fn.close([f"return [{values} for {scope} in scopes]"])
+        if self._order_keys and not self._index_ordered:
+            _emit_order(source, self.layout, self._order_keys, self._grouped)
         namespace = source.build()
         #: The generated Python text this plan executes.
         self.source = source.text
@@ -1566,10 +1598,10 @@ class CompiledSelect(_Plan):
         self._project: Callable[..., List[Tuple[Any, ...]]] = namespace.get(
             "project"
         )
+        self._order: Optional[Callable[..., List[Tuple[Any, ...]]]] = (
+            namespace.get("order")
+        )
         self.group_fns: List[Compiled] = [namespace[name] for name in group_keys]
-        for key in self.order_keys:
-            if key.name is not None:
-                key.fn = namespace[key.name]
 
     def scopes(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
@@ -1646,20 +1678,8 @@ class CompiledSelect(_Plan):
                 scopes = islice(scopes, self._stop)
             return self._project(scopes, parameters)
 
-        # Precompute every sort key exactly once per row; both sorts are
-        # stable and compare the keys only.
-        order_keys = self.order_keys
         scopes = list(self.scopes(data, parameters))
-        decorated: List[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = [
-            (tuple(k.key(row, scope, parameters) for k in order_keys), row)
-            for scope, row in zip(scopes, self._project(scopes, parameters))
-        ]
-        if self._stop is not None:
-            # Top-k: no need to sort rows that LIMIT/OFFSET will drop.
-            decorated = heapq.nsmallest(self._stop, decorated, key=itemgetter(0))
-        else:
-            decorated.sort(key=itemgetter(0))
-        return [row for _, row in decorated]
+        return self._order(scopes, self._project(scopes, parameters), parameters)
 
     def _execute_grouped(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
@@ -1681,11 +1701,8 @@ class CompiledSelect(_Plan):
             rows.append(
                 tuple(fn(members, parameters) for fn in self.item_fns_grouped)
             )
-        if self.order_keys:
-            order_keys = self.order_keys
-            rows.sort(
-                key=lambda row: tuple(k.key(row, (), parameters) for k in order_keys)
-            )
+        if self._order is not None:
+            return self._order(None, rows, parameters)
         return rows
 
     def describe(self) -> List[str]:
@@ -1711,17 +1728,368 @@ class CompiledSelect(_Plan):
                     "order by via ordered index (no sort)"
                     + ("" if stop is None else f", stop after {stop}")
                 )
-            elif self.stmt.order_by:
+            elif self._order is not None:
+                passes = 1 + sum(
+                    a[1] != b[1]
+                    for a, b in zip(self._order_keys, self._order_keys[1:])
+                )
                 lines.append(
-                    f"order by {len(self.stmt.order_by)} key(s)"
-                    + ("" if stop is None else f", top-{stop} via heap")
+                    f"order by {len(self._order_keys)} key(s), "
+                    f"{passes} stable sort pass(es)"
                 )
         return lines
 
 
+# ---------------------------------------------------------------------------
+# row writes: what INSERT, UPDATE and DELETE do per row, as generated code
+# ---------------------------------------------------------------------------
+
+_NO_COLUMNS = ScopeLayout(())
+
+
+def _table_data(data: Dict[str, TableData], name: str) -> TableData:
+    try:
+        return data[name]
+    except KeyError:
+        raise CatalogError(f"no such table: {name!r}") from None
+
+
+def _no_parent(table: str, fk: ForeignKey, values: Tuple[Any, ...]) -> IntegrityError:
+    """A row's foreign key ``values`` match no row of the parent table."""
+    return IntegrityError(
+        f"foreign key violation: {table}.{','.join(fk.columns)} = {values!r} "
+        f"has no match in {fk.ref_table}",
+        constraint="foreign key",
+        table=table,
+        column=fk.columns[0],
+    )
+
+
+def _still_referenced(
+    child: str, fk: ForeignKey, ref_columns: Tuple[str, ...], values: Tuple[Any, ...]
+) -> IntegrityError:
+    """Rows of ``child`` still reference the parent key ``values``
+    (RESTRICT)."""
+    return IntegrityError(
+        f"foreign key violation: rows in {child!r} still reference "
+        f"{fk.ref_table}.{','.join(ref_columns)} = {values!r}",
+        constraint="foreign key",
+        table=child,
+        column=fk.columns[0],
+    )
+
+
+def _parent_check(
+    table: str, fk: ForeignKey, ref_columns: Tuple[str, ...],
+    data: Dict[str, TableData], values: Tuple[Any, ...],
+) -> None:
+    """A deferred child-side probe: run at COMMIT against the parent
+    table of that moment."""
+    if not _table_data(data, fk.ref_table).has_key(ref_columns, values):
+        raise _no_parent(table, fk, values)
+
+
+def _children_check(
+    child: str, fk: ForeignKey, ref_columns: Tuple[str, ...],
+    data: Dict[str, TableData], values: Tuple[Any, ...],
+) -> None:
+    """A deferred RESTRICT probe: run at COMMIT against the child table
+    of that moment."""
+    if _table_data(data, child).has_key(tuple(fk.columns), values):
+        raise _still_referenced(child, fk, ref_columns, values)
+
+
+def _raiser(error: DatabaseError) -> Callable[[], DatabaseError]:
+    """What raises ``error`` again, a new instance each time: a VALUES
+    cell that cannot be written as code fails where it is read."""
+    return partial(type(error), *error.args)
+
+
+class _RowWrite:
+    """The ``write`` function of a DML plan under construction: the
+    per-statement lines it hoists (transaction methods, the index
+    entries its foreign-key probes read) and the per-row checks of
+    INSERT and UPDATE, in the order a row meets them — NOT NULL, then
+    each CHECK, then each foreign key — with the catalog's messages.
+    A probe runs at once in IMMEDIATE mode and is queued, as the same
+    check, in DEFERRED mode; a key with a NULL component never probes."""
+
+    def __init__(self, source: Source, arguments: str, layout: ScopeLayout, table: Table) -> None:
+        self.fn = source.function("write", arguments, layout)
+        self.table = table
+        self.setup: List[str] = []
+        self._hoisted: Set[str] = set()
+
+    def named(self, prefix: str, value: Any) -> str:
+        """A helper local of its own for ``value`` (``prefix`` is ours)."""
+        return self.fn.helper(f"{prefix}{len(self.fn.source.constants)}", value)
+
+    def hoist(self, name: str, value: str) -> str:
+        """``name = value`` once, before the loop; returns ``name``."""
+        if name not in self._hoisted:
+            self._hoisted.add(name)
+            self.setup.append(f"{name} = {value}")
+        return name
+
+    def coerced(self, column: Column, value: str) -> str:
+        """``value`` (a local) as stored in ``column``: as it is when it
+        already has the column's storage class, NULL as NULL, else what
+        the type's ``coerce`` makes of it (or raises)."""
+        sql_type = column.sql_type
+        coerce = self.named("coerce", sql_type.coerce)
+        slow = f"None if {value} is None else {coerce}({value}, {column.name!r})"
+        if isinstance(sql_type, IntegerType):
+            fast = f"{value}.__class__ is int"
+        elif isinstance(sql_type, FloatType):
+            fast = f"{value}.__class__ is float"
+        elif isinstance(sql_type, StringType):
+            fast = f"{value}.__class__ is str"
+            if sql_type.length is not None:
+                fast += f" and len({value}) <= {sql_type.length!r}"
+        else:
+            return f"({slow})"
+        return f"({value} if {fast} else {slow})"
+
+    def not_null(self, codes: Sequence[str], tested: Iterable[int]) -> List[str]:
+        """A NOT NULL / PRIMARY KEY column whose value (``codes``: per
+        position) may be NULL — its position is in ``tested``, or its
+        value is NULL outright — in catalog order."""
+        table = self.table
+        tested = set(tested)
+        lines: List[str] = []
+        for position, column in enumerate(table.columns.values()):
+            if not (column.not_null or column.name in table.primary_key):
+                continue
+            if codes[position] != "None" and position not in tested:
+                continue
+            fail = self.named("null", partial(
+                IntegrityError,
+                f"NOT NULL violation: {table.name}.{column.name}",
+                constraint="not null", table=table.name, column=column.name,
+            ))
+            if codes[position] == "None":
+                return lines + [f"raise {fail}()"]
+            lines += [f"if {codes[position]} is None:", f"    raise {fail}()"]
+        return lines
+
+    def row_checks(self, row: str) -> List[str]:
+        """The table's compiled CHECKs on the row tuple ``row``: NULL
+        passes, FALSE fails."""
+        table = self.table
+        lines: List[str] = []
+        for expression, check in zip(table.checks, table.compiled_checks):
+            test = self.named("check", check)
+            fail = self.named("failed", partial(
+                IntegrityError,
+                f"CHECK constraint violated on {table.name!r}: "
+                f"{render_expression(expression)}",
+                constraint="check", table=table.name,
+            ))
+            lines += [f"if {test}(({row},), ()) is False:", f"    raise {fail}()"]
+        return lines
+
+    def parent_probe(self, schema: Schema, fk: ForeignKey, codes: Sequence[str]) -> List[str]:
+        """The row (``codes``: per position) must find its parent row."""
+        table = self.table
+        parts = [codes[table.positions[c]] for c in fk.columns]
+        ref_columns = tuple(fk.ref_columns or schema.table(fk.ref_table).primary_key)
+        return self._probe(
+            parts, fk.ref_table, ref_columns, "not in",
+            partial(_parent_check, table.name, fk, ref_columns),
+            partial(_no_parent, table.name, fk),
+        )
+
+    def children_probe(self, child: Table, fk: ForeignKey, parts: Sequence[str]) -> List[str]:
+        """No row of ``child`` may hold the parent key ``parts``."""
+        ref_columns = tuple(fk.ref_columns or self.table.primary_key)
+        return self._probe(
+            parts, child.name, tuple(fk.columns), "in",
+            partial(_children_check, child.name, fk, ref_columns),
+            partial(_still_referenced, child.name, fk, ref_columns),
+        )
+
+    def _probe(
+        self, parts: Sequence[str], table: str, columns: Tuple[str, ...],
+        violated: str, later: Any, fail: Any,
+    ) -> List[str]:
+        if "None" in parts:
+            return []  # a NULL component never violates
+        self.hoist("deferred", f"txn.mode == {self.fn.helper('DEFERRED', DEFERRED)}")
+        self.hoist("defer", "txn.defer_check")
+        bind = self.fn.helper("partial", partial)
+        entries = self.hoist(
+            f"keys{len(self.setup)}",
+            f"data[{table!r}].indexes[{columns!r}].entries",
+        )
+        values = _tuple(parts)
+        key = parts[0] if len(parts) == 1 else values
+        later, fail = self.named("later", later), self.named("violation", fail)
+        return [
+            f"if {' and '.join(f'{part} is not None' for part in parts)}:",
+            "    if deferred:",
+            f"        defer({bind}({later}, data, {values}))",
+            f"    elif {key} {violated} {entries}:",
+            f"        raise {fail}({values})",
+        ]
+
+    def close(self, loop: Sequence[str]) -> str:
+        return self.fn.close(self.setup + list(loop))
+
+
+class CompiledInsert:
+    """An INSERT shape's row write, generated once (``write``).
+
+    The shape is the table, the column list and each VALUES cell with
+    its literals left out (:func:`_insert_key`): a literal is read from
+    the executed statement's cell, so statements that differ only in
+    their literals share this plan.  Per row, ``write`` reads each cell —
+    a literal from the statement, a parameter through the hoist that
+    names a missing one, any other expression through a function of the
+    unit — in written order; coerces the values in catalog order (an
+    omitted column takes the next AUTOINCREMENT value, its DEFAULT or
+    NULL); tests NOT NULL where a value can be NULL; runs the checks of
+    :class:`_RowWrite`; and stores and journals the row, where PRIMARY
+    KEY and UNIQUE are enforced.  Nothing is costed: an INSERT has no
+    access path and no fallback."""
+
+    checks: Tuple[Any, ...] = ()
+    fallback = None
+
+    def __init__(
+        self,
+        schema: Schema,
+        data: Dict[str, TableData],
+        stmt: ast.Insert,
+        force_scan: bool = False,
+    ) -> None:
+        table = schema.table(stmt.table)  # raises CatalogError for unknown tables
+        self.table_name = table.name
+        columns = stmt.columns or tuple(table.column_names())
+        source = Source()
+        write = _RowWrite(source, "rows, parameters, table, data, txn", _NO_COLUMNS, table)
+        check = write.fn.helper("cancellation_point", cancellation_point)
+        write.hoist("record", "txn.record")
+        write.hoist("insert", "table.insert")
+        runs: List[List[Any]] = []  # [first row, end, cells] of equal shape
+        for number, row in enumerate(stmt.rows):
+            cells = tuple(None if type(c) is ast.Literal else c for c in row)
+            if runs and runs[-1][2] == cells:
+                runs[-1][1] = number + 1
+            else:
+                runs.append([number, number + 1, cells])
+        loop: List[str] = []
+        for first, end, cells in runs:
+            rows = "rows" if len(runs) == 1 else f"rows[{first}:{end}]"
+            loop += [f"for cells in {rows}:", f"    {check}('executor:dml')"]
+            loop += _indented(self._row(schema, table, write, columns, cells))
+        write.close(loop)
+        self.write: Callable[..., None] = source.build()["write"]
+        #: The generated Python text of the row write.
+        self.source = source.text
+
+    @staticmethod
+    def _row(
+        schema: Schema, table: Table, write: _RowWrite,
+        columns: Sequence[str], cells: Sequence[Optional[ast.Expression]],
+    ) -> List[str]:
+        """The loop body for rows whose cells are ``cells`` (None where a
+        literal is read)."""
+        fn = write.fn
+        if len(cells) != len(columns):
+            fail = write.named("mismatch", partial(
+                DatabaseError,
+                f"INSERT into {table.name!r}: {len(columns)} columns but "
+                f"{len(cells)} values",
+            ))
+            return [f"raise {fail}()"]
+        lines: List[str] = []
+        given: Dict[str, int] = {}  # column -> the (last) cell that gives it
+        for number, (column, cell) in enumerate(zip(columns, cells)):
+            if cell is None:
+                code = f"cells[{number}].value"
+            elif isinstance(cell, ast.Null):
+                code = "None"
+            elif isinstance(cell, ast.Parameter):
+                hoist = fn.helper("parameter", _parameter)
+                code = f"{hoist}(parameters, {cell.index})"
+            else:
+                try:
+                    name = emit_expression(fn.source, cell, _NO_COLUMNS, "cell")
+                except DatabaseError as error:
+                    return lines + [f"raise {write.named('invalid', _raiser(error))}()"]
+                code = f"{name}((), parameters)"
+            lines.append(f"v{number} = {code}")
+            given[column] = number
+        for name in given:
+            if not table.has_column(name):
+                fail = write.named("unknown", partial(
+                    CatalogError, f"no column {name!r} in table {table.name!r}"
+                ))
+                return lines + [f"raise {fail}()"]
+        codes: List[str] = []  # per position: a local, a constant or None
+        tested: List[int] = []
+        for position, column in enumerate(table.columns.values()):
+            name = column.name
+            local = f"c{position}"
+            if name in given:
+                if isinstance(cells[given[name]], ast.Null):
+                    codes.append("None")
+                    continue
+                lines.append(f"{local} = {write.coerced(column, f'v{given[name]}')}")
+                if column.autoincrement:
+                    note = write.hoist("note", "table.note_autoincrement_value")
+                    lines += [f"if {local} is not None:", f"    {note}({name!r}, {local})"]
+                tested.append(position)
+            elif column.autoincrement:
+                next_value = write.hoist("next_value", "table.next_autoincrement")
+                lines.append(f"{local} = {next_value}({name!r})")
+            elif column.has_default:
+                try:
+                    value = column.sql_type.coerce(column.default, name)
+                except DatabaseError:
+                    coerce = write.named("coerce", column.sql_type.coerce)
+                    default = fn.constant(column.default)
+                    lines.append(f"{local} = {coerce}({default}, {name!r})")
+                else:
+                    local = fn.constant(value)
+            else:
+                local = "None"
+            codes.append(local)
+        lines.append(f"row = {_tuple(codes)}")
+        lines += write.not_null(codes, tested)
+        lines += write.row_checks("row")
+        for fk in table.foreign_keys:
+            lines += write.parent_probe(schema, fk, codes)
+        return lines + ["rowid = insert(row)", "record('i', table, rowid, row)"]
+
+
+def _insert_key(stmt: ast.Insert) -> Tuple[Any, ...]:
+    """The plan-cache shape of an INSERT: its table, its column list and
+    its VALUES cells with None for each literal, whose value the plan
+    reads from the statement it executes."""
+    return (
+        stmt.table,
+        stmt.columns,
+        tuple([
+            tuple([None if cell.__class__ is ast.Literal else cell for cell in row])
+            for row in stmt.rows
+        ]),
+    )
+
+
 class CompiledMutation(_Plan):
-    """Compiled row selection for UPDATE/DELETE: index-aware WHERE over a
-    single table, plus (for UPDATE) compiled assignment expressions."""
+    """A compiled UPDATE / DELETE: the index-aware row selection over its
+    one table (``base``, run by :meth:`matching_rowids`) and the row write
+    (``write``).  An UPDATE's write evaluates each assignment (the unit's
+    ``assign<n>`` functions) on the stored row and coerces it, runs the
+    checks of :class:`_RowWrite` on what changes — NOT NULL on the
+    assigned columns, every CHECK, the foreign keys whose columns are
+    assigned — then the RESTRICT probe of each foreign key that
+    references an assigned column and whose key changes, and stores and
+    journals the changes.  A DELETE's write runs the RESTRICT probe of
+    each foreign key that references the table, then deletes and
+    journals the row.  Which foreign keys and referencing tables apply
+    is settled here, once per plan."""
 
     def __init__(
         self,
@@ -1733,10 +2101,8 @@ class CompiledMutation(_Plan):
         table_name = stmt.table
         self.stmt = stmt
         self.table_name = table_name
-        self.layout = ScopeLayout(
-            # raises CatalogError for unknown tables
-            [(table_name, schema.table(table_name).column_names())]
-        )
+        table = schema.table(table_name)  # raises CatalogError for unknown tables
+        self.layout = ScopeLayout([(table_name, table.column_names())])
         conjuncts = [
             _Conjunct(e, self.layout) for e in _split_conjuncts(stmt.where)
         ]
@@ -1754,14 +2120,81 @@ class CompiledMutation(_Plan):
             for a in getattr(stmt, "assignments", ())
         ]
         name = self.base.emit(source, self.layout, rowids=True)
+        write = _RowWrite(source, "rowids, parameters, table, data, txn", self.layout, table)
+        check = write.fn.helper("cancellation_point", cancellation_point)
+        write.hoist("record", "txn.record")
+        write.hoist("directory", "table.rows.dir")
+        if isinstance(stmt, ast.Update):
+            body = self._update(schema, table, write, assignments)
+        else:
+            body = self._delete(schema, table, write)
+        write.close([
+            "for rowid in rowids:",
+            f"    {check}('executor:dml')",
+            f"    old = directory[rowid >> {PAGE_BITS}][rowid]",
+            *_indented(body),
+        ])
         namespace = source.build()
-        self.assignment_fns: List[Tuple[str, Compiled]] = [
-            (column, namespace[fn]) for column, fn in assignments
-        ]
         self._matching: Callable[..., Iterator[int]] = namespace[name]
-        #: The generated Python text of the row selection and (UPDATE)
-        #: the assignments.
+        #: ``write(rowids, parameters, table, data, txn)``: the statement's
+        #: change to each row of ``rowids``, in order.
+        self.write: Callable[..., None] = namespace["write"]
+        #: The generated Python text of the row selection and the write.
         self.source = source.text
+
+    @staticmethod
+    def _update(
+        schema: Schema, table: Table, write: _RowWrite,
+        assignments: Sequence[Tuple[str, str]],
+    ) -> List[str]:
+        lines = ["scope = (old,)"]
+        assigned: Dict[str, int] = {}  # column -> its (last) assignment
+        for number, (name, function) in enumerate(assignments):
+            if not table.has_column(name):
+                fail = write.named("unknown", partial(
+                    CatalogError, f"no column {name!r} in table {table.name!r}"
+                ))
+                return lines + [f"raise {fail}()"]
+            local = f"a{number}"
+            lines += [
+                f"{local} = {function}(scope, parameters)",
+                f"{local} = {write.coerced(table.columns[name], local)}",
+            ]
+            assigned[name] = number
+        codes = [
+            f"a{assigned[name]}" if name in assigned else f"old[{position}]"
+            for position, name in enumerate(table.columns)
+        ]
+        changes = ", ".join(f"{name!r}: a{number}" for name, number in assigned.items())
+        lines.append(f"changes = {{{changes}}}")
+        lines += write.not_null(codes, [table.positions[name] for name in assigned])
+        if table.checks:
+            lines.append(f"new = {_tuple(codes)}")
+            lines += write.row_checks("new")
+        for fk in table.foreign_keys:
+            if not assigned.keys().isdisjoint(fk.columns):
+                lines += write.parent_probe(schema, fk, codes)
+        for child, fk in schema.referencing_tables(table.name):
+            referenced = tuple(fk.ref_columns or table.primary_key)
+            if assigned.keys().isdisjoint(referenced):
+                continue
+            positions = [table.positions[c] for c in referenced]
+            before = [f"old[{position}]" for position in positions]
+            after = [codes[position] for position in positions]
+            lines.append(f"if {_tuple(before)} != {_tuple(after)}:")
+            lines += _indented(write.children_probe(child, fk, before) or ["pass"])
+        update = write.hoist("update", "table.update")
+        return lines + [f"record('u', table, rowid, changes, {update}(rowid, changes))"]
+
+    @staticmethod
+    def _delete(schema: Schema, table: Table, write: _RowWrite) -> List[str]:
+        lines: List[str] = []
+        for child, fk in schema.referencing_tables(table.name):
+            referenced = tuple(fk.ref_columns or table.primary_key)
+            parts = [f"old[{table.positions[c]}]" for c in referenced]
+            lines += write.children_probe(child, fk, parts)
+        delete = write.hoist("delete", "table.delete")
+        return lines + [f"record('d', table, rowid, None, {delete}(rowid))"]
 
     def matching_rowids(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
@@ -1778,6 +2211,11 @@ class CompiledMutation(_Plan):
 
     def describe(self) -> List[str]:
         return [self.base.describe()]
+
+
+#: The plan class of a SELECT and of an INSERT; UPDATE and DELETE share
+#: :class:`CompiledMutation`.
+_PLANS = {ast.Select: CompiledSelect, ast.Insert: CompiledInsert}
 
 
 # ---------------------------------------------------------------------------
@@ -1837,13 +2275,14 @@ class Planner:
             self.stats["invalidations"] += 1
 
     def _cached(
-        self, generation: int, stmt: ast.Statement, data: Dict[str, TableData],
-        parameters: Optional[Sequence[Any]],
+        self, generation: int, shape: Any, stmt: ast.Statement,
+        data: Dict[str, TableData], parameters: Optional[Sequence[Any]],
     ) -> Any:
-        """The plan for the statement shape ``stmt`` over the table map
-        ``data``, which must belong to ``generation``; with the
-        ``parameters`` of an execution, the plan that runs them."""
-        key = (generation, stmt)
+        """The plan for the statement ``stmt``, of shape ``shape`` (the
+        statement itself, or :func:`_insert_key` of an INSERT), over the
+        table map ``data``, which must belong to ``generation``; with
+        the ``parameters`` of an execution, the plan that runs them."""
+        key = (generation, shape)
         try:
             plan = self._cache[key]
         except (KeyError, TypeError):
@@ -1882,8 +2321,7 @@ class Planner:
         with self.lock:
             if generation != self.generation:
                 raise StaleSnapshotError("schema changed since the snapshot was taken")
-            select = isinstance(stmt, ast.Select)
-            compiled = CompiledSelect if select else CompiledMutation
+            compiled = _PLANS.get(type(stmt), CompiledMutation)
             return compiled(self.schema, data, stmt, force_scan)
 
     def cache_entries(self) -> int:
@@ -1892,15 +2330,16 @@ class Planner:
 
     def plan(
         self,
-        stmt: Union[ast.Select, ast.Update, ast.Delete],
+        stmt: Union[ast.Select, ast.Insert, ast.Update, ast.Delete],
         parameters: Optional[Sequence[Any]] = None,
-    ) -> Union[CompiledSelect, CompiledMutation]:
+    ) -> Union[CompiledSelect, CompiledInsert, CompiledMutation]:
         """Build/fetch the plan for the *working* store (the one that runs
         ``parameters``, when given), retrying across a racing DDL (only
         possible for unlocked callers like explain())."""
+        shape = _insert_key(stmt) if type(stmt) is ast.Insert else stmt
         while True:
             try:
-                return self._cached(self.generation, stmt, self.data, parameters)
+                return self._cached(self.generation, shape, stmt, self.data, parameters)
             except StaleSnapshotError:
                 continue
 
@@ -1914,4 +2353,6 @@ class Planner:
         so readers share the amortization.  Raises :class:`StaleSnapshotError`
         when a DDL has run since the snapshot was published and the plan
         it needs is not built."""
-        return self._cached(snapshot.generation, stmt, snapshot.tables, parameters)
+        return self._cached(
+            snapshot.generation, stmt, stmt, snapshot.tables, parameters
+        )

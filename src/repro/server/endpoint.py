@@ -113,6 +113,8 @@ import email.utils
 import json
 import math
 import re
+import selectors
+import socket
 import threading
 import time
 import traceback
@@ -286,6 +288,38 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
         self.live_connections = 0
         self.rejected_connections = 0
         super().__init__(addr, handler)
+        # What wakes the accept loop when shutdown() is asked for.
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._stopping = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`shutdown`.  The stdlib loop
+        notices a shutdown only when its poll interval (0.5 s) ends;
+        this one also waits on a socket pair that shutdown writes to,
+        so it stops at once."""
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_reader, selectors.EVENT_READ)
+                while not self._stopping:
+                    for key, _ in selector.select():
+                        if key.fileobj is self and not self._stopping:
+                            self._handle_request_noblock()
+                    self.service_actions()
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stopping = True
+        self._wake_writer.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
 
     def process_request(self, request, client_address) -> None:
         with self._conn_lock:

@@ -88,9 +88,9 @@ class TestSource:
         "sql, functions",
         [
             ("UPDATE t SET a = a + 1, s = UPPER(s) WHERE team = 1",
-             ["assign0", "assign1", "base"]),
+             ["assign0", "assign1", "base", "write"]),
             ("SELECT id FROM t WHERE a = 5 ORDER BY s || 'x', lo DESC",
-             ["order0", "order1", "base", "project"]),
+             ["base", "project", "order"]),
             ("SELECT team, COUNT(*), MAX(a + 1), lo + 0 FROM t "
              "GROUP BY team, lo + 0 HAVING SUM(a) > 0",
              ["group0", "group1", "plain2", "argument3", "plain4", "plain5",

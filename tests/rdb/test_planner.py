@@ -340,15 +340,16 @@ class TestBoundStatements:
 
     def test_one_plan_for_every_value_vector(self, db):
         before = dict(db.planner.stats)
+        entries = db.planner.cache_entries()  # the fixture's INSERT shapes
         rows = [
             db.execute(ast.Bound(self.SELECT, (key,))).rows for key in (1, 3, 5, 9)
         ]
         assert rows == [[("Hert",)], [("Gall",)], [("Solo",)], []]
         assert db.planner.stats["misses"] == before["misses"] + 1
         assert db.planner.stats["hits"] == before["hits"] + 3
-        assert db.planner.cache_entries() == 1
+        assert db.planner.cache_entries() == entries + 1
 
-    def test_dml_and_unplanned_insert(self, db):
+    def test_dml_is_planned_once_per_shape(self, db):
         insert = parse_sql("INSERT INTO author (id, name, team) VALUES (?, ?, ?)")
         update = parse_sql("UPDATE author SET name = ? WHERE id = ?")
         delete = parse_sql("DELETE FROM author WHERE id = ?")
@@ -358,8 +359,8 @@ class TestBoundStatements:
             assert db.execute(ast.Bound(update, (f"M{key}", key))).rowcount == 1
         assert db.query("SELECT name FROM author WHERE id = 11").rows == [("M11",)]
         assert db.execute(ast.Bound(delete, (10,))).rowcount == 1
-        # INSERT is never planned; UPDATE and DELETE once each, + the SELECT
-        assert db.planner.stats["misses"] == before["misses"] + 3
+        # INSERT, UPDATE and DELETE once each, + the SELECT
+        assert db.planner.stats["misses"] == before["misses"] + 4
         with pytest.raises(DatabaseError, match="missing bind parameter"):
             db.execute(ast.Bound(insert, (12, "short")))
 
@@ -402,6 +403,93 @@ class TestOrderByTopK:
         assert [r for r in result.rows] == [
             (3, 5), (2, 3), (1, 1), (1, 2), (None, 4)
         ]
+
+
+    def test_runs_of_one_direction_sort_as_one_key_ties_in_scan_order(self):
+        """Keys of mixed direction and type, NULLs and ties: the passes
+        of the generated sort (one per run of one direction, last run
+        first) order like one comparison of whole key tuples would, and
+        rows with equal keys keep the order the scan read them in."""
+        db = Database()
+        db.execute("CREATE TABLE s (id INTEGER PRIMARY KEY, a INTEGER, b TEXT, c REAL)")
+        values = [(i, [None, 1, 2][i % 3], [None, "x", "y", "10"][i % 4],
+                   [None, 0.5, 2.0][(i // 2) % 3]) for i in range(1, 41)]
+        for row in values:
+            db.execute("INSERT INTO s VALUES (?, ?, ?, ?)", row)
+
+        def null_first(value):
+            if value is None:
+                return (0, 0, "")
+            return (1, 1, value) if isinstance(value, str) else (1, 0, value)
+
+        for order, keys in [
+            ("a, b DESC, c DESC", [(1, False), (2, True), (3, True)]),
+            ("b DESC, c, a", [(2, True), (3, False), (1, False)]),
+            ("c DESC, a DESC", [(3, True), (1, True)]),
+            ("a + 1, b", [(1, False), (2, False)]),
+        ]:
+            expected = list(values)
+            for position, descending in reversed(keys):
+                expected.sort(key=lambda row: null_first(row[position]),
+                              reverse=descending)
+            got = db.query(f"SELECT id FROM s ORDER BY {order}").rows
+            assert [r[0] for r in got] == [r[0] for r in expected], order
+            top = db.query(f"SELECT id FROM s ORDER BY {order} LIMIT 7 OFFSET 3").rows
+            assert top == got[3:10]
+        assert db.explain("SELECT id FROM s ORDER BY a, b DESC, c DESC")[-1] == (
+            "order by 3 key(s), 2 stable sort pass(es)"
+        )
+
+
+class TestMistypedComparisonsBelowOr:
+    """A join answered by an index walk that finds no row: a column of
+    one type class ordered against a value of the other, under OR, NOT or
+    NOT BETWEEN, must raise as the written-order plan raises."""
+
+    @pytest.fixture
+    def pair(self):
+        dbs = []
+        for force_scan in (False, True):
+            db = Database()
+            db.planner.force_scan = force_scan
+            db.execute("CREATE TABLE t0 (id INTEGER PRIMARY KEY, g TEXT)")
+            db.execute(
+                "CREATE TABLE t1 (id INTEGER PRIMARY KEY, f INTEGER, "
+                "r_t0 INTEGER REFERENCES t0(id))"
+            )
+            for i in range(1, 19):
+                db.execute("INSERT INTO t0 VALUES (?, ?)", (i, f"g{i}"))
+                db.execute("INSERT INTO t1 VALUES (?, ?, ?)", (i, i, i))
+            dbs.append(db)
+        return dbs
+
+    @pytest.mark.parametrize("condition, parameters", [
+        ("(x.f > 'a' OR x.f = 1)", ()),
+        ("x.f NOT BETWEEN 'a' AND 'b'", ()),
+        ("NOT (x.f < ?)", ("z",)),
+        ("(x.id = 1 OR (x.f >= ? AND x.f <= 9))", ("z",)),
+        ("(x.f > ? OR 'a' > x.id)", (1,)),
+    ])
+    def test_both_plans_raise(self, pair, condition, parameters):
+        sql = (
+            "SELECT x.id FROM t1 x JOIN t0 p ON p.id = x.r_t0 "
+            f"WHERE p.id = 19 AND {condition}"
+        )
+        for db in pair:
+            with pytest.raises(DatabaseError, match="cannot compare"):
+                db.execute(sql, parameters)
+
+    def test_rightly_typed_values_keep_the_planned_walk(self, pair):
+        planned, oracle = pair
+        sql = (
+            "SELECT x.id FROM t1 x JOIN t0 p ON p.id = x.r_t0 "
+            "WHERE p.id = ? AND (x.f > ? OR p.g < ?)"
+        )
+        for parameters in [(19, 1, "a"), (3, 1, "a"), (3, 5, "a")]:
+            assert planned.execute(sql, parameters).rows == (
+                oracle.execute(sql, parameters).rows
+            )
+        assert planned.planner.plan(parse_sql(sql), (3, 1, "a")).fallback is None
 
 
 class TestHashBuildSide:

@@ -23,6 +23,7 @@ from repro.rdb.storage import (
 )
 from repro.rdb.transactions import Transaction
 from repro.rdb.types import INTEGER, TEXT
+from repro.sql import parse_statements
 
 
 def named(data, row):
@@ -787,14 +788,16 @@ class TestRowsAreTuples:
     def test_mutating_what_a_caller_passed_or_got_leaves_the_store(self):
         table, data, executor = self.make()
         txn = Transaction()
-        values = {"id": 1, "name": "a", "n": 1}
-        rowid = executor.insert_row(table, data["t"], values, txn)
-        values.update(id=9, name="changed", n=None)
+        values = [1, "a", 1]
+        insert = parse_statements("INSERT INTO t (id, name, n) VALUES (?, ?, ?)")[0]
+        executor.insert(insert, txn, values)
+        values[:] = [9, "changed", None]
+        rowid = data["t"].find_by_pk((1,))
         assert data["t"].rows[rowid] == (1, "a", 1)
-        changes = {"name": "b"}
-        executor.update_row(table, data["t"], rowid, changes, txn)
-        changes["name"] = "changed again"
-        changes["n"] = 5
+        changes = ["b", 1]
+        update = parse_statements("UPDATE t SET name = ? WHERE id = ?")[0]
+        executor.update(update, txn, changes)
+        changes[:] = ["changed again", 1]
         assert data["t"].rows[rowid] == (1, "b", 1)
         assert data["t"].probe(("name",), ("b",)) == (rowid,)
         assert txn.wal_record()[1][3] == {"name": "b"}  # the logged post-image

@@ -752,3 +752,26 @@ class TestClientResilience:
             assert feedback.ok is False
             assert len(stub.seen) == 2
         assert sleeps == []  # write paths never back off and re-send
+
+
+class TestStop:
+    def test_stop_returns_without_waiting_out_a_poll(self):
+        """``stop`` wakes the accept loop: the stdlib loop would notice
+        the shutdown only at the end of its 0.5 s poll interval."""
+        db = build_database()
+        seed_feasibility_data(db)
+        mediator = OntoAccess(db, build_mapping(db))
+        for _ in range(3):
+            endpoint = OntoAccessEndpoint(mediator)
+            endpoint.start()
+            connection = http.client.HTTPConnection("127.0.0.1", endpoint.port)
+            connection.request("GET", "/health")
+            assert connection.getresponse().status == 200
+            connection.close()
+            time.sleep(0.05)  # the loop is back in its wait
+            port = endpoint.port
+            started = time.perf_counter()
+            endpoint.stop()
+            assert time.perf_counter() - started < 0.1
+            with pytest.raises(OSError):  # and the socket is closed
+                socket.create_connection(("127.0.0.1", port), timeout=1)
