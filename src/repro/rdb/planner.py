@@ -1819,6 +1819,8 @@ class _RowWrite:
         self.table = table
         self.setup: List[str] = []
         self._hoisted: Set[str] = set()
+        #: Codes of values known not to be NULL where the probes run.
+        self.known: Set[str] = set()
 
     def named(self, prefix: str, value: Any) -> str:
         """A helper local of its own for ``value`` (``prefix`` is ours)."""
@@ -1870,6 +1872,7 @@ class _RowWrite:
             if codes[position] == "None":
                 return lines + [f"raise {fail}()"]
             lines += [f"if {codes[position]} is None:", f"    raise {fail}()"]
+            self.known.add(codes[position])
         return lines
 
     def row_checks(self, row: str) -> List[str]:
@@ -1924,13 +1927,14 @@ class _RowWrite:
         values = _tuple(parts)
         key = parts[0] if len(parts) == 1 else values
         later, fail = self.named("later", later), self.named("violation", fail)
-        return [
-            f"if {' and '.join(f'{part} is not None' for part in parts)}:",
-            "    if deferred:",
-            f"        defer({bind}({later}, data, {values}))",
-            f"    elif {key} {violated} {entries}:",
-            f"        raise {fail}({values})",
+        probe = [
+            "if deferred:",
+            f"    defer({bind}({later}, data, {values}))",
+            f"elif {key} {violated} {entries}:",
+            f"    raise {fail}({values})",
         ]
+        nullable = [f"{part} is not None" for part in parts if part not in self.known]
+        return _when([" and ".join(nullable)] if nullable else [], probe)
 
     def close(self, loop: Sequence[str]) -> str:
         return self.fn.close(self.setup + list(loop))
@@ -2002,6 +2006,7 @@ class CompiledInsert:
                 f"{len(cells)} values",
             ))
             return [f"raise {fail}()"]
+        write.known = set()
         lines: List[str] = []
         given: Dict[str, int] = {}  # column -> the (last) cell that gives it
         for number, (column, cell) in enumerate(zip(columns, cells)):
@@ -2043,6 +2048,7 @@ class CompiledInsert:
             elif column.autoincrement:
                 next_value = write.hoist("next_value", "table.next_autoincrement")
                 lines.append(f"{local} = {next_value}({name!r})")
+                write.known.add(local)
             elif column.has_default:
                 try:
                     value = column.sql_type.coerce(column.default, name)
@@ -2052,6 +2058,7 @@ class CompiledInsert:
                     lines.append(f"{local} = {coerce}({default}, {name!r})")
                 else:
                     local = fn.constant(value)
+                write.known.add(local)
             else:
                 local = "None"
             codes.append(local)
@@ -2065,15 +2072,15 @@ class CompiledInsert:
 
 def _insert_key(stmt: ast.Insert) -> Tuple[Any, ...]:
     """The plan-cache shape of an INSERT: its table, its column list and
-    its VALUES cells with None for each literal, whose value the plan
-    reads from the statement it executes."""
+    one tuple per VALUES row of its cells with None for each literal,
+    whose value the plan reads from the statement it executes."""
     return (
         stmt.table,
         stmt.columns,
-        tuple([
+        *[
             tuple([None if cell.__class__ is ast.Literal else cell for cell in row])
             for row in stmt.rows
-        ]),
+        ],
     )
 
 
