@@ -23,13 +23,13 @@ entry per mutated row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import CatalogError
 from ..observability.metrics import EXECUTOR_ROWS
 from ..sql import ast
 from .catalog import Schema
-from .planner import Planner
+from .planner import Planner, _table_data
 from .storage import TableData
 from .transactions import Transaction
 
@@ -68,7 +68,7 @@ class Result:
 
 
 class Executor:
-    """Statement interpreter over schema + storage, driven by compiled plans."""
+    """Runs each statement's compiled plan over schema + storage."""
 
     def __init__(
         self,
@@ -85,7 +85,9 @@ class Executor:
         #: snapshot is never mutated; standalone executors (tests) fall
         #: back to the working table directly.  Reads (FK checks, scans)
         #: keep using the working store.
-        self._for_write = for_write if for_write is not None else self._table_data
+        self._for_write = (
+            for_write if for_write is not None else partial(_table_data, data)
+        )
 
     # ==================================================================
     # SELECT
@@ -152,9 +154,3 @@ class Executor:
         if targets:
             counter.inc(len(targets))
         return Result(columns=[], rows=[], rowcount=len(targets))
-
-    def _table_data(self, name: str) -> TableData:
-        try:
-            return self.data[name]
-        except KeyError:
-            raise CatalogError(f"no such table: {name!r}") from None

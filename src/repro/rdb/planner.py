@@ -94,9 +94,10 @@ mediator's statements carry their request values as parameters
 shape and one plan.  An INSERT's shape leaves out the literal values of
 its VALUES cells (:func:`_insert_key`): its plan reads them from the
 statement it executes, so a bulk load of literal INSERTs builds one plan
-per table and column list.  Nothing here reads a parameter's value at plan time:
-the one constant planning does look at, a ``LIKE`` pattern (it decides
-whether a prefix scan applies), therefore has to stay a literal.
+per table and column list.  Nothing here reads a parameter's value at
+plan time: the one constant planning does look at, a ``LIKE`` pattern
+(it decides whether a prefix scan applies), therefore has to stay a
+literal.
 Statistics are read at plan time, so a shape is costed once per
 generation and keeps its plan until the next DDL — stale statistics can
 cost performance, never correctness.
@@ -155,13 +156,13 @@ from .expressions import (
     Compiled,
     Function,
     ScopeLayout,
-    _parameter,
     Source,
     combine_binary,
     combine_unary,
     emit_expression,
     evaluate_constant,
     referenced_slots,
+    _parameter,
 )
 from .storage import PAGE_BITS, PAGE_SIZE, UNBOUNDED, TableData
 from .transactions import DEFERRED
