@@ -4,7 +4,8 @@ The engine writes rows through code generated per statement shape
 (:mod:`repro.rdb.planner`).  This file holds that code to outcomes
 recorded from the engine before it had any: a parent table and a child
 with foreign keys (one to the primary key, one to a UNIQUE column), a
-CHECK, a DEFAULT, an AUTOINCREMENT and VARCHAR(n) columns, written by
+CHECK, a DEFAULT, an AUTOINCREMENT and VARCHAR(n) columns (and a table
+whose DEFAULT its column's type refuses), written by
 
 * a script of hand-picked statements — mistyped values (str, float and
   bool into INTEGER, an over-length string), multi-row VALUES, NULLs,
@@ -52,6 +53,10 @@ CREATE TABLE child (
     label VARCHAR(6) DEFAULT 'none',
     qty INTEGER NOT NULL CHECK (qty < 100),
     code VARCHAR(4) REFERENCES parent(code)
+);
+CREATE TABLE odd (
+    id INTEGER PRIMARY KEY,
+    n INTEGER DEFAULT 'abc'
 )
 """
 
@@ -85,6 +90,12 @@ SCRIPT = [
     ("INSERT INTO parent (id, code) VALUES (22, 'r'), (?, 's'), (24, ?)", (23, "t")),
     ("INSERT INTO parent (id, code, score) VALUES (25, 'u', 3.0)", ()),
     ("INSERT INTO parent (id, code, score) VALUES (26, 'v', 2.5)", ()),
+    ("INSERT INTO parent (id, code) VALUES (27, nope)", ()),
+    ("INSERT INTO parent (id, code) VALUES (?, nope)", ()),
+    ("INSERT INTO parent (id, code) VALUES (28, 'y'), (29, nope)", ()),
+    ("INSERT INTO parent (id, code) VALUES (30, LOWER('E')), (31, LENGTH(?))", ("abc",)),
+    ("INSERT INTO odd (id) VALUES (1)", ()),
+    ("INSERT INTO odd (id, n) VALUES (1, 2)", ()),
     ("INSERT INTO child (parent, qty) VALUES (1, 5)", ()),
     ("INSERT INTO child (id, parent, qty) VALUES (10, 2, 6)", ()),
     ("INSERT INTO child (parent, qty, label) VALUES (2, 7, 'six!!!')", ()),
@@ -155,7 +166,7 @@ def outcome(db, sql, parameters):
 def contents(db):
     return {
         name: [list(row) for row in db.query(f"SELECT * FROM {name} ORDER BY id").rows]
-        for name in ("parent", "child")
+        for name in ("parent", "child", "odd")
     }
 
 
