@@ -1976,8 +1976,7 @@ class CompiledInsert:
         write.hoist("record", "txn.record")
         write.hoist("insert", "table.insert")
         runs: List[List[Any]] = []  # [first row, end, cells] of equal shape
-        for number, row in enumerate(stmt.rows):
-            cells = tuple(None if type(c) is ast.Literal else c for c in row)
+        for number, cells in enumerate(_insert_key(stmt)[2:]):
             if runs and runs[-1][2] == cells:
                 runs[-1][1] = number + 1
             else:
@@ -2190,7 +2189,7 @@ class CompiledMutation(_Plan):
             before = [f"old[{position}]" for position in positions]
             after = [codes[position] for position in positions]
             lines.append(f"if {_tuple(before)} != {_tuple(after)}:")
-            lines += _indented(write.children_probe(child, fk, before) or ["pass"])
+            lines += _indented(write.children_probe(child, fk, before))
         update = write.hoist("update", "table.update")
         return lines + [f"record('u', table, rowid, changes, {update}(rowid, changes))"]
 
