@@ -4,14 +4,18 @@ There is one evaluator, and it is an *emitter*: :class:`Function` turns a
 :mod:`repro.sql.ast` expression plus a :class:`ScopeLayout` into a Python
 expression string, and :class:`Source` collects the functions written
 around such strings into one text that is compiled once — per plan
-(:mod:`repro.rdb.planner` generates every operator's per-row body and
-every DML row write this way, and puts what it must call as a function
-— GROUP BY keys, aggregate arguments, UPDATE assignments, INSERT VALUES
-cells that are expressions — into the same unit with
-:func:`emit_expression`) or per expression (:func:`compile_expression`,
-for a caller with no plan to put it in: CHECK constraints).  Evaluating
-a row is then running straight-line Python: no tree walk, no name
-resolution, no frame per AST node.
+(:mod:`repro.rdb.planner` generates every operator's per-row body, a
+grouped SELECT's ``group``, a plan's per-execution ``unwalkable`` check
+and every DML row write this way, and puts what it must call as a
+function — UPDATE assignments, INSERT VALUES cells that are expressions
+— into the same unit with :func:`emit_expression`) or per expression
+(:func:`compile_expression`, for a caller with no plan to put it in:
+CHECK constraints, a column DEFAULT).  Evaluating a row is then running
+straight-line Python: no tree walk, no name resolution, no frame per
+AST node.  Operators are applied by generated code and by the ``_op_*``
+helpers it calls, nowhere else; so are the aggregates
+(:data:`AGGREGATE_FUNCTIONS`), which add by ``+``'s rule and order by
+``<``'s.
 
 Every expression has two forms:
 
@@ -31,24 +35,19 @@ the names ``r<slot>`` (the row tuple of a scope slot, read by column
 position: ``r0[2]``), ``p<index>`` (a
 bind parameter, hoisted into a local before any loop), ``k<index>`` and
 helper names (entries of the unit's constants tuple ``K``, hoisted the
-same way), ``t<n>`` (temporaries), and catalog names through ``repr()``.
+same way), ``t<n>`` (temporaries), the names of :class:`Local` nodes
+(values the surrounding code has bound, such as a group's aggregates),
+and catalog names through ``repr()``.
 Literal values, compiled LIKE patterns and helper functions reach the
 code only as entries of ``K`` — no request value or identifier is ever
 spliced into source.
-
-Expressions that may not reference columns outside a plan (column
-DEFAULTs, a plan's fallback checks) go through :func:`evaluate_constant`.  The value-level helpers
-(:func:`combine_binary`, :func:`combine_unary`) are what the planner's
-aggregate path applies to already-computed values, and what
-:func:`evaluate_constant` applies to operators over constants; they
-share the operator table the emitter calls into.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import (
     Any,
     Callable,
@@ -66,14 +65,12 @@ from ..sql import ast
 from .types import Row
 
 __all__ = [
-    "is_true",
     "evaluate_constant",
     "ScopeLayout",
     "Source",
+    "Local",
     "emit_expression",
     "compile_expression",
-    "combine_binary",
-    "combine_unary",
     "AGGREGATE_FUNCTIONS",
 ]
 
@@ -81,11 +78,6 @@ __all__ = [
 #: table binding, in the slots of its :class:`ScopeLayout` — and the
 #: statement's parameters.
 Compiled = Callable[[Tuple[Row, ...], Sequence[Any]], Any]
-
-
-def is_true(value: Any) -> bool:
-    """SQL WHERE acceptance: NULL (unknown) is *not* true."""
-    return value is True
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +93,8 @@ def _incomparable(left: Any, right: Any) -> DatabaseError:
 # Ordered comparison is Python's own between two numbers (bool included)
 # or two strings — the only pairs it accepts among the types a column can
 # hold — and a DatabaseError for anything else.  Equality is Python's
-# ``==`` / ``!=`` directly: exact between int and float (1 = 1.0, but
-# 2**53 <> 2**53 + 1), False across types.
+# ``==`` / ``!=``, written into the code directly: exact between int and
+# float (1 = 1.0, but 2**53 <> 2**53 + 1), False across types.
 
 def _op_lt(left: Any, right: Any) -> Any:
     try:
@@ -130,14 +122,6 @@ def _op_ge(left: Any, right: Any) -> Any:
         return left >= right
     except TypeError:
         raise _incomparable(left, right) from None
-
-
-def _op_eq(left: Any, right: Any) -> Any:
-    return left == right
-
-
-def _op_ne(left: Any, right: Any) -> Any:
-    return left != right
 
 
 def _op_concat(left: Any, right: Any) -> Any:
@@ -178,9 +162,9 @@ def _op_neg(value: Any) -> Any:
     return -_numeric(value)
 
 
+#: The operators generated code calls a helper for (``=`` and ``<>`` it
+#: writes as Python's own).
 _BINARY_VALUE_OPS: Dict[str, Callable[[Any, Any], Any]] = {
-    "=": _op_eq,
-    "<>": _op_ne,
     "<": _op_lt,
     "<=": _op_le,
     ">": _op_gt,
@@ -197,37 +181,6 @@ _BINARY_VALUE_OPS: Dict[str, Callable[[Any, Any], Any]] = {
 _PYTHON_COMPARISON = {
     "=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
 }
-
-
-def combine_binary(op: str, left: Any, right: Any) -> Any:
-    """Apply a binary operator to two already-evaluated values."""
-    if op == "AND":
-        if left is False or right is False:
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if op == "OR":
-        if left is True or right is True:
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    if left is None or right is None:
-        return None
-    handler = _BINARY_VALUE_OPS.get(op)
-    if handler is None:
-        raise DatabaseError(f"unknown operator {op!r}")
-    return handler(left, right)
-
-
-def combine_unary(op: str, value: Any) -> Any:
-    """Apply a unary operator to an already-evaluated value."""
-    if value is None:
-        return None
-    if op == "NOT":
-        return not value
-    return _op_neg(value)
 
 
 @lru_cache(maxsize=512)
@@ -258,7 +211,35 @@ _SCALAR_FUNCTIONS = {
     "TRIM": "str({0}).strip()",
 }
 
-AGGREGATE_FUNCTIONS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
+def _sum(values: List[Any]) -> Any:
+    return sum(map(_numeric, values)) if values else None
+
+
+def _avg(values: List[Any]) -> Any:
+    return sum(map(_numeric, values)) / len(values) if values else None
+
+
+def _extreme(before: Callable[[Any, Any], Any], values: List[Any]) -> Any:
+    """The first value no later one comes ``before``: MIN with ``<``'s
+    rule, MAX with ``>``'s (the comparisons Python's ``min`` / ``max``
+    make, and the error the operator raises across classes)."""
+    best = None
+    for value in values:
+        if best is None or before(value, best):
+            best = value
+    return best
+
+
+#: What each aggregate makes of its argument's non-NULL values (of the
+#: group's rows, for ``COUNT(*)``): COUNT answers 0 for none of them, the
+#: others NULL.
+AGGREGATE_FUNCTIONS: Dict[str, Callable[[List[Any]], Any]] = {
+    "COUNT": len,
+    "SUM": _sum,
+    "AVG": _avg,
+    "MIN": partial(_extreme, _op_lt),
+    "MAX": partial(_extreme, _op_gt),
+}
 
 
 def _parameter(parameters: Sequence[Any], index: int) -> Any:
@@ -318,6 +299,14 @@ class ScopeLayout:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Local(ast.Expression):
+    """A value the code around the expression has bound to ``name`` (a
+    group's aggregate): it reads as the bare name and cannot raise."""
+
+    name: str
+
+
+@dataclass(frozen=True)
 class _Once(ast.Expression):
     """An operand written once and read by two comparisons (BETWEEN):
     the first emission binds ``name``, later ones read it."""
@@ -347,10 +336,6 @@ class Source:
     def __init__(self) -> None:
         self.constants: List[Any] = []
         self.text = ""
-        #: The functions' globals, empty until :meth:`build`: what code
-        #: that must exist before the unit is compiled (the aggregate
-        #: closures of a grouped plan) holds to find a function later.
-        self.namespace: Dict[str, Any] = {}
         self._blocks: List[str] = []
         self._helpers: Dict[str, int] = {}
 
@@ -363,15 +348,14 @@ class Source:
         return Function(self, name, arguments, layout)
 
     def build(self) -> Dict[str, Any]:
-        """Compile the unit; the returned :attr:`namespace` maps each
-        function name to its function."""
+        """Compile the unit; the returned namespace (the functions'
+        globals) maps each function name to its function."""
         self.text = "\n\n".join(self._blocks) + "\n"
-        namespace = self.namespace
-        namespace.update({
+        namespace = {
             "__name__": "repro.rdb.generated",
             "__loader__": _SourceLoader(self.text),
             "K": tuple(self.constants),
-        })
+        }
         # The file name carries the text's hash: equal names mean equal
         # text, whatever linecache remembers after printing a traceback.
         name = f"generated-plan-{hash(self.text) & 0xFFFFFFFFFFFFFFFF:016x}.py"
@@ -479,6 +463,8 @@ class Function:
             return f"r{slot}[{position}]"
         if isinstance(expr, ast.Parameter):
             return self.parameter(expr.index)
+        if isinstance(expr, Local):
+            return expr.name
         if isinstance(expr, ast.BinaryOp):
             if expr.op == "AND":
                 return self._kleene(
@@ -522,7 +508,7 @@ class Function:
 
     def _binary_value(self, expr: ast.BinaryOp) -> str:
         """NULL if either operand is, else the operator applied."""
-        if expr.op not in _BINARY_VALUE_OPS:
+        if expr.op not in _BINARY_VALUE_OPS and expr.op not in _PYTHON_COMPARISON:
             raise DatabaseError(f"unknown operator {expr.op!r}")
         left, right = self._operand(expr.left), self._operand(expr.right)
         applied = self._apply(expr.op, left[1], right[1])
@@ -668,7 +654,7 @@ class Function:
 def _is_atom(expr: ast.Expression) -> bool:
     """Operands whose code is a bare name: repeating it re-evaluates
     nothing."""
-    return isinstance(expr, (ast.Literal, ast.Null, ast.Parameter))
+    return isinstance(expr, (ast.Literal, ast.Null, ast.Parameter, Local))
 
 
 def _is_boolean(expr: ast.Expression) -> bool:
@@ -687,7 +673,7 @@ def _is_plain(expr: ast.Expression) -> bool:
     before any row is read)."""
     if isinstance(expr, _Once):
         expr = expr.operand
-    return isinstance(expr, (ast.Literal, ast.Null, ast.Parameter, ast.ColumnRef))
+    return _is_atom(expr) or isinstance(expr, ast.ColumnRef)
 
 
 def emit_expression(
@@ -695,8 +681,8 @@ def emit_expression(
 ) -> str:
     """Write ``def <prefix><n>(rows, parameters)`` returning the value of
     ``expr`` into ``source`` — how a plan keeps the expressions it calls
-    per row or per group (GROUP BY keys, aggregate arguments, UPDATE
-    assignments, INSERT VALUES cells) in its one unit; returns the name.
+    per row (UPDATE assignments, INSERT VALUES cells) in its one unit;
+    returns the name.
 
     ``rows`` is a tuple of row tuples laid out by ``layout``; only the
     slots the expression reads are touched.
@@ -755,39 +741,14 @@ def referenced_slots(
     return slots
 
 
+#: The layout of an expression that may reference no column.
 _NO_COLUMNS = ScopeLayout(())
 
 
 def evaluate_constant(expr: ast.Expression, parameters: Sequence[Any] = ()) -> Any:
     """Evaluate an expression that must not reference columns (a column
-    DEFAULT at CREATE TABLE, the values a plan's fallback checks read
-    per execution); ``None`` represents SQL NULL.
-
-    An INSERT's VALUES cells do not come here: INSERT is planned, and
-    its plan reads a literal from the statement and writes every other
-    cell into its unit.  What the callers pass in practice is answered
-    directly — a literal, a parameter, NULL, and arithmetic / ``||`` /
-    comparisons over those, which are the value-level operators applied
-    to both operands whatever they are.  Everything else (``AND`` /
-    ``OR``, ``IN``, ``BETWEEN``, ``LIKE``, function calls: forms with
-    evaluation rules of their own) is generated, a ``compile()`` per
-    call.
-    """
-    kind = type(expr)
-    if kind is ast.Literal:
-        return expr.value
-    if kind is ast.Parameter:
-        return _parameter(parameters, expr.index)
-    if kind is ast.Null:
-        return None
-    if kind is ast.BinaryOp and expr.op not in ("AND", "OR"):
-        return combine_binary(
-            expr.op,
-            evaluate_constant(expr.left, parameters),
-            evaluate_constant(expr.right, parameters),
-        )
-    if kind is ast.UnaryOp:
-        return combine_unary(expr.op, evaluate_constant(expr.operand, parameters))
+    DEFAULT at CREATE TABLE), a ``compile()`` per call; ``None``
+    represents SQL NULL."""
     return compile_expression(expr, _NO_COLUMNS)((), parameters)
 
 

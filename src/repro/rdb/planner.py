@@ -61,18 +61,20 @@ planning job has one implementation:
   run of same-direction keys — an output column read by position, an
   expression inlined — then one stable ``list.sort`` per run, last run
   first, so rows compare in C and equal keys keep scan order; OFFSET /
-  LIMIT slice the result.  The expressions grouping and UPDATE call
-  per row or per group (``group<n>`` keys, aggregate ``argument<n>``,
-  ``assign<n>``) are functions of the same unit, and so is a DML
-  statement's row write, ``write`` (:class:`_RowWrite`,
-  :class:`CompiledInsert`, :class:`CompiledMutation`): one
+  LIMIT slice the result.  A grouped SELECT's ``group``
+  (:func:`_emit_group`) puts the scopes into their groups and computes
+  each aggregate call once per group, tests HAVING and writes the
+  items.  The per-execution check of :class:`_Plan` (``unwalkable``),
+  the UPDATE assignments (``assign<n>``) and a DML statement's row
+  write, ``write`` (:class:`_RowWrite`, :class:`CompiledInsert`,
+  :class:`CompiledMutation`), are functions of the same unit: one
   ``compile()`` per plan, and ``plan.source`` shows all of the plan's
   code.  What is *not* generated: the choice of plan (everything
   above), the row-id walks of the index paths (an
-  :class:`_IndexWalk`'s ``rowids``), grouping, DISTINCT, and the
-  protocol between operators — they stay separate iterators over scope
-  tuples, which is what EXPLAIN ANALYZE wraps to time each one and
-  what a deadline interrupts.  The
+  :class:`_IndexWalk`'s ``rowids``), DISTINCT, and the protocol
+  between operators — they stay separate iterators over scope tuples,
+  which is what EXPLAIN ANALYZE wraps to time each one and what a
+  deadline interrupts.  The
   text is on the plan (``plan.source``) and a traceback through it shows
   the generated line; it lives in the generated functions' globals, so
   it is freed with the plan.  The cost: building a plan takes a few
@@ -118,7 +120,8 @@ The same plan is each statement's one written-order fallback
 other type class than its column in any stage, joins included, or a NULL
 key for a one-table index walk, runs the ``force_scan`` plan (built on
 the first such execution, kept on the plan), so both sides raise on the
-same executions whichever rows the planned one would skip.
+same executions whichever rows the planned one would skip.  The plan's
+generated ``unwalkable(parameters)`` tells such an execution apart.
 """
 
 from __future__ import annotations
@@ -153,15 +156,13 @@ from ..sql.render import render_expression
 from .catalog import Column, ForeignKey, Schema, Table
 from .expressions import (
     AGGREGATE_FUNCTIONS,
-    Compiled,
     Function,
+    Local,
     ScopeLayout,
     Source,
-    combine_binary,
-    combine_unary,
     emit_expression,
-    evaluate_constant,
     referenced_slots,
+    _NO_COLUMNS,
     _parameter,
 )
 from .storage import PAGE_BITS, PAGE_SIZE, UNBOUNDED, TableData
@@ -996,85 +997,94 @@ def _contains_aggregate(expr: Optional[ast.Expression]) -> bool:
     return False
 
 
-#: An aggregate-aware item evaluator: (group member scopes, parameters) -> value.
-_GroupFn = Callable[[List[Tuple[Row, ...]], Sequence[Any]], Any]
+def _emit_group(
+    source: Source,
+    layout: ScopeLayout,
+    stmt: ast.Select,
+    items: Sequence[ast.Expression],
+) -> None:
+    """Write ``group(scopes, parameters)``, which returns the rows of a
+    grouped SELECT, first-seen group first.
 
+    It puts each scope into the list of its GROUP BY key (all scopes
+    into one list without GROUP BY).  Per group it computes HAVING's
+    aggregate calls, tests HAVING in its truth form, computes the items'
+    other calls and writes the items in their value form.  Each call is
+    computed once, into a local the emitter reads (``a<n>``, a
+    :class:`Local`), from its argument's non-NULL values over the
+    group's rows.  An operand that is neither an aggregate call nor an
+    operator over aggregates reads the group's first row; in the one
+    group without rows (no GROUP BY, no input row) it is NULL."""
+    fn = source.function("group", "scopes, parameters", layout)
+    scope = _tuple([f"r{slot}" for slot in range(len(layout))])
+    calls: Dict[ast.FunctionCall, Local] = {}
 
-def _compile_aggregate_call(
-    call: ast.FunctionCall, layout: ScopeLayout, source: Source
-) -> _GroupFn:
-    if call.name == "COUNT" and (
-        not call.args or isinstance(call.args[0], ast.Star)
-    ):
-        return lambda members, parameters: len(members)
-    if len(call.args) != 1:
-        raise DatabaseError(f"{call.name} takes exactly one argument")
-    argument = emit_expression(source, call.args[0], layout, "argument")
-    functions = source.namespace  # holds `argument` once the plan is built
-    name = call.name
-    distinct = call.distinct
+    def over_group(expr: ast.Expression, empty: bool) -> ast.Expression:
+        if isinstance(expr, ast.FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
+            return calls.setdefault(expr, Local(f"a{len(calls)}"))
+        if isinstance(expr, ast.BinaryOp):
+            return ast.BinaryOp(
+                expr.op, over_group(expr.left, empty), over_group(expr.right, empty)
+            )
+        if isinstance(expr, ast.UnaryOp):
+            return ast.UnaryOp(expr.op, over_group(expr.operand, empty))
+        return ast.Null() if empty else expr
 
-    def aggregate(members: List[Tuple[Row, ...]], parameters: Sequence[Any]) -> Any:
-        arg_fn = functions[argument]
-        values = [
-            v
-            for v in (arg_fn(scope, parameters) for scope in members)
-            if v is not None
+    def compute(start: int) -> List[str]:
+        """The lines binding each call from the ``start``-th on."""
+        lines: List[str] = []
+        for call, local in list(calls.items())[start:]:
+            if call.name == "COUNT" and (
+                not call.args or isinstance(call.args[0], ast.Star)
+            ):
+                values = "members"
+            elif len(call.args) != 1:
+                raise DatabaseError(f"{call.name} takes exactly one argument")
+            else:
+                t = fn.temp()
+                values = (
+                    f"[{t} for {scope} in members "
+                    f"if ({t} := {fn.value(call.args[0])}) is not None]"
+                )
+                if call.distinct:
+                    values = f"list(dict.fromkeys({values}))"
+            fold = fn.helper(f"{call.name.lower()}_of", AGGREGATE_FUNCTIONS[call.name])
+            lines.append(f"{local.name} = {fold}({values})")
+        return lines
+
+    def answer(empty: bool) -> List[str]:
+        """One group's lines: they append its row to ``rows`` unless
+        HAVING rejects it."""
+        calls.clear()
+        having = None if stmt.having is None else over_group(stmt.having, empty)
+        lines = compute(0)
+        computed = len(calls)
+        values = _tuple([fn.value(over_group(expr, empty)) for expr in items])
+        row = compute(computed) + [f"rows.append({values})"]
+        return lines + (row if having is None else _when([fn.truth(having)], row))
+
+    lines = ["rows = []"]
+    if stmt.group_by:
+        key = _tuple([fn.value(expr) for expr in stmt.group_by])
+        lines += [
+            "groups = {}",
+            "for scope in scopes:",
+            f"    {scope} = scope",
+            f"    groups.setdefault({key}, []).append(scope)",
+            "for members in groups.values():",
+            f"    {scope} = members[0]",
+            *_indented(answer(False)),
         ]
-        if distinct:
-            values = list(dict.fromkeys(values))
-        if name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if name == "SUM":
-            return sum(values)
-        if name == "AVG":
-            return sum(values) / len(values)
-        if name == "MIN":
-            return min(values)
-        return max(values)
-
-    return aggregate
-
-
-def _compile_aggregate_expr(
-    expr: ast.Expression, layout: ScopeLayout, source: Source
-) -> _GroupFn:
-    """Compile an expression that may mix aggregates and group keys; what
-    it evaluates per row (aggregate arguments, group-key expressions) is
-    written into the plan's ``source``."""
-    if isinstance(expr, ast.FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
-        return _compile_aggregate_call(expr, layout, source)
-    if isinstance(expr, ast.BinaryOp):
-        op = expr.op
-        left = _compile_aggregate_expr(expr.left, layout, source)
-        right = _compile_aggregate_expr(expr.right, layout, source)
-        return lambda members, parameters: combine_binary(
-            op, left(members, parameters), right(members, parameters)
-        )
-    if isinstance(expr, ast.UnaryOp):
-        op = expr.op
-        operand = _compile_aggregate_expr(expr.operand, layout, source)
-        return lambda members, parameters: combine_unary(
-            op, operand(members, parameters)
-        )
-    # Non-aggregate expression: evaluate on the first member (must be a
-    # group key for deterministic results, as in classic SQL).
-    plain = emit_expression(source, expr, layout, "plain")
-    functions = source.namespace
-
-    def first_member(members: List[Tuple[Row, ...]], parameters: Sequence[Any]) -> Any:
-        if not members:
-            return None
-        return functions[plain](members[0], parameters)
-
-    return first_member
-
-
-def _type_class(value: Any) -> int:
-    """0 for a number, 1 for a string, -1 otherwise (orders with neither)."""
-    return 0 if isinstance(value, (int, float)) else 1 if isinstance(value, str) else -1
+    else:
+        lines += [
+            "members = list(scopes)",
+            "if members:",
+            f"    {scope} = members[0]",
+            *_indented(answer(False)),
+            "else:",
+            *_indented(answer(True)),
+        ]
+    fn.close(lines + ["return rows"])
 
 
 def _ordered_operands(
@@ -1109,52 +1119,51 @@ class _Plan:
     base: Optional[_BaseAccess]
     #: The statement's ``force_scan`` plan, once an execution needed it.
     fallback: Optional["_Plan"] = None
-    checks: Tuple[Tuple[ast.Expression, Optional[int]], ...] = ()
-    guards: Tuple[Tuple[ast.ColumnRef, ast.Expression], ...] = ()
+    #: ``unwalkable(parameters)``: must an execution with ``parameters``
+    #: run :attr:`fallback`?  None when no execution must.
+    unwalkable: Optional[Callable[[Sequence[Any]], Any]] = None
 
-    def _set_checks(
+    def _emit_unwalkable(
         self, schema: Schema, placement: Sequence[Tuple[str, str]],
-        conjuncts: Sequence[_Conjunct],
+        conjuncts: Sequence[_Conjunct], source: Source,
     ) -> None:
-        """What :meth:`unwalkable` reads.  For one table, :attr:`guards`:
-        the leading ``column = ?`` / ``column = NULL`` conjuncts (with a
-        NULL value no row passes them, and the plan answers unread), and
-        a check of class None on each other key of the base access (a
-        NULL runs the full scan; a join's walk reads no row for it).
-        :attr:`checks` also hold each value a column is ordered against
-        (``<``, ``<=``, ``>``, ``>=``, ``[NOT] BETWEEN``) in a conjunct of
-        any stage, at its top or under AND, OR and NOT, with the
-        column's type class: numbers are class 0, strings and dates
-        (stored as text) class 1.  A value is a literal, a parameter or
-        a key: nothing a check evaluates can raise, or was not evaluated
-        before reading anyway.  A comparison the written-order plan
-        would not reach (behind an OR that is already TRUE) only sends
-        such an execution to it needlessly; it answers the same."""
+        """Write ``unwalkable(parameters)`` into the plan's unit when the
+        plan has checks.  For one table, the leading ``column = ?`` /
+        ``column = NULL`` conjuncts guard it (with a NULL value no row
+        passes them, and the plan answers unread), and each other key of
+        the base access is checked for NULL (a NULL runs the full scan;
+        a join's walk reads no row for it).  Each value a column is
+        ordered against (``<``, ``<=``, ``>``, ``>=``, ``[NOT] BETWEEN``)
+        in a conjunct of any stage, at its top or under AND, OR and NOT,
+        is checked for the column's type class: numbers for a number
+        column, strings for a string or date column (dates are stored as
+        text).  A value is a literal, a parameter or a key: nothing a
+        check evaluates can raise, or was not evaluated before reading
+        anyway.  A comparison the written-order plan would not reach
+        (behind an OR that is already TRUE) only sends such an execution
+        to it needlessly; it answers the same."""
+        fn = source.function("unwalkable", "parameters", self.layout)
         keys = self.base.keys
-        checks: List[Tuple[ast.Expression, Optional[int]]] = []
+        guards: List[str] = []
+        tests: List[str] = []
         if len(placement) == 1:
-            self.guards = _null_guards([c.expr for c in conjuncts])
-            guarded = [value for _, value in self.guards]
-            checks = [(key, None) for key in keys if key not in guarded]
+            guarded = [value for _, value in _null_guards([c.expr for c in conjuncts])]
+            guards = [f"{fn.value(value)} is None" for value in guarded]
+            tests = [f"{fn.value(key)} is None" for key in keys if key not in guarded]
         for conjunct in conjuncts:
             for column, value in _ordered_operands(conjunct.expr):
                 if isinstance(value, (ast.Literal, ast.Parameter)) or value in keys:
                     table = schema.table(placement[self.layout.resolve(column)[0]][1])
-                    checks.append((value, int(_stores_text(table, column.name))))
-        self.checks = tuple(checks)
-
-    def unwalkable(self, parameters: Sequence[Any]) -> bool:
-        """Must an execution with ``parameters`` run :attr:`fallback`?"""
-        if any(evaluate_constant(v, parameters) is None for _, v in self.guards):
-            return False
-        for expr, rank in self.checks:
-            value = evaluate_constant(expr, parameters)
-            if value is None:
-                if rank is None:
-                    return True
-            elif rank not in (None, _type_class(value)):
-                return True
-        return False
+                    classes = "str" if _stores_text(table, column.name) else "(int, float)"
+                    t = fn.temp()
+                    tests.append(
+                        f"(({t} := {fn.value(value)}) is not None "
+                        f"and not isinstance({t}, {classes}))"
+                    )
+        if not tests:
+            return
+        lines = [f"if {' or '.join(guards)}:", "    return False"] if guards else []
+        fn.close(lines + [f"return {' or '.join(tests)}"])
 
 
 class CompiledSelect(_Plan):
@@ -1208,24 +1217,11 @@ class CompiledSelect(_Plan):
         items = self._expand_items(schema, stmt)
         self.columns: List[str] = [name for _, name in items]
         self._index_ordered = False
-        # Everything the plan runs per row is written into one unit and
-        # compiled once, by _generate.
+        # Everything the plan runs is written into one unit and compiled
+        # once, by _generate.
         source = Source()
-        group_keys: List[str] = []
         if self._grouped:
-            group_keys = [
-                emit_expression(source, e, self.layout, "group")
-                for e in stmt.group_by
-            ]
-            self.item_fns_grouped: List[_GroupFn] = [
-                _compile_aggregate_expr(expr, self.layout, source)
-                for expr, _ in items
-            ]
-            self.having_fn: Optional[_GroupFn] = (
-                _compile_aggregate_expr(stmt.having, self.layout, source)
-                if stmt.having is not None
-                else None
-            )
+            _emit_group(source, self.layout, stmt, [expr for expr, _ in items])
         alias_positions = {name: i for i, name in enumerate(self.columns)}
         #: (output position or expression, descending) per ORDER BY item
         self._order_keys: List[Tuple[Union[int, ast.Expression], bool]] = []
@@ -1236,15 +1232,19 @@ class CompiledSelect(_Plan):
             )
             if names_output and (self._grouped or expr.table is None):
                 self._order_keys.append((alias_positions[expr.name], item.descending))
-            elif not self._grouped:
+            elif self._grouped:
+                # a group has no single row to evaluate the expression on
+                raise DatabaseError(
+                    f"ORDER BY {render_expression(expr)}: a grouped SELECT "
+                    "orders by its output columns only"
+                )
+            else:
                 self._order_keys.append((expr, item.descending))
-            # else: a group has no single row to evaluate the expression
-            # on — grouped results order by output columns only.
         if not self._grouped and not force_scan:
             self._upgrade_to_index_order(data, stmt, items, alias_positions)
         if self.steps or (self.base is not None and self.base.kind != "scan"):
-            self._set_checks(schema, self._placement, conjuncts)
-        self._generate(source, items, group_keys)
+            self._emit_unwalkable(schema, self._placement, conjuncts, source)
+        self._generate(source, items)
 
     # -- planning ---------------------------------------------------------
 
@@ -1564,17 +1564,14 @@ class CompiledSelect(_Plan):
     # -- execution ------------------------------------------------------
 
     def _generate(
-        self,
-        source: Source,
-        items: List[Tuple[ast.Expression, str]],
-        group_keys: List[str],
+        self, source: Source, items: List[Tuple[ast.Expression, str]]
     ) -> None:
         """Write the operators into the plan's source — ``base``, one
         ``join<slot>`` per step, (ungrouped) ``project`` and the ORDER BY
         sort ``order``, each with its predicates, projections and keys
         inlined and its parameters and constants hoisted — next to the
-        GROUP BY key and aggregate-argument functions already there, and
-        compile it."""
+        ``group`` and ``unwalkable`` functions already there, and compile
+        it."""
         if self.base is None:
             fn = source.function("base", "data, parameters", self.layout)
             constant = [fn.truth(e) for e in _split_conjuncts(self.stmt.where)]
@@ -1602,7 +1599,10 @@ class CompiledSelect(_Plan):
         self._order: Optional[Callable[..., List[Tuple[Any, ...]]]] = (
             namespace.get("order")
         )
-        self.group_fns: List[Compiled] = [namespace[name] for name in group_keys]
+        self._group: Optional[Callable[..., List[Tuple[Any, ...]]]] = (
+            namespace.get("group")
+        )
+        self.unwalkable = namespace.get("unwalkable")
 
     def scopes(
         self, data: Dict[str, TableData], parameters: Sequence[Any]
@@ -1650,10 +1650,12 @@ class CompiledSelect(_Plan):
         self, data: Dict[str, TableData], parameters: Sequence[Any]
     ) -> Tuple[List[str], List[Tuple[Any, ...]]]:
         stmt = self.stmt
-        if self._grouped:
-            rows = self._execute_grouped(data, parameters)
-        else:
+        if not self._grouped:
             rows = self._execute_plain(data, parameters)
+        else:
+            rows = self._group(self.scopes(data, parameters), parameters)
+            if self._order is not None:
+                rows = self._order(None, rows, parameters)
 
         if stmt.distinct:
             rows = list(dict.fromkeys(rows))  # the first of equal rows, in order
@@ -1681,30 +1683,6 @@ class CompiledSelect(_Plan):
 
         scopes = list(self.scopes(data, parameters))
         return self._order(scopes, self._project(scopes, parameters), parameters)
-
-    def _execute_grouped(
-        self, data: Dict[str, TableData], parameters: Sequence[Any]
-    ) -> List[Tuple[Any, ...]]:
-        groups: Dict[Tuple[Any, ...], List[Tuple[Row, ...]]] = {}
-        if self.group_fns:
-            for scope in self.scopes(data, parameters):
-                key = tuple(fn(scope, parameters) for fn in self.group_fns)
-                groups.setdefault(key, []).append(scope)
-        else:
-            groups[()] = list(self.scopes(data, parameters))
-
-        rows: List[Tuple[Any, ...]] = []
-        for members in groups.values():
-            if self.having_fn is not None and self.having_fn(
-                members, parameters
-            ) is not True:
-                continue
-            rows.append(
-                tuple(fn(members, parameters) for fn in self.item_fns_grouped)
-            )
-        if self._order is not None:
-            return self._order(None, rows, parameters)
-        return rows
 
     def describe(self) -> List[str]:
         lines: List[str] = []
@@ -1744,8 +1722,6 @@ class CompiledSelect(_Plan):
 # ---------------------------------------------------------------------------
 # row writes: what INSERT, UPDATE and DELETE do per row, as generated code
 # ---------------------------------------------------------------------------
-
-_NO_COLUMNS = ScopeLayout(())
 
 
 def _table_data(data: Dict[str, TableData], name: str) -> TableData:
@@ -1957,7 +1933,7 @@ class CompiledInsert:
     KEY and UNIQUE are enforced.  Nothing is costed: an INSERT has no
     access path and no fallback."""
 
-    checks: Tuple[Any, ...] = ()
+    unwalkable = None
     fallback = None
 
     def __init__(
@@ -2113,6 +2089,7 @@ class CompiledMutation(_Plan):
         conjuncts = [
             _Conjunct(e, self.layout) for e in _split_conjuncts(stmt.where)
         ]
+        source = Source()
         if force_scan:
             self.base = _BaseAccess(table_name, "scan", residual=conjuncts)
         else:
@@ -2120,8 +2097,9 @@ class CompiledMutation(_Plan):
                 schema, data, table_name, 0, self.layout, conjuncts
             )
             if self.base.kind != "scan":
-                self._set_checks(schema, [(table_name, table_name)], conjuncts)
-        source = Source()
+                self._emit_unwalkable(
+                    schema, [(table_name, table_name)], conjuncts, source
+                )
         assignments = [
             (a.column, emit_expression(source, a.value, self.layout, "assign"))
             for a in getattr(stmt, "assignments", ())
@@ -2142,6 +2120,7 @@ class CompiledMutation(_Plan):
             *_indented(body),
         ])
         namespace = source.build()
+        self.unwalkable = namespace.get("unwalkable")
         self._matching: Callable[..., Iterator[int]] = namespace[name]
         #: ``write(rowids, parameters, table, data, txn)``: the statement's
         #: change to each row of ``rowids``, in order.
@@ -2314,7 +2293,7 @@ class Planner:
                 self._cache.move_to_end(key)
             except KeyError:
                 pass  # concurrently invalidated/evicted; recency is best-effort
-        if parameters is not None and plan.checks and plan.unwalkable(parameters):
+        if parameters is not None and plan.unwalkable and plan.unwalkable(parameters):
             if plan.fallback is None:
                 plan.fallback = self._compile(generation, stmt, data, True)
             return plan.fallback

@@ -196,6 +196,51 @@ class TestAggregates:
     def test_aggregate_arithmetic(self, db):
         assert db.query("SELECT MAX(id) - MIN(id) FROM author").scalar() == 4
 
+    def test_sum_and_avg_add_by_the_plus_rule(self, db):
+        # a number in a string adds as `+` adds it; any other string is
+        # the engine's error, never a bare TypeError
+        db.execute("UPDATE author SET email = '7' WHERE id = 1")
+        assert db.query("SELECT SUM(email) FROM author WHERE id = 1").scalar() == 7
+        for sql in [
+            "SELECT SUM(lastname) FROM author",
+            "SELECT team, AVG(lastname) FROM author GROUP BY team",
+        ]:
+            with pytest.raises(DatabaseError, match="expected a numeric value, got 'Hert'"):
+                db.query(sql)
+
+    def test_min_and_max_order_by_the_less_than_rule(self, db):
+        for sql in [
+            "SELECT MIN(COALESCE(team, lastname)) FROM author",
+            "SELECT MAX(COALESCE(team, lastname)) FROM author",
+        ]:
+            with pytest.raises(DatabaseError, match="cannot compare str with int"):
+                db.query(sql)
+
+    def test_and_or_over_aggregates_short_circuit_as_in_where(self, db):
+        # FALSE AND <raises> is FALSE, TRUE OR <raises> is TRUE: the right
+        # side compares a string with a number and is never reached
+        raising = "MIN(lastname) < 1"
+        result = db.query(
+            f"SELECT team, COUNT(*) > 5 AND {raising}, COUNT(*) > 0 OR {raising} "
+            f"FROM author GROUP BY team HAVING COUNT(*) > 5 AND {raising} "
+            f"OR COUNT(*) < 5 OR {raising}"
+        )
+        assert result.rows == [(1, False, True), (2, False, True), (None, False, True)]
+        with pytest.raises(DatabaseError, match="cannot compare str with int"):
+            db.query(f"SELECT team FROM author GROUP BY team HAVING COUNT(*) > 0 AND {raising}")
+
+    def test_grouped_order_by_names_an_output_column(self, db):
+        for sql in [
+            "SELECT team, COUNT(*) FROM author GROUP BY team ORDER BY COUNT(*) DESC",
+            "SELECT COUNT(*) FROM author GROUP BY team ORDER BY team",
+        ]:
+            with pytest.raises(DatabaseError, match="orders by its output columns only"):
+                db.query(sql)
+        result = db.query(
+            "SELECT team, COUNT(*) AS n FROM author GROUP BY team ORDER BY n DESC, team"
+        )
+        assert result.rows == [(1, 3), (None, 1), (2, 1)]
+
 
 class TestOrderingAndLimits:
     def test_order_asc(self, db):
