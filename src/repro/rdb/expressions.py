@@ -602,6 +602,8 @@ class Function:
         if len(expr.args) != 1:
             raise DatabaseError(f"{name} takes exactly one argument")
         first, later = self._operand(expr.args[0])
+        if name == "ABS":  # of a number, by the rule unary ``-`` follows
+            later = f"{self.helper('numeric', _numeric)}({later})"
         return f"(None if {first} is None else {template.format(later)})"
 
     # -- truth form ---------------------------------------------------------

@@ -129,7 +129,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import islice
 from operator import itemgetter
@@ -165,7 +165,7 @@ from .expressions import (
     _NO_COLUMNS,
     _parameter,
 )
-from .storage import PAGE_BITS, PAGE_SIZE, UNBOUNDED, TableData
+from .storage import PAGE_BITS, PAGE_SIZE, SLOT_MASK, UNBOUNDED, TableData
 from .transactions import DEFERRED
 from .types import DateType, FloatType, IntegerType, Row, StringType
 
@@ -386,16 +386,20 @@ class _BaseAccess:
 
     def _reader(
         self, fn: Function, rowids: bool
-    ) -> Tuple[List[str], str, List[str]]:
+    ) -> Tuple[List[str], str, str, List[str], str]:
         """How ``base`` reads, past the NULL guards: its set-up lines,
         what the loop over units (``unit``: a page of rows or a chunk of
-        row ids) iterates, and the loop over a unit's rows, which binds
-        ``r0`` (and ``rowid`` when ``rowids``)."""
+        row ids) iterates, how many rows a unit holds, the loop over a
+        unit's rows, which binds ``r0`` (and ``rowid`` when ``rowids``),
+        and a unit's row ids."""
         full_scan = fn.helper(
             "count_full_scan", FULL_SCANS.labels(self.table_name).inc
         )
-        pairs = "rowid, r0 in unit.items()" if rowids else "r0 in unit.values()"
-        return [f"{full_scan}()"], "table.pages()", [f"for {pairs}:"]
+        pairs = "rowid, r0 in unit.items()" if rowids else "r0 in unit.rows()"
+        return (
+            [f"{full_scan}()"], "table.pages()", "unit.live", [f"for {pairs}:"],
+            "unit.ids()",
+        )
 
     def emit(self, source: Source, layout: ScopeLayout, rowids: bool) -> str:
         """Write the generator ``base(data, parameters)``.
@@ -416,14 +420,13 @@ class _BaseAccess:
         # answers its conjunct (a NULL column compares False).
         tests = [f"({column} == {value})" for column, value in guards]
         tests += [fn.truth(expr) for expr in self.residual[len(guards):]]
-        setup, units, loop = self._reader(fn, rowids)
+        setup, units, size, loop, ids = self._reader(fn, rowids)
         lines = [f"table = data[{self.table_name!r}]"]
         if guards:
             nulls = " or ".join(f"{value} is None" for _, value in guards)
             lines += [f"if {nulls}:", "    return"]
         if rowids and not tests:
-            # a page iterates its row ids, as a chunk does
-            rows = ["yield from unit"]
+            rows = [f"yield from {ids}"]
         else:
             accepted = _when(tests, [f"yield {'rowid' if rowids else '(r0,)'}"])
             rows = loop + _indented(accepted)
@@ -433,7 +436,7 @@ class _BaseAccess:
             "try:",
             f"    for unit in {units}:",
             f"        {check}('executor:scan')",
-            "        scanned += len(unit)",
+            f"        scanned += {size}",
             *_indented(rows, 2),
             "finally:",
             # One sharded-counter add per statement; per unit, only a
@@ -462,10 +465,12 @@ class _IndexWalk(_BaseAccess):
         return (
             [f"ids = {walk}(table, {key})", "directory = table.rows.dir"],
             f"table.id_chunks(ids{size})",
+            "len(unit)",
             [
                 "for rowid in unit:",
-                f"    r0 = directory[rowid >> {PAGE_BITS}][rowid]",
+                f"    r0 = directory[rowid >> {PAGE_BITS}][rowid & {SLOT_MASK}]",
             ],
+            "unit",
         )
 
 
@@ -797,7 +802,7 @@ class _JoinStep:
         rows = [
             f"for page in data[{self.table_name!r}].pages():",
             f"    {check}('executor:scan')",
-            f"    for {row} in page.values():",
+            f"    for {row} in page.rows():",
         ]
         wanted = [fn.truth(e) for e in self.build_filters]  # reads `row` only
 
@@ -985,16 +990,27 @@ def _emit_order(
 # compiled statements
 # ---------------------------------------------------------------------------
 
+def _operands(expr: ast.Expression) -> Dict[str, Any]:
+    """The fields of ``expr`` that hold expressions — an operand, a
+    bound, an argument, or a tuple of arguments or list items — by
+    name."""
+    return {
+        f.name: value
+        for f in fields(expr)
+        if isinstance(value := getattr(expr, f.name), (ast.Expression, tuple))
+    }
+
+
 def _contains_aggregate(expr: Optional[ast.Expression]) -> bool:
-    if isinstance(expr, ast.FunctionCall):
-        if expr.name in AGGREGATE_FUNCTIONS:
-            return True
-        return any(_contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, (ast.UnaryOp, ast.IsNull, ast.Like, ast.Between, ast.InList)):
-        return _contains_aggregate(expr.operand)
-    return False
+    if expr is None:
+        return False
+    if isinstance(expr, ast.FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
+        return True
+    return any(
+        _contains_aggregate(operand)
+        for value in _operands(expr).values()
+        for operand in (value if isinstance(value, tuple) else (value,))
+    )
 
 
 def _emit_group(
@@ -1012,9 +1028,10 @@ def _emit_group(
     other calls and writes the items in their value form.  Each call is
     computed once, into a local the emitter reads (``a<n>``, a
     :class:`Local`), from its argument's non-NULL values over the
-    group's rows.  An operand that is neither an aggregate call nor an
-    operator over aggregates reads the group's first row; in the one
-    group without rows (no GROUP BY, no input row) it is NULL."""
+    group's rows, whatever operator or function it stands under.  A
+    column outside an aggregate reads the group's first row; in the one
+    group without rows (no GROUP BY, no input row) it is NULL, and
+    literals and parameters keep their values."""
     fn = source.function("group", "scopes, parameters", layout)
     scope = _tuple([f"r{slot}" for slot in range(len(layout))])
     calls: Dict[ast.FunctionCall, Local] = {}
@@ -1022,13 +1039,15 @@ def _emit_group(
     def over_group(expr: ast.Expression, empty: bool) -> ast.Expression:
         if isinstance(expr, ast.FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
             return calls.setdefault(expr, Local(f"a{len(calls)}"))
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(
-                expr.op, over_group(expr.left, empty), over_group(expr.right, empty)
+        if isinstance(expr, ast.ColumnRef):
+            return ast.Null() if empty else expr
+        return replace(expr, **{
+            name: (
+                tuple(over_group(e, empty) for e in value)
+                if isinstance(value, tuple) else over_group(value, empty)
             )
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(expr.op, over_group(expr.operand, empty))
-        return ast.Null() if empty else expr
+            for name, value in _operands(expr).items()
+        })
 
     def compute(start: int) -> List[str]:
         """The lines binding each call from the ``start``-th on."""
@@ -2116,7 +2135,7 @@ class CompiledMutation(_Plan):
         write.close([
             "for rowid in rowids:",
             f"    {check}('executor:dml')",
-            f"    old = directory[rowid >> {PAGE_BITS}][rowid]",
+            f"    old = directory[rowid >> {PAGE_BITS}][rowid & {SLOT_MASK}]",
             *_indented(body),
         ])
         namespace = source.build()

@@ -41,13 +41,21 @@ Pages (MVCC reads, copy-on-write)
 ---------------------------------
 
 Rows and both halves of an index live in one persistent container,
-:class:`_Pages`: a *directory* (a list) of *pages* (dicts or lists of at
-most ``PAGE_SIZE`` entries), each page stamped with the token of the one
-container version that may mutate it in place.  Three addressings share
-that mechanism: :class:`_RowPages` (page ``rowid >> PAGE_BITS``, so scan
-order is row-id order), :class:`_HashPages` (extendible hashing: the
-directory doubles, a full bucket splits alone) and :class:`_SortedPages`
-(sorted keys in chunks).
+:class:`_Pages`: a *directory* (a list) of *pages*, each stamped with the
+token of the one container version that may mutate it in place.  Three
+addressings share that mechanism:
+
+* :class:`_RowPages` — a page is a list of ``PAGE_SIZE`` slots, row id
+  ``rowid`` in slot ``rowid & SLOT_MASK`` of page ``rowid >> PAGE_BITS``
+  (None where no row is), so scan order is row-id order and a read is
+  two list subscripts; a page counts its rows (``live``), one without
+  holes is iterated as it is, one with holes through ``filter(None,
+  page)``, and a page emptied by deletes goes back to the shared empty
+  stand-in;
+* :class:`_HashPages` — dicts of at most ``PAGE_SIZE`` entries by
+  extendible hashing: the directory doubles, a full bucket splits alone;
+* :class:`_SortedPages` — sorted keys in list chunks of at most
+  ``PAGE_SIZE``.
 
 :meth:`TableData.clone` copies the directories only — O(rows /
 ``PAGE_SIZE``) pointers — and both versions then share every page.  A
@@ -68,16 +76,16 @@ for lock-free readers and hands the clone to the writer: once a
 again.
 
 Directories never shrink: a table that shrank keeps the directory of its
-largest size (row pages emptied by deletes are released, their slots
+largest size (row pages emptied by deletes are released, their entries
 stay).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import DatabaseError, IntegrityError
 from .catalog import Table
@@ -90,8 +98,11 @@ __all__ = ["TableData"]
 #: at most PAGE_SIZE entries per structure it touches.
 PAGE_BITS = 7
 PAGE_SIZE = 1 << PAGE_BITS
+#: A row id's slot on its row page: ``rowid & SLOT_MASK``.
+SLOT_MASK = PAGE_SIZE - 1
 
 _FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
 
 
 def _chunk_of(chunks: Any, key: Any) -> int:
@@ -152,18 +163,51 @@ class _Pages:
         return twin
 
 
+class _RowPage(list):
+    """A row page: ``PAGE_SIZE`` slots, slot ``rowid & SLOT_MASK`` holding
+    the row of that id or None.  ``live`` counts the rows, ``base`` is
+    the row id of slot 0 (see :class:`_DictPage` for ``owner``).
+
+    A page without holes (``live == PAGE_SIZE``) is read as it is; one
+    with holes through ``filter`` (``filter(None, page)`` for its rows)
+    — a stored row is a non-empty tuple, so a slot's truth is the test,
+    made in C once per slot, never in Python per row.
+    """
+
+    __slots__ = ("owner", "live", "base")
+
+    def rows(self) -> Iterable[Row]:
+        """The page's rows in row-id order."""
+        return self if self.live == PAGE_SIZE else filter(None, self)
+
+    def ids(self) -> Iterator[int]:
+        """The page's row ids, ascending."""
+        return compress(range(self.base, self.base + PAGE_SIZE), self)
+
+    def items(self) -> Iterator[Tuple[int, Row]]:
+        """(row id, row) of each row, in row-id order."""
+        pairs = enumerate(self, self.base)
+        return pairs if self.live == PAGE_SIZE else filter(_SECOND, pairs)
+
+
 #: Stands in for row pages that hold nothing (never owned, so never
-#: mutated): directory slots beyond the last insert or emptied by deletes.
-_NO_ROWS = _DictPage()
+#: mutated; empty, so ``filter(None, directory)`` skips it): directory
+#: slots beyond the last insert or emptied by deletes.
+_NO_ROWS = _RowPage()
 _NO_ROWS.owner = None
+_NO_ROWS.live = 0
+
+_EMPTY_SLOTS = [None] * PAGE_SIZE
 
 
 class _RowPages(_Pages):
-    """Row id -> row tuple; page ``n`` holds the ids ``n << PAGE_BITS``
-    up to the next page's first, in ascending order.
+    """Row id -> row tuple; page ``rowid >> PAGE_BITS`` holds the row in
+    slot ``rowid & SLOT_MASK`` (a :class:`_RowPage`).
 
     Iteration chains the pages, so scan order is row-id order — the
-    invariant ordered-index tie emission relies on.  The mapping surface
+    invariant ordered-index tie emission relies on — and a row stored
+    under an id below stored ones (undo of a delete, replay) lands in
+    its slot, in order, with nothing to re-sort.  The mapping surface
     (``[]``, ``get``, ``in``, ``len``, ``items``/``values``) is what the
     executor, the planner and the mediator read rows through.
     """
@@ -181,15 +225,19 @@ class _RowPages(_Pages):
 
     def __getitem__(self, rowid: int) -> Row:
         try:
-            return self.dir[rowid >> PAGE_BITS][rowid]
-        except IndexError:
-            raise KeyError(rowid) from None
+            row = self.dir[rowid >> PAGE_BITS][rowid & SLOT_MASK]
+        except IndexError:  # past the directory, or an empty page
+            row = None
+        if row is None:
+            raise KeyError(rowid)
+        return row
 
     def get(self, rowid: int, default: Any = None) -> Any:
         try:
-            return self.dir[rowid >> PAGE_BITS].get(rowid, default)
-        except IndexError:
+            row = self.dir[rowid >> PAGE_BITS][rowid & SLOT_MASK]
+        except IndexError:  # past the directory, or an empty page
             return default
+        return default if row is None else row
 
     def __contains__(self, rowid: int) -> bool:
         return self.get(rowid) is not None
@@ -198,58 +246,53 @@ class _RowPages(_Pages):
         return self.count
 
     def __iter__(self) -> Iterator[int]:
-        return chain.from_iterable(self.dir)
+        return chain.from_iterable(map(_RowPage.ids, filter(None, self.dir)))
 
     def items(self) -> Iterator[Tuple[int, Row]]:
-        return chain.from_iterable(map(dict.items, self.dir))
+        return chain.from_iterable(map(_RowPage.items, filter(None, self.dir)))
 
     def values(self) -> Iterator[Row]:
-        return chain.from_iterable(map(dict.values, self.dir))
+        return chain.from_iterable(map(_RowPage.rows, filter(None, self.dir)))
 
-    def _page(self, rowid: int) -> _DictPage:
-        """The page ``rowid`` lives on, owned by this version."""
+    def _own_page(self, n: int) -> _RowPage:
+        """Install in directory slot ``n`` a page this version owns, with
+        the rows of the one there (which may be shared, or the empty
+        stand-in)."""
+        page = self.dir[n]
+        twin = _RowPage(page or _EMPTY_SLOTS)
+        twin.owner = self.token
+        twin.live = page.live
+        twin.base = n << PAGE_BITS
+        self.copied += page.live
+        self.dir[n] = twin
+        return twin
+
+    def __setitem__(self, rowid: int, row: Row) -> None:
+        """Store a row under any id, new or stored."""
         n = rowid >> PAGE_BITS
         directory = self.dir
         if n >= len(directory):
             directory.extend([_NO_ROWS] * (n + 1 - len(directory)))
         page = directory[n]
         if page.owner is not self.token:
-            page = directory[n] = self._own(page)
-        return page
-
-    def __setitem__(self, rowid: int, row: Row) -> None:
-        """Store a row under a new highest id, or replace a stored one."""
-        n = rowid >> PAGE_BITS
-        directory = self.dir
-        if n >= len(directory):
-            directory.extend([_NO_ROWS] * (n + 1 - len(directory)))
-        page = directory[n]
-        if page.owner is not self.token:  # _page(), minus a call per row
-            page = directory[n] = self._own(page)
-        if rowid not in page:
+            page = self._own_page(n)
+        slot = rowid & SLOT_MASK
+        if page[slot] is None:
+            page.live += 1
             self.count += 1
-        page[rowid] = row
-
-    def reinstate(self, rowid: int, row: Row) -> None:
-        """Store a row under an id that may lie below stored ones (undo
-        of a delete, replay): its page is re-ordered, so iteration stays
-        in ascending id order."""
-        page = self._page(rowid)
-        in_order = not page or rowid > next(reversed(page))
-        self[rowid] = row
-        if not in_order:
-            ordered = sorted(page.items())
-            page.clear()
-            page.update(ordered)
+        page[slot] = row
 
     def pop(self, rowid: int) -> Row:
-        if rowid not in self:
-            raise KeyError(rowid)
-        page = self._page(rowid)
-        row = page.pop(rowid)
+        row = self[rowid]
+        n = rowid >> PAGE_BITS
+        page = self.dir[n]
+        if page.owner is not self.token:
+            page = self._own_page(n)
+        page[rowid & SLOT_MASK] = None
+        page.live -= 1
         self.count -= 1
-        if not page:
-            self.dir[rowid >> PAGE_BITS] = _NO_ROWS
+        if not page.live:
+            self.dir[n] = _NO_ROWS
         return row
 
 
@@ -595,8 +638,6 @@ class _SortedPages(_Pages):
             return chain.from_iterable(map(reversed, reversed(spans)))
         return chain.from_iterable(spans)
 
-
-_SECOND = itemgetter(1)
 
 #: Sentinel for "no bound" in range probes (None means SQL NULL there).
 UNBOUNDED = object()
@@ -967,15 +1008,13 @@ class TableData:
         return old
 
     def restore(self, rowid: int, row: Row) -> None:
-        """Reinstate a previously deleted row under its original id (undo).
-
-        Scan order stays ascending row-id order (ordered-index tie
-        emission and the stable scan+sort must stay indistinguishable):
-        the row store re-orders the one page a mid-table row lands on.
-        """
+        """Reinstate a previously deleted row under its original id (undo,
+        replay).  It lands in its own slot, so scan order stays ascending
+        row-id order (ordered-index tie emission and the stable
+        scan+sort must stay indistinguishable) with nothing re-sorted."""
         for index in self.indexes.values():
             index.insert(row, rowid)
-        self.rows.reinstate(rowid, row)
+        self.rows[rowid] = row
 
     # -- lookups (none builds an index, none falls back to a scan) ---------------
 
@@ -989,10 +1028,11 @@ class TableData:
     # The planner's readers: a plan reads a table a page, or a chunk of
     # row ids, at a time, and checks for cancellation once per unit.
 
-    def pages(self) -> Iterator[Dict[int, Row]]:
+    def pages(self) -> Iterator[_RowPage]:
         """The row pages in ascending row-id order, empty ones skipped:
-        dicts of at most ``PAGE_SIZE`` row id -> row, the stored pages
-        themselves (the caveat of :meth:`scan` applies)."""
+        the stored pages themselves (the caveat of :meth:`scan`
+        applies), each read through ``rows()``, ``items()`` or ``ids()``
+        and holding ``live`` rows."""
         return filter(None, self.rows.dir)
 
     def id_chunks(self, rowids: Any, size: int = PAGE_SIZE) -> Iterator[Any]:

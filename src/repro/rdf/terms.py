@@ -23,6 +23,13 @@ Immutable terms copy as themselves and pickle through their public
 constructor.  ``URIRef.canonical`` and ``Literal.canonical`` build a term
 from a form already known to be canonical (what decoding a column value
 produces), without the checks and conversions of ``__init__``.
+
+Hashing: a :class:`URIRef` or :class:`Literal` computes its hash on its
+first ``__hash__`` and keeps it (``_hash``, None until then), so a term
+that no dictionary or set ever sees — most of those an answer mints from
+rows, which go straight to a result writer — never builds the tuple its
+hash is taken of.  Both constructors leave the same state, so terms
+from either are equal with equal hashes.
 """
 
 from __future__ import annotations
@@ -89,9 +96,7 @@ class URIRef(Term):
         if not isinstance(value, str):
             raise TypeError(f"URIRef value must be str, got {type(value).__name__}")
         object.__setattr__(self, "value", value)
-        # Terms are dictionary keys on every path (solutions, graphs):
-        # the hash is computed once, not once per dictionary operation.
-        object.__setattr__(self, "_hash", hash(("URIRef", value)))
+        object.__setattr__(self, "_hash", None)  # computed on first use
 
     @staticmethod
     def canonical(value: str) -> "URIRef":
@@ -99,7 +104,7 @@ class URIRef(Term):
         (a minted instance URI)."""
         term = _new(URIRef)
         _uri_value(term, value)
-        _uri_hash(term, hash(("URIRef", value)))
+        _uri_hash(term, None)
         return term
 
     def __setattr__(self, name: str, val: Any) -> None:  # immutability guard
@@ -112,7 +117,11 @@ class URIRef(Term):
         return isinstance(other, URIRef) and other.value == self.value
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash(("URIRef", self.value))
+            _uri_hash(self, h)
+        return h
 
     def __repr__(self) -> str:
         return f"URIRef({self.value!r})"
@@ -262,9 +271,7 @@ class Literal(Term):
         object.__setattr__(self, "lexical", lexical)
         object.__setattr__(self, "language", language)
         object.__setattr__(self, "datatype", datatype)
-        object.__setattr__(
-            self, "_hash", hash(("Literal", lexical, language, datatype))
-        )
+        object.__setattr__(self, "_hash", None)  # computed on first use
 
     @staticmethod
     def canonical(lexical: str, datatype: Optional[str] = None) -> "Literal":
@@ -275,7 +282,7 @@ class Literal(Term):
         _literal_lexical(term, lexical)
         _literal_language(term, None)
         _literal_datatype(term, datatype)
-        _literal_hash(term, hash(("Literal", lexical, None, datatype)))
+        _literal_hash(term, None)
         return term
 
     def __setattr__(self, name: str, val: Any) -> None:
@@ -293,7 +300,11 @@ class Literal(Term):
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash(("Literal", self.lexical, self.language, self.datatype))
+            _literal_hash(self, h)
+        return h
 
     def __repr__(self) -> str:
         extra = ""

@@ -176,7 +176,7 @@ def reference(expr, rows, parameters):
         "UPPER": lambda v: str(v).upper(),
         "LOWER": lambda v: str(v).lower(),
         "LENGTH": lambda v: len(str(v)),
-        "ABS": abs,
+        "ABS": lambda v: abs(_number(v)),
         "TRIM": lambda v: str(v).strip(),
     }[expr.name](value)
 

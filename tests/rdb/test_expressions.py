@@ -131,6 +131,15 @@ class TestFunctions:
     def test_abs(self):
         assert ev("ABS(a)", {"a": -5}) == 5
 
+    def test_abs_reads_a_number_as_unary_minus_does(self):
+        # a number in a string is that number; any other string is the
+        # engine's error, never a bare TypeError
+        assert ev("ABS(a)", {"a": "-7"}) == ev("-a", {"a": "-7"}) == 7
+        assert ev("ABS(a)", {"a": True}) == 1
+        for text in ("ABS(a)", "-a"):
+            with pytest.raises(DatabaseError, match="expected a numeric value, got 'x'"):
+                ev(text, {"a": "x"})
+
     def test_null_argument_yields_null(self):
         assert ev("UPPER(a)", {"a": None}) is None
 

@@ -8,7 +8,8 @@ recorded from the engine, over two tables with NULLs in every column
 
 * a list of hand-picked statements — arithmetic, ``||``, ``-`` and NOT
   over aggregates, HAVING that is NULL, NULL group keys, empty input
-  with and without GROUP BY (where a non-aggregate item answers NULL),
+  with and without GROUP BY (where a column outside an aggregate answers
+  NULL, a literal or parameter its value),
   parameters, joins, DISTINCT / LIMIT / ORDER BY of output columns, and
   the refusals — and
 * a seeded stream of generated ones, well typed throughout.
@@ -124,8 +125,8 @@ HAND = [
     ("SELECT *, COUNT(*) FROM t", ()),
     ("SELECT * FROM t GROUP BY g", ()),
     ("SELECT id FROM t WHERE COUNT(*) > 1", ()),
-    ("SELECT COALESCE(SUM(n), 0) FROM t", ()),
-    ("SELECT g FROM t GROUP BY g HAVING MAX(n) IS NULL", ()),
+    ("SELECT COALESCE(SUM(n), 0) FROM t", ()),  # answers: an aggregate may
+    ("SELECT g FROM t GROUP BY g HAVING MAX(n) IS NULL", ()),  # stand anywhere
     ("SELECT SUM(n, f) FROM t", ()),
     ("SELECT SUM(COUNT(*)) FROM t", ()),
     ("SELECT g FROM t GROUP BY COUNT(*)", ()),

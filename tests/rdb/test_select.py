@@ -229,6 +229,36 @@ class TestAggregates:
         with pytest.raises(DatabaseError, match="cannot compare str with int"):
             db.query(f"SELECT team FROM author GROUP BY team HAVING COUNT(*) > 0 AND {raising}")
 
+    def test_abs_over_text_is_the_engines_error(self, db):
+        for sql in [
+            "SELECT ABS(lastname) FROM author",
+            "SELECT id FROM author WHERE ABS(lastname) > 1",
+        ]:
+            with pytest.raises(DatabaseError, match="expected a numeric value, got 'Hert'"):
+                db.query(sql)
+
+    def test_empty_input_without_group_by_keeps_literals_and_parameters(self, db):
+        # one group without rows: a column outside an aggregate is NULL,
+        # a literal or a parameter is its value
+        none = "FROM author WHERE id < 0"
+        assert db.query(
+            f"SELECT COUNT(*) + 1, 5, ?, COALESCE(team, 9), team + 1 {none}", [3]
+        ).rows == [(1, 5, 3, 9, None)]
+        assert db.query(f"SELECT COUNT(*) {none} HAVING COUNT(*) = 0").rows == [(0,)]
+        assert db.query(f"SELECT COUNT(*) {none} HAVING COUNT(*) = ?", [1]).rows == []
+
+    def test_aggregates_under_any_operator_or_function(self, db):
+        assert db.query(
+            "SELECT team FROM author GROUP BY team HAVING MAX(email) IS NULL"
+        ).rows == [(2,), (None,)]
+        assert db.query(
+            "SELECT COALESCE(SUM(team), 0), MAX(id) BETWEEN 1 AND MIN(id) + 9, "
+            "COUNT(*) IN (5, 6), UPPER(MIN(lastname)) FROM author"
+        ).rows == [(5, True, True, "CODD")]
+        assert db.query(
+            "SELECT COALESCE(SUM(team), 0) FROM author WHERE id < 0"
+        ).rows == [(0,)]
+
     def test_grouped_order_by_names_an_output_column(self, db):
         for sql in [
             "SELECT team, COUNT(*) FROM author GROUP BY team ORDER BY COUNT(*) DESC",

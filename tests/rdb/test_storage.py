@@ -17,6 +17,7 @@ from repro.rdb.executor import Executor
 from repro.rdb.storage import (
     _IDS_CHUNK,
     PAGE_SIZE,
+    SLOT_MASK,
     TableData,
     _RowIds,
     _ordered_key,
@@ -142,6 +143,100 @@ class TestDeleteRestore:
         data.restore(rowid, image)
         assert data.find_by_pk((1,)) == rowid
         assert data.has_key(("team",), (5,))
+
+
+class TestRowSlots:
+    """Row page ``rowid >> PAGE_BITS`` holds a row in slot ``rowid &
+    SLOT_MASK``: holes, undo and emptied pages, against a dict oracle."""
+
+    @staticmethod
+    def loaded(rows):
+        data = TableData(make_table())
+        for key in range(1, rows + 1):
+            data.insert((key, f"n{key}", key % 5))
+        return data
+
+    @staticmethod
+    def assert_reads(data, oracle):
+        """Every reader of the row store answers what ``oracle`` holds."""
+        expected = sorted(oracle.items())
+        assert list(data.scan()) == list(data.rows.items()) == expected
+        assert list(data.rows) == [rowid for rowid, _ in expected]
+        assert list(data.rows.values()) == [row for _, row in expected]
+        pages = list(data.pages())
+        assert all(page.live for page in pages)
+        assert sum(page.live for page in pages) == len(data) == len(oracle)
+        assert [pair for page in pages for pair in page.items()] == expected
+        assert [row for page in pages for row in page.rows()] == [r for _, r in expected]
+        assert [rowid for page in pages for rowid in page.ids()] == sorted(oracle)
+        for rowid in range(0, (max(oracle, default=0) | SLOT_MASK) + PAGE_SIZE + 2):
+            row = oracle.get(rowid)
+            assert data.rows.get(rowid) == row and (rowid in data.rows) == (row is not None)
+            if row is None:
+                with pytest.raises(KeyError):
+                    data.rows[rowid]
+            else:
+                assert data.rows[rowid] == row
+
+    def test_an_undo_in_the_middle_of_a_page_keeps_row_id_order(self):
+        data = self.loaded(300)
+        gone = {rowid: data.delete(rowid) for rowid in (131, 5, 200, 130, 6)}
+        for rowid in (6, 200, 131, 5, 130):  # not the order they went in
+            data.restore(rowid, gone[rowid])
+        assert list(data.rows) == list(range(1, 301))
+        assert [row[0] for page in data.pages() for row in page.rows()] == list(range(1, 301))
+        self.assert_reads(data, {key: (key, f"n{key}", key % 5) for key in range(1, 301)})
+
+    def test_a_page_emptied_by_deletes_leaves_pages(self):
+        data = self.loaded(3 * PAGE_SIZE - 1)  # ids 1 .. 383: pages 0, 1, 2
+        frozen = data.clone()
+        for rowid in range(PAGE_SIZE, 2 * PAGE_SIZE):
+            data.delete(rowid)
+        assert [page.base for page in data.pages()] == [0, 2 * PAGE_SIZE]
+        assert [page.live for page in data.pages()] == [PAGE_SIZE - 1, PAGE_SIZE]
+        # the version it was cloned from keeps the page
+        assert [page.live for page in frozen.pages()] == [PAGE_SIZE - 1] + [PAGE_SIZE] * 2
+        data.restore(PAGE_SIZE + 3, frozen.rows[PAGE_SIZE + 3])
+        assert [page.live for page in data.pages()] == [PAGE_SIZE - 1, 1, PAGE_SIZE]
+        self.assert_reads(frozen, dict(frozen.scan()))
+
+    def test_lookups_on_a_hole_and_past_the_directory(self):
+        data = self.loaded(PAGE_SIZE + 10)
+        data.delete(7)
+        for rowid in (0, 7, PAGE_SIZE + 11, 2 * PAGE_SIZE - 1, 2 * PAGE_SIZE, 10**6):
+            assert data.rows.get(rowid) is None and data.rows.get(rowid, "x") == "x"
+            assert rowid not in data.rows
+            with pytest.raises(KeyError):
+                data.rows[rowid]
+        assert data.rows[8] == (8, "n8", 3) and 8 in data.rows
+        with pytest.raises(KeyError):
+            data.delete(7)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scan_equals_a_dict_oracle_over_seeded_histories(self, seed):
+        rng = random.Random(seed)
+        data, oracle, graveyard = TableData(make_table()), {}, []
+        versions = []  # (frozen clone, its oracle)
+        for step in range(900):
+            roll = rng.random()
+            if roll < 0.5 or not oracle:
+                key = data._next_rowid + 10_000
+                rowid = data.insert((key, None, rng.randrange(4)))
+                oracle[rowid] = data.rows[rowid]
+            elif roll < 0.8:
+                rowid = rng.choice(sorted(oracle))
+                graveyard.append((rowid, data.delete(rowid)))
+                del oracle[rowid]
+            elif graveyard:
+                rowid, row = graveyard.pop(rng.randrange(len(graveyard)))
+                data.restore(rowid, row)
+                oracle[rowid] = row
+            if step % 150 == 0:
+                versions.append((data, dict(oracle)))
+                data = data.clone()
+        self.assert_reads(data, oracle)
+        for frozen, frozen_oracle in versions:
+            self.assert_reads(frozen, frozen_oracle)
 
 
 class TestAutoincrement:

@@ -237,3 +237,60 @@ class TestCopyAndPickle:
     )
     def test_double_lexical_forms(self, number, lexical):
         assert Literal(number) == Literal(lexical, datatype=XSD_DOUBLE)
+
+
+class CountedStr(str):
+    """A string that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __hash__(self):
+        CountedStr.hashed += 1
+        return super().__hash__()
+
+
+class TestHashOnFirstUse:
+    """A URI or literal hashes on its first ``__hash__``, once; terms
+    from ``__init__`` and from ``canonical`` are interchangeable keys."""
+
+    MADE = {
+        "uri": lambda value: URIRef(value),
+        "canonical uri": lambda value: URIRef.canonical(value),
+        "literal": lambda value: Literal(value, datatype=XSD_INTEGER),
+        "canonical literal": lambda value: Literal.canonical(value, XSD_INTEGER),
+    }
+
+    @pytest.mark.parametrize("kind", list(MADE))
+    def test_computed_once_on_first_use(self, kind):
+        CountedStr.hashed = 0
+        term = self.MADE[kind](CountedStr("2009"))
+        assert CountedStr.hashed == 0  # minting hashes nothing
+        first = hash(term)
+        assert CountedStr.hashed == 1
+        assert hash(term) == hash(term) == first and {term: 1}[term] == 1
+        assert CountedStr.hashed == 1
+
+    @pytest.mark.parametrize("kind", ["uri", "literal"])
+    def test_both_constructors_agree(self, kind):
+        made, canonical = self.MADE[kind]("7"), self.MADE[f"canonical {kind}"]("7")
+        assert made == canonical and hash(made) == hash(canonical)
+        # whichever was hashed first, each finds the other
+        assert canonical in {made} and made in {canonical}
+        assert {made: "a"}[self.MADE[f"canonical {kind}"]("7")] == "a"
+        assert {self.MADE[kind]("7"): "b"}[canonical] == "b"
+        assert len({made, canonical, self.MADE[kind]("7")}) == 1
+        assert self.MADE[kind]("8") not in {made}
+
+    @pytest.mark.parametrize("kind", list(MADE))
+    def test_pickling_before_and_after_the_first_hash(self, kind):
+        for hashed in (False, True):
+            term = self.MADE[kind]("2010")
+            if hashed:
+                hash(term)
+            again = pickle.loads(pickle.dumps(term))
+            assert again == term and hash(again) == hash(term)
+            assert again in {term} and term in {again}
+
+    def test_uris_and_literals_of_one_text_stay_apart(self):
+        uri, literal = URIRef.canonical("x"), Literal.canonical("x")
+        assert uri != literal and len({uri, literal, URIRef("x"), Literal("x")}) == 2

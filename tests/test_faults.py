@@ -269,22 +269,22 @@ class TestChecksCountRowsRead:
     @pytest.fixture
     def rows_read(self, monkeypatch):
         """Row ids pulled out of any table's readers so far: its pages
-        (``TableData.pages``) and the id chunks of its index walks
-        (``TableData.id_chunks``)."""
+        (``TableData.pages``, each read for its ``ids()``) and the id
+        chunks of its index walks (``TableData.id_chunks``)."""
         from repro.rdb.storage import TableData
 
         pulled = []
 
-        def counting(method):
+        def counting(method, ids):
             def units(table_data, *args):
                 for unit in method(table_data, *args):
-                    pulled.extend(unit)
+                    pulled.extend(ids(unit))
                     yield unit
             return units
 
-        for name in ("pages", "id_chunks"):
+        for name, ids in (("pages", lambda page: page.ids()), ("id_chunks", iter)):
             monkeypatch.setattr(
-                TableData, name, counting(getattr(TableData, name))
+                TableData, name, counting(getattr(TableData, name), ids)
             )
         return pulled
 
